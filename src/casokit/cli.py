@@ -487,7 +487,8 @@ def _add_method_knobs(sp):
     sp.add_argument("--c1", type=float, default=DEFAULT_C1,
                     help="additive trust constant in lambda2")
     sp.add_argument("--power-iters", type=int, default=DEFAULT_POWER_ITERS,
-                    help="power iterations for the curvature bound")
+                    help="power iterations for the curvature bound on sigmoid "
+                         "nets; relu/identity nets use the exact lambda_max")
     sp.add_argument("--smooth-n", type=int, default=DEFAULT_SMOOTH_N,
                     help="noise samples for smooth variants")
     sp.add_argument("--smooth-sigma", type=float, default=DEFAULT_SMOOTH_SIGMA,

@@ -4,7 +4,10 @@ CAFO keeps only the first-order term of the loss around the input and
 CASO adds the closed-form second-order term; both maximize the sparse
 strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
-solving. The gradient baselines (vanilla gradient, SmoothGrad, integrated
+solving. CASO and smooth-CASO first build one CurvatureModel per sample
+(gradient, stacked curvature factor and its exact top eigenvalue) and
+then solve against it; a lam1 sweep reuses that one model for every
+candidate. The gradient baselines (vanilla gradient, SmoothGrad, integrated
 gradients) are included for comparison; note the deliberate asymmetry
 that integrated gradients accumulates the loss gradient while the vanilla
 gradient differentiates the predicted class score.
@@ -17,16 +20,18 @@ zeros so this is well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError
-from .hessian import hessian_eig, hvp_closed_form, hvp_finite_diff, largest_eigenvalue
+from .hessian import hvp_finite_diff, largest_eigenvalue
 from .netcore import (
     Sample,
+    backprop_batch,
     forward,
+    forward_batch,
     input_gradient,
-    local_linearization,
     logit_gradient,
 )
 from .solver import (
@@ -96,14 +101,16 @@ def sparsity_ratio(delta, channels_per_pixel=1):
     return float(np.all(pix == 0.0, axis=1).mean())
 
 
-def _finish(method, net, sample, trace, res, lam1, lam2, channels):
+def _finish(method, net, sample, clean, res, lam1, lam2, channels):
+    """Wrap a solve; clean is the forward pass at the sample (anything with
+    probs and loss, such as a ForwardTrace or a CurvatureModel)."""
     x_new = sample.x + res.delta
-    raw = float(forward(net, x_new, sample.y).loss - trace.loss)
+    raw = float(forward(net, x_new, sample.y).loss - clean.loss)
     return SaliencyResult(
         method=method,
         delta=res.delta,
         eta=sparsity_ratio(res.delta, channels),
-        p_max=float(trace.probs.max()),
+        p_max=float(clean.probs.max()),
         loss_gain=res.objective_value,
         raw_loss_delta=raw,
         lam1=float(lam1),
@@ -125,6 +132,101 @@ def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
     return _finish("cafo", net, sample, trace, res, lam1, lam2, channels)
 
 
+@dataclass(frozen=True)
+class CurvatureModel:
+    """Second-order model of the loss around one sample, built once and
+    solved against for any lam1.
+
+    probs and loss come from the forward pass at the sample itself.
+    gradient is the loss gradient averaged over the expansion points, and
+    hvp applies the matching averaged Hessian. On piecewise-linear nets
+    factor is the stacked (d, n*c) matrix B with mean_i H_i = B B^T, hvp
+    is B (B^T v) and curvature_bound is the exact lambda_max. Other nets
+    have no factor, a finite-difference hvp and a seeded power-iteration
+    estimate of lambda_max as the bound, clamped at 0.
+    """
+
+    probs: np.ndarray
+    loss: float
+    gradient: np.ndarray
+    hvp: Callable[[np.ndarray], np.ndarray]
+    curvature_bound: float
+    factor: np.ndarray | None = None
+
+
+def curvature_model(net, sample, points=None, power_iters=DEFAULT_POWER_ITERS, seed=0):
+    """Build the CurvatureModel of sample, expanded at the (n, d) points.
+
+    points=None expands at the sample alone, and its batched pass is then
+    also the forward pass at the sample; otherwise the sample gets a pass
+    of its own. All expansion points share one batched forward pass and
+    two batched backprops. The first, seeded with p_i - e_y, gives the
+    loss gradients. On piecewise-linear nets (H_i = W_i A_i W_i^T with
+    A_i = diag(p_i) - p_i p_i^T) the second is seeded with the columns of
+    L_i = diag(sqrt p_i) - p_i sqrt(p_i)^T, which satisfies L_i L_i^T = A_i,
+    and yields B = [W_1 L_1, ..., W_n L_n] / sqrt(n). lambda_max is the
+    top eigenvalue of the smaller Gram matrix, B^T B or B B^T.
+    power_iters and seed only drive the power iteration of other nets.
+    """
+    if power_iters < 1:
+        raise ValueError("power_iters must be >= 1")
+    if points is None:
+        batch = forward_batch(net, sample.x[None, :], sample.y)
+        probs, loss = batch.probs[0], float(batch.losses[0])
+    else:
+        clean = forward(net, sample.x, sample.y)
+        probs, loss = clean.probs, clean.loss
+        batch = forward_batch(net, points, sample.y)
+    P = batch.probs
+    n, c = P.shape
+    seeds = P.copy()
+    seeds[:, sample.y] -= 1.0
+    g = backprop_batch(net, batch, seeds[:, None, :]).mean(axis=1)
+
+    if not net.spec.piecewise_linear:
+
+        def hvp(v):
+            out = np.zeros_like(v)
+            for z in batch.X:
+                out += hvp_finite_diff(net, z, sample.y, v)
+            return out / n
+
+        L = max(largest_eigenvalue(hvp, net.input_dim, iters=power_iters, seed=seed), 0.0)
+        return CurvatureModel(probs=probs, loss=loss, gradient=g, hvp=hvp, curvature_bound=L)
+
+    # seeds[i, j] is column j of L_i: sqrt(p_ij) e_j - sqrt(p_ij) p_i
+    rootp = np.sqrt(P)
+    seeds = rootp[:, :, None] * -P[:, None, :]
+    seeds[:, np.arange(c), np.arange(c)] += rootp
+    B = backprop_batch(net, batch, seeds / np.sqrt(n))
+    gram = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
+    L = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+
+    def hvp(v):
+        return B @ (B.T @ v)
+
+    return CurvatureModel(
+        probs=probs, loss=loss, gradient=g, hvp=hvp, curvature_bound=L, factor=B
+    )
+
+
+def _solve_model(method, net, sample, model, lam1, c1=DEFAULT_C1, channels=1,
+                 solver_config=None):
+    """Maximize the surrogate of a CurvatureModel at one lam1, with
+    lam2 = L/2 + c1 for the model's curvature bound L."""
+    L = model.curvature_bound
+    lam2 = select_lambda2(L, c1)
+    obj = ObjectiveSpec(
+        gradient=model.gradient, hvp=model.hvp, lam1=lam1, lam2=lam2, curvature_bound=L
+    )
+    res = fista_solve(obj, solver_config)
+    return _finish(method, net, sample, model, res, lam1, lam2, channels)
+
+
+def _caso_model(sample, net, power_iters=DEFAULT_POWER_ITERS, seed=0):
+    return curvature_model(net, sample, power_iters=power_iters, seed=seed)
+
+
 def caso(
     sample,
     net,
@@ -137,31 +239,14 @@ def caso(
 ):
     """Curvature-aware interpretation using the closed-form Hessian.
 
-    Piecewise-linear networks get the exact product H v = W A W^T v from
-    the local linearization; anything else falls back to finite
-    differences of the exact gradient. The curvature bound L comes from
-    seeded power iteration and sets lam2 = L/2 + c1. Estimates below zero
-    (possible for the non-piecewise-linear fallback) are clamped to 0.
+    Builds the CurvatureModel at the sample, then solves with
+    lam2 = L/2 + c1. On piecewise-linear networks H = W A W^T is exact and
+    L is its exact lambda_max, so power_iters and seed change nothing.
+    Anything else falls back to finite differences of the exact gradient
+    and a seeded power-iteration estimate of L, clamped at 0.
     """
-    trace = forward(net, sample.x, sample.y)
-    g = input_gradient(net, sample.x, sample.y)
-    if net.spec.piecewise_linear:
-        lin = local_linearization(net, sample.x)
-        Wl, p = lin.W, trace.probs
-
-        def hvp(v):
-            return hvp_closed_form(Wl, p, v)
-
-    else:
-
-        def hvp(v):
-            return hvp_finite_diff(net, sample.x, sample.y, v)
-
-    L = max(largest_eigenvalue(hvp, net.input_dim, iters=power_iters, seed=seed), 0.0)
-    lam2 = select_lambda2(L, c1)
-    obj = ObjectiveSpec(gradient=g, hvp=hvp, lam1=lam1, lam2=lam2, curvature_bound=L)
-    res = fista_solve(obj, solver_config)
-    return _finish("caso", net, sample, trace, res, lam1, lam2, channels)
+    model = _caso_model(sample, net, power_iters=power_iters, seed=seed)
+    return _solve_model("caso", net, sample, model, lam1, c1, channels, solver_config)
 
 
 def _noise_inputs(x, n, sigma, rng):
@@ -209,6 +294,25 @@ def smooth_cafo(
     return _finish("smooth-cafo", net, sample, trace, res, lam1, lam2, channels)
 
 
+def _smooth_caso_model(
+    sample,
+    net,
+    n=DEFAULT_SMOOTH_N,
+    sigma=DEFAULT_SMOOTH_SIGMA,
+    seed=0,
+    power_iters=DEFAULT_POWER_ITERS,
+):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+    if sigma == 0.0:
+        return _caso_model(sample, net, power_iters=power_iters, seed=seed)
+    rng = np.random.default_rng(seed)
+    points = _noise_inputs(sample.x, n, sigma, rng)
+    return curvature_model(net, sample, points, power_iters=power_iters, seed=seed)
+
+
 def smooth_caso(
     sample,
     net,
@@ -223,64 +327,17 @@ def smooth_caso(
 ):
     """CASO with gradient and Hessian averaged over n noisy inputs.
 
-    Each noisy point contributes its own local linearization, so the
-    averaged operator is mean_i W_i A_i W_i^T. Noise is drawn once per
-    solve; sigma = 0 reduces to plain caso exactly.
+    The CurvatureModel is expanded at all n noisy points, so the averaged
+    operator is mean_i W_i A_i W_i^T = B B^T and, on piecewise-linear
+    networks, the curvature bound is its exact lambda_max. The noise is
+    drawn once from seed; sigma = 0 reduces to plain caso exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return replace(
-            caso(
-                sample,
-                net,
-                lam1,
-                c1=c1,
-                power_iters=power_iters,
-                seed=seed,
-                channels=channels,
-                solver_config=solver_config,
-            ),
-            method="smooth-caso",
-        )
-    trace = forward(net, sample.x, sample.y)
-    rng = np.random.default_rng(seed)
-    Z = _noise_inputs(sample.x, n, sigma, rng)
-    acc = np.zeros(net.input_dim)
-    pieces = []
-    for i in range(n):
-        z = Z[i]
-        acc += input_gradient(net, z, sample.y)
-        if net.spec.piecewise_linear:
-            lin = local_linearization(net, z)
-            pieces.append((lin.W, forward(net, z).probs))
-        else:
-            pieces.append(z)
-    g = acc / n
-
-    if net.spec.piecewise_linear:
-
-        def hvp(v):
-            out = np.zeros_like(v)
-            for Wz, pz in pieces:
-                out += hvp_closed_form(Wz, pz, v)
-            return out / n
-
-    else:
-
-        def hvp(v):
-            out = np.zeros_like(v)
-            for z in pieces:
-                out += hvp_finite_diff(net, z, sample.y, v)
-            return out / n
-
-    L = max(largest_eigenvalue(hvp, net.input_dim, iters=power_iters, seed=seed), 0.0)
-    lam2 = select_lambda2(L, c1)
-    obj = ObjectiveSpec(gradient=g, hvp=hvp, lam1=lam1, lam2=lam2, curvature_bound=L)
-    res = fista_solve(obj, solver_config)
-    return _finish("smooth-caso", net, sample, trace, res, lam1, lam2, channels)
+    model = _smooth_caso_model(
+        sample, net, n=n, sigma=sigma, seed=seed, power_iters=power_iters
+    )
+    return _solve_model(
+        "smooth-caso", net, sample, model, lam1, c1, channels, solver_config
+    )
 
 
 def vanilla_gradient(sample, net, channels=1):
@@ -365,12 +422,9 @@ def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, cha
     )
 
 
-_SWEEP_METHODS = {
-    "cafo": cafo,
-    "caso": caso,
-    "smooth-cafo": smooth_cafo,
-    "smooth-caso": smooth_caso,
-}
+_SWEEP_METHODS = {"cafo": cafo, "smooth-cafo": smooth_cafo}
+# sweep methods whose CurvatureModel is built once and reused at every lam1
+_SWEEP_MODELS = {"caso": _caso_model, "smooth-caso": _smooth_caso_model}
 
 
 @dataclass(frozen=True)
@@ -416,9 +470,11 @@ def lambda1_sweep(
     candidate qualifies, the first lam1 whose map is all zero is halved
     and re-solved, up to max_refinements times. When even that never
     reaches the range the outcome is flagged and the selection falls back
-    to the densest non-trivial candidate.
+    to the densest non-trivial candidate. caso and smooth-caso build their
+    CurvatureModel once and solve every grid value and refinement against
+    it, with the same results as separate calls at each lam1.
     """
-    if method not in _SWEEP_METHODS:
+    if method not in _SWEEP_METHODS and method not in _SWEEP_MODELS:
         raise ValueError(f"unknown sweep method {method!r}")
     if grid is None:
         grid = DEFAULT_LAMBDA1_GRID
@@ -432,10 +488,23 @@ def lambda1_sweep(
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
-    fn = _SWEEP_METHODS[method]
+    if method in _SWEEP_MODELS:
+        build_kwargs = dict(method_kwargs)
+        solve_kwargs = {
+            k: build_kwargs.pop(k) for k in ("c1", "solver_config") if k in build_kwargs
+        }
+        model = _SWEEP_MODELS[method](sample, net, **build_kwargs)
 
-    def solve(lam):
-        return fn(sample, net, lam, channels=channels, **method_kwargs)
+        def solve(lam):
+            return _solve_model(
+                method, net, sample, model, lam, channels=channels, **solve_kwargs
+            )
+
+    else:
+        fn = _SWEEP_METHODS[method]
+
+        def solve(lam):
+            return fn(sample, net, lam, channels=channels, **method_kwargs)
 
     def in_range(r):
         return lo <= r.eta < hi

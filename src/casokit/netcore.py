@@ -208,21 +208,36 @@ class ForwardTrace:
 
 
 @dataclass(frozen=True)
+class BatchTrace:
+    """One forward pass over the rows of X, row i of every array belonging
+    to X[i].
+
+    pre_activations[l] and activations[l] are (n, out_dim) for layer l;
+    logits and probs are (n, c), and losses holds each row's cross entropy
+    (None when no label was supplied).
+    """
+
+    X: np.ndarray
+    pre_activations: tuple[np.ndarray, ...]
+    activations: tuple[np.ndarray, ...]
+    logits: np.ndarray
+    probs: np.ndarray
+    losses: np.ndarray | None
+
+
+@dataclass(frozen=True)
 class LocalLinearization:
     """Affine model logits(x') ~= W^T x' + b around the expansion point.
 
     W is (d, c) with column j the exact input gradient of logit j, and
     b = logits - W^T x, so the model reproduces the logits at x by
     construction. kink_warning is set when some relu pre-activation sits
-    within KINK_EPS of zero. reconstruction_error is the largest logit
-    residual of the affine model at a deterministic nearby probe point; it
-    is ~0 inside a relu cell and grows with curvature for sigmoid layers.
+    within KINK_EPS of zero.
     """
 
     W: np.ndarray
     b: np.ndarray
     kink_warning: bool
-    reconstruction_error: float
 
 
 @dataclass(frozen=True)
@@ -325,6 +340,76 @@ def forward(net, x, y=None):
     )
 
 
+def forward_batch(net, X, y=None):
+    """Run the network on every row of the (n, d) array X in one pass.
+
+    Matches forward row by row up to rounding: the layers apply as
+    X W_l^T + b_l, and with a label y (shared by all rows) losses are the
+    clamped logsumexp cross entropies.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise DimensionError(
+            f"batch shape {X.shape} does not match network (n, {net.input_dim})"
+        )
+    if not np.isfinite(X).all():
+        raise NonFiniteError("input must be finite")
+    pre = []
+    act = []
+    a = X
+    for layer, W, b in zip(net.spec.layers, net.weights, net.biases):
+        z = a @ W.T + b
+        pre.append(z)
+        a = _apply_activation(z, layer.activation)
+        act.append(a)
+    logits = act[-1]
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("forward pass produced non-finite logits")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    probs = e / total
+    losses = None
+    if y is not None:
+        y = int(y)
+        if not 0 <= y < net.num_classes:
+            raise ValueError(f"label {y} outside [0, {net.num_classes})")
+        losses = np.maximum(np.log(total[:, 0]) - shifted[:, y], 0.0)
+    return BatchTrace(
+        X=X,
+        pre_activations=tuple(pre),
+        activations=tuple(act),
+        logits=logits,
+        probs=probs,
+        losses=losses,
+    )
+
+
+def backprop_batch(net, trace, seeds):
+    """Pull logit cotangents back to the input at every row of a BatchTrace.
+
+    seeds is (n, k, c): k cotangents for each of the n rows. The result is
+    (d, n*k), column i*k + j holding W_i seeds[i, j] with W_i the (d, c)
+    input Jacobian of the logits at row i. Each layer is one matrix
+    product over all n*k cotangents; no per-row Jacobian is formed.
+    """
+    n, k, c = seeds.shape
+    if n != trace.X.shape[0] or c != net.num_classes:
+        raise DimensionError(
+            f"seeds of shape {seeds.shape} do not match a batch of "
+            f"{trace.X.shape[0]} rows and {net.num_classes} classes"
+        )
+    rows = seeds.reshape(n * k, c)
+    for l in range(len(net.spec.layers) - 1, -1, -1):
+        slope = _activation_slope(
+            trace.pre_activations[l], trace.activations[l], net.spec.layers[l].activation
+        )
+        dz = (rows.reshape(n, k, -1) * slope[:, None, :]).reshape(n * k, -1)
+        if l == 0:
+            return net.weights[0].T @ dz.T
+        rows = dz @ net.weights[l]
+
+
 def _backprop_to_input(spec, weights, pre, act, dout):
     """Pull a cotangent on the logits back to the input.
 
@@ -387,13 +472,7 @@ def local_linearization(net, x):
         if layer.activation == "relu" and np.abs(z).min() <= KINK_EPS:
             kink = True
             break
-
-    d = net.input_dim
-    step = 1e-3 * (1.0 + float(np.linalg.norm(trace.x)))
-    probe = trace.x + step * np.full(d, 1.0 / np.sqrt(d))
-    probe_logits = forward(net, probe).logits
-    recon = float(np.abs(W.T @ probe + b - probe_logits).max())
-    return LocalLinearization(W=W, b=b, kink_warning=kink, reconstruction_error=recon)
+    return LocalLinearization(W=W, b=b, kink_warning=kink)
 
 
 def train_sgd(net, dataset, config):

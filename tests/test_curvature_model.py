@@ -1,0 +1,274 @@
+"""The per-sample curvature model: dense equivalence, the exact lambda_2
+bound, hoisting through the sweep, and deterministic work counts."""
+
+import math
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from casokit import (
+    DEFAULT_LAMBDA1_GRID,
+    DimensionError,
+    LayerSpec,
+    NetworkSpec,
+    ObjectiveSpec,
+    Sample,
+    SolverConfig,
+    backprop_batch,
+    caso,
+    curvature_model,
+    fista_solve,
+    forward,
+    forward_batch,
+    hessian_eig,
+    hvp_finite_diff,
+    init_network,
+    input_gradient,
+    lambda1_sweep,
+    local_linearization,
+    select_lambda2,
+    smooth_caso,
+    softmax_curvature,
+)
+from casokit import interpret
+from casokit import netcore as nc
+
+
+@pytest.fixture(scope="module")
+def relu_net():
+    spec = NetworkSpec((
+        LayerSpec(8, 12, "relu"), LayerSpec(12, 6, "relu"), LayerSpec(6, 4, "identity"),
+    ))
+    return init_network(spec, seed=21)
+
+
+@pytest.fixture(scope="module")
+def sigmoid_net():
+    spec = NetworkSpec((LayerSpec(6, 9, "sigmoid"), LayerSpec(9, 3, "identity")))
+    return init_network(spec, seed=22)
+
+
+def dense_mean_hessian(net, points):
+    """mean_i W_i A_i W_i^T from per-point linearizations, as a d x d matrix."""
+    H = np.zeros((net.input_dim, net.input_dim))
+    for z in points:
+        W = local_linearization(net, z).W
+        A = softmax_curvature(forward(net, z).probs).matrix
+        H += W @ A @ W.T
+    return H / len(points)
+
+
+def noisy_points(x, n, seed):
+    return x + 0.3 * np.random.default_rng(seed).standard_normal((n, x.shape[0]))
+
+
+def count_calls(monkeypatch, home, names):
+    """Count calls to home.<name> through every casokit module binding it."""
+    counts = Counter()
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "casokit"]
+    for name in names:
+        orig = getattr(home, name)
+
+        def wrapper(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+def backtracks_from_steps(config, res):
+    """Backtracks rebuilt from step_trace: the step starts at learning_rate
+    and only ever shrinks by backtrack_decay."""
+    steps = np.log(np.asarray((config.learning_rate,) + res.step_trace))
+    return int(np.rint(-np.diff(steps) / -math.log(config.backtrack_decay)).sum())
+
+
+class TestBatchedPasses:
+    def test_forward_batch_matches_forward_rows(self, relu_net, sigmoid_net):
+        rng = np.random.default_rng(1)
+        for net in (relu_net, sigmoid_net):
+            X = rng.standard_normal((5, net.input_dim))
+            batch = forward_batch(net, X, 1)
+            for i, x in enumerate(X):
+                t = forward(net, x, 1)
+                assert np.allclose(batch.logits[i], t.logits, rtol=1e-12, atol=1e-14)
+                assert np.allclose(batch.probs[i], t.probs, rtol=1e-12, atol=1e-14)
+                assert batch.losses[i] == pytest.approx(t.loss, rel=1e-12, abs=1e-14)
+        assert forward_batch(relu_net, np.zeros((2, 8))).losses is None
+
+    def test_forward_batch_validation(self, relu_net):
+        with pytest.raises(DimensionError):
+            forward_batch(relu_net, np.zeros(8))
+        with pytest.raises(DimensionError):
+            forward_batch(relu_net, np.zeros((2, 7)))
+        with pytest.raises(ValueError):
+            forward_batch(relu_net, np.zeros((2, 8)), y=4)
+
+    def test_backprop_batch_matches_linearization(self, relu_net):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((3, 8))
+        seeds = rng.standard_normal((3, 2, 4))
+        out = backprop_batch(relu_net, forward_batch(relu_net, X), seeds)
+        assert out.shape == (8, 6)
+        for i, x in enumerate(X):
+            W = local_linearization(relu_net, x).W
+            for j in range(2):
+                assert np.allclose(out[:, 2 * i + j], W @ seeds[i, j], rtol=1e-12, atol=1e-14)
+        with pytest.raises(DimensionError):
+            backprop_batch(relu_net, forward_batch(relu_net, X), seeds[:2])
+
+
+class TestDenseEquivalence:
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_relu_model_matches_dense_references(self, relu_net, n):
+        # n = 1 takes the B^T B Gram matrix (d > n c), n = 5 the B B^T one
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = nc.sample_kink_safe(relu_net, rng)
+            s = Sample(x=x, y=2)
+            points = noisy_points(x, n, int(rng.integers(1 << 30)))
+            model = curvature_model(relu_net, s, points)
+            H = dense_mean_hessian(relu_net, points)
+            scale = float(np.abs(H).max())
+            B = model.factor
+            assert B.shape == (8, 4 * n)
+            assert np.allclose(B @ B.T, H, rtol=1e-10, atol=1e-12 * scale)
+            v = rng.standard_normal(8)
+            assert np.allclose(model.hvp(v), H @ v, rtol=1e-10, atol=1e-12 * scale)
+            g = np.mean([input_gradient(relu_net, z, 2) for z in points], axis=0)
+            assert np.allclose(model.gradient, g, rtol=1e-10, atol=1e-14)
+            top = float(np.linalg.eigvalsh(H)[-1])
+            assert abs(model.curvature_bound - top) <= 1e-10 * top
+            clean = forward(relu_net, x, 2)
+            assert np.array_equal(model.probs, clean.probs)
+            assert model.loss == clean.loss
+
+    def test_clean_model_expands_at_the_sample(self, relu_net):
+        rng = np.random.default_rng(4)
+        x = nc.sample_kink_safe(relu_net, rng)
+        s = Sample(x=x, y=0)
+        model = curvature_model(relu_net, s)
+        H = dense_mean_hessian(relu_net, [x])
+        assert np.allclose(model.factor @ model.factor.T, H, rtol=1e-10,
+                           atol=1e-12 * float(np.abs(H).max()))
+        assert np.allclose(model.gradient, input_gradient(relu_net, x, 0), rtol=1e-10)
+        clean = forward(relu_net, x, 0)
+        assert np.allclose(model.probs, clean.probs, rtol=1e-12)
+        assert model.loss == pytest.approx(clean.loss, rel=1e-12)
+
+    def test_sigmoid_model_keeps_finite_differences(self, sigmoid_net):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(6)
+        s = Sample(x=x, y=1)
+        points = noisy_points(x, 3, 7)
+        model = curvature_model(sigmoid_net, s, points, power_iters=20, seed=4)
+        assert model.factor is None
+        assert model.curvature_bound >= 0.0
+        g = np.mean([input_gradient(sigmoid_net, z, 1) for z in points], axis=0)
+        assert np.allclose(model.gradient, g, rtol=1e-10, atol=1e-14)
+        v = rng.standard_normal(6)
+        fd = np.mean([hvp_finite_diff(sigmoid_net, z, 1, v) for z in points], axis=0)
+        assert np.allclose(model.hvp(v), fd, rtol=1e-12, atol=1e-14)
+
+
+class TestExactLambda2:
+    def test_caso_lambda2_matches_hessian_eig_and_ignores_power_iteration(self, relu_net):
+        # the model's factor differs from hessian_eig's, so the two agree to
+        # rounding, not bit for bit
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            x = nc.sample_kink_safe(relu_net, rng)
+            s = Sample(x=x, y=int(rng.integers(4)))
+            W = local_linearization(relu_net, x).W
+            p = forward(relu_net, x).probs
+            expected = select_lambda2(hessian_eig(W, p).top_eigenvalue, 10.0)
+            lam2s = {
+                caso(s, relu_net, 1e-3, power_iters=k, seed=seed).lam2
+                for k, seed in ((1, 0), (3, 5), (50, 9))
+            }
+            assert len(lam2s) == 1
+            assert lam2s.pop() == pytest.approx(expected, rel=1e-12)
+
+    def test_power_iters_still_validated(self, relu_net):
+        with pytest.raises(ValueError):
+            caso(Sample(x=np.ones(8), y=0), relu_net, power_iters=0)
+
+
+class TestSweepHoisting:
+    @pytest.mark.parametrize("method,kwargs", [
+        ("caso", {"seed": 3}),
+        ("smooth-caso", {"n": 6, "sigma": 0.2, "seed": 3}),
+    ])
+    def test_sweep_candidates_bitwise_equal_separate_calls(self, relu_net, method, kwargs):
+        fn = {"caso": caso, "smooth-caso": smooth_caso}[method]
+        rng = np.random.default_rng(8)
+        cfg = SolverConfig(iterations=12)
+        for _ in range(3):
+            s = Sample(x=rng.standard_normal(8), y=int(rng.integers(4)))
+            out = lambda1_sweep(s, relu_net, method=method, solver_config=cfg, **kwargs)
+            for r in out.all_results:
+                ref = fn(s, relu_net, r.lam1, solver_config=cfg, **kwargs)
+                assert r.delta.tobytes() == ref.delta.tobytes()
+                assert (r.loss_gain, r.raw_loss_delta, r.lam2, r.eta, r.p_max) == (
+                    ref.loss_gain, ref.raw_loss_delta, ref.lam2, ref.eta, ref.p_max)
+                assert r.solve.objective_trace == ref.solve.objective_trace
+                assert r.solve.step_trace == ref.solve.step_trace
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("method,kwargs", [
+        ("caso", {}), ("smooth-caso", {"n": 4, "sigma": 0.2}),
+    ])
+    def test_sweep_builds_the_model_once(self, relu_net, monkeypatch, method, kwargs):
+        counts = count_calls(monkeypatch, interpret, ["curvature_model"])
+        s = Sample(x=np.random.default_rng(9).standard_normal(8), y=1)
+        out = lambda1_sweep(s, relu_net, method=method, **kwargs)
+        assert len(out.all_results) >= len(DEFAULT_LAMBDA1_GRID)
+        assert counts["curvature_model"] == 1
+
+    def test_fista_applies_h_once_per_point(self):
+        rng = np.random.default_rng(10)
+        for lr, max_bt in ((0.1, 20), (5.0, 20), (50.0, 2)):
+            B = rng.standard_normal((12, 3))
+            top = float(np.linalg.eigvalsh(B.T @ B)[-1])
+            calls = []
+
+            def hvp(v):
+                calls.append(1)
+                return B @ (B.T @ v)
+
+            obj = ObjectiveSpec(gradient=rng.standard_normal(12), hvp=hvp, lam1=1e-2,
+                                lam2=select_lambda2(top, 1.0), curvature_bound=top)
+            cfg = SolverConfig(learning_rate=lr, iterations=15, max_backtracks=max_bt)
+            res = fista_solve(obj, cfg)
+            backtracks = backtracks_from_steps(cfg, res)
+            assert len(calls) == 1 + 2 * res.iterations_used + backtracks
+            if lr > 1.0:
+                assert backtracks > 0
+            if max_bt == 2:
+                assert res.backtrack_exhausted
+
+    def test_forward_passes_per_result(self, relu_net, monkeypatch):
+        counts = count_calls(monkeypatch, nc, ["forward", "forward_batch"])
+        s = Sample(x=np.random.default_rng(11).standard_normal(8), y=3)
+
+        def passes(run):
+            counts.clear()
+            run()
+            return counts["forward"] + counts["forward_batch"], counts["forward_batch"]
+
+        # the model's batched pass plus the raw-loss pass of the result
+        assert passes(lambda: caso(s, relu_net, 1e-3)) == (2, 1)
+        # the clean pass, one batched pass over the noise, the raw-loss pass
+        assert passes(lambda: smooth_caso(s, relu_net, 1e-3, n=5)) == (3, 1)
+        grid = (0.0, 1e-3, 1e-2)
+        sweep = lambda1_sweep
+        assert passes(lambda: sweep(s, relu_net, "caso", grid=grid, max_refinements=0)) == (
+            1 + len(grid), 1)
+        assert passes(lambda: sweep(s, relu_net, "smooth-caso", grid=grid, n=5,
+                                    max_refinements=0)) == (2 + len(grid), 1)
