@@ -46,6 +46,7 @@ from .interpret import (
     DEFAULT_SMOOTH_N,
     DEFAULT_SMOOTH_SIGMA,
     METHODS,
+    SPARSE_METHODS,
     MethodRequest,
     lambda1_sweep,
     run_request,
@@ -69,7 +70,7 @@ try:
 except metadata.PackageNotFoundError:
     VERSION = "0.0.0"
 
-SWEEP_METHODS = ("cafo", "caso", "smooth-cafo", "smooth-caso")
+SWEEP_METHODS = tuple(SPARSE_METHODS)
 
 
 def existing_file(text):
@@ -179,6 +180,8 @@ def _geometry(args, dim):
         raise ValueError(f"input dim {dim} is not divisible by {ch} channels")
     pixels = dim // ch
     w, h = args.width, args.height
+    if any(v is not None and v < 1 for v in (w, h)):
+        raise ValueError("width and height must be >= 1")
     if w is None and h is None:
         side = math.isqrt(pixels)
         if side * side != pixels:
@@ -323,16 +326,6 @@ def cmd_sweep(args):
         raise ValueError(f"sample index {args.sample} outside the dataset of {dataset.n}")
     sample = dataset.sample(args.sample)
     w, h = _geometry(args, dataset.dim)
-    kwargs = {"c1": args.c1, "solver_config": _solver_config(args)}
-    if args.method == "caso":
-        kwargs.update(power_iters=args.power_iters, seed=args.seed)
-    elif args.method == "smooth-cafo":
-        kwargs.update(n=args.smooth_n, sigma=args.smooth_sigma, seed=args.seed)
-    elif args.method == "smooth-caso":
-        kwargs.update(
-            n=args.smooth_n, sigma=args.smooth_sigma, seed=args.seed,
-            power_iters=args.power_iters,
-        )
     outcome = lambda1_sweep(
         sample,
         net,
@@ -341,7 +334,12 @@ def cmd_sweep(args):
         eta_range=(args.eta_min, args.eta_max),
         max_refinements=args.max_refinements,
         channels=args.channels,
-        **kwargs,
+        c1=args.c1,
+        solver_config=_solver_config(args),
+        n=args.smooth_n,
+        sigma=args.smooth_sigma,
+        seed=args.seed,
+        power_iters=args.power_iters,
     )
     selected = outcome.selected
     doc = {

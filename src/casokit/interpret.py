@@ -4,13 +4,14 @@ CAFO keeps only the first-order term of the loss around the input and
 CASO adds the closed-form second-order term; both maximize the sparse
 strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
-solving. CASO and smooth-CASO first build one CurvatureModel per sample
-(gradient, stacked curvature factor and its exact top eigenvalue) and
-then solve against it; a lam1 sweep reuses that one model for every
-candidate. The gradient baselines (vanilla gradient, SmoothGrad, integrated
-gradients) are included for comparison; note the deliberate asymmetry
-that integrated gradients accumulates the loss gradient while the vanilla
-gradient differentiates the predicted class score.
+solving. All four sparse methods first build one CurvatureModel per
+sample (gradient and, for CASO, the stacked curvature factor and its
+exact top eigenvalue) and then solve against it; a lam1 sweep reuses that
+one model for every candidate. The gradient baselines (vanilla gradient,
+SmoothGrad, integrated gradients) are included for comparison; note the
+deliberate asymmetry that integrated gradients accumulates the loss
+gradient while the vanilla gradient differentiates the predicted class
+score.
 
 A saliency map Delta is summarized by its sparsity eta, the fraction of
 pixels whose channels are all exactly zero; the prox step produces exact
@@ -59,6 +60,15 @@ METHODS = (
     "smooth-cafo",
     "smooth-caso",
 )
+
+# sparse method -> (smoothed, second_order). CAFO is CASO with H = 0, and
+# the smooth variants expand at n noisy copies of the sample instead of it
+SPARSE_METHODS = {
+    "cafo": (False, False),
+    "caso": (False, True),
+    "smooth-cafo": (True, False),
+    "smooth-caso": (True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -119,27 +129,15 @@ def _finish(method, net, sample, clean, res, lam1, lam2, channels):
     )
 
 
-def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
-    """Curvature-free interpretation: first-order term only (H = 0).
-
-    The ridge rule lam2 = L/2 + c1 is applied with L = 0, so lam2 = c1.
-    """
-    trace = forward(net, sample.x, sample.y)
-    g = input_gradient(net, sample.x, sample.y)
-    lam2 = select_lambda2(0.0, c1)
-    obj = ObjectiveSpec(gradient=g, hvp=None, lam1=lam1, lam2=lam2)
-    res = fista_solve(obj, solver_config)
-    return _finish("cafo", net, sample, trace, res, lam1, lam2, channels)
-
-
 @dataclass(frozen=True)
 class CurvatureModel:
-    """Second-order model of the loss around one sample, built once and
-    solved against for any lam1.
+    """Local model of the loss around one sample, built once and solved
+    against for any lam1.
 
     probs and loss come from the forward pass at the sample itself.
     gradient is the loss gradient averaged over the expansion points, and
-    hvp applies the matching averaged Hessian. On piecewise-linear nets
+    hvp applies the matching averaged Hessian. A first-order model has
+    hvp None and curvature_bound 0 (H = 0). On piecewise-linear nets
     factor is the stacked (d, n*c) matrix B with mean_i H_i = B B^T, hvp
     is B (B^T v) and curvature_bound is the exact lambda_max. Other nets
     have no factor, a finite-difference hvp and a seeded power-iteration
@@ -149,26 +147,28 @@ class CurvatureModel:
     probs: np.ndarray
     loss: float
     gradient: np.ndarray
-    hvp: Callable[[np.ndarray], np.ndarray]
+    hvp: Callable[[np.ndarray], np.ndarray] | None
     curvature_bound: float
     factor: np.ndarray | None = None
 
 
-def curvature_model(net, sample, points=None, power_iters=DEFAULT_POWER_ITERS, seed=0):
+def curvature_model(net, sample, points=None, power_iters=DEFAULT_POWER_ITERS, seed=0,
+                    second_order=True):
     """Build the CurvatureModel of sample, expanded at the (n, d) points.
 
     points=None expands at the sample alone, and its batched pass is then
     also the forward pass at the sample; otherwise the sample gets a pass
     of its own. All expansion points share one batched forward pass and
     two batched backprops. The first, seeded with p_i - e_y, gives the
-    loss gradients. On piecewise-linear nets (H_i = W_i A_i W_i^T with
+    loss gradients; second_order=False stops there with a first-order
+    model. On piecewise-linear nets (H_i = W_i A_i W_i^T with
     A_i = diag(p_i) - p_i p_i^T) the second is seeded with the columns of
     L_i = diag(sqrt p_i) - p_i sqrt(p_i)^T, which satisfies L_i L_i^T = A_i,
     and yields B = [W_1 L_1, ..., W_n L_n] / sqrt(n). lambda_max is the
     top eigenvalue of the smaller Gram matrix, B^T B or B B^T.
     power_iters and seed only drive the power iteration of other nets.
     """
-    if power_iters < 1:
+    if second_order and power_iters < 1:
         raise ValueError("power_iters must be >= 1")
     if points is None:
         batch = forward_batch(net, sample.x[None, :], sample.y)
@@ -182,6 +182,9 @@ def curvature_model(net, sample, points=None, power_iters=DEFAULT_POWER_ITERS, s
     seeds = P.copy()
     seeds[:, sample.y] -= 1.0
     g = backprop_batch(net, batch, seeds[:, None, :]).mean(axis=1)
+
+    if not second_order:
+        return CurvatureModel(probs=probs, loss=loss, gradient=g, hvp=None, curvature_bound=0.0)
 
     if not net.spec.piecewise_linear:
 
@@ -210,6 +213,35 @@ def curvature_model(net, sample, points=None, power_iters=DEFAULT_POWER_ITERS, s
     )
 
 
+def _noise_inputs(x, n, sigma, rng):
+    """n noisy copies of x with noise scale sigma * (max(x) - min(x))."""
+    span = float(x.max() - x.min())
+    return x + (sigma * span) * rng.standard_normal((n, x.shape[0]))
+
+
+def _sparse_model(method, sample, net, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA,
+                  seed=0, power_iters=DEFAULT_POWER_ITERS):
+    """The CurvatureModel a SPARSE_METHODS entry solves against.
+
+    Smoothed methods expand at n noisy copies of the sample drawn from
+    seed, or at the sample itself when sigma = 0; the others expand at the
+    sample. Knobs the method does not use are ignored.
+    """
+    smoothed, second_order = SPARSE_METHODS[method]
+    points = None
+    if smoothed:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if sigma < 0.0:
+            raise ValueError("sigma must be nonnegative")
+        # a NaN sigma takes the noisy branch, where the batched pass rejects it
+        if sigma != 0.0:
+            points = _noise_inputs(sample.x, n, sigma, np.random.default_rng(seed))
+    return curvature_model(
+        net, sample, points, power_iters=power_iters, seed=seed, second_order=second_order
+    )
+
+
 def _solve_model(method, net, sample, model, lam1, c1=DEFAULT_C1, channels=1,
                  solver_config=None):
     """Maximize the surrogate of a CurvatureModel at one lam1, with
@@ -223,8 +255,18 @@ def _solve_model(method, net, sample, model, lam1, c1=DEFAULT_C1, channels=1,
     return _finish(method, net, sample, model, res, lam1, lam2, channels)
 
 
-def _caso_model(sample, net, power_iters=DEFAULT_POWER_ITERS, seed=0):
-    return curvature_model(net, sample, power_iters=power_iters, seed=seed)
+def _sparse(method, sample, net, lam1, c1=DEFAULT_C1, channels=1, solver_config=None,
+            **model_kwargs):
+    model = _sparse_model(method, sample, net, **model_kwargs)
+    return _solve_model(method, net, sample, model, lam1, c1, channels, solver_config)
+
+
+def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
+    """Curvature-free interpretation: first-order term only (H = 0).
+
+    The ridge rule lam2 = L/2 + c1 is applied with L = 0, so lam2 = c1.
+    """
+    return _sparse("cafo", sample, net, lam1, c1, channels, solver_config)
 
 
 def caso(
@@ -245,14 +287,8 @@ def caso(
     Anything else falls back to finite differences of the exact gradient
     and a seeded power-iteration estimate of L, clamped at 0.
     """
-    model = _caso_model(sample, net, power_iters=power_iters, seed=seed)
-    return _solve_model("caso", net, sample, model, lam1, c1, channels, solver_config)
-
-
-def _noise_inputs(x, n, sigma, rng):
-    """n noisy copies of x with noise scale sigma * (max(x) - min(x))."""
-    span = float(x.max() - x.min())
-    return x + (sigma * span) * rng.standard_normal((n, x.shape[0]))
+    return _sparse("caso", sample, net, lam1, c1, channels, solver_config,
+                   seed=seed, power_iters=power_iters)
 
 
 def smooth_cafo(
@@ -272,45 +308,8 @@ def smooth_cafo(
     once up front and reused for the whole solve; sigma = 0 reduces to
     plain cafo exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return replace(
-            cafo(sample, net, lam1, c1=c1, channels=channels, solver_config=solver_config),
-            method="smooth-cafo",
-        )
-    trace = forward(net, sample.x, sample.y)
-    rng = np.random.default_rng(seed)
-    Z = _noise_inputs(sample.x, n, sigma, rng)
-    acc = np.zeros(net.input_dim)
-    for i in range(n):
-        acc += input_gradient(net, Z[i], sample.y)
-    g = acc / n
-    lam2 = select_lambda2(0.0, c1)
-    obj = ObjectiveSpec(gradient=g, hvp=None, lam1=lam1, lam2=lam2)
-    res = fista_solve(obj, solver_config)
-    return _finish("smooth-cafo", net, sample, trace, res, lam1, lam2, channels)
-
-
-def _smooth_caso_model(
-    sample,
-    net,
-    n=DEFAULT_SMOOTH_N,
-    sigma=DEFAULT_SMOOTH_SIGMA,
-    seed=0,
-    power_iters=DEFAULT_POWER_ITERS,
-):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return _caso_model(sample, net, power_iters=power_iters, seed=seed)
-    rng = np.random.default_rng(seed)
-    points = _noise_inputs(sample.x, n, sigma, rng)
-    return curvature_model(net, sample, points, power_iters=power_iters, seed=seed)
+    return _sparse("smooth-cafo", sample, net, lam1, c1, channels, solver_config,
+                   n=n, sigma=sigma, seed=seed)
 
 
 def smooth_caso(
@@ -332,12 +331,8 @@ def smooth_caso(
     networks, the curvature bound is its exact lambda_max. The noise is
     drawn once from seed; sigma = 0 reduces to plain caso exactly.
     """
-    model = _smooth_caso_model(
-        sample, net, n=n, sigma=sigma, seed=seed, power_iters=power_iters
-    )
-    return _solve_model(
-        "smooth-caso", net, sample, model, lam1, c1, channels, solver_config
-    )
+    return _sparse("smooth-caso", sample, net, lam1, c1, channels, solver_config,
+                   n=n, sigma=sigma, seed=seed, power_iters=power_iters)
 
 
 def vanilla_gradient(sample, net, channels=1):
@@ -422,11 +417,6 @@ def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, cha
     )
 
 
-_SWEEP_METHODS = {"cafo": cafo, "smooth-cafo": smooth_cafo}
-# sweep methods whose CurvatureModel is built once and reused at every lam1
-_SWEEP_MODELS = {"caso": _caso_model, "smooth-caso": _smooth_caso_model}
-
-
 @dataclass(frozen=True)
 class SweepOutcome:
     """Result of a lam1 sweep.
@@ -461,7 +451,9 @@ def lambda1_sweep(
     eta_range=(0.75, 1.0),
     max_refinements=20,
     channels=1,
-    **method_kwargs,
+    c1=DEFAULT_C1,
+    solver_config=None,
+    **model_kwargs,
 ):
     """Solve across a lam1 grid and pick the sparsest useful map.
 
@@ -470,11 +462,13 @@ def lambda1_sweep(
     candidate qualifies, the first lam1 whose map is all zero is halved
     and re-solved, up to max_refinements times. When even that never
     reaches the range the outcome is flagged and the selection falls back
-    to the densest non-trivial candidate. caso and smooth-caso build their
-    CurvatureModel once and solve every grid value and refinement against
-    it, with the same results as separate calls at each lam1.
+    to the densest non-trivial candidate. method is a SPARSE_METHODS
+    entry; its CurvatureModel is built once from model_kwargs (n, sigma,
+    seed, power_iters; unused ones are ignored) and every grid value and
+    refinement is solved against it, with the same results as separate
+    calls at each lam1.
     """
-    if method not in _SWEEP_METHODS and method not in _SWEEP_MODELS:
+    if method not in SPARSE_METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
     if grid is None:
         grid = DEFAULT_LAMBDA1_GRID
@@ -488,23 +482,10 @@ def lambda1_sweep(
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
-    if method in _SWEEP_MODELS:
-        build_kwargs = dict(method_kwargs)
-        solve_kwargs = {
-            k: build_kwargs.pop(k) for k in ("c1", "solver_config") if k in build_kwargs
-        }
-        model = _SWEEP_MODELS[method](sample, net, **build_kwargs)
+    model = _sparse_model(method, sample, net, **model_kwargs)
 
-        def solve(lam):
-            return _solve_model(
-                method, net, sample, model, lam, channels=channels, **solve_kwargs
-            )
-
-    else:
-        fn = _SWEEP_METHODS[method]
-
-        def solve(lam):
-            return fn(sample, net, lam, channels=channels, **method_kwargs)
+    def solve(lam):
+        return _solve_model(method, net, sample, model, lam, c1, channels, solver_config)
 
     def in_range(r):
         return lo <= r.eta < hi
@@ -583,26 +564,10 @@ def run_request(net, request):
             s, net, n=request.smooth_n, sigma=request.smooth_sigma,
             seed=request.seed, channels=ch,
         )
-    if m == "integrated-gradients":
-        return integrated_gradients(s, net, steps=request.ig_steps, channels=ch)
-    if m == "cafo":
-        return cafo(
-            s, net, request.lam1, c1=request.c1, channels=ch,
-            solver_config=request.solver,
+    if m in SPARSE_METHODS:
+        return _sparse(
+            m, s, net, request.lam1, request.c1, ch, request.solver,
+            n=request.smooth_n, sigma=request.smooth_sigma, seed=request.seed,
+            power_iters=request.power_iters,
         )
-    if m == "caso":
-        return caso(
-            s, net, request.lam1, c1=request.c1, power_iters=request.power_iters,
-            seed=request.seed, channels=ch, solver_config=request.solver,
-        )
-    if m == "smooth-cafo":
-        return smooth_cafo(
-            s, net, request.lam1, n=request.smooth_n, sigma=request.smooth_sigma,
-            seed=request.seed, c1=request.c1, channels=ch,
-            solver_config=request.solver,
-        )
-    return smooth_caso(
-        s, net, request.lam1, n=request.smooth_n, sigma=request.smooth_sigma,
-        seed=request.seed, c1=request.c1, power_iters=request.power_iters,
-        channels=ch, solver_config=request.solver,
-    )
+    return integrated_gradients(s, net, steps=request.ig_steps, channels=ch)

@@ -33,8 +33,8 @@ def select_lambda2(curvature_bound, c1=DEFAULT_C1):
     """Ridge weight lam2 = L/2 + c1 for a curvature bound L >= 0."""
     if curvature_bound < 0.0:
         raise ValueError("curvature bound must be nonnegative")
-    if c1 <= 0.0:
-        raise ValueError("c1 must be positive")
+    if not 0.0 < c1 < np.inf:
+        raise ValueError("c1 must be positive and finite")
     return curvature_bound / 2.0 + c1
 
 
@@ -59,10 +59,10 @@ class ObjectiveSpec:
         if g.ndim != 1:
             raise DimensionError("gradient must be a flat vector")
         object.__setattr__(self, "gradient", g)
-        if self.lam1 < 0.0:
-            raise ValueError("lam1 must be nonnegative")
-        if self.lam2 <= 0.0:
-            raise ValueError("lam2 must be positive")
+        if not 0.0 <= self.lam1 < np.inf:
+            raise ValueError("lam1 must be nonnegative and finite")
+        if not 0.0 < self.lam2 < np.inf:
+            raise ValueError("lam2 must be positive and finite")
         if self.curvature_bound < 0.0:
             raise ValueError("curvature bound must be nonnegative")
         if self.hvp is not None and self.lam2 <= self.curvature_bound / 2.0:

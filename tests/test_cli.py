@@ -183,11 +183,31 @@ class TestInterpret:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_geometry_is_runtime_error(self, workspace, tmp_path, capsys):
+        for geometry, message in (
+            (["--width", "5"], "does not cover"),
+            (["--width", "0"], "must be >= 1"),
+            (["--height", "0"], "must be >= 1"),
+            (["--width", "-4", "--height", "-4"], "must be >= 1"),
+        ):
+            code = run([
+                "interpret", "--model", workspace["model"], "--data", workspace["data"],
+                *geometry, "--out", str(tmp_path),
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and message in err
+
+    @pytest.mark.parametrize("flag", ["--lambda1", "--c1"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_weight_is_runtime_error(self, workspace, tmp_path, capsys, flag,
+                                                value):
         code = run([
             "interpret", "--model", workspace["model"], "--data", workspace["data"],
-            "--width", "5", "--out", str(tmp_path),
+            flag, value, "--out", str(tmp_path),
         ])
         assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "sample0.json").exists()
 
     def test_explicit_geometry(self, workspace, tmp_path, capsys):
         code = run([

@@ -17,6 +17,7 @@ from casokit import (
     Sample,
     SolverConfig,
     backprop_batch,
+    cafo,
     caso,
     curvature_model,
     fista_solve,
@@ -29,6 +30,7 @@ from casokit import (
     lambda1_sweep,
     local_linearization,
     select_lambda2,
+    smooth_cafo,
     smooth_caso,
     softmax_curvature,
 )
@@ -175,6 +177,20 @@ class TestDenseEquivalence:
         fd = np.mean([hvp_finite_diff(sigmoid_net, z, 1, v) for z in points], axis=0)
         assert np.allclose(model.hvp(v), fd, rtol=1e-12, atol=1e-14)
 
+    def test_smooth_cafo_gradient_is_mean_input_gradient(self, sigmoid_net):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(6)
+        s = Sample(x=x, y=2)
+        n, sigma, seed = 7, 0.2, 5
+        span = float(x.max() - x.min())
+        points = x + sigma * span * np.random.default_rng(seed).standard_normal((n, 6))
+        model = interpret._sparse_model("smooth-cafo", s, sigmoid_net, n=n, sigma=sigma,
+                                        seed=seed)
+        g = np.mean([input_gradient(sigmoid_net, z, 2) for z in points], axis=0)
+        assert np.allclose(model.gradient, g, rtol=1e-12, atol=0.0)
+        assert model.hvp is None and model.factor is None
+        assert model.curvature_bound == 0.0
+
 
 class TestExactLambda2:
     def test_caso_lambda2_matches_hessian_eig_and_ignores_power_iteration(self, relu_net):
@@ -203,9 +219,12 @@ class TestSweepHoisting:
     @pytest.mark.parametrize("method,kwargs", [
         ("caso", {"seed": 3}),
         ("smooth-caso", {"n": 6, "sigma": 0.2, "seed": 3}),
+        ("cafo", {}),
+        ("smooth-cafo", {"n": 6, "sigma": 0.2, "seed": 3}),
     ])
     def test_sweep_candidates_bitwise_equal_separate_calls(self, relu_net, method, kwargs):
-        fn = {"caso": caso, "smooth-caso": smooth_caso}[method]
+        fn = {"cafo": cafo, "caso": caso, "smooth-cafo": smooth_cafo,
+              "smooth-caso": smooth_caso}[method]
         rng = np.random.default_rng(8)
         cfg = SolverConfig(iterations=12)
         for _ in range(3):
@@ -223,6 +242,7 @@ class TestSweepHoisting:
 class TestWorkCounts:
     @pytest.mark.parametrize("method,kwargs", [
         ("caso", {}), ("smooth-caso", {"n": 4, "sigma": 0.2}),
+        ("cafo", {}), ("smooth-cafo", {"n": 4, "sigma": 0.2}),
     ])
     def test_sweep_builds_the_model_once(self, relu_net, monkeypatch, method, kwargs):
         counts = count_calls(monkeypatch, interpret, ["curvature_model"])
@@ -254,21 +274,24 @@ class TestWorkCounts:
                 assert res.backtrack_exhausted
 
     def test_forward_passes_per_result(self, relu_net, monkeypatch):
-        counts = count_calls(monkeypatch, nc, ["forward", "forward_batch"])
+        counts = count_calls(monkeypatch, nc, ["forward", "forward_batch", "input_gradient"])
         s = Sample(x=np.random.default_rng(11).standard_normal(8), y=3)
 
         def passes(run):
             counts.clear()
             run()
-            return counts["forward"] + counts["forward_batch"], counts["forward_batch"]
+            return (counts["forward"] + counts["forward_batch"], counts["forward_batch"],
+                    counts["input_gradient"])
 
-        # the model's batched pass plus the raw-loss pass of the result
-        assert passes(lambda: caso(s, relu_net, 1e-3)) == (2, 1)
-        # the clean pass, one batched pass over the noise, the raw-loss pass
-        assert passes(lambda: smooth_caso(s, relu_net, 1e-3, n=5)) == (3, 1)
         grid = (0.0, 1e-3, 1e-2)
         sweep = lambda1_sweep
-        assert passes(lambda: sweep(s, relu_net, "caso", grid=grid, max_refinements=0)) == (
-            1 + len(grid), 1)
-        assert passes(lambda: sweep(s, relu_net, "smooth-caso", grid=grid, n=5,
-                                    max_refinements=0)) == (2 + len(grid), 1)
+        for method, fn, kwargs in (
+            ("cafo", cafo, {}), ("caso", caso, {}),
+            ("smooth-cafo", smooth_cafo, {"n": 5}), ("smooth-caso", smooth_caso, {"n": 5}),
+        ):
+            # the model's batched pass plus the raw-loss pass of the result;
+            # smoothed methods add the clean pass at the sample
+            model = 2 if method.startswith("smooth") else 1
+            assert passes(lambda: fn(s, relu_net, 1e-3, **kwargs)) == (model + 1, 1, 0)
+            assert passes(lambda: sweep(s, relu_net, method, grid=grid, max_refinements=0,
+                                        **kwargs)) == (model + len(grid), 1, 0)

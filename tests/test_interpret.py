@@ -215,6 +215,9 @@ class TestSmoothVariants:
             smooth_cafo(s, relu_net, n=0)
         with pytest.raises(ValueError):
             smooth_caso(s, relu_net, sigma=-0.1)
+        for fn in (smooth_cafo, smooth_caso):
+            with pytest.raises(ValueError, match="finite"):
+                fn(s, relu_net, sigma=float("nan"))
 
 
 class TestVanillaGradient:
@@ -445,3 +448,12 @@ class TestMethodRequest:
             out = run_request(relu_net, req)
             assert out.method == direct.method
             assert np.array_equal(out.delta, direct.delta)
+
+    def test_unused_knobs_are_ignored(self, relu_net):
+        s = Sample(x=np.random.default_rng(16).standard_normal(8), y=2)
+        for method, knobs in (
+            ("cafo", {"power_iters": 0}), ("cafo", {"smooth_n": 0}), ("caso", {"smooth_n": 0}),
+        ):
+            out = run_request(relu_net, MethodRequest(method=method, sample=s, **knobs))
+            ref = run_request(relu_net, MethodRequest(method=method, sample=s))
+            assert np.array_equal(out.delta, ref.delta)

@@ -66,6 +66,9 @@ class TestSelectLambda2:
             select_lambda2(5.0, c1=0.0)
         with pytest.raises(ValueError):
             select_lambda2(5.0, c1=-2.0)
+        for c1 in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                select_lambda2(5.0, c1=c1)
 
 
 class TestObjectiveSpec:
@@ -92,6 +95,11 @@ class TestObjectiveSpec:
             ObjectiveSpec(gradient=g, hvp=None, lam1=0.0, lam2=0.0)
         with pytest.raises(DimensionError):
             ObjectiveSpec(gradient=np.ones((2, 2)), hvp=None, lam1=0.0, lam2=1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ObjectiveSpec(gradient=g, hvp=None, lam1=bad, lam2=1.0)
+            with pytest.raises(ValueError, match="finite"):
+                ObjectiveSpec(gradient=g, hvp=None, lam1=0.0, lam2=bad)
 
 
 class TestSmoothGradient:
