@@ -3,15 +3,21 @@
 Saliency maps are normalized for display by taking absolute values,
 summing channels per pixel, capping at the 99th percentile, dividing by
 the cap, and clipping to [0, 1]. Images are written as binary (P5) PGM at
-maxval 255. Models round-trip bitwise through JSON; datasets come either
-from CSV (label in the last column) or from a raw little-endian float32
-tensor with an 8-byte header plus a sidecar label file.
+maxval 255. Models round-trip bitwise through JSON, the canonical format;
+model_load keeps a hash-checked binary copy of the weights next to the
+JSON so that later loads skip the parse. Datasets come either from CSV
+(label in the last column) or from a raw little-endian float32 tensor
+with an 8-byte header plus a sidecar label file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -96,9 +102,29 @@ def write_pgm(dmap, path, comment=None):
         fh.write(header + body.tobytes())
 
 
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decode_utf8(data, path, newline=None):
+    """Text of data as open(path, encoding="utf-8", newline=newline) would
+    read it, or a FormatError at the first byte that is not UTF-8."""
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+        return text.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(
+            f"not UTF-8 text: {e.reason}",
+            path=path,
+            line=data.count(b"\n", 0, e.start) + 1,
+            offset=e.start,
+        ) from None
+
+
 def read_pgm(path):
     """Read a binary (P5) PGM back as a (height, width) uint8 array."""
-    data = open(path, "rb").read()
+    data = _read_bytes(path)
     pos = 0
 
     def token():
@@ -167,10 +193,21 @@ def model_save(net, path, metadata=None):
 
 
 def model_load(path):
-    """Load a network saved by model_save, with structured parse errors."""
+    """Load a network saved by model_save, with structured parse errors.
+
+    The JSON is the source of truth. After a full parse the weights are
+    also written, best effort, to a binary sidecar next to it (path plus
+    ".weights"); a later load reads them from there instead of parsing the
+    JSON again, but only while the sidecar records the SHA-256 of the
+    model bytes just read and its own payload hashes to what it records.
+    """
+    data = _read_bytes(path)
+    digest = hashlib.sha256(data).hexdigest()
+    net = _read_sidecar(path, digest)
+    if net is not None:
+        return net
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(_decode_utf8(data, path))
     except json.JSONDecodeError as e:
         raise FormatError(
             f"invalid JSON: {e.msg}", path=path, line=e.lineno, offset=e.pos
@@ -209,9 +246,74 @@ def model_load(path):
         weights.append(W)
         biases.append(b)
     try:
-        return Network(NetworkSpec(tuple(specs)), tuple(weights), tuple(biases))
+        net = Network(NetworkSpec(tuple(specs)), tuple(weights), tuple(biases))
     except ValueError as e:
         raise FormatError(f"inconsistent model: {e}", path=path) from None
+    _write_sidecar(path, digest, net)
+    return net
+
+
+# Weight sidecar: this tag line, one JSON header line, then every layer's
+# weights (row-major) and bias as little-endian float64, layer by layer.
+_SIDECAR_TAG = b"casokit-weights 1\n"
+
+
+def _read_sidecar(path, digest):
+    """The network in path's weight sidecar, or None unless the sidecar was
+    written from model bytes with this digest and is intact. Never raises:
+    any unreadable or malformed sidecar reads as None."""
+    try:
+        data = _read_bytes(os.fsdecode(path) + ".weights")
+        if not data.startswith(_SIDECAR_TAG):
+            return None
+        end = data.index(b"\n", len(_SIDECAR_TAG))
+        head = json.loads(data[len(_SIDECAR_TAG) : end])
+        payload = memoryview(data)[end + 1 :]
+        if (
+            head["model_sha256"] != digest
+            or head["payload_bytes"] != len(payload)
+            or hashlib.sha256(payload).hexdigest() != head["payload_sha256"]
+        ):
+            return None
+        specs = tuple(LayerSpec(i, o, a) for i, o, a in head["layers"])
+        arrays = []
+        offset = 0
+        for spec in specs:
+            for shape in ((spec.out_dim, spec.in_dim), (spec.out_dim,)):
+                count = int(np.prod(shape))
+                arrays.append(np.frombuffer(payload, "<f8", count, offset).reshape(shape))
+                offset += 8 * count
+        if offset != len(payload):
+            return None
+        return Network(NetworkSpec(specs), tuple(arrays[0::2]), tuple(arrays[1::2]))
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+
+
+def _write_sidecar(path, digest, net):
+    """Write net's weight sidecar for model bytes with this digest: a temp
+    file in the same directory, then an atomic rename. Best effort: an
+    OSError (say, a read-only directory) leaves no sidecar and no temp file."""
+    payload = b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes()
+        for pair in zip(net.weights, net.biases)
+        for a in pair
+    )
+    head = {
+        "model_sha256": digest,
+        "layers": [[s.in_dim, s.out_dim, s.activation] for s in net.spec.layers],
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    target = os.fsdecode(path) + ".weights"
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_SIDECAR_TAG + json.dumps(head).encode() + b"\n" + payload)
+        os.replace(tmp, target)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _parse_csv_cell(cell, path, line_no):
@@ -231,33 +333,37 @@ def dataset_load(path):
     """
     rows = []
     width = None
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if width is None:
-                width = len(row)
-                try:
-                    [float(c) for c in row]
-                except ValueError:
-                    continue  # header row
-            if len(row) != width:
-                raise FormatError(
-                    f"row has {len(row)} fields, expected {width}",
-                    path=path,
-                    line=line_no,
-                )
+    text = _decode_utf8(_read_bytes(path), path, newline="")
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if row[0].lstrip().startswith("#"):
+            continue
+        if width is None:
+            width = len(row)
+            try:
+                [float(c) for c in row]
+            except ValueError:
+                continue  # header row
+        if len(row) != width:
+            raise FormatError(
+                f"row has {len(row)} fields, expected {width}",
+                path=path,
+                line=line_no,
+            )
+        try:
+            values = [float(c) for c in row]
+        except ValueError:
+            # the per-cell parse names the offending cell
             values = [_parse_csv_cell(c, path, line_no) for c in row]
-            label = values[-1]
-            if label != int(label) or label < 0:
-                raise FormatError(
-                    f"label {label!r} is not a nonnegative integer",
-                    path=path,
-                    line=line_no,
-                )
-            rows.append((values[:-1], int(label)))
+        label = values[-1]
+        if not (label >= 0 and label.is_integer()):
+            raise FormatError(
+                f"label {label!r} is not a nonnegative integer",
+                path=path,
+                line=line_no,
+            )
+        rows.append((values[:-1], int(label)))
     if not rows:
         raise FormatError("no data rows found", path=path)
     if width < 2:
@@ -294,7 +400,7 @@ def write_f32_tensor(path, X):
 
 
 def read_f32_tensor(path):
-    data = open(path, "rb").read()
+    data = _read_bytes(path)
     if len(data) < _TENSOR_HEADER.size:
         raise FormatError("tensor file shorter than its header", path=path, offset=len(data))
     count, dim = _TENSOR_HEADER.unpack_from(data)
@@ -325,7 +431,7 @@ def write_f64_tensor(path, X):
 
 
 def read_f64_tensor(path):
-    data = open(path, "rb").read()
+    data = _read_bytes(path)
     if len(data) < _TENSOR_HEADER.size:
         raise FormatError("tensor file shorter than its header", path=path, offset=len(data))
     count, dim = _TENSOR_HEADER.unpack_from(data)
@@ -354,7 +460,7 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
-    data = open(path, "rb").read()
+    data = _read_bytes(path)
     if len(data) < _LABEL_HEADER.size:
         raise FormatError("label file shorter than its header", path=path, offset=len(data))
     (count,) = _LABEL_HEADER.unpack_from(data)

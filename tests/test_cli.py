@@ -14,6 +14,11 @@ def run(argv):
     return cli.main(argv)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cliws")
@@ -77,7 +82,7 @@ class TestTrain:
         assert data.n == 30 and data.dim == 16
 
     def test_metadata_provenance(self, workspace):
-        doc = json.load(open(workspace["model"]))
+        doc = read_json(workspace["model"])
         prov = doc["metadata"]
         assert prov["command"] == "train"
         assert prov["seed"] == 7
@@ -113,7 +118,7 @@ class TestInterpret:
         for idx in (0, 2):
             assert read_pgm(tmp_path / f"sample{idx}.pgm").shape == (4, 4)
             assert (tmp_path / f"sample{idx}.delta.f64").exists()
-            doc = json.load(open(tmp_path / f"sample{idx}.json"))
+            doc = read_json(tmp_path / f"sample{idx}.json")
             assert doc["method"] == "cafo"
             assert doc["sample_id"] == idx
             assert doc["lambda2"] == 10.0 or doc["lambda2"] > 10.0
@@ -228,7 +233,7 @@ class TestSweep:
                 "--out", str(out),
             ])
             assert code == 0
-        doc = json.load(open(outs[0] / "sweep.json"))
+        doc = read_json(outs[0] / "sweep.json")
         assert doc["grid"][0] == 0.0 and len(doc["grid"]) == 8
         assert doc["eta_range"] == [0.75, 1.0]
         assert len(doc["candidates"]) == 8
@@ -245,7 +250,7 @@ class TestSweep:
             "--method", "cafo", "--grid", "0:0.05:lin:3", "--out", str(tmp_path),
         ])
         assert code == 0
-        assert json.load(open(tmp_path / "sweep.json"))["grid"] == [0.0, 0.025, 0.05]
+        assert read_json(tmp_path / "sweep.json")["grid"] == [0.0, 0.025, 0.05]
 
     def test_grad_not_sweepable(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -322,7 +327,7 @@ class TestConfigFile:
             "train", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path),
         ])
         assert code == 0
-        prov = json.load(open(tmp_path / "model.json"))["metadata"]
+        prov = read_json(tmp_path / "model.json")["metadata"]
         assert prov["classes"] == 4
         assert prov["seed"] == 3  # explicit flag beats config default
         assert prov["n_per_class"] == 5
@@ -345,3 +350,41 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             run(["train", "--config", "/nonexistent.json"])
         assert exc.value.code == 2
+
+
+class TestModelFiles:
+    @pytest.mark.parametrize("argv", [
+        ["interpret", "--method", "smooth-caso", "--samples", "0,1", "--smooth-n", "4"],
+        ["sweep", "--method", "caso", "--sample", "1"],
+    ], ids=["interpret", "sweep"])
+    def test_cold_and_warm_artifacts_identical(self, workspace, tmp_path, capsys, argv):
+        model = tmp_path / "model.json"
+        model.write_bytes((workspace["root"] / "model.json").read_bytes())
+        sidecar = tmp_path / "model.json.weights"
+        outs = [tmp_path / "cold", tmp_path / "warm"]
+        for out in outs:
+            assert sidecar.exists() == (out.name == "warm")
+            code = run(argv + [
+                "--model", str(model), "--data", workspace["data"], "--seed", "4",
+                "--out", str(out),
+            ])
+            assert code == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--model", "--data"])
+    def test_non_utf8_file_is_runtime_error(self, workspace, tmp_path, capsys, flag):
+        files = {"--model": workspace["model"], "--data": workspace["data"]}
+        bad = tmp_path / "bad"
+        with open(files[flag], "rb") as fh:
+            bad.write_bytes(b"\xff" + fh.read())
+        files[flag] = str(bad)
+        code = run([
+            "interpret", "--model", files["--model"], "--data", files["--data"],
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not UTF-8 text") and f"{bad}, line 1, byte 0" in err

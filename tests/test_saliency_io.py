@@ -1,10 +1,12 @@
 """I/O tests: display normalization, PGM, model/dataset persistence, CSV."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from casokit import saliency_io
 from casokit import (
     Dataset,
     DimensionError,
@@ -215,6 +217,132 @@ class TestModelPersistence:
         with pytest.raises(FormatError, match="shape"):
             model_load(path)
 
+    def test_non_utf8_reports_path_and_offset(self, tmp_path):
+        path = tmp_path / "latin.json"
+        data = b'{"layers": [\n  {"activation": "r\xffelu"}]}\n'
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="UTF-8") as exc:
+            model_load(path)
+        assert exc.value.path == path
+        assert exc.value.offset == data.index(b"\xff") and exc.value.line == 2
+
+
+def _net(seed):
+    spec = NetworkSpec((LayerSpec(7, 5, "relu"), LayerSpec(5, 3, "identity")))
+    return init_network(spec, seed=seed)
+
+
+def _assert_same_net(a, b):
+    assert a.spec == b.spec
+    for xa, xb in zip(a.weights + a.biases, b.weights + b.biases):
+        assert xa.tobytes() == xb.tobytes()
+
+
+class TestWeightSidecar:
+    """model_load's binary weight copy next to the model JSON."""
+
+    @pytest.fixture
+    def json_parses(self, monkeypatch):
+        """Texts json.loads was called on while the fixture is active."""
+        seen = []
+        real = json.loads
+
+        def spy(text, *args, **kwargs):
+            seen.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(saliency_io.json, "loads", spy)
+        return seen
+
+    @staticmethod
+    def _saved(tmp_path, seed=11, name="model.json"):
+        path = tmp_path / name
+        model_save(_net(seed), path, metadata={"seed": seed})
+        return path
+
+    @staticmethod
+    def _sidecar(path):
+        return path.with_name(path.name + ".weights")
+
+    def test_cold_and_warm_loads_are_bitwise_equal(self, tmp_path, json_parses):
+        path = self._saved(tmp_path)
+        cold = model_load(path)
+        assert self._sidecar(path).is_file()
+        warm = model_load(str(path))
+        _assert_same_net(cold, warm)
+        _assert_same_net(warm, _net(11))
+        model_text = path.read_text()
+        assert json_parses.count(model_text) == 1  # the cold load only
+
+    def test_sidecar_holds_the_documented_layout(self, tmp_path):
+        path = self._saved(tmp_path)
+        net = model_load(path)
+        data = self._sidecar(path).read_bytes()
+        tag, head, payload = data.split(b"\n", 2)
+        head = json.loads(head)
+        assert tag == b"casokit-weights 1"
+        assert head["model_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert head["layers"] == [[7, 5, "relu"], [5, 3, "identity"]]
+        assert head["payload_bytes"] == len(payload) == 8 * (7 * 5 + 5 + 5 * 3 + 3)
+        assert head["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+        W0 = np.frombuffer(payload, "<f8", 35).reshape(5, 7)
+        assert W0.tobytes() == net.weights[0].tobytes()
+
+    def _corrupt_overwritten(self, path):
+        model_save(_net(12), path)
+
+    def _corrupt_truncated(self, path):
+        side = self._sidecar(path)
+        side.write_bytes(side.read_bytes()[:-9])
+
+    def _corrupt_flipped(self, path):
+        side = self._sidecar(path)
+        data = bytearray(side.read_bytes())
+        data[-3] ^= 0x01
+        side.write_bytes(bytes(data))
+
+    def _corrupt_other_model(self, path):
+        other = self._saved(path.parent, seed=12, name="other.json")
+        model_load(other)
+        self._sidecar(path).write_bytes(self._sidecar(other).read_bytes())
+
+    @pytest.mark.parametrize("case", ["overwritten", "truncated", "flipped", "other_model"])
+    def test_stale_sidecar_is_ignored_and_rewritten(self, tmp_path, case, json_parses):
+        path = self._saved(tmp_path)
+        model_load(path)
+        getattr(self, f"_corrupt_{case}")(path)
+        json_parses.clear()
+        loaded = model_load(path)
+        # a fresh parse of the JSON, in a directory with no sidecar yet
+        (tmp_path / "fresh").mkdir()
+        fresh = tmp_path / "fresh" / "model.json"
+        fresh.write_bytes(path.read_bytes())
+        expected = model_load(fresh)
+        _assert_same_net(loaded, expected)
+        assert path.read_text() in json_parses
+        assert self._sidecar(path).read_bytes() == self._sidecar(fresh).read_bytes()
+        json_parses.clear()
+        _assert_same_net(model_load(path), expected)
+        assert path.read_text() not in json_parses
+
+    def test_invalid_json_beside_valid_sidecar_still_fails(self, tmp_path):
+        path = self._saved(tmp_path)
+        model_load(path)
+        path.write_text('{"layers": [\n  {"in": 2,,}\n]}\n')
+        with pytest.raises(FormatError) as exc:
+            model_load(path)
+        assert exc.value.line == 2
+
+    def test_unwritable_sidecar_is_skipped(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+
+        def refuse(src, dst):
+            raise PermissionError(f"read-only: {dst}")
+
+        monkeypatch.setattr(saliency_io.os, "replace", refuse)
+        _assert_same_net(model_load(path), _net(11))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
 
 class TestCsvDataset:
     def test_round_trip_bitwise(self, tmp_path):
@@ -272,6 +400,22 @@ class TestCsvDataset:
         path.write_text("1\n2\n")
         with pytest.raises(FormatError):
             dataset_load(path)
+
+    def test_non_finite_label(self, tmp_path):
+        path = tmp_path / "lab.csv"
+        for label in ("inf", "nan"):
+            path.write_text(f"1.0,2.0,{label}\n")
+            with pytest.raises(FormatError, match="label"):
+                dataset_load(path)
+
+    def test_non_utf8_reports_path_and_offset(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        data = b"1.0,2.0,0\n1.0,\xff,1\n"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="UTF-8") as exc:
+            dataset_load(path)
+        assert exc.value.path == path
+        assert exc.value.offset == data.index(b"\xff") and exc.value.line == 2
 
 
 class TestRawTensors:
