@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 
 import numpy as np
@@ -49,7 +48,7 @@ from .interpret import (
     SPARSE_METHODS,
     MethodRequest,
     lambda1_sweep,
-    run_request,
+    run_requests,
 )
 from .netcore import LayerSpec, NetworkSpec, TrainConfig, init_network, make_blobs, train_sgd
 from .saliency_io import (
@@ -267,29 +266,23 @@ def cmd_interpret(args):
     w, h = _geometry(args, dataset.dim)
     solver = _solver_config(args)
     children = np.random.SeedSequence(args.seed).spawn(len(indices))
-
-    def work(pos):
-        child_seed = int(children[pos].generate_state(1, dtype=np.uint64)[0])
-        request = MethodRequest(
+    requests = [
+        MethodRequest(
             method=args.method,
-            sample=dataset.sample(indices[pos]),
+            sample=dataset.sample(i),
             lam1=args.lambda1,
             c1=args.c1,
             smooth_n=args.smooth_n,
             smooth_sigma=args.smooth_sigma,
             ig_steps=args.ig_steps,
             power_iters=args.power_iters,
-            seed=child_seed,
+            seed=int(child.generate_state(1, dtype=np.uint64)[0]),
             channels=args.channels,
             solver=solver,
         )
-        return run_request(net, request)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, range(len(indices))))
-    else:
-        results = [work(pos) for pos in range(len(indices))]
+        for i, child in zip(indices, children)
+    ]
+    results = run_requests(net, requests)
 
     # all computation is done; one collector writes everything in order
     prov = _provenance(args, "interpret")
@@ -535,7 +528,8 @@ def build_parser():
     sp.add_argument("--samples", type=int_list, default=(0,),
                     help="comma list of sample indices")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker threads; output is identical for any value")
+                    help="accepted and ignored: samples are solved in stacked "
+                         "batches in one thread")
     sp.set_defaults(func=cmd_interpret)
     parsers.append(sp)
 
@@ -614,8 +608,16 @@ def _apply_config(argv, root, parsers):
     if not os.path.isfile(known.config):
         root.error(f"no such config file: {known.config}")
     try:
-        with open(known.config) as fh:
-            doc = json.load(fh)
+        with open(known.config, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        root.error(f"cannot read config file {known.config}: {e.strerror}")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        root.error(f"config file {known.config} is not UTF-8 text (byte {e.start})")
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         root.error(f"invalid config JSON at line {e.lineno}: {e.msg}")
     if not isinstance(doc, dict):

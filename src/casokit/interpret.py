@@ -6,12 +6,13 @@ strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
 solving. All four sparse methods first build one CurvatureModel per
 sample (gradient and, for CASO, the stacked curvature factor and its
-exact top eigenvalue) and then solve against it; a lam1 sweep reuses that
-one model for every candidate. The gradient baselines (vanilla gradient,
-SmoothGrad, integrated gradients) are included for comparison; note the
-deliberate asymmetry that integrated gradients accumulates the loss
-gradient while the vanilla gradient differentiates the predicted class
-score.
+exact top eigenvalue) and then solve against it; run_requests builds and
+solves the models of a chunk of samples together, and a lam1 sweep
+reuses one model for every candidate. The gradient baselines (vanilla
+gradient, SmoothGrad, integrated gradients) are included for comparison;
+note the deliberate asymmetry that integrated gradients accumulates the
+loss gradient while the vanilla gradient differentiates the predicted
+class score.
 
 A saliency map Delta is summarized by its sparsity eta, the fraction of
 pixels whose channels are all exactly zero; the prox step produces exact
@@ -40,7 +41,7 @@ from .solver import (
     ObjectiveSpec,
     SolveResult,
     SolverConfig,
-    fista_solve,
+    fista_solve_batch,
     select_lambda2,
 )
 
@@ -50,6 +51,14 @@ DEFAULT_SMOOTH_N = 50
 DEFAULT_SMOOTH_SIGMA = 0.15
 DEFAULT_IG_STEPS = 50
 DEFAULT_POWER_ITERS = 10
+# run_requests stacks consecutive samples of one sparse method while their
+# chunk columns (see _columns) stay within this bound. On 10 classes that
+# is ten cafo or caso samples, two smooth-cafo samples at n = 50, and one
+# smooth-caso sample at n = 50 (500 columns). It keeps a chunk's working
+# set (each sample's factor and solver rows) to one or two megabytes, so the
+# CLI's peak memory barely grows; stacking all 64 samples of a CASO run
+# would add megabytes for little further speed.
+CHUNK_COLUMNS = 100
 
 METHODS = (
     "grad",
@@ -111,22 +120,26 @@ def sparsity_ratio(delta, channels_per_pixel=1):
     return float(np.all(pix == 0.0, axis=1).mean())
 
 
-def _finish(method, net, sample, clean, res, lam1, lam2, channels):
-    """Wrap a solve; clean is the forward pass at the sample (anything with
-    probs and loss, such as a ForwardTrace or a CurvatureModel)."""
-    x_new = sample.x + res.delta
-    raw = float(forward(net, x_new, sample.y).loss - clean.loss)
-    return SaliencyResult(
-        method=method,
-        delta=res.delta,
-        eta=sparsity_ratio(res.delta, channels),
-        p_max=float(clean.probs.max()),
-        loss_gain=res.objective_value,
-        raw_loss_delta=raw,
-        lam1=float(lam1),
-        lam2=float(lam2),
-        solve=res,
-    )
+def _finish(method, net, samples, models, objs, solves, channels):
+    """Wrap the solves of a chunk of samples; one batched forward pass at
+    the perturbed inputs gives every raw loss change."""
+    X = np.stack([s.x for s in samples])
+    D = np.stack([res.delta for res in solves])
+    after = forward_batch(net, X + D, [s.y for s in samples]).losses
+    return [
+        SaliencyResult(
+            method=method,
+            delta=res.delta,
+            eta=sparsity_ratio(res.delta, channels),
+            p_max=float(model.probs.max()),
+            loss_gain=res.objective_value,
+            raw_loss_delta=float(loss - model.loss),
+            lam1=float(obj.lam1),
+            lam2=float(obj.lam2),
+            solve=res,
+        )
+        for model, obj, res, loss in zip(models, objs, solves, after)
+    ]
 
 
 @dataclass(frozen=True)
@@ -152,65 +165,98 @@ class CurvatureModel:
     factor: np.ndarray | None = None
 
 
-def curvature_model(net, sample, points=None, power_iters=DEFAULT_POWER_ITERS, seed=0,
-                    second_order=True):
-    """Build the CurvatureModel of sample, expanded at the (n, d) points.
+def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS, seeds=None,
+                     second_order=True):
+    """Build the CurvatureModels of a chunk of samples in one pass.
 
-    points=None expands at the sample alone, and its batched pass is then
-    also the forward pass at the sample; otherwise the sample gets a pass
-    of its own. All expansion points share one batched forward pass and
-    two batched backprops. The first, seeded with p_i - e_y, gives the
-    loss gradients; second_order=False stops there with a first-order
-    model. On piecewise-linear nets (H_i = W_i A_i W_i^T with
+    points is None to expand each sample at itself, or one (n, d) array
+    of expansion points per sample, all with the same n; each sample then
+    also gets a forward pass of its own. One batched forward pass covers
+    every expansion point of the chunk, and two batched backprops follow.
+    The first, seeded with p_i - e_y, gives the loss gradients;
+    second_order=False stops there with first-order models. On
+    piecewise-linear nets (H_i = W_i A_i W_i^T with
     A_i = diag(p_i) - p_i p_i^T) the second is seeded with the columns of
-    L_i = diag(sqrt p_i) - p_i sqrt(p_i)^T, which satisfies L_i L_i^T = A_i,
-    and yields B = [W_1 L_1, ..., W_n L_n] / sqrt(n). lambda_max is the
-    top eigenvalue of the smaller Gram matrix, B^T B or B B^T.
-    power_iters and seed only drive the power iteration of other nets.
+    L_i = diag(sqrt p_i) - p_i sqrt(p_i)^T, which satisfies
+    L_i L_i^T = A_i, and yields each sample's
+    B = [W_1 L_1, ..., W_n L_n] / sqrt(n). lambda_max is the top
+    eigenvalue of the smaller Gram matrix, B^T B or B B^T, all of the
+    chunk's from one batched eigvalsh. seeds (one per sample, default 0)
+    and power_iters only drive the power iteration of other nets.
     """
     if second_order and power_iters < 1:
         raise ValueError("power_iters must be >= 1")
+    k = len(samples)
+    seeds = [0] * k if seeds is None else seeds
+    y = np.array([s.y for s in samples])
     if points is None:
-        batch = forward_batch(net, sample.x[None, :], sample.y)
-        probs, loss = batch.probs[0], float(batch.losses[0])
+        m = 1
+        expand = forward_batch(net, np.stack([s.x for s in samples]), y)
+        probs, losses = expand.probs, expand.losses
     else:
-        clean = forward(net, sample.x, sample.y)
-        probs, loss = clean.probs, clean.loss
-        batch = forward_batch(net, points, sample.y)
-    P = batch.probs
-    n, c = P.shape
-    seeds = P.copy()
-    seeds[:, sample.y] -= 1.0
-    g = backprop_batch(net, batch, seeds[:, None, :]).mean(axis=1)
+        clean = [forward(net, s.x, s.y) for s in samples]
+        probs, losses = [t.probs for t in clean], [t.loss for t in clean]
+        m = points[0].shape[0]
+        expand = forward_batch(net, np.concatenate(points), np.repeat(y, m))
+    P = expand.probs
+    c = P.shape[1]
+    d = net.input_dim
+    seeds_g = P.copy()
+    seeds_g[np.arange(k * m), np.repeat(y, m)] -= 1.0
+    G = backprop_batch(net, expand, seeds_g[:, None, :]).reshape(d, k, m).mean(axis=2).T
+
+    def model(i, **curvature):
+        return CurvatureModel(probs=probs[i], loss=float(losses[i]),
+                              gradient=np.ascontiguousarray(G[i]), **curvature)
 
     if not second_order:
-        return CurvatureModel(probs=probs, loss=loss, gradient=g, hvp=None, curvature_bound=0.0)
+        return [model(i, hvp=None, curvature_bound=0.0) for i in range(k)]
 
     if not net.spec.piecewise_linear:
 
-        def hvp(v):
-            out = np.zeros_like(v)
-            for z in batch.X:
-                out += hvp_finite_diff(net, z, sample.y, v)
-            return out / n
+        def fd_model(i):
+            Z = expand.X[i * m:(i + 1) * m]
 
-        L = max(largest_eigenvalue(hvp, net.input_dim, iters=power_iters, seed=seed), 0.0)
-        return CurvatureModel(probs=probs, loss=loss, gradient=g, hvp=hvp, curvature_bound=L)
+            def hvp(v):
+                out = np.zeros_like(v)
+                for z in Z:
+                    out += hvp_finite_diff(net, z, samples[i].y, v)
+                return out / m
 
-    # seeds[i, j] is column j of L_i: sqrt(p_ij) e_j - sqrt(p_ij) p_i
+            L = largest_eigenvalue(hvp, d, iters=power_iters, seed=seeds[i])
+            return model(i, hvp=hvp, curvature_bound=max(L, 0.0))
+
+        return [fd_model(i) for i in range(k)]
+
+    # lseeds[r, j] is column j of L_r: sqrt(p_rj) e_j - sqrt(p_rj) p_r
     rootp = np.sqrt(P)
-    seeds = rootp[:, :, None] * -P[:, None, :]
-    seeds[:, np.arange(c), np.arange(c)] += rootp
-    B = backprop_batch(net, batch, seeds / np.sqrt(n))
-    gram = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
-    L = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+    lseeds = rootp[:, :, None] * -P[:, None, :]
+    lseeds[:, np.arange(c), np.arange(c)] += rootp
+    # (k, d, m*c): each sample's factor, a view of the backprop's columns
+    B = backprop_batch(net, expand, lseeds / np.sqrt(m))
+    B = B.reshape(d, k, m * c).transpose(1, 0, 2)
+    Bt = B.transpose(0, 2, 1)
+    gram = Bt @ B if m * c <= d else B @ Bt
+    bounds = np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)
 
-    def hvp(v):
-        return B @ (B.T @ v)
+    def factored_model(i):
+        Bi = B[i]
 
-    return CurvatureModel(
-        probs=probs, loss=loss, gradient=g, hvp=hvp, curvature_bound=L, factor=B
-    )
+        def hvp(v):
+            return Bi @ (Bi.T @ v)
+
+        return model(i, hvp=hvp, curvature_bound=float(bounds[i]), factor=Bi)
+
+    return [factored_model(i) for i in range(k)]
+
+
+def curvature_model(net, sample, points=None, power_iters=DEFAULT_POWER_ITERS, seed=0,
+                    second_order=True):
+    """The CurvatureModel of one sample, expanded at the (n, d) points or,
+    for points=None, at the sample itself: curvature_models of one sample."""
+    return curvature_models(
+        net, [sample], None if points is None else [points], power_iters, [seed], second_order
+    )[0]
 
 
 def _noise_inputs(x, n, sigma, rng):
@@ -219,11 +265,12 @@ def _noise_inputs(x, n, sigma, rng):
     return x + (sigma * span) * rng.standard_normal((n, x.shape[0]))
 
 
-def _sparse_model(method, sample, net, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA,
-                  seed=0, power_iters=DEFAULT_POWER_ITERS):
-    """The CurvatureModel a SPARSE_METHODS entry solves against.
+def _sparse_models(method, samples, net, seeds, n=DEFAULT_SMOOTH_N,
+                   sigma=DEFAULT_SMOOTH_SIGMA, power_iters=DEFAULT_POWER_ITERS):
+    """The CurvatureModels a SPARSE_METHODS entry solves against, one per
+    sample, built in one pass.
 
-    Smoothed methods expand at n noisy copies of the sample drawn from
+    Smoothed methods expand each sample at n noisy copies drawn from its
     seed, or at the sample itself when sigma = 0; the others expand at the
     sample. Knobs the method does not use are ignored.
     """
@@ -236,29 +283,40 @@ def _sparse_model(method, sample, net, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
             raise ValueError("sigma must be nonnegative")
         # a NaN sigma takes the noisy branch, where the batched pass rejects it
         if sigma != 0.0:
-            points = _noise_inputs(sample.x, n, sigma, np.random.default_rng(seed))
-    return curvature_model(
-        net, sample, points, power_iters=power_iters, seed=seed, second_order=second_order
+            points = [
+                _noise_inputs(s.x, n, sigma, np.random.default_rng(seed))
+                for s, seed in zip(samples, seeds)
+            ]
+    return curvature_models(
+        net, samples, points, power_iters=power_iters, seeds=seeds, second_order=second_order
     )
 
 
-def _solve_model(method, net, sample, model, lam1, c1=DEFAULT_C1, channels=1,
-                 solver_config=None):
-    """Maximize the surrogate of a CurvatureModel at one lam1, with
-    lam2 = L/2 + c1 for the model's curvature bound L."""
-    L = model.curvature_bound
-    lam2 = select_lambda2(L, c1)
-    obj = ObjectiveSpec(
-        gradient=model.gradient, hvp=model.hvp, lam1=lam1, lam2=lam2, curvature_bound=L
-    )
-    res = fista_solve(obj, solver_config)
-    return _finish(method, net, sample, model, res, lam1, lam2, channels)
+def _sparse_model(method, sample, net, seed=0, **model_kwargs):
+    """The CurvatureModel of one sample: _sparse_models of [sample]."""
+    return _sparse_models(method, [sample], net, [seed], **model_kwargs)[0]
+
+
+def _solve_models(method, net, samples, models, lam1, c1=DEFAULT_C1, channels=1,
+                  solver_config=None):
+    """Maximize the surrogates of a chunk's CurvatureModels at one lam1, as
+    one stacked solve, each with lam2 = L/2 + c1 for its curvature bound L."""
+    objs = [
+        ObjectiveSpec(
+            gradient=model.gradient, hvp=model.hvp, lam1=lam1,
+            lam2=select_lambda2(model.curvature_bound, c1),
+            curvature_bound=model.curvature_bound,
+        )
+        for model in models
+    ]
+    solves = fista_solve_batch(objs, solver_config)
+    return _finish(method, net, samples, models, objs, solves, channels)
 
 
 def _sparse(method, sample, net, lam1, c1=DEFAULT_C1, channels=1, solver_config=None,
             **model_kwargs):
     model = _sparse_model(method, sample, net, **model_kwargs)
-    return _solve_model(method, net, sample, model, lam1, c1, channels, solver_config)
+    return _solve_models(method, net, [sample], [model], lam1, c1, channels, solver_config)[0]
 
 
 def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
@@ -482,10 +540,11 @@ def lambda1_sweep(
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
-    model = _sparse_model(method, sample, net, **model_kwargs)
+    models = [_sparse_model(method, sample, net, **model_kwargs)]
 
     def solve(lam):
-        return _solve_model(method, net, sample, model, lam, c1, channels, solver_config)
+        return _solve_models(method, net, [sample], models, lam, c1, channels,
+                             solver_config)[0]
 
     def in_range(r):
         return lo <= r.eta < hi
@@ -552,8 +611,8 @@ class MethodRequest:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def run_request(net, request):
-    """Dispatch a MethodRequest to the matching interpretation method."""
+def _run_baseline(net, request):
+    """A gradient-baseline request, which runs one sample at a time."""
     m = request.method
     s = request.sample
     ch = request.channels
@@ -564,10 +623,72 @@ def run_request(net, request):
             s, net, n=request.smooth_n, sigma=request.smooth_sigma,
             seed=request.seed, channels=ch,
         )
-    if m in SPARSE_METHODS:
-        return _sparse(
-            m, s, net, request.lam1, request.c1, ch, request.solver,
-            n=request.smooth_n, sigma=request.smooth_sigma, seed=request.seed,
-            power_iters=request.power_iters,
-        )
     return integrated_gradients(s, net, steps=request.ig_steps, channels=ch)
+
+
+def _columns(net, request):
+    """Chunk columns a sparse request takes: the columns of its widest
+    backprop (its expansion points, times c for second-order methods), but
+    at least c, so that no chunk stacks more samples than a CASO chunk;
+    None for the gradient baselines."""
+    if request.method not in SPARSE_METHODS:
+        return None
+    smoothed, second_order = SPARSE_METHODS[request.method]
+    points = request.smooth_n if smoothed and request.smooth_sigma != 0.0 else 1
+    c = net.num_classes
+    return max(points * c if second_order else points, c)
+
+
+def _chunks(net, requests):
+    """Split requests, in order, into chunks solved together: consecutive
+    sparse requests that differ only in sample and seed, up to
+    CHUNK_COLUMNS chunk columns (a single sample always forms a chunk),
+    and each other request alone."""
+    chunk, used = [], 0
+    for r in requests:
+        cols = _columns(net, r)
+        if chunk and (
+            cols is None
+            or used + cols > CHUNK_COLUMNS
+            or replace(r, sample=None, seed=0) != replace(chunk[0], sample=None, seed=0)
+        ):
+            yield chunk
+            chunk, used = [], 0
+        if cols is None:
+            yield [r]
+        else:
+            chunk.append(r)
+            used += cols
+    if chunk:
+        yield chunk
+
+
+def run_requests(net, requests):
+    """Results of a sequence of MethodRequests, in order.
+
+    Sparse requests are solved a chunk of whole samples at a time (see
+    _chunks): one batched forward pass and two batched backprops build
+    the chunk's models, one stacked FISTA run solves them, and one batched
+    forward pass gives their raw loss changes. Every sample's solve follows
+    its own arithmetic, so chunking moves the results by rounding only.
+    """
+    results = []
+    for chunk in _chunks(net, requests):
+        r = chunk[0]
+        if r.method not in SPARSE_METHODS:
+            results.append(_run_baseline(net, r))
+            continue
+        samples = [q.sample for q in chunk]
+        models = _sparse_models(
+            r.method, samples, net, [q.seed for q in chunk], n=r.smooth_n,
+            sigma=r.smooth_sigma, power_iters=r.power_iters,
+        )
+        results.extend(
+            _solve_models(r.method, net, samples, models, r.lam1, r.c1, r.channels, r.solver)
+        )
+    return results
+
+
+def run_request(net, request):
+    """Dispatch a MethodRequest to the matching interpretation method."""
+    return run_requests(net, [request])[0]

@@ -344,8 +344,8 @@ def forward_batch(net, X, y=None):
     """Run the network on every row of the (n, d) array X in one pass.
 
     Matches forward row by row up to rounding: the layers apply as
-    X W_l^T + b_l, and with a label y (shared by all rows) losses are the
-    clamped logsumexp cross entropies.
+    X W_l^T + b_l, and with labels y (one shared class index, or one per
+    row) losses are the clamped logsumexp cross entropies.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -354,6 +354,18 @@ def forward_batch(net, X, y=None):
         )
     if not np.isfinite(X).all():
         raise NonFiniteError("input must be finite")
+    n = X.shape[0]
+    labels = None
+    if y is not None:
+        labels = np.asarray(y)
+        if labels.ndim == 0:
+            labels = np.full(n, int(labels))
+        elif labels.shape != (n,):
+            raise DimensionError(f"labels of shape {labels.shape} do not match {n} rows")
+        labels = labels.astype(np.int64)
+        bad = (labels < 0) | (labels >= net.num_classes)
+        if bad.any():
+            raise ValueError(f"label {labels[bad][0]} outside [0, {net.num_classes})")
     pre = []
     act = []
     a = X
@@ -370,11 +382,8 @@ def forward_batch(net, X, y=None):
     total = e.sum(axis=1, keepdims=True)
     probs = e / total
     losses = None
-    if y is not None:
-        y = int(y)
-        if not 0 <= y < net.num_classes:
-            raise ValueError(f"label {y} outside [0, {net.num_classes})")
-        losses = np.maximum(np.log(total[:, 0]) - shifted[:, y], 0.0)
+    if labels is not None:
+        losses = np.maximum(np.log(total[:, 0]) - shifted[np.arange(n), labels], 0.0)
     return BatchTrace(
         X=X,
         pre_activations=tuple(pre),

@@ -108,13 +108,16 @@ def smooth_gradient(obj, delta, hd=None):
 def prox_soft_threshold(x, t):
     """Soft threshold: x+t below -t, 0 on [-t, t], x-t above t.
 
-    Entries inside the dead zone come out as exact (positive) floating
-    zeros so that downstream sparsity counts can compare against 0.0.
+    t is a scalar, or a column with one threshold per row of a stack x.
+    Entries inside the dead zone come out as x - x, an exact (positive)
+    floating zero, so that downstream sparsity counts can compare against
+    0.0.
     """
-    if t < 0.0:
+    t = np.asarray(t, dtype=np.float64)
+    if (t < 0.0).any():
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > t, x - t, np.where(x < -t, x + t, 0.0))
+    return x - np.clip(x, -t, t)
 
 
 @dataclass(frozen=True)
@@ -154,84 +157,133 @@ class SolveResult:
 
 
 def fista_solve(obj, config=None):
-    """Maximize the surrogate objective with FISTA plus backtracking.
+    """Maximize one surrogate objective: fista_solve_batch of [obj]."""
+    return fista_solve_batch([obj], config)[0]
+
+
+def fista_solve_batch(objs, config=None):
+    """Maximize k surrogate objectives of one dimension with FISTA plus
+    backtracking, as one stack of rows.
 
     Zero initialization, Nesterov momentum, and a quadratic-majorization
-    backtracking test on the negated smooth part; the step size only ever
-    shrinks. Tracks and returns the iterate with the best true objective,
+    backtracking test on the negated smooth part; each row's step size
+    only ever shrinks, and only rows that fail the test are stepped back.
+    Tracks and returns each row's iterate with the best true objective,
     which keeps the result monotone in the iteration budget even though
-    raw FISTA iterates oscillate. H is applied once at the start and then
-    once per tested iterate and once per extrapolated point, so
-    1 + 2 * iterations + backtracks times in all.
+    raw FISTA iterates oscillate. Each row's H is applied once at the start
+    and then once per tested iterate and once per extrapolated point, so
+    1 + 2 * iterations + backtracks times in all. Every row sees the same
+    arithmetic as a solve of its own, so the results do not depend on
+    which objectives share the stack.
     """
     if config is None:
         config = SolverConfig()
-    d = obj.dim
-    x_prev = np.zeros(d)
-    y = x_prev
-    t = 1.0
-    alpha = config.learning_rate
-    best_x = x_prev
-    best_val = obj.value(x_prev)
-    exhausted = False
-    obj_trace = []
-    step_trace = []
-    nnz_trace = []
+    k = len(objs)
+    if k == 0:
+        raise ValueError("need at least one objective")
+    if any(o.dim != objs[0].dim for o in objs):
+        raise DimensionError("objectives must share one dimension")
+    G = np.stack([o.gradient for o in objs])
+    lam1 = np.array([o.lam1 for o in objs])
+    lam2 = np.array([o.lam2 for o in objs])
+    ids = np.arange(k)
+    curved = any(o.hvp is not None for o in objs)
+
+    # rows is slice(None) for the whole stack or an index array of rows;
+    # V holds one vector per selected row
+    def apply_h(rows, V):
+        out = np.zeros_like(V)
+        if curved:
+            for j, i in enumerate(ids[rows]):
+                if objs[i].hvp is not None:
+                    out[j] = objs[i].hvp(V[j])
+        return out
+
+    def smooth_value(rows, V, HV):
+        """g^T D + 1/2 D^T H D - lam2 ||D||^2 of each row."""
+        return np.vecdot(G[rows], V) + 0.5 * np.vecdot(V, HV) - lam2[rows] * np.vecdot(V, V)
+
+    def step(rows, Y, grad_y, a):
+        return prox_soft_threshold(Y - a[:, None] * grad_y, (a * lam1[rows])[:, None])
 
     # slack keeps pure rounding noise from burning backtracks near optimum;
     # it scales with the compared quantities so badly scaled problems
     # (objective far above or below 1) still backtrack correctly
-    def majorized(f_x, f_y, grad_y, x, yv, a):
-        diff = x - yv
-        quad = float(diff @ diff) / (2.0 * a)
-        q = f_y + float(grad_y @ diff) + quad
-        return f_x <= q + 1e-12 * (abs(f_y) + quad)
+    def majorized(f_x, f_y, grad_y, diff, a):
+        quad = np.vecdot(diff, diff) / (2.0 * a)
+        q = f_y + np.vecdot(grad_y, diff) + quad
+        return f_x <= q + 1e-12 * (np.abs(f_y) + quad)
+
+    every = slice(None)
+    x_prev = np.zeros_like(G)
+    y = x_prev
+    t = 1.0
+    alpha = np.full(k, config.learning_rate)
+    best_x = x_prev.copy()
+    h0 = apply_h(every, x_prev)
+    best_val = smooth_value(every, x_prev, h0) - lam1 * np.abs(x_prev).sum(axis=1)
+    exhausted = np.zeros(k, dtype=bool)
+    obj_trace = []
+    step_trace = []
+    nnz_trace = []
+    two_lam2 = (2.0 * lam2)[:, None]
 
     for _ in range(config.iterations):
-        hy = obj.apply_h(y)
-        grad_y = -smooth_gradient(obj, y, hy)  # gradient of f = -(smooth part)
-        f_y = -obj.smooth_value(y, hy)
-        x = prox_soft_threshold(y - alpha * grad_y, alpha * obj.lam1)
-        hx = obj.apply_h(x)
+        hy = apply_h(every, y)
+        grad_y = -(G + hy - two_lam2 * y)  # gradient of f = -(smooth part)
+        f_y = -smooth_value(every, y, hy)
+        x = step(every, y, grad_y, alpha)
+        hx = apply_h(every, x)
+        s_x = smooth_value(every, x, hx)
+        # the rows still failing the test; all have been stepped back equally often
+        rows = ids[~majorized(-s_x, f_y, grad_y, x - y, alpha)]
         tries = 0
-        while not majorized(-obj.smooth_value(x, hx), f_y, grad_y, x, y, alpha):
-            if tries >= config.max_backtracks:
-                exhausted = True
-                break
-            alpha *= config.backtrack_decay
+        while rows.size and tries < config.max_backtracks:
             tries += 1
-            x = prox_soft_threshold(y - alpha * grad_y, alpha * obj.lam1)
-            hx = obj.apply_h(x)
+            alpha[rows] *= config.backtrack_decay
+            x[rows] = step(rows, y[rows], grad_y[rows], alpha[rows])
+            hx[rows] = apply_h(rows, x[rows])
+            s_x[rows] = smooth_value(rows, x[rows], hx[rows])
+            ok = majorized(-s_x[rows], f_y[rows], grad_y[rows], x[rows] - y[rows], alpha[rows])
+            rows = rows[~ok]
+        exhausted[rows] = True
 
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = x + ((t - 1.0) / t_next) * (x - x_prev)
         t = t_next
         x_prev = x
 
-        val = obj.value(x, hx)
+        val = s_x - lam1 * np.abs(x).sum(axis=1)
         obj_trace.append(val)
-        step_trace.append(alpha)
-        nnz_trace.append(int(np.count_nonzero(x)))
-        if val > best_val:
-            best_val = val
-            best_x = x
+        step_trace.append(alpha.copy())
+        nnz_trace.append((x != 0.0).sum(axis=1))
+        better = val > best_val
+        if better.any():
+            best_val = np.where(better, val, best_val)
+            best_x[better] = x[better]
 
     # once the objective plateaus at float resolution the iterates keep
     # contracting toward the fixed point, so when the final iterate ties the
     # recorded best within evaluation noise, prefer it: it is the most
     # converged one. best_val stays the exact trace maximum.
-    if obj_trace[-1] >= best_val - 1e-12 * max(1.0, abs(best_val)):
-        best_x = x_prev
+    last = obj_trace[-1] >= best_val - 1e-12 * np.maximum(1.0, np.abs(best_val))
+    best_x[last] = x_prev[last]
 
-    return SolveResult(
-        delta=best_x,
-        objective_value=best_val,
-        iterations_used=config.iterations,
-        objective_trace=tuple(obj_trace),
-        step_trace=tuple(step_trace),
-        nnz_trace=tuple(nnz_trace),
-        backtrack_exhausted=exhausted,
-    )
+    obj_trace = np.array(obj_trace).T.tolist()
+    step_trace = np.array(step_trace).T.tolist()
+    nnz_trace = np.array(nnz_trace).T.tolist()
+    return [
+        SolveResult(
+            delta=best_x[i],
+            objective_value=float(best_val[i]),
+            iterations_used=config.iterations,
+            objective_trace=tuple(obj_trace[i]),
+            step_trace=tuple(step_trace[i]),
+            nnz_trace=tuple(nnz_trace[i]),
+            backtrack_exhausted=bool(exhausted[i]),
+        )
+        for i in range(k)
+    ]
 
 
 def closed_form_cafo(g, lam2):

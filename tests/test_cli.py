@@ -346,6 +346,16 @@ class TestConfigFile:
             run(["train", "--config", str(cfg)])
         assert exc.value.code == 2
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": \xff1}')
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg} is not UTF-8 text (byte 9)" in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_missing_config_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--config", "/nonexistent.json"])

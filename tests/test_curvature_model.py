@@ -10,6 +10,7 @@ import pytest
 
 from casokit import (
     DEFAULT_LAMBDA1_GRID,
+    Dataset,
     DimensionError,
     LayerSpec,
     NetworkSpec,
@@ -20,6 +21,7 @@ from casokit import (
     cafo,
     caso,
     curvature_model,
+    dataset_save_csv,
     fista_solve,
     forward,
     forward_batch,
@@ -29,12 +31,13 @@ from casokit import (
     input_gradient,
     lambda1_sweep,
     local_linearization,
+    model_save,
     select_lambda2,
     smooth_cafo,
     smooth_caso,
     softmax_curvature,
 )
-from casokit import interpret
+from casokit import cli, interpret
 from casokit import netcore as nc
 
 
@@ -245,11 +248,11 @@ class TestWorkCounts:
         ("cafo", {}), ("smooth-cafo", {"n": 4, "sigma": 0.2}),
     ])
     def test_sweep_builds_the_model_once(self, relu_net, monkeypatch, method, kwargs):
-        counts = count_calls(monkeypatch, interpret, ["curvature_model"])
+        counts = count_calls(monkeypatch, interpret, ["curvature_models"])
         s = Sample(x=np.random.default_rng(9).standard_normal(8), y=1)
         out = lambda1_sweep(s, relu_net, method=method, **kwargs)
         assert len(out.all_results) >= len(DEFAULT_LAMBDA1_GRID)
-        assert counts["curvature_model"] == 1
+        assert counts["curvature_models"] == 1
 
     def test_fista_applies_h_once_per_point(self):
         rng = np.random.default_rng(10)
@@ -289,9 +292,36 @@ class TestWorkCounts:
             ("cafo", cafo, {}), ("caso", caso, {}),
             ("smooth-cafo", smooth_cafo, {"n": 5}), ("smooth-caso", smooth_caso, {"n": 5}),
         ):
-            # the model's batched pass plus the raw-loss pass of the result;
-            # smoothed methods add the clean pass at the sample
+            # the model's batched pass plus the batched raw-loss pass of the
+            # result; smoothed methods add the clean pass at the sample
             model = 2 if method.startswith("smooth") else 1
-            assert passes(lambda: fn(s, relu_net, 1e-3, **kwargs)) == (model + 1, 1, 0)
+            assert passes(lambda: fn(s, relu_net, 1e-3, **kwargs)) == (model + 1, 2, 0)
             assert passes(lambda: sweep(s, relu_net, method, grid=grid, max_refinements=0,
-                                        **kwargs)) == (model + len(grid), 1, 0)
+                                        **kwargs)) == (model + len(grid), 1 + len(grid), 0)
+
+    @pytest.mark.parametrize("method", ["cafo", "caso", "smooth-cafo", "smooth-caso"])
+    @pytest.mark.parametrize("chunk_columns", [12, interpret.CHUNK_COLUMNS])
+    def test_forward_passes_per_interpret_chunk(self, tmp_path, monkeypatch, capsys, method,
+                                                chunk_columns):
+        # 4 classes: a cafo or caso sample takes 4 chunk columns; at n = 3 a
+        # smooth-cafo sample takes 4 (3 points, but at least c) and a
+        # smooth-caso sample 12
+        spec = NetworkSpec((LayerSpec(16, 12, "relu"), LayerSpec(12, 4, "identity")))
+        net = init_network(spec, seed=23)
+        rng = np.random.default_rng(13)
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model_save(net, model)
+        dataset_save_csv(Dataset(rng.uniform(0, 1, (10, 16)), rng.integers(0, 4, 10)), data)
+        monkeypatch.setattr(interpret, "CHUNK_COLUMNS", chunk_columns)
+        counts = count_calls(monkeypatch, nc, ["forward", "forward_batch"])
+        code = cli.main([
+            "interpret", "--model", str(model), "--data", str(data), "--method", method,
+            "--smooth-n", "3", "--samples", "0,1,2,3,4,5,6,7,8,9", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        per_sample = {"cafo": 4, "caso": 4, "smooth-cafo": 4, "smooth-caso": 12}[method]
+        chunks = math.ceil(10 / (chunk_columns // per_sample))
+        # the chunk's model pass and its raw-loss pass; smoothed methods add
+        # one clean pass per sample
+        clean = 10 if method.startswith("smooth") else 0
+        assert (counts["forward_batch"], counts["forward"]) == (2 * chunks, clean)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from casokit import (
     DimensionError,
@@ -167,6 +170,35 @@ class TestProx:
         y = rng.uniform(-3.0, 3.0, size=n)
         out_y = prox_soft_threshold(y, t)
         assert np.all(np.abs(out - out_y) <= np.abs(x - y) + 1e-15)
+
+    @given(
+        x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+                     elements=st.floats(allow_nan=False, allow_infinity=False)),
+        t=st.floats(0.0, 1e300),
+    )
+    def test_bitwise_equal_to_piecewise_form(self, x, t):
+        # the branchwise definition, with 0.0 in the dead zone; np.where
+        # evaluates both branches, which may overflow where unused
+        with np.errstate(over="ignore"):
+            ref = np.where(x > t, x - t, np.where(x < -t, x + t, 0.0))
+        assert prox_soft_threshold(x, t).tobytes() == ref.tobytes()
+
+    def test_boundary_cases_bitwise(self):
+        x = np.array([0.2, -0.2, 0.0, -0.0, 0.3, -0.3, 5e-324, -5e-324])
+        for t in (0.2, 0.0):
+            ref = np.where(x > t, x - t, np.where(x < -t, x + t, 0.0))
+            assert prox_soft_threshold(x, t).tobytes() == ref.tobytes()
+
+    def test_per_row_threshold_column(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4, 30))
+        t = np.array([[0.0], [0.1], [0.5], [3.0]])
+        out = prox_soft_threshold(x, t)
+        for i in range(4):
+            assert out[i].tobytes() == prox_soft_threshold(x[i], t[i, 0]).tobytes()
+        assert not out[3].any()
+        with pytest.raises(ValueError):
+            prox_soft_threshold(x, -t)
 
 
 class TestFista:
