@@ -22,22 +22,10 @@ import json
 import math
 import os
 import sys
-from importlib import metadata
 
 import numpy as np
 
-from .analysis import (
-    SIM_MODES,
-    OracleConfig,
-    RankOneSimConfig,
-    alignment_curve,
-    brute_force_group_feature,
-    confidence_gap_study,
-    l1_path_supports,
-    make_planted_instance,
-    simulate_rank_one,
-    spearman_rho,
-)
+from . import __version__ as VERSION
 from .interpret import (
     DEFAULT_IG_STEPS,
     DEFAULT_LAMBDA1_GRID,
@@ -64,12 +52,10 @@ from .saliency_io import (
 )
 from .solver import DEFAULT_C1, SolverConfig
 
-try:
-    VERSION = metadata.version("casokit")
-except metadata.PackageNotFoundError:
-    VERSION = "0.0.0"
-
 SWEEP_METHODS = tuple(SPARSE_METHODS)
+# analysis.SIM_MODES, spelled out so that building the parser does not
+# import the study module; a test keeps the two equal
+SIM_MODES = ("vary-classes", "vary-eps", "grid")
 
 
 def existing_file(text):
@@ -157,10 +143,24 @@ def _provenance(args, command):
     return doc
 
 
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _json_value(value):
+    """value as json.dumps(doc, indent=1, sort_keys=True) renders it one
+    level inside doc."""
+    return json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n ")
+
+
+def _write_json(path, doc, provenance):
+    """Write doc plus a "provenance" entry, as json.dumps(indent=1,
+    sort_keys=True) renders them, and a newline, in one write.
+
+    provenance is the entry's _json_value text, rendered once per run. It
+    replaces a null placeholder, whose line is unique: nested keys are
+    indented deeper and strings escape their newlines.
+    """
+    text = json.dumps({**doc, "provenance": None}, indent=1, sort_keys=True)
+    text = text.replace('\n "provenance": null', '\n "provenance": ' + provenance, 1)
+    with open(path, "wb") as fh:
+        fh.write(text.encode() + b"\n")
 
 
 def _load_data(args):
@@ -286,9 +286,11 @@ def cmd_interpret(args):
 
     # all computation is done; one collector writes everything in order
     prov = _provenance(args, "interpret")
+    prov_text = _json_value(prov)
+    dmaps = normalize_for_display(np.stack([res.delta for res in results]), w, h, args.channels)
     rows = []
-    for idx, res in zip(indices, results):
-        dmap = normalize_for_display(res.delta, w, h, args.channels)
+    lines = []
+    for idx, res, dmap in zip(indices, results, dmaps):
         write_pgm(
             dmap,
             os.path.join(out, f"sample{idx}.pgm"),
@@ -298,10 +300,10 @@ def cmd_interpret(args):
         doc = _result_summary(res)
         doc["sample_id"] = idx
         doc["iterations_used"] = res.solve.iterations_used if res.solve else None
-        doc["provenance"] = prov
-        _write_json(os.path.join(out, f"sample{idx}.json"), doc)
+        _write_json(os.path.join(out, f"sample{idx}.json"), doc, prov_text)
         rows.append((idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max))
-        print(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}")
+        lines.append(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n")
+    sys.stdout.write("".join(lines))
     write_csv_rows(
         os.path.join(out, "metrics.csv"),
         ("sample_id", "method", "lambda1", "lambda2", "eta", "loss_gain", "p_max"),
@@ -343,9 +345,8 @@ def cmd_sweep(args):
         "selected_index": outcome.selected_index,
         "selected": _result_summary(selected),
         "target_met": outcome.target_met,
-        "provenance": _provenance(args, "sweep"),
     }
-    _write_json(os.path.join(out, "sweep.json"), doc)
+    _write_json(os.path.join(out, "sweep.json"), doc, _json_value(_provenance(args, "sweep")))
     dmap = normalize_for_display(selected.delta, w, h, args.channels)
     write_pgm(
         dmap,
@@ -361,6 +362,8 @@ def cmd_sweep(args):
 
 
 def cmd_rank1_sim(args):
+    from .analysis import RankOneSimConfig, simulate_rank_one
+
     out = _resolve_out(args)
     cfg = RankOneSimConfig(
         mode=args.mode,
@@ -384,6 +387,8 @@ def cmd_rank1_sim(args):
 
 
 def cmd_gap_study(args):
+    from .analysis import confidence_gap_study, spearman_rho
+
     out = _resolve_out(args)
     net = model_load(args.model)
     dataset = _load_data(args)
@@ -403,6 +408,8 @@ def cmd_gap_study(args):
 
 
 def cmd_alignment(args):
+    from .analysis import alignment_curve
+
     out = _resolve_out(args)
     points = alignment_curve(d=args.d, classes=args.classes, eps=args.eps, seed=args.seed)
     path = os.path.join(out, "alignment.csv")
@@ -418,6 +425,13 @@ def cmd_alignment(args):
 
 
 def cmd_oracle_check(args):
+    from .analysis import (
+        OracleConfig,
+        brute_force_group_feature,
+        l1_path_supports,
+        make_planted_instance,
+    )
+
     out = _resolve_out(args)
     for s in args.support:
         if not 0 <= s < args.d:

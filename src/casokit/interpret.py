@@ -219,6 +219,8 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
 
             def hvp(v):
                 out = np.zeros_like(v)
+                if not v.any():
+                    return out  # H 0 = 0; a difference quotient needs a direction
                 for z in Z:
                     out += hvp_finite_diff(net, z, samples[i].y, v)
                 return out / m

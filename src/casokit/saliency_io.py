@@ -19,6 +19,7 @@ import io
 import json
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,29 +54,32 @@ class DisplayMap:
 
 
 def normalize_for_display(delta, width, height, channels=1):
-    """Collapse a flat saliency vector to a [0, 1] grayscale image.
+    """Collapse flat saliency vectors to [0, 1] grayscale images.
 
-    The vector is viewed as a row-major (height, width, channels) block;
-    per-pixel magnitude is the sum of absolute channel values. The 99th
-    percentile (linear interpolation) caps the scale. An all-zero input
-    maps to the all-zero image; if the cap itself is zero while some
-    pixels are not, those pixels saturate to 1 (the limit of the clipped
-    division).
+    delta is one vector, giving one DisplayMap, or a (k, size) stack of
+    them, giving a list of k DisplayMaps from one percentile pass; a
+    vector is the stack's k = 1 case. Each vector is viewed as a row-major
+    (height, width, channels) block; per-pixel magnitude is the sum of
+    absolute channel values. The 99th percentile (linear interpolation)
+    caps the scale. An all-zero input maps to the all-zero image; if the
+    cap itself is zero while some pixels are not, those pixels saturate to
+    1 (the limit of the clipped division).
     """
     delta = np.asarray(delta, dtype=np.float64)
     if channels < 1:
         raise ValueError("channels must be >= 1")
-    if delta.size != width * height * channels:
+    stack = delta.reshape(1, -1) if delta.ndim == 1 else delta
+    if stack.ndim != 2 or stack.shape[1] != width * height * channels:
         raise DimensionError(
-            f"vector of size {delta.size} does not fill {height}x{width}x{channels}"
+            f"vectors of shape {delta.shape} do not fill {height}x{width}x{channels}"
         )
-    mag = np.abs(delta).reshape(height, width, channels).sum(axis=2)
-    cap = float(np.percentile(mag, PERCENTILE_CAP))
-    if cap <= 0.0:
-        values = (mag > 0.0).astype(np.float64)
-    else:
-        values = np.clip(mag / cap, 0.0, 1.0)
-    return DisplayMap(values=values, width=width, height=height)
+    mag = np.abs(stack).reshape(-1, height, width, channels).sum(axis=3)
+    cap = np.percentile(mag.reshape(len(stack), -1), PERCENTILE_CAP, axis=1)[:, None, None]
+    zero_cap = cap <= 0.0
+    scaled = np.clip(mag / np.where(zero_cap, 1.0, cap), 0.0, 1.0)
+    values = np.where(zero_cap, mag > 0.0, scaled)
+    maps = [DisplayMap(values=v, width=width, height=height) for v in values]
+    return maps[0] if delta.ndim == 1 else maps
 
 
 def quantize_display(dmap):
@@ -316,6 +320,48 @@ def _write_sidecar(path, digest, net):
             os.unlink(tmp)
 
 
+# the bytes of plain numeric CSV text: digits, signs, '.', exponents,
+# commas, spaces, tabs and line ends
+_PLAIN_CSV_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def dataset_load(path):
+    """Load a CSV dataset: one sample per row, integer label last.
+
+    The grammar is the csv module's default dialect: comma-separated
+    cells, optionally double-quoted, rows ended by LF, CRLF or CR. Every
+    cell is read as float() reads it, surrounding spaces, underscores,
+    inf and nan included. A header row is detected automatically (any
+    non-numeric cell in the first row). Blank lines and '#' comment lines
+    are skipped. Plain numeric text is parsed by numpy's C reader, which
+    reads such cells exactly as float() does; any other text, and any file
+    that breaks a rule, goes through the csv module, which names the
+    failing line and cell.
+    """
+    data = _read_bytes(path)
+    table = _plain_table(data)
+    if table is not None and table.shape[1] >= 2:
+        labels = table[:, -1]
+        if np.all((labels >= 0.0) & (labels < 2.0**63) & (labels == np.floor(labels))):
+            return Dataset(table[:, :-1], labels.astype(np.int64))
+    return _csv_dataset(_decode_utf8(data, path, newline=""), path)
+
+
+def _plain_table(data):
+    """The (rows, cells) float array of plain numeric CSV bytes, or None
+    for other bytes and for anything numpy's reader refuses (a ragged row,
+    an empty cell or line of spaces, a lone CR, no rows)."""
+    if data.translate(None, _PLAIN_CSV_BYTES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            return np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2,
+                              encoding="ascii")
+    except (ValueError, UserWarning):
+        return None
+
+
 def _parse_csv_cell(cell, path, line_no):
     try:
         return float(cell)
@@ -325,15 +371,10 @@ def _parse_csv_cell(cell, path, line_no):
         ) from None
 
 
-def dataset_load(path):
-    """Load a CSV dataset: one sample per row, integer label last.
-
-    A header row is detected automatically (any non-numeric cell in the
-    first row). Blank lines and '#' comment lines are skipped.
-    """
+def _csv_dataset(text, path):
+    """dataset_load's csv-module parse of the decoded text."""
     rows = []
     width = None
-    text = _decode_utf8(_read_bytes(path), path, newline="")
     for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -363,6 +404,8 @@ def dataset_load(path):
                 path=path,
                 line=line_no,
             )
+        if label >= 2.0**63:
+            raise FormatError(f"label {label!r} does not fit in int64", path=path, line=line_no)
         rows.append((values[:-1], int(label)))
     if not rows:
         raise FormatError("no data rows found", path=path)
@@ -426,8 +469,7 @@ def write_f64_tensor(path, X):
     if X.ndim != 2:
         raise DimensionError("tensor must be 1-d or 2-d")
     with open(path, "wb") as fh:
-        fh.write(_TENSOR_HEADER.pack(X.shape[0], X.shape[1]))
-        fh.write(X.tobytes())
+        fh.write(_TENSOR_HEADER.pack(X.shape[0], X.shape[1]) + X.tobytes())
 
 
 def read_f64_tensor(path):
@@ -512,25 +554,3 @@ def _cell(v):
     if isinstance(v, np.integer):
         return int(v)
     return v
-
-
-def write_trace_csv(result, path, provenance=None):
-    """Export a solver run as (iteration, objective, step_size, nnz) rows."""
-    rows = [
-        (i, float(obj), float(step), int(nnz))
-        for i, (obj, step, nnz) in enumerate(
-            zip(result.objective_trace, result.step_trace, result.nnz_trace)
-        )
-    ]
-    write_csv_rows(path, ("iteration", "objective", "step_size", "nnz"), rows, provenance)
-
-
-def write_spectrum_csv(handle, path, provenance=None):
-    """Export a Hessian spectrum as (index, eigenvalue) rows."""
-    rows = [(i, float(v)) for i, v in enumerate(handle.eigenvalues)]
-    write_csv_rows(path, ("index", "eigenvalue"), rows, provenance)
-
-
-def write_eigenvectors_f64(handle, path):
-    """Dump eigenvectors as a raw f64 tensor, one eigenvector per row."""
-    write_f64_tensor(path, handle.eigenvectors.T)

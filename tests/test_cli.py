@@ -3,11 +3,18 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casokit
 from casokit import Dataset, cli, dataset_load, dataset_save_raw, model_load, read_pgm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -17,6 +24,13 @@ def run(argv):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def assert_canonical_json(path):
+    """The file is exactly json.dumps(indent=1, sort_keys=True) of its
+    own content plus a newline."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +148,22 @@ class TestInterpret:
         "grad", "smoothgrad", "integrated-gradients", "cafo", "caso",
         "smooth-cafo", "smooth-caso",
     ])
+    def test_json_artifacts_are_canonical(self, workspace, tmp_path, method, capsys):
+        code = run([
+            "interpret", "--model", workspace["model"], "--data", workspace["data"],
+            "--method", method, "--samples", "0,1,2", "--smooth-n", "3", "--lambda1", "0.01",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        docs = sorted(tmp_path.glob("*.json"))
+        assert [p.name for p in docs] == ["sample0.json", "sample1.json", "sample2.json"]
+        for path in docs:
+            assert_canonical_json(path)
+
+    @pytest.mark.parametrize("method", [
+        "grad", "smoothgrad", "integrated-gradients", "cafo", "caso",
+        "smooth-cafo", "smooth-caso",
+    ])
     def test_every_method_runs(self, workspace, tmp_path, method, capsys):
         code = run([
             "interpret", "--model", workspace["model"], "--data", workspace["data"],
@@ -243,6 +273,15 @@ class TestSweep:
         for name in ("sweep.json", "selected.pgm", "selected.delta.f64"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert "selected lambda1=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["cafo", "caso", "smooth-cafo", "smooth-caso"])
+    def test_json_artifact_is_canonical(self, workspace, tmp_path, method, capsys):
+        code = run([
+            "sweep", "--model", workspace["model"], "--data", workspace["data"],
+            "--method", method, "--smooth-n", "3", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert_canonical_json(tmp_path / "sweep.json")
 
     def test_custom_grid(self, workspace, tmp_path, capsys):
         code = run([
@@ -398,3 +437,48 @@ class TestModelFiles:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: not UTF-8 text") and f"{bad}, line 1, byte 0" in err
+
+
+class TestStartup:
+    def test_cli_import_skips_study_module_and_metadata(self):
+        probe = (
+            "import sys, casokit.cli; "
+            "print(sorted(m for m in ('casokit.analysis', 'importlib.metadata') "
+            "if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
+
+    def test_every_exported_name_resolves(self):
+        for name in casokit.__all__:
+            assert getattr(casokit, name) is not None, name
+        from casokit import analysis
+
+        assert casokit.simulate_rank_one is analysis.simulate_rank_one
+        with pytest.raises(AttributeError):
+            casokit.no_such_name  # noqa: B018
+
+    def test_sim_modes_match_the_study_module(self):
+        from casokit import analysis
+
+        assert cli.SIM_MODES == analysis.SIM_MODES
+
+    def test_bad_sim_mode_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["rank1-sim", "--mode", "bogus"])
+        assert exc.value.code == 2
+        assert "argument --mode: invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_version_is_the_pyproject_version(self, capsys):
+        pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            config = pyproject.read_configuration(ROOT / "pyproject.toml", expand=True)
+        version = config["project"]["version"]
+        assert version == casokit.__version__
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"casokit {version}\n"

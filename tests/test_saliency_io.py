@@ -1,10 +1,14 @@
 """I/O tests: display normalization, PGM, model/dataset persistence, CSV."""
 
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from casokit import saliency_io
 from casokit import (
@@ -29,13 +33,20 @@ from casokit import (
     read_labels,
     read_pgm,
     write_csv_rows,
-    write_eigenvectors_f64,
     write_f32_tensor,
     write_f64_tensor,
     write_labels,
     write_pgm,
-    write_spectrum_csv,
 )
+
+
+def _display_reference(delta, width, height, channels):
+    """One vector's display values, computed on their own."""
+    mag = np.abs(delta).reshape(height, width, channels).sum(axis=2)
+    cap = float(np.percentile(mag, 99.0))
+    if cap <= 0.0:
+        return (mag > 0.0).astype(np.float64)
+    return np.clip(mag / cap, 0.0, 1.0)
 
 
 class TestNormalizeForDisplay:
@@ -78,11 +89,33 @@ class TestNormalizeForDisplay:
         b = normalize_for_display(3.7 * delta, width=8, height=8)
         assert np.allclose(a.values, b.values, rtol=1e-12)
 
+    @pytest.mark.parametrize("width,height,channels", [(4, 4, 1), (3, 5, 1), (2, 3, 3)])
+    def test_stack_is_bitwise_per_vector_reference(self, width, height, channels):
+        size = width * height * channels
+        rng = np.random.default_rng(19)
+        stack = rng.standard_normal((5, size))
+        stack[1] = 0.0  # all-zero map
+        stack[2] = 0.0
+        stack[2, 0] = -2.5  # one hot entry: the cap is zero, that pixel saturates
+        stack[3, : size // 2] = 0.0
+        maps = normalize_for_display(stack, width, height, channels)
+        assert len(maps) == len(stack)
+        for row, dmap in zip(stack, maps):
+            ref = _display_reference(row, width, height, channels)
+            assert np.array_equal(dmap.values, ref)
+            assert np.array_equal(normalize_for_display(row, width, height, channels).values, ref)
+        assert not maps[1].values.any()
+        assert maps[2].values.sum() == 1.0
+
     def test_validation(self):
         with pytest.raises(DimensionError):
             normalize_for_display(np.zeros(5), width=2, height=2)
         with pytest.raises(ValueError):
             normalize_for_display(np.zeros(4), width=2, height=2, channels=0)
+        with pytest.raises(DimensionError):
+            normalize_for_display(np.zeros((2, 5)), width=2, height=2)
+        with pytest.raises(DimensionError):
+            normalize_for_display(np.zeros((1, 2, 2)), width=2, height=2)
 
     def test_display_map_guards(self):
         with pytest.raises(DimensionError):
@@ -344,6 +377,129 @@ class TestWeightSidecar:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
+def _csv_oracle(path):
+    """dataset_load as the csv module alone parses a file, cell by cell
+    with float(): the reference for the numpy parse."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    rows = []
+    width = None
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if row[0].lstrip().startswith("#"):
+            continue
+        if width is None:
+            width = len(row)
+            try:
+                [float(c) for c in row]
+            except ValueError:
+                continue
+        if len(row) != width:
+            raise FormatError(f"row has {len(row)} fields, expected {width}",
+                              path=path, line=line_no)
+        values = []
+        for c in row:
+            try:
+                values.append(float(c))
+            except ValueError:
+                raise FormatError(f"non-numeric value {c!r}", path=path, line=line_no) from None
+        label = values[-1]
+        if not (label >= 0 and label.is_integer()):
+            raise FormatError(f"label {label!r} is not a nonnegative integer",
+                              path=path, line=line_no)
+        rows.append((values[:-1], int(label)))
+    if not rows:
+        raise FormatError("no data rows found", path=path)
+    if width < 2:
+        raise FormatError("rows need at least one feature and a label", path=path)
+    return Dataset(np.asarray([r[0] for r in rows], dtype=np.float64),
+                   np.asarray([r[1] for r in rows], dtype=np.int64))
+
+
+def _load_outcome(load, path):
+    try:
+        data = load(path)
+    except ValueError as e:  # FormatError, or NonFiniteError from Dataset
+        return type(e), str(e), getattr(e, "line", None)
+    return data.X.shape, data.X.tobytes(), data.labels.tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0", "-0.0", ".5", "5.", "+1", "1e5", "1E-3", "-2.5e+10", "4.9e-324",
+                     "2.4703282292062328e-324", "007"]),
+)
+_OVERFLOW = st.sampled_from(["1e999", "-1e999"])
+_LABELS = st.one_of(st.integers(0, 20).map(str), st.sampled_from(["3.0", "-0.0", "1e2"]))
+_BAD_PLAIN_LABELS = st.sampled_from(["-1", "1.5", "-0.5", "1e999", "-1e999"])
+# cells float() reads but numpy does not, or neither reads
+_ODD_CELLS = st.sampled_from([
+    "1_0", "1_000.5", "inf", "-inf", "nan", "Infinity", "NaN", "", " ", "abc", "1e", "e1",
+    "-", ".", "+-1", "1.2.3", "1 2", "0x10", "\u0661", "1\x0c", "\xa01", "#1",
+    # numpy strips these separator characters as whitespace, float() does not
+    "1\x1c", "\x1f2",
+])
+_ODD_LABELS = st.sampled_from(["nan", "inf", "-inf", "1_0", " 2 ", "x", ""])
+
+
+def _decorate(cell):
+    """Spaces, tabs or quotes around a cell."""
+    return st.sampled_from(["{}", " {}", "{} ", "\t{}", " {} ", '"{}"', '" {}"']).map(
+        lambda fmt: fmt.format(cell))
+
+
+# one odd cell in an otherwise plain file: cells at the edge of what
+# numpy's reader and float() accept alike
+_BOUNDARY_CELLS = st.sampled_from([
+    "1_0", "inf", "nan", "1\x1c", "\x1f2", "2#1", "1 #c", '"1"2', '"1"', " 1 ", "١", "\xa01",
+    "1\x0c", "0x10", "", " ", "1e", "+-1",
+])
+_ODD_LINES = st.sampled_from(["", " ", "\t", "# note", " #1,2", "#", "f0,x,label"])
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV text of numeric rows. Plain files hold only plain numbers; a
+    near-plain file has one odd cell, label, line or line end; a wild file
+    mixes headers, blank and comment lines, odd cells and labels,
+    decorations and CR line ends. Any row may be ragged."""
+    mode = draw(st.sampled_from(["plain", "near-plain", "near-plain", "wild"]))
+    wild = mode == "wild"
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = width + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 19)) == 0 else 0)
+        odd = st.one_of(_OVERFLOW, _ODD_CELLS) if wild else _OVERFLOW
+        cells = [draw(_NUMBERS if draw(st.integers(0, 4 if wild else 29)) else odd)
+                 for _ in range(n)]
+        bad = st.one_of(_BAD_PLAIN_LABELS, _ODD_LABELS) if wild else _BAD_PLAIN_LABELS
+        cells.append(draw(_LABELS if draw(st.integers(0, 9)) else bad))
+        if wild or draw(st.integers(0, 3)) == 0:
+            cells = [draw(_decorate(c)) if draw(st.integers(0, 3)) == 0 else c for c in cells]
+            if not wild:
+                cells = [c.replace('"', "") for c in cells]
+        rows.append(cells)
+    oddity = None
+    if mode == "near-plain":
+        oddity = draw(st.sampled_from(["cell", "cell", "line", "end"]))
+    if oddity == "cell" and rows:
+        cells = draw(st.sampled_from(rows))
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_BOUNDARY_CELLS)
+    lines = [",".join(cells) for cells in rows]
+    for _ in range(draw(st.integers(0, 3)) if wild else int(oddity == "line")):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINES))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"] if wild else ["\n", "\r\n"]))
+            for _ in lines]
+    if oddity == "end" and lines:
+        ends[draw(st.integers(0, len(ends) - 1))] = "\r"
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
 class TestCsvDataset:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -407,6 +563,50 @@ class TestCsvDataset:
             path.write_text(f"1.0,2.0,{label}\n")
             with pytest.raises(FormatError, match="label"):
                 dataset_load(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_csv_bytes())
+    @example(data=b"1\x1c,2\n")
+    @example(data=b"1,2#1\n")
+    @example(data=b"1_0,2\n")
+    @example(data=b'"1",2\n')
+    @example(data=b"1,2\r3,4\r")
+    @example(data=b"1,2\n \n3,4\n")
+    @example(data=b"f,label\r\n1,2\r\n")
+    @example(data=b"inf,2\n")
+    @example(data=b"1,-0.0\n")
+    @example(data=b"1,1.5\n")
+    @example(data=b"1,1e999\n")
+    def test_matches_csv_module_oracle(self, tmp_path, data):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data)
+        assert _load_outcome(dataset_load, path) == _load_outcome(_csv_oracle, path)
+
+    def test_plain_text_skips_the_csv_module(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("csv-module parse used")
+
+        monkeypatch.setattr(saliency_io, "_csv_dataset", refuse)
+        path = tmp_path / "plain.csv"
+        path.write_bytes(b"0.5,-1e-3,2\r\n\n 7 ,\t1.25e2,0.0\n")
+        loaded = dataset_load(path)
+        assert np.array_equal(loaded.X, [[0.5, -1e-3], [7.0, 125.0]])
+        assert loaded.labels.tolist() == [2, 0]
+        rng = np.random.default_rng(9)
+        data = Dataset(X=rng.standard_normal((6, 784)), labels=rng.integers(0, 10, 6))
+        dataset_save_csv(data, path)
+        assert np.array_equal(dataset_load(path).X, data.X)
+
+    def test_label_beyond_int64(self, tmp_path):
+        path = tmp_path / "big.csv"
+        for label in ("1e19", "9223372036854775808"):
+            path.write_text(f"1.0,2.0,0\n1.0,2.0,{label}\n")
+            with pytest.raises(FormatError, match="int64") as exc:
+                dataset_load(path)
+            assert exc.value.line == 2
+        path.write_text("1.0,2.0,9223372036854774784\n")
+        assert dataset_load(path).labels.tolist() == [9223372036854774784]
 
     def test_non_utf8_reports_path_and_offset(self, tmp_path):
         path = tmp_path / "latin.csv"
@@ -505,29 +705,3 @@ class TestCsvArtifacts:
         assert lines[1] == "a,b"
         assert lines[2] == "0.1,"
         assert lines[3] == "3,text"
-
-    def test_spectrum_csv(self, tmp_path):
-        rng = np.random.default_rng(30)
-        W = rng.standard_normal((10, 4))
-        z = rng.standard_normal(4)
-        p = np.exp(z) / np.exp(z).sum()
-        handle = hessian_eig(W, p)
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(handle, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,eigenvalue"
-        parsed = [line.split(",") for line in lines[1:]]
-        assert [int(row[0]) for row in parsed] == list(range(len(handle.eigenvalues)))
-        assert np.array_equal(
-            [float(row[1]) for row in parsed], handle.eigenvalues
-        )
-
-    def test_eigenvector_dump_round_trips(self, tmp_path):
-        rng = np.random.default_rng(31)
-        W = rng.standard_normal((8, 5))
-        z = rng.standard_normal(5)
-        p = np.exp(z) / np.exp(z).sum()
-        handle = hessian_eig(W, p)
-        path = tmp_path / "vectors.f64"
-        write_eigenvectors_f64(handle, path)
-        assert np.array_equal(read_f64_tensor(path), handle.eigenvectors.T)

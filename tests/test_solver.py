@@ -18,7 +18,6 @@ from casokit import (
     select_lambda2,
     smooth_gradient,
     softmax_curvature,
-    write_trace_csv,
 )
 
 
@@ -399,22 +398,3 @@ class TestClosedForms:
             obj = ObjectiveSpec(gradient=g, hvp=None, lam1=0.0, lam2=lam2)
             res = fista_solve(obj, SolverConfig(iterations=100))
             assert np.max(np.abs(res.delta - closed_form_cafo(g, lam2))) <= 1e-10
-
-
-class TestTraceExport:
-    def test_trace_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(20)
-        g, handle, lam2 = random_instance(rng, d=10, c=4)
-        obj = caso_objective(g, handle, lam2, lam1=1e-3)
-        res = fista_solve(obj, SolverConfig(iterations=6))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(res, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,objective,step_size,nnz"
-        assert len(lines) == 7
-        for i, line in enumerate(lines[1:]):
-            it, objv, step, nnz = line.split(",")
-            assert int(it) == i
-            assert float(objv) == res.objective_trace[i]
-            assert float(step) == res.step_trace[i]
-            assert int(nnz) == res.nnz_trace[i]

@@ -160,7 +160,8 @@ def assert_same_result(doc, delta, ref_doc, ref_delta):
 class TestStackedInterpret:
     @pytest.mark.parametrize("activation,method", [
         ("relu", "cafo"), ("relu", "caso"), ("relu", "smooth-cafo"), ("relu", "smooth-caso"),
-        ("sigmoid", "cafo"), ("sigmoid", "smooth-cafo"),
+        ("sigmoid", "cafo"), ("sigmoid", "smooth-cafo"), ("sigmoid", "caso"),
+        ("sigmoid", "smooth-caso"),
     ])
     def test_cli_matches_per_sample_requests(self, files, tmp_path, monkeypatch, capsys,
                                              activation, method):
