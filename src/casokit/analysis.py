@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DimensionError
-from .hessian import hessian_eig, rank_one_approx, rel_error
-from .netcore import forward, input_gradient, local_linearization
+from .hessian import factor_eig, hessian_eig, rank_one_approx, rel_error
+from .interpret import CHUNK_COLUMNS, curvature_models
+from .netcore import Sample
 from .solver import (
     DEFAULT_C1,
     ObjectiveSpec,
@@ -51,7 +52,8 @@ class RankOneSimConfig:
     mode 'vary-classes' fixes p0 and sweeps the class counts; 'vary-eps'
     fixes a class count c and sweeps the runner-up probability eps;
     'grid' crosses both lists. p0 and eps are linked by
-    p0 = 1 - (c-1) eps, and supplying an inconsistent pair is an error.
+    p0 = 1 - (c-1) eps: 'vary-classes' takes eps from p0, and the other
+    modes ignore p0.
     """
 
     mode: str
@@ -80,35 +82,63 @@ class RankOnePoint:
     rel_error: float
 
 
-def _check_point(c, eps, p0=None):
+def _point_eps(c, eps=None, p0=None):
+    """Validate a simulation point and return its eps; eps None takes the
+    value p0 implies, (1 - p0)/(c - 1)."""
     if c < 2:
         raise ValueError("need at least 2 classes")
+    if eps is None:
+        eps = (1.0 - p0) / (c - 1)
     if not 0.0 < eps < 1.0 / c:
         raise ValueError(
             f"eps = {eps} must lie in (0, 1/c) for c = {c} so that p0 > 1/c"
         )
-    if p0 is not None:
-        implied = 1.0 - (c - 1) * eps
-        if abs(implied - p0) > 1e-12 * max(1.0, abs(p0)):
-            raise ValueError(
-                f"inconsistent confidence: p0 = {p0} but 1 - (c-1) eps = {implied}"
-            )
+    return eps
 
 
-def _confident_p(c, eps):
+def _draw_weights(seed, d, c):
+    """Standard normal (d, c) weights of a random linear model, drawn from
+    seed; the model's bias slot is drawn after them and discarded."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((d, c))
+    rng.standard_normal(c)
+    return W
+
+
+def _confident_model(W, eps):
+    """Confident probabilities p = [1-(c-1)eps, eps, ...] for W's c classes
+    and the loss gradient g = W (p - e_0) at label 0."""
+    c = W.shape[1]
     p = np.full(c, eps)
     p[0] = 1.0 - (c - 1) * eps
-    return p
-
-
-def _sim_point(W, c, eps):
-    p = _confident_p(c, eps)
     y = np.zeros(c)
     y[0] = 1.0
-    g = W @ (p - y)
-    handle = hessian_eig(W, p)
-    approx = rank_one_approx(g, eps, c)
-    return RankOnePoint(c=c, eps=eps, rel_error=rel_error(handle, approx))
+    return p, W @ (p - y)
+
+
+def _sim_plan(cfg):
+    """Validate cfg and list its weight draws as (c, seed, eps values)."""
+    ss = np.random.SeedSequence(cfg.seed)
+    if cfg.mode == "vary-eps":
+        if cfg.c is None:
+            raise ValueError("vary-eps mode needs c")
+        if not cfg.eps_values:
+            raise ValueError("vary-eps mode needs an eps list")
+        classes, seeds = (cfg.c,), (ss,)
+    else:
+        if cfg.mode == "vary-classes":
+            if cfg.p0 is None:
+                raise ValueError("vary-classes mode needs p0")
+            if not cfg.classes:
+                raise ValueError("vary-classes mode needs a class list")
+        elif not cfg.classes or not cfg.eps_values:
+            raise ValueError("grid mode needs class and eps lists")
+        classes, seeds = cfg.classes, ss.spawn(len(cfg.classes))
+    eps_values = (None,) if cfg.mode == "vary-classes" else cfg.eps_values
+    return [
+        (c, seed, tuple(_point_eps(c, eps, cfg.p0) for eps in eps_values))
+        for c, seed in zip(classes, seeds)
+    ]
 
 
 def simulate_rank_one(cfg):
@@ -118,48 +148,13 @@ def simulate_rank_one(cfg):
     count so that sweeping eps at fixed c reuses the same W and yields a
     smooth curve. Returns one RankOnePoint per grid entry.
     """
-    ss = np.random.SeedSequence(cfg.seed)
     points = []
-    if cfg.mode == "vary-classes":
-        if cfg.p0 is None:
-            raise ValueError("vary-classes mode needs p0")
-        if not cfg.classes:
-            raise ValueError("vary-classes mode needs a class list")
-        children = ss.spawn(len(cfg.classes))
-        for c, child in zip(cfg.classes, children):
-            eps = (1.0 - cfg.p0) / (c - 1)
-            _check_point(c, eps, cfg.p0)
-            rng = np.random.default_rng(child)
-            W = rng.standard_normal((cfg.d, c))
-            rng.standard_normal(c)  # bias slot of the random model, unused
-            points.append(_sim_point(W, c, eps))
-        return points
-    if cfg.mode == "vary-eps":
-        if cfg.c is None:
-            raise ValueError("vary-eps mode needs c")
-        if not cfg.eps_values:
-            raise ValueError("vary-eps mode needs an eps list")
-        for eps in cfg.eps_values:
-            _check_point(cfg.c, eps)
-        rng = np.random.default_rng(ss)
-        W = rng.standard_normal((cfg.d, cfg.c))
-        rng.standard_normal(cfg.c)
-        for eps in cfg.eps_values:
-            points.append(_sim_point(W, cfg.c, eps))
-        return points
-    # grid
-    if not cfg.classes or not cfg.eps_values:
-        raise ValueError("grid mode needs class and eps lists")
-    for c in cfg.classes:
-        for eps in cfg.eps_values:
-            _check_point(c, eps)
-    children = ss.spawn(len(cfg.classes))
-    for c, child in zip(cfg.classes, children):
-        rng = np.random.default_rng(child)
-        W = rng.standard_normal((cfg.d, c))
-        rng.standard_normal(c)
-        for eps in cfg.eps_values:
-            points.append(_sim_point(W, c, eps))
+    for c, seed, eps_values in _sim_plan(cfg):
+        W = _draw_weights(seed, cfg.d, c)
+        for eps in eps_values:
+            p, g = _confident_model(W, eps)
+            err = rel_error(hessian_eig(W, p), rank_one_approx(g, eps, c))
+            points.append(RankOnePoint(c=c, eps=eps, rel_error=err))
     return points
 
 
@@ -174,31 +169,40 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     """Normalized distance between the curvature-aware and curvature-free
     maps at lam1 = 0 across dataset samples.
 
-    Both maps come from their closed forms on the local linearization,
-    are normalized to unit L2, and the gap is the norm of their
-    difference (in [0, 2]). Samples with an exactly zero gradient carry
-    no direction to compare and are skipped with a log entry.
+    Each sample's CurvatureModel is the one `caso` solves against, built
+    CHUNK_COLUMNS // c samples at a time; lam2 takes its exact curvature
+    bound. Both maps come from their closed forms, are normalized to unit
+    L2, and the gap is the norm of their difference (in [0, 2]). Samples
+    with an exactly zero gradient carry no direction to compare and are
+    skipped with a log entry. Only relu/identity nets have the exact
+    factor; any other net is rejected.
     """
-    rows = []
-    count = min(int(n_samples), dataset.n)
-    for i in range(count):
-        x = dataset.X[i]
-        y = int(dataset.labels[i])
-        trace = forward(net, x, y)
-        g = input_gradient(net, x, y)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            log.info("sample %d has zero gradient; skipped", i)
-            continue
-        lin = local_linearization(net, x)
-        handle = hessian_eig(lin.W, trace.probs)
-        d_caso = closed_form_caso(g, handle, select_lambda2(handle.top_eigenvalue, c1))
-        d_cafo = closed_form_cafo(g, select_lambda2(0.0, c1))
-        u = d_caso / np.linalg.norm(d_caso)
-        v = d_cafo / np.linalg.norm(d_cafo)
-        rows.append(
-            GapPoint(sample_id=i, p_max=float(trace.probs.max()), gap=float(np.linalg.norm(u - v)))
+    if not net.spec.piecewise_linear:
+        raise ValueError(
+            "gap-study needs the exact curvature factor, which only nets of "
+            "relu and identity layers have; this net has sigmoid layers"
         )
+    count = min(int(n_samples), dataset.n)
+    per_chunk = max(CHUNK_COLUMNS // net.num_classes, 1)
+    lam2_cafo = select_lambda2(0.0, c1)
+    rows = []
+    for start in range(0, count, per_chunk):
+        ids = range(start, min(start + per_chunk, count))
+        samples = [Sample(x=dataset.X[i], y=int(dataset.labels[i])) for i in ids]
+        for i, model in zip(ids, curvature_models(net, samples)):
+            g = model.gradient
+            if np.linalg.norm(g) == 0.0:
+                log.info("sample %d has zero gradient; skipped", i)
+                continue
+            lam2 = select_lambda2(model.curvature_bound, c1)
+            d_caso = closed_form_caso(g, factor_eig(model.factor), lam2)
+            d_cafo = closed_form_cafo(g, lam2_cafo)
+            u = d_caso / np.linalg.norm(d_caso)
+            v = d_cafo / np.linalg.norm(d_cafo)
+            rows.append(
+                GapPoint(sample_id=i, p_max=float(model.probs.max()),
+                         gap=float(np.linalg.norm(u - v)))
+            )
     return rows
 
 
@@ -221,18 +225,12 @@ def alignment_curve(d, classes, eps, seed=0):
         raise ValueError("eps must lie in (0, 1)")
     classes = tuple(int(c) for c in classes)
     for c in classes:
-        _check_point(c, eps)
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(classes))
+        _point_eps(c, eps)
+    children = np.random.SeedSequence(seed).spawn(len(classes))
     points = []
     for c, child in zip(classes, children):
-        rng = np.random.default_rng(child)
-        W = rng.standard_normal((d, c))
-        rng.standard_normal(c)
-        p = _confident_p(c, eps)
-        y = np.zeros(c)
-        y[0] = 1.0
-        g = W @ (p - y)
+        W = _draw_weights(child, d, c)
+        p, g = _confident_model(W, eps)
         handle = hessian_eig(W, p)
         u1 = handle.eigenvectors[:, 0]
         cosine = float(abs(u1 @ g) / np.linalg.norm(g))

@@ -578,7 +578,7 @@ def build_parser():
     sp.set_defaults(func=cmd_rank1_sim)
     parsers.append(sp)
 
-    sp = sub.add_parser("gap-study", help="confidence versus method-gap study")
+    sp = sub.add_parser("gap-study", help="confidence versus method gap, relu/identity nets")
     _add_common(sp)
     _add_model_data(sp)
     sp.add_argument("--n-samples", type=int, help="cap on samples (default: all)")

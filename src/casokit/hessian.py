@@ -6,9 +6,10 @@ input space is
     H = W A W^T,        A = diag(p) - p p^T,
 
 where p are the class probabilities. A is positive semidefinite with rows
-summing to zero, so H never needs to be materialized: factoring A = L L^T
-gives H = B B^T with B = W L, and every spectral quantity of H can be read
-off the small Gram matrix B^T B (at most c x c).
+summing to zero, so H never needs to be materialized: the closed-form
+factor L = diag(sqrt p) - p sqrt(p)^T satisfies A = L L^T, so H = B B^T
+with B = W L, and every spectral quantity of H can be read off the smaller
+Gram matrix, B^T B (c x c) or B B^T (d x d when d < c).
 
 In the high-confidence regime p = [1-(c-1)eps, eps, ..., eps] the Hessian
 collapses toward the rank-one surrogate g g^T / (eps (c-1)) with g the loss
@@ -25,10 +26,6 @@ import numpy as np
 from .errors import DimensionError, KinkWarning
 from .netcore import forward, input_gradient
 
-# absolute floor under which an eigenvalue of A counts as zero
-CURVATURE_EIG_FLOOR = 1e-12
-# A eigenvalue below this signals a corrupted probability vector
-CURVATURE_EIG_NEGATIVE = -1e-8
 # relative floor for retained eigenvalues of H
 HESSIAN_EIG_FLOOR = 1e-10
 # pre-activation magnitude treated as kink contact inside an FD stencil
@@ -43,8 +40,7 @@ class SoftmaxCurvature:
     matrix: np.ndarray
 
 
-def softmax_curvature(p):
-    """Build A = diag(p) - p p^T after validating p as a probability vector."""
+def _probability_vector(p):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 2:
         raise DimensionError("p must be a probability vector over >= 2 classes")
@@ -52,53 +48,65 @@ def softmax_curvature(p):
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+    return p
+
+
+def softmax_curvature(p):
+    """Build A = diag(p) - p p^T after validating p as a probability vector."""
+    p = _probability_vector(p)
     A = np.diag(p) - np.outer(p, p)
     return SoftmaxCurvature(p=p, matrix=A)
 
 
-def factor_curvature(curv):
-    """Factor A = L L^T via a symmetric eigendecomposition.
+def softmax_factor(p):
+    """The closed-form factor L = diag(sqrt p) - p sqrt(p)^T, L L^T = A.
 
-    Negative eigenvalues within rounding of zero are clamped; anything
-    below CURVATURE_EIG_NEGATIVE raises. Columns whose eigenvalue falls
-    under CURVATURE_EIG_FLOOR are dropped, so L has shape (c, r) with
-    r = rank(A) (c-1 for strictly positive p).
+    p is one probability vector (c,) or a stack (..., c); L has shape
+    (..., c, c). Column j of L is sqrt(p_j) (e_j - p). No
+    eigendecomposition is involved: a one-hot p gives exactly L = 0, and a
+    zero probability an exactly zero column.
     """
-    A = curv.matrix
-    w, V = np.linalg.eigh(A)
-    if float(w.min()) < CURVATURE_EIG_NEGATIVE:
-        raise ValueError(
-            f"curvature matrix has eigenvalue {w.min():.3e}; probabilities corrupted"
-        )
-    w = np.maximum(w, 0.0)
-    keep = w > CURVATURE_EIG_FLOOR
-    # descending order so the dominant directions come first
-    idx = np.argsort(w[keep])[::-1]
-    wk = w[keep][idx]
-    Vk = V[:, keep][:, idx]
-    return Vk * np.sqrt(wk)
+    rootp = np.sqrt(p)
+    L = rootp[..., None, :] * -p[..., :, None]
+    c = L.shape[-1]
+    L[..., np.arange(c), np.arange(c)] += rootp
+    return L
+
+
+def factor_spectrum(B, vectors=False):
+    """Eigenvalues of H = B B^T read off the smaller Gram matrix of B.
+
+    B is one factor (d, r) or a stack (k, d, r). The r x r matrix B^T B
+    (when r <= d) and the d x d matrix B B^T share their nonzero
+    eigenvalues, so only the smaller is decomposed. The eigenvalues come
+    back ascending and clamped at 0. vectors=True also returns the Gram
+    matrix's orthonormal eigenvectors, which are H's own when r > d.
+    """
+    Bt = np.swapaxes(B, -1, -2)
+    gram = Bt @ B if B.shape[-1] <= B.shape[-2] else B @ Bt
+    if not vectors:
+        return np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    w, V = np.linalg.eigh(gram)
+    return np.maximum(w, 0.0), V
 
 
 @dataclass(frozen=True)
 class HessianHandle:
-    """Factored spectral view of H = W A W^T.
+    """Factored spectral view of H = B B^T.
 
-    B = W L satisfies H = B B^T. eigenvalues holds the retained
-    eigenvalues of H in descending order (everything above
-    HESSIAN_EIG_FLOOR times the largest); eigenvectors is the matching
-    orthonormal (d, m) block. hvp applies H exactly through B, which keeps
-    directions the floor dropped.
+    eigenvalues holds the retained eigenvalues of H in descending order
+    (everything above HESSIAN_EIG_FLOOR times the largest); eigenvectors
+    is the matching orthonormal (d, m) block. hvp applies H exactly
+    through B, which keeps directions the floor dropped.
     """
 
-    W: np.ndarray
-    factor: np.ndarray
     B: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self):
-        return self.W.shape[0]
+        return self.B.shape[0]
 
     @property
     def top_eigenvalue(self):
@@ -108,50 +116,34 @@ class HessianHandle:
         return self.B @ (self.B.T @ v)
 
 
-def hessian_eig(W, p):
-    """Eigendecompose H = W A W^T without forming any d x d matrix.
+def factor_eig(B):
+    """HessianHandle of H = B B^T for a (d, r) factor B.
 
-    Forms B = W L_A, builds the Gram matrix C = B^T B (at most c x c),
-    eigendecomposes C, and recovers input-space eigenvectors as
-    U = B V / sigma. Eigenvalues under HESSIAN_EIG_FLOOR relative to the
-    largest are dropped.
+    The spectrum comes from factor_spectrum. For r <= d the input-space
+    eigenvectors are recovered as U = B V / sqrt(w); for r > d the Gram
+    matrix is H itself. No d x d matrix is formed unless d < r.
     """
+    B = np.asarray(B, dtype=np.float64)
+    w, V = factor_spectrum(B, vectors=True)
+    top = float(w[-1]) if w.size else 0.0
+    keep = w > HESSIAN_EIG_FLOOR * top
+    w, V = w[keep][::-1], V[:, keep][:, ::-1]
+    U = V if B.shape[1] > B.shape[0] else (B @ V) / np.sqrt(w)
+    return HessianHandle(B=B, eigenvalues=w, eigenvectors=U)
+
+
+def hessian_eig(W, p):
+    """Eigendecompose H = W A W^T as factor_eig of B = W L, with L the
+    closed-form softmax_factor of the validated probabilities p."""
     W = np.asarray(W, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
     if W.ndim != 2:
         raise DimensionError("W must be (d, c)")
+    p = _probability_vector(p)
     if W.shape[1] != p.shape[0]:
         raise DimensionError(
             f"W has {W.shape[1]} columns but p has {p.shape[0]} entries"
         )
-    L = factor_curvature(softmax_curvature(p))
-    B = W @ L
-    d = W.shape[0]
-    if L.shape[1] == 0:
-        return HessianHandle(
-            W=W,
-            factor=L,
-            B=B,
-            eigenvalues=np.empty(0),
-            eigenvectors=np.empty((d, 0)),
-        )
-    C = B.T @ B
-    w, V = np.linalg.eigh(C)
-    w = np.maximum(w, 0.0)
-    top = float(w.max())
-    if top <= 0.0:
-        return HessianHandle(
-            W=W,
-            factor=L,
-            B=B,
-            eigenvalues=np.empty(0),
-            eigenvectors=np.empty((d, 0)),
-        )
-    keep = w > HESSIAN_EIG_FLOOR * top
-    idx = np.argsort(w[keep])[::-1]
-    wk = w[keep][idx]
-    U = (B @ V[:, keep][:, idx]) / np.sqrt(wk)
-    return HessianHandle(W=W, factor=L, B=B, eigenvalues=wk, eigenvectors=U)
+    return factor_eig(W @ softmax_factor(p))
 
 
 def hvp_closed_form(W, p, v):

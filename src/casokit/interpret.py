@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError
-from .hessian import hvp_finite_diff, largest_eigenvalue
+from .hessian import factor_spectrum, hvp_finite_diff, largest_eigenvalue, softmax_factor
 from .netcore import (
     Sample,
     backprop_batch,
@@ -177,12 +177,13 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
     second_order=False stops there with first-order models. On
     piecewise-linear nets (H_i = W_i A_i W_i^T with
     A_i = diag(p_i) - p_i p_i^T) the second is seeded with the columns of
-    L_i = diag(sqrt p_i) - p_i sqrt(p_i)^T, which satisfies
-    L_i L_i^T = A_i, and yields each sample's
+    L_i = diag(sqrt p_i) - p_i sqrt(p_i)^T (hessian.softmax_factor), which
+    satisfies L_i L_i^T = A_i, and yields each sample's
     B = [W_1 L_1, ..., W_n L_n] / sqrt(n). lambda_max is the top
     eigenvalue of the smaller Gram matrix, B^T B or B B^T, all of the
-    chunk's from one batched eigvalsh. seeds (one per sample, default 0)
-    and power_iters only drive the power iteration of other nets.
+    chunk's from one batched hessian.factor_spectrum. seeds (one per
+    sample, default 0) and power_iters only drive the power iteration of
+    other nets.
     """
     if second_order and power_iters < 1:
         raise ValueError("power_iters must be >= 1")
@@ -231,15 +232,11 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
         return [fd_model(i) for i in range(k)]
 
     # lseeds[r, j] is column j of L_r: sqrt(p_rj) e_j - sqrt(p_rj) p_r
-    rootp = np.sqrt(P)
-    lseeds = rootp[:, :, None] * -P[:, None, :]
-    lseeds[:, np.arange(c), np.arange(c)] += rootp
+    lseeds = np.swapaxes(softmax_factor(P), 1, 2)
     # (k, d, m*c): each sample's factor, a view of the backprop's columns
     B = backprop_batch(net, expand, lseeds / np.sqrt(m))
     B = B.reshape(d, k, m * c).transpose(1, 0, 2)
-    Bt = B.transpose(0, 2, 1)
-    gram = Bt @ B if m * c <= d else B @ Bt
-    bounds = np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)
+    bounds = factor_spectrum(B)[:, -1]
 
     def factored_model(i):
         Bi = B[i]

@@ -19,9 +19,12 @@ from casokit import (
     brute_force_group_feature,
     closed_form_caso,
     confidence_gap_study,
+    forward,
     hessian_eig,
     init_network,
+    input_gradient,
     l1_path_supports,
+    local_linearization,
     make_blobs,
     make_planted_instance,
     select_lambda2,
@@ -164,6 +167,27 @@ class TestConfidenceGapStudy:
         pmax = np.array([r.p_max for r in rows])
         assert np.all(gaps >= 0.0) and np.all(gaps <= 2.0)
         assert spearman_rho(pmax, gaps) < 0.0
+
+    def test_gaps_match_dense_reference(self, trained_ten_class):
+        # d >= c (the trained net) and d < c (a random relu net)
+        spec = NetworkSpec((LayerSpec(4, 9, "relu"), LayerSpec(9, 12, "identity")))
+        rng = np.random.default_rng(43)
+        wide = Dataset(X=rng.standard_normal((30, 4)), labels=rng.integers(0, 12, 30))
+        for net, data in (trained_ten_class, (init_network(spec, seed=44), wide)):
+            rows = confidence_gap_study(net, data, data.n)
+            assert len(rows) >= data.n - 2
+            for row in rows:
+                x, y = data.X[row.sample_id], int(data.labels[row.sample_id])
+                W = local_linearization(net, x).W
+                p = forward(net, x).probs
+                H = W @ softmax_curvature(p).matrix @ W.T
+                g = input_gradient(net, x, y)
+                lam2 = select_lambda2(float(np.linalg.eigvalsh(H)[-1]))
+                d_caso = np.linalg.solve(2.0 * lam2 * np.eye(len(x)) - H, g)
+                u = d_caso / np.linalg.norm(d_caso)
+                v = g / np.linalg.norm(g)
+                assert abs(row.gap - np.linalg.norm(u - v)) <= 1e-10
+                assert row.p_max == pytest.approx(p.max(), rel=1e-13)
 
     def test_high_confidence_gap_small(self):
         rng = np.random.default_rng(40)

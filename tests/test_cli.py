@@ -318,6 +318,31 @@ class TestStudies:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_rank1_sim_one_class(self, tmp_path, capsys):
+        code = run([
+            "rank1-sim", "--mode", "vary-classes", "--p0", "0.9", "--classes", "1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "error: need at least 2 classes" in capsys.readouterr().err
+        assert not (tmp_path / "rank1.csv").exists()
+
+    def test_gap_study_rejects_sigmoid_net(self, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        assert run([
+            "train", "--classes", "3", "--dim", "6", "--n-per-class", "4", "--hidden", "5",
+            "--activation", "sigmoid", "--epochs", "1", "--save-data", "--out", str(prep),
+        ]) == 0
+        out = tmp_path / "gap"
+        code = run([
+            "gap-study", "--model", str(prep / "model.json"), "--data", str(prep / "data.csv"),
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "only nets of relu and identity layers" in err
+        assert not (out / "gap.csv").exists()
+
     def test_gap_study(self, workspace, tmp_path, capsys):
         code = run([
             "gap-study", "--model", workspace["model"], "--data", workspace["data"],

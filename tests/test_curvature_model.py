@@ -20,6 +20,7 @@ from casokit import (
     backprop_batch,
     cafo,
     caso,
+    confidence_gap_study,
     curvature_model,
     dataset_save_csv,
     fista_solve,
@@ -38,6 +39,7 @@ from casokit import (
     softmax_curvature,
 )
 from casokit import cli, interpret
+from casokit import hessian as hs
 from casokit import netcore as nc
 
 
@@ -197,8 +199,8 @@ class TestDenseEquivalence:
 
 class TestExactLambda2:
     def test_caso_lambda2_matches_hessian_eig_and_ignores_power_iteration(self, relu_net):
-        # the model's factor differs from hessian_eig's, so the two agree to
-        # rounding, not bit for bit
+        # hessian_eig takes W from local_linearization and its spectrum from
+        # eigh, so the two agree to rounding, not bit for bit
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = nc.sample_kink_safe(relu_net, rng)
@@ -298,6 +300,22 @@ class TestWorkCounts:
             assert passes(lambda: fn(s, relu_net, 1e-3, **kwargs)) == (model + 1, 2, 0)
             assert passes(lambda: sweep(s, relu_net, method, grid=grid, max_refinements=0,
                                         **kwargs)) == (model + len(grid), 1 + len(grid), 0)
+
+    def test_gap_study_passes_per_chunk(self, relu_net, monkeypatch):
+        # 4 classes: CHUNK_COLUMNS // 4 = 25 samples a chunk, so 60 samples
+        # make three chunks, each one forward pass and two backprops
+        counts = count_calls(monkeypatch, nc, [
+            "forward", "forward_batch", "backprop_batch", "input_gradient",
+            "local_linearization",
+        ])
+        counts.update(count_calls(monkeypatch, hs, ["hessian_eig"]))
+        rng = np.random.default_rng(14)
+        data = Dataset(rng.standard_normal((60, 8)), rng.integers(0, 4, 60))
+        rows = confidence_gap_study(relu_net, data, 60)
+        assert len(rows) >= 50  # a sample with an exactly zero gradient is skipped
+        assert (counts["forward_batch"], counts["backprop_batch"]) == (3, 6)
+        assert counts["forward"] == counts["input_gradient"] == 0
+        assert counts["local_linearization"] == counts["hessian_eig"] == 0
 
     @pytest.mark.parametrize("method", ["cafo", "caso", "smooth-cafo", "smooth-caso"])
     @pytest.mark.parametrize("chunk_columns", [12, interpret.CHUNK_COLUMNS])

@@ -56,29 +56,21 @@ def test_softmax_curvature_validation():
         hs.softmax_curvature([1.0])
 
 
-def test_factor_curvature_reconstructs():
-    curv = hs.softmax_curvature([0.5, 0.5])
-    L = hs.factor_curvature(curv)
-    assert L.shape == (2, 1)
-    assert np.abs(L @ L.T - curv.matrix).max() <= 1e-12
-
+def test_softmax_factor_reproduces_curvature():
     rng = np.random.default_rng(3)
-    p = random_probs(rng, 10)
-    curv = hs.softmax_curvature(p)
-    L = hs.factor_curvature(curv)
-    assert L.shape == (10, 9)  # rank c-1 for strictly positive p
-    assert np.abs(L @ L.T - curv.matrix).max() <= 1e-10
-
-
-def test_factor_curvature_onehot_rank_zero():
-    L = hs.factor_curvature(hs.softmax_curvature([1.0, 0.0, 0.0]))
-    assert L.shape == (3, 0)
-
-
-def test_factor_curvature_rejects_indefinite():
-    bad = hs.SoftmaxCurvature(p=np.array([0.5, 0.5]), matrix=-np.eye(2))
-    with pytest.raises(ValueError):
-        hs.factor_curvature(bad)
+    cases = [random_probs(rng, c) for c in (2, 3, 10)]
+    cases.append(np.array([0.6, 0.0, 0.3, 0.1]))
+    for p in cases:
+        L = hs.softmax_factor(p)
+        assert L.shape == (p.size, p.size)
+        assert np.abs(L @ L.T - hs.softmax_curvature(p).matrix).max() <= 1e-15
+    # a zero probability gives an exactly zero column
+    assert not hs.softmax_factor(cases[-1])[:, 1].any()
+    # a stack of vectors factors row by row
+    P = np.stack([random_probs(rng, 6) for _ in range(3)])
+    for p, L in zip(P, hs.softmax_factor(P)):
+        assert np.array_equal(L, hs.softmax_factor(p))
+    assert not hs.softmax_factor(np.array([0.0, 1.0, 0.0])).any()
 
 
 def test_hessian_eig_small_explicit():
@@ -92,32 +84,36 @@ def test_hessian_eig_small_explicit():
 
 
 def test_hessian_eig_matches_dense_oracle():
+    # d >= c reads the spectrum off B^T B, d < c off B B^T with its own
+    # eigenvectors
     rng = np.random.default_rng(5)
-    W = rng.standard_normal((50, 10))
-    p = random_probs(rng, 10)
-    h = hs.hessian_eig(W, p)
-    assert h.eigenvalues.size <= 9
-    assert np.all(np.diff(h.eigenvalues) <= 0)
+    for d, c in ((50, 10), (6, 15)):
+        W = rng.standard_normal((d, c))
+        p = random_probs(rng, c)
+        h = hs.hessian_eig(W, p)
+        assert h.eigenvalues.size <= min(d, c - 1)
+        assert np.all(np.diff(h.eigenvalues) <= 0)
 
-    w_dense, V_dense = np.linalg.eigh(dense_hessian(W, p))
-    w_dense = w_dense[::-1]
-    V_dense = V_dense[:, ::-1]
-    m = h.eigenvalues.size
-    assert np.abs(h.eigenvalues - w_dense[:m]).max() <= 1e-8 * w_dense[0]
-    for j in range(m):
-        assert abs(h.eigenvectors[:, j] @ V_dense[:, j]) >= 1.0 - 1e-8
+        w_dense, V_dense = np.linalg.eigh(dense_hessian(W, p))
+        w_dense = w_dense[::-1]
+        V_dense = V_dense[:, ::-1]
+        m = h.eigenvalues.size
+        assert m >= min(d, c - 1)
+        assert np.abs(h.eigenvalues - w_dense[:m]).max() <= 1e-8 * w_dense[0]
+        for j in range(m):
+            assert abs(h.eigenvectors[:, j] @ V_dense[:, j]) >= 1.0 - 1e-8
 
-    # orthonormal columns
-    G = h.eigenvectors.T @ h.eigenvectors
-    assert np.abs(G - np.eye(m)).max() <= 1e-8
+        # orthonormal columns
+        G = h.eigenvectors.T @ h.eigenvectors
+        assert np.abs(G - np.eye(m)).max() <= 1e-8
 
-    # handle hvp equals the assembled product
-    H = dense_hessian(W, p)
-    for _ in range(5):
-        v = rng.standard_normal(50)
-        hv = h.hvp(v)
-        ref = H @ v
-        assert np.linalg.norm(hv - ref) <= 1e-10 * np.linalg.norm(ref)
+        # handle hvp equals the assembled product
+        H = dense_hessian(W, p)
+        for _ in range(5):
+            v = rng.standard_normal(d)
+            hv = h.hvp(v)
+            ref = H @ v
+            assert np.linalg.norm(hv - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_hessian_eig_onehot_empty():
@@ -255,7 +251,7 @@ def test_rel_error_exact_rank_one_is_zero():
     eps, c = 1e-3, 4
     B = (g / np.sqrt(eps * (c - 1)))[:, None]
     handle = hs.HessianHandle(
-        W=B, factor=np.ones((1, 1)), B=B,
+        B=B,
         eigenvalues=np.array([float(g @ g) / (eps * (c - 1))]),
         eigenvectors=(g / np.linalg.norm(g))[:, None],
     )

@@ -366,8 +366,6 @@ class TestClosedForms:
         u = g / np.linalg.norm(g)
         mu = 3.7
         handle = HessianHandle(
-            W=np.sqrt(mu) * u[:, None],
-            factor=np.eye(1),
             B=np.sqrt(mu) * u[:, None],
             eigenvalues=np.array([mu]),
             eigenvectors=u[:, None],
