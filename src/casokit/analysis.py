@@ -43,6 +43,10 @@ from .solver import (
 log = logging.getLogger(__name__)
 
 SIM_MODES = ("vary-classes", "vary-eps", "grid")
+# RankOneSimConfig fields each mode leaves unread
+_SIM_UNUSED = {
+    "vary-classes": ("eps_values", "c"), "vary-eps": ("p0", "classes"), "grid": ("p0", "c"),
+}
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,9 @@ class RankOneSimConfig:
     mode 'vary-classes' fixes p0 and sweeps the class counts; 'vary-eps'
     fixes a class count c and sweeps the runner-up probability eps;
     'grid' crosses both lists. p0 and eps are linked by
-    p0 = 1 - (c-1) eps: 'vary-classes' takes eps from p0, and the other
-    modes ignore p0.
+    p0 = 1 - (c-1) eps: 'vary-classes' takes eps from p0. Setting a field
+    the mode does not use is an error, raised with the mode's other checks
+    when the simulation runs.
     """
 
     mode: str
@@ -118,6 +123,9 @@ def _confident_model(W, eps):
 
 def _sim_plan(cfg):
     """Validate cfg and list its weight draws as (c, seed, eps values)."""
+    unused = [f for f in _SIM_UNUSED[cfg.mode] if getattr(cfg, f) not in (None, ())]
+    if unused:
+        raise ValueError(f"{cfg.mode} mode does not use {' or '.join(unused)}")
     ss = np.random.SeedSequence(cfg.seed)
     if cfg.mode == "vary-eps":
         if cfg.c is None:

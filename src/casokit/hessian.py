@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, KinkWarning
-from .netcore import forward, input_gradient
+from .netcore import _row_loss_gradient
 
 # relative floor for retained eigenvalues of H
 HESSIAN_EIG_FLOOR = 1e-10
@@ -176,26 +176,20 @@ def hvp_finite_diff(net, x, y, v):
     xp = x + r * vhat
     xm = x - r * vhat
 
-    relu_layers = [
-        i for i, l in enumerate(net.spec.layers) if l.activation == "relu"
-    ]
-    if relu_layers:
-        tp = forward(net, xp)
-        tm = forward(net, xm)
-        for i in relu_layers:
-            zp = tp.pre_activations[i]
-            zm = tm.pre_activations[i]
-            crossed = (zp > 0.0) != (zm > 0.0)
-            hugging = np.minimum(np.abs(zp), np.abs(zm)) <= STENCIL_KINK_EPS
-            if bool(np.any(crossed | hugging)):
-                warnings.warn(
-                    "finite-difference stencil straddles a relu kink",
-                    KinkWarning,
-                    stacklevel=2,
-                )
-                break
-    gp = input_gradient(net, xp, y)
-    gm = input_gradient(net, xm, y)
+    # one pass at each stencil end serves the kink check and the gradient
+    (tp, gp), (tm, gm) = _row_loss_gradient(net, xp, y), _row_loss_gradient(net, xm, y)
+    for layer, zp, zm in zip(net.spec.layers, tp.pre_activations, tm.pre_activations):
+        if layer.activation != "relu":
+            continue
+        crossed = (zp > 0.0) != (zm > 0.0)
+        hugging = np.minimum(np.abs(zp), np.abs(zm)) <= STENCIL_KINK_EPS
+        if bool(np.any(crossed | hugging)):
+            warnings.warn(
+                "finite-difference stencil straddles a relu kink",
+                KinkWarning,
+                stacklevel=2,
+            )
+            break
     return (gp - gm) * (vn / (2.0 * r))
 
 

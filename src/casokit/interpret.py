@@ -28,14 +28,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .hessian import factor_spectrum, hvp_finite_diff, largest_eigenvalue, softmax_factor
-from .netcore import (
-    Sample,
-    backprop_batch,
-    forward,
-    forward_batch,
-    input_gradient,
-    logit_gradient,
-)
+from .netcore import Sample, backprop_batch, forward_batch
 from .solver import (
     DEFAULT_C1,
     ObjectiveSpec,
@@ -170,11 +163,12 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
     """Build the CurvatureModels of a chunk of samples in one pass.
 
     points is None to expand each sample at itself, or one (n, d) array
-    of expansion points per sample, all with the same n; each sample then
-    also gets a forward pass of its own. One batched forward pass covers
-    every expansion point of the chunk, and two batched backprops follow.
-    The first, seeded with p_i - e_y, gives the loss gradients;
-    second_order=False stops there with first-order models. On
+    of expansion points per sample, all with the same n. One batched
+    forward pass covers the samples themselves and, given points, a second
+    covers every expansion point of the chunk; two batched backprops at
+    the expansion points follow. The first, seeded with p_i - e_y, gives
+    the loss gradients; second_order=False stops there with first-order
+    models. On
     piecewise-linear nets (H_i = W_i A_i W_i^T with
     A_i = diag(p_i) - p_i p_i^T) the second is seeded with the columns of
     L_i = diag(sqrt p_i) - p_i sqrt(p_i)^T (hessian.softmax_factor), which
@@ -190,13 +184,9 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
     k = len(samples)
     seeds = [0] * k if seeds is None else seeds
     y = np.array([s.y for s in samples])
-    if points is None:
-        m = 1
-        expand = forward_batch(net, np.stack([s.x for s in samples]), y)
-        probs, losses = expand.probs, expand.losses
-    else:
-        clean = [forward(net, s.x, s.y) for s in samples]
-        probs, losses = [t.probs for t in clean], [t.loss for t in clean]
+    clean = forward_batch(net, np.stack([s.x for s in samples]), y)
+    m, expand = 1, clean
+    if points is not None:
         m = points[0].shape[0]
         expand = forward_batch(net, np.concatenate(points), np.repeat(y, m))
     P = expand.probs
@@ -207,7 +197,7 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
     G = backprop_batch(net, expand, seeds_g[:, None, :]).reshape(d, k, m).mean(axis=2).T
 
     def model(i, **curvature):
-        return CurvatureModel(probs=probs[i], loss=float(losses[i]),
+        return CurvatureModel(probs=clean.probs[i], loss=float(clean.losses[i]),
                               gradient=np.ascontiguousarray(G[i]), **curvature)
 
     if not second_order:
@@ -392,17 +382,27 @@ def smooth_caso(
                    n=n, sigma=sigma, seed=seed, power_iters=power_iters)
 
 
-def vanilla_gradient(sample, net, channels=1):
-    """Gradient of the predicted class score with respect to the input."""
-    trace = forward(net, sample.x, sample.y)
-    pred = int(np.argmax(trace.logits))
-    delta = logit_gradient(net, sample.x, pred)
+def _class_gradient(method, sample, net, channels, points=None):
+    """Mean input gradient of the class score predicted at the sample, over
+    the rows of the (n, d) points, or at the sample itself when points is
+    None: one pass at the sample, one stacked pass over the points and one
+    backprop_batch."""
+    clean = forward_batch(net, sample.x[None], [sample.y])
+    at = clean if points is None else forward_batch(net, points)
+    seeds = np.zeros_like(at.probs)
+    seeds[:, int(np.argmax(clean.logits))] = 1.0
+    delta = backprop_batch(net, at, seeds[:, None, :]).mean(axis=1)
     return SaliencyResult(
-        method="grad",
+        method=method,
         delta=delta,
         eta=sparsity_ratio(delta, channels),
-        p_max=float(trace.probs.max()),
+        p_max=float(clean.probs.max()),
     )
+
+
+def vanilla_gradient(sample, net, channels=1):
+    """Gradient of the predicted class score with respect to the input."""
+    return _class_gradient("grad", sample, net, channels)
 
 
 def smoothgrad(
@@ -417,7 +417,7 @@ def smoothgrad(
 
     The predicted class is fixed at the clean input; sigma is a fraction
     of the input's dynamic range and sigma = 0 reduces to the plain
-    vanilla gradient exactly.
+    vanilla gradient exactly. The n noisy inputs take one stacked pass.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -425,20 +425,8 @@ def smoothgrad(
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return replace(vanilla_gradient(sample, net, channels), method="smoothgrad")
-    trace = forward(net, sample.x, sample.y)
-    pred = int(np.argmax(trace.logits))
-    rng = np.random.default_rng(seed)
-    Z = _noise_inputs(sample.x, n, sigma, rng)
-    acc = np.zeros(net.input_dim)
-    for i in range(n):
-        acc += logit_gradient(net, Z[i], pred)
-    delta = acc / n
-    return SaliencyResult(
-        method="smoothgrad",
-        delta=delta,
-        eta=sparsity_ratio(delta, channels),
-        p_max=float(trace.probs.max()),
-    )
+    Z = _noise_inputs(sample.x, n, sigma, np.random.default_rng(seed))
+    return _class_gradient("smoothgrad", sample, net, channels, Z)
 
 
 def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, channels=1):
@@ -448,8 +436,11 @@ def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, cha
 
         IG = (x - x') * 1/m sum_k grad_loss(x' + (k - 1/2)/m (x - x'))
 
-    The default baseline is the zero vector. The completeness residual
-    |sum(IG) - (loss(x) - loss(x'))| shrinks as the step count grows.
+    The mean loss gradient over the path points is the gradient of a
+    first-order CurvatureModel expanded at them, so every point takes one
+    stacked pass. The default baseline is the zero vector. The
+    completeness residual |sum(IG) - (loss(x) - loss(x'))| shrinks as the
+    step count grows.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -459,18 +450,15 @@ def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, cha
     baseline = np.asarray(baseline, dtype=np.float64)
     if baseline.shape != x.shape:
         raise DimensionError("baseline shape does not match the input")
-    trace = forward(net, x, sample.y)
     path = x - baseline
-    acc = np.zeros_like(x)
-    for k in range(1, steps + 1):
-        t = (k - 0.5) / steps
-        acc += input_gradient(net, baseline + t * path, sample.y)
-    delta = path * (acc / steps)
+    t = (np.arange(1, steps + 1) - 0.5) / steps
+    model = curvature_model(net, sample, baseline + t[:, None] * path, second_order=False)
+    delta = path * model.gradient
     return SaliencyResult(
         method="integrated-gradients",
         delta=delta,
         eta=sparsity_ratio(delta, channels),
-        p_max=float(trace.probs.max()),
+        p_max=float(model.probs.max()),
     )
 
 

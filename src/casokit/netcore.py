@@ -22,6 +22,9 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 # pre-activation magnitude below which a relu unit counts as sitting on a kink
 KINK_EPS = 1e-12
+# rows per forward_batch of train_sgd's accuracy check: a bounded working set
+# (under 2 MB of activations on a 784-256-128-10 net) at any dataset size
+ACCURACY_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -283,12 +286,13 @@ def _activation_slope(z, a, kind):
     return np.ones_like(z)
 
 
-def _forward_arrays(spec, weights, biases, x):
+def _layers(spec, weights, biases, a):
+    """The layer loop: pre-activations and activations of the input a, one
+    vector (d,) or the rows of an (n, d) array, as z_l = a_{l-1} W_l^T + b_l."""
     pre = []
     act = []
-    a = x
     for layer, W, b in zip(spec.layers, weights, biases):
-        z = W @ a + b
+        z = a @ W.T + b
         pre.append(z)
         a = _apply_activation(z, layer.activation)
         act.append(a)
@@ -302,50 +306,38 @@ def softmax(logits):
     return e / e.sum()
 
 
-def forward(net, x, y=None):
-    """Run the network on x, returning a ForwardTrace.
-
-    When y is given, loss is the cross entropy -log p_y computed via
-    logsumexp (never through the probabilities), clamped at zero against
-    rounding.
-    """
+def _row_trace(net, x, y=None):
+    """forward_batch of the one input x, checked to be a (d,) vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise DimensionError(
             f"input shape {x.shape} does not match network ({net.input_dim},)"
         )
-    if not np.isfinite(x).all():
-        raise NonFiniteError("input must be finite")
-    pre, act = _forward_arrays(net.spec, net.weights, net.biases, x)
-    logits = act[-1]
-    if not np.isfinite(logits).all():
-        raise NonFiniteError("forward pass produced non-finite logits")
-    probs = softmax(logits)
-    loss = None
-    if y is not None:
-        y = int(y)
-        if not 0 <= y < net.num_classes:
-            raise ValueError(f"label {y} outside [0, {net.num_classes})")
-        shifted = logits - logits.max()
-        loss = float(np.log(np.exp(shifted).sum()) - shifted[y])
-        loss = max(loss, 0.0)
+    return forward_batch(net, x[None], None if y is None else [y])
+
+
+def forward(net, x, y=None):
+    """Run the network on x, returning a ForwardTrace: the one-row case of
+    forward_batch."""
+    t = _row_trace(net, x, y)
     return ForwardTrace(
-        x=x,
-        y=y,
-        pre_activations=tuple(pre),
-        activations=tuple(act),
-        logits=logits,
-        probs=probs,
-        loss=loss,
+        x=t.X[0],
+        y=None if y is None else int(y),
+        pre_activations=tuple(z[0] for z in t.pre_activations),
+        activations=tuple(a[0] for a in t.activations),
+        logits=t.logits[0],
+        probs=t.probs[0],
+        loss=None if y is None else float(t.losses[0]),
     )
 
 
 def forward_batch(net, X, y=None):
     """Run the network on every row of the (n, d) array X in one pass.
 
-    Matches forward row by row up to rounding: the layers apply as
-    X W_l^T + b_l, and with labels y (one shared class index, or one per
-    row) losses are the clamped logsumexp cross entropies.
+    The layers apply as X W_l^T + b_l. With labels y (one shared class
+    index, or one per row) losses are the cross entropies -log p_y,
+    computed via logsumexp (never through the probabilities) and clamped
+    at zero against rounding. forward is its one-row case.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -366,14 +358,7 @@ def forward_batch(net, X, y=None):
         bad = (labels < 0) | (labels >= net.num_classes)
         if bad.any():
             raise ValueError(f"label {labels[bad][0]} outside [0, {net.num_classes})")
-    pre = []
-    act = []
-    a = X
-    for layer, W, b in zip(net.spec.layers, net.weights, net.biases):
-        z = a @ W.T + b
-        pre.append(z)
-        a = _apply_activation(z, layer.activation)
-        act.append(a)
+    pre, act = _layers(net.spec, net.weights, net.biases, X)
     logits = act[-1]
     if not np.isfinite(logits).all():
         raise NonFiniteError("forward pass produced non-finite logits")
@@ -419,68 +404,43 @@ def backprop_batch(net, trace, seeds):
         rows = dz @ net.weights[l]
 
 
-def _backprop_to_input(spec, weights, pre, act, dout):
-    """Pull a cotangent on the logits back to the input.
-
-    dout may be (c,) or (c, k); the result has matching trailing shape.
-    """
-    da = dout
-    for l in range(len(spec.layers) - 1, -1, -1):
-        slope = _activation_slope(pre[l], act[l], spec.layers[l].activation)
-        if da.ndim == 2:
-            dz = da * slope[:, None]
-        else:
-            dz = da * slope
-        da = weights[l].T @ dz
-    return da
+def _row_loss_gradient(net, x, y):
+    """The one-row trace at x and the loss gradient there: backprop_batch
+    of the loss cotangent p - onehot(y)."""
+    t = _row_trace(net, x, y)
+    seed = t.probs[:, None, :].copy()
+    seed[..., int(y)] -= 1.0
+    return t, backprop_batch(net, t, seed)[:, 0]
 
 
 def input_gradient(net, x, y):
-    """Exact gradient of the cross-entropy loss with respect to the input.
-
-    Reverse mode: the logit cotangent is p - onehot(y), then one backward
-    sweep through the layers.
-    """
-    trace = forward(net, x, y)
-    dlogits = trace.probs.copy()
-    dlogits[trace.y] -= 1.0
-    return _backprop_to_input(
-        net.spec, net.weights, trace.pre_activations, trace.activations, dlogits
-    )
+    """Exact gradient of the cross-entropy loss with respect to the input."""
+    return _row_loss_gradient(net, x, y)[1]
 
 
 def logit_gradient(net, x, class_index):
     """Exact gradient of one logit (not the loss) with respect to the input."""
-    trace = forward(net, x)
     c = net.num_classes
     if not 0 <= int(class_index) < c:
         raise ValueError(f"class index {class_index} outside [0, {c})")
-    seed = np.zeros(c)
-    seed[int(class_index)] = 1.0
-    return _backprop_to_input(
-        net.spec, net.weights, trace.pre_activations, trace.activations, seed
-    )
+    seed = np.zeros((1, 1, c))
+    seed[..., int(class_index)] = 1.0
+    return backprop_batch(net, _row_trace(net, x), seed)[:, 0]
 
 
 def local_linearization(net, x):
     """Affine model of the logits around x.
 
-    W is assembled by c reverse passes, one per logit (batched as a single
-    matrix backprop seeded with the identity), and b = logits - W^T x.
+    W is one backprop_batch at the row x seeded with the identity (one
+    reverse pass per logit), and b = logits - W^T x.
     """
-    trace = forward(net, x)
-    c = net.num_classes
-    seeds = np.eye(c)
-    W = _backprop_to_input(
-        net.spec, net.weights, trace.pre_activations, trace.activations, seeds
+    t = _row_trace(net, x)
+    W = backprop_batch(net, t, np.eye(net.num_classes)[None])
+    b = t.logits[0] - W.T @ t.X[0]
+    kink = any(
+        layer.activation == "relu" and np.abs(z).min() <= KINK_EPS
+        for layer, z in zip(net.spec.layers, t.pre_activations)
     )
-    b = trace.logits - W.T @ trace.x
-
-    kink = False
-    for layer, z in zip(net.spec.layers, trace.pre_activations):
-        if layer.activation == "relu" and np.abs(z).min() <= KINK_EPS:
-            kink = True
-            break
     return LocalLinearization(W=W, b=b, kink_warning=kink)
 
 
@@ -512,12 +472,12 @@ def train_sgd(net, dataset, config):
         for i in order:
             x = dataset.X[i]
             y = int(dataset.labels[i])
-            pre, act = _forward_arrays(spec, Ws, bs, x)
+            pre, act = _layers(spec, Ws, bs, x)
             logits = act[-1]
             shifted = logits - logits.max()
-            total += float(np.log(np.exp(shifted).sum()) - shifted[y])
-            p = softmax(logits)
-            dz = p.copy()
+            e = np.exp(shifted)
+            total += float(np.log(e.sum()) - shifted[y])
+            dz = e / e.sum()
             dz[y] -= 1.0
             da = None
             for l in range(L - 1, -1, -1):
@@ -534,9 +494,10 @@ def train_sgd(net, dataset, config):
 
     trained = Network(spec, tuple(Ws), tuple(bs))
     correct = 0
-    for i in range(dataset.n):
-        t = forward(trained, dataset.X[i])
-        correct += int(np.argmax(t.logits) == dataset.labels[i])
+    for lo in range(0, dataset.n, ACCURACY_ROWS):
+        rows = slice(lo, lo + ACCURACY_ROWS)
+        pred = forward_batch(trained, dataset.X[rows]).logits.argmax(axis=1)
+        correct += int(np.count_nonzero(pred == dataset.labels[rows]))
     return TrainResult(
         network=trained,
         accuracy=correct / dataset.n,

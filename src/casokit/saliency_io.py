@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import warnings
@@ -442,23 +443,25 @@ def write_f32_tensor(path, X):
         fh.write(X.tobytes())
 
 
-def read_f32_tensor(path):
+def _read_raw(path, header, dtype, what):
+    """Read a raw file: the header's u32 fields, then exactly their product
+    of little-endian dtype items, returned with the header's shape."""
     data = _read_bytes(path)
-    if len(data) < _TENSOR_HEADER.size:
-        raise FormatError("tensor file shorter than its header", path=path, offset=len(data))
-    count, dim = _TENSOR_HEADER.unpack_from(data)
-    expect = _TENSOR_HEADER.size + count * dim * 4
+    if len(data) < header.size:
+        raise FormatError(f"{what} file shorter than its header", path=path, offset=len(data))
+    shape = header.unpack_from(data)
+    expect = header.size + math.prod(shape) * np.dtype(dtype).itemsize
     if len(data) != expect:
         raise FormatError(
-            f"tensor payload is {len(data)} bytes, header implies {expect}",
+            f"{what} payload is {len(data)} bytes, header implies {expect}",
             path=path,
             offset=min(len(data), expect),
         )
-    return (
-        np.frombuffer(data, dtype="<f4", offset=_TENSOR_HEADER.size)
-        .reshape(count, dim)
-        .astype(np.float64)
-    )
+    return np.frombuffer(data, dtype=dtype, offset=header.size).reshape(shape)
+
+
+def read_f32_tensor(path):
+    return _read_raw(path, _TENSOR_HEADER, "<f4", "tensor").astype(np.float64)
 
 
 def write_f64_tensor(path, X):
@@ -473,20 +476,7 @@ def write_f64_tensor(path, X):
 
 
 def read_f64_tensor(path):
-    data = _read_bytes(path)
-    if len(data) < _TENSOR_HEADER.size:
-        raise FormatError("tensor file shorter than its header", path=path, offset=len(data))
-    count, dim = _TENSOR_HEADER.unpack_from(data)
-    expect = _TENSOR_HEADER.size + count * dim * 8
-    if len(data) != expect:
-        raise FormatError(
-            f"tensor payload is {len(data)} bytes, header implies {expect}",
-            path=path,
-            offset=min(len(data), expect),
-        )
-    return np.frombuffer(data, dtype="<f8", offset=_TENSOR_HEADER.size).reshape(
-        count, dim
-    )
+    return _read_raw(path, _TENSOR_HEADER, "<f8", "tensor")
 
 
 def write_labels(path, labels):
@@ -494,26 +484,17 @@ def write_labels(path, labels):
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError("labels must be a flat vector")
-    if labels.size and int(labels.min()) < 0:
-        raise ValueError("labels must be nonnegative")
+    if labels.size and (
+        labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() > 0xFFFFFFFF
+    ):
+        raise ValueError("labels must be integers in [0, 2**32)")
     with open(path, "wb") as fh:
         fh.write(_LABEL_HEADER.pack(labels.shape[0]))
         fh.write(labels.astype("<u4").tobytes())
 
 
 def read_labels(path):
-    data = _read_bytes(path)
-    if len(data) < _LABEL_HEADER.size:
-        raise FormatError("label file shorter than its header", path=path, offset=len(data))
-    (count,) = _LABEL_HEADER.unpack_from(data)
-    expect = _LABEL_HEADER.size + count * 4
-    if len(data) != expect:
-        raise FormatError(
-            f"label payload is {len(data)} bytes, header implies {expect}",
-            path=path,
-            offset=min(len(data), expect),
-        )
-    return np.frombuffer(data, dtype="<u4", offset=_LABEL_HEADER.size).astype(np.int64)
+    return _read_raw(path, _LABEL_HEADER, "<u4", "label").astype(np.int64)
 
 
 def dataset_save_raw(dataset, data_path, labels_path):

@@ -133,6 +133,16 @@ class TestSimulateRankOne:
         with pytest.raises(ValueError):
             simulate_rank_one(RankOneSimConfig(mode="grid", classes=(4,)))
 
+    @pytest.mark.parametrize("mode,fields,unused", [
+        ("vary-classes", {"p0": 0.999, "classes": (5,), "eps_values": (1e-3,), "c": 5},
+         "eps_values or c"),
+        ("vary-eps", {"c": 10, "eps_values": (1e-3,), "p0": 0.5}, "p0"),
+        ("grid", {"classes": (4,), "eps_values": (1e-3,), "c": 4}, "c"),
+    ])
+    def test_unused_field_is_an_error(self, mode, fields, unused):
+        with pytest.raises(ValueError, match=f"^{mode} mode does not use {unused}$"):
+            simulate_rank_one(RankOneSimConfig(mode=mode, d=8, **fields))
+
 
 @pytest.fixture(scope="module")
 def trained_ten_class():

@@ -327,6 +327,17 @@ class TestStudies:
         assert "error: need at least 2 classes" in capsys.readouterr().err
         assert not (tmp_path / "rank1.csv").exists()
 
+    @pytest.mark.parametrize("args,unused", [
+        (["vary-classes", "--p0", "0.999", "--classes", "5", "--eps", "1e-3"], "eps_values"),
+        (["vary-eps", "--c", "10", "--eps", "1e-3", "--p0", "0.5"], "p0"),
+        (["grid", "--classes", "4,8", "--eps", "1e-3", "--c", "4"], "c"),
+    ])
+    def test_rank1_sim_rejects_unused_fields(self, tmp_path, capsys, args, unused):
+        code = run(["rank1-sim", "--mode", *args, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: {args[0]} mode does not use {unused}\n" in capsys.readouterr().err
+        assert not (tmp_path / "rank1.csv").exists()
+
     def test_gap_study_rejects_sigmoid_net(self, tmp_path, capsys):
         prep = tmp_path / "prep"
         assert run([

@@ -30,13 +30,16 @@ from casokit import (
     hvp_finite_diff,
     init_network,
     input_gradient,
+    integrated_gradients,
     lambda1_sweep,
     local_linearization,
     model_save,
     select_lambda2,
     smooth_cafo,
     smooth_caso,
+    smoothgrad,
     softmax_curvature,
+    vanilla_gradient,
 )
 from casokit import cli, interpret
 from casokit import hessian as hs
@@ -295,11 +298,27 @@ class TestWorkCounts:
             ("smooth-cafo", smooth_cafo, {"n": 5}), ("smooth-caso", smooth_caso, {"n": 5}),
         ):
             # the model's batched pass plus the batched raw-loss pass of the
-            # result; smoothed methods add the clean pass at the sample
+            # result; smoothed methods add the batched clean pass at the sample
             model = 2 if method.startswith("smooth") else 1
-            assert passes(lambda: fn(s, relu_net, 1e-3, **kwargs)) == (model + 1, 2, 0)
+            assert passes(lambda: fn(s, relu_net, 1e-3, **kwargs)) == (model + 1, model + 1, 0)
             assert passes(lambda: sweep(s, relu_net, method, grid=grid, max_refinements=0,
-                                        **kwargs)) == (model + len(grid), 1 + len(grid), 0)
+                                        **kwargs)) == (model + len(grid), model + len(grid), 0)
+
+    def test_baseline_passes(self, relu_net, monkeypatch):
+        counts = count_calls(monkeypatch, nc, [
+            "forward", "forward_batch", "backprop_batch", "input_gradient", "logit_gradient",
+        ])
+        s = Sample(x=np.random.default_rng(12).standard_normal(8), y=2)
+        # one pass at the sample; smoothgrad and integrated gradients add one
+        # stacked pass over their noisy or path points
+        for run, forward_passes in (
+            (lambda: vanilla_gradient(s, relu_net), 1),
+            (lambda: smoothgrad(s, relu_net, n=6), 2),
+            (lambda: integrated_gradients(s, relu_net, steps=7), 2),
+        ):
+            counts.clear()
+            run()
+            assert counts == Counter(forward_batch=forward_passes, backprop_batch=1)
 
     def test_gap_study_passes_per_chunk(self, relu_net, monkeypatch):
         # 4 classes: CHUNK_COLUMNS // 4 = 25 samples a chunk, so 60 samples
@@ -340,6 +359,6 @@ class TestWorkCounts:
         per_sample = {"cafo": 4, "caso": 4, "smooth-cafo": 4, "smooth-caso": 12}[method]
         chunks = math.ceil(10 / (chunk_columns // per_sample))
         # the chunk's model pass and its raw-loss pass; smoothed methods add
-        # one clean pass per sample
-        clean = 10 if method.startswith("smooth") else 0
-        assert (counts["forward_batch"], counts["forward"]) == (2 * chunks, clean)
+        # one clean pass per chunk
+        passes = 3 if method.startswith("smooth") else 2
+        assert (counts["forward_batch"], counts["forward"]) == (passes * chunks, 0)

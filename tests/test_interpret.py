@@ -22,6 +22,7 @@ from casokit import (
     integrated_gradients,
     lambda1_sweep,
     local_linearization,
+    logit_gradient,
     make_blobs,
     run_request,
     sample_kink_safe,
@@ -277,6 +278,20 @@ class TestSmoothGrad:
         vg = vanilla_gradient(s, net)
         assert np.allclose(sg.delta, vg.delta, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_stacked_pass_matches_per_point_loop(self, activation):
+        net = init_network(
+            NetworkSpec((LayerSpec(8, 12, activation), LayerSpec(12, 4, "identity"))), seed=7
+        )
+        x = np.random.default_rng(15).standard_normal(8)
+        s = Sample(x=x, y=1)
+        pred = int(np.argmax(forward(net, x).logits))
+        span = float(x.max() - x.min())
+        Z = x + (0.3 * span) * np.random.default_rng(4).standard_normal((20, 8))
+        ref = np.mean([logit_gradient(net, z, pred) for z in Z], axis=0)
+        sg = smoothgrad(s, net, n=20, sigma=0.3, seed=4)
+        assert np.abs(sg.delta - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_variance_shrinks_like_one_over_n(self, relu_net):
         rng = np.random.default_rng(22)
         s = Sample(x=rng.standard_normal(8), y=1)
@@ -334,6 +349,21 @@ class TestIntegratedGradients:
             res = integrated_gradients(s, net, steps=steps)
             resids.append(abs(float(res.delta.sum()) - (l_x - l_b)))
         assert all(a > b for a, b in zip(resids, resids[1:]))
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_stacked_pass_matches_per_point_loop(self, activation):
+        net = init_network(
+            NetworkSpec((LayerSpec(8, 12, activation), LayerSpec(12, 4, "identity"))), seed=8
+        )
+        rng = np.random.default_rng(16)
+        x, baseline = rng.standard_normal(8), rng.standard_normal(8)
+        steps = 30
+        ref = (x - baseline) * np.mean([
+            input_gradient(net, baseline + (k - 0.5) / steps * (x - baseline), 2)
+            for k in range(1, steps + 1)
+        ], axis=0)
+        res = integrated_gradients(Sample(x=x, y=2), net, baseline=baseline, steps=steps)
+        assert np.abs(res.delta - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_validation(self, relu_net):
         s = Sample(x=np.zeros(8), y=0)

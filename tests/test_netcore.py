@@ -212,6 +212,20 @@ def test_train_epochs_zero_identity():
     assert result.epoch_losses == ()
 
 
+def test_train_accuracy_counts_every_row():
+    # more rows than one accuracy pass takes, ending in a partial pass
+    n = 2 * nc.ACCURACY_ROWS + 37
+    rng = np.random.default_rng(4)
+    data = nc.Dataset(rng.standard_normal((n, 6)), rng.integers(0, 3, n))
+    spec = nc.NetworkSpec((nc.LayerSpec(6, 8, "relu"), nc.LayerSpec(8, 3, "identity")))
+    net = nc.init_network(spec, seed=2)
+    result = nc.train_sgd(net, data, nc.TrainConfig(epochs=0))
+    correct = sum(
+        int(np.argmax(nc.forward(net, x).logits) == y) for x, y in zip(data.X, data.labels)
+    )
+    assert result.accuracy == correct / n
+
+
 def test_train_label_range_checked():
     X = np.zeros((4, 3))
     labels = np.array([0, 1, 2, 5])

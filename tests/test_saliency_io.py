@@ -674,6 +674,15 @@ class TestRawTensors:
         with pytest.raises(FormatError):
             read_labels(path)
 
+    @pytest.mark.parametrize("labels", [[0, 2**32 + 3], [0.0, 1.7], [0.0, 1.0], [2**32]])
+    def test_labels_outside_u32_integers_rejected(self, tmp_path, labels):
+        path = tmp_path / "w.labels"
+        with pytest.raises(ValueError, match="integers"):
+            write_labels(path, np.array(labels))
+        assert not path.exists()
+        write_labels(path, np.array([0, 2**32 - 1], dtype=np.uint64))
+        assert read_labels(path).tolist() == [0, 2**32 - 1]
+
     def test_dataset_raw_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
         data = Dataset(X=rng.standard_normal((7, 3)), labels=rng.integers(0, 5, 7))
