@@ -8,11 +8,11 @@ solving. All four sparse methods first build one CurvatureModel per
 sample (gradient and, for CASO, the stacked curvature factor and its
 exact top eigenvalue) and then solve against it; run_requests builds and
 solves the models of a chunk of samples together, and a lam1 sweep
-reuses one model for every candidate. The gradient baselines (vanilla
-gradient, SmoothGrad, integrated gradients) are included for comparison;
-note the deliberate asymmetry that integrated gradients accumulates the
-loss gradient while the vanilla gradient differentiates the predicted
-class score.
+solves its whole grid as one stack against one model. The gradient
+baselines (vanilla gradient, SmoothGrad, integrated gradients) are
+included for comparison; note the deliberate asymmetry that integrated
+gradients accumulates the loss gradient while the vanilla gradient
+differentiates the predicted class score.
 
 A saliency map Delta is summarized by its sparsity eta, the fraction of
 pixels whose channels are all exactly zero; the prox step produces exact
@@ -50,7 +50,8 @@ DEFAULT_POWER_ITERS = 10
 # smooth-caso sample at n = 50 (500 columns). It keeps a chunk's working
 # set (each sample's factor and solver rows) to one or two megabytes, so the
 # CLI's peak memory barely grows; stacking all 64 samples of a CASO run
-# would add megabytes for little further speed.
+# would add megabytes for little further speed. A lam1 sweep stacks at
+# most this many grid values per solve, for the same reason.
 CHUNK_COLUMNS = 100
 
 METHODS = (
@@ -143,11 +144,13 @@ class CurvatureModel:
     probs and loss come from the forward pass at the sample itself.
     gradient is the loss gradient averaged over the expansion points, and
     hvp applies the matching averaged Hessian. A first-order model has
-    hvp None and curvature_bound 0 (H = 0). On piecewise-linear nets
-    factor is the stacked (d, n*c) matrix B with mean_i H_i = B B^T, hvp
-    is B (B^T v) and curvature_bound is the exact lambda_max. Other nets
-    have no factor, a finite-difference hvp and a seeded power-iteration
-    estimate of lambda_max as the bound, clamped at 0.
+    hvp None and curvature_bound 0 (H = 0). hvp takes a vector or an
+    (m, d) stack of rows. On piecewise-linear nets factor is the stacked
+    (d, n*c) matrix B with mean_i H_i = B B^T, hvp is B (B^T V), one matrix
+    product for a whole stack, and curvature_bound is the exact lambda_max.
+    Other nets have no factor, a finite-difference hvp taken row by row and
+    a seeded power-iteration estimate of lambda_max as the bound, clamped
+    at 0.
     """
 
     probs: np.ndarray
@@ -209,6 +212,8 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
             Z = expand.X[i * m:(i + 1) * m]
 
             def hvp(v):
+                if v.ndim == 2:
+                    return np.stack([hvp(row) for row in v])
                 out = np.zeros_like(v)
                 if not v.any():
                     return out  # H 0 = 0; a difference quotient needs a direction
@@ -231,8 +236,8 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
     def factored_model(i):
         Bi = B[i]
 
-        def hvp(v):
-            return Bi @ (Bi.T @ v)
+        def hvp(V):
+            return (Bi @ (Bi.T @ V.T)).T
 
         return model(i, hvp=hvp, curvature_bound=float(bounds[i]), factor=Bi)
 
@@ -286,17 +291,19 @@ def _sparse_model(method, sample, net, seed=0, **model_kwargs):
     return _sparse_models(method, [sample], net, [seed], **model_kwargs)[0]
 
 
-def _solve_models(method, net, samples, models, lam1, c1=DEFAULT_C1, channels=1,
+def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1,
                   solver_config=None):
-    """Maximize the surrogates of a chunk's CurvatureModels at one lam1, as
-    one stacked solve, each with lam2 = L/2 + c1 for its curvature bound L."""
+    """Maximize the surrogates of a stack of CurvatureModels, one lam1 per
+    row, as one stacked solve, each with lam2 = L/2 + c1 for its curvature
+    bound L. Rows may repeat a sample and its model; they then share its
+    curvature products."""
     objs = [
         ObjectiveSpec(
             gradient=model.gradient, hvp=model.hvp, lam1=lam1,
             lam2=select_lambda2(model.curvature_bound, c1),
             curvature_bound=model.curvature_bound,
         )
-        for model in models
+        for model, lam1 in zip(models, lam1s, strict=True)
     ]
     solves = fista_solve_batch(objs, solver_config)
     return _finish(method, net, samples, models, objs, solves, channels)
@@ -305,7 +312,7 @@ def _solve_models(method, net, samples, models, lam1, c1=DEFAULT_C1, channels=1,
 def _sparse(method, sample, net, lam1, c1=DEFAULT_C1, channels=1, solver_config=None,
             **model_kwargs):
     model = _sparse_model(method, sample, net, **model_kwargs)
-    return _solve_models(method, net, [sample], [model], lam1, c1, channels, solver_config)[0]
+    return _solve_models(method, net, [sample], [model], [lam1], c1, channels, solver_config)[0]
 
 
 def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
@@ -510,8 +517,14 @@ def lambda1_sweep(
     to the densest non-trivial candidate. method is a SPARSE_METHODS
     entry; its CurvatureModel is built once from model_kwargs (n, sigma,
     seed, power_iters; unused ones are ignored) and every grid value and
-    refinement is solved against it, with the same results as separate
-    calls at each lam1.
+    refinement is solved against it. The grid values are the rows of one
+    stacked solve (of at most CHUNK_COLUMNS rows, so a long grid takes
+    several), which share the model's curvature: each FISTA step applies
+    it with one matrix product for the whole stack. Each refinement
+    depends on the one before, so it is a solve of its own. The results
+    match separate calls at each lam1 to rounding: bitwise for first-order
+    methods and finite-difference curvature, and to the rounding of the
+    stacked product for a curvature factor.
     """
     if method not in SPARSE_METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
@@ -527,16 +540,19 @@ def lambda1_sweep(
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
-    models = [_sparse_model(method, sample, net, **model_kwargs)]
+    model = _sparse_model(method, sample, net, **model_kwargs)
 
-    def solve(lam):
-        return _solve_models(method, net, [sample], models, lam, c1, channels,
-                             solver_config)[0]
+    def solve(lams):
+        k = len(lams)
+        return _solve_models(method, net, [sample] * k, [model] * k, lams, c1, channels,
+                             solver_config)
 
     def in_range(r):
         return lo <= r.eta < hi
 
-    results = [solve(lam) for lam in grid]
+    results = []
+    for start in range(0, len(grid), CHUNK_COLUMNS):
+        results.extend(solve(grid[start:start + CHUNK_COLUMNS]))
     refinements = []
     if not any(in_range(r) for r in results):
         zero_at = next(
@@ -546,7 +562,7 @@ def lambda1_sweep(
             lam = grid[zero_at]
             for _ in range(max_refinements):
                 lam = lam / 2.0
-                r = solve(lam)
+                r = solve([lam])[0]
                 refinements.append(r)
                 if in_range(r):
                     break
@@ -670,9 +686,8 @@ def run_requests(net, requests):
             r.method, samples, net, [q.seed for q in chunk], n=r.smooth_n,
             sigma=r.smooth_sigma, power_iters=r.power_iters,
         )
-        results.extend(
-            _solve_models(r.method, net, samples, models, r.lam1, r.c1, r.channels, r.solver)
-        )
+        results.extend(_solve_models(r.method, net, samples, models, [r.lam1] * len(chunk),
+                                     r.c1, r.channels, r.solver))
     return results
 
 

@@ -12,6 +12,7 @@ new network instead of mutating in place.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,24 @@ class Network:
         return self.spec.num_classes
 
 
+def _class_index(y):
+    """y as a Python int; a label that is not an integer is a ValueError,
+    never truncated."""
+    try:
+        return operator.index(y)
+    except TypeError:
+        raise ValueError(f"label {y!r} is not an integer") from None
+
+
+def _integer_labels(labels):
+    """labels as an array of an integer dtype; any other non-empty array is
+    a ValueError, never truncated."""
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, not {labels.dtype}")
+    return labels
+
+
 @dataclass(frozen=True)
 class Sample:
     """One labelled input: x is a flat float64 vector, y a class index."""
@@ -149,10 +168,11 @@ class Sample:
             raise DimensionError("sample x must be a flat vector")
         if not np.isfinite(x).all():
             raise NonFiniteError("sample x must be finite")
-        if int(self.y) < 0:
+        y = _class_index(self.y)
+        if y < 0:
             raise ValueError("label must be a nonnegative class index")
         object.__setattr__(self, "x", _frozen_f64(x))
-        object.__setattr__(self, "y", int(self.y))
+        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -164,7 +184,7 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _integer_labels(self.labels).astype(np.int64)
         if X.ndim != 2:
             raise DimensionError("X must be 2-d (n, d)")
         if labels.shape != (X.shape[0],):
@@ -349,7 +369,7 @@ def forward_batch(net, X, y=None):
     n = X.shape[0]
     labels = None
     if y is not None:
-        labels = np.asarray(y)
+        labels = _integer_labels(y)
         if labels.ndim == 0:
             labels = np.full(n, int(labels))
         elif labels.shape != (n,):

@@ -42,7 +42,9 @@ def select_lambda2(curvature_bound, c1=DEFAULT_C1):
 class ObjectiveSpec:
     """One instance of the surrogate objective.
 
-    hvp applies H to a vector; None means H = 0 (the curvature-free
+    hvp applies H to a vector, and to each row of an (m, d) stack when
+    several rows of a fista_solve_batch stack share it (they then share
+    one product per application); None means H = 0 (the curvature-free
     objective). curvature_bound is an upper bound on lambda_max(H) and the
     construction enforces lam2 > curvature_bound/2, the strong concavity
     condition.
@@ -172,9 +174,13 @@ def fista_solve_batch(objs, config=None):
     which keeps the result monotone in the iteration budget even though
     raw FISTA iterates oscillate. Each row's H is applied once at the start
     and then once per tested iterate and once per extrapolated point, so
-    1 + 2 * iterations + backtracks times in all. Every row sees the same
-    arithmetic as a solve of its own, so the results do not depend on
-    which objectives share the stack.
+    1 + 2 * iterations + backtracks times in all. Rows whose hvp is the
+    same object share its products: each application calls that hvp once,
+    with the (m, d) stack of its selected rows, or with a vector when only
+    one of its rows is selected. Every row otherwise sees the same
+    arithmetic as a solve of its own, so the results depend on which
+    objectives share the stack only through the rounding of a shared
+    operator's stacked product.
     """
     if config is None:
         config = SolverConfig()
@@ -187,16 +193,27 @@ def fista_solve_batch(objs, config=None):
     lam1 = np.array([o.lam1 for o in objs])
     lam2 = np.array([o.lam2 for o in objs])
     ids = np.arange(k)
-    curved = any(o.hvp is not None for o in objs)
+    # owner[i] indexes row i's operator in ops, -1 for H = 0; rows share
+    # an operator when their hvp is the same object
+    ops = list({id(o.hvp): o.hvp for o in objs if o.hvp is not None}.values())
+    slot = {id(hvp): g for g, hvp in enumerate(ops)}
+    owner = np.array([slot.get(id(o.hvp), -1) for o in objs])
+
+    def groups(sel):
+        """(operator, position) per operator among the owners sel: a lone
+        row's position is an int, so its operator gets a vector."""
+        for g in np.unique(sel[sel >= 0]):
+            pos = np.flatnonzero(sel == g)
+            yield ops[g], pos[0] if pos.size == 1 else pos
+
+    every_groups = list(groups(owner))
 
     # rows is slice(None) for the whole stack or an index array of rows;
     # V holds one vector per selected row
     def apply_h(rows, V):
         out = np.zeros_like(V)
-        if curved:
-            for j, i in enumerate(ids[rows]):
-                if objs[i].hvp is not None:
-                    out[j] = objs[i].hvp(V[j])
+        for hvp, pos in every_groups if isinstance(rows, slice) else groups(owner[rows]):
+            out[pos] = hvp(V[pos])
         return out
 
     def smooth_value(rows, V, HV):

@@ -291,6 +291,28 @@ class TestSweep:
         assert code == 0
         assert read_json(tmp_path / "sweep.json")["grid"] == [0.0, 0.025, 0.05]
 
+    def test_caso_sweep_on_sigmoid_net(self, tmp_path, capsys):
+        # finite-difference curvature shared by the whole stacked grid
+        prep = tmp_path / "prep"
+        assert run([
+            "train", "--classes", "3", "--dim", "6", "--n-per-class", "4", "--hidden", "5",
+            "--activation", "sigmoid", "--epochs", "1", "--save-data", "--out", str(prep),
+        ]) == 0
+        out = tmp_path / "sweep"
+        code = run([
+            "sweep", "--model", str(prep / "model.json"), "--data", str(prep / "data.csv"),
+            "--method", "caso", "--sample", "1", "--width", "3", "--out", str(out),
+        ])
+        assert code == 0
+        doc = read_json(out / "sweep.json")
+        assert len(doc["candidates"]) == 8
+        for r in doc["candidates"] + doc["refinements"] + [doc["selected"]]:
+            values = [r[k] for k in ("eta", "lambda2", "loss_gain", "raw_loss_delta", "p_max")]
+            assert np.isfinite(values).all()
+        delta = casokit.read_f64_tensor(out / "selected.delta.f64")
+        assert delta.shape == (1, 6) and np.isfinite(delta).all()
+        assert read_pgm(out / "selected.pgm").shape == (2, 3)
+
     def test_grad_not_sweepable(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run([

@@ -230,7 +230,10 @@ class TestSweepHoisting:
         ("cafo", {}),
         ("smooth-cafo", {"n": 6, "sigma": 0.2, "seed": 3}),
     ])
-    def test_sweep_candidates_bitwise_equal_separate_calls(self, relu_net, method, kwargs):
+    def test_sweep_candidates_match_separate_calls(self, relu_net, method, kwargs):
+        # the grid is one stack: first-order rows keep their own arithmetic
+        # bit for bit, while a shared curvature factor is applied to the
+        # whole stack in one product, which moves the rows by rounding
         fn = {"cafo": cafo, "caso": caso, "smooth-cafo": smooth_cafo,
               "smooth-caso": smooth_caso}[method]
         rng = np.random.default_rng(8)
@@ -240,11 +243,61 @@ class TestSweepHoisting:
             out = lambda1_sweep(s, relu_net, method=method, solver_config=cfg, **kwargs)
             for r in out.all_results:
                 ref = fn(s, relu_net, r.lam1, solver_config=cfg, **kwargs)
-                assert r.delta.tobytes() == ref.delta.tobytes()
-                assert (r.loss_gain, r.raw_loss_delta, r.lam2, r.eta, r.p_max) == (
-                    ref.loss_gain, ref.raw_loss_delta, ref.lam2, ref.eta, ref.p_max)
-                assert r.solve.objective_trace == ref.solve.objective_trace
-                assert r.solve.step_trace == ref.solve.step_trace
+                assert (r.lam2, r.eta, r.p_max) == (ref.lam2, ref.eta, ref.p_max)
+                assert r.raw_loss_delta == pytest.approx(ref.raw_loss_delta, rel=1e-12)
+                if method.endswith("cafo"):
+                    assert r.delta.tobytes() == ref.delta.tobytes()
+                    assert r.loss_gain == ref.loss_gain
+                    assert r.solve.objective_trace == ref.solve.objective_trace
+                    assert r.solve.step_trace == ref.solve.step_trace
+                else:
+                    scale = max(float(np.abs(ref.delta).max()), np.finfo(float).tiny)
+                    assert np.allclose(r.delta, ref.delta, rtol=0.0, atol=1e-12 * scale)
+                    assert np.array_equal(r.delta == 0.0, ref.delta == 0.0)
+                    assert r.loss_gain == pytest.approx(ref.loss_gain, rel=1e-12)
+
+    @pytest.mark.parametrize("method,kwargs", [
+        ("caso", {"seed": 3}), ("smooth-caso", {"n": 3, "sigma": 0.2, "seed": 3}),
+    ])
+    def test_sigmoid_sweep_matches_separate_calls(self, sigmoid_net, method, kwargs):
+        # finite-difference products are taken row by row, so a stacked
+        # sigmoid sweep keeps every candidate's solve bit for bit; only the
+        # raw loss comes from the stacked finish pass
+        fn = {"caso": caso, "smooth-caso": smooth_caso}[method]
+        s = Sample(x=np.random.default_rng(15).standard_normal(6), y=1)
+        out = lambda1_sweep(s, sigmoid_net, method=method, grid=(0.0, 1e-3, 1e-2, 5e-2),
+                            max_refinements=2, **kwargs)
+        assert len(out.results) == 4
+        for r in out.all_results:
+            ref = fn(s, sigmoid_net, r.lam1, **kwargs)
+            assert r.delta.tobytes() == ref.delta.tobytes()
+            assert (r.loss_gain, r.lam2, r.eta, r.p_max) == (
+                ref.loss_gain, ref.lam2, ref.eta, ref.p_max)
+            assert r.solve.objective_trace == ref.solve.objective_trace
+            assert r.raw_loss_delta == pytest.approx(ref.raw_loss_delta, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["cafo", "smooth-caso"])
+    def test_long_grid_is_solved_in_bounded_stacks(self, relu_net, monkeypatch, method):
+        s = Sample(x=np.random.default_rng(16).standard_normal(8), y=2)
+        grid = tuple(np.linspace(0.0, 0.05, 8))
+        kwargs = {"n": 3, "sigma": 0.2} if method == "smooth-caso" else {}
+        whole = lambda1_sweep(s, relu_net, method, grid=grid, max_refinements=0, **kwargs)
+        sizes = []
+        orig = interpret.fista_solve_batch
+
+        def counted(objs, config=None):
+            sizes.append(len(objs))
+            return orig(objs, config)
+
+        monkeypatch.setattr(interpret, "fista_solve_batch", counted)
+        monkeypatch.setattr(interpret, "CHUNK_COLUMNS", 3)
+        parts = lambda1_sweep(s, relu_net, method, grid=grid, max_refinements=0, **kwargs)
+        assert sizes == [3, 3, 2]
+        assert parts.selected_index == whole.selected_index
+        for a, b in zip(parts.results, whole.results):
+            assert a.lam1 == b.lam1 and a.eta == b.eta
+            scale = max(float(np.abs(b.delta).max()), np.finfo(float).tiny)
+            assert np.allclose(a.delta, b.delta, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestWorkCounts:
@@ -301,8 +354,13 @@ class TestWorkCounts:
             # result; smoothed methods add the batched clean pass at the sample
             model = 2 if method.startswith("smooth") else 1
             assert passes(lambda: fn(s, relu_net, 1e-3, **kwargs)) == (model + 1, model + 1, 0)
+            # the whole grid is one stack with one raw-loss pass; each
+            # refinement (lam1 = 50 and 25 stay all zero) is a solve of its own
             assert passes(lambda: sweep(s, relu_net, method, grid=grid, max_refinements=0,
-                                        **kwargs)) == (model + len(grid), model + len(grid), 0)
+                                        **kwargs)) == (model + 1, model + 1, 0)
+            assert passes(lambda: sweep(s, relu_net, method, grid=(100.0,), max_refinements=2,
+                                        eta_range=(0.0, 1e-9), **kwargs)) == (
+                model + 3, model + 3, 0)
 
     def test_baseline_passes(self, relu_net, monkeypatch):
         counts = count_calls(monkeypatch, nc, [

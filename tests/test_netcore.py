@@ -255,6 +255,37 @@ def test_dataset_validation_and_sample():
     assert s.y == 0
 
 
+def test_sample_rejects_non_integer_label():
+    for y in (2.9, 2.0, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            nc.Sample(np.zeros(3), y)
+    for y in (2, np.int32(2), np.uint8(2), np.int64(2)):
+        s = nc.Sample(np.zeros(3), y)
+        assert s.y == 2 and type(s.y) is int
+
+
+def test_dataset_rejects_non_integer_labels():
+    for labels in ([0.5, 1.7], np.array([0.0, 1.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            nc.Dataset(np.zeros((2, 3)), labels)
+    for labels in ([0, 1], np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=np.int32)):
+        assert nc.Dataset(np.zeros((2, 3)), labels).labels.tolist() == [0, 1]
+    assert nc.Dataset(np.zeros((0, 3)), []).labels.shape == (0,)
+
+
+def test_forward_batch_rejects_non_integer_labels():
+    net = two_layer()
+    X = np.ones((2, 5))
+    for y in ([1.7, 2.9], np.array([1.0, 2.0]), 1.7, np.float64(1.0)):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            nc.forward_batch(net, X, y)
+    ref = nc.forward_batch(net, X, [1, 2]).losses
+    for y in (np.array([1, 2], dtype=np.uint16), [np.int32(1), np.int64(2)]):
+        assert np.array_equal(nc.forward_batch(net, X, y).losses, ref)
+    assert np.array_equal(nc.forward_batch(net, X, np.int8(1)).losses,
+                          nc.forward_batch(net, X, [1, 1]).losses)
+
+
 def test_sample_kink_safe_margin():
     rng = np.random.default_rng(21)
     net = random_relu_net(rng)

@@ -97,6 +97,63 @@ class TestStackedSolver:
             assert any(backtracks_from_steps(config, r) > 0 for r in stacked)
         assert not stacked[5].delta.any()  # lam1 above |g|_inf
 
+    @pytest.mark.parametrize("config", [
+        SolverConfig(), SolverConfig(learning_rate=5.0, iterations=15),
+    ], ids=["default", "backtracking"])
+    def test_rows_sharing_an_operator_share_its_products(self, config):
+        # rows 0, 2, 4, 5 share one operator and rows 1, 3 another, each row
+        # with its own gradient, lam1 and c1 (so its own step sizes); row 6
+        # is curvature-free and row 7 the lone row of a third operator
+        rng = np.random.default_rng(33)
+        d = 20
+        calls = {name: [] for name in "abc"}
+
+        def operator(name):
+            B = 0.2 * rng.standard_normal((d, 3))
+
+            def hvp(V):
+                calls[name].append(V.shape)
+                return (B @ (B.T @ V.T)).T
+
+            return hvp, float(np.linalg.eigvalsh(B.T @ B)[-1])
+
+        ops = {name: operator(name) for name in "abc"}
+        layout = ("a", "b", "a", "b", "a", "a", None, "c")
+        lam1s = (0.0, 0.1, 0.4, 0.8, 1.2, 0.02, 0.5, 0.6)
+        c1s = (0.5, 1.0, 3.0, 2.0, 1.0, 2.0, 1.0, 3.0)
+        objs = []
+        for name, lam1, c1 in zip(layout, lam1s, c1s):
+            hvp, top = ops[name] if name else (None, 0.0)
+            objs.append(ObjectiveSpec(gradient=rng.standard_normal(d), hvp=hvp, lam1=lam1,
+                                      lam2=select_lambda2(top, c1), curvature_bound=top))
+        stacked = fista_solve_batch(objs, config)
+        stacked_calls = {name: list(shapes) for name, shapes in calls.items()}
+        alone = [fista_solve(obj, config) for obj in objs]
+        for a, b in zip(stacked, alone):
+            scale = max(float(np.abs(b.delta).max()), np.finfo(float).tiny)
+            assert np.allclose(a.delta, b.delta, rtol=0.0, atol=REL * scale)
+            assert np.array_equal(a.delta == 0.0, b.delta == 0.0)
+            assert a.nnz_trace == b.nnz_trace
+            assert a.backtrack_exhausted == b.backtrack_exhausted
+        assert len({r.nnz_trace for r in stacked}) > 4  # the lam1 values matter
+
+        # one call per application: a stack of the operator's selected
+        # rows, or a vector when only one of them is selected; together the
+        # calls cover each row's 1 + 2 * iterations + backtracks products
+        for name in "abc":
+            rows = [i for i, n in enumerate(layout) if n == name]
+            shapes = stacked_calls[name]
+            assert all(s == (d,) or (len(s) == 2 and s[0] >= 2 and s[1] == d) for s in shapes)
+            assert sum(1 if len(s) == 1 else s[0] for s in shapes) == sum(
+                1 + 2 * stacked[i].iterations_used + backtracks_from_steps(config, stacked[i])
+                for i in rows)
+            if config.learning_rate < 1.0:  # no backtracks: whole-stack calls only
+                assert all(backtracks_from_steps(config, r) == 0 for r in stacked)
+                width = (d,) if len(rows) == 1 else (len(rows), d)
+                assert shapes == [width] * (1 + 2 * config.iterations)
+        if config.learning_rate > 1.0:
+            assert any(len(s) == 1 for s in stacked_calls["a"])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fista_solve_batch([])
