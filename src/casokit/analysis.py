@@ -182,13 +182,13 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     bound. Both maps come from their closed forms, are normalized to unit
     L2, and the gap is the norm of their difference (in [0, 2]). Samples
     with an exactly zero gradient carry no direction to compare and are
-    skipped with a log entry. Only relu/identity nets have the exact
-    factor; any other net is rejected.
+    skipped with a log entry. The closed CASO form needs a PSD factor,
+    which only relu/identity nets have; any other net is rejected.
     """
     if not net.spec.piecewise_linear:
         raise ValueError(
-            "gap-study needs the exact curvature factor, which only nets of "
-            "relu and identity layers have; this net has sigmoid layers"
+            "gap-study needs a positive semidefinite curvature factor, which only nets "
+            "of relu and identity layers have; sigmoid layers add terms of either sign"
         )
     count = min(int(n_samples), dataset.n)
     per_chunk = max(CHUNK_COLUMNS // net.num_classes, 1)

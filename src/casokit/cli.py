@@ -29,7 +29,6 @@ from . import __version__ as VERSION
 from .interpret import (
     DEFAULT_IG_STEPS,
     DEFAULT_LAMBDA1_GRID,
-    DEFAULT_POWER_ITERS,
     DEFAULT_SMOOTH_N,
     DEFAULT_SMOOTH_SIGMA,
     METHODS,
@@ -72,6 +71,14 @@ def int_list(text):
     if not values:
         raise argparse.ArgumentTypeError(f"empty integer list: {text!r}")
     return values
+
+
+def sample_count(text):
+    """An integer of at least 2, the fewest samples a rank correlation needs."""
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {n}")
+    return n
 
 
 def float_list(text):
@@ -129,9 +136,9 @@ def _resolve_out(args):
     return out
 
 
-# knobs that change where or how fast a run executes, but never what it
-# computes; excluded so artifact bytes do not depend on them
-_EXECUTION_ONLY = ("func", "command", "jobs", "out", "config")
+# knobs that change where or how fast a run executes (or nothing), but
+# never what it computes; excluded so artifact bytes do not depend on them
+_EXECUTION_ONLY = ("func", "command", "jobs", "power_iters", "out", "config")
 
 
 def _provenance(args, command):
@@ -275,7 +282,6 @@ def cmd_interpret(args):
             smooth_n=args.smooth_n,
             smooth_sigma=args.smooth_sigma,
             ig_steps=args.ig_steps,
-            power_iters=args.power_iters,
             seed=int(child.generate_state(1, dtype=np.uint64)[0]),
             channels=args.channels,
             solver=solver,
@@ -334,7 +340,6 @@ def cmd_sweep(args):
         n=args.smooth_n,
         sigma=args.smooth_sigma,
         seed=args.seed,
-        power_iters=args.power_iters,
     )
     selected = outcome.selected
     doc = {
@@ -394,6 +399,7 @@ def cmd_gap_study(args):
     dataset = _load_data(args)
     n = dataset.n if args.n_samples is None else args.n_samples
     points = confidence_gap_study(net, dataset, n, c1=args.c1)
+    rho = spearman_rho([pt.p_max for pt in points], [pt.gap for pt in points])
     path = os.path.join(out, "gap.csv")
     write_csv_rows(
         path,
@@ -401,7 +407,6 @@ def cmd_gap_study(args):
         [(pt.sample_id, pt.p_max, pt.gap) for pt in points],
         provenance=_provenance(args, "gap-study"),
     )
-    rho = spearman_rho([pt.p_max for pt in points], [pt.gap for pt in points])
     print(f"spearman_rho={rho!r}")
     print(f"wrote {len(points)} points to {path}")
     return 0
@@ -491,9 +496,8 @@ def _add_method_knobs(sp):
     sp.add_argument("--lambda1", type=float, default=0.0, help="sparsity weight")
     sp.add_argument("--c1", type=float, default=DEFAULT_C1,
                     help="additive trust constant in lambda2")
-    sp.add_argument("--power-iters", type=int, default=DEFAULT_POWER_ITERS,
-                    help="power iterations for the curvature bound on sigmoid "
-                         "nets; relu/identity nets use the exact lambda_max")
+    sp.add_argument("--power-iters", type=int,
+                    help="accepted and ignored: every curvature bound is exact")
     sp.add_argument("--smooth-n", type=int, default=DEFAULT_SMOOTH_N,
                     help="noise samples for smooth variants")
     sp.add_argument("--smooth-sigma", type=float, default=DEFAULT_SMOOTH_SIGMA,
@@ -581,7 +585,7 @@ def build_parser():
     sp = sub.add_parser("gap-study", help="confidence versus method gap, relu/identity nets")
     _add_common(sp)
     _add_model_data(sp)
-    sp.add_argument("--n-samples", type=int, help="cap on samples (default: all)")
+    sp.add_argument("--n-samples", type=sample_count, help="cap on samples, >= 2 (default: all)")
     sp.add_argument("--c1", type=float, default=DEFAULT_C1)
     sp.set_defaults(func=cmd_gap_study)
     parsers.append(sp)

@@ -9,7 +9,9 @@ where p are the class probabilities. A is positive semidefinite with rows
 summing to zero, so H never needs to be materialized: the closed-form
 factor L = diag(sqrt p) - p sqrt(p)^T satisfies A = L L^T, so H = B B^T
 with B = W L, and every spectral quantity of H can be read off the smaller
-Gram matrix, B^T B (c x c) or B B^T (d x d when d < c).
+Gram matrix, B^T B (c x c) or B B^T (d x d when d < c). Smooth activations
+add a signed term J_l^T diag(da_l * act''(z_l)) J_l per layer (Bishop 1992),
+J_l the input Jacobian of z_l and da_l the loss cotangent of a_l.
 
 In the high-confidence regime p = [1-(c-1)eps, eps, ..., eps] the Hessian
 collapses toward the rank-one surrogate g g^T / (eps (c-1)) with g the loss
@@ -159,7 +161,8 @@ def hvp_closed_form(W, p, v):
 
 
 def hvp_finite_diff(net, x, y, v):
-    """Hessian-vector product by central differences of the exact gradient.
+    """Hessian-vector product by central differences of the exact gradient,
+    a reference oracle for the closed forms (the program never calls it).
 
     Uses the displacement r = 1e-4 (1 + ||x||) along v/||v||, then rescales
     by ||v||. Emits KinkWarning when a relu pre-activation changes sign (or
@@ -194,7 +197,8 @@ def hvp_finite_diff(net, x, y, v):
 
 
 def largest_eigenvalue(hvp, dim, iters=10, tol=1e-6, seed=0):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
+    """Largest eigenvalue of a symmetric PSD operator by power iteration, a
+    reference oracle (the program reads exact spectra instead).
 
     Starts from a seeded random unit vector, returns the Rayleigh quotient
     after `iters` steps or earlier when its relative change drops under

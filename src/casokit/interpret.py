@@ -5,8 +5,8 @@ CASO adds the closed-form second-order term; both maximize the sparse
 strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
 solving. All four sparse methods first build one CurvatureModel per
-sample (gradient and, for CASO, the stacked curvature factor and its
-exact top eigenvalue) and then solve against it; run_requests builds and
+sample (gradient and, for CASO, the exact curvature and its exact top
+eigenvalue) and then solve against it; run_requests builds and
 solves the models of a chunk of samples together, and a lam1 sweep
 solves its whole grid as one stack against one model. The gradient
 baselines (vanilla gradient, SmoothGrad, integrated gradients) are
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError
-from .hessian import factor_spectrum, hvp_finite_diff, largest_eigenvalue, softmax_factor
+from .hessian import factor_spectrum, softmax_factor
 from .netcore import Sample, backprop_batch, forward_batch
 from .solver import (
     DEFAULT_C1,
@@ -43,13 +43,13 @@ DEFAULT_LAMBDA1_GRID = (0.0, 1e-5, 1e-4, 1e-3, 6.25e-3, 1.25e-2, 2.5e-2, 5e-2)
 DEFAULT_SMOOTH_N = 50
 DEFAULT_SMOOTH_SIGMA = 0.15
 DEFAULT_IG_STEPS = 50
-DEFAULT_POWER_ITERS = 10
 # run_requests stacks consecutive samples of one sparse method while their
 # chunk columns (see _columns) stay within this bound. On 10 classes that
-# is ten cafo or caso samples, two smooth-cafo samples at n = 50, and one
-# smooth-caso sample at n = 50 (500 columns). It keeps a chunk's working
-# set (each sample's factor and solver rows) to one or two megabytes, so the
-# CLI's peak memory barely grows; stacking all 64 samples of a CASO run
+# is ten cafo or relu caso samples, two smooth-cafo samples at n = 50, and
+# one smooth-caso sample at n = 50 (500 columns) or any caso sample on a
+# 784-256-128-10 sigmoid net (394). It keeps a chunk's working set (each
+# sample's factor and solver rows) to one or two megabytes, so the CLI's
+# peak memory barely grows; stacking all 64 samples of a CASO run
 # would add megabytes for little further speed. A lam1 sweep stacks at
 # most this many grid values per solve, for the same reason.
 CHUNK_COLUMNS = 100
@@ -143,14 +143,13 @@ class CurvatureModel:
 
     probs and loss come from the forward pass at the sample itself.
     gradient is the loss gradient averaged over the expansion points, and
-    hvp applies the matching averaged Hessian. A first-order model has
-    hvp None and curvature_bound 0 (H = 0). hvp takes a vector or an
-    (m, d) stack of rows. On piecewise-linear nets factor is the stacked
-    (d, n*c) matrix B with mean_i H_i = B B^T, hvp is B (B^T V), one matrix
-    product for a whole stack, and curvature_bound is the exact lambda_max.
-    Other nets have no factor, a finite-difference hvp taken row by row and
-    a seeded power-iteration estimate of lambda_max as the bound, clamped
-    at 0.
+    hvp applies the matching averaged Hessian exactly, to a vector or an
+    (m, d) stack of rows in one matrix product; curvature_bound is its
+    exact lambda_max, clamped at 0. A first-order model has hvp None and
+    curvature_bound 0 (H = 0). On nets of relu and identity layers factor
+    is the stacked (d, r) matrix B with mean_i H_i = B B^T. Sigmoid layers
+    add terms of either sign, so there factor is None and H = W_0^T M W_0
+    (see curvature_models).
     """
 
     probs: np.ndarray
@@ -161,31 +160,39 @@ class CurvatureModel:
     factor: np.ndarray | None = None
 
 
-def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS, seeds=None,
-                     second_order=True):
+def _factor_width(net):
+    """Curvature factor columns per expansion point: c softmax columns and
+    one per sigmoid unit."""
+    return net.num_classes + sum(l.out_dim for l in net.spec.layers if l.activation == "sigmoid")
+
+
+def curvature_models(net, samples, points=None, second_order=True):
     """Build the CurvatureModels of a chunk of samples in one pass.
 
     points is None to expand each sample at itself, or one (n, d) array
     of expansion points per sample, all with the same n. One batched
-    forward pass covers the samples themselves and, given points, a second
-    covers every expansion point of the chunk; two batched backprops at
-    the expansion points follow. The first, seeded with p_i - e_y, gives
-    the loss gradients; second_order=False stops there with first-order
-    models. On
-    piecewise-linear nets (H_i = W_i A_i W_i^T with
-    A_i = diag(p_i) - p_i p_i^T) the second is seeded with the columns of
-    L_i = diag(sqrt p_i) - p_i sqrt(p_i)^T (hessian.softmax_factor), which
-    satisfies L_i L_i^T = A_i, and yields each sample's
-    B = [W_1 L_1, ..., W_n L_n] / sqrt(n). lambda_max is the top
-    eigenvalue of the smaller Gram matrix, B^T B or B B^T, all of the
-    chunk's from one batched hessian.factor_spectrum. seeds (one per
-    sample, default 0) and power_iters only drive the power iteration of
-    other nets.
+    forward pass covers the samples and, given points, a second covers
+    every expansion point. A batched backprop seeded with p_i - e_y gives
+    the loss gradients and every layer's pre-activation cotangents dz_l;
+    second_order=False stops there. The Hessian at a point is (Bishop 1992)
+
+        H_i = J^T L_i L_i^T J + sum_l J_l^T diag(w_l) J_l,   w_l = dz_l (1 - 2 a_l),
+
+    with J the input Jacobian of the logits, L_i the closed-form factor of
+    diag(p_i) - p_i p_i^T (hessian.softmax_factor), and J_l that of the
+    pre-activations of sigmoid layer l (sigma'' = sigma' (1 - 2 sigma)).
+    Without sigmoid layers one more backprop, seeded with every L_i,
+    yields each sample's B = [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with
+    mean_i H_i = B B^T, and lambda_max comes from the smaller Gram matrix
+    of B by one batched factor_spectrum for the chunk. Sigmoid terms have
+    either sign, and every Jacobian ends in W_0, so mean_i H_i = W_0^T M W_0:
+    M sums E^T E over the first layer's cotangents E of the seeds
+    L_i / sqrt(n), and E_l^T diag(w_l / n) E_l over those of unit seeds at
+    each sigmoid layer l, a block of at most d factor columns
+    (_factor_width(net) per point) at a time. lambda_max is the top
+    eigenvalue of R M R^T for the R of W_0^T = QR.
     """
-    if second_order and power_iters < 1:
-        raise ValueError("power_iters must be >= 1")
     k = len(samples)
-    seeds = [0] * k if seeds is None else seeds
     y = np.array([s.y for s in samples])
     clean = forward_batch(net, np.stack([s.x for s in samples]), y)
     m, expand = 1, clean
@@ -195,9 +202,11 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
     P = expand.probs
     c = P.shape[1]
     d = net.input_dim
+    W0 = net.weights[0]
     seeds_g = P.copy()
     seeds_g[np.arange(k * m), np.repeat(y, m)] -= 1.0
-    G = backprop_batch(net, expand, seeds_g[:, None, :]).reshape(d, k, m).mean(axis=2).T
+    dz = backprop_batch(net, expand, seeds_g[:, None, :], cotangents=True)
+    G = (W0.T @ dz[0].T).reshape(d, k, m).mean(axis=2).T
 
     def model(i, **curvature):
         return CurvatureModel(probs=clean.probs[i], loss=float(clean.losses[i]),
@@ -206,51 +215,49 @@ def curvature_models(net, samples, points=None, power_iters=DEFAULT_POWER_ITERS,
     if not second_order:
         return [model(i, hvp=None, curvature_bound=0.0) for i in range(k)]
 
-    if not net.spec.piecewise_linear:
-
-        def fd_model(i):
-            Z = expand.X[i * m:(i + 1) * m]
-
-            def hvp(v):
-                if v.ndim == 2:
-                    return np.stack([hvp(row) for row in v])
-                out = np.zeros_like(v)
-                if not v.any():
-                    return out  # H 0 = 0; a difference quotient needs a direction
-                for z in Z:
-                    out += hvp_finite_diff(net, z, samples[i].y, v)
-                return out / m
-
-            L = largest_eigenvalue(hvp, d, iters=power_iters, seed=seeds[i])
-            return model(i, hvp=hvp, curvature_bound=max(L, 0.0))
-
-        return [fd_model(i) for i in range(k)]
-
     # lseeds[r, j] is column j of L_r: sqrt(p_rj) e_j - sqrt(p_rj) p_r
-    lseeds = np.swapaxes(softmax_factor(P), 1, 2)
-    # (k, d, m*c): each sample's factor, a view of the backprop's columns
-    B = backprop_batch(net, expand, lseeds / np.sqrt(m))
-    B = B.reshape(d, k, m * c).transpose(1, 0, 2)
-    bounds = factor_spectrum(B)[:, -1]
+    lseeds = np.swapaxes(softmax_factor(P), 1, 2) / np.sqrt(m)
+    sigmoid = [l for l, layer in enumerate(net.spec.layers) if layer.activation == "sigmoid"]
+    if not sigmoid:
+        # (k, d, m*c): each sample's factor, a view of the backprop's columns
+        B = backprop_batch(net, expand, lseeds)
+        B = B.reshape(d, k, m * c).transpose(1, 0, 2)
+        bounds = factor_spectrum(B)[:, -1]
 
-    def factored_model(i):
-        Bi = B[i]
+        def factored_model(i):
+            Bi = B[i]
+            return model(i, hvp=lambda V: (Bi @ (Bi.T @ V.T)).T,
+                         curvature_bound=float(bounds[i]), factor=Bi)
 
-        def hvp(V):
-            return (Bi @ (Bi.T @ V.T)).T
+        return [factored_model(i) for i in range(k)]
 
-        return model(i, hvp=hvp, curvature_bound=float(bounds[i]), factor=Bi)
+    weights = [dz[l] * (1.0 - 2.0 * expand.activations[l]) / m for l in sigmoid]
+    block = max(d // _factor_width(net), 1)
+    R = np.linalg.qr(W0.T, mode="r")
 
-    return [factored_model(i) for i in range(k)]
+    def signed_model(i):
+        M = np.zeros((W0.shape[0], W0.shape[0]))
+        for lo in range(i * m, (i + 1) * m, block):
+            rows = slice(lo, min(lo + block, (i + 1) * m))
+            at = expand.rows(rows)
+            E = backprop_batch(net, at, lseeds[rows], cotangents=True)[0]
+            M += E.T @ E
+            for l, w in zip(sigmoid, weights):
+                h = w.shape[1]
+                units = np.broadcast_to(np.eye(h), (at.X.shape[0], h, h))
+                E = backprop_batch(net, at, units, start=l, cotangents=True)[0]
+                M += (E.T * w[rows].ravel()) @ E
+        top = max(float(np.linalg.eigvalsh(R @ M @ R.T)[-1]), 0.0)
+        return model(i, hvp=lambda V: ((V @ W0.T) @ M) @ W0, curvature_bound=top)
+
+    return [signed_model(i) for i in range(k)]
 
 
-def curvature_model(net, sample, points=None, power_iters=DEFAULT_POWER_ITERS, seed=0,
-                    second_order=True):
+def curvature_model(net, sample, points=None, second_order=True):
     """The CurvatureModel of one sample, expanded at the (n, d) points or,
     for points=None, at the sample itself: curvature_models of one sample."""
-    return curvature_models(
-        net, [sample], None if points is None else [points], power_iters, [seed], second_order
-    )[0]
+    points = None if points is None else [points]
+    return curvature_models(net, [sample], points, second_order)[0]
 
 
 def _noise_inputs(x, n, sigma, rng):
@@ -260,7 +267,7 @@ def _noise_inputs(x, n, sigma, rng):
 
 
 def _sparse_models(method, samples, net, seeds, n=DEFAULT_SMOOTH_N,
-                   sigma=DEFAULT_SMOOTH_SIGMA, power_iters=DEFAULT_POWER_ITERS):
+                   sigma=DEFAULT_SMOOTH_SIGMA):
     """The CurvatureModels a SPARSE_METHODS entry solves against, one per
     sample, built in one pass.
 
@@ -281,9 +288,7 @@ def _sparse_models(method, samples, net, seeds, n=DEFAULT_SMOOTH_N,
                 _noise_inputs(s.x, n, sigma, np.random.default_rng(seed))
                 for s, seed in zip(samples, seeds)
             ]
-    return curvature_models(
-        net, samples, points, power_iters=power_iters, seeds=seeds, second_order=second_order
-    )
+    return curvature_models(net, samples, points, second_order=second_order)
 
 
 def _sparse_model(method, sample, net, seed=0, **model_kwargs):
@@ -323,26 +328,16 @@ def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
     return _sparse("cafo", sample, net, lam1, c1, channels, solver_config)
 
 
-def caso(
-    sample,
-    net,
-    lam1=0.0,
-    c1=DEFAULT_C1,
-    power_iters=DEFAULT_POWER_ITERS,
-    seed=0,
-    channels=1,
-    solver_config=None,
-):
+def caso(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
     """Curvature-aware interpretation using the closed-form Hessian.
 
     Builds the CurvatureModel at the sample, then solves with
-    lam2 = L/2 + c1. On piecewise-linear networks H = W A W^T is exact and
-    L is its exact lambda_max, so power_iters and seed change nothing.
-    Anything else falls back to finite differences of the exact gradient
-    and a seeded power-iteration estimate of L, clamped at 0.
+    lam2 = L/2 + c1. H is exact on every network (W A W^T on
+    piecewise-linear ones, plus the sigmoid layers' signed terms
+    otherwise; see curvature_models) and L is its exact lambda_max,
+    clamped at 0.
     """
-    return _sparse("caso", sample, net, lam1, c1, channels, solver_config,
-                   seed=seed, power_iters=power_iters)
+    return _sparse("caso", sample, net, lam1, c1, channels, solver_config)
 
 
 def smooth_cafo(
@@ -366,27 +361,17 @@ def smooth_cafo(
                    n=n, sigma=sigma, seed=seed)
 
 
-def smooth_caso(
-    sample,
-    net,
-    lam1=0.0,
-    n=DEFAULT_SMOOTH_N,
-    sigma=DEFAULT_SMOOTH_SIGMA,
-    seed=0,
-    c1=DEFAULT_C1,
-    power_iters=DEFAULT_POWER_ITERS,
-    channels=1,
-    solver_config=None,
-):
+def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA, seed=0,
+                c1=DEFAULT_C1, channels=1, solver_config=None):
     """CASO with gradient and Hessian averaged over n noisy inputs.
 
     The CurvatureModel is expanded at all n noisy points, so the averaged
-    operator is mean_i W_i A_i W_i^T = B B^T and, on piecewise-linear
-    networks, the curvature bound is its exact lambda_max. The noise is
-    drawn once from seed; sigma = 0 reduces to plain caso exactly.
+    operator is mean_i H_i (B B^T on piecewise-linear networks) and the
+    curvature bound is its exact lambda_max. The noise is drawn once from
+    seed; sigma = 0 reduces to plain caso exactly.
     """
     return _sparse("smooth-caso", sample, net, lam1, c1, channels, solver_config,
-                   n=n, sigma=sigma, seed=seed, power_iters=power_iters)
+                   n=n, sigma=sigma, seed=seed)
 
 
 def _class_gradient(method, sample, net, channels, points=None):
@@ -516,15 +501,14 @@ def lambda1_sweep(
     reaches the range the outcome is flagged and the selection falls back
     to the densest non-trivial candidate. method is a SPARSE_METHODS
     entry; its CurvatureModel is built once from model_kwargs (n, sigma,
-    seed, power_iters; unused ones are ignored) and every grid value and
-    refinement is solved against it. The grid values are the rows of one
-    stacked solve (of at most CHUNK_COLUMNS rows, so a long grid takes
-    several), which share the model's curvature: each FISTA step applies
-    it with one matrix product for the whole stack. Each refinement
-    depends on the one before, so it is a solve of its own. The results
-    match separate calls at each lam1 to rounding: bitwise for first-order
-    methods and finite-difference curvature, and to the rounding of the
-    stacked product for a curvature factor.
+    seed; unused ones are ignored) and every grid value and refinement is
+    solved against it. The grid values are the rows of one stacked solve
+    (of at most CHUNK_COLUMNS rows, so a long grid takes several), which
+    share the model's curvature: each FISTA step applies it with one
+    matrix product for the whole stack. Each refinement depends on the one
+    before, so it is a solve of its own. The results match separate calls
+    at each lam1 to rounding: bitwise for first-order methods, and to the
+    rounding of the stacked product for second-order ones.
     """
     if method not in SPARSE_METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
@@ -604,7 +588,6 @@ class MethodRequest:
     smooth_n: int = DEFAULT_SMOOTH_N
     smooth_sigma: float = DEFAULT_SMOOTH_SIGMA
     ig_steps: int = DEFAULT_IG_STEPS
-    power_iters: int = DEFAULT_POWER_ITERS
     seed: int = 0
     channels: int = 1
     solver: SolverConfig | None = None
@@ -630,16 +613,15 @@ def _run_baseline(net, request):
 
 
 def _columns(net, request):
-    """Chunk columns a sparse request takes: the columns of its widest
-    backprop (its expansion points, times c for second-order methods), but
-    at least c, so that no chunk stacks more samples than a CASO chunk;
-    None for the gradient baselines."""
+    """Chunk columns a sparse request takes: the columns of its expansion
+    points' backprops (times the curvature factor width for second-order
+    methods), but at least c, so that no chunk stacks more samples than a
+    relu CASO chunk; None for the gradient baselines."""
     if request.method not in SPARSE_METHODS:
         return None
     smoothed, second_order = SPARSE_METHODS[request.method]
     points = request.smooth_n if smoothed and request.smooth_sigma != 0.0 else 1
-    c = net.num_classes
-    return max(points * c if second_order else points, c)
+    return max(points * _factor_width(net) if second_order else points, net.num_classes)
 
 
 def _chunks(net, requests):
@@ -670,10 +652,11 @@ def run_requests(net, requests):
     """Results of a sequence of MethodRequests, in order.
 
     Sparse requests are solved a chunk of whole samples at a time (see
-    _chunks): one batched forward pass and two batched backprops build
-    the chunk's models, one stacked FISTA run solves them, and one batched
-    forward pass gives their raw loss changes. Every sample's solve follows
-    its own arithmetic, so chunking moves the results by rounding only.
+    _chunks): one batched forward pass and two batched backprops (more on
+    sigmoid nets) build the chunk's models, one stacked FISTA run solves
+    them, and one batched forward pass gives their raw loss changes. Every
+    sample's solve follows its own arithmetic, so chunking moves the
+    results by rounding only.
     """
     results = []
     for chunk in _chunks(net, requests):
@@ -683,8 +666,7 @@ def run_requests(net, requests):
             continue
         samples = [q.sample for q in chunk]
         models = _sparse_models(
-            r.method, samples, net, [q.seed for q in chunk], n=r.smooth_n,
-            sigma=r.smooth_sigma, power_iters=r.power_iters,
+            r.method, samples, net, [q.seed for q in chunk], n=r.smooth_n, sigma=r.smooth_sigma
         )
         results.extend(_solve_models(r.method, net, samples, models, [r.lam1] * len(chunk),
                                      r.c1, r.channels, r.solver))

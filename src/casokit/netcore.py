@@ -247,6 +247,12 @@ class BatchTrace:
     probs: np.ndarray
     losses: np.ndarray | None
 
+    def rows(self, sel):
+        """The trace of the rows sel (a slice), as views of every array."""
+        return BatchTrace(self.X[sel], tuple(z[sel] for z in self.pre_activations),
+                          tuple(a[sel] for a in self.activations), self.logits[sel],
+                          self.probs[sel], None if self.losses is None else self.losses[sel])
+
 
 @dataclass(frozen=True)
 class LocalLinearization:
@@ -399,29 +405,33 @@ def forward_batch(net, X, y=None):
     )
 
 
-def backprop_batch(net, trace, seeds):
-    """Pull logit cotangents back to the input at every row of a BatchTrace.
+def backprop_batch(net, trace, seeds, start=None, cotangents=False):
+    """Pull cotangents back to the input at every row of a BatchTrace.
 
-    seeds is (n, k, c): k cotangents for each of the n rows. The result is
-    (d, n*k), column i*k + j holding W_i seeds[i, j] with W_i the (d, c)
-    input Jacobian of the logits at row i. Each layer is one matrix
-    product over all n*k cotangents; no per-row Jacobian is formed.
+    seeds is (n, k, h): k cotangents for each of the n rows of the
+    pre-activations z of layer start (default the last: the logits). The
+    result is (d, n*k), column i*k + j holding J_i^T seeds[i, j] with J_i
+    the (h, d) input Jacobian of z at row i, one matrix product per layer
+    and no per-row Jacobian. cotangents=True returns instead the list of
+    cotangents dz_l (n*k, width) of layers 0..start, before W_0^T dz_0^T.
     """
-    n, k, c = seeds.shape
-    if n != trace.X.shape[0] or c != net.num_classes:
+    layers = net.spec.layers
+    start = len(layers) - 1 if start is None else start
+    n, k, h = seeds.shape
+    if n != trace.X.shape[0] or h != layers[start].out_dim:
         raise DimensionError(
             f"seeds of shape {seeds.shape} do not match a batch of "
-            f"{trace.X.shape[0]} rows and {net.num_classes} classes"
+            f"{trace.X.shape[0]} rows and layer {start}'s {layers[start].out_dim} units"
         )
-    rows = seeds.reshape(n * k, c)
-    for l in range(len(net.spec.layers) - 1, -1, -1):
+    dz = seeds.reshape(n * k, h)
+    dzs = [dz]
+    for l in range(start, 0, -1):
         slope = _activation_slope(
-            trace.pre_activations[l], trace.activations[l], net.spec.layers[l].activation
+            trace.pre_activations[l - 1], trace.activations[l - 1], layers[l - 1].activation
         )
-        dz = (rows.reshape(n, k, -1) * slope[:, None, :]).reshape(n * k, -1)
-        if l == 0:
-            return net.weights[0].T @ dz.T
-        rows = dz @ net.weights[l]
+        dz = ((dz @ net.weights[l]).reshape(n, k, -1) * slope[:, None, :]).reshape(n * k, -1)
+        dzs.append(dz)
+    return dzs[::-1] if cotangents else net.weights[0].T @ dz.T
 
 
 def _row_loss_gradient(net, x, y):

@@ -198,6 +198,25 @@ class TestInterpret:
                      "sample2.delta.f64", "sample1.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_power_iters_is_accepted_and_ignored(self, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        assert run([
+            "train", "--classes", "3", "--dim", "16", "--n-per-class", "4", "--hidden", "5",
+            "--activation", "sigmoid", "--epochs", "1", "--save-data", "--out", str(prep),
+        ]) == 0
+        data = ["--model", str(prep / "model.json"), "--data", str(prep / "data.csv")]
+        for argv, names in (
+            (["interpret", "--method", "caso", "--samples", "0,1"],
+             ("metrics.csv", "sample0.json", "sample0.delta.f64", "sample1.delta.f64")),
+            (["sweep", "--method", "smooth-caso", "--smooth-n", "4"],
+             ("sweep.json", "selected.delta.f64")),
+        ):
+            outs = [tmp_path / "default", tmp_path / "flag"]
+            for out, extra in zip(outs, ([], ["--power-iters", "1"])):
+                assert run(argv + data + extra + ["--width", "4", "--out", str(out)]) == 0
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_raw_tensor_input(self, workspace, tmp_path, capsys):
         data = dataset_load(workspace["data"])
         dataset_save_raw(data, tmp_path / "d.f32", tmp_path / "d.labels")
@@ -386,6 +405,29 @@ class TestStudies:
         assert lines[1] == "sample_id,p_max,gap"
         assert len(lines) >= 27
         assert "spearman_rho=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["-3", "1"])
+    def test_gap_study_rejects_a_count_below_two(self, workspace, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "gap-study", "--model", workspace["model"], "--data", workspace["data"],
+                "--n-samples", count, "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "need at least 2 samples" in capsys.readouterr().err
+        assert not (tmp_path / "gap.csv").exists()
+
+    def test_gap_study_writes_nothing_without_two_usable_samples(self, workspace, tmp_path,
+                                                                 capsys):
+        data = dataset_load(workspace["data"])
+        one = tmp_path / "one.csv"
+        casokit.dataset_save_csv(Dataset(data.X[:1], data.labels[:1]), one)
+        out = tmp_path / "gap"
+        code = run(["gap-study", "--model", workspace["model"], "--data", str(one),
+                    "--out", str(out)])
+        assert code == 1
+        assert "need at least two observations" in capsys.readouterr().err
+        assert not (out / "gap.csv").exists()
 
     def test_alignment(self, tmp_path, capsys):
         code = run([

@@ -168,8 +168,8 @@ class TestCaso:
     def test_deterministic(self, relu_net):
         rng = np.random.default_rng(3)
         s = Sample(x=rng.standard_normal(8), y=2)
-        a = caso(s, relu_net, seed=4)
-        b = caso(s, relu_net, seed=4)
+        a = caso(s, relu_net)
+        b = caso(s, relu_net)
         assert np.array_equal(a.delta, b.delta)
         assert a.lam2 == b.lam2
 
@@ -183,7 +183,7 @@ class TestSmoothVariants:
         assert np.array_equal(sc.delta, pc.delta)
         assert sc.method == "smooth-cafo"
         ss = smooth_caso(s, relu_net, sigma=0.0, seed=7)
-        ps = caso(s, relu_net, seed=7)
+        ps = caso(s, relu_net)
         assert np.array_equal(ss.delta, ps.delta)
         assert ss.method == "smooth-caso"
 
@@ -198,7 +198,7 @@ class TestSmoothVariants:
         sc = smooth_cafo(s, relu_net, n=1, sigma=sigma, seed=seed)
         assert np.array_equal(sc.delta, cafo(s_z, relu_net).delta)
         ss = smooth_caso(s, relu_net, n=1, sigma=sigma, seed=seed)
-        assert np.array_equal(ss.delta, caso(s_z, relu_net, seed=seed).delta)
+        assert np.array_equal(ss.delta, caso(s_z, relu_net).delta)
 
     def test_defaults_deterministic(self, relu_net):
         rng = np.random.default_rng(6)
@@ -462,7 +462,7 @@ class TestMethodRequest:
             "smoothgrad": smoothgrad(s, relu_net, n=10, sigma=0.2, seed=3),
             "integrated-gradients": integrated_gradients(s, relu_net, steps=20),
             "cafo": cafo(s, relu_net, 1e-3, solver_config=cfg),
-            "caso": caso(s, relu_net, 1e-3, seed=3, solver_config=cfg),
+            "caso": caso(s, relu_net, 1e-3, solver_config=cfg),
             "smooth-cafo": smooth_cafo(
                 s, relu_net, 1e-3, n=10, sigma=0.2, seed=3, solver_config=cfg
             ),
@@ -482,7 +482,7 @@ class TestMethodRequest:
     def test_unused_knobs_are_ignored(self, relu_net):
         s = Sample(x=np.random.default_rng(16).standard_normal(8), y=2)
         for method, knobs in (
-            ("cafo", {"power_iters": 0}), ("cafo", {"smooth_n": 0}), ("caso", {"smooth_n": 0}),
+            ("cafo", {"smooth_n": 0}), ("caso", {"smooth_n": 0}),
         ):
             out = run_request(relu_net, MethodRequest(method=method, sample=s, **knobs))
             ref = run_request(relu_net, MethodRequest(method=method, sample=s))
