@@ -214,7 +214,7 @@ def _solver_config(args):
 
 
 def _result_summary(res):
-    return {
+    doc = {
         "method": res.method,
         "lambda1": res.lam1,
         "lambda2": res.lam2,
@@ -223,6 +223,10 @@ def _result_summary(res):
         "loss_gain": res.loss_gain,
         "raw_loss_delta": res.raw_loss_delta,
     }
+    if res.solve is not None:
+        doc.update(solver=res.solve.solver, solver_steps=res.solve.steps,
+                   kkt_residual=res.solve.kkt_residual)
+    return doc
 
 
 def cmd_train(args):
@@ -656,6 +660,10 @@ def main(argv=None):
     root, parsers = build_parser()
     _apply_config(argv, root, parsers)
     args = root.parse_args(argv)
+    if args.command == "interpret" and len(set(args.samples)) < len(args.samples):
+        # each index's map lands in sample<index>.*, so a repeat would be lost
+        dup = next(i for n, i in enumerate(args.samples) if i in args.samples[:n])
+        root.error(f"argument --samples: sample index {dup} is repeated")
     try:
         return args.func(args)
     except (ValueError, OSError, np.linalg.LinAlgError) as e:

@@ -34,7 +34,7 @@ from .solver import (
     ObjectiveSpec,
     SolveResult,
     SolverConfig,
-    fista_solve_batch,
+    exact_solve_batch,
     select_lambda2,
 )
 
@@ -81,8 +81,8 @@ class SaliencyResult:
     loss_gain is the surrogate objective value at delta and
     raw_loss_delta the actual network loss change at x + delta; both are
     None for the gradient baselines, which optimize nothing. lam1/lam2
-    are None for the same reason. solve keeps the full solver trace when
-    a solver ran.
+    are None for the same reason. solve is the certified solver result
+    (which solver, its steps, its KKT residual) when a solver ran.
     """
 
     method: str
@@ -147,9 +147,9 @@ class CurvatureModel:
     (m, d) stack of rows in one matrix product; curvature_bound is its
     exact lambda_max, clamped at 0. A first-order model has hvp None and
     curvature_bound 0 (H = 0). On nets of relu and identity layers factor
-    is the stacked (d, r) matrix B with mean_i H_i = B B^T. Sigmoid layers
-    add terms of either sign, so there factor is None and H = W_0^T M W_0
-    (see curvature_models).
+    is the stacked (d, r) matrix B with mean_i H_i = B B^T. Sigmoid
+    layers add terms of either sign, so there factor is None and
+    H = W_0^T M W_0 with middle M (see curvature_models).
     """
 
     probs: np.ndarray
@@ -158,6 +158,7 @@ class CurvatureModel:
     hvp: Callable[[np.ndarray], np.ndarray] | None
     curvature_bound: float
     factor: np.ndarray | None = None
+    middle: np.ndarray | None = None
 
 
 def _factor_width(net):
@@ -184,13 +185,14 @@ def curvature_models(net, samples, points=None, second_order=True):
     Without sigmoid layers one more backprop, seeded with every L_i,
     yields each sample's B = [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with
     mean_i H_i = B B^T, and lambda_max comes from the smaller Gram matrix
-    of B by one batched factor_spectrum for the chunk. Sigmoid terms have
-    either sign, and every Jacobian ends in W_0, so mean_i H_i = W_0^T M W_0:
-    M sums E^T E over the first layer's cotangents E of the seeds
-    L_i / sqrt(n), and E_l^T diag(w_l / n) E_l over those of unit seeds at
-    each sigmoid layer l, a block of at most d factor columns
-    (_factor_width(net) per point) at a time. lambda_max is the top
-    eigenvalue of R M R^T for the R of W_0^T = QR.
+    of B by one batched factor_spectrum for the chunk. Sigmoid
+    terms have either sign, and every Jacobian ends in W_0, so mean_i H_i =
+    W_0^T M W_0: M sums E^T E over the first layer's cotangents E of the
+    seeds L_i / sqrt(n), E_l^T diag(w_l / n) E_l over those of unit seeds
+    at each deeper sigmoid layer l (a block of at most d factor columns,
+    _factor_width(net) per point, at a time), and diag(sum_i w_0 / n) for a
+    sigmoid first layer. lambda_max is the top eigenvalue of R M R^T for
+    the R of W_0^T = QR (Network.input_r).
     """
     k = len(samples)
     y = np.array([s.y for s in samples])
@@ -206,7 +208,7 @@ def curvature_models(net, samples, points=None, second_order=True):
     seeds_g = P.copy()
     seeds_g[np.arange(k * m), np.repeat(y, m)] -= 1.0
     dz = backprop_batch(net, expand, seeds_g[:, None, :], cotangents=True)
-    G = (W0.T @ dz[0].T).reshape(d, k, m).mean(axis=2).T
+    G = dz[0].reshape(k, m, -1).mean(axis=1) @ W0
 
     def model(i, **curvature):
         return CurvatureModel(probs=clean.probs[i], loss=float(clean.losses[i]),
@@ -232,8 +234,9 @@ def curvature_models(net, samples, points=None, second_order=True):
         return [factored_model(i) for i in range(k)]
 
     weights = [dz[l] * (1.0 - 2.0 * expand.activations[l]) / m for l in sigmoid]
+    deeper = [(l, w) for l, w in zip(sigmoid, weights) if l > 0]
     block = max(d // _factor_width(net), 1)
-    R = np.linalg.qr(W0.T, mode="r")
+    R = net.input_r
 
     def signed_model(i):
         M = np.zeros((W0.shape[0], W0.shape[0]))
@@ -242,13 +245,15 @@ def curvature_models(net, samples, points=None, second_order=True):
             at = expand.rows(rows)
             E = backprop_batch(net, at, lseeds[rows], cotangents=True)[0]
             M += E.T @ E
-            for l, w in zip(sigmoid, weights):
+            for l, w in deeper:
                 h = w.shape[1]
                 units = np.broadcast_to(np.eye(h), (at.X.shape[0], h, h))
                 E = backprop_batch(net, at, units, start=l, cotangents=True)[0]
                 M += (E.T * w[rows].ravel()) @ E
+        if sigmoid[0] == 0:
+            M[np.diag_indices_from(M)] += weights[0][i * m:(i + 1) * m].sum(axis=0)
         top = max(float(np.linalg.eigvalsh(R @ M @ R.T)[-1]), 0.0)
-        return model(i, hvp=lambda V: ((V @ W0.T) @ M) @ W0, curvature_bound=top)
+        return model(i, hvp=lambda V: ((V @ W0.T) @ M) @ W0, curvature_bound=top, middle=M)
 
     return [signed_model(i) for i in range(k)]
 
@@ -296,12 +301,36 @@ def _sparse_model(method, sample, net, seed=0, **model_kwargs):
     return _sparse_models(method, [sample], net, [seed], **model_kwargs)[0]
 
 
+def _exact_solves(net, models, objs, solver_config):
+    """exact_solve_batch with H = F C F^T (F = B, C = I on relu and identity
+    nets, else F = W_0^T, C = M, F^T F = R^T R) and the Woodbury base
+    (2 lam2 I - F^T F C)^{-1}, one inv per model (none for F wider than d)."""
+    first = models[0]
+    if first.hvp is None:
+        return exact_solve_batch(objs, config=solver_config)
+    shared = all(m is first for m in models)
+    stack = (lambda arrays: arrays[0]) if shared else np.stack
+    if first.middle is None:
+        F, C = stack([m.factor for m in models]), None
+        base = np.swapaxes(F, -1, -2) @ F if F.shape[-1] <= F.shape[-2] else None
+    else:
+        F, C = net.weights[0].T, stack([m.middle for m in models])
+        base = (net.input_r.T @ net.input_r) @ C
+    if base is not None:  # in place: base is 2 lam2 I - F^T F C, then inverted
+        base *= -1.0
+        r = base.shape[-1]
+        base[..., range(r), range(r)] += 2.0 * np.array(objs[0].lam2 if shared else
+                                                         [[o.lam2] for o in objs])
+        base = np.linalg.inv(base)
+    return exact_solve_batch(objs, F, C, base, solver_config)
+
+
 def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1,
                   solver_config=None):
     """Maximize the surrogates of a stack of CurvatureModels, one lam1 per
-    row, as one stacked solve, each with lam2 = L/2 + c1 for its curvature
-    bound L. Rows may repeat a sample and its model; they then share its
-    curvature products."""
+    row, as one stacked exact solve (see _exact_solves), each with
+    lam2 = L/2 + c1 for its curvature bound L. Rows may repeat a sample
+    and its model; they then share its curvature arrays."""
     objs = [
         ObjectiveSpec(
             gradient=model.gradient, hvp=model.hvp, lam1=lam1,
@@ -310,7 +339,7 @@ def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1
         )
         for model, lam1 in zip(models, lam1s, strict=True)
     ]
-    solves = fista_solve_batch(objs, solver_config)
+    solves = _exact_solves(net, models, objs, solver_config)
     return _finish(method, net, samples, models, objs, solves, channels)
 
 
@@ -374,16 +403,22 @@ def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
                    n=n, sigma=sigma, seed=seed)
 
 
-def _class_gradient(method, sample, net, channels, points=None):
+def _gradient_map(method, sample, net, channels, points=None, path=None):
     """Mean input gradient of the class score predicted at the sample, over
     the rows of the (n, d) points, or at the sample itself when points is
     None: one pass at the sample, one stacked pass over the points and one
-    backprop_batch."""
+    backprop_batch. Given a path, the gradient is the loss's instead, and
+    the map is path times it."""
     clean = forward_batch(net, sample.x[None], [sample.y])
     at = clean if points is None else forward_batch(net, points)
-    seeds = np.zeros_like(at.probs)
-    seeds[:, int(np.argmax(clean.logits))] = 1.0
+    if path is None:
+        seeds = np.zeros_like(at.probs)
+        seeds[:, int(np.argmax(clean.logits))] = 1.0
+    else:
+        seeds = at.probs.copy()
+        seeds[:, sample.y] -= 1.0
     delta = backprop_batch(net, at, seeds[:, None, :]).mean(axis=1)
+    delta = delta if path is None else path * delta
     return SaliencyResult(
         method=method,
         delta=delta,
@@ -394,7 +429,7 @@ def _class_gradient(method, sample, net, channels, points=None):
 
 def vanilla_gradient(sample, net, channels=1):
     """Gradient of the predicted class score with respect to the input."""
-    return _class_gradient("grad", sample, net, channels)
+    return _gradient_map("grad", sample, net, channels)
 
 
 def smoothgrad(
@@ -418,7 +453,7 @@ def smoothgrad(
     if sigma == 0.0:
         return replace(vanilla_gradient(sample, net, channels), method="smoothgrad")
     Z = _noise_inputs(sample.x, n, sigma, np.random.default_rng(seed))
-    return _class_gradient("smoothgrad", sample, net, channels, Z)
+    return _gradient_map("smoothgrad", sample, net, channels, Z)
 
 
 def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, channels=1):
@@ -428,11 +463,9 @@ def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, cha
 
         IG = (x - x') * 1/m sum_k grad_loss(x' + (k - 1/2)/m (x - x'))
 
-    The mean loss gradient over the path points is the gradient of a
-    first-order CurvatureModel expanded at them, so every point takes one
-    stacked pass. The default baseline is the zero vector. The
-    completeness residual |sum(IG) - (loss(x) - loss(x'))| shrinks as the
-    step count grows.
+    Every path point takes one stacked pass. The default baseline is the
+    zero vector. The completeness residual |sum(IG) - (loss(x) - loss(x'))|
+    shrinks as the step count grows.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -444,14 +477,8 @@ def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, cha
         raise DimensionError("baseline shape does not match the input")
     path = x - baseline
     t = (np.arange(1, steps + 1) - 0.5) / steps
-    model = curvature_model(net, sample, baseline + t[:, None] * path, second_order=False)
-    delta = path * model.gradient
-    return SaliencyResult(
-        method="integrated-gradients",
-        delta=delta,
-        eta=sparsity_ratio(delta, channels),
-        p_max=float(model.probs.max()),
-    )
+    return _gradient_map("integrated-gradients", sample, net, channels,
+                           baseline + t[:, None] * path, path)
 
 
 @dataclass(frozen=True)
@@ -502,13 +529,11 @@ def lambda1_sweep(
     to the densest non-trivial candidate. method is a SPARSE_METHODS
     entry; its CurvatureModel is built once from model_kwargs (n, sigma,
     seed; unused ones are ignored) and every grid value and refinement is
-    solved against it. The grid values are the rows of one stacked solve
-    (of at most CHUNK_COLUMNS rows, so a long grid takes several), which
-    share the model's curvature: each FISTA step applies it with one
-    matrix product for the whole stack. Each refinement depends on the one
-    before, so it is a solve of its own. The results match separate calls
-    at each lam1 to rounding: bitwise for first-order methods, and to the
-    rounding of the stacked product for second-order ones.
+    solved against it. The grid values are the rows of one stacked exact
+    solve (of at most CHUNK_COLUMNS rows, so a long grid takes several)
+    that shares the model's arrays; each refinement is a solve of its own.
+    The results match separate calls at each lam1 to rounding (bitwise
+    for first-order methods).
     """
     if method not in SPARSE_METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
@@ -653,7 +678,7 @@ def run_requests(net, requests):
 
     Sparse requests are solved a chunk of whole samples at a time (see
     _chunks): one batched forward pass and two batched backprops (more on
-    sigmoid nets) build the chunk's models, one stacked FISTA run solves
+    sigmoid nets) build the chunk's models, one stacked exact solve solves
     them, and one batched forward pass gives their raw loss changes. Every
     sample's solve follows its own arithmetic, so chunking moves the
     results by rounding only.

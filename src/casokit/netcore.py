@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +136,11 @@ class Network:
     @property
     def num_classes(self):
         return self.spec.num_classes
+
+    @cached_property
+    def input_r(self):
+        """R of the reduced QR factorization W_0^T = Q R, computed once."""
+        return np.linalg.qr(self.weights[0].T, mode="r")
 
 
 def _class_index(y):
@@ -293,13 +299,9 @@ def _apply_activation(z, kind):
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
-        # split by sign to stay exp-overflow free on both tails
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # exp of -|z| stays overflow free on both tails
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return z
 
 

@@ -1,25 +1,26 @@
-"""Proximal solver for the sparse perturbation objective.
+"""Solvers for the sparse perturbation objective.
 
 The interpretation perturbation maximizes the strongly concave surrogate
 
     l~(D) = g^T D + 1/2 D^T H D - lam1 ||D||_1 - lam2 ||D||_2^2,
 
-which FISTA handles as the equivalent minimization of f + h with
-f(D) = -(g^T D + 1/2 D^T H D - lam2 ||D||^2) (smooth, convex whenever
-lam2 > lambda_max(H)/2) and h = lam1 ||.||_1 (proximable). The ridge
-weight follows the rule lam2 = L/2 + c1 with c1 = 10, which guarantees
-strong concavity with margin 2 c1.
+with lam2 = L/2 + c1 (c1 = 10) for a bound L on lambda_max(H), which
+guarantees strong concavity with margin 2 c1. Its maximizer is the fixed
+point D = soft(g + H D, lam1) / (2 lam2). exact_solve_batch finds it to
+rounding and certifies it by its KKT residual: in closed form for H = 0
+(CAFO), and for H = F C F^T of rank r by active_set_solve, semismooth
+Newton steps in z = F^T D (Li, Sun & Toh 2018). FISTA (fista_solve_batch)
+takes any hvp: it minimizes f + h with f(D) = -(g^T D + 1/2 D^T H D -
+lam2 ||D||^2), convex whenever lam2 > lambda_max(H)/2, and the proximable
+h = lam1 ||.||_1; exact_solve_batch falls back to it for a row whose
+active set does not settle. At lam1 = 0,
 
-At lam1 = 0 the maximizer is available in closed form,
-
-    D*_caso = (2 lam2 I - H)^{-1} g,        D*_cafo = g / (2 lam2),
-
-and the curvature-free special case never touches H at all.
+    D*_caso = (2 lam2 I - H)^{-1} g,        D*_cafo = g / (2 lam2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,6 +28,8 @@ import numpy as np
 from .errors import DimensionError
 
 DEFAULT_C1 = 10.0
+# Newton steps an active-set solve may take before its row falls back to FISTA
+ACTIVE_SET_MAX_STEPS = 50
 
 
 def select_lambda2(curvature_bound, c1=DEFAULT_C1):
@@ -42,12 +45,10 @@ def select_lambda2(curvature_bound, c1=DEFAULT_C1):
 class ObjectiveSpec:
     """One instance of the surrogate objective.
 
-    hvp applies H to a vector, and to each row of an (m, d) stack when
-    several rows of a fista_solve_batch stack share it (they then share
-    one product per application); None means H = 0 (the curvature-free
-    objective). curvature_bound is an upper bound on lambda_max(H) and the
-    construction enforces lam2 > curvature_bound/2, the strong concavity
-    condition.
+    hvp applies H to a vector, and to each row of an (m, d) stack (rows of
+    a fista_solve_batch stack that share it share its products); None
+    means H = 0. curvature_bound bounds lambda_max(H) from above, and the
+    construction enforces lam2 > curvature_bound/2 (strong concavity).
     """
 
     gradient: np.ndarray
@@ -142,20 +143,26 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solver output: the best iterate by true objective plus traces.
+    """Solver output: the maximizer found plus FISTA's traces.
 
-    objective_trace[k] is l~ at the k-th iterate, step_trace[k] the step
-    size that produced it, nnz_trace[k] its nonzero count.
-    backtrack_exhausted flags any iteration that ran out of halvings.
+    FISTA returns its best iterate by true objective: objective_trace[k]
+    is l~ at the k-th iterate, step_trace[k] the step size that produced
+    it, nnz_trace[k] its nonzero count; backtrack_exhausted flags any
+    iteration that ran out of halvings. solver is "fista", "active-set" or
+    "closed-form", steps counts active-set Newton steps, and kkt_residual
+    is ||D - soft(g + H D, lam1)/(2 lam2)||_inf / max|D| once certified.
     """
 
     delta: np.ndarray
     objective_value: float
     iterations_used: int
-    objective_trace: tuple[float, ...]
-    step_trace: tuple[float, ...]
-    nnz_trace: tuple[int, ...]
-    backtrack_exhausted: bool
+    objective_trace: tuple[float, ...] = ()
+    step_trace: tuple[float, ...] = ()
+    nnz_trace: tuple[int, ...] = ()
+    backtrack_exhausted: bool = False
+    solver: str = "fista"
+    steps: int = 0
+    kkt_residual: float | None = None
 
 
 def fista_solve(obj, config=None):
@@ -167,20 +174,12 @@ def fista_solve_batch(objs, config=None):
     """Maximize k surrogate objectives of one dimension with FISTA plus
     backtracking, as one stack of rows.
 
-    Zero initialization, Nesterov momentum, and a quadratic-majorization
-    backtracking test on the negated smooth part; each row's step size
-    only ever shrinks, and only rows that fail the test are stepped back.
-    Tracks and returns each row's iterate with the best true objective,
-    which keeps the result monotone in the iteration budget even though
-    raw FISTA iterates oscillate. Each row's H is applied once at the start
-    and then once per tested iterate and once per extrapolated point, so
-    1 + 2 * iterations + backtracks times in all. Rows whose hvp is the
-    same object share its products: each application calls that hvp once,
-    with the (m, d) stack of its selected rows, or with a vector when only
-    one of its rows is selected. Every row otherwise sees the same
-    arithmetic as a solve of its own, so the results depend on which
-    objectives share the stack only through the rounding of a shared
-    operator's stacked product.
+    Zero start, Nesterov momentum, and a quadratic-majorization
+    backtracking test on the negated smooth part; only rows that fail it
+    step back. Each row returns its iterate with the best true objective.
+    Each row's H is applied 1 + 2 * iterations + backtracks times; rows
+    whose hvp is the same object share one call per application, on the
+    stack of its selected rows (a vector for a lone row).
     """
     if config is None:
         config = SolverConfig()
@@ -301,6 +300,121 @@ def fista_solve_batch(objs, config=None):
         )
         for i in range(k)
     ]
+
+
+def _apply(A, X, rows, transpose=False):
+    """Each row of X times A^T (or A): A is one matrix for every row, a
+    stack indexed by rows, or None for I."""
+    if A is None:
+        return X
+    if A.ndim == 2:
+        return X @ A if transpose else X @ A.T
+    return ((np.swapaxes(A[rows], 1, 2) if transpose else A[rows]) @ X[..., None])[..., 0]
+
+
+def _solve(A, b):
+    return np.linalg.solve(A, b[..., None])[..., 0]
+
+
+def _rows_of(F, rows, mask):
+    """The rows of F (F[rows] for a stack) each mask row picks, zero-padded."""
+    count = mask.sum(axis=1)
+    idx = np.argsort(~mask, axis=1, kind="stable")[:, :count.max()]
+    picked = F[idx] if F.ndim == 2 else np.take_along_axis(F[rows], idx[..., None], axis=1)
+    return picked * (np.arange(idx.shape[1]) < count[:, None])[..., None], idx
+
+
+def _newton(way, F, C, inverse, two, rows, S, U, rhs):
+    """z of the rows' Newton step: r x r (way 0), D-space (1), Woodbury (2)."""
+    Cr = C if C is None or C.ndim == 2 else C[rows]
+    if way == 0:
+        Fr = F if F.ndim == 2 else F[rows]
+        gram = (np.swapaxes(Fr, -1, -2) * S[:, None, :]) @ Fr
+        gram = gram if C is None else gram @ Cr
+        return _solve(two[rows, None, None] * np.eye(F.shape[-1]) - gram, rhs)
+    if way == 1:
+        FS, idx = _rows_of(F, rows, S)
+        FSC = FS if C is None else FS @ Cr
+        A = two[rows, None, None] * np.eye(idx.shape[1]) - FSC @ np.swapaxes(FS, 1, 2)
+        DS = _solve(A, np.take_along_axis(U, idx, axis=1))
+        return (np.swapaxes(FS, 1, 2) @ DS[..., None])[..., 0]
+    Fc, idx = _rows_of(F, rows, ~S)
+    Vc = Fc if C is None else Fc @ Cr
+    y = _apply(inverse, rhs, rows)
+    P = (inverse if inverse.ndim == 2 else inverse[rows]) @ np.swapaxes(Fc, 1, 2)
+    w = _solve(np.eye(idx.shape[1]) + Vc @ P, (Vc @ y[..., None])[..., 0])
+    return y - (P @ w[..., None])[..., 0]
+
+
+def active_set_solve(G, lam1, lam2, F, C=None, inverse=None):
+    """Maximize k surrogates with H = F C F^T by semismooth Newton steps.
+
+    G is (k, d), lam1 and lam2 (k,); F is one (d, r) factor or a (k, d, r)
+    stack, C likewise or None for I, and inverse, if given, (2 lam2 I -
+    F^T F C)^{-1}. On the active set S = {|g + F C z| > lam1} with signs s
+    the fixed point is linear in z = F^T D: (2 lam2 I - F_S^T F_S C) z =
+    F_S^T (g_S - lam1 s). From the CAFO point's active set, each step solves
+    the smallest of this r x r system, (2 lam2 I - H_SS) D_S = g_S - lam1 s
+    and its |S^c|-sized Woodbury update, until S and s repeat. Returns
+    D = soft(g + F C z, lam1)/(2 lam2), the steps, and which rows settled.
+    """
+    k, d = G.shape
+    r = F.shape[-1]
+    t = lam1[:, None]
+    two = 2.0 * lam2
+    Q = G.copy()  # g + F C z
+    sign = np.sign(G) * (np.abs(G) > t)
+    steps = np.zeros(k, dtype=np.int64)
+    todo = np.arange(k)
+    for _ in range(ACTIVE_SET_MAX_STEPS):
+        if not todo.size:
+            break
+        steps[todo] += 1
+        S = sign[todo] != 0.0
+        U = np.where(S, G[todo], 0.0) - t[todo] * sign[todo]
+        rhs = _apply(F, U, todo, transpose=True)
+        a = S.sum(axis=1)  # sizes r, |S| and |S^c|; without inverse, never |S^c|
+        b = d - a if inverse is not None else np.full(todo.size, d + r)
+        kind = np.where(r <= np.minimum(a, b), 0, np.where(a <= b, 1, 2))
+        Z = np.empty((todo.size, r))
+        for way in np.unique(kind):
+            sel = np.flatnonzero(kind == way)
+            # a shared factor goes one row at a time: a stack would copy F per row
+            for part in sel[:, None] if F.ndim == 2 else [sel]:
+                Z[part] = _newton(way, F, C, inverse, two, todo[part], S[part], U[part], rhs[part])
+        Q[todo] = G[todo] + _apply(F, _apply(C, Z, todo), todo)
+        new = np.sign(Q[todo]) * (np.abs(Q[todo]) > t[todo])
+        moved = (new != sign[todo]).any(axis=1)
+        sign[todo] = new
+        todo = todo[moved]
+    settled = np.ones(k, dtype=bool)
+    settled[todo] = False
+    return prox_soft_threshold(Q, t) / (2.0 * lam2[:, None]), steps, settled
+
+
+def exact_solve_batch(objs, F=None, C=None, inverse=None, config=None):
+    """Maximize k surrogates of one dimension exactly, each certified: in
+    closed form when F is None (H = 0), else by active_set_solve with H =
+    F C F^T; a row that does not settle takes fista_solve_batch (config)."""
+    G = np.stack([o.gradient for o in objs])
+    lam1 = np.array([o.lam1 for o in objs])
+    lam2 = np.array([o.lam2 for o in objs])
+    name, steps, settled = "closed-form", np.zeros(len(objs), int), np.ones(len(objs), bool)
+    delta = prox_soft_threshold(G, lam1[:, None]) / (2.0 * lam2[:, None])
+    if F is not None:
+        name, (delta, steps, settled) = "active-set", active_set_solve(G, lam1, lam2, F, C, inverse)
+    results = [SolveResult(row, 0.0, 0, solver=name, steps=int(n)) for row, n in zip(delta, steps)]
+    slow = np.flatnonzero(~settled)
+    if slow.size:
+        for i, res in zip(slow, fista_solve_batch([objs[i] for i in slow], config)):
+            results[i] = replace(res, steps=int(steps[i]))
+    for i, (obj, res) in enumerate(zip(objs, results)):
+        hd = obj.apply_h(res.delta)  # fresh, for the value and the KKT residual
+        fixed = prox_soft_threshold(obj.gradient + hd, obj.lam1) / (2.0 * obj.lam2)
+        scale = max(float(np.abs(res.delta).max()), np.finfo(np.float64).tiny)
+        results[i] = replace(res, objective_value=obj.value(res.delta, hd),
+                             kkt_residual=float(np.abs(res.delta - fixed).max()) / scale)
+    return results
 
 
 def closed_form_cafo(g, lam2):

@@ -236,6 +236,56 @@ class TestInterpret:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_sample_is_usage_error(self, workspace, tmp_path, capsys):
+        # every sample index names its own sample<index>.* files, so a repeat
+        # would overwrite a map; it is refused before any work
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples": [1, 2, 1]}))
+        for argv in (["--samples", "3,0,3"], ["--config", str(config)]):
+            with pytest.raises(SystemExit) as exc:
+                run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
+                     "--method", "smooth-cafo", "--out", str(tmp_path / "out")] + argv)
+            assert exc.value.code == 2
+            repeated = 3 if "--samples" in argv else 1
+            assert f"sample index {repeated} is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # train's --hidden shares the list type and still takes repeats
+        assert run(["train", "--hidden", "4,4", "--epochs", "1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("method,solver", [
+        ("cafo", "closed-form"), ("caso", "active-set"), ("smooth-cafo", "closed-form"),
+        ("smooth-caso", "active-set"),
+    ])
+    def test_sparse_artifacts_certify_their_solve(self, workspace, tmp_path, method, solver,
+                                                  capsys):
+        assert run([
+            "interpret", "--model", workspace["model"], "--data", workspace["data"],
+            "--method", method, "--lambda1", "1e-3", "--samples", "0,4", "--smooth-n", "5",
+            "--out", str(tmp_path),
+        ]) == 0
+        for idx in (0, 4):
+            doc = read_json(tmp_path / f"sample{idx}.json")
+            assert doc["solver"] == solver and doc["iterations_used"] == 0
+            assert (doc["solver_steps"] == 0) == (solver == "closed-form")
+            assert 0.0 <= doc["kkt_residual"] <= 1e-12
+        assert run([
+            "sweep", "--model", workspace["model"], "--data", workspace["data"],
+            "--method", method, "--sample", "4", "--smooth-n", "5", "--out", str(tmp_path),
+        ]) == 0
+        doc = read_json(tmp_path / "sweep.json")
+        for c in doc["candidates"] + doc["refinements"] + [doc["selected"]]:
+            assert c["solver"] == solver and c["kkt_residual"] <= 1e-12
+        capsys.readouterr()
+
+    def test_baseline_artifacts_have_no_solver_fields(self, workspace, tmp_path, capsys):
+        assert run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
+                    "--method", "grad", "--out", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "sample0.json")
+        assert doc["iterations_used"] is None
+        assert not {"solver", "solver_steps", "kkt_residual"} & set(doc)
+        capsys.readouterr()
+
     def test_bad_geometry_is_runtime_error(self, workspace, tmp_path, capsys):
         for geometry, message in (
             (["--width", "5"], "does not cover"),

@@ -450,13 +450,13 @@ class TestSweepHoisting:
         kwargs = {"n": 3, "sigma": 0.2} if method == "smooth-caso" else {}
         whole = lambda1_sweep(s, relu_net, method, grid=grid, max_refinements=0, **kwargs)
         sizes = []
-        orig = interpret.fista_solve_batch
+        orig = interpret.exact_solve_batch
 
-        def counted(objs, config=None):
+        def counted(objs, *args, **kwargs):
             sizes.append(len(objs))
-            return orig(objs, config)
+            return orig(objs, *args, **kwargs)
 
-        monkeypatch.setattr(interpret, "fista_solve_batch", counted)
+        monkeypatch.setattr(interpret, "exact_solve_batch", counted)
         monkeypatch.setattr(interpret, "CHUNK_COLUMNS", 3)
         parts = lambda1_sweep(s, relu_net, method, grid=grid, max_refinements=0, **kwargs)
         assert sizes == [3, 3, 2]

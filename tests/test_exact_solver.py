@@ -1,0 +1,239 @@
+"""Exact sparse solves: CAFO in closed form, CASO by active-set Newton
+steps on H = F C F^T, and FISTA only as the guard behind them."""
+
+import json
+
+import numpy as np
+import pytest
+
+from casokit import (
+    Dataset,
+    LayerSpec,
+    MethodRequest,
+    NetworkSpec,
+    ObjectiveSpec,
+    Sample,
+    SolverConfig,
+    cli,
+    dataset_save_csv,
+    fista_solve_batch,
+    init_network,
+    lambda1_sweep,
+    model_save,
+    run_request,
+    run_requests,
+)
+from casokit import interpret, solver
+from casokit import netcore as nc
+
+SPARSE = ("cafo", "caso", "smooth-cafo", "smooth-caso")
+SMOOTH = {"n": 4, "sigma": 0.2}
+
+
+def net_of(kind):
+    acts = {"relu": ("relu", "relu"), "sigmoid": ("sigmoid", "sigmoid"),
+            "mixed": ("relu", "sigmoid")}[kind]
+    spec = NetworkSpec((LayerSpec(20, 12, acts[0]), LayerSpec(12, 6, acts[1]),
+                        LayerSpec(6, 4, "identity")))
+    return init_network(spec, seed=41)
+
+
+def samples(count, seed=42):
+    rng = np.random.default_rng(seed)
+    return [Sample(x=rng.standard_normal(20), y=int(rng.integers(4))) for _ in range(count)]
+
+
+def objective(net, method, result, sample, seed=0):
+    """The ObjectiveSpec a sparse result maximized, from a model of its own."""
+    model = interpret._sparse_model(method, sample, net, seed=seed, **SMOOTH)
+    return ObjectiveSpec(gradient=model.gradient, hvp=model.hvp, lam1=result.lam1,
+                         lam2=result.lam2, curvature_bound=model.curvature_bound)
+
+
+def check_exact(objs, results):
+    """Each result is certified, reports its objective's value, and matches
+    3000 FISTA iterations to 1e-10 of max|D| with the same zero pattern.
+    The objectives come from models built one sample at a time, which
+    match a chunk's to rounding."""
+    refs = fista_solve_batch(objs, SolverConfig(iterations=3000))
+    for obj, res, ref in zip(objs, results, refs):
+        assert res.solve.solver in ("active-set", "closed-form")
+        assert res.solve.iterations_used == 0
+        assert res.solve.kkt_residual <= 1e-12
+        assert res.loss_gain == pytest.approx(obj.value(res.delta), rel=1e-12, abs=1e-300)
+        scale = max(float(np.abs(res.delta).max()), np.finfo(float).tiny)
+        assert np.abs(res.delta - ref.delta).max() <= 1e-10 * scale
+        assert np.array_equal(res.delta == 0.0, ref.delta == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "mixed"])
+@pytest.mark.parametrize("method", SPARSE)
+def test_requests_and_sweeps_are_exact(kind, method):
+    net = net_of(kind)
+    rows = samples(3)
+    for lam1 in (1e-3, 3e-2):
+        requests = [MethodRequest(method, s, lam1=lam1, smooth_n=SMOOTH["n"],
+                                  smooth_sigma=SMOOTH["sigma"], seed=7 + i)
+                    for i, s in enumerate(rows)]
+        results = run_requests(net, requests)
+        check_exact([objective(net, method, r, s, 7 + i)
+                     for i, (r, s) in enumerate(zip(results, rows))], results)
+    out = lambda1_sweep(rows[0], net, method, grid=(0.0, 1e-4, 3e-3, 3e-2, 0.3),
+                        max_refinements=1, seed=3, **SMOOTH)
+    check_exact([objective(net, method, r, rows[0], 3) for r in out.all_results],
+                out.all_results)
+    steps = {r.solve.steps for r in out.all_results}
+    if method.endswith("cafo"):
+        assert steps == {0}
+    else:
+        assert 0 not in steps
+
+
+@pytest.mark.parametrize("kind", ["relu", "sigmoid"])
+@pytest.mark.parametrize("method", SPARSE)
+def test_loss_gain_is_the_objective_at_the_map(kind, method):
+    # a one-sample request builds exactly the model _sparse_model builds
+    net = net_of(kind)
+    for i, s in enumerate(samples(2)):
+        res = run_request(net, MethodRequest(method, s, lam1=2e-3, smooth_n=SMOOTH["n"],
+                                             smooth_sigma=SMOOTH["sigma"], seed=i))
+        assert res.loss_gain == objective(net, method, res, s, i).value(res.delta)
+
+
+def test_chunk_rows_settling_at_different_steps_match_single_solves():
+    net = net_of("relu")
+    rows = samples(8, seed=43)
+    requests = [MethodRequest("caso", s, lam1=3e-3) for s in rows]
+    chunk = run_requests(net, requests)
+    assert len(list(interpret._chunks(net, requests))) == 1
+    assert len({r.solve.steps for r in chunk}) > 1
+    for q, r in zip(requests, chunk):
+        alone = run_request(net, q)
+        assert r.solve.steps == alone.solve.steps
+        assert np.array_equal(r.delta == 0.0, alone.delta == 0.0)
+        scale = float(np.abs(alone.delta).max())
+        assert np.abs(r.delta - alone.delta).max() <= 1e-12 * scale
+
+
+def test_step_cap_falls_back_to_fista(monkeypatch, tmp_path, capsys):
+    net = net_of("relu")
+    config = SolverConfig(iterations=7)
+    rows = samples(3)
+    requests = [MethodRequest("caso", s, lam1=1e-3, solver=config) for s in rows]
+    monkeypatch.setattr(solver, "ACTIVE_SET_MAX_STEPS", 0)
+    chunk = run_requests(net, requests)
+    for q, s, res in zip(requests, rows, chunk):
+        alone = run_request(net, q)  # the same model as objective() builds
+        ref = solver.fista_solve(objective(net, "caso", alone, s), config)
+        assert np.array_equal(alone.delta, ref.delta)
+        assert (res.solve.solver, res.solve.steps) == ("fista", 0)
+        assert res.solve.iterations_used == 7
+        assert res.solve.kkt_residual > 1e-12  # seven FISTA steps are not exact
+        scale = float(np.abs(ref.delta).max())
+        assert np.abs(res.delta - ref.delta).max() <= 1e-12 * scale
+    cafo = run_request(net, MethodRequest("cafo", rows[0], lam1=1e-3))
+    assert cafo.solve.solver == "closed-form"
+
+    model, data = tmp_path / "net.json", tmp_path / "data.csv"
+    model_save(net, str(model))
+    dataset_save_csv(Dataset(np.stack([s.x for s in rows]), [s.y for s in rows]), str(data))
+    argv = ["interpret", "--model", str(model), "--data", str(data), "--method", "caso",
+            "--samples", "0,1", "--width", "20", "--height", "1", "--lambda1", "1e-3",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    doc = json.loads((tmp_path / "out" / "sample1.json").read_text())
+    assert (doc["solver"], doc["solver_steps"], doc["iterations_used"]) == ("fista", 0, 10)
+    capsys.readouterr()
+
+
+def test_every_system_reaches_the_maximizer(monkeypatch):
+    # the r x r, D-space and Woodbury systems, for shared and per-row
+    # factors, with C = I and with an indefinite C
+    kinds = []
+    newton = solver._newton
+
+    def recorded(way, *args):
+        kinds.append(int(way))
+        return newton(way, *args)
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    rng = np.random.default_rng(44)
+    d, r, k = 30, 6, 5
+    for shared in (True, False):
+        for signed in (False, True):
+            F = rng.standard_normal((d, r) if shared else (k, d, r)) / 3.0
+            C = None
+            if signed:
+                M = rng.standard_normal((k, r, r)) / 2.0
+                C = M + np.swapaxes(M, 1, 2)
+                C = C[0] if shared else C
+            Fs = [F if shared else F[i] for i in range(k)]
+            Cs = [np.eye(r) if C is None else (C if shared else C[i]) for i in range(k)]
+            Hs = [f @ c @ f.T for f, c in zip(Fs, Cs)]
+            top = max(max(float(np.linalg.eigvalsh(H)[-1]), 0.0) for H in Hs)
+            G = rng.standard_normal((k, d))
+            lam1 = np.array([0.0, 1e-2, 0.3, 1.0, 2.5])
+            lam2 = np.full(k, top / 2.0 + 1.0)
+            for with_inverse in (False, True):
+                inverse = None
+                if with_inverse:
+                    inv = [np.linalg.inv(2.0 * lam2[0] * np.eye(r) - f.T @ f @ c)
+                           for f, c in zip(Fs, Cs)]
+                    inverse = inv[0] if shared else np.stack(inv)
+                D, steps, settled = solver.active_set_solve(G, lam1, lam2, F, C, inverse)
+                assert settled.all() and steps.max() <= 5
+                for i in range(k):
+                    # the optimality condition on the dense H, which a strongly
+                    # concave objective's maximizer alone satisfies
+                    q = G[i] + Hs[i] @ D[i]
+                    fixed = solver.prox_soft_threshold(q, lam1[i]) / (2.0 * lam2[i])
+                    scale = max(float(np.abs(D[i]).max()), np.finfo(float).tiny)
+                    assert np.abs(D[i] - fixed).max() <= 1e-12 * scale
+    assert set(kinds) == {0, 1, 2}
+
+
+def test_exact_solve_batch_certifies_closed_form_cafo():
+    rng = np.random.default_rng(45)
+    objs = [ObjectiveSpec(gradient=rng.standard_normal(9), hvp=None, lam1=lam1, lam2=10.0)
+            for lam1 in (0.0, 0.5, 5.0)]
+    results = solver.exact_solve_batch(objs)
+    for obj, res in zip(objs, results):
+        assert (res.solver, res.steps, res.kkt_residual) == ("closed-form", 0, 0.0)
+        expected = solver.prox_soft_threshold(obj.gradient, obj.lam1) / 20.0
+        assert np.array_equal(res.delta, expected)
+        assert res.objective_value == obj.value(res.delta)
+    assert not results[2].delta.any()  # lam1 above |g|_inf
+
+
+def test_sigmoid_matches_the_sign_split_formula_bitwise():
+    def split(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(46)
+    cases = [np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0])]
+    cases += [scale * rng.standard_normal(shape) for scale in (1e-3, 1.0, 30.0, 800.0)
+              for shape in ((1, 7), (3, 5), (13,), (2, 3, 4))]
+    for z in cases:
+        got = nc._apply_activation(z, "sigmoid")
+        assert got.tobytes() == split(z).tobytes()
+
+
+def test_sigmoid_qr_runs_once_per_network(monkeypatch):
+    net = net_of("sigmoid")  # a fresh network: no cached R yet
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    requests = [MethodRequest("caso", s, lam1=1e-3) for s in samples(12)]
+    assert len(list(interpret._chunks(net, requests))) > 1
+    run_requests(net, requests)
+    assert len(calls) == 1
