@@ -550,8 +550,8 @@ def build_parser():
     sp.add_argument("--samples", type=int_list, default=(0,),
                     help="comma list of sample indices")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted and ignored: samples are solved in stacked "
-                         "batches in one thread")
+                    help="accepted and ignored: samples are processed in batched "
+                         "chunks in one thread")
     sp.set_defaults(func=cmd_interpret)
     parsers.append(sp)
 

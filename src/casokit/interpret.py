@@ -6,9 +6,9 @@ strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
 solving. All four sparse methods first build one CurvatureModel per
 sample (gradient and, for CASO, the exact curvature and its exact top
-eigenvalue) and then solve against it; run_requests builds and
-solves the models of a chunk of samples together, and a lam1 sweep
-solves its whole grid as one stack against one model. The gradient
+eigenvalue) and then solve against it; run_requests builds the models
+of a chunk of samples together, and a lam1 sweep solves its whole grid
+against one model, one map at a time. The gradient
 baselines (vanilla gradient, SmoothGrad, integrated gradients) are
 included for comparison; note the deliberate asymmetry that integrated
 gradients accumulates the loss gradient while the vanilla gradient
@@ -34,7 +34,7 @@ from .solver import (
     ObjectiveSpec,
     SolveResult,
     SolverConfig,
-    exact_solve_batch,
+    exact_solve,
     select_lambda2,
 )
 
@@ -48,10 +48,10 @@ DEFAULT_IG_STEPS = 50
 # is ten cafo or relu caso samples, two smooth-cafo samples at n = 50, and
 # one smooth-caso sample at n = 50 (500 columns) or any caso sample on a
 # 784-256-128-10 sigmoid net (394). It keeps a chunk's working set (each
-# sample's factor and solver rows) to one or two megabytes, so the CLI's
+# sample's factor and passes) to one or two megabytes, so the CLI's
 # peak memory barely grows; stacking all 64 samples of a CASO run
-# would add megabytes for little further speed. A lam1 sweep stacks at
-# most this many grid values per solve, for the same reason.
+# would add megabytes for little further speed. A lam1 sweep takes at
+# most this many grid values per batched forward pass, for the same reason.
 CHUNK_COLUMNS = 100
 
 METHODS = (
@@ -258,13 +258,6 @@ def curvature_models(net, samples, points=None, second_order=True):
     return [signed_model(i) for i in range(k)]
 
 
-def curvature_model(net, sample, points=None, second_order=True):
-    """The CurvatureModel of one sample, expanded at the (n, d) points or,
-    for points=None, at the sample itself: curvature_models of one sample."""
-    points = None if points is None else [points]
-    return curvature_models(net, [sample], points, second_order)[0]
-
-
 def _noise_inputs(x, n, sigma, rng):
     """n noisy copies of x with noise scale sigma * (max(x) - min(x))."""
     span = float(x.max() - x.min())
@@ -301,36 +294,44 @@ def _sparse_model(method, sample, net, seed=0, **model_kwargs):
     return _sparse_models(method, [sample], net, [seed], **model_kwargs)[0]
 
 
-def _exact_solves(net, models, objs, solver_config):
-    """exact_solve_batch with H = F C F^T (F = B, C = I on relu and identity
-    nets, else F = W_0^T, C = M, F^T F = R^T R) and the Woodbury base
-    (2 lam2 I - F^T F C)^{-1}, one inv per model (none for F wider than d)."""
-    first = models[0]
-    if first.hvp is None:
-        return exact_solve_batch(objs, config=solver_config)
-    shared = all(m is first for m in models)
-    stack = (lambda arrays: arrays[0]) if shared else np.stack
-    if first.middle is None:
-        F, C = stack([m.factor for m in models]), None
-        base = np.swapaxes(F, -1, -2) @ F if F.shape[-1] <= F.shape[-2] else None
+def _system(net, model, lam2):
+    """(F, C, inverse) of a model for exact_solve: H = F C F^T with F = B,
+    C = None (I) on relu and identity nets, else F = W_0^T, C = M (F^T F =
+    R^T R), and the Woodbury base inverse = (2 lam2 I - F^T F C)^{-1}, one
+    inv (None for F wider than d); all None for a first-order model."""
+    if model.hvp is None:
+        return None, None, None
+    if model.middle is None:
+        F, C = model.factor, None
+        base = F.T @ F if F.shape[1] <= F.shape[0] else None
     else:
-        F, C = net.weights[0].T, stack([m.middle for m in models])
+        F, C = net.weights[0].T, model.middle
         base = (net.input_r.T @ net.input_r) @ C
     if base is not None:  # in place: base is 2 lam2 I - F^T F C, then inverted
         base *= -1.0
-        r = base.shape[-1]
-        base[..., range(r), range(r)] += 2.0 * np.array(objs[0].lam2 if shared else
-                                                         [[o.lam2] for o in objs])
+        base[np.diag_indices_from(base)] += 2.0 * lam2
         base = np.linalg.inv(base)
-    return exact_solve_batch(objs, F, C, base, solver_config)
+    return F, C, base
+
+
+def _exact_solves(net, models, objs, solver_config):
+    """exact_solve of each row, with the _system of each distinct model
+    built once: the rows of a sweep share one."""
+    systems = {}
+    solves = []
+    for model, obj in zip(models, objs):
+        if id(model) not in systems:
+            systems[id(model)] = _system(net, model, obj.lam2)
+        solves.append(exact_solve(obj, *systems[id(model)], solver_config))
+    return solves
 
 
 def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1,
                   solver_config=None):
-    """Maximize the surrogates of a stack of CurvatureModels, one lam1 per
-    row, as one stacked exact solve (see _exact_solves), each with
-    lam2 = L/2 + c1 for its curvature bound L. Rows may repeat a sample
-    and its model; they then share its curvature arrays."""
+    """Maximize the surrogates of a list of CurvatureModels, one lam1 per
+    row, each exactly (see _exact_solves) with lam2 = L/2 + c1 for its
+    curvature bound L. Rows may repeat a sample and its model; they then
+    share its curvature arrays."""
     objs = [
         ObjectiveSpec(
             gradient=model.gradient, hvp=model.hvp, lam1=lam1,
@@ -529,11 +530,10 @@ def lambda1_sweep(
     to the densest non-trivial candidate. method is a SPARSE_METHODS
     entry; its CurvatureModel is built once from model_kwargs (n, sigma,
     seed; unused ones are ignored) and every grid value and refinement is
-    solved against it. The grid values are the rows of one stacked exact
-    solve (of at most CHUNK_COLUMNS rows, so a long grid takes several)
-    that shares the model's arrays; each refinement is a solve of its own.
-    The results match separate calls at each lam1 to rounding (bitwise
-    for first-order methods).
+    solved against it, sharing the model's arrays and Woodbury base. The
+    grid values take one batched forward pass per CHUNK_COLUMNS of them;
+    each refinement is a solve of its own. The results match separate
+    calls at each lam1 to rounding (bitwise for first-order methods).
     """
     if method not in SPARSE_METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
@@ -678,10 +678,9 @@ def run_requests(net, requests):
 
     Sparse requests are solved a chunk of whole samples at a time (see
     _chunks): one batched forward pass and two batched backprops (more on
-    sigmoid nets) build the chunk's models, one stacked exact solve solves
-    them, and one batched forward pass gives their raw loss changes. Every
-    sample's solve follows its own arithmetic, so chunking moves the
-    results by rounding only.
+    sigmoid nets) build the chunk's models, each sample is solved on its
+    own, and one batched forward pass gives their raw loss changes.
+    Chunking moves the results by rounding only.
     """
     results = []
     for chunk in _chunks(net, requests):

@@ -26,7 +26,7 @@ from casokit import (
     cafo,
     caso,
     confidence_gap_study,
-    curvature_model,
+    curvature_models,
     dataset_save_csv,
     fista_solve,
     forward,
@@ -209,7 +209,7 @@ class TestDenseEquivalence:
             x = nc.sample_kink_safe(relu_net, rng)
             s = Sample(x=x, y=2)
             points = noisy_points(x, n, int(rng.integers(1 << 30)))
-            model = curvature_model(relu_net, s, points)
+            model = curvature_models(relu_net, [s], [points])[0]
             H = dense_mean_hessian(relu_net, points)
             scale = float(np.abs(H).max())
             B = model.factor
@@ -229,7 +229,7 @@ class TestDenseEquivalence:
         rng = np.random.default_rng(4)
         x = nc.sample_kink_safe(relu_net, rng)
         s = Sample(x=x, y=0)
-        model = curvature_model(relu_net, s)
+        model = curvature_models(relu_net, [s])[0]
         H = dense_mean_hessian(relu_net, [x])
         assert np.allclose(model.factor @ model.factor.T, H, rtol=1e-10,
                            atol=1e-12 * float(np.abs(H).max()))
@@ -243,7 +243,7 @@ class TestDenseEquivalence:
         x = rng.standard_normal(6)
         s = Sample(x=x, y=1)
         points = noisy_points(x, 3, 7)
-        model = curvature_model(sigmoid_net, s, points)
+        model = curvature_models(sigmoid_net, [s], [points])[0]
         assert model.factor is None
         g = np.mean([input_gradient(sigmoid_net, z, 1) for z in points], axis=0)
         assert np.allclose(model.gradient, g, rtol=1e-10, atol=1e-14)
@@ -295,7 +295,7 @@ class TestExactLambda2:
         top = float(np.linalg.eigvalsh(fd_loss_hessian(net, s.x, s.y))[-1])
         res = caso(s, net, 1e-3)
         assert 2.0 * res.lam2 - top >= 2.0 * DEFAULT_C1 - 1e-6 * top
-        model = curvature_model(net, s)
+        model = curvature_models(net, [s])[0]
         assert model.curvature_bound == pytest.approx(top, rel=1e-6)
         for v in np.random.default_rng(36).standard_normal((2, net.input_dim)):
             hv = model.hvp(v)
@@ -315,7 +315,7 @@ class TestClosedFormCurvature:
         rng = np.random.default_rng(31)
         x = rng.standard_normal(net.input_dim)
         points = noisy_points(x, 3, 32)
-        model = curvature_model(net, Sample(x=x, y=1), points)
+        model = curvature_models(net, [Sample(x=x, y=1)], [points])[0]
         H = np.mean([fd_loss_hessian(net, z, 1) for z in points], axis=0)
         for v in rng.standard_normal((3, net.input_dim)):
             hv = model.hvp(v)
@@ -335,7 +335,7 @@ class TestClosedFormCurvature:
         for net in (net, mixed_net(tmp_path)):
             x = rng.standard_normal(net.input_dim)
             points = noisy_points(x, n, int(rng.integers(1 << 30)))
-            model = curvature_model(net, Sample(x=x, y=2), points)
+            model = curvature_models(net, [Sample(x=x, y=2)], [points])[0]
             H = np.mean([bishop_hessian(net, z, 2) for z in points], axis=0)
             top = float(np.linalg.eigvalsh(H)[-1])
             assert abs(model.curvature_bound - max(top, 0.0)) <= 1e-10 * abs(top)
@@ -449,14 +449,16 @@ class TestSweepHoisting:
         grid = tuple(np.linspace(0.0, 0.05, 8))
         kwargs = {"n": 3, "sigma": 0.2} if method == "smooth-caso" else {}
         whole = lambda1_sweep(s, relu_net, method, grid=grid, max_refinements=0, **kwargs)
+        # each map is solved on its own; the bound is on the batched forward
+        # pass at the perturbed inputs
         sizes = []
-        orig = interpret.exact_solve_batch
+        orig = interpret._finish
 
-        def counted(objs, *args, **kwargs):
-            sizes.append(len(objs))
-            return orig(objs, *args, **kwargs)
+        def counted(method, net, samples, *args):
+            sizes.append(len(samples))
+            return orig(method, net, samples, *args)
 
-        monkeypatch.setattr(interpret, "exact_solve_batch", counted)
+        monkeypatch.setattr(interpret, "_finish", counted)
         monkeypatch.setattr(interpret, "CHUNK_COLUMNS", 3)
         parts = lambda1_sweep(s, relu_net, method, grid=grid, max_refinements=0, **kwargs)
         assert sizes == [3, 3, 2]

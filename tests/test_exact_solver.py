@@ -16,7 +16,7 @@ from casokit import (
     SolverConfig,
     cli,
     dataset_save_csv,
-    fista_solve_batch,
+    fista_solve,
     init_network,
     lambda1_sweep,
     model_save,
@@ -55,8 +55,8 @@ def check_exact(objs, results):
     3000 FISTA iterations to 1e-10 of max|D| with the same zero pattern.
     The objectives come from models built one sample at a time, which
     match a chunk's to rounding."""
-    refs = fista_solve_batch(objs, SolverConfig(iterations=3000))
-    for obj, res, ref in zip(objs, results, refs):
+    for obj, res in zip(objs, results):
+        ref = fista_solve(obj, SolverConfig(iterations=3000))
         assert res.solve.solver in ("active-set", "closed-form")
         assert res.solve.iterations_used == 0
         assert res.solve.kkt_residual <= 1e-12
@@ -146,63 +146,123 @@ def test_step_cap_falls_back_to_fista(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def assert_maximizer(D, g, H, lam1, lam2):
+    """The optimality condition on the dense H, which a strongly concave
+    objective's maximizer alone satisfies."""
+    fixed = solver.prox_soft_threshold(g + H @ D, lam1) / (2.0 * lam2)
+    scale = max(float(np.abs(D).max()), np.finfo(float).tiny)
+    assert np.abs(D - fixed).max() <= 1e-12 * scale
+
+
 def test_every_system_reaches_the_maximizer(monkeypatch):
-    # the r x r, D-space and Woodbury systems, for shared and per-row
-    # factors, with C = I and with an indefinite C
+    # the r x r, D-space and Woodbury systems, with C = I and with an
+    # indefinite C, with and without the Woodbury base
     kinds = []
     newton = solver._newton
 
-    def recorded(way, *args):
-        kinds.append(int(way))
-        return newton(way, *args)
+    def recorded(way, F, C, inverse, *args):
+        kinds.append((way, C is None, inverse is None))
+        return newton(way, F, C, inverse, *args)
 
     monkeypatch.setattr(solver, "_newton", recorded)
     rng = np.random.default_rng(44)
-    d, r, k = 30, 6, 5
-    for shared in (True, False):
-        for signed in (False, True):
-            F = rng.standard_normal((d, r) if shared else (k, d, r)) / 3.0
-            C = None
-            if signed:
-                M = rng.standard_normal((k, r, r)) / 2.0
-                C = M + np.swapaxes(M, 1, 2)
-                C = C[0] if shared else C
-            Fs = [F if shared else F[i] for i in range(k)]
-            Cs = [np.eye(r) if C is None else (C if shared else C[i]) for i in range(k)]
-            Hs = [f @ c @ f.T for f, c in zip(Fs, Cs)]
-            top = max(max(float(np.linalg.eigvalsh(H)[-1]), 0.0) for H in Hs)
-            G = rng.standard_normal((k, d))
-            lam1 = np.array([0.0, 1e-2, 0.3, 1.0, 2.5])
-            lam2 = np.full(k, top / 2.0 + 1.0)
-            for with_inverse in (False, True):
-                inverse = None
-                if with_inverse:
-                    inv = [np.linalg.inv(2.0 * lam2[0] * np.eye(r) - f.T @ f @ c)
-                           for f, c in zip(Fs, Cs)]
-                    inverse = inv[0] if shared else np.stack(inv)
-                D, steps, settled = solver.active_set_solve(G, lam1, lam2, F, C, inverse)
-                assert settled.all() and steps.max() <= 5
-                for i in range(k):
-                    # the optimality condition on the dense H, which a strongly
-                    # concave objective's maximizer alone satisfies
-                    q = G[i] + Hs[i] @ D[i]
-                    fixed = solver.prox_soft_threshold(q, lam1[i]) / (2.0 * lam2[i])
-                    scale = max(float(np.abs(D[i]).max()), np.finfo(float).tiny)
-                    assert np.abs(D[i] - fixed).max() <= 1e-12 * scale
-    assert set(kinds) == {0, 1, 2}
+    d, r = 30, 6
+    for signed in (False, True):
+        F = rng.standard_normal((d, r)) / 3.0
+        C = None
+        if signed:
+            M = rng.standard_normal((r, r)) / 2.0
+            C = M + M.T
+        H = F @ (np.eye(r) if C is None else C) @ F.T
+        lam2 = max(float(np.linalg.eigvalsh(H)[-1]), 0.0) / 2.0 + 1.0
+        inverse = np.linalg.inv(2.0 * lam2 * np.eye(r) - F.T @ F @ (np.eye(r) if C is None else C))
+        for lam1 in (0.0, 1e-2, 0.3, 1.0, 2.5):
+            g = rng.standard_normal(d)
+            for inv in (None, inverse):
+                D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inv)
+                assert settled and 1 <= steps <= 5
+                assert_maximizer(D, g, H, lam1, lam2)
+    # the Woodbury system needs the base; the other two run with and without it
+    assert set(kinds) == {(way, identity, no_base) for way in (0, 1, 2)
+                          for identity in (True, False) for no_base in (True, False)
+                          if way < 2 or not no_base}
 
 
-def test_exact_solve_batch_certifies_closed_form_cafo():
+def test_empty_active_set_and_empty_woodbury_system(monkeypatch):
+    kinds = []
+    newton = solver._newton
+
+    def recorded(way, F, C, inverse, two, S, u):
+        kinds.append((way, int(S.sum())))
+        return newton(way, F, C, inverse, two, S, u)
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    rng = np.random.default_rng(47)
+    d, r = 12, 4
+    F = rng.standard_normal((d, r))
+    H = F @ F.T
+    lam2 = float(np.linalg.eigvalsh(H)[-1]) / 2.0 + 1.0
+    inverse = np.linalg.inv(2.0 * lam2 * np.eye(r) - F.T @ F)
+    g = rng.standard_normal(d)
+    assert np.all(g != 0.0)
+    # lam1 above |g|_inf: S is empty, a 0 x 0 D-space system, and D = 0
+    D, steps, settled = solver.active_set_solve(g, 1.01 * np.abs(g).max(), lam2, F,
+                                                inverse=inverse)
+    assert (steps, settled) == (1, True) and not D.any()
+    assert kinds == [(1, 0)]
+    # lam1 = 0 and no zero in g: S^c is empty, a 0 x 0 Woodbury system
+    D, steps, settled = solver.active_set_solve(g, 0.0, lam2, F, inverse=inverse)
+    assert settled
+    assert kinds[1] == (2, d)
+    assert_maximizer(D, g, H, 0.0, lam2)
+
+
+def test_a_cycling_row_falls_back_to_fista():
+    # plain semismooth Newton alternates between two active sets here
+    rng = np.random.default_rng(49)
+    F = rng.standard_normal((38, 20)) * rng.uniform(0.5, 3.0)
+    top = float(np.linalg.eigvalsh(F.T @ F)[-1])
+    obj = ObjectiveSpec(gradient=rng.standard_normal(38), hvp=lambda v: F @ (F.T @ v),
+                        lam1=0.1, lam2=top / 2.0 + 10.0, curvature_bound=top)
+    config = SolverConfig(iterations=25)
+    res = solver.exact_solve(obj, F, config=config)
+    assert (res.solver, res.steps) == ("fista", solver.ACTIVE_SET_MAX_STEPS)
+    assert np.array_equal(res.delta, fista_solve(obj, config).delta)
+    assert res.kkt_residual > 1e-12
+
+
+def test_exact_solve_certifies_closed_form_cafo():
     rng = np.random.default_rng(45)
     objs = [ObjectiveSpec(gradient=rng.standard_normal(9), hvp=None, lam1=lam1, lam2=10.0)
             for lam1 in (0.0, 0.5, 5.0)]
-    results = solver.exact_solve_batch(objs)
+    results = [solver.exact_solve(obj) for obj in objs]
     for obj, res in zip(objs, results):
         assert (res.solver, res.steps, res.kkt_residual) == ("closed-form", 0, 0.0)
         expected = solver.prox_soft_threshold(obj.gradient, obj.lam1) / 20.0
         assert np.array_equal(res.delta, expected)
         assert res.objective_value == obj.value(res.delta)
     assert not results[2].delta.any()  # lam1 above |g|_inf
+
+
+def test_one_woodbury_base_per_model_and_solve_call(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    net = net_of("relu")
+    rows = samples(5)
+    lambda1_sweep(rows[0], net, "smooth-caso", grid=tuple(np.linspace(0.0, 0.05, 8)),
+                  max_refinements=0, **SMOOTH)
+    assert len(calls) == 1
+    calls.clear()
+    requests = [MethodRequest("caso", s, lam1=1e-3) for s in rows]
+    assert len(list(interpret._chunks(net, requests))) == 1
+    run_requests(net, requests)
+    assert len(calls) == len(rows)
 
 
 def test_sigmoid_matches_the_sign_split_formula_bitwise():
