@@ -32,6 +32,7 @@ from .interpret import (
     DEFAULT_SMOOTH_N,
     DEFAULT_SMOOTH_SIGMA,
     METHODS,
+    NOISE_METHODS,
     SPARSE_METHODS,
     MethodRequest,
     lambda1_sweep,
@@ -276,7 +277,12 @@ def cmd_interpret(args):
             raise ValueError(f"sample index {i} outside the dataset of {dataset.n}")
     w, h = _geometry(args, dataset.dim)
     solver = _solver_config(args)
-    children = np.random.SeedSequence(args.seed).spawn(len(indices))
+    # only noise draws read a seed; the others skip importing numpy.random
+    if args.method in NOISE_METHODS:
+        seeds = [int(child.generate_state(1, dtype=np.uint64)[0])
+                 for child in np.random.SeedSequence(args.seed).spawn(len(indices))]
+    else:
+        seeds = [0] * len(indices)
     requests = [
         MethodRequest(
             method=args.method,
@@ -286,11 +292,11 @@ def cmd_interpret(args):
             smooth_n=args.smooth_n,
             smooth_sigma=args.smooth_sigma,
             ig_steps=args.ig_steps,
-            seed=int(child.generate_state(1, dtype=np.uint64)[0]),
+            seed=seed,
             channels=args.channels,
             solver=solver,
         )
-        for i, child in zip(indices, children)
+        for i, seed in zip(indices, seeds)
     ]
     results = run_requests(net, requests)
 

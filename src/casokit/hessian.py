@@ -75,17 +75,26 @@ def softmax_factor(p):
     return L
 
 
-def factor_spectrum(B, vectors=False):
+def factor_gram(B):
+    """The smaller Gram matrix of a factor (d, r) or stack (k, d, r): the
+    r x r matrix B^T B when r <= d, else the d x d matrix B B^T."""
+    Bt = np.swapaxes(B, -1, -2)
+    return Bt @ B if B.shape[-1] <= B.shape[-2] else B @ Bt
+
+
+def factor_spectrum(B, vectors=False, gram=None):
     """Eigenvalues of H = B B^T read off the smaller Gram matrix of B.
 
     B is one factor (d, r) or a stack (k, d, r). The r x r matrix B^T B
     (when r <= d) and the d x d matrix B B^T share their nonzero
-    eigenvalues, so only the smaller is decomposed. The eigenvalues come
-    back ascending and clamped at 0. vectors=True also returns the Gram
-    matrix's orthonormal eigenvectors, which are H's own when r > d.
+    eigenvalues, so only the smaller is decomposed; gram, when given, is
+    that factor_gram(B) already formed, and is left unchanged. The
+    eigenvalues come back ascending and clamped at 0. vectors=True also
+    returns the Gram matrix's orthonormal eigenvectors, which are H's own
+    when r > d.
     """
-    Bt = np.swapaxes(B, -1, -2)
-    gram = Bt @ B if B.shape[-1] <= B.shape[-2] else B @ Bt
+    if gram is None:
+        gram = factor_gram(B)
     if not vectors:
         return np.maximum(np.linalg.eigvalsh(gram), 0.0)
     w, V = np.linalg.eigh(gram)

@@ -21,13 +21,13 @@ zeros so this is well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError
-from .hessian import factor_spectrum, softmax_factor
+from .hessian import factor_gram, factor_spectrum, softmax_factor
 from .netcore import Sample, backprop_batch, forward_batch
 from .solver import (
     DEFAULT_C1,
@@ -63,6 +63,10 @@ METHODS = (
     "smooth-cafo",
     "smooth-caso",
 )
+
+# the methods that draw seeded input noise; every other method ignores
+# its seed
+NOISE_METHODS = ("smoothgrad", "smooth-cafo", "smooth-caso")
 
 # sparse method -> (smoothed, second_order). CAFO is CASO with H = 0, and
 # the smooth variants expand at n noisy copies of the sample instead of it
@@ -147,9 +151,10 @@ class CurvatureModel:
     (m, d) stack of rows in one matrix product; curvature_bound is its
     exact lambda_max, clamped at 0. A first-order model has hvp None and
     curvature_bound 0 (H = 0). On nets of relu and identity layers factor
-    is the stacked (d, r) matrix B with mean_i H_i = B B^T. Sigmoid
-    layers add terms of either sign, so there factor is None and
-    H = W_0^T M W_0 with middle M (see curvature_models).
+    is the stacked (d, r) matrix B with mean_i H_i = B B^T, and, for
+    r <= d, gram is B^T B as the spectrum step formed it, held for
+    take_gram. Sigmoid layers add terms of either sign, so there factor is
+    None and H = W_0^T M W_0 with middle M (see curvature_models).
     """
 
     probs: np.ndarray
@@ -159,6 +164,14 @@ class CurvatureModel:
     curvature_bound: float
     factor: np.ndarray | None = None
     middle: np.ndarray | None = None
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def take_gram(self):
+        """gram, handed over once for the caller to overwrite: the model
+        drops it, so later calls return None and it is held nowhere else."""
+        gram = self.gram
+        object.__setattr__(self, "gram", None)
+        return gram
 
 
 def _factor_width(net):
@@ -185,7 +198,8 @@ def curvature_models(net, samples, points=None, second_order=True):
     Without sigmoid layers one more backprop, seeded with every L_i,
     yields each sample's B = [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with
     mean_i H_i = B B^T, and lambda_max comes from the smaller Gram matrix
-    of B by one batched factor_spectrum for the chunk. Sigmoid
+    of B by one batched factor_spectrum for the chunk; each model keeps
+    its B^T B for the Woodbury base (see _system). Sigmoid
     terms have either sign, and every Jacobian ends in W_0, so mean_i H_i =
     W_0^T M W_0: M sums E^T E over the first layer's cotangents E of the
     seeds L_i / sqrt(n), E_l^T diag(w_l / n) E_l over those of unit seeds
@@ -224,12 +238,15 @@ def curvature_models(net, samples, points=None, second_order=True):
         # (k, d, m*c): each sample's factor, a view of the backprop's columns
         B = backprop_batch(net, expand, lseeds)
         B = B.reshape(d, k, m * c).transpose(1, 0, 2)
-        bounds = factor_spectrum(B)[:, -1]
+        grams = factor_gram(B)
+        bounds = factor_spectrum(B, gram=grams)[:, -1]
+        if m * c > d:
+            grams = [None] * k  # B B^T: no Woodbury base to build
 
         def factored_model(i):
             Bi = B[i]
             return model(i, hvp=lambda V: (Bi @ (Bi.T @ V.T)).T,
-                         curvature_bound=float(bounds[i]), factor=Bi)
+                         curvature_bound=float(bounds[i]), factor=Bi, gram=grams[i])
 
         return [factored_model(i) for i in range(k)]
 
@@ -297,16 +314,20 @@ def _sparse_model(method, sample, net, seed=0, **model_kwargs):
 def _system(net, model, lam2):
     """(F, C, inverse) of a model for exact_solve: H = F C F^T with F = B,
     C = None (I) on relu and identity nets, else F = W_0^T, C = M (F^T F =
-    R^T R), and the Woodbury base inverse = (2 lam2 I - F^T F C)^{-1}, one
-    inv (None for F wider than d); all None for a first-order model."""
+    R^T R, Network.input_gram), and the Woodbury base inverse =
+    (2 lam2 I - F^T F C)^{-1}, one inv (None for F wider than d); all None
+    for a first-order model. F^T F is the model's gram when it still
+    holds one, which becomes the base in place."""
     if model.hvp is None:
         return None, None, None
     if model.middle is None:
         F, C = model.factor, None
-        base = F.T @ F if F.shape[1] <= F.shape[0] else None
+        base = model.take_gram()
+        if base is None and F.shape[1] <= F.shape[0]:
+            base = F.T @ F
     else:
         F, C = net.weights[0].T, model.middle
-        base = (net.input_r.T @ net.input_r) @ C
+        base = net.input_gram @ C
     if base is not None:  # in place: base is 2 lam2 I - F^T F C, then inverted
         base *= -1.0
         base[np.diag_indices_from(base)] += 2.0 * lam2
@@ -314,24 +335,12 @@ def _system(net, model, lam2):
     return F, C, base
 
 
-def _exact_solves(net, models, objs, solver_config):
-    """exact_solve of each row, with the _system of each distinct model
-    built once: the rows of a sweep share one."""
-    systems = {}
-    solves = []
-    for model, obj in zip(models, objs):
-        if id(model) not in systems:
-            systems[id(model)] = _system(net, model, obj.lam2)
-        solves.append(exact_solve(obj, *systems[id(model)], solver_config))
-    return solves
-
-
 def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1,
-                  solver_config=None):
+                  solver_config=None, systems=None):
     """Maximize the surrogates of a list of CurvatureModels, one lam1 per
-    row, each exactly (see _exact_solves) with lam2 = L/2 + c1 for its
-    curvature bound L. Rows may repeat a sample and its model; they then
-    share its curvature arrays."""
+    row, each exactly by exact_solve with lam2 = L/2 + c1 for its
+    curvature bound L. systems holds each row's _system, or is None to
+    build one per row; rows that repeat a model pass one system for all."""
     objs = [
         ObjectiveSpec(
             gradient=model.gradient, hvp=model.hvp, lam1=lam1,
@@ -340,7 +349,9 @@ def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1
         )
         for model, lam1 in zip(models, lam1s, strict=True)
     ]
-    solves = _exact_solves(net, models, objs, solver_config)
+    if systems is None:
+        systems = [_system(net, model, obj.lam2) for model, obj in zip(models, objs)]
+    solves = [exact_solve(obj, *system, solver_config) for obj, system in zip(objs, systems)]
     return _finish(method, net, samples, models, objs, solves, channels)
 
 
@@ -528,12 +539,13 @@ def lambda1_sweep(
     and re-solved, up to max_refinements times. When even that never
     reaches the range the outcome is flagged and the selection falls back
     to the densest non-trivial candidate. method is a SPARSE_METHODS
-    entry; its CurvatureModel is built once from model_kwargs (n, sigma,
-    seed; unused ones are ignored) and every grid value and refinement is
-    solved against it, sharing the model's arrays and Woodbury base. The
-    grid values take one batched forward pass per CHUNK_COLUMNS of them;
-    each refinement is a solve of its own. The results match separate
-    calls at each lam1 to rounding (bitwise for first-order methods).
+    entry; its CurvatureModel and exact_solve system (F, C and the
+    Woodbury base, one inv) are built once from model_kwargs (n, sigma,
+    seed; unused ones are ignored), and every grid value and refinement is
+    solved against them. The grid values take one batched forward pass
+    per CHUNK_COLUMNS of them; each refinement is a solve of its own. The
+    results match separate calls at each lam1 to rounding (bitwise for
+    first-order methods).
     """
     if method not in SPARSE_METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
@@ -550,11 +562,12 @@ def lambda1_sweep(
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
     model = _sparse_model(method, sample, net, **model_kwargs)
+    system = _system(net, model, select_lambda2(model.curvature_bound, c1))
 
     def solve(lams):
         k = len(lams)
         return _solve_models(method, net, [sample] * k, [model] * k, lams, c1, channels,
-                             solver_config)
+                             solver_config, [system] * k)
 
     def in_range(r):
         return lo <= r.eta < hi

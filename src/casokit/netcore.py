@@ -142,6 +142,14 @@ class Network:
         """R of the reduced QR factorization W_0^T = Q R, computed once."""
         return np.linalg.qr(self.weights[0].T, mode="r")
 
+    @cached_property
+    def input_gram(self):
+        """R^T R for R = input_r (the Gram matrix W_0 W_0^T), formed once
+        and read-only."""
+        gram = self.input_r.T @ self.input_r
+        gram.flags.writeable = False
+        return gram
+
 
 def _class_index(y):
     """y as a Python int; a label that is not an integer is a ValueError,

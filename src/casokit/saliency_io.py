@@ -6,8 +6,9 @@ the cap, and clipping to [0, 1]. Images are written as binary (P5) PGM at
 maxval 255. Models round-trip bitwise through JSON, the canonical format;
 model_load keeps a hash-checked binary copy of the weights next to the
 JSON so that later loads skip the parse. Datasets come either from CSV
-(label in the last column) or from a raw little-endian float32 tensor
-with an 8-byte header plus a sidecar label file.
+(label in the last column), which dataset_load caches the same way, or
+from a raw little-endian float32 tensor with an 8-byte header plus a
+sidecar label file.
 """
 
 from __future__ import annotations
@@ -75,12 +76,36 @@ def normalize_for_display(delta, width, height, channels=1):
             f"vectors of shape {delta.shape} do not fill {height}x{width}x{channels}"
         )
     mag = np.abs(stack).reshape(-1, height, width, channels).sum(axis=3)
-    cap = np.percentile(mag.reshape(len(stack), -1), PERCENTILE_CAP, axis=1)[:, None, None]
+    cap = _percentile_cap(mag.reshape(len(stack), -1))[:, None, None]
     zero_cap = cap <= 0.0
     scaled = np.clip(mag / np.where(zero_cap, 1.0, cap), 0.0, 1.0)
     values = np.where(zero_cap, mag > 0.0, scaled)
     maps = [DisplayMap(values=v, width=width, height=height) for v in values]
     return maps[0] if delta.ndim == 1 else maps
+
+
+def _percentile_cap(mag):
+    """np.percentile(mag, PERCENTILE_CAP, axis=1), bitwise, for a (k, n)
+    array with n >= 1, by one np.partition (np.percentile's kth set goes
+    through np.unique, which imports numpy.ma).
+
+    numpy's linear rule: virtual index v = (n - 1) q with its floor lo
+    and lo + 1 (both the last index when v >= n - 1, lo then taken as -1),
+    t = v - lo, and a + (b - a) t, or b - (b - a)(1 - t) when t >= 0.5,
+    for the order statistics a, b there. A row holding a NaN gives NaN.
+    """
+    n = mag.shape[1]
+    v = (n - 1) * (PERCENTILE_CAP / 100)
+    lo = math.floor(v)
+    hi = lo + 1
+    if v >= n - 1:
+        lo = hi = -1
+    t = v - lo
+    ordered = np.partition(mag, sorted({lo % n, hi % n, n - 1}), axis=1)
+    a, b = ordered[:, lo], ordered[:, hi]
+    diff = b - a
+    cap = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return np.where(np.isnan(ordered[:, -1]), ordered[:, -1], cap)
 
 
 def quantize_display(dmap):
@@ -208,7 +233,7 @@ def model_load(path):
     """
     data = _read_bytes(path)
     digest = hashlib.sha256(data).hexdigest()
-    net = _read_sidecar(path, digest)
+    net = _read_sidecar(path, _WEIGHTS, digest, _weights_from)
     if net is not None:
         return net
     try:
@@ -254,67 +279,100 @@ def model_load(path):
         net = Network(NetworkSpec(tuple(specs)), tuple(weights), tuple(biases))
     except ValueError as e:
         raise FormatError(f"inconsistent model: {e}", path=path) from None
-    _write_sidecar(path, digest, net)
+    _write_sidecar(
+        path, _WEIGHTS, digest,
+        {"layers": [[s.in_dim, s.out_dim, s.activation] for s in net.spec.layers]},
+        [a for pair in zip(net.weights, net.biases) for a in pair],
+    )
     return net
 
 
-# Weight sidecar: this tag line, one JSON header line, then every layer's
-# weights (row-major) and bias as little-endian float64, layer by layer.
-_SIDECAR_TAG = b"casokit-weights 1\n"
+# A binary sidecar caches what a parse of the source file next to it
+# returned: a tag line, one JSON header line, then the payload, its arrays
+# as little-endian bytes back to back. The header records the SHA-256 of
+# the source bytes under the kind's key, plus the payload's size and
+# SHA-256; the kind adds the fields its arrays' shapes come from.
+@dataclass(frozen=True)
+class _Sidecar:
+    suffix: str
+    tag: bytes
+    key: str
 
 
-def _read_sidecar(path, digest):
-    """The network in path's weight sidecar, or None unless the sidecar was
-    written from model bytes with this digest and is intact. Never raises:
-    any unreadable or malformed sidecar reads as None."""
+# a model's weights: every layer's weights (row-major) and bias, float64
+_WEIGHTS = _Sidecar(".weights", b"casokit-weights 1\n", "model_sha256")
+# a CSV dataset: X (rows x dim, row-major) as float64, then the int64 labels
+_DATASET = _Sidecar(".dataset", b"casokit-dataset 1\n", "csv_sha256")
+
+
+def _read_sidecar(path, kind, digest, decode):
+    """decode(head, payload) of path's sidecar of this kind, or None
+    unless the sidecar was written from source bytes with this digest and
+    is intact. Never raises: any unreadable or malformed sidecar, and any
+    that decode rejects with a ValueError, reads as None."""
     try:
-        data = _read_bytes(os.fsdecode(path) + ".weights")
-        if not data.startswith(_SIDECAR_TAG):
+        data = _read_bytes(os.fsdecode(path) + kind.suffix)
+        if not data.startswith(kind.tag):
             return None
-        end = data.index(b"\n", len(_SIDECAR_TAG))
-        head = json.loads(data[len(_SIDECAR_TAG) : end])
+        end = data.index(b"\n", len(kind.tag))
+        head = json.loads(data[len(kind.tag) : end])
         payload = memoryview(data)[end + 1 :]
         if (
-            head["model_sha256"] != digest
+            head[kind.key] != digest
             or head["payload_bytes"] != len(payload)
             or hashlib.sha256(payload).hexdigest() != head["payload_sha256"]
         ):
             return None
-        specs = tuple(LayerSpec(i, o, a) for i, o, a in head["layers"])
-        arrays = []
-        offset = 0
-        for spec in specs:
-            for shape in ((spec.out_dim, spec.in_dim), (spec.out_dim,)):
-                count = int(np.prod(shape))
-                arrays.append(np.frombuffer(payload, "<f8", count, offset).reshape(shape))
-                offset += 8 * count
-        if offset != len(payload):
-            return None
-        return Network(NetworkSpec(specs), tuple(arrays[0::2]), tuple(arrays[1::2]))
+        return decode(head, payload)
     except (OSError, ValueError, TypeError, KeyError):
         return None
 
 
-def _write_sidecar(path, digest, net):
-    """Write net's weight sidecar for model bytes with this digest: a temp
-    file in the same directory, then an atomic rename. Best effort: an
-    OSError (say, a read-only directory) leaves no sidecar and no temp file."""
-    payload = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes()
-        for pair in zip(net.weights, net.biases)
-        for a in pair
-    )
+def _unpack(payload, layout):
+    """The arrays of a sidecar payload, one per (dtype, shape) of layout in
+    order; a ValueError unless they fill it exactly."""
+    arrays = []
+    offset = 0
+    for dtype, shape in layout:
+        count = math.prod(shape)
+        arrays.append(np.frombuffer(payload, dtype, count, offset).reshape(shape))
+        offset += np.dtype(dtype).itemsize * count
+    if offset != len(payload):
+        raise ValueError("sidecar payload size does not match its layout")
+    return arrays
+
+
+def _weights_from(head, payload):
+    specs = tuple(LayerSpec(i, o, a) for i, o, a in head["layers"])
+    layout = [("<f8", shape) for s in specs
+              for shape in ((s.out_dim, s.in_dim), (s.out_dim,))]
+    arrays = _unpack(payload, layout)
+    return Network(NetworkSpec(specs), tuple(arrays[0::2]), tuple(arrays[1::2]))
+
+
+def _dataset_from(head, payload):
+    n, d = head["rows"], head["dim"]
+    X, labels = _unpack(payload, [("<f8", (n, d)), ("<i8", (n,))])
+    return Dataset(X, labels)
+
+
+def _write_sidecar(path, kind, digest, fields, arrays):
+    """Write path's sidecar of this kind for source bytes with this digest:
+    fields (the kind's header entries) and arrays, through a temp file in
+    the same directory and an atomic rename. Best effort: an OSError (say,
+    a read-only directory) leaves no sidecar and no temp file."""
+    payload = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes() for a in arrays)
     head = {
-        "model_sha256": digest,
-        "layers": [[s.in_dim, s.out_dim, s.activation] for s in net.spec.layers],
+        kind.key: digest,
+        **fields,
         "payload_bytes": len(payload),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    target = os.fsdecode(path) + ".weights"
+    target = os.fsdecode(path) + kind.suffix
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_SIDECAR_TAG + json.dumps(head).encode() + b"\n" + payload)
+            fh.write(kind.tag + json.dumps(head).encode() + b"\n" + payload)
         os.replace(tmp, target)
     except OSError:
         with contextlib.suppress(OSError):
@@ -338,8 +396,24 @@ def dataset_load(path):
     reads such cells exactly as float() does; any other text, and any file
     that breaks a rule, goes through the csv module, which names the
     failing line and cell.
+
+    Like model_load, a successful parse is also written, best effort, to a
+    binary sidecar (path plus ".dataset") that later loads of the same
+    bytes read instead of parsing again.
     """
     data = _read_bytes(path)
+    digest = hashlib.sha256(data).hexdigest()
+    dataset = _read_sidecar(path, _DATASET, digest, _dataset_from)
+    if dataset is not None:
+        return dataset
+    dataset = _parse_dataset(data, path)
+    _write_sidecar(path, _DATASET, digest, {"rows": dataset.n, "dim": dataset.dim},
+                   [dataset.X, dataset.labels])
+    return dataset
+
+
+def _parse_dataset(data, path):
+    """dataset_load's parse of the CSV bytes."""
     table = _plain_table(data)
     if table is not None and table.shape[1] >= 2:
         labels = table[:, -1]

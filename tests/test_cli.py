@@ -601,6 +601,27 @@ class TestStartup:
                              text=True, check=True).stdout
         assert out == "[]\n"
 
+    def test_cli_runs_skip_numpy_ma_and_caso_skips_numpy_random(self, workspace, tmp_path):
+        """numpy.ma (reached through np.percentile) and, for a method that
+        draws no noise, numpy.random cost a fresh process 10-17 ms each to
+        import; the runs' loaded modules are checked in one."""
+        probe = (
+            "import json, sys\n"
+            "from casokit import cli\n"
+            "def loaded(argv):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    return [m in sys.modules for m in ('numpy.ma', 'numpy.random')]\n"
+            "common = ['--model', sys.argv[1], '--data', sys.argv[2], '--out', sys.argv[3]]\n"
+            "caso = loaded(['interpret', '--method', 'caso', '--samples', '0,1'] + common)\n"
+            "sweep = loaded(['sweep', '--method', 'smooth-caso', '--smooth-n', '3'] + common)\n"
+            "print(json.dumps([caso, sweep]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, workspace["model"], workspace["data"], str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert json.loads(out.splitlines()[-1]) == [[False, False], [False, True]]
+
     def test_every_exported_name_resolves(self):
         for name in casokit.__all__:
             assert getattr(casokit, name) is not None, name

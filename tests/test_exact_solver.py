@@ -297,3 +297,76 @@ def test_sigmoid_qr_runs_once_per_network(monkeypatch):
     assert len(list(interpret._chunks(net, requests))) > 1
     run_requests(net, requests)
     assert len(calls) == 1
+
+
+def system_formed_anew(net, model, lam2):
+    """interpret._system as it was before the spectrum step's Gram matrix
+    was handed over: F^T F, or R^T R, formed again for every system."""
+    if model.middle is None:
+        F, C = model.factor, None
+        base = F.T @ F if F.shape[1] <= F.shape[0] else None
+    else:
+        F, C = net.weights[0].T, model.middle
+        base = (net.input_r.T @ net.input_r) @ C
+    if base is not None:
+        base = np.linalg.inv(2.0 * lam2 * np.eye(len(base)) - base)
+    return F, C, base
+
+
+@pytest.mark.parametrize("kind", ["relu", "sigmoid"])
+def test_refinements_reuse_the_sweeps_woodbury_base(monkeypatch, kind):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inv(*args, **kwargs)
+
+    net = net_of(kind)
+    s = samples(1)[0]
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    # lam1 = 0 is dense and lam1 = 10 all zero: no grid value lands in the
+    # target range, so the sweep halves 10 until one does
+    out = lambda1_sweep(s, net, "smooth-caso", grid=(0.0, 10.0), max_refinements=20, seed=3,
+                        **SMOOTH)
+    assert len(out.refinements) >= 3 and out.target_met
+    assert len(calls) == 1
+    for r in out.all_results:  # as one solve per lam1, each with a system of its own
+        model = interpret._sparse_model("smooth-caso", s, net, seed=3, **SMOOTH)
+        obj = ObjectiveSpec(gradient=model.gradient, hvp=model.hvp, lam1=r.lam1, lam2=r.lam2,
+                            curvature_bound=model.curvature_bound)
+        ref = solver.exact_solve(obj, *system_formed_anew(net, model, r.lam2))
+        assert r.delta.tobytes() == ref.delta.tobytes()
+        assert (r.solve.steps, r.loss_gain) == (ref.steps, ref.objective_value)
+
+
+def test_spectrum_gram_becomes_the_woodbury_base():
+    net = net_of("relu")
+    models = interpret._sparse_models("caso", samples(3), net, [0] * 3)
+    for model in models:
+        F = model.factor
+        assert model.gram.tobytes() == (F.T @ F).tobytes()
+        gram = model.gram
+        lam2 = solver.select_lambda2(model.curvature_bound)
+        base = interpret._system(net, model, lam2)[2]
+        assert base.tobytes() == system_formed_anew(net, model, lam2)[2].tobytes()
+        assert model.gram is None and model.take_gram() is None
+        assert np.array_equal(gram, 2.0 * lam2 * np.eye(len(gram)) - F.T @ F)  # in place
+        # with the Gram matrix handed over, a second system forms F^T F again
+        assert interpret._system(net, model, lam2)[2].tobytes() == base.tobytes()
+    # n c = 24 columns > d = 20: the spectrum's Gram matrix is B B^T, not kept
+    wide = interpret._sparse_model("smooth-caso", samples(1)[0], net, n=6, sigma=0.2)
+    assert wide.factor.shape == (20, 24) and wide.gram is None
+    assert interpret._system(net, wide, 10.0)[2] is None
+
+
+def test_sigmoid_input_gram_is_formed_once():
+    net = net_of("sigmoid")
+    gram = net.input_gram
+    assert gram is net.input_gram
+    assert gram.tobytes() == (net.input_r.T @ net.input_r).tobytes()
+    assert not gram.flags.writeable
+    model = interpret._sparse_model("caso", samples(1)[0], net)
+    lam2 = solver.select_lambda2(model.curvature_bound)
+    base = interpret._system(net, model, lam2)[2]
+    assert base.tobytes() == system_formed_anew(net, model, lam2)[2].tobytes()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from casokit import saliency_io
 from casokit import (
@@ -106,6 +107,42 @@ class TestNormalizeForDisplay:
             assert np.array_equal(normalize_for_display(row, width, height, channels).values, ref)
         assert not maps[1].values.any()
         assert maps[2].values.sum() == 1.0
+
+    @staticmethod
+    def _assert_cap_is_numpy_percentile(stack, width, height, channels):
+        mag = np.abs(stack).reshape(len(stack), -1, channels).sum(axis=2)
+        cap = saliency_io._percentile_cap(mag.copy())
+        assert cap.tobytes() == np.percentile(mag, 99.0, axis=1).tobytes()
+        maps = normalize_for_display(stack, width, height, channels)
+        for row, dmap in zip(stack, maps):
+            ref = _display_reference(row, width, height, channels)
+            assert dmap.values.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cap_is_numpy_percentile_bitwise(self, data):
+        """The cap equals np.percentile(mag, 99, axis=1) bit for bit, on
+        1-5 and 784 pixels, one to three channels, zeros, ties, and
+        magnitudes from 1e-8 to 1e8."""
+        width = data.draw(st.sampled_from([1, 2, 3, 4, 5, 784]), label="width")
+        height = 1 if width == 784 else data.draw(st.integers(1, 5), label="height")
+        channels = data.draw(st.integers(1, 3), label="channels")
+        shape = (data.draw(st.integers(1, 3)), width * height * channels)
+        mode = data.draw(st.sampled_from(["drawn", "ties", "seeded"]), label="mode")
+        if mode == "seeded":  # generic floats, where the two lerp forms round apart
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            stack = 10.0 ** rng.uniform(-8, 8, shape) * rng.choice([-1.0, 0.0, 1.0], shape)
+        else:
+            values = st.one_of(st.just(0.0), st.floats(1e-8, 1e8), st.floats(-1e8, -1e-8))
+            if mode == "ties":
+                values = st.sampled_from(data.draw(st.lists(values, min_size=1, max_size=3)))
+            stack = data.draw(hnp.arrays(np.float64, shape, elements=values), label="stack")
+        self._assert_cap_is_numpy_percentile(stack, width, height, channels)
+
+    def test_one_pixel_cap_is_numpy_percentile_bitwise(self):
+        # n = 1: the virtual index is the last index, numpy's edge branch
+        stack = np.array([[3.0, -1e-8], [0.0, 0.0], [1e8, 1e-8]])
+        self._assert_cap_is_numpy_percentile(stack, 1, 1, 2)
 
     def test_validation(self):
         with pytest.raises(DimensionError):
@@ -616,6 +653,179 @@ class TestCsvDataset:
             dataset_load(path)
         assert exc.value.path == path
         assert exc.value.offset == data.index(b"\xff") and exc.value.line == 2
+
+
+class TestDatasetSidecar:
+    """dataset_load's binary copy of a parsed CSV next to it."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths _parse_dataset and _csv_dataset ran on while the
+        fixture is active, tagged with which one."""
+        seen = []
+        for name in ("_parse_dataset", "_csv_dataset"):
+            real = getattr(saliency_io, name)
+
+            def spy(data, path, real=real, name=name):
+                seen.append((name, path))
+                return real(data, path)
+
+            monkeypatch.setattr(saliency_io, name, spy)
+        return seen
+
+    @staticmethod
+    def _saved(tmp_path, seed=21, name="data.csv", header=None):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+        X[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
+        data = Dataset(X=X, labels=rng.integers(0, 2**53, 7))  # float() reads labels
+        path = tmp_path / name
+        dataset_save_csv(data, path, header=header)
+        return path, data
+
+    @staticmethod
+    def _sidecar(path):
+        return path.with_name(path.name + ".dataset")
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.X.shape == b.X.shape
+        assert a.X.tobytes() == b.X.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+
+    def test_cold_and_warm_loads_are_bitwise_equal(self, tmp_path, parses):
+        path, data = self._saved(tmp_path)
+        cold = dataset_load(path)
+        assert self._sidecar(path).is_file()
+        warm = dataset_load(str(path))
+        self._assert_same(cold, data)
+        self._assert_same(warm, data)
+        assert [name for name, _ in parses] == ["_parse_dataset"]  # the cold load only
+
+    def test_sidecar_holds_the_documented_layout(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        dataset_load(path)
+        tag, head, payload = self._sidecar(path).read_bytes().split(b"\n", 2)
+        head = json.loads(head)
+        assert tag == b"casokit-dataset 1"
+        assert head["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (head["rows"], head["dim"]) == (7, 5)
+        assert head["payload_bytes"] == len(payload) == 8 * (7 * 5 + 7)
+        assert head["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+        assert payload[: 8 * 35] == data.X.astype("<f8").tobytes()
+        assert payload[8 * 35 :] == data.labels.astype("<i8").tobytes()
+
+    def test_edited_csv_is_parsed_again_and_its_sidecar_rewritten(self, tmp_path, parses):
+        path, _ = self._saved(tmp_path)
+        dataset_load(path)
+        _, edited = self._saved(tmp_path, seed=22)
+        parses.clear()
+        self._assert_same(dataset_load(path), edited)
+        assert [name for name, _ in parses] == ["_parse_dataset"]
+        head = json.loads(self._sidecar(path).read_bytes().split(b"\n", 2)[1])
+        assert head["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        parses.clear()
+        self._assert_same(dataset_load(path), edited)
+        assert parses == []
+
+    def _corrupt_truncated(self, path):
+        side = self._sidecar(path)
+        side.write_bytes(side.read_bytes()[:-8])
+
+    def _corrupt_flipped(self, path):
+        side = self._sidecar(path)
+        data = bytearray(side.read_bytes())
+        data[-3] ^= 0x01
+        side.write_bytes(bytes(data))
+
+    def _corrupt_foreign(self, path):
+        other, _ = self._saved(path.parent, seed=23, name="other.csv")
+        dataset_load(other)
+        self._sidecar(path).write_bytes(self._sidecar(other).read_bytes())
+
+    def _corrupt_weights(self, path):
+        # a model's weight sidecar under the dataset sidecar's name
+        model = path.parent / "m.json"
+        model_save(_net(11), model)
+        model_load(model)
+        self._sidecar(path).write_bytes(model.with_name("m.json.weights").read_bytes())
+
+    def _corrupt_garbage(self, path):
+        self._sidecar(path).write_bytes(b"casokit-dataset 1\n{not json\n\x00\x01")
+
+    def _corrupt_empty(self, path):
+        self._sidecar(path).write_bytes(b"")
+
+    @pytest.mark.parametrize(
+        "case", ["truncated", "flipped", "foreign", "weights", "garbage", "empty"])
+    def test_bad_sidecar_is_ignored_and_rewritten(self, tmp_path, case, parses):
+        path, data = self._saved(tmp_path)
+        dataset_load(path)
+        good = self._sidecar(path).read_bytes()
+        getattr(self, f"_corrupt_{case}")(path)
+        parses.clear()
+        self._assert_same(dataset_load(path), data)
+        assert [name for name, _ in parses] == ["_parse_dataset"]
+        assert self._sidecar(path).read_bytes() == good
+
+    @pytest.mark.parametrize("refused", ["create", "rename"])
+    def test_read_only_directory_leaves_no_sidecar_or_temp_file(
+            self, tmp_path, monkeypatch, refused):
+        path, data = self._saved(tmp_path)
+        real_open = open
+
+        def refuse_create(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise PermissionError(f"read-only: {file}")
+            return real_open(file, mode, *args, **kwargs)
+
+        def refuse_rename(src, dst):
+            raise PermissionError(f"read-only: {dst}")
+
+        if refused == "create":
+            monkeypatch.setattr(saliency_io, "open", refuse_create, raising=False)
+        else:
+            monkeypatch.setattr(saliency_io.os, "replace", refuse_rename)
+        self._assert_same(dataset_load(path), data)
+        self._assert_same(dataset_load(path), data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    @pytest.mark.parametrize("text", [
+        "f0,f1,label\n0.5,-1.25,2\n1.0,3.5,0\n",
+        '"0.5",-1.25,"2"\n1_0,3.5,0\n',
+    ], ids=["header", "quoted"])
+    def test_csv_module_parse_is_cached_too(self, tmp_path, parses, text):
+        path = tmp_path / "odd.csv"
+        path.write_text(text)
+        cold = dataset_load(path)
+        assert [name for name, _ in parses] == ["_parse_dataset", "_csv_dataset"]
+        parses.clear()
+        self._assert_same(dataset_load(path), cold)
+        assert parses == []
+
+    @pytest.mark.parametrize("case", ["none", "stale", "foreign", "garbage"])
+    @pytest.mark.parametrize("bad", [
+        "1.0,2.0,0\n1.0,oops,1\n", "1.0,2.0,0\n1.0,1\n", "1.0,2.0,1.5\n", "# only\n",
+        "1.0,nan,1\n",
+    ], ids=["cell", "ragged", "label", "no-rows", "non-finite"])
+    def test_bad_csv_fails_alike_whatever_sidecar_sits_next_to_it(self, tmp_path, bad, case):
+        path, _ = self._saved(tmp_path)
+        if case != "none":
+            dataset_load(path)  # a sidecar for the file's earlier, valid bytes
+        if case in ("foreign", "garbage"):
+            getattr(self, f"_corrupt_{case}")(path)
+        before = self._sidecar(path).read_bytes() if case != "none" else None
+        path.write_text(bad)
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        (clean / "data.csv").write_text(bad)
+        expected = _load_outcome(dataset_load, clean / "data.csv")
+        got = _load_outcome(dataset_load, path)
+        assert isinstance(expected[1], str)  # an error, not a dataset
+        assert got == (expected[0], expected[1].replace(str(clean), str(tmp_path)), expected[2])
+        assert sorted(p.name for p in clean.iterdir()) == ["data.csv"]
+        after = self._sidecar(path).read_bytes() if self._sidecar(path).exists() else None
+        assert after == before
 
 
 class TestRawTensors:
