@@ -50,7 +50,7 @@ from .saliency_io import (
     write_f64_tensor,
     write_pgm,
 )
-from .solver import DEFAULT_C1, SolverConfig
+from .solver import DEFAULT_C1
 
 SWEEP_METHODS = tuple(SPARSE_METHODS)
 # analysis.SIM_MODES, spelled out so that building the parser does not
@@ -137,9 +137,9 @@ def _resolve_out(args):
     return out
 
 
-# knobs that change where or how fast a run executes (or nothing), but
-# never what it computes; excluded so artifact bytes do not depend on them
-_EXECUTION_ONLY = ("func", "command", "jobs", "power_iters", "out", "config")
+# arguments that change where a run reads or writes, but never what it
+# computes; excluded so artifact bytes do not depend on them
+_EXECUTION_ONLY = ("func", "command", "out", "config")
 
 
 def _provenance(args, command):
@@ -205,15 +205,6 @@ def _geometry(args, dim):
     return w, h
 
 
-def _solver_config(args):
-    return SolverConfig(
-        learning_rate=args.lr,
-        iterations=args.solver_iters,
-        backtrack_decay=args.decay,
-        max_backtracks=args.max_backtracks,
-    )
-
-
 def _result_summary(res):
     doc = {
         "method": res.method,
@@ -276,7 +267,6 @@ def cmd_interpret(args):
         if not 0 <= i < dataset.n:
             raise ValueError(f"sample index {i} outside the dataset of {dataset.n}")
     w, h = _geometry(args, dataset.dim)
-    solver = _solver_config(args)
     # only noise draws read a seed; the others skip importing numpy.random
     if args.method in NOISE_METHODS:
         seeds = [int(child.generate_state(1, dtype=np.uint64)[0])
@@ -294,7 +284,6 @@ def cmd_interpret(args):
             ig_steps=args.ig_steps,
             seed=seed,
             channels=args.channels,
-            solver=solver,
         )
         for i, seed in zip(indices, seeds)
     ]
@@ -315,7 +304,6 @@ def cmd_interpret(args):
         write_f64_tensor(os.path.join(out, f"sample{idx}.delta.f64"), res.delta)
         doc = _result_summary(res)
         doc["sample_id"] = idx
-        doc["iterations_used"] = res.solve.iterations_used if res.solve else None
         _write_json(os.path.join(out, f"sample{idx}.json"), doc, prov_text)
         rows.append((idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max))
         lines.append(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n")
@@ -346,7 +334,6 @@ def cmd_sweep(args):
         max_refinements=args.max_refinements,
         channels=args.channels,
         c1=args.c1,
-        solver_config=_solver_config(args),
         n=args.smooth_n,
         sigma=args.smooth_sigma,
         seed=args.seed,
@@ -494,20 +481,10 @@ def _add_geometry(sp):
                     help="channels per pixel for sparsity and display")
 
 
-def _add_solver(sp):
-    sp.add_argument("--lr", type=float, default=0.1, help="solver step size")
-    sp.add_argument("--solver-iters", type=int, default=10, help="solver iterations")
-    sp.add_argument("--decay", type=float, default=0.5, help="backtracking decay")
-    sp.add_argument("--max-backtracks", type=int, default=20,
-                    help="backtracking steps per iteration")
-
-
 def _add_method_knobs(sp):
     sp.add_argument("--lambda1", type=float, default=0.0, help="sparsity weight")
     sp.add_argument("--c1", type=float, default=DEFAULT_C1,
                     help="additive trust constant in lambda2")
-    sp.add_argument("--power-iters", type=int,
-                    help="accepted and ignored: every curvature bound is exact")
     sp.add_argument("--smooth-n", type=int, default=DEFAULT_SMOOTH_N,
                     help="noise samples for smooth variants")
     sp.add_argument("--smooth-sigma", type=float, default=DEFAULT_SMOOTH_SIGMA,
@@ -550,14 +527,10 @@ def build_parser():
     _add_common(sp)
     _add_model_data(sp)
     _add_geometry(sp)
-    _add_solver(sp)
     _add_method_knobs(sp)
     sp.add_argument("--method", choices=METHODS, default="cafo")
     sp.add_argument("--samples", type=int_list, default=(0,),
                     help="comma list of sample indices")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted and ignored: samples are processed in batched "
-                         "chunks in one thread")
     sp.set_defaults(func=cmd_interpret)
     parsers.append(sp)
 
@@ -565,7 +538,6 @@ def build_parser():
     _add_common(sp)
     _add_model_data(sp)
     _add_geometry(sp)
-    _add_solver(sp)
     _add_method_knobs(sp)
     sp.add_argument("--method", choices=SWEEP_METHODS, default="cafo")
     sp.add_argument("--sample", type=int, default=0, help="sample index")

@@ -33,7 +33,6 @@ from .solver import (
     DEFAULT_C1,
     ObjectiveSpec,
     SolveResult,
-    SolverConfig,
     exact_solve,
     select_lambda2,
 )
@@ -335,8 +334,7 @@ def _system(net, model, lam2):
     return F, C, base
 
 
-def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1,
-                  solver_config=None, systems=None):
+def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1, systems=None):
     """Maximize the surrogates of a list of CurvatureModels, one lam1 per
     row, each exactly by exact_solve with lam2 = L/2 + c1 for its
     curvature bound L. systems holds each row's _system, or is None to
@@ -351,25 +349,24 @@ def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1
     ]
     if systems is None:
         systems = [_system(net, model, obj.lam2) for model, obj in zip(models, objs)]
-    solves = [exact_solve(obj, *system, solver_config) for obj, system in zip(objs, systems)]
+    solves = [exact_solve(obj, *system) for obj, system in zip(objs, systems)]
     return _finish(method, net, samples, models, objs, solves, channels)
 
 
-def _sparse(method, sample, net, lam1, c1=DEFAULT_C1, channels=1, solver_config=None,
-            **model_kwargs):
+def _sparse(method, sample, net, lam1, c1=DEFAULT_C1, channels=1, **model_kwargs):
     model = _sparse_model(method, sample, net, **model_kwargs)
-    return _solve_models(method, net, [sample], [model], [lam1], c1, channels, solver_config)[0]
+    return _solve_models(method, net, [sample], [model], [lam1], c1, channels)[0]
 
 
-def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
+def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
     """Curvature-free interpretation: first-order term only (H = 0).
 
     The ridge rule lam2 = L/2 + c1 is applied with L = 0, so lam2 = c1.
     """
-    return _sparse("cafo", sample, net, lam1, c1, channels, solver_config)
+    return _sparse("cafo", sample, net, lam1, c1, channels)
 
 
-def caso(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
+def caso(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
     """Curvature-aware interpretation using the closed-form Hessian.
 
     Builds the CurvatureModel at the sample, then solves with
@@ -378,32 +375,22 @@ def caso(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1, solver_config=None):
     otherwise; see curvature_models) and L is its exact lambda_max,
     clamped at 0.
     """
-    return _sparse("caso", sample, net, lam1, c1, channels, solver_config)
+    return _sparse("caso", sample, net, lam1, c1, channels)
 
 
-def smooth_cafo(
-    sample,
-    net,
-    lam1=0.0,
-    n=DEFAULT_SMOOTH_N,
-    sigma=DEFAULT_SMOOTH_SIGMA,
-    seed=0,
-    c1=DEFAULT_C1,
-    channels=1,
-    solver_config=None,
-):
+def smooth_cafo(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA, seed=0,
+                c1=DEFAULT_C1, channels=1):
     """CAFO with the gradient averaged over n seeded Gaussian perturbations.
 
     sigma is a fraction of the input's dynamic range. The noise is drawn
     once up front and reused for the whole solve; sigma = 0 reduces to
     plain cafo exactly.
     """
-    return _sparse("smooth-cafo", sample, net, lam1, c1, channels, solver_config,
-                   n=n, sigma=sigma, seed=seed)
+    return _sparse("smooth-cafo", sample, net, lam1, c1, channels, n=n, sigma=sigma, seed=seed)
 
 
 def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA, seed=0,
-                c1=DEFAULT_C1, channels=1, solver_config=None):
+                c1=DEFAULT_C1, channels=1):
     """CASO with gradient and Hessian averaged over n noisy inputs.
 
     The CurvatureModel is expanded at all n noisy points, so the averaged
@@ -411,8 +398,7 @@ def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
     curvature bound is its exact lambda_max. The noise is drawn once from
     seed; sigma = 0 reduces to plain caso exactly.
     """
-    return _sparse("smooth-caso", sample, net, lam1, c1, channels, solver_config,
-                   n=n, sigma=sigma, seed=seed)
+    return _sparse("smooth-caso", sample, net, lam1, c1, channels, n=n, sigma=sigma, seed=seed)
 
 
 def _gradient_map(method, sample, net, channels, points=None, path=None):
@@ -528,7 +514,6 @@ def lambda1_sweep(
     max_refinements=20,
     channels=1,
     c1=DEFAULT_C1,
-    solver_config=None,
     **model_kwargs,
 ):
     """Solve across a lam1 grid and pick the sparsest useful map.
@@ -567,7 +552,7 @@ def lambda1_sweep(
     def solve(lams):
         k = len(lams)
         return _solve_models(method, net, [sample] * k, [model] * k, lams, c1, channels,
-                             solver_config, [system] * k)
+                             [system] * k)
 
     def in_range(r):
         return lo <= r.eta < hi
@@ -617,7 +602,8 @@ def lambda1_sweep(
 
 @dataclass(frozen=True)
 class MethodRequest:
-    """A method name, a sample, and every knob the methods understand."""
+    """A method name, a sample, and every knob the methods understand; the
+    sparse methods solve exactly (solver.exact_solve), so none is a solver's."""
 
     method: str
     sample: Sample
@@ -628,7 +614,6 @@ class MethodRequest:
     ig_steps: int = DEFAULT_IG_STEPS
     seed: int = 0
     channels: int = 1
-    solver: SolverConfig | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -706,7 +691,7 @@ def run_requests(net, requests):
             r.method, samples, net, [q.seed for q in chunk], n=r.smooth_n, sigma=r.smooth_sigma
         )
         results.extend(_solve_models(r.method, net, samples, models, [r.lam1] * len(chunk),
-                                     r.c1, r.channels, r.solver))
+                                     r.c1, r.channels))
     return results
 
 

@@ -302,7 +302,7 @@ class _Sidecar:
 # a model's weights: every layer's weights (row-major) and bias, float64
 _WEIGHTS = _Sidecar(".weights", b"casokit-weights 1\n", "model_sha256")
 # a CSV dataset: X (rows x dim, row-major) as float64, then the int64 labels
-_DATASET = _Sidecar(".dataset", b"casokit-dataset 1\n", "csv_sha256")
+_DATASET = _Sidecar(".dataset", b"casokit-dataset 2\n", "csv_sha256")
 
 
 def _read_sidecar(path, kind, digest, decode):
@@ -417,7 +417,7 @@ def _parse_dataset(data, path):
     table = _plain_table(data)
     if table is not None and table.shape[1] >= 2:
         labels = table[:, -1]
-        if np.all((labels >= 0.0) & (labels < 2.0**63) & (labels == np.floor(labels))):
+        if np.all((labels >= 0.0) & (labels < 2.0**53) & (labels == np.floor(labels))):
             return Dataset(table[:, :-1], labels.astype(np.int64))
     return _csv_dataset(_decode_utf8(data, path, newline=""), path)
 
@@ -479,8 +479,9 @@ def _csv_dataset(text, path):
                 path=path,
                 line=line_no,
             )
-        if label >= 2.0**63:
-            raise FormatError(f"label {label!r} does not fit in int64", path=path, line=line_no)
+        if label >= 2.0**53:  # float() rounds larger integers
+            raise FormatError(f"label {row[-1].strip()} is not below 2**53", path=path,
+                              line=line_no)
         rows.append((values[:-1], int(label)))
     if not rows:
         raise FormatError("no data rows found", path=path)

@@ -9,18 +9,17 @@ guarantees strong concavity with margin 2 c1. Its maximizer is the fixed
 point D = soft(g + H D, lam1) / (2 lam2). exact_solve finds it to rounding
 and certifies it by its KKT residual: in closed form for H = 0 (CAFO), and
 for H = F C F^T of rank r by active_set_solve, semismooth Newton steps in
-z = F^T D (Li, Sun & Toh 2018). FISTA (fista_solve) takes any hvp: it
-minimizes f + h with f(D) = -(g^T D + 1/2 D^T H D - lam2 ||D||^2), convex
-whenever lam2 > lambda_max(H)/2, and the proximable h = lam1 ||.||_1;
-exact_solve falls back to it for a map whose active set does not settle.
-At lam1 = 0,
+z = F^T D (Li, Sun & Toh 2018), damped where a Newton point does not
+settle. FISTA (fista_solve), for the oracle study's L1 path, takes any
+hvp: it minimizes f + h with f(D) = -(g^T D + 1/2 D^T H D - lam2 ||D||^2),
+convex whenever lam2 > lambda_max(H)/2, and h = lam1 ||.||_1. At lam1 = 0,
 
     D*_caso = (2 lam2 I - H)^{-1} g,        D*_cafo = g / (2 lam2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import DimensionError
 
 DEFAULT_C1 = 10.0
-# Newton steps an active-set solve may take before its row falls back to FISTA
+# Newton steps an active-set solve may take; past them its map is uncertified
 ACTIVE_SET_MAX_STEPS = 50
 
 
@@ -147,9 +146,10 @@ class SolveResult:
     FISTA returns its best iterate by true objective: objective_trace[k]
     is l~ at the k-th iterate, step_trace[k] the step size that produced
     it, nnz_trace[k] its nonzero count; backtrack_exhausted flags any
-    iteration that ran out of halvings. solver is "fista", "active-set" or
-    "closed-form", steps counts active-set Newton steps, and kkt_residual
-    is ||D - soft(g + H D, lam1)/(2 lam2)||_inf / max|D| once certified.
+    iteration that ran out of halvings. exact_solve sets solver to
+    "active-set" or "closed-form", steps to the Newton steps, kkt_residual
+    to ||D - soft(g + H D, lam1)/(2 lam2)||_inf / max|D|, and leaves
+    iterations_used 0 and the traces empty.
     """
 
     delta: np.ndarray
@@ -259,53 +259,90 @@ def _newton(way, F, C, inverse, two, S, u):
     return y - P @ np.linalg.solve(np.eye(Fc.shape[0]) + Vc @ P, Vc @ y)
 
 
+def _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new):
+    """The iterate (z, q = g + F C z) after z when the Newton point z_new
+    does not settle. C = I: backtrack along z_new - z (t <- t/2, Armijo
+    1e-4) on the concave dual Phi(z) = ||soft(q, lam1)||^2/(4 lam2) -
+    ||z||^2/2, whose gradient is F^T soft(q, lam1)/(2 lam2) - z and whose
+    Newton step is the active-set step. Other C: take z_new if it at least
+    halves ||D - T(D)||_inf, D = soft(q, lam1)/(2 lam2) and T(D) = soft(g +
+    H D, lam1)/(2 lam2), else z <- F^T T(D), a proximal-gradient step,
+    which contracts while |lambda_min(H)| < 2 lam2."""
+    two = 2.0 * lam2
+    if C is None:
+        def phi(z, soft):
+            return (soft @ soft) / (2.0 * two) - 0.5 * (z @ z)
+
+        # soft() inline, without prox_soft_threshold's argument checks: most
+        # relu CASO rows pass through here once
+        soft = q - np.clip(q, -lam1, lam1)
+        p = z_new - z
+        floor, slope = phi(z, soft), (F.T @ soft / two - z) @ p
+        t = 1.0
+        # ends at t = 0 at the latest, where z_new = z
+        while phi(z_new, q_new - np.clip(q_new, -lam1, lam1)) < floor + 1e-4 * t * slope:
+            t /= 2.0
+            z_new = z + t * p
+            q_new = g + F @ z_new
+        return z_new, q_new
+
+    def residual(q):
+        D = prox_soft_threshold(q, lam1) / two
+        TD = prox_soft_threshold(g + F @ (C @ (F.T @ D)), lam1) / two
+        return float(np.abs(D - TD).max()), TD
+
+    now, TD = residual(q)
+    if residual(q_new)[0] <= now / 2.0:
+        return z_new, q_new
+    z = F.T @ TD
+    return z, g + F @ (C @ z)
+
+
 def active_set_solve(g, lam1, lam2, F, C=None, inverse=None):
-    """Maximize one surrogate with H = F C F^T by semismooth Newton steps.
+    """Maximize one surrogate with H = F C F^T by damped semismooth Newton.
 
     F is (d, r), C (r, r) or None for I, and inverse, if given, (2 lam2 I
     - F^T F C)^{-1}. On the active set S = {|g + F C z| > lam1} with signs
     s the fixed point is linear in z = F^T D: (2 lam2 I - F_S^T F_S C) z =
-    F_S^T (g_S - lam1 s). From the CAFO point's active set, each step
-    solves the smallest of this r x r system, (2 lam2 I - H_SS) D_S = g_S -
-    lam1 s and its |S^c|-sized Woodbury update, until S and s repeat or
-    ACTIVE_SET_MAX_STEPS steps are taken. Returns D = soft(g + F C z,
-    lam1)/(2 lam2), the steps, and whether S and s settled.
+    F_S^T (g_S - lam1 s). From z = 0, the CAFO point, each step solves the
+    smallest of this r x r system, (2 lam2 I - H_SS) D_S = g_S - lam1 s
+    and its |S^c|-sized Woodbury update. A Newton point whose own S and s
+    repeat is the maximizer; any other takes _globalize, until
+    ACTIVE_SET_MAX_STEPS steps. Returns D = soft(g + F C z, lam1)/(2 lam2)
+    of the last iterate, the steps, and whether S and s settled.
     """
     d, r = F.shape
-    q = g  # g + F C z
+    z, q = np.zeros(r), g  # q = g + F C z
     sign = np.sign(g) * (np.abs(g) > lam1)
-    steps, settled = 0, False
-    while not settled and steps < ACTIVE_SET_MAX_STEPS:
-        steps += 1
+    for steps in range(1, ACTIVE_SET_MAX_STEPS + 1):
         S = sign != 0.0
         a = int(S.sum())  # sizes r, |S| and |S^c|; without inverse, never |S^c|
         b = d - a if inverse is not None else d + r
         way = 0 if r <= min(a, b) else 1 if a <= b else 2
-        z = _newton(way, F, C, inverse, 2.0 * lam2, S, np.where(S, g, 0.0) - lam1 * sign)
-        q = g + F @ (z if C is None else C @ z)
-        new = np.sign(q) * (np.abs(q) > lam1)
-        settled = bool((new == sign).all())
-        sign = new
-    return prox_soft_threshold(q, lam1) / (2.0 * lam2), steps, settled
+        z_new = _newton(way, F, C, inverse, 2.0 * lam2, S, np.where(S, g, 0.0) - lam1 * sign)
+        q_new = g + F @ (z_new if C is None else C @ z_new)
+        if (np.sign(q_new) * (np.abs(q_new) > lam1) == sign).all():
+            return prox_soft_threshold(q_new, lam1) / (2.0 * lam2), steps, True
+        z, q = _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new)
+        sign = np.sign(q) * (np.abs(q) > lam1)
+    return prox_soft_threshold(q, lam1) / (2.0 * lam2), ACTIVE_SET_MAX_STEPS, False
 
 
-def exact_solve(obj, F=None, C=None, inverse=None, config=None):
+def exact_solve(obj, F=None, C=None, inverse=None):
     """Maximize one surrogate exactly and certify it: in closed form when F
-    is None (H = 0), else by active_set_solve with H = F C F^T; a map whose
-    active set does not settle takes fista_solve with config instead."""
+    is None (H = 0), else by active_set_solve with H = F C F^T. kkt_residual
+    comes from a fresh H D: rounding, unless the solve reached
+    ACTIVE_SET_MAX_STEPS, and then it says the map is uncertified."""
     if F is None:
-        delta = prox_soft_threshold(obj.gradient, obj.lam1) / (2.0 * obj.lam2)
-        res = SolveResult(delta, 0.0, 0, solver="closed-form")
+        delta, steps = prox_soft_threshold(obj.gradient, obj.lam1) / (2.0 * obj.lam2), 0
     else:
-        delta, steps, settled = active_set_solve(obj.gradient, obj.lam1, obj.lam2, F, C, inverse)
-        res = SolveResult(delta, 0.0, 0, solver="active-set", steps=steps)
-        if not settled:
-            res = replace(fista_solve(obj, config), steps=steps)
-    hd = obj.apply_h(res.delta)  # fresh, for the value and the KKT residual
+        delta, steps, _ = active_set_solve(obj.gradient, obj.lam1, obj.lam2, F, C, inverse)
+    hd = obj.apply_h(delta)
     fixed = prox_soft_threshold(obj.gradient + hd, obj.lam1) / (2.0 * obj.lam2)
-    scale = max(float(np.abs(res.delta).max()), np.finfo(np.float64).tiny)
-    return replace(res, objective_value=obj.value(res.delta, hd),
-                   kkt_residual=float(np.abs(res.delta - fixed).max()) / scale)
+    scale = max(float(np.abs(delta).max()), np.finfo(np.float64).tiny)
+    return SolveResult(delta, obj.value(delta, hd), 0,
+                       solver="closed-form" if F is None else "active-set", steps=steps,
+                       kkt_residual=float(np.abs(delta - fixed).max()) / scale)
 
 
 def closed_form_cafo(g, lam2):

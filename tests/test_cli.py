@@ -185,37 +185,26 @@ class TestInterpret:
         for name in ("sample0.pgm", "sample0.delta.f64", "sample0.json", "metrics.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_jobs_do_not_change_output(self, workspace, tmp_path, capsys):
-        outs = [tmp_path / "serial", tmp_path / "threaded"]
-        for out, jobs in zip(outs, ("1", "3")):
-            code = run([
-                "interpret", "--model", workspace["model"], "--data", workspace["data"],
-                "--method", "smooth-caso", "--samples", "0,1,2", "--smooth-n", "6",
-                "--seed", "4", "--jobs", jobs, "--out", str(out),
-            ])
-            assert code == 0
-        for name in ("metrics.csv", "sample0.delta.f64", "sample1.delta.f64",
-                     "sample2.delta.f64", "sample1.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-    def test_power_iters_is_accepted_and_ignored(self, tmp_path, capsys):
-        prep = tmp_path / "prep"
-        assert run([
-            "train", "--classes", "3", "--dim", "16", "--n-per-class", "4", "--hidden", "5",
-            "--activation", "sigmoid", "--epochs", "1", "--save-data", "--out", str(prep),
-        ]) == 0
-        data = ["--model", str(prep / "model.json"), "--data", str(prep / "data.csv")]
-        for argv, names in (
-            (["interpret", "--method", "caso", "--samples", "0,1"],
-             ("metrics.csv", "sample0.json", "sample0.delta.f64", "sample1.delta.f64")),
-            (["sweep", "--method", "smooth-caso", "--smooth-n", "4"],
-             ("sweep.json", "selected.delta.f64")),
-        ):
-            outs = [tmp_path / "default", tmp_path / "flag"]
-            for out, extra in zip(outs, ([], ["--power-iters", "1"])):
-                assert run(argv + data + extra + ["--width", "4", "--out", str(out)]) == 0
-            for name in names:
-                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    @pytest.mark.parametrize("command", ["interpret", "sweep"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--power-iters", "--lr", "--solver-iters",
+                                      "--decay", "--max-backtracks"])
+    def test_removed_flag_is_usage_error(self, workspace, tmp_path, capsys, command, flag):
+        # the solves are exact and run in one thread: no flag tunes them
+        argv = [command, "--model", workspace["model"], "--data", workspace["data"],
+                "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        key = flag[2:]
+        if key not in ("lr", "solver-iters"):  # train and oracle-check keep those keys
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: 1}))
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--config", str(config)])
+            assert exc.value.code == 2
+            assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_raw_tensor_input(self, workspace, tmp_path, capsys):
         data = dataset_load(workspace["data"])
@@ -266,7 +255,7 @@ class TestInterpret:
         ]) == 0
         for idx in (0, 4):
             doc = read_json(tmp_path / f"sample{idx}.json")
-            assert doc["solver"] == solver and doc["iterations_used"] == 0
+            assert doc["solver"] == solver and "iterations_used" not in doc
             assert (doc["solver_steps"] == 0) == (solver == "closed-form")
             assert 0.0 <= doc["kkt_residual"] <= 1e-12
         assert run([
@@ -282,8 +271,7 @@ class TestInterpret:
         assert run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
                     "--method", "grad", "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "sample0.json")
-        assert doc["iterations_used"] is None
-        assert not {"solver", "solver_steps", "kkt_residual"} & set(doc)
+        assert not {"solver", "solver_steps", "kkt_residual", "iterations_used"} & set(doc)
         capsys.readouterr()
 
     def test_bad_geometry_is_runtime_error(self, workspace, tmp_path, capsys):

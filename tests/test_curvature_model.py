@@ -404,12 +404,11 @@ class TestSweepHoisting:
         fn = {"cafo": cafo, "caso": caso, "smooth-cafo": smooth_cafo,
               "smooth-caso": smooth_caso}[method]
         rng = np.random.default_rng(8)
-        cfg = SolverConfig(iterations=12)
         for _ in range(3):
             s = Sample(x=rng.standard_normal(8), y=int(rng.integers(4)))
-            out = lambda1_sweep(s, relu_net, method=method, solver_config=cfg, **kwargs)
+            out = lambda1_sweep(s, relu_net, method=method, **kwargs)
             for r in out.all_results:
-                ref = fn(s, relu_net, r.lam1, solver_config=cfg, **kwargs)
+                ref = fn(s, relu_net, r.lam1, **kwargs)
                 assert (r.lam2, r.eta, r.p_max) == (ref.lam2, ref.eta, ref.p_max)
                 assert r.raw_loss_delta == pytest.approx(ref.raw_loss_delta, rel=1e-12)
                 if method.endswith("cafo"):

@@ -1,5 +1,5 @@
 """Exact sparse solves: CAFO in closed form, CASO by active-set Newton
-steps on H = F C F^T, and FISTA only as the guard behind them."""
+steps on H = F C F^T, damped where a Newton point does not settle."""
 
 import json
 
@@ -13,10 +13,8 @@ from casokit import (
     NetworkSpec,
     ObjectiveSpec,
     Sample,
-    SolverConfig,
     cli,
     dataset_save_csv,
-    fista_solve,
     init_network,
     lambda1_sweep,
     model_save,
@@ -52,18 +50,22 @@ def objective(net, method, result, sample, seed=0):
 
 def check_exact(objs, results):
     """Each result is certified, reports its objective's value, and matches
-    3000 FISTA iterations to 1e-10 of max|D| with the same zero pattern.
+    3000 proximal-gradient steps D <- soft(g + H D, lam1)/(2 lam2) on the
+    dense H, a contraction, to 1e-10 of max|D| with the same zero pattern.
     The objectives come from models built one sample at a time, which
     match a chunk's to rounding."""
     for obj, res in zip(objs, results):
-        ref = fista_solve(obj, SolverConfig(iterations=3000))
+        H = np.zeros((obj.dim, obj.dim)) if obj.hvp is None else obj.hvp(np.eye(obj.dim))
+        assert np.abs(np.linalg.eigvalsh(H)).max() / (2.0 * obj.lam2) < 1.0
+        ref = np.zeros(obj.dim)
+        for _ in range(3000):
+            ref = solver.prox_soft_threshold(obj.gradient + H @ ref, obj.lam1) / (2.0 * obj.lam2)
         assert res.solve.solver in ("active-set", "closed-form")
-        assert res.solve.iterations_used == 0
         assert res.solve.kkt_residual <= 1e-12
         assert res.loss_gain == pytest.approx(obj.value(res.delta), rel=1e-12, abs=1e-300)
         scale = max(float(np.abs(res.delta).max()), np.finfo(float).tiny)
-        assert np.abs(res.delta - ref.delta).max() <= 1e-10 * scale
-        assert np.array_equal(res.delta == 0.0, ref.delta == 0.0)
+        assert np.abs(res.delta - ref).max() <= 1e-10 * scale
+        assert np.array_equal(res.delta == 0.0, ref == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["relu", "sigmoid", "mixed"])
@@ -115,34 +117,24 @@ def test_chunk_rows_settling_at_different_steps_match_single_solves():
         assert np.abs(r.delta - alone.delta).max() <= 1e-12 * scale
 
 
-def test_step_cap_falls_back_to_fista(monkeypatch, tmp_path, capsys):
+def test_step_cap_leaves_the_last_iterate_uncertified(monkeypatch, tmp_path, capsys):
     net = net_of("relu")
-    config = SolverConfig(iterations=7)
-    rows = samples(3)
-    requests = [MethodRequest("caso", s, lam1=1e-3, solver=config) for s in rows]
-    monkeypatch.setattr(solver, "ACTIVE_SET_MAX_STEPS", 0)
-    chunk = run_requests(net, requests)
-    for q, s, res in zip(requests, rows, chunk):
-        alone = run_request(net, q)  # the same model as objective() builds
-        ref = solver.fista_solve(objective(net, "caso", alone, s), config)
-        assert np.array_equal(alone.delta, ref.delta)
-        assert (res.solve.solver, res.solve.steps) == ("fista", 0)
-        assert res.solve.iterations_used == 7
-        assert res.solve.kkt_residual > 1e-12  # seven FISTA steps are not exact
-        scale = float(np.abs(ref.delta).max())
-        assert np.abs(res.delta - ref.delta).max() <= 1e-12 * scale
-    cafo = run_request(net, MethodRequest("cafo", rows[0], lam1=1e-3))
-    assert cafo.solve.solver == "closed-form"
-
+    rows = samples(2, seed=43)
+    requests = [MethodRequest("caso", s, lam1=3e-3) for s in rows]
+    assert [r.solve.steps for r in run_requests(net, requests)] == [2, 1]
+    monkeypatch.setattr(solver, "ACTIVE_SET_MAX_STEPS", 1)
     model, data = tmp_path / "net.json", tmp_path / "data.csv"
     model_save(net, str(model))
     dataset_save_csv(Dataset(np.stack([s.x for s in rows]), [s.y for s in rows]), str(data))
     argv = ["interpret", "--model", str(model), "--data", str(data), "--method", "caso",
-            "--samples", "0,1", "--width", "20", "--height", "1", "--lambda1", "1e-3",
+            "--samples", "0,1", "--width", "20", "--height", "1", "--lambda1", "3e-3",
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
-    doc = json.loads((tmp_path / "out" / "sample1.json").read_text())
-    assert (doc["solver"], doc["solver_steps"], doc["iterations_used"]) == ("fista", 0, 10)
+    capped, settled = (json.loads((tmp_path / "out" / f"sample{i}.json").read_text())
+                       for i in (0, 1))
+    assert (capped["solver"], capped["solver_steps"]) == ("active-set", 1)
+    assert capped["kkt_residual"] > 1e-12  # the last iterate, honestly uncertified
+    assert (settled["solver_steps"], settled["kkt_residual"] <= 1e-12) == (1, True)
     capsys.readouterr()
 
 
@@ -217,18 +209,80 @@ def test_empty_active_set_and_empty_woodbury_system(monkeypatch):
     assert_maximizer(D, g, H, 0.0, lam2)
 
 
-def test_a_cycling_row_falls_back_to_fista():
+def damped_steps(monkeypatch):
+    """A list that records, for every Newton point that does not settle,
+    whether solver._globalize damped it (took another iterate)."""
+    seen = []
+    real = solver._globalize
+
+    def recorded(*args):
+        out = real(*args)
+        seen.append(out[0] is not args[7])  # args[7] is the Newton point
+        return out
+
+    monkeypatch.setattr(solver, "_globalize", recorded)
+    return seen
+
+
+def plain_newton(monkeypatch):
+    """Undamped semismooth Newton: every Newton point is the next iterate."""
+    monkeypatch.setattr(solver, "_globalize", lambda *args: args[7:])
+
+
+def test_a_cycling_row_settles_with_a_damped_step(monkeypatch):
     # plain semismooth Newton alternates between two active sets here
     rng = np.random.default_rng(49)
     F = rng.standard_normal((38, 20)) * rng.uniform(0.5, 3.0)
     top = float(np.linalg.eigvalsh(F.T @ F)[-1])
     obj = ObjectiveSpec(gradient=rng.standard_normal(38), hvp=lambda v: F @ (F.T @ v),
                         lam1=0.1, lam2=top / 2.0 + 10.0, curvature_bound=top)
-    config = SolverConfig(iterations=25)
-    res = solver.exact_solve(obj, F, config=config)
-    assert (res.solver, res.steps) == ("fista", solver.ACTIVE_SET_MAX_STEPS)
-    assert np.array_equal(res.delta, fista_solve(obj, config).delta)
-    assert res.kkt_residual > 1e-12
+    damped = damped_steps(monkeypatch)
+    res = solver.exact_solve(obj, F)
+    assert res.solver == "active-set" and res.steps < solver.ACTIVE_SET_MAX_STEPS
+    assert res.kkt_residual <= 1e-12
+    assert any(damped)
+    plain_newton(monkeypatch)
+    assert not solver.active_set_solve(obj.gradient, obj.lam1, obj.lam2, F)[2]
+
+
+def adversarial_rows(kind, count=200):
+    """Rows (g, lam1, lam2, F, C, inverse) of H = F C F^T with d from 10 to
+    60 and max|lambda(H)|/(2 lam2) from 0.8 to 0.99: C = I for "psd",
+    a random symmetric C for "signed"."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        d = int(rng.integers(10, 61))
+        r = int(rng.integers(2, d + 1))
+        F = rng.standard_normal((d, r)) * rng.uniform(0.5, 3.0)
+        C = None
+        if kind == "signed":
+            M = rng.standard_normal((r, r))
+            C = (M + M.T) / 2.0
+            top = float(np.abs(np.linalg.eigvalsh(F @ C @ F.T)).max())
+        else:
+            top = float(np.linalg.eigvalsh(F.T @ F)[-1])
+        lam2 = top / (2.0 * rng.uniform(0.8, 0.99))
+        g = rng.standard_normal(d)
+        lam1 = float(rng.uniform(0.0, 1.0) * np.abs(g).max())
+        FtFC = F.T @ F if C is None else F.T @ F @ C
+        yield g, lam1, lam2, F, C, np.linalg.inv(2.0 * lam2 * np.eye(r) - FtFC)
+
+
+@pytest.mark.parametrize("kind", ["psd", "signed"])
+def test_adversarial_rows_settle(monkeypatch, kind):
+    rows = list(adversarial_rows(kind))
+    with monkeypatch.context() as m:
+        plain_newton(m)
+        plain = [solver.active_set_solve(*row) for row in rows]
+    unsettled = 0
+    for (g, lam1, lam2, F, C, inverse), (plain_D, _, plain_settled) in zip(rows, plain):
+        D, _, settled = solver.active_set_solve(g, lam1, lam2, F, C, inverse)
+        assert settled
+        assert_maximizer(D, g, F @ (F.T if C is None else C @ F.T), lam1, lam2)
+        if plain_settled:
+            assert D.tobytes() == plain_D.tobytes()
+        unsettled += not plain_settled
+    assert unsettled >= 1
 
 
 def test_exact_solve_certifies_closed_form_cafo():

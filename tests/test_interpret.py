@@ -12,7 +12,6 @@ from casokit import (
     Network,
     NetworkSpec,
     Sample,
-    SolverConfig,
     TrainConfig,
     cafo,
     caso,
@@ -456,24 +455,19 @@ class TestMethodRequest:
     def test_dispatch_matches_direct_calls(self, relu_net):
         rng = np.random.default_rng(15)
         s = Sample(x=rng.standard_normal(8), y=1)
-        cfg = SolverConfig(iterations=5)
         cases = {
             "grad": vanilla_gradient(s, relu_net),
             "smoothgrad": smoothgrad(s, relu_net, n=10, sigma=0.2, seed=3),
             "integrated-gradients": integrated_gradients(s, relu_net, steps=20),
-            "cafo": cafo(s, relu_net, 1e-3, solver_config=cfg),
-            "caso": caso(s, relu_net, 1e-3, solver_config=cfg),
-            "smooth-cafo": smooth_cafo(
-                s, relu_net, 1e-3, n=10, sigma=0.2, seed=3, solver_config=cfg
-            ),
-            "smooth-caso": smooth_caso(
-                s, relu_net, 1e-3, n=10, sigma=0.2, seed=3, solver_config=cfg
-            ),
+            "cafo": cafo(s, relu_net, 1e-3),
+            "caso": caso(s, relu_net, 1e-3),
+            "smooth-cafo": smooth_cafo(s, relu_net, 1e-3, n=10, sigma=0.2, seed=3),
+            "smooth-caso": smooth_caso(s, relu_net, 1e-3, n=10, sigma=0.2, seed=3),
         }
         for method, direct in cases.items():
             req = MethodRequest(
                 method=method, sample=s, lam1=1e-3, smooth_n=10, smooth_sigma=0.2,
-                ig_steps=20, seed=3, solver=cfg,
+                ig_steps=20, seed=3,
             )
             out = run_request(relu_net, req)
             assert out.method == direct.method

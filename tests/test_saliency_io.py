@@ -445,6 +445,9 @@ def _csv_oracle(path):
         if not (label >= 0 and label.is_integer()):
             raise FormatError(f"label {label!r} is not a nonnegative integer",
                               path=path, line=line_no)
+        if label >= 2.0**53:
+            raise FormatError(f"label {row[-1].strip()} is not below 2**53", path=path,
+                              line=line_no)
         rows.append((values[:-1], int(label)))
     if not rows:
         raise FormatError("no data rows found", path=path)
@@ -637,13 +640,23 @@ class TestCsvDataset:
 
     def test_label_beyond_int64(self, tmp_path):
         path = tmp_path / "big.csv"
-        for label in ("1e19", "9223372036854775808"):
+        for label in ("1e19", "9223372036854775808", "9223372036854774784"):
             path.write_text(f"1.0,2.0,0\n1.0,2.0,{label}\n")
-            with pytest.raises(FormatError, match="int64") as exc:
+            with pytest.raises(FormatError, match=r"not below 2\*\*53") as exc:
                 dataset_load(path)
             assert exc.value.line == 2
-        path.write_text("1.0,2.0,9223372036854774784\n")
-        assert dataset_load(path).labels.tolist() == [9223372036854774784]
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_labels_are_exact_below_2_53(self, tmp_path, quote):
+        # float() reads the label cell, and it rounds integers above 2**53:
+        # 2**53 + 1 would load as 2**53, so it is refused with its line
+        path = tmp_path / "big.csv"
+        path.write_text(f"1.0,2.0,0\n1.0,2.0,{quote}9007199254740993{quote}\n")
+        with pytest.raises(FormatError, match=r"9007199254740993 is not below 2\*\*53") as exc:
+            dataset_load(path)
+        assert exc.value.line == 2
+        path.write_text(f"1.0,2.0,{quote}{2**53 - 1}{quote}\n")
+        assert dataset_load(path).labels.tolist() == [2**53 - 1]
 
     def test_non_utf8_reports_path_and_offset(self, tmp_path):
         path = tmp_path / "latin.csv"
@@ -707,7 +720,7 @@ class TestDatasetSidecar:
         dataset_load(path)
         tag, head, payload = self._sidecar(path).read_bytes().split(b"\n", 2)
         head = json.loads(head)
-        assert tag == b"casokit-dataset 1"
+        assert tag == b"casokit-dataset 2"
         assert head["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert (head["rows"], head["dim"]) == (7, 5)
         assert head["payload_bytes"] == len(payload) == 8 * (7 * 5 + 7)
@@ -751,13 +764,18 @@ class TestDatasetSidecar:
         self._sidecar(path).write_bytes(model.with_name("m.json.weights").read_bytes())
 
     def _corrupt_garbage(self, path):
-        self._sidecar(path).write_bytes(b"casokit-dataset 1\n{not json\n\x00\x01")
+        self._sidecar(path).write_bytes(b"casokit-dataset 2\n{not json\n\x00\x01")
 
     def _corrupt_empty(self, path):
         self._sidecar(path).write_bytes(b"")
 
+    def _corrupt_version1(self, path):
+        # a version 1 sidecar may hold a label that float() rounded
+        side = self._sidecar(path)
+        side.write_bytes(side.read_bytes().replace(b"dataset 2\n", b"dataset 1\n", 1))
+
     @pytest.mark.parametrize(
-        "case", ["truncated", "flipped", "foreign", "weights", "garbage", "empty"])
+        "case", ["truncated", "flipped", "foreign", "weights", "garbage", "empty", "version1"])
     def test_bad_sidecar_is_ignored_and_rewritten(self, tmp_path, case, parses):
         path, data = self._saved(tmp_path)
         dataset_load(path)

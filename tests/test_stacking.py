@@ -11,7 +11,6 @@ from casokit import (
     LayerSpec,
     MethodRequest,
     NetworkSpec,
-    SolverConfig,
     cli,
     dataset_load,
     dataset_save_csv,
@@ -72,7 +71,7 @@ def assert_same_result(doc, delta, ref_doc, ref_delta):
     assert np.allclose(delta, ref_delta, rtol=0.0, atol=REL * scale)
     assert np.array_equal(delta == 0.0, ref_delta == 0.0)
     assert doc["eta"] == ref_doc["eta"]
-    assert doc["iterations_used"] == ref_doc["iterations_used"]
+    assert "iterations_used" not in doc
     for key in ("lambda1", "lambda2", "loss_gain", "p_max"):
         assert doc[key] == pytest.approx(ref_doc[key], rel=REL, abs=1e-300), key
     assert doc["raw_loss_delta"] == pytest.approx(ref_doc["raw_loss_delta"], rel=REL,
@@ -97,12 +96,12 @@ class TestStackedInterpret:
         for i, child in zip(SAMPLES, children):
             res = run_request(net, MethodRequest(
                 method=method, sample=data.sample(i), lam1=0.01, smooth_n=3,
-                seed=int(child.generate_state(1, dtype=np.uint64)[0]), solver=SolverConfig(),
+                seed=int(child.generate_state(1, dtype=np.uint64)[0]),
             ))
             ref_doc = {
-                "eta": res.eta, "iterations_used": res.solve.iterations_used,
-                "lambda1": res.lam1, "lambda2": res.lam2, "loss_gain": res.loss_gain,
-                "p_max": res.p_max, "raw_loss_delta": res.raw_loss_delta,
+                "eta": res.eta, "lambda1": res.lam1, "lambda2": res.lam2,
+                "loss_gain": res.loss_gain, "p_max": res.p_max,
+                "raw_loss_delta": res.raw_loss_delta,
             }
             assert_same_result(read_json(out / f"sample{i}.json"),
                                read_delta(out / f"sample{i}.delta.f64"),

@@ -6,19 +6,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from casokit import (
-    Dataset,
-    LayerSpec,
-    NetworkSpec,
-    cli,
-    dataset_save_csv,
-    init_network,
-    model_save,
-    solver,
-)
+from casokit import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,23 +28,17 @@ def test_traced_function_resolves(layer, fn_name):
     assert callable(getattr(module, fn_name, None)), f"casokit.{layer}.{fn_name} is gone"
 
 
-def test_fista_hook_counts_the_fallback_solves(tmp_path, monkeypatch, capsys):
-    # with no Newton steps allowed, every caso map is a FISTA solve
-    spec = NetworkSpec((LayerSpec(20, 12, "relu"), LayerSpec(12, 4, "identity")))
-    model, data = tmp_path / "net.json", tmp_path / "data.csv"
-    model_save(init_network(spec, seed=50), str(model))
-    rng = np.random.default_rng(51)
-    dataset_save_csv(Dataset(rng.standard_normal((3, 20)), rng.integers(0, 4, 3)), str(data))
-    monkeypatch.setattr(solver, "ACTIVE_SET_MAX_STEPS", 0)
+def test_fista_hook_counts_the_oracle_path_solves(tmp_path, capsys):
+    # oracle-check's L1 path takes one FISTA solve per grid value
+    grid = (0.0, 1e-3, 1e-2, 1e-1)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        code = cli.main(["interpret", "--model", str(model), "--data", str(data),
-                         "--method", "caso", "--samples", "0,1,2", "--width", "20",
-                         "--height", "1", "--lambda1", "1e-3", "--out", str(tmp_path / "out")])
+        code = cli.main(["oracle-check", "--d", "8", "--support", "1,4", "--solver-iters", "10",
+                         "--grid", ",".join(map(str, grid)), "--out", str(tmp_path)])
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert code == 0
-    assert tracer.names.count("solver.fista_solve") == 3
-    assert tracer.counters["solver.fista.iterations"] == 3 * 10
+    assert tracer.names.count("solver.fista_solve") == len(grid)
+    assert tracer.counters["solver.fista.iterations"] == 10 * len(grid)
