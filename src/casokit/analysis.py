@@ -197,13 +197,12 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     for start in range(0, count, per_chunk):
         ids = range(start, min(start + per_chunk, count))
         samples = [Sample(x=dataset.X[i], y=int(dataset.labels[i])) for i in ids]
-        for i, model in zip(ids, curvature_models(net, samples)):
+        for i, model in zip(ids, curvature_models(net, samples, c1=c1)):
             g = model.gradient
             if np.linalg.norm(g) == 0.0:
                 log.info("sample %d has zero gradient; skipped", i)
                 continue
-            lam2 = select_lambda2(model.curvature_bound, c1)
-            d_caso = closed_form_caso(g, factor_eig(model.factor), lam2)
+            d_caso = closed_form_caso(g, factor_eig(model.factor), model.lam2)
             d_cafo = closed_form_cafo(g, lam2_cafo)
             u = d_caso / np.linalg.norm(d_caso)
             v = d_cafo / np.linalg.norm(d_cafo)

@@ -599,12 +599,12 @@ def build_parser():
 
 
 def _apply_config(argv, root, parsers):
-    """Merge --config JSON into parser defaults; explicit flags still win."""
+    """Merge --config JSON into parser defaults (explicit flags still win); return its keys."""
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config is None:
-        return
+        return ()
     if not os.path.isfile(known.config):
         root.error(f"no such config file: {known.config}")
     try:
@@ -631,13 +631,17 @@ def _apply_config(argv, root, parsers):
                 hit = True
         if not hit:
             root.error(f"unknown config key: {key}")
+    return tuple(doc)
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     root, parsers = build_parser()
-    _apply_config(argv, root, parsers)
+    keys = _apply_config(argv, root, parsers)
     args = root.parse_args(argv)
+    for key in keys:  # a key only another subcommand defines would be dropped
+        if key.replace("-", "_") not in vars(args):
+            root.error(f"config key {key} is not an option of {args.command}")
     if args.command == "interpret" and len(set(args.samples)) < len(args.samples):
         # each index's map lands in sample<index>.*, so a repeat would be lost
         dup = next(i for n, i in enumerate(args.samples) if i in args.samples[:n])

@@ -4,15 +4,15 @@ CAFO keeps only the first-order term of the loss around the input and
 CASO adds the closed-form second-order term; both maximize the sparse
 strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
-solving. All four sparse methods first build one CurvatureModel per
-sample (gradient and, for CASO, the exact curvature and its exact top
-eigenvalue) and then solve against it; run_requests builds the models
+solving. All four sparse methods first build one CurvatureModel
+(g, F, C, lam2, base) per sample, H = F C F^T being the exact curvature
+(0 for CAFO), and then solve against it; run_requests builds the models
 of a chunk of samples together, and a lam1 sweep solves its whole grid
-against one model, one map at a time. The gradient
-baselines (vanilla gradient, SmoothGrad, integrated gradients) are
-included for comparison; note the deliberate asymmetry that integrated
-gradients accumulates the loss gradient while the vanilla gradient
-differentiates the predicted class score.
+against one model, one map at a time.
+The gradient baselines (vanilla gradient, SmoothGrad, integrated
+gradients) are included for comparison; note the deliberate asymmetry
+that integrated gradients accumulates the loss gradient while the
+vanilla gradient differentiates the predicted class score.
 
 A saliency map Delta is summarized by its sparsity eta, the fraction of
 pixels whose channels are all exactly zero; the prox step produces exact
@@ -21,21 +21,14 @@ zeros so this is well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionError
 from .hessian import factor_gram, factor_spectrum, softmax_factor
 from .netcore import Sample, backprop_batch, forward_batch
-from .solver import (
-    DEFAULT_C1,
-    ObjectiveSpec,
-    SolveResult,
-    exact_solve,
-    select_lambda2,
-)
+from .solver import DEFAULT_C1, SolveResult, curvature_product, exact_solve, select_lambda2
 
 # lam1 grid used when a sweep does not specify one
 DEFAULT_LAMBDA1_GRID = (0.0, 1e-5, 1e-4, 1e-3, 6.25e-3, 1.25e-2, 2.5e-2, 5e-2)
@@ -117,7 +110,7 @@ def sparsity_ratio(delta, channels_per_pixel=1):
     return float(np.all(pix == 0.0, axis=1).mean())
 
 
-def _finish(method, net, samples, models, objs, solves, channels):
+def _finish(method, net, samples, models, lam1s, solves, channels):
     """Wrap the solves of a chunk of samples; one batched forward pass at
     the perturbed inputs gives every raw loss change."""
     X = np.stack([s.x for s in samples])
@@ -131,46 +124,43 @@ def _finish(method, net, samples, models, objs, solves, channels):
             p_max=float(model.probs.max()),
             loss_gain=res.objective_value,
             raw_loss_delta=float(loss - model.loss),
-            lam1=float(obj.lam1),
-            lam2=float(obj.lam2),
+            lam1=float(lam1),
+            lam2=float(model.lam2),
             solve=res,
         )
-        for model, obj, res, loss in zip(models, objs, solves, after)
+        for model, lam1, res, loss in zip(models, lam1s, solves, after)
     ]
 
 
 @dataclass(frozen=True)
 class CurvatureModel:
-    """Local model of the loss around one sample, built once and solved
-    against for any lam1.
+    """Local model (g, F, C, lam2, base) of the loss around one sample,
+    built once and solved against for any lam1.
 
     probs and loss come from the forward pass at the sample itself.
-    gradient is the loss gradient averaged over the expansion points, and
-    hvp applies the matching averaged Hessian exactly, to a vector or an
-    (m, d) stack of rows in one matrix product; curvature_bound is its
-    exact lambda_max, clamped at 0. A first-order model has hvp None and
-    curvature_bound 0 (H = 0). On nets of relu and identity layers factor
-    is the stacked (d, r) matrix B with mean_i H_i = B B^T, and, for
-    r <= d, gram is B^T B as the spectrum step formed it, held for
-    take_gram. Sigmoid layers add terms of either sign, so there factor is
-    None and H = W_0^T M W_0 with middle M (see curvature_models).
+    gradient is the loss gradient g averaged over the expansion points,
+    and H = F C F^T the matching averaged Hessian, exactly: on nets of
+    relu and identity layers F is the stacked (d, r) factor B and middle C
+    is None (I); sigmoid layers add terms of either sign, so there F is
+    the read-only view W_0^T and C the middle M (see curvature_models). A
+    first-order model has F None (H = 0). curvature_bound is the exact
+    lambda_max of H, clamped at 0, lam2 = curvature_bound/2 + c1, and
+    inverse the Woodbury base (2 lam2 I - F^T F C)^{-1} of exact_solve,
+    None for H = 0 or F wider than d.
     """
 
     probs: np.ndarray
     loss: float
     gradient: np.ndarray
-    hvp: Callable[[np.ndarray], np.ndarray] | None
+    factor: np.ndarray | None
+    middle: np.ndarray | None
     curvature_bound: float
-    factor: np.ndarray | None = None
-    middle: np.ndarray | None = None
-    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lam2: float
+    inverse: np.ndarray | None
 
-    def take_gram(self):
-        """gram, handed over once for the caller to overwrite: the model
-        drops it, so later calls return None and it is held nowhere else."""
-        gram = self.gram
-        object.__setattr__(self, "gram", None)
-        return gram
+    def hvp(self, V):
+        """H V, for a vector or an (m, d) stack of rows."""
+        return curvature_product(self.factor, self.middle, V)
 
 
 def _factor_width(net):
@@ -179,7 +169,7 @@ def _factor_width(net):
     return net.num_classes + sum(l.out_dim for l in net.spec.layers if l.activation == "sigmoid")
 
 
-def curvature_models(net, samples, points=None, second_order=True):
+def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1):
     """Build the CurvatureModels of a chunk of samples in one pass.
 
     points is None to expand each sample at itself, or one (n, d) array
@@ -197,15 +187,16 @@ def curvature_models(net, samples, points=None, second_order=True):
     Without sigmoid layers one more backprop, seeded with every L_i,
     yields each sample's B = [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with
     mean_i H_i = B B^T, and lambda_max comes from the smaller Gram matrix
-    of B by one batched factor_spectrum for the chunk; each model keeps
-    its B^T B for the Woodbury base (see _system). Sigmoid
+    of B by one batched factor_spectrum for the chunk. Sigmoid
     terms have either sign, and every Jacobian ends in W_0, so mean_i H_i =
     W_0^T M W_0: M sums E^T E over the first layer's cotangents E of the
     seeds L_i / sqrt(n), E_l^T diag(w_l / n) E_l over those of unit seeds
     at each deeper sigmoid layer l (a block of at most d factor columns,
     _factor_width(net) per point, at a time), and diag(sum_i w_0 / n) for a
     sigmoid first layer. lambda_max is the top eigenvalue of R M R^T for
-    the R of W_0^T = QR (Network.input_r).
+    the R of W_0^T = QR (Network.input_r). Each model's Woodbury base
+    overwrites the Gram matrix F^T F C already formed, B^T B or
+    Network.input_gram @ M, with 2 lam2 I - F^T F C and inverts it.
     """
     k = len(samples)
     y = np.array([s.y for s in samples])
@@ -223,12 +214,18 @@ def curvature_models(net, samples, points=None, second_order=True):
     dz = backprop_batch(net, expand, seeds_g[:, None, :], cotangents=True)
     G = dz[0].reshape(k, m, -1).mean(axis=1) @ W0
 
-    def model(i, **curvature):
+    def model(i, bound=0.0, F=None, C=None, base=None):
+        lam2 = select_lambda2(bound, c1)
+        if base is not None:  # in place: base is 2 lam2 I - F^T F C, then inverted
+            base *= -1.0
+            base[np.diag_indices_from(base)] += 2.0 * lam2
+            base = np.linalg.inv(base)
         return CurvatureModel(probs=clean.probs[i], loss=float(clean.losses[i]),
-                              gradient=np.ascontiguousarray(G[i]), **curvature)
+                              gradient=np.ascontiguousarray(G[i]), factor=F, middle=C,
+                              curvature_bound=bound, lam2=lam2, inverse=base)
 
     if not second_order:
-        return [model(i, hvp=None, curvature_bound=0.0) for i in range(k)]
+        return [model(i) for i in range(k)]
 
     # lseeds[r, j] is column j of L_r: sqrt(p_rj) e_j - sqrt(p_rj) p_r
     lseeds = np.swapaxes(softmax_factor(P), 1, 2) / np.sqrt(m)
@@ -241,18 +238,14 @@ def curvature_models(net, samples, points=None, second_order=True):
         bounds = factor_spectrum(B, gram=grams)[:, -1]
         if m * c > d:
             grams = [None] * k  # B B^T: no Woodbury base to build
-
-        def factored_model(i):
-            Bi = B[i]
-            return model(i, hvp=lambda V: (Bi @ (Bi.T @ V.T)).T,
-                         curvature_bound=float(bounds[i]), factor=Bi, gram=grams[i])
-
-        return [factored_model(i) for i in range(k)]
+        return [model(i, float(bounds[i]), B[i], None, grams[i]) for i in range(k)]
 
     weights = [dz[l] * (1.0 - 2.0 * expand.activations[l]) / m for l in sigmoid]
     deeper = [(l, w) for l, w in zip(sigmoid, weights) if l > 0]
     block = max(d // _factor_width(net), 1)
     R = net.input_r
+    F = W0.T
+    F.flags.writeable = False
 
     def signed_model(i):
         M = np.zeros((W0.shape[0], W0.shape[0]))
@@ -269,7 +262,7 @@ def curvature_models(net, samples, points=None, second_order=True):
         if sigmoid[0] == 0:
             M[np.diag_indices_from(M)] += weights[0][i * m:(i + 1) * m].sum(axis=0)
         top = max(float(np.linalg.eigvalsh(R @ M @ R.T)[-1]), 0.0)
-        return model(i, hvp=lambda V: ((V @ W0.T) @ M) @ W0, curvature_bound=top, middle=M)
+        return model(i, top, F, M, net.input_gram @ M)
 
     return [signed_model(i) for i in range(k)]
 
@@ -281,13 +274,13 @@ def _noise_inputs(x, n, sigma, rng):
 
 
 def _sparse_models(method, samples, net, seeds, n=DEFAULT_SMOOTH_N,
-                   sigma=DEFAULT_SMOOTH_SIGMA):
+                   sigma=DEFAULT_SMOOTH_SIGMA, c1=DEFAULT_C1):
     """The CurvatureModels a SPARSE_METHODS entry solves against, one per
     sample, built in one pass.
 
     Smoothed methods expand each sample at n noisy copies drawn from its
     seed, or at the sample itself when sigma = 0; the others expand at the
-    sample. Knobs the method does not use are ignored.
+    sample. Knobs the method does not use are ignored; lam2 = L/2 + c1.
     """
     smoothed, second_order = SPARSE_METHODS[method]
     points = None
@@ -302,7 +295,7 @@ def _sparse_models(method, samples, net, seeds, n=DEFAULT_SMOOTH_N,
                 _noise_inputs(s.x, n, sigma, np.random.default_rng(seed))
                 for s, seed in zip(samples, seeds)
             ]
-    return curvature_models(net, samples, points, second_order=second_order)
+    return curvature_models(net, samples, points, second_order, c1)
 
 
 def _sparse_model(method, sample, net, seed=0, **model_kwargs):
@@ -310,52 +303,12 @@ def _sparse_model(method, sample, net, seed=0, **model_kwargs):
     return _sparse_models(method, [sample], net, [seed], **model_kwargs)[0]
 
 
-def _system(net, model, lam2):
-    """(F, C, inverse) of a model for exact_solve: H = F C F^T with F = B,
-    C = None (I) on relu and identity nets, else F = W_0^T, C = M (F^T F =
-    R^T R, Network.input_gram), and the Woodbury base inverse =
-    (2 lam2 I - F^T F C)^{-1}, one inv (None for F wider than d); all None
-    for a first-order model. F^T F is the model's gram when it still
-    holds one, which becomes the base in place."""
-    if model.hvp is None:
-        return None, None, None
-    if model.middle is None:
-        F, C = model.factor, None
-        base = model.take_gram()
-        if base is None and F.shape[1] <= F.shape[0]:
-            base = F.T @ F
-    else:
-        F, C = net.weights[0].T, model.middle
-        base = net.input_gram @ C
-    if base is not None:  # in place: base is 2 lam2 I - F^T F C, then inverted
-        base *= -1.0
-        base[np.diag_indices_from(base)] += 2.0 * lam2
-        base = np.linalg.inv(base)
-    return F, C, base
-
-
-def _solve_models(method, net, samples, models, lam1s, c1=DEFAULT_C1, channels=1, systems=None):
+def _solve_models(method, net, samples, models, lam1s, channels=1):
     """Maximize the surrogates of a list of CurvatureModels, one lam1 per
-    row, each exactly by exact_solve with lam2 = L/2 + c1 for its
-    curvature bound L. systems holds each row's _system, or is None to
-    build one per row; rows that repeat a model pass one system for all."""
-    objs = [
-        ObjectiveSpec(
-            gradient=model.gradient, hvp=model.hvp, lam1=lam1,
-            lam2=select_lambda2(model.curvature_bound, c1),
-            curvature_bound=model.curvature_bound,
-        )
-        for model, lam1 in zip(models, lam1s, strict=True)
-    ]
-    if systems is None:
-        systems = [_system(net, model, obj.lam2) for model, obj in zip(models, objs)]
-    solves = [exact_solve(obj, *system) for obj, system in zip(objs, systems)]
-    return _finish(method, net, samples, models, objs, solves, channels)
-
-
-def _sparse(method, sample, net, lam1, c1=DEFAULT_C1, channels=1, **model_kwargs):
-    model = _sparse_model(method, sample, net, **model_kwargs)
-    return _solve_models(method, net, [sample], [model], [lam1], c1, channels)[0]
+    row, each exactly by exact_solve; rows may repeat a model."""
+    solves = [exact_solve(m.gradient, lam1, m.lam2, m.factor, m.middle, m.inverse)
+              for m, lam1 in zip(models, lam1s, strict=True)]
+    return _finish(method, net, samples, models, lam1s, solves, channels)
 
 
 def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
@@ -363,7 +316,7 @@ def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
 
     The ridge rule lam2 = L/2 + c1 is applied with L = 0, so lam2 = c1.
     """
-    return _sparse("cafo", sample, net, lam1, c1, channels)
+    return run_request(net, MethodRequest("cafo", sample, lam1, c1, channels=channels))
 
 
 def caso(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
@@ -375,7 +328,7 @@ def caso(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
     otherwise; see curvature_models) and L is its exact lambda_max,
     clamped at 0.
     """
-    return _sparse("caso", sample, net, lam1, c1, channels)
+    return run_request(net, MethodRequest("caso", sample, lam1, c1, channels=channels))
 
 
 def smooth_cafo(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA, seed=0,
@@ -386,7 +339,8 @@ def smooth_cafo(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
     once up front and reused for the whole solve; sigma = 0 reduces to
     plain cafo exactly.
     """
-    return _sparse("smooth-cafo", sample, net, lam1, c1, channels, n=n, sigma=sigma, seed=seed)
+    return run_request(net, MethodRequest("smooth-cafo", sample, lam1, c1, n, sigma,
+                                          seed=seed, channels=channels))
 
 
 def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA, seed=0,
@@ -398,7 +352,8 @@ def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
     curvature bound is its exact lambda_max. The noise is drawn once from
     seed; sigma = 0 reduces to plain caso exactly.
     """
-    return _sparse("smooth-caso", sample, net, lam1, c1, channels, n=n, sigma=sigma, seed=seed)
+    return run_request(net, MethodRequest("smooth-caso", sample, lam1, c1, n, sigma,
+                                          seed=seed, channels=channels))
 
 
 def _gradient_map(method, sample, net, channels, points=None, path=None):
@@ -524,13 +479,13 @@ def lambda1_sweep(
     and re-solved, up to max_refinements times. When even that never
     reaches the range the outcome is flagged and the selection falls back
     to the densest non-trivial candidate. method is a SPARSE_METHODS
-    entry; its CurvatureModel and exact_solve system (F, C and the
-    Woodbury base, one inv) are built once from model_kwargs (n, sigma,
-    seed; unused ones are ignored), and every grid value and refinement is
-    solved against them. The grid values take one batched forward pass
-    per CHUNK_COLUMNS of them; each refinement is a solve of its own. The
-    results match separate calls at each lam1 to rounding (bitwise for
-    first-order methods).
+    entry; its CurvatureModel, Woodbury base (one inv) included, is built
+    once from c1 and model_kwargs (n, sigma, seed; unused ones are
+    ignored), and every grid value and refinement is solved against it.
+    The grid values take one batched forward pass per CHUNK_COLUMNS of
+    them; each refinement is a solve of its own. The results match
+    separate calls at each lam1 to rounding (bitwise for first-order
+    methods).
     """
     if method not in SPARSE_METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
@@ -546,13 +501,11 @@ def lambda1_sweep(
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
-    model = _sparse_model(method, sample, net, **model_kwargs)
-    system = _system(net, model, select_lambda2(model.curvature_bound, c1))
+    model = _sparse_model(method, sample, net, c1=c1, **model_kwargs)
 
     def solve(lams):
         k = len(lams)
-        return _solve_models(method, net, [sample] * k, [model] * k, lams, c1, channels,
-                             [system] * k)
+        return _solve_models(method, net, [sample] * k, [model] * k, lams, channels)
 
     def in_range(r):
         return lo <= r.eta < hi
@@ -687,11 +640,10 @@ def run_requests(net, requests):
             results.append(_run_baseline(net, r))
             continue
         samples = [q.sample for q in chunk]
-        models = _sparse_models(
-            r.method, samples, net, [q.seed for q in chunk], n=r.smooth_n, sigma=r.smooth_sigma
-        )
+        models = _sparse_models(r.method, samples, net, [q.seed for q in chunk],
+                                r.smooth_n, r.smooth_sigma, r.c1)
         results.extend(_solve_models(r.method, net, samples, models, [r.lam1] * len(chunk),
-                                     r.c1, r.channels))
+                                     r.channels))
     return results
 
 

@@ -88,15 +88,25 @@ class ObjectiveSpec:
         """
         if hd is None:
             hd = self.apply_h(delta)
-        return float(
-            self.gradient @ delta
-            + 0.5 * (delta @ hd)
-            - self.lam2 * (delta @ delta)
-        )
+        return _smooth_value(self.gradient, self.lam2, delta, hd)
 
     def value(self, delta, hd=None):
         """Full surrogate value l~(D); hd as in smooth_value."""
         return self.smooth_value(delta, hd) - self.lam1 * float(np.abs(delta).sum())
+
+
+def _smooth_value(g, lam2, delta, hd):
+    return float(g @ delta + 0.5 * (delta @ hd) - lam2 * (delta @ delta))
+
+
+def curvature_product(F, C, V):
+    """H V for H = F C F^T (C None for I, F None for H = 0), V a vector or
+    an (m, d) stack of rows."""
+    if F is None:
+        return np.zeros_like(V)
+    if C is None:
+        return (F @ (F.T @ V.T)).T
+    return ((V @ F) @ C) @ F.T
 
 
 def smooth_gradient(obj, delta, hd=None):
@@ -328,19 +338,23 @@ def active_set_solve(g, lam1, lam2, F, C=None, inverse=None):
     return prox_soft_threshold(q, lam1) / (2.0 * lam2), ACTIVE_SET_MAX_STEPS, False
 
 
-def exact_solve(obj, F=None, C=None, inverse=None):
-    """Maximize one surrogate exactly and certify it: in closed form when F
-    is None (H = 0), else by active_set_solve with H = F C F^T. kkt_residual
-    comes from a fresh H D: rounding, unless the solve reached
+def exact_solve(g, lam1, lam2, F=None, C=None, inverse=None):
+    """Maximize the surrogate of gradient g and H = F C F^T exactly and
+    certify it: in closed form when F is None (H = 0), else by
+    active_set_solve, given the Woodbury base inverse. kkt_residual comes
+    from a fresh H D: rounding, unless the solve reached
     ACTIVE_SET_MAX_STEPS, and then it says the map is uncertified."""
+    if not 0.0 <= lam1 < np.inf:
+        raise ValueError("lam1 must be nonnegative and finite")
     if F is None:
-        delta, steps = prox_soft_threshold(obj.gradient, obj.lam1) / (2.0 * obj.lam2), 0
+        delta, steps = prox_soft_threshold(g, lam1) / (2.0 * lam2), 0
     else:
-        delta, steps, _ = active_set_solve(obj.gradient, obj.lam1, obj.lam2, F, C, inverse)
-    hd = obj.apply_h(delta)
-    fixed = prox_soft_threshold(obj.gradient + hd, obj.lam1) / (2.0 * obj.lam2)
+        delta, steps, _ = active_set_solve(g, lam1, lam2, F, C, inverse)
+    hd = curvature_product(F, C, delta)
+    fixed = prox_soft_threshold(g + hd, lam1) / (2.0 * lam2)
     scale = max(float(np.abs(delta).max()), np.finfo(np.float64).tiny)
-    return SolveResult(delta, obj.value(delta, hd), 0,
+    value = _smooth_value(g, lam2, delta, hd) - lam1 * float(np.abs(delta).sum())
+    return SolveResult(delta, value, 0,
                        solver="closed-form" if F is None else "active-set", steps=steps,
                        kkt_residual=float(np.abs(delta - fixed).max()) / scale)
 

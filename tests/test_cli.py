@@ -197,13 +197,15 @@ class TestInterpret:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         key = flag[2:]
-        if key not in ("lr", "solver-iters"):  # train and oracle-check keep those keys
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({key: 1}))
-            with pytest.raises(SystemExit) as exc:
-                run(argv + ["--config", str(config)])
-            assert exc.value.code == 2
-            assert f"unknown config key: {key}" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 1}))
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", str(config)])
+        assert exc.value.code == 2
+        # train and oracle-check keep --lr and --solver-iters
+        message = (f"config key {key} is not an option of {command}"
+                   if key in ("lr", "solver-iters") else f"unknown config key: {key}")
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_raw_tensor_input(self, workspace, tmp_path, capsys):
@@ -289,16 +291,21 @@ class TestInterpret:
             err = capsys.readouterr().err
             assert "error:" in err and message in err
 
-    @pytest.mark.parametrize("flag", ["--lambda1", "--c1"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("method", ["cafo", "caso"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda1", "nan"), ("--lambda1", "inf"), ("--lambda1", "-1"),
+        ("--c1", "nan"), ("--c1", "inf"),
+    ])
     def test_non_finite_weight_is_runtime_error(self, workspace, tmp_path, capsys, flag,
-                                                value):
+                                                value, method):
         code = run([
             "interpret", "--model", workspace["model"], "--data", workspace["data"],
-            flag, value, "--out", str(tmp_path),
+            "--method", method, flag, value, "--out", str(tmp_path),
         ])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        message = {"--lambda1": "lam1 must be nonnegative and finite",
+                   "--c1": "c1 must be positive and finite"}[flag]
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sample0.json").exists()
 
     def test_explicit_geometry(self, workspace, tmp_path, capsys):
@@ -532,6 +539,17 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"config file {cfg} is not UTF-8 text (byte 9)" in err
         assert not (tmp_path / "model.json").exists()
+
+    def test_other_subcommands_key_is_usage_error(self, workspace, tmp_path, capsys):
+        # epochs and lr are train's: interpret would drop them without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 3, "lr": 5}))
+        with pytest.raises(SystemExit) as exc:
+            run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
+                 "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "config key epochs is not an option of interpret" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -244,7 +244,9 @@ class TestDenseEquivalence:
         s = Sample(x=x, y=1)
         points = noisy_points(x, 3, 7)
         model = curvature_models(sigmoid_net, [s], [points])[0]
-        assert model.factor is None
+        W0 = sigmoid_net.weights[0]
+        assert np.shares_memory(model.factor, W0) and np.array_equal(model.factor, W0.T)
+        assert not model.factor.flags.writeable
         g = np.mean([input_gradient(sigmoid_net, z, 1) for z in points], axis=0)
         assert np.allclose(model.gradient, g, rtol=1e-10, atol=1e-14)
         H = np.mean([bishop_hessian(sigmoid_net, z, 1) for z in points], axis=0)
@@ -267,7 +269,7 @@ class TestDenseEquivalence:
                                         seed=seed)
         g = np.mean([input_gradient(sigmoid_net, z, 2) for z in points], axis=0)
         assert np.allclose(model.gradient, g, rtol=1e-12, atol=0.0)
-        assert model.hvp is None and model.factor is None
+        assert model.factor is None and model.inverse is None
         assert model.curvature_bound == 0.0
 
 

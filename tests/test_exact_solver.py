@@ -234,15 +234,14 @@ def test_a_cycling_row_settles_with_a_damped_step(monkeypatch):
     rng = np.random.default_rng(49)
     F = rng.standard_normal((38, 20)) * rng.uniform(0.5, 3.0)
     top = float(np.linalg.eigvalsh(F.T @ F)[-1])
-    obj = ObjectiveSpec(gradient=rng.standard_normal(38), hvp=lambda v: F @ (F.T @ v),
-                        lam1=0.1, lam2=top / 2.0 + 10.0, curvature_bound=top)
+    g, lam2 = rng.standard_normal(38), top / 2.0 + 10.0
     damped = damped_steps(monkeypatch)
-    res = solver.exact_solve(obj, F)
+    res = solver.exact_solve(g, 0.1, lam2, F)
     assert res.solver == "active-set" and res.steps < solver.ACTIVE_SET_MAX_STEPS
     assert res.kkt_residual <= 1e-12
     assert any(damped)
     plain_newton(monkeypatch)
-    assert not solver.active_set_solve(obj.gradient, obj.lam1, obj.lam2, F)[2]
+    assert not solver.active_set_solve(g, 0.1, lam2, F)[2]
 
 
 def adversarial_rows(kind, count=200):
@@ -289,7 +288,7 @@ def test_exact_solve_certifies_closed_form_cafo():
     rng = np.random.default_rng(45)
     objs = [ObjectiveSpec(gradient=rng.standard_normal(9), hvp=None, lam1=lam1, lam2=10.0)
             for lam1 in (0.0, 0.5, 5.0)]
-    results = [solver.exact_solve(obj) for obj in objs]
+    results = [solver.exact_solve(obj.gradient, obj.lam1, obj.lam2) for obj in objs]
     for obj, res in zip(objs, results):
         assert (res.solver, res.steps, res.kkt_residual) == ("closed-form", 0, 0.0)
         expected = solver.prox_soft_threshold(obj.gradient, obj.lam1) / 20.0
@@ -354,8 +353,8 @@ def test_sigmoid_qr_runs_once_per_network(monkeypatch):
 
 
 def system_formed_anew(net, model, lam2):
-    """interpret._system as it was before the spectrum step's Gram matrix
-    was handed over: F^T F, or R^T R, formed again for every system."""
+    """(F, C, Woodbury base) of a model with its Gram matrix formed again:
+    F^T F, or R^T R, and a fresh 2 lam2 I - F^T F C to invert."""
     if model.middle is None:
         F, C = model.factor, None
         base = F.T @ F if F.shape[1] <= F.shape[0] else None
@@ -387,31 +386,33 @@ def test_refinements_reuse_the_sweeps_woodbury_base(monkeypatch, kind):
     assert len(calls) == 1
     for r in out.all_results:  # as one solve per lam1, each with a system of its own
         model = interpret._sparse_model("smooth-caso", s, net, seed=3, **SMOOTH)
-        obj = ObjectiveSpec(gradient=model.gradient, hvp=model.hvp, lam1=r.lam1, lam2=r.lam2,
-                            curvature_bound=model.curvature_bound)
-        ref = solver.exact_solve(obj, *system_formed_anew(net, model, r.lam2))
+        assert model.lam2 == r.lam2
+        ref = solver.exact_solve(model.gradient, r.lam1, r.lam2,
+                                 *system_formed_anew(net, model, r.lam2))
         assert r.delta.tobytes() == ref.delta.tobytes()
         assert (r.solve.steps, r.loss_gain) == (ref.steps, ref.objective_value)
 
 
-def test_spectrum_gram_becomes_the_woodbury_base():
+def test_spectrum_gram_becomes_the_woodbury_base(monkeypatch):
+    # each model inverts its slice of the spectrum step's B^T B stack,
+    # overwritten in place: no second F^T F is formed or held
+    grams, inverted = [], []
+    factor_gram, inv = interpret.factor_gram, np.linalg.inv
+    monkeypatch.setattr(interpret, "factor_gram",
+                        lambda B: grams.append(factor_gram(B)) or grams[-1])
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
     net = net_of("relu")
     models = interpret._sparse_models("caso", samples(3), net, [0] * 3)
-    for model in models:
-        F = model.factor
-        assert model.gram.tobytes() == (F.T @ F).tobytes()
-        gram = model.gram
-        lam2 = solver.select_lambda2(model.curvature_bound)
-        base = interpret._system(net, model, lam2)[2]
-        assert base.tobytes() == system_formed_anew(net, model, lam2)[2].tobytes()
-        assert model.gram is None and model.take_gram() is None
+    assert len(grams) == 1 and len(inverted) == 3
+    for model, gram, arg in zip(models, grams[0], inverted):
+        F, lam2 = model.factor, model.lam2
+        assert lam2 == solver.select_lambda2(model.curvature_bound)
+        assert np.shares_memory(arg, gram) and arg.shape == gram.shape
         assert np.array_equal(gram, 2.0 * lam2 * np.eye(len(gram)) - F.T @ F)  # in place
-        # with the Gram matrix handed over, a second system forms F^T F again
-        assert interpret._system(net, model, lam2)[2].tobytes() == base.tobytes()
-    # n c = 24 columns > d = 20: the spectrum's Gram matrix is B B^T, not kept
+        assert model.inverse.tobytes() == system_formed_anew(net, model, lam2)[2].tobytes()
+    # n c = 24 columns > d = 20: the spectrum's Gram matrix is B B^T, not a base
     wide = interpret._sparse_model("smooth-caso", samples(1)[0], net, n=6, sigma=0.2)
-    assert wide.factor.shape == (20, 24) and wide.gram is None
-    assert interpret._system(net, wide, 10.0)[2] is None
+    assert wide.factor.shape == (20, 24) and wide.inverse is None
 
 
 def test_sigmoid_input_gram_is_formed_once():
@@ -421,6 +422,8 @@ def test_sigmoid_input_gram_is_formed_once():
     assert gram.tobytes() == (net.input_r.T @ net.input_r).tobytes()
     assert not gram.flags.writeable
     model = interpret._sparse_model("caso", samples(1)[0], net)
-    lam2 = solver.select_lambda2(model.curvature_bound)
-    base = interpret._system(net, model, lam2)[2]
-    assert base.tobytes() == system_formed_anew(net, model, lam2)[2].tobytes()
+    assert model.lam2 == solver.select_lambda2(model.curvature_bound)
+    base = system_formed_anew(net, model, model.lam2)[2]
+    assert model.inverse.tobytes() == base.tobytes()
+    assert gram is net.input_gram
+    assert gram.tobytes() == (net.input_r.T @ net.input_r).tobytes()
