@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DimensionError
-from .hessian import factor_eig, hessian_eig, rank_one_approx, rel_error
+from .hessian import hessian_eig, rank_one_approx, rel_error
 from .interpret import CHUNK_COLUMNS, curvature_models
 from .netcore import Sample
 from .solver import (
@@ -35,7 +35,7 @@ from .solver import (
     ObjectiveSpec,
     SolverConfig,
     closed_form_cafo,
-    closed_form_caso,
+    exact_solve,
     fista_solve,
     select_lambda2,
 )
@@ -179,11 +179,12 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
 
     Each sample's CurvatureModel is the one `caso` solves against, built
     CHUNK_COLUMNS // c samples at a time; lam2 takes its exact curvature
-    bound. Both maps come from their closed forms, are normalized to unit
-    L2, and the gap is the norm of their difference (in [0, 2]). Samples
-    with an exactly zero gradient carry no direction to compare and are
-    skipped with a log entry. The closed CASO form needs a PSD factor,
-    which only relu/identity nets have; any other net is rejected.
+    bound. The CAFO map comes from its closed form and the CASO map from
+    the model's exact lam1 = 0 solve, (2 lam2 I - H)^{-1} g; both are
+    normalized to unit L2, and the gap is the norm of their difference (in
+    [0, 2]). Samples with an exactly zero gradient carry no direction to
+    compare and are skipped with a log entry. Only relu/identity nets,
+    whose curvature is positive semidefinite, are accepted.
     """
     if not net.spec.piecewise_linear:
         raise ValueError(
@@ -202,7 +203,8 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
             if np.linalg.norm(g) == 0.0:
                 log.info("sample %d has zero gradient; skipped", i)
                 continue
-            d_caso = closed_form_caso(g, factor_eig(model.factor), model.lam2)
+            d_caso = exact_solve(g, 0.0, model.lam2, model.factor, model.middle,
+                                 model.inverse).delta
             d_cafo = closed_form_cafo(g, lam2_cafo)
             u = d_caso / np.linalg.norm(d_caso)
             v = d_cafo / np.linalg.norm(d_cafo)

@@ -38,9 +38,10 @@ DEFAULT_IG_STEPS = 50
 # run_requests stacks consecutive samples of one sparse method while their
 # chunk columns (see _columns) stay within this bound. On 10 classes that
 # is ten cafo or relu caso samples, two smooth-cafo samples at n = 50, and
-# one smooth-caso sample at n = 50 (500 columns) or any caso sample on a
+# one smooth-caso sample at n = 50 (500 backprop columns, its model built
+# in first-layer coordinates, h0 x h0) or any caso sample on a
 # 784-256-128-10 sigmoid net (394). It keeps a chunk's working set (each
-# sample's factor and passes) to one or two megabytes, so the CLI's
+# sample's passes, factor and middle) to one or two megabytes, so the CLI's
 # peak memory barely grows; stacking all 64 samples of a CASO run
 # would add megabytes for little further speed. A lam1 sweep takes at
 # most this many grid values per batched forward pass, for the same reason.
@@ -139,10 +140,12 @@ class CurvatureModel:
 
     probs and loss come from the forward pass at the sample itself.
     gradient is the loss gradient g averaged over the expansion points,
-    and H = F C F^T the matching averaged Hessian, exactly: on nets of
-    relu and identity layers F is the stacked (d, r) factor B and middle C
-    is None (I); sigmoid layers add terms of either sign, so there F is
-    the read-only view W_0^T and C the middle M (see curvature_models). A
+    and H = F C F^T the matching averaged Hessian, exactly, in one of two
+    forms (see curvature_models). On nets of relu and identity layers whose
+    stacked factor B has at most h0 columns (the first layer's width) F is
+    B, (d, n c), and middle C is None (I). Otherwise F is the read-only view
+    W_0^T and C the (h0, h0) middle M: positive semidefinite for wide relu
+    models, of either sign once sigmoid layers add their terms. A
     first-order model has F None (H = 0). curvature_bound is the exact
     lambda_max of H, clamped at 0, lam2 = curvature_bound/2 + c1, and
     inverse the Woodbury base (2 lam2 I - F^T F C)^{-1} of exact_solve,
@@ -184,19 +187,23 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     with J the input Jacobian of the logits, L_i the closed-form factor of
     diag(p_i) - p_i p_i^T (hessian.softmax_factor), and J_l that of the
     pre-activations of sigmoid layer l (sigma'' = sigma' (1 - 2 sigma)).
-    Without sigmoid layers one more backprop, seeded with every L_i,
-    yields each sample's B = [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with
-    mean_i H_i = B B^T, and lambda_max comes from the smaller Gram matrix
-    of B by one batched factor_spectrum for the chunk. Sigmoid
-    terms have either sign, and every Jacobian ends in W_0, so mean_i H_i =
-    W_0^T M W_0: M sums E^T E over the first layer's cotangents E of the
-    seeds L_i / sqrt(n), E_l^T diag(w_l / n) E_l over those of unit seeds
-    at each deeper sigmoid layer l (a block of at most d factor columns,
-    _factor_width(net) per point, at a time), and diag(sum_i w_0 / n) for a
-    sigmoid first layer. lambda_max is the top eigenvalue of R M R^T for
-    the R of W_0^T = QR (Network.input_r). Each model's Woodbury base
-    overwrites the Gram matrix F^T F C already formed, B^T B or
-    Network.input_gram @ M, with 2 lam2 I - F^T F C and inverts it.
+    Without sigmoid layers, and with n c at most the first layer's width
+    h0, one more backprop, seeded with every L_i, yields each sample's B =
+    [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with mean_i H_i = B B^T, and
+    lambda_max comes from the smaller Gram matrix of B by one batched
+    factor_spectrum for the chunk. Every Jacobian ends in W_0, so mean_i
+    H_i = W_0^T M W_0 for an h0 x h0 middle M, the form taken otherwise:
+    by sigmoid nets, whose terms have either sign, and by relu nets whose
+    B would be wider than h0 (smooth-caso), where every matrix decomposed
+    or inverted is then h0 x h0 instead of n c x n c. M sums E^T E over
+    the first layer's cotangents E of the seeds L_i / sqrt(n), E_l^T
+    diag(w_l / n) E_l over those of unit seeds at each deeper sigmoid
+    layer l (a block of at most d factor columns, _factor_width(net) per
+    point, at a time), and diag(sum_i w_0 / n) for a sigmoid first layer.
+    lambda_max is the top eigenvalue of R M R^T for the R of W_0^T = QR
+    (Network.input_r). Each model's Woodbury base overwrites the Gram
+    matrix F^T F C already formed, B^T B or Network.input_gram @ M, with
+    2 lam2 I - F^T F C and inverts it.
     """
     k = len(samples)
     y = np.array([s.y for s in samples])
@@ -230,7 +237,7 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     # lseeds[r, j] is column j of L_r: sqrt(p_rj) e_j - sqrt(p_rj) p_r
     lseeds = np.swapaxes(softmax_factor(P), 1, 2) / np.sqrt(m)
     sigmoid = [l for l, layer in enumerate(net.spec.layers) if layer.activation == "sigmoid"]
-    if not sigmoid:
+    if not sigmoid and m * c <= W0.shape[0]:
         # (k, d, m*c): each sample's factor, a view of the backprop's columns
         B = backprop_batch(net, expand, lseeds)
         B = B.reshape(d, k, m * c).transpose(1, 0, 2)
@@ -247,7 +254,7 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     F = W0.T
     F.flags.writeable = False
 
-    def signed_model(i):
+    def first_layer_model(i):
         M = np.zeros((W0.shape[0], W0.shape[0]))
         for lo in range(i * m, (i + 1) * m, block):
             rows = slice(lo, min(lo + block, (i + 1) * m))
@@ -259,12 +266,12 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
                 units = np.broadcast_to(np.eye(h), (at.X.shape[0], h, h))
                 E = backprop_batch(net, at, units, start=l, cotangents=True)[0]
                 M += (E.T * w[rows].ravel()) @ E
-        if sigmoid[0] == 0:
+        if sigmoid and sigmoid[0] == 0:
             M[np.diag_indices_from(M)] += weights[0][i * m:(i + 1) * m].sum(axis=0)
         top = max(float(np.linalg.eigvalsh(R @ M @ R.T)[-1]), 0.0)
         return model(i, top, F, M, net.input_gram @ M)
 
-    return [signed_model(i) for i in range(k)]
+    return [first_layer_model(i) for i in range(k)]
 
 
 def _noise_inputs(x, n, sigma, rng):
@@ -348,7 +355,8 @@ def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
     """CASO with gradient and Hessian averaged over n noisy inputs.
 
     The CurvatureModel is expanded at all n noisy points, so the averaged
-    operator is mean_i H_i (B B^T on piecewise-linear networks) and the
+    operator is mean_i H_i (W_0^T M W_0 on piecewise-linear networks once n
+    c exceeds the first layer's width, B B^T below it) and the
     curvature bound is its exact lambda_max. The noise is drawn once from
     seed; sigma = 0 reduces to plain caso exactly.
     """

@@ -48,7 +48,7 @@ from casokit import (
     softmax_curvature,
     vanilla_gradient,
 )
-from casokit import cli, interpret
+from casokit import cli, interpret, solver
 from casokit import hessian as hs
 from casokit import netcore as nc
 from casokit.solver import DEFAULT_C1
@@ -203,7 +203,8 @@ class TestBatchedPasses:
 class TestDenseEquivalence:
     @pytest.mark.parametrize("n", [1, 5])
     def test_relu_model_matches_dense_references(self, relu_net, n):
-        # n = 1 takes the B^T B Gram matrix (d > n c), n = 5 the B B^T one
+        # n = 1 keeps the stacked factor B (n c = 4 <= h0 = 12); n = 5 (20
+        # columns) is built in first-layer coordinates, F = W_0^T and C = M
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = nc.sample_kink_safe(relu_net, rng)
@@ -212,9 +213,13 @@ class TestDenseEquivalence:
             model = curvature_models(relu_net, [s], [points])[0]
             H = dense_mean_hessian(relu_net, points)
             scale = float(np.abs(H).max())
-            B = model.factor
-            assert B.shape == (8, 4 * n)
-            assert np.allclose(B @ B.T, H, rtol=1e-10, atol=1e-12 * scale)
+            F, C = model.factor, model.middle
+            if n == 1:
+                assert F.shape == (8, 4) and C is None
+            else:
+                assert np.shares_memory(F, relu_net.weights[0]) and C.shape == (12, 12)
+            FCF = F @ (F.T if C is None else C @ F.T)
+            assert np.allclose(FCF, H, rtol=1e-10, atol=1e-12 * scale)
             v = rng.standard_normal(8)
             assert np.allclose(model.hvp(v), H @ v, rtol=1e-10, atol=1e-12 * scale)
             g = np.mean([input_gradient(relu_net, z, 2) for z in points], axis=0)
@@ -224,6 +229,42 @@ class TestDenseEquivalence:
             clean = forward(relu_net, x, 2)
             assert np.array_equal(model.probs, clean.probs)
             assert model.loss == clean.loss
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_relu_models_across_the_first_layer_width(self, n):
+        # d = 5, h0 = 6, c = 3: n c = 3 keeps B and its B^T B base, n c = 6 =
+        # h0 keeps B with no base (n c > d), n c = 9 > h0 takes F = W_0^T, C = M
+        spec = NetworkSpec((LayerSpec(5, 6, "relu"), LayerSpec(6, 4, "relu"),
+                            LayerSpec(4, 3, "identity")))
+        net = init_network(spec, seed=26)
+        rng = np.random.default_rng(27)
+        for _ in range(4):
+            x = nc.sample_kink_safe(net, rng)
+            points = noisy_points(x, n, int(rng.integers(1 << 30)))
+            model = curvature_models(net, [Sample(x=x, y=1)], [points])[0]
+            F, C = model.factor, model.middle
+            if n < 3:
+                assert F.shape == (5, 3 * n) and C is None
+                assert (model.inverse is None) == (3 * n > 5)
+            else:
+                assert np.shares_memory(F, net.weights[0]) and model.inverse.shape == (6, 6)
+            H = dense_mean_hessian(net, points)
+            scale = float(np.abs(H).max())
+            assert np.allclose(model.hvp(np.eye(5)), H, rtol=1e-10, atol=1e-12 * scale)
+            top = float(np.linalg.eigvalsh(H)[-1])
+            assert abs(model.curvature_bound - top) <= 1e-10 * top
+            # the same maps as a solve on the stacked factor of per-point Jacobians
+            B = np.hstack([local_linearization(net, z).W @ hs.softmax_factor(forward(net, z).probs)
+                           for z in points]) / math.sqrt(n)
+            base = None
+            if B.shape[1] <= 5:
+                base = np.linalg.inv(2.0 * model.lam2 * np.eye(B.shape[1]) - B.T @ B)
+            g = model.gradient
+            for lam1 in (0.0, 0.05 * np.abs(g).max(), 0.3 * np.abs(g).max()):
+                got = solver.exact_solve(g, lam1, model.lam2, F, C, model.inverse).delta
+                ref = solver.exact_solve(g, lam1, model.lam2, B, None, base).delta
+                assert np.abs(got - ref).max() <= 1e-12 * float(np.abs(ref).max())
+                assert np.array_equal(got == 0.0, ref == 0.0)
 
     def test_clean_model_expands_at_the_sample(self, relu_net):
         rng = np.random.default_rng(4)

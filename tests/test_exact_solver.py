@@ -226,7 +226,7 @@ def damped_steps(monkeypatch):
 
 def plain_newton(monkeypatch):
     """Undamped semismooth Newton: every Newton point is the next iterate."""
-    monkeypatch.setattr(solver, "_globalize", lambda *args: args[7:])
+    monkeypatch.setattr(solver, "_globalize", lambda *args: (*args[7:9], None))
 
 
 def test_a_cycling_row_settles_with_a_damped_step(monkeypatch):
@@ -247,7 +247,8 @@ def test_a_cycling_row_settles_with_a_damped_step(monkeypatch):
 def adversarial_rows(kind, count=200):
     """Rows (g, lam1, lam2, F, C, inverse) of H = F C F^T with d from 10 to
     60 and max|lambda(H)|/(2 lam2) from 0.8 to 0.99: C = I for "psd",
-    a random symmetric C for "signed"."""
+    a random symmetric C for "signed", and C = K K^T for "psd-middle", the
+    first-layer form of a wide relu model."""
     rng = np.random.default_rng(0)
     for _ in range(count):
         d = int(rng.integers(10, 61))
@@ -258,6 +259,10 @@ def adversarial_rows(kind, count=200):
             M = rng.standard_normal((r, r))
             C = (M + M.T) / 2.0
             top = float(np.abs(np.linalg.eigvalsh(F @ C @ F.T)).max())
+        elif kind == "psd-middle":
+            K = rng.standard_normal((r, r))
+            C = K @ K.T
+            top = float(np.linalg.eigvalsh(F @ C @ F.T)[-1])
         else:
             top = float(np.linalg.eigvalsh(F.T @ F)[-1])
         lam2 = top / (2.0 * rng.uniform(0.8, 0.99))
@@ -267,21 +272,74 @@ def adversarial_rows(kind, count=200):
         yield g, lam1, lam2, F, C, np.linalg.inv(2.0 * lam2 * np.eye(r) - FtFC)
 
 
-@pytest.mark.parametrize("kind", ["psd", "signed"])
+@pytest.mark.parametrize("kind", ["psd", "signed", "psd-middle"])
 def test_adversarial_rows_settle(monkeypatch, kind):
-    rows = list(adversarial_rows(kind))
+    # plain Newton settles all of the first 200 psd-middle rows
+    rows = list(adversarial_rows(kind, 600 if kind == "psd-middle" else 200))
     with monkeypatch.context() as m:
         plain_newton(m)
         plain = [solver.active_set_solve(*row) for row in rows]
     unsettled = 0
     for (g, lam1, lam2, F, C, inverse), (plain_D, _, plain_settled) in zip(rows, plain):
-        D, _, settled = solver.active_set_solve(g, lam1, lam2, F, C, inverse)
+        D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inverse)
         assert settled
         assert_maximizer(D, g, F @ (F.T if C is None else C @ F.T), lam1, lam2)
         if plain_settled:
             assert D.tobytes() == plain_D.tobytes()
         unsettled += not plain_settled
+        if kind == "psd-middle":
+            # the residual route agrees with the dual backtracking of B = F K
+            assert steps <= 15
+            B = F @ np.linalg.cholesky(C)
+            base = np.linalg.inv(2.0 * lam2 * np.eye(B.shape[1]) - B.T @ B)
+            ref = solver.active_set_solve(g, lam1, lam2, B, None, base)[0]
+            assert np.abs(D - ref).max() <= 1e-9 * max(float(np.abs(ref).max()), 1e-300)
+            assert np.array_equal(D == 0.0, ref == 0.0)
     assert unsettled >= 1
+
+
+class _Counted(np.ndarray):
+    """A factor F that counts the matrix products F or F^T takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Counted.products += 1
+        plain = [np.asarray(x) if isinstance(x, _Counted) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_an_accepted_newton_points_residual_is_carried_forward(monkeypatch):
+    # on the residual route (C != I) an unsettled step evaluates ||D -
+    # T(D)||_inf, two d x r products, at the Newton point; at the current
+    # iterate only on the first step or after a proximal-gradient fallback,
+    # which costs two more
+    calls = []
+    real = solver._globalize
+
+    def recorded(*args):
+        before = _Counted.products
+        out = real(*args)
+        calls.append((args[9] is None, out[0] is not args[7], _Counted.products - before))
+        return out
+
+    carried = 0
+    for kind in ("signed", "psd-middle"):
+        for g, lam1, lam2, F, C, inverse in adversarial_rows(kind, 100):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_globalize", recorded)
+                D = solver.active_set_solve(g, lam1, lam2, F.view(_Counted), C, inverse)[0]
+            for i, (fresh, fell_back, products) in enumerate(calls):
+                assert fresh == (i == 0 or calls[i - 1][1])
+                assert products == 2 + 2 * fresh + 2 * fell_back
+                carried += not fresh
+            with monkeypatch.context() as m:  # every residual evaluated afresh
+                m.setattr(solver, "_globalize", lambda *args: real(*args[:9]))
+                again = solver.active_set_solve(g, lam1, lam2, F, C, inverse)[0]
+            assert again.tobytes() == D.tobytes()
+    assert carried >= 1
 
 
 def test_exact_solve_certifies_closed_form_cafo():
@@ -410,9 +468,11 @@ def test_spectrum_gram_becomes_the_woodbury_base(monkeypatch):
         assert np.shares_memory(arg, gram) and arg.shape == gram.shape
         assert np.array_equal(gram, 2.0 * lam2 * np.eye(len(gram)) - F.T @ F)  # in place
         assert model.inverse.tobytes() == system_formed_anew(net, model, lam2)[2].tobytes()
-    # n c = 24 columns > d = 20: the spectrum's Gram matrix is B B^T, not a base
+    # n c = 24 columns > h0 = 12: the model is built in first-layer
+    # coordinates, its base formed from Network.input_gram @ M
     wide = interpret._sparse_model("smooth-caso", samples(1)[0], net, n=6, sigma=0.2)
-    assert wide.factor.shape == (20, 24) and wide.inverse is None
+    assert np.shares_memory(wide.factor, net.weights[0]) and wide.middle.shape == (12, 12)
+    assert wide.inverse.tobytes() == system_formed_anew(net, wide, wide.lam2)[2].tobytes()
 
 
 def test_sigmoid_input_gram_is_formed_once():
