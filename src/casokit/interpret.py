@@ -141,13 +141,13 @@ class CurvatureModel:
     probs and loss come from the forward pass at the sample itself.
     gradient is the loss gradient g averaged over the expansion points,
     and H = F C F^T the matching averaged Hessian, exactly, in one of two
-    forms (see curvature_models). On nets of relu and identity layers whose
-    stacked factor B has at most h0 columns (the first layer's width) F is
-    B, (d, n c), and middle C is None (I). Otherwise F is the read-only view
-    W_0^T and C the (h0, h0) middle M: positive semidefinite for wide relu
-    models, of either sign once sigmoid layers add their terms. A
-    first-order model has F None (H = 0). curvature_bound is the exact
-    lambda_max of H, clamped at 0, lam2 = curvature_bound/2 + c1, and
+    forms (see curvature_models). On nets of relu and identity layers with
+    n c or d at most the first layer's width h0, F is the stacked (d, n c)
+    factor B and middle C is None (I). Otherwise F is the read-only view
+    W_0^T and C the (h0, h0) middle M: positive semidefinite for relu
+    models with h0 < min(n c, d), of either sign once sigmoid layers add
+    their terms. A first-order model has F None (H = 0). curvature_bound
+    is the exact lambda_max of H, clamped at 0, lam2 = curvature_bound/2 + c1, and
     inverse the Woodbury base (2 lam2 I - F^T F C)^{-1} of exact_solve,
     None for H = 0 or F wider than d.
     """
@@ -187,16 +187,17 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     with J the input Jacobian of the logits, L_i the closed-form factor of
     diag(p_i) - p_i p_i^T (hessian.softmax_factor), and J_l that of the
     pre-activations of sigmoid layer l (sigma'' = sigma' (1 - 2 sigma)).
-    Without sigmoid layers, and with n c at most the first layer's width
-    h0, one more backprop, seeded with every L_i, yields each sample's B =
-    [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with mean_i H_i = B B^T, and
-    lambda_max comes from the smaller Gram matrix of B by one batched
-    factor_spectrum for the chunk. Every Jacobian ends in W_0, so mean_i
-    H_i = W_0^T M W_0 for an h0 x h0 middle M, the form taken otherwise:
-    by sigmoid nets, whose terms have either sign, and by relu nets whose
-    B would be wider than h0 (smooth-caso), where every matrix decomposed
-    or inverted is then h0 x h0 instead of n c x n c. M sums E^T E over
-    the first layer's cotangents E of the seeds L_i / sqrt(n), E_l^T
+    Without sigmoid layers, and with n c or d at most the first layer's
+    width h0, one more backprop, seeded with every L_i, yields each
+    sample's B = [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with mean_i H_i =
+    B B^T, and lambda_max comes from the smaller Gram matrix of B by one
+    batched factor_spectrum for the chunk. Every Jacobian ends in W_0, so
+    mean_i H_i = W_0^T M W_0 for an h0 x h0 middle M, the form taken
+    otherwise: by sigmoid nets, whose terms have either sign, and by relu
+    nets with h0 < min(n c, d) (smooth-caso on 784-256-128-10), where
+    every matrix decomposed or inverted is then h0 x h0 instead of min(n
+    c, d) x min(n c, d). M sums E^T E over the first layer's cotangents E
+    of the seeds L_i / sqrt(n), E_l^T
     diag(w_l / n) E_l over those of unit seeds at each deeper sigmoid
     layer l (a block of at most d factor columns, _factor_width(net) per
     point, at a time), and diag(sum_i w_0 / n) for a sigmoid first layer.
@@ -237,8 +238,9 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     # lseeds[r, j] is column j of L_r: sqrt(p_rj) e_j - sqrt(p_rj) p_r
     lseeds = np.swapaxes(softmax_factor(P), 1, 2) / np.sqrt(m)
     sigmoid = [l for l, layer in enumerate(net.spec.layers) if layer.activation == "sigmoid"]
-    if not sigmoid and m * c <= W0.shape[0]:
-        # (k, d, m*c): each sample's factor, a view of the backprop's columns
+    if not sigmoid and min(m * c, d) <= W0.shape[0]:
+        # B's Gram matrix is at most h0 square. (k, d, m*c): each sample's
+        # factor, a view of the backprop's columns
         B = backprop_batch(net, expand, lseeds)
         B = B.reshape(d, k, m * c).transpose(1, 0, 2)
         grams = factor_gram(B)
@@ -356,7 +358,7 @@ def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
 
     The CurvatureModel is expanded at all n noisy points, so the averaged
     operator is mean_i H_i (W_0^T M W_0 on piecewise-linear networks once n
-    c exceeds the first layer's width, B B^T below it) and the
+    c and d both exceed the first layer's width, B B^T otherwise) and the
     curvature bound is its exact lambda_max. The noise is drawn once from
     seed; sigma = 0 reduces to plain caso exactly.
     """

@@ -269,18 +269,15 @@ def _newton(way, F, C, inverse, two, S, u):
     return y - P @ np.linalg.solve(np.eye(Fc.shape[0]) + Vc @ P, Vc @ y)
 
 
-def _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new, known=None):
+def _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new):
     """The iterate (z, q = g + F C z) after z when the Newton point z_new
-    does not settle, and its residual pair, or None. C = I: backtrack along
-    z_new - z (t <- t/2, Armijo 1e-4) on the concave dual Phi(z) =
-    ||soft(q, lam1)||^2/(4 lam2) - ||z||^2/2, whose gradient is F^T
-    soft(q, lam1)/(2 lam2) - z and whose Newton step is the active-set
-    step. Other C: take z_new if it at least halves ||D - T(D)||_inf, D =
-    soft(q, lam1)/(2 lam2) and T(D) = soft(g + H D, lam1)/(2 lam2), else z
-    <- F^T T(D), a proximal-gradient step, which contracts while
-    |lambda_min(H)| < 2 lam2. The residual pair is (||D - T(D)||_inf,
-    T(D)); known is z's, when the step before accepted z as its Newton
-    point and so computed it, and is not computed again."""
+    does not settle. C = I: backtrack along z_new - z (t <- t/2, Armijo
+    1e-4) on the concave dual Phi(z) = ||soft(q, lam1)||^2/(4 lam2) -
+    ||z||^2/2, whose gradient is F^T soft(q, lam1)/(2 lam2) - z and whose
+    Newton step is the active-set step. Other C: take z_new if it at least
+    halves ||D - T(D)||_inf, D = soft(q, lam1)/(2 lam2) and T(D) = soft(g +
+    H D, lam1)/(2 lam2), else z <- F^T T(D), a proximal-gradient step,
+    which contracts while |lambda_min(H)| < 2 lam2."""
     two = 2.0 * lam2
     if C is None:
         def phi(z, soft):
@@ -297,19 +294,18 @@ def _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new, known=None):
             t /= 2.0
             z_new = z + t * p
             q_new = g + F @ z_new
-        return z_new, q_new, None
+        return z_new, q_new
 
     def residual(q):
         D = prox_soft_threshold(q, lam1) / two
         TD = prox_soft_threshold(g + F @ (C @ (F.T @ D)), lam1) / two
         return float(np.abs(D - TD).max()), TD
 
-    now, TD = known or residual(q)
-    new = residual(q_new)
-    if new[0] <= now / 2.0:
-        return z_new, q_new, new
+    now, TD = residual(q)
+    if residual(q_new)[0] <= now / 2.0:
+        return z_new, q_new
     z = F.T @ TD
-    return z, g + F @ (C @ z), None
+    return z, g + F @ (C @ z)
 
 
 def active_set_solve(g, lam1, lam2, F, C=None, inverse=None):
@@ -326,7 +322,7 @@ def active_set_solve(g, lam1, lam2, F, C=None, inverse=None):
     of the last iterate, the steps, and whether S and s settled.
     """
     d, r = F.shape
-    z, q, known = np.zeros(r), g, None  # q = g + F C z
+    z, q = np.zeros(r), g  # q = g + F C z
     sign = np.sign(g) * (np.abs(g) > lam1)
     for steps in range(1, ACTIVE_SET_MAX_STEPS + 1):
         S = sign != 0.0
@@ -337,7 +333,7 @@ def active_set_solve(g, lam1, lam2, F, C=None, inverse=None):
         q_new = g + F @ (z_new if C is None else C @ z_new)
         if (np.sign(q_new) * (np.abs(q_new) > lam1) == sign).all():
             return prox_soft_threshold(q_new, lam1) / (2.0 * lam2), steps, True
-        z, q, known = _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new, known)
+        z, q = _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new)
         sign = np.sign(q) * (np.abs(q) > lam1)
     return prox_soft_threshold(q, lam1) / (2.0 * lam2), ACTIVE_SET_MAX_STEPS, False
 

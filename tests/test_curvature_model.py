@@ -203,8 +203,8 @@ class TestBatchedPasses:
 class TestDenseEquivalence:
     @pytest.mark.parametrize("n", [1, 5])
     def test_relu_model_matches_dense_references(self, relu_net, n):
-        # n = 1 keeps the stacked factor B (n c = 4 <= h0 = 12); n = 5 (20
-        # columns) is built in first-layer coordinates, F = W_0^T and C = M
+        # n = 1 takes the B^T B Gram matrix (d > n c), n = 5 the B B^T one;
+        # both keep B, as d = 8 <= h0 = 12
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = nc.sample_kink_safe(relu_net, rng)
@@ -213,13 +213,9 @@ class TestDenseEquivalence:
             model = curvature_models(relu_net, [s], [points])[0]
             H = dense_mean_hessian(relu_net, points)
             scale = float(np.abs(H).max())
-            F, C = model.factor, model.middle
-            if n == 1:
-                assert F.shape == (8, 4) and C is None
-            else:
-                assert np.shares_memory(F, relu_net.weights[0]) and C.shape == (12, 12)
-            FCF = F @ (F.T if C is None else C @ F.T)
-            assert np.allclose(FCF, H, rtol=1e-10, atol=1e-12 * scale)
+            B = model.factor
+            assert B.shape == (8, 4 * n) and model.middle is None
+            assert np.allclose(B @ B.T, H, rtol=1e-10, atol=1e-12 * scale)
             v = rng.standard_normal(8)
             assert np.allclose(model.hvp(v), H @ v, rtol=1e-10, atol=1e-12 * scale)
             g = np.mean([input_gradient(relu_net, z, 2) for z in points], axis=0)
@@ -232,9 +228,9 @@ class TestDenseEquivalence:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_relu_models_across_the_first_layer_width(self, n):
-        # d = 5, h0 = 6, c = 3: n c = 3 keeps B and its B^T B base, n c = 6 =
-        # h0 keeps B with no base (n c > d), n c = 9 > h0 takes F = W_0^T, C = M
-        spec = NetworkSpec((LayerSpec(5, 6, "relu"), LayerSpec(6, 4, "relu"),
+        # d = 8, h0 = 6, c = 3: n c = 3 and n c = 6 = h0 keep B and its B^T B
+        # base, n c = 9 > h0 takes F = W_0^T, C = M
+        spec = NetworkSpec((LayerSpec(8, 6, "relu"), LayerSpec(6, 4, "relu"),
                             LayerSpec(4, 3, "identity")))
         net = init_network(spec, seed=26)
         rng = np.random.default_rng(27)
@@ -244,21 +240,18 @@ class TestDenseEquivalence:
             model = curvature_models(net, [Sample(x=x, y=1)], [points])[0]
             F, C = model.factor, model.middle
             if n < 3:
-                assert F.shape == (5, 3 * n) and C is None
-                assert (model.inverse is None) == (3 * n > 5)
+                assert F.shape == (8, 3 * n) and C is None and model.inverse.shape == (3 * n, 3 * n)
             else:
                 assert np.shares_memory(F, net.weights[0]) and model.inverse.shape == (6, 6)
             H = dense_mean_hessian(net, points)
             scale = float(np.abs(H).max())
-            assert np.allclose(model.hvp(np.eye(5)), H, rtol=1e-10, atol=1e-12 * scale)
+            assert np.allclose(model.hvp(np.eye(8)), H, rtol=1e-10, atol=1e-12 * scale)
             top = float(np.linalg.eigvalsh(H)[-1])
             assert abs(model.curvature_bound - top) <= 1e-10 * top
             # the same maps as a solve on the stacked factor of per-point Jacobians
             B = np.hstack([local_linearization(net, z).W @ hs.softmax_factor(forward(net, z).probs)
                            for z in points]) / math.sqrt(n)
-            base = None
-            if B.shape[1] <= 5:
-                base = np.linalg.inv(2.0 * model.lam2 * np.eye(B.shape[1]) - B.T @ B)
+            base = np.linalg.inv(2.0 * model.lam2 * np.eye(3 * n) - B.T @ B)
             g = model.gradient
             for lam1 in (0.0, 0.05 * np.abs(g).max(), 0.3 * np.abs(g).max()):
                 got = solver.exact_solve(g, lam1, model.lam2, F, C, model.inverse).delta
