@@ -12,6 +12,8 @@ CLI round it out.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetError,
     DimensionError,
@@ -136,103 +138,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# every public name the import blocks bound (the submodules they loaded
+# aside), the lazily loaded study names, and the version
 __all__ = [
     "__version__",
-    "AlignmentPoint",
-    "BatchTrace",
-    "BudgetError",
-    "CurvatureModel",
-    "Dataset",
-    "DEFAULT_LAMBDA1_GRID",
-    "DimensionError",
-    "DisplayMap",
-    "FormatError",
-    "ForwardTrace",
-    "GapPoint",
-    "HessianHandle",
-    "KinkWarning",
-    "LayerSpec",
-    "LocalLinearization",
-    "METHODS",
-    "MethodRequest",
-    "Network",
-    "NetworkSpec",
-    "NonFiniteError",
-    "ObjectiveSpec",
-    "OracleConfig",
-    "OracleResult",
-    "RankOneApprox",
-    "RankOnePoint",
-    "RankOneSimConfig",
-    "SaliencyResult",
-    "Sample",
-    "SoftmaxCurvature",
-    "SolveResult",
-    "SolverConfig",
-    "SweepOutcome",
-    "TrainConfig",
-    "TrainResult",
-    "alignment_curve",
-    "backprop_batch",
-    "brute_force_group_feature",
-    "cafo",
-    "caso",
-    "closed_form_cafo",
-    "closed_form_caso",
-    "confidence_gap_study",
-    "curvature_models",
-    "dataset_load",
-    "dataset_load_raw",
-    "dataset_save_csv",
-    "dataset_save_raw",
-    "factor_eig",
-    "factor_spectrum",
-    "fista_solve",
-    "forward",
-    "forward_batch",
-    "hessian_eig",
-    "hvp_closed_form",
-    "hvp_finite_diff",
-    "init_network",
-    "input_gradient",
-    "integrated_gradients",
-    "l1_path_supports",
-    "lambda1_sweep",
-    "largest_eigenvalue",
-    "local_linearization",
-    "logit_gradient",
-    "make_blobs",
-    "make_planted_instance",
-    "model_load",
-    "model_save",
-    "normalize_for_display",
-    "prox_soft_threshold",
-    "quantize_display",
-    "rank_one_approx",
-    "read_f32_tensor",
-    "read_f64_tensor",
-    "read_labels",
-    "read_pgm",
-    "rel_error",
-    "run_request",
-    "run_requests",
-    "sample_kink_safe",
-    "select_lambda2",
-    "simulate_rank_one",
-    "smooth_cafo",
-    "smooth_caso",
-    "smooth_gradient",
-    "smoothgrad",
-    "softmax",
-    "softmax_curvature",
-    "softmax_factor",
-    "sparsity_ratio",
-    "spearman_rho",
-    "train_sgd",
-    "vanilla_gradient",
-    "write_csv_rows",
-    "write_f32_tensor",
-    "write_f64_tensor",
-    "write_labels",
-    "write_pgm",
+    *_ANALYSIS_NAMES,
+    *(n for n, v in list(globals().items()) if n[0] != "_" and not isinstance(v, _ModuleType)),
 ]

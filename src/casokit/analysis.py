@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import BudgetError, DimensionError
 from .hessian import hessian_eig, rank_one_approx, rel_error
 from .interpret import CHUNK_COLUMNS, curvature_models
@@ -49,8 +49,7 @@ _SIM_UNUSED = {
 }
 
 
-@dataclass(frozen=True)
-class RankOneSimConfig:
+class RankOneSimConfig(Record):
     """Grid for the rank-one error simulation.
 
     mode 'vary-classes' fixes p0 and sweeps the class counts; 'vary-eps'
@@ -80,8 +79,7 @@ class RankOneSimConfig:
         )
 
 
-@dataclass(frozen=True)
-class RankOnePoint:
+class RankOnePoint(Record):
     c: int
     eps: float
     rel_error: float
@@ -166,8 +164,7 @@ def simulate_rank_one(cfg):
     return points
 
 
-@dataclass(frozen=True)
-class GapPoint:
+class GapPoint(Record):
     sample_id: int
     p_max: float
     gap: float
@@ -215,8 +212,7 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     return rows
 
 
-@dataclass(frozen=True)
-class AlignmentPoint:
+class AlignmentPoint(Record):
     c: int
     cosine: float
     mass_ratio: float
@@ -249,8 +245,7 @@ def alignment_curve(d, classes, eps, seed=0):
     return points
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(Record):
     """Budget for the exhaustive group-feature search.
 
     k is the maximum support size; the total number of supports
@@ -267,8 +262,7 @@ class OracleConfig:
             raise ValueError("max_enumerations must be positive")
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     support: tuple[int, ...]
     delta: np.ndarray
     value: float

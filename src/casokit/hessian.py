@@ -21,10 +21,10 @@ gradient; rank_one_approx/rel_error quantify that collapse.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DimensionError, KinkWarning
 from .netcore import _row_loss_gradient
 
@@ -34,8 +34,7 @@ HESSIAN_EIG_FLOOR = 1e-10
 STENCIL_KINK_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SoftmaxCurvature:
+class SoftmaxCurvature(Record):
     """The c x c softmax curvature A = diag(p) - p p^T for probabilities p."""
 
     p: np.ndarray
@@ -101,8 +100,7 @@ def factor_spectrum(B, vectors=False, gram=None):
     return np.maximum(w, 0.0), V
 
 
-@dataclass(frozen=True)
-class HessianHandle:
+class HessianHandle(Record):
     """Factored spectral view of H = B B^T.
 
     eigenvalues holds the retained eigenvalues of H in descending order
@@ -235,8 +233,7 @@ def largest_eigenvalue(hvp, dim, iters=10, tol=1e-6, seed=0):
     return lam
 
 
-@dataclass(frozen=True)
-class RankOneApprox:
+class RankOneApprox(Record):
     """The surrogate H ~= mu q q^T with q = g/||g|| and
     mu = ||g||^2 / (eps (c-1)), valid in the high-confidence regime."""
 

@@ -21,11 +21,12 @@ zeros so this is well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import DimensionError
+from ._record import Record
+from .errors import CurvatureError, DimensionError
 from .hessian import factor_gram, factor_spectrum, softmax_factor
 from .netcore import Sample, backprop_batch, forward_batch
 from .solver import DEFAULT_C1, SolveResult, curvature_product, exact_solve, select_lambda2
@@ -71,8 +72,7 @@ SPARSE_METHODS = {
 }
 
 
-@dataclass(frozen=True)
-class SaliencyResult:
+class SaliencyResult(Record):
     """One saliency map plus its bookkeeping.
 
     loss_gain is the surrogate objective value at delta and
@@ -133,8 +133,7 @@ def _finish(method, net, samples, models, lam1s, solves, channels):
     ]
 
 
-@dataclass(frozen=True)
-class CurvatureModel:
+class CurvatureModel(Record):
     """Local model (g, F, C, lam2, base) of the loss around one sample,
     built once and solved against for any lam1.
 
@@ -172,6 +171,18 @@ def _factor_width(net):
     return net.num_classes + sum(l.out_dim for l in net.spec.layers if l.activation == "sigmoid")
 
 
+def _check_contraction(bottom, top, c1):
+    """CurvatureError unless lambda_min(H) = bottom > -2 lam2, the bound under
+    which exact_solve's residual steps on a C = M model contract."""
+    lam2 = select_lambda2(top, c1)
+    if bottom <= -2.0 * lam2:
+        raise CurvatureError(
+            f"lambda_min(H) = {bottom:.6g} is not above -2 lam2 = {-2.0 * lam2:.6g}: the "
+            f"exact solver needs |lambda_min(H)| < 2 lam2, which c1 > {-(bottom + top) / 2.0:.6g} "
+            f"restores (c1 = {c1:g})"
+        )
+
+
 def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1):
     """Build the CurvatureModels of a chunk of samples in one pass.
 
@@ -202,7 +213,8 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     layer l (a block of at most d factor columns, _factor_width(net) per
     point, at a time), and diag(sum_i w_0 / n) for a sigmoid first layer.
     lambda_max is the top eigenvalue of R M R^T for the R of W_0^T = QR
-    (Network.input_r). Each model's Woodbury base overwrites the Gram
+    (Network.input_r), and its bottom eigenvalue must lie above -2 lam2, or
+    a CurvatureError is raised. Each model's Woodbury base overwrites the Gram
     matrix F^T F C already formed, B^T B or Network.input_gram @ M, with
     2 lam2 I - F^T F C and inverts it.
     """
@@ -270,7 +282,9 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
                 M += (E.T * w[rows].ravel()) @ E
         if sigmoid and sigmoid[0] == 0:
             M[np.diag_indices_from(M)] += weights[0][i * m:(i + 1) * m].sum(axis=0)
-        top = max(float(np.linalg.eigvalsh(R @ M @ R.T)[-1]), 0.0)
+        w = np.linalg.eigvalsh(R @ M @ R.T)
+        top = max(float(w[-1]), 0.0)
+        _check_contraction(float(w[0]), top, c1)
         return model(i, top, F, M, net.input_gram @ M)
 
     return [first_layer_model(i) for i in range(k)]
@@ -414,7 +428,7 @@ def smoothgrad(
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
-        return replace(vanilla_gradient(sample, net, channels), method="smoothgrad")
+        return vanilla_gradient(sample, net, channels).replace(method="smoothgrad")
     Z = _noise_inputs(sample.x, n, sigma, np.random.default_rng(seed))
     return _gradient_map("smoothgrad", sample, net, channels, Z)
 
@@ -444,8 +458,7 @@ def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, cha
                            baseline + t[:, None] * path, path)
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
+class SweepOutcome(Record):
     """Result of a lam1 sweep.
 
     results holds one SaliencyResult per grid value in grid order;
@@ -563,8 +576,7 @@ def lambda1_sweep(
     )
 
 
-@dataclass(frozen=True)
-class MethodRequest:
+class MethodRequest(Record):
     """A method name, a sample, and every knob the methods understand; the
     sparse methods solve exactly (solver.exact_solve), so none is a solver's."""
 
@@ -610,6 +622,10 @@ def _columns(net, request):
     return max(points * _factor_width(net) if second_order else points, net.num_classes)
 
 
+# every MethodRequest field but the two that may differ within a chunk
+_shared_knobs = attrgetter(*(n for n in MethodRequest.__match_args__ if n not in ("sample", "seed")))
+
+
 def _chunks(net, requests):
     """Split requests, in order, into chunks solved together: consecutive
     sparse requests that differ only in sample and seed, up to
@@ -621,7 +637,7 @@ def _chunks(net, requests):
         if chunk and (
             cols is None
             or used + cols > CHUNK_COLUMNS
-            or replace(r, sample=None, seed=0) != replace(chunk[0], sample=None, seed=0)
+            or _shared_knobs(r) != _shared_knobs(chunk[0])
         ):
             yield chunk
             chunk, used = [], 0

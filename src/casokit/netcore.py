@@ -13,11 +13,11 @@ new network instead of mutating in place.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .errors import DimensionError, NonFiniteError
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
@@ -29,8 +29,7 @@ KINK_EPS = 1e-12
 ACCURACY_ROWS = 256
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Record):
     """One dense layer: out = activation(W @ in + b)."""
 
     in_dim: int
@@ -46,8 +45,7 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Record):
     """Layer structure of a feedforward classifier.
 
     Consecutive layer dimensions must chain, the final activation must be
@@ -90,8 +88,7 @@ def _frozen_f64(a):
     return out
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Record):
     """A NetworkSpec together with its parameters.
 
     weights[l] has shape (out_dim, in_dim) and biases[l] shape (out_dim,),
@@ -169,8 +166,7 @@ def _integer_labels(labels):
     return labels
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Record):
     """One labelled input: x is a flat float64 vector, y a class index."""
 
     x: np.ndarray
@@ -189,8 +185,7 @@ class Sample:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """A batch of samples: X is (n, d), labels is (n,) of class indices."""
 
     X: np.ndarray
@@ -226,8 +221,7 @@ class Dataset:
         return Sample(self.X[i], int(self.labels[i]))
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
+class ForwardTrace(Record):
     """Everything a single forward pass produced.
 
     pre_activations[l] and activations[l] correspond to layer l; logits is
@@ -244,8 +238,7 @@ class ForwardTrace:
     loss: float | None
 
 
-@dataclass(frozen=True)
-class BatchTrace:
+class BatchTrace(Record):
     """One forward pass over the rows of X, row i of every array belonging
     to X[i].
 
@@ -268,8 +261,7 @@ class BatchTrace:
                           self.probs[sel], None if self.losses is None else self.losses[sel])
 
 
-@dataclass(frozen=True)
-class LocalLinearization:
+class LocalLinearization(Record):
     """Affine model logits(x') ~= W^T x' + b around the expansion point.
 
     W is (d, c) with column j the exact input gradient of logit j, and
@@ -283,8 +275,7 @@ class LocalLinearization:
     kink_warning: bool
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     learning_rate: float = 0.1
     epochs: int = 10
     seed: int = 0
@@ -296,8 +287,7 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TrainResult:
+class TrainResult(Record):
     network: Network
     accuracy: float
     epoch_losses: tuple[float, ...]

@@ -22,18 +22,17 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DimensionError, FormatError
 from .netcore import ACTIVATIONS, Dataset, LayerSpec, Network, NetworkSpec
 
 PERCENTILE_CAP = 99.0
 
 
-@dataclass(frozen=True)
-class DisplayMap:
+class DisplayMap(Record):
     """A height x width grayscale image with values in [0, 1]."""
 
     values: np.ndarray
@@ -292,8 +291,7 @@ def model_load(path):
 # as little-endian bytes back to back. The header records the SHA-256 of
 # the source bytes under the kind's key, plus the payload's size and
 # SHA-256; the kind adds the fields its arrays' shapes come from.
-@dataclass(frozen=True)
-class _Sidecar:
+class _Sidecar(Record):
     suffix: str
     tag: bytes
     key: str

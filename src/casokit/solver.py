@@ -19,11 +19,11 @@ convex whenever lam2 > lambda_max(H)/2, and h = lam1 ||.||_1. At lam1 = 0,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .errors import DimensionError
 
 DEFAULT_C1 = 10.0
@@ -40,8 +40,7 @@ def select_lambda2(curvature_bound, c1=DEFAULT_C1):
     return curvature_bound / 2.0 + c1
 
 
-@dataclass(frozen=True)
-class ObjectiveSpec:
+class ObjectiveSpec(Record):
     """One instance of the surrogate objective.
 
     hvp applies H to a vector; None means H = 0. curvature_bound bounds
@@ -131,8 +130,7 @@ def prox_soft_threshold(x, t):
     return x - np.clip(x, -t, t)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     learning_rate: float = 0.1
     iterations: int = 10
     backtrack_decay: float = 0.5
@@ -149,8 +147,7 @@ class SolverConfig:
             raise ValueError("max_backtracks must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Solver output: the maximizer found plus FISTA's traces.
 
     FISTA returns its best iterate by true objective: objective_trace[k]

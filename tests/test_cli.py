@@ -607,6 +607,22 @@ class TestStartup:
                              text=True, check=True).stdout
         assert out == "[]\n"
 
+    def test_cli_import_compiles_no_generated_source(self):
+        """casokit's records share one set of methods: importing the CLI
+        compiles no generated source, where dataclasses compiled 6 methods a
+        class. numpy, which makes namedtuples, is imported first."""
+        probe = (
+            "import sys, numpy\n"
+            "made = []\n"
+            "sys.addaudithook(lambda e, a: made.append(a[1]) if e == 'compile' else None)\n"
+            "import casokit.cli\n"
+            "print(made.count('<string>'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0\n"
+
     def test_cli_runs_skip_numpy_ma_and_caso_skips_numpy_random(self, workspace, tmp_path):
         """numpy.ma (reached through np.percentile) and, for a method that
         draws no noise, numpy.random cost a fresh process 10-17 ms each to

@@ -51,6 +51,7 @@ from casokit import (
 from casokit import cli, interpret, solver
 from casokit import hessian as hs
 from casokit import netcore as nc
+from casokit.errors import CurvatureError
 from casokit.solver import DEFAULT_C1
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -337,6 +338,26 @@ class TestExactLambda2:
             hv = model.hvp(v)
             fd = hvp_finite_diff(net, s.x, s.y, v)
             assert np.linalg.norm(hv - fd) <= 1e-8 * np.linalg.norm(hv)
+
+
+    def test_dominant_negative_curvature_is_refused(self):
+        # one steep sigmoid unit on the rising side of its kink: sigma''
+        # makes H = -5.03 e_1 e_1^T, with no positive eigenvalue to lift lam2
+        spec = NetworkSpec((LayerSpec(2, 1, "sigmoid"), LayerSpec(1, 2, "identity")))
+        net = nc.Network(spec, (np.array([[3.0, 0.0]]), np.array([[3.0], [-3.0]])),
+                         (np.zeros(1), np.zeros(2)))
+        s = Sample(x=np.array([0.5, 0.0]), y=1)
+        model = curvature_models(net, [s], c1=DEFAULT_C1)[0]
+        bottom = float(np.linalg.eigvalsh(model.factor @ model.middle @ model.factor.T)[0])
+        assert bottom == pytest.approx(-5.0252, abs=1e-4)
+        assert model.curvature_bound == 0.0
+        with pytest.raises(CurvatureError, match=r"lambda_min\(H\) = -5\.025.* -2 lam2 = -2\b"):
+            curvature_models(net, [s], c1=1.0)
+        with pytest.raises(CurvatureError, match=r"c1 > 2\.5126"):
+            caso(s, net, 1e-3, c1=1.0)
+        assert curvature_models(net, [s], c1=2.52)[0].lam2 == 2.52
+        with pytest.raises(CurvatureError):
+            curvature_models(net, [s], c1=2.51)
 
 
 class TestClosedFormCurvature:
