@@ -6,8 +6,8 @@ trust region. Each sample gets one local model (g, F, C, lam2, base): the
 gradient, the closed-form Hessian H = F C F^T, lam2 = lambda_max/2 + c1
 and the Woodbury base (2 lam2 I - F^T F C)^{-1}; CAFO (H = 0) and CASO
 solve it exactly. Gradient, SmoothGrad and integrated-gradients baselines,
-FISTA for the L1 oracle study, a rank-one analysis, and a deterministic
-CLI round it out.
+FISTA (a proximal-gradient reference solver), a rank-one analysis, an L0
+oracle study, and a deterministic CLI round it out.
 """
 
 __version__ = "0.1.0"

@@ -6,15 +6,16 @@ Three empirical studies back the theory at desk scale:
   rank-one surrogate g g^T / (eps (c-1)) as confidence or class count
   grows, on random linear models.
 * confidence_gap_study compares the normalized curvature-aware and
-  curvature-free maps on a trained classifier; the gap shrinks with
-  prediction confidence.
+  curvature-free maps on a trained classifier of any activations; on relu
+  nets the gap shrinks with prediction confidence.
 * alignment_curve tracks the cosine between the gradient and the top
   Hessian eigenvector, plus how much spectral mass that eigenvector
   carries (largest eigenvalue squared over the sum of squares).
 
 brute_force_group_feature is the exact L0 oracle: it enumerates every
 support of size at most k and maximizes the lam1-free surrogate on each,
-which is what the L1 path is meant to approximate.
+which is what the L1 path (l1_path_supports, solved exactly at each lam1)
+is meant to approximate.
 """
 
 from __future__ import annotations
@@ -28,17 +29,8 @@ import numpy as np
 from ._record import Record
 from .errors import BudgetError, DimensionError
 from .hessian import hessian_eig, rank_one_approx, rel_error
-from .interpret import CHUNK_COLUMNS, curvature_models
-from .netcore import Sample
-from .solver import (
-    DEFAULT_C1,
-    ObjectiveSpec,
-    SolverConfig,
-    closed_form_cafo,
-    exact_solve,
-    fista_solve,
-    select_lambda2,
-)
+from .interpret import MethodRequest, _chunks, curvature_models
+from .solver import DEFAULT_C1, closed_form_cafo, exact_solve, select_lambda2
 
 log = logging.getLogger(__name__)
 
@@ -172,30 +164,25 @@ class GapPoint(Record):
 
 def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     """Normalized distance between the curvature-aware and curvature-free
-    maps at lam1 = 0 across dataset samples.
+    maps at lam1 = 0 across dataset samples, on any net.
 
-    Each sample's CurvatureModel is the one `caso` solves against, built
-    CHUNK_COLUMNS // c samples at a time; lam2 takes its exact curvature
-    bound. The CAFO map comes from its closed form and the CASO map from
-    the model's exact lam1 = 0 solve, (2 lam2 I - H)^{-1} g; both are
-    normalized to unit L2, and the gap is the norm of their difference (in
-    [0, 2]). Samples with an exactly zero gradient carry no direction to
-    compare and are skipped with a log entry. Only relu/identity nets,
-    whose curvature is positive semidefinite, are accepted.
+    Each sample's CurvatureModel is the one `caso` solves against, built a
+    chunk of samples at a time as interpret._chunks splits caso requests;
+    lam2 takes its exact curvature bound. The CAFO map comes from its
+    closed form and the CASO map from the model's exact lam1 = 0 solve,
+    (2 lam2 I - H)^{-1} g; both are normalized to unit L2, and the gap is
+    the norm of their difference (in [0, 2]). Samples with an exactly zero
+    gradient carry no direction to compare and are skipped with a log
+    entry. A net whose negative curvature dominates raises the
+    CurvatureError of curvature_models.
     """
-    if not net.spec.piecewise_linear:
-        raise ValueError(
-            "gap-study needs a positive semidefinite curvature factor, which only nets "
-            "of relu and identity layers have; sigmoid layers add terms of either sign"
-        )
     count = min(int(n_samples), dataset.n)
-    per_chunk = max(CHUNK_COLUMNS // net.num_classes, 1)
+    requests = [MethodRequest("caso", dataset.sample(i), c1=c1) for i in range(count)]
     lam2_cafo = select_lambda2(0.0, c1)
     rows = []
-    for start in range(0, count, per_chunk):
-        ids = range(start, min(start + per_chunk, count))
-        samples = [Sample(x=dataset.X[i], y=int(dataset.labels[i])) for i in ids]
-        for i, model in zip(ids, curvature_models(net, samples, c1=c1)):
+    start = 0
+    for chunk in _chunks(net, requests):
+        for i, model in enumerate(curvature_models(net, [r.sample for r in chunk], c1=c1), start):
             g = model.gradient
             if np.linalg.norm(g) == 0.0:
                 log.info("sample %d has zero gradient; skipped", i)
@@ -209,6 +196,7 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
                 GapPoint(sample_id=i, p_max=float(model.probs.max()),
                          gap=float(np.linalg.norm(u - v)))
             )
+        start += len(chunk)
     return rows
 
 
@@ -337,28 +325,19 @@ def make_planted_instance(d=12, support=(2, 5, 9), seed=0):
     return g, H, lam2, tuple(sorted(support))
 
 
-def l1_path_supports(g, H, lam2, grid, iterations=100):
-    """Support of the FISTA solution at each lam1 on the grid.
+def l1_path_supports(g, H, lam2, grid):
+    """Support of the exact maximizer at each lam1 on the grid.
 
-    Uses a dense H (matching the oracle's setting) and enough iterations
-    for the supports to stabilize. Returns a list of index tuples.
+    The dense H (the oracle's setting) is H = F C F^T with F = I and C = H,
+    so each lam1 takes exact_solve against one Woodbury base (2 lam2 I -
+    H)^{-1}. Returns a list of index tuples.
     """
     g = np.asarray(g, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
-    top = float(np.linalg.eigvalsh(H)[-1])
-    cfg = SolverConfig(iterations=int(iterations))
-    supports = []
-    for lam1 in grid:
-        obj = ObjectiveSpec(
-            gradient=g,
-            hvp=lambda v: H @ v,
-            lam1=float(lam1),
-            lam2=float(lam2),
-            curvature_bound=top,
-        )
-        res = fista_solve(obj, cfg)
-        supports.append(tuple(np.flatnonzero(res.delta != 0.0)))
-    return supports
+    eye = np.eye(g.shape[0])
+    base = np.linalg.inv(2.0 * lam2 * eye - H)
+    return [tuple(np.flatnonzero(exact_solve(g, float(lam1), lam2, eye, H, base).delta != 0.0))
+            for lam1 in grid]
 
 
 def _rankdata(v):

@@ -444,7 +444,7 @@ def cmd_oracle_check(args):
     k = args.k if args.k is not None else len(support)
     cfg = OracleConfig(k=k, max_enumerations=args.max_enumerations)
     oracle = brute_force_group_feature(g, H, lam2, cfg)
-    path_supports = l1_path_supports(g, H, lam2, args.grid, iterations=args.solver_iters)
+    path_supports = l1_path_supports(g, H, lam2, args.grid)
     match = any(s == oracle.support for s in path_supports)
     path = os.path.join(out, "oracle.csv")
     write_csv_rows(
@@ -564,7 +564,7 @@ def build_parser():
     sp.set_defaults(func=cmd_rank1_sim)
     parsers.append(sp)
 
-    sp = sub.add_parser("gap-study", help="confidence versus method gap, relu/identity nets")
+    sp = sub.add_parser("gap-study", help="confidence versus method gap, any net")
     _add_common(sp)
     _add_model_data(sp)
     sp.add_argument("--n-samples", type=sample_count, help="cap on samples, >= 2 (default: all)")
@@ -590,8 +590,6 @@ def build_parser():
     sp.add_argument("--grid", type=grid_spec, default=DEFAULT_LAMBDA1_GRID,
                     help="lambda1 grid for the L1 path")
     sp.add_argument("--max-enumerations", type=int, default=100_000)
-    sp.add_argument("--solver-iters", type=int, default=100,
-                    help="solver iterations for the L1 path")
     sp.set_defaults(func=cmd_oracle_check)
     parsers.append(sp)
 

@@ -76,11 +76,6 @@ class NetworkSpec(Record):
     def num_classes(self):
         return self.layers[-1].out_dim
 
-    @property
-    def piecewise_linear(self):
-        """True when every activation is relu or identity."""
-        return all(l.activation in ("relu", "identity") for l in self.layers)
-
 
 def _frozen_f64(a):
     out = np.array(a, dtype=np.float64)

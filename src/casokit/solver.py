@@ -10,8 +10,8 @@ point D = soft(g + H D, lam1) / (2 lam2). exact_solve finds it to rounding
 and certifies it by its KKT residual: in closed form for H = 0 (CAFO), and
 for H = F C F^T of rank r by active_set_solve, semismooth Newton steps in
 z = F^T D (Li, Sun & Toh 2018), damped where a Newton point does not
-settle. FISTA (fista_solve), for the oracle study's L1 path, takes any
-hvp: it minimizes f + h with f(D) = -(g^T D + 1/2 D^T H D - lam2 ||D||^2),
+settle. FISTA (fista_solve), the proximal-gradient reference that no CLI
+path runs, takes any hvp: it minimizes f + h with f(D) = -(g^T D + 1/2 D^T H D - lam2 ||D||^2),
 convex whenever lam2 > lambda_max(H)/2, and h = lam1 ||.||_1. At lam1 = 0,
 
     D*_caso = (2 lam2 I - H)^{-1} g,        D*_cafo = g / (2 lam2).

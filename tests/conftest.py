@@ -1,13 +1,18 @@
-"""Shared helpers: small random networks and finite-difference oracles.
+"""Shared helpers: small random and hand-written networks, finite-difference
+oracles, and the dense loss Hessian built layer by layer.
 
 The finite-difference routines are intentionally naive (loops, one probe
 per coordinate) so they stay an independent check on the analytic code
 paths rather than a re-export of them.
 """
 
+import json
+
 import numpy as np
 
 from casokit import netcore as nc
+from casokit.hessian import softmax_curvature
+from casokit.saliency_io import model_load
 
 ACCEPTANCE_VERDICTS = []
 
@@ -51,3 +56,45 @@ def fd_loss_hessian(net, x, y, r=1e-5):
         gm = nc.input_gradient(net, x - e, y)
         H[:, j] = (gp - gm) / (2.0 * r)
     return 0.5 * (H + H.T)
+
+
+def mixed_net(tmp_path):
+    """A relu -> sigmoid -> identity net, written as model JSON by hand
+    (train only makes single-activation nets) and read back by the loader."""
+    rng = np.random.default_rng(24)
+    layers = [
+        {"in": n_in, "out": n_out, "activation": act,
+         "weights": (0.5 * rng.standard_normal((n_out, n_in))).tolist(),
+         "bias": (0.1 * rng.standard_normal(n_out)).tolist()}
+        for n_in, n_out, act in ((7, 6, "relu"), (6, 4, "sigmoid"), (4, 3, "identity"))
+    ]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"layers": layers}))
+    return model_load(str(path))
+
+
+def bishop_hessian(net, x, y):
+    """The dense loss Hessian at x, built layer by layer: forward-mode
+    Jacobians J_l of every pre-activation, reverse-mode cotangents of
+    every activation, then J_L^T A J_L plus J_l^T diag(cotangent * sigma'')
+    J_l for each sigmoid layer."""
+    t = nc.forward(net, x, y)
+    J, Js = np.eye(net.input_dim), []
+    for W, layer, z, a in zip(net.weights, net.spec.layers, t.pre_activations,
+                              t.activations):
+        J = W @ J
+        Js.append(J)
+        if layer.activation == "sigmoid":
+            J = (a * (1.0 - a))[:, None] * J
+        elif layer.activation == "relu":
+            J = (z > 0.0)[:, None] * J
+    A = softmax_curvature(t.probs).matrix
+    H = Js[-1].T @ A @ Js[-1]
+    da = t.probs - np.eye(net.num_classes)[y]
+    for l in range(len(net.weights) - 1, -1, -1):
+        layer, z, a = net.spec.layers[l], t.pre_activations[l], t.activations[l]
+        slope = {"sigmoid": a * (1.0 - a), "relu": (z > 0.0) * 1.0}.get(layer.activation, 1.0)
+        if layer.activation == "sigmoid":
+            H += Js[l].T @ ((da * slope * (1.0 - 2.0 * a))[:, None] * Js[l])
+        da = net.weights[l].T @ (da * slope)
+    return H

@@ -4,29 +4,38 @@ import logging
 
 import numpy as np
 import pytest
+from conftest import bishop_hessian, mixed_net
 
+from casokit import analysis, interpret
+from casokit.errors import CurvatureError
 from casokit import (
+    DEFAULT_LAMBDA1_GRID,
     BudgetError,
     Dataset,
     DimensionError,
     LayerSpec,
+    MethodRequest,
     Network,
     NetworkSpec,
+    ObjectiveSpec,
     OracleConfig,
     RankOneSimConfig,
+    SolverConfig,
     TrainConfig,
     alignment_curve,
     brute_force_group_feature,
     closed_form_caso,
     confidence_gap_study,
+    curvature_models,
+    fista_solve,
     forward,
     hessian_eig,
     init_network,
     input_gradient,
     l1_path_supports,
-    local_linearization,
     make_blobs,
     make_planted_instance,
+    prox_soft_threshold,
     select_lambda2,
     simulate_rank_one,
     softmax_curvature,
@@ -178,26 +187,62 @@ class TestConfidenceGapStudy:
         assert np.all(gaps >= 0.0) and np.all(gaps <= 2.0)
         assert spearman_rho(pmax, gaps) < 0.0
 
-    def test_gaps_match_dense_reference(self, trained_ten_class):
-        # d >= c (the trained net) and d < c (a random relu net)
-        spec = NetworkSpec((LayerSpec(4, 9, "relu"), LayerSpec(9, 12, "identity")))
+    @pytest.mark.parametrize("kind", ["trained", "wide", "sigmoid", "mixed"])
+    def test_gaps_match_dense_reference(self, trained_ten_class, tmp_path, monkeypatch, kind):
+        # d >= c (the trained relu net), d < c (a random relu net), and
+        # sigmoid and mixed nets, whose curvature has terms of either sign
         rng = np.random.default_rng(43)
-        wide = Dataset(X=rng.standard_normal((30, 4)), labels=rng.integers(0, 12, 30))
-        for net, data in (trained_ten_class, (init_network(spec, seed=44), wide)):
-            rows = confidence_gap_study(net, data, data.n)
-            assert len(rows) >= data.n - 2
-            for row in rows:
-                x, y = data.X[row.sample_id], int(data.labels[row.sample_id])
-                W = local_linearization(net, x).W
-                p = forward(net, x).probs
-                H = W @ softmax_curvature(p).matrix @ W.T
-                g = input_gradient(net, x, y)
-                lam2 = select_lambda2(float(np.linalg.eigvalsh(H)[-1]))
-                d_caso = np.linalg.solve(2.0 * lam2 * np.eye(len(x)) - H, g)
-                u = d_caso / np.linalg.norm(d_caso)
-                v = g / np.linalg.norm(g)
-                assert abs(row.gap - np.linalg.norm(u - v)) <= 1e-10
-                assert row.p_max == pytest.approx(p.max(), rel=1e-13)
+        if kind == "trained":
+            net, data = trained_ten_class
+        else:
+            net = {
+                "wide": lambda: init_network(NetworkSpec((
+                    LayerSpec(4, 9, "relu"), LayerSpec(9, 12, "identity"))), seed=44),
+                "sigmoid": lambda: init_network(NetworkSpec((
+                    LayerSpec(6, 9, "sigmoid"), LayerSpec(9, 3, "identity"))), seed=44),
+                "mixed": lambda: mixed_net(tmp_path),
+            }[kind]()
+            data = Dataset(X=rng.standard_normal((30, net.input_dim)),
+                           labels=rng.integers(0, net.num_classes, 30))
+        built = []
+
+        def spy(net, samples, **kwargs):
+            built.append(np.stack([s.x for s in samples]))
+            return curvature_models(net, samples, **kwargs)
+
+        monkeypatch.setattr(analysis, "curvature_models", spy)
+        rows = confidence_gap_study(net, data, data.n)
+        # the models are built in the chunks caso requests take in interpret
+        chunks = list(interpret._chunks(net, [MethodRequest("caso", data.sample(i))
+                                              for i in range(data.n)]))
+        assert len(built) == len(chunks)
+        for X, chunk in zip(built, chunks):
+            assert np.array_equal(X, np.stack([r.sample.x for r in chunk]))
+        assert len(rows) >= data.n - 2
+        for row in rows:
+            x, y = data.X[row.sample_id], int(data.labels[row.sample_id])
+            H = bishop_hessian(net, x, y)
+            p = forward(net, x).probs
+            g = input_gradient(net, x, y)
+            lam2 = select_lambda2(max(float(np.linalg.eigvalsh(H)[-1]), 0.0))
+            d_caso = np.linalg.solve(2.0 * lam2 * np.eye(len(x)) - H, g)
+            u = d_caso / np.linalg.norm(d_caso)
+            v = g / np.linalg.norm(g)
+            assert abs(row.gap - np.linalg.norm(u - v)) <= 1e-10
+            assert row.p_max == pytest.approx(p.max(), rel=1e-13)
+
+    def test_dominant_negative_curvature_is_refused(self):
+        # the one-unit sigmoid net of test_curvature_model, H = -5.03 e_1 e_1^T:
+        # gap-study fails as caso does below c1 = 2.5126 and runs above it
+        net = Network(
+            spec=NetworkSpec((LayerSpec(2, 1, "sigmoid"), LayerSpec(1, 2, "identity"))),
+            weights=(np.array([[3.0, 0.0]]), np.array([[3.0], [-3.0]])),
+            biases=(np.zeros(1), np.zeros(2)),
+        )
+        data = Dataset(X=np.array([[0.5, 0.0]]), labels=np.array([1]))
+        with pytest.raises(CurvatureError, match=r"c1 > 2\.5126"):
+            confidence_gap_study(net, data, 1, c1=1.0)
+        assert len(confidence_gap_study(net, data, 1, c1=2.52)) == 1
 
     def test_high_confidence_gap_small(self):
         rng = np.random.default_rng(40)
@@ -312,8 +357,6 @@ class TestBruteForceOracle:
         k = len(support)
         oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=k))
         grid = (1e-4, 1e-3, 1e-2, 5e-2, 1e-1)
-        from casokit import ObjectiveSpec, SolverConfig, fista_solve
-
         top = float(np.linalg.eigvalsh(H)[-1])
         for lam1 in grid:
             obj = ObjectiveSpec(
@@ -334,6 +377,28 @@ class TestBruteForceOracle:
         supports = l1_path_supports(g, H, lam2, (0.0, 1e-5, 1e-4, 1e-3, 6.25e-3,
                                                  1.25e-2, 2.5e-2, 5e-2))
         assert support in supports
+
+    @pytest.mark.parametrize("d,support", [(8, (1, 4)), (12, (2, 5, 9)), (14, (0, 3, 7, 11))])
+    def test_l1_path_matches_fista_reference(self, d, support):
+        # FISTA at 100 iterations is the reference oracle; at each lam1 the
+        # exact path's support, with FISTA's signs, must satisfy the KKT
+        # fixed point D = soft(g + H D, lam1) / (2 lam2) to rounding
+        for seed in range(4):
+            g, H, lam2, _ = make_planted_instance(d=d, support=support, seed=seed)
+            top = float(np.linalg.eigvalsh(H)[-1])
+            got = l1_path_supports(g, H, lam2, DEFAULT_LAMBDA1_GRID)
+            for lam1, path_support in zip(DEFAULT_LAMBDA1_GRID, got, strict=True):
+                obj = ObjectiveSpec(gradient=g, hvp=lambda v: H @ v, lam1=lam1, lam2=lam2,
+                                    curvature_bound=top)
+                ref = fista_solve(obj, SolverConfig(iterations=100)).delta
+                assert path_support == tuple(np.flatnonzero(ref != 0.0))
+                S = list(path_support)
+                D = np.zeros(d)
+                D[S] = np.linalg.solve(2.0 * lam2 * np.eye(len(S)) - H[np.ix_(S, S)],
+                                       g[S] - lam1 * np.sign(ref[S]))
+                fixed = prox_soft_threshold(g + H @ D, lam1) / (2.0 * lam2)
+                scale = max(float(np.abs(D).max()), np.finfo(np.float64).tiny)
+                assert float(np.abs(D - fixed).max()) / scale <= 1e-12
 
     def test_validation(self):
         g = np.ones(4)

@@ -185,13 +185,14 @@ class TestInterpret:
         for name in ("sample0.pgm", "sample0.delta.f64", "sample0.json", "metrics.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    @pytest.mark.parametrize("command", ["interpret", "sweep"])
+    @pytest.mark.parametrize("command", ["interpret", "sweep", "oracle-check"])
     @pytest.mark.parametrize("flag", ["--jobs", "--power-iters", "--lr", "--solver-iters",
                                       "--decay", "--max-backtracks"])
     def test_removed_flag_is_usage_error(self, workspace, tmp_path, capsys, command, flag):
         # the solves are exact and run in one thread: no flag tunes them
-        argv = [command, "--model", workspace["model"], "--data", workspace["data"],
-                "--out", str(tmp_path / "out")]
+        argv = [command, "--out", str(tmp_path / "out")]
+        if command != "oracle-check":
+            argv += ["--model", workspace["model"], "--data", workspace["data"]]
         with pytest.raises(SystemExit) as exc:
             run(argv + [flag, "1"])
         assert exc.value.code == 2
@@ -202,9 +203,9 @@ class TestInterpret:
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--config", str(config)])
         assert exc.value.code == 2
-        # train and oracle-check keep --lr and --solver-iters
+        # train keeps --lr
         message = (f"config key {key} is not an option of {command}"
-                   if key in ("lr", "solver-iters") else f"unknown config key: {key}")
+                   if key == "lr" else f"unknown config key: {key}")
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -424,7 +425,7 @@ class TestStudies:
         assert f"error: {args[0]} mode does not use {unused}\n" in capsys.readouterr().err
         assert not (tmp_path / "rank1.csv").exists()
 
-    def test_gap_study_rejects_sigmoid_net(self, tmp_path, capsys):
+    def test_gap_study_on_sigmoid_net(self, tmp_path, capsys):
         prep = tmp_path / "prep"
         assert run([
             "train", "--classes", "3", "--dim", "6", "--n-per-class", "4", "--hidden", "5",
@@ -435,10 +436,12 @@ class TestStudies:
             "gap-study", "--model", str(prep / "model.json"), "--data", str(prep / "data.csv"),
             "--out", str(out),
         ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "only nets of relu and identity layers" in err
-        assert not (out / "gap.csv").exists()
+        assert code == 0
+        lines = (out / "gap.csv").read_text().splitlines()
+        assert lines[1] == "sample_id,p_max,gap"
+        assert len(lines) == 2 + 12
+        assert all(0.0 <= float(line.split(",")[2]) <= 2.0 for line in lines[2:])
+        assert "spearman_rho=" in capsys.readouterr().out
 
     def test_gap_study(self, workspace, tmp_path, capsys):
         code = run([

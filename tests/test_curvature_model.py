@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fd_loss_hessian
+from conftest import bishop_hessian, fd_loss_hessian, mixed_net
 
 from casokit import (
     DEFAULT_LAMBDA1_GRID,
@@ -81,51 +81,9 @@ def dense_mean_hessian(net, points):
     return H / len(points)
 
 
-def mixed_net(tmp_path):
-    """A relu -> sigmoid -> identity net, written as model JSON by hand
-    (train only makes single-activation nets) and read back by the loader."""
-    rng = np.random.default_rng(24)
-    layers = [
-        {"in": n_in, "out": n_out, "activation": act,
-         "weights": (0.5 * rng.standard_normal((n_out, n_in))).tolist(),
-         "bias": (0.1 * rng.standard_normal(n_out)).tolist()}
-        for n_in, n_out, act in ((7, 6, "relu"), (6, 4, "sigmoid"), (4, 3, "identity"))
-    ]
-    path = tmp_path / "mixed.json"
-    path.write_text(json.dumps({"layers": layers}))
-    return model_load(str(path))
-
-
 def identity_net():
     spec = NetworkSpec((LayerSpec(5, 4, "identity"), LayerSpec(4, 3, "identity")))
     return init_network(spec, seed=25)
-
-
-def bishop_hessian(net, x, y):
-    """The dense loss Hessian at x, built layer by layer: forward-mode
-    Jacobians J_l of every pre-activation, reverse-mode cotangents of
-    every activation, then J_L^T A J_L plus J_l^T diag(cotangent * sigma'')
-    J_l for each sigmoid layer."""
-    t = forward(net, x, y)
-    J, Js = np.eye(net.input_dim), []
-    for W, layer, z, a in zip(net.weights, net.spec.layers, t.pre_activations,
-                              t.activations):
-        J = W @ J
-        Js.append(J)
-        if layer.activation == "sigmoid":
-            J = (a * (1.0 - a))[:, None] * J
-        elif layer.activation == "relu":
-            J = (z > 0.0)[:, None] * J
-    A = softmax_curvature(t.probs).matrix
-    H = Js[-1].T @ A @ Js[-1]
-    da = t.probs - np.eye(net.num_classes)[y]
-    for l in range(len(net.weights) - 1, -1, -1):
-        layer, z, a = net.spec.layers[l], t.pre_activations[l], t.activations[l]
-        slope = {"sigmoid": a * (1.0 - a), "relu": (z > 0.0) * 1.0}.get(layer.activation, 1.0)
-        if layer.activation == "sigmoid":
-            H += Js[l].T @ ((da * slope * (1.0 - 2.0 * a))[:, None] * Js[l])
-        da = net.weights[l].T @ (da * slope)
-    return H
 
 
 def load_perfbench(name, monkeypatch):

@@ -34,11 +34,6 @@ def test_network_spec_chain_and_head():
     spec = nc.NetworkSpec((nc.LayerSpec(4, 5, "relu"), nc.LayerSpec(5, 3, "identity")))
     assert spec.input_dim == 4
     assert spec.num_classes == 3
-    assert spec.piecewise_linear
-    sig = nc.NetworkSpec(
-        (nc.LayerSpec(4, 5, "sigmoid"), nc.LayerSpec(5, 3, "identity"))
-    )
-    assert not sig.piecewise_linear
 
 
 def test_network_arrays_frozen_f64():

@@ -6,9 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-from casokit import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -28,17 +27,21 @@ def test_traced_function_resolves(layer, fn_name):
     assert callable(getattr(module, fn_name, None)), f"casokit.{layer}.{fn_name} is gone"
 
 
-def test_fista_hook_counts_the_oracle_path_solves(tmp_path, capsys):
-    # oracle-check's L1 path takes one FISTA solve per grid value
+def test_fista_hook_counts_the_reference_solves():
+    # no CLI path runs FISTA; the hook still counts direct library solves
+    from casokit import analysis, solver
+
+    g, H, lam2, _ = analysis.make_planted_instance(d=8, support=(1, 4))
+    top = float(np.linalg.eigvalsh(H)[-1])
     grid = (0.0, 1e-3, 1e-2, 1e-1)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        code = cli.main(["oracle-check", "--d", "8", "--support", "1,4", "--solver-iters", "10",
-                         "--grid", ",".join(map(str, grid)), "--out", str(tmp_path)])
+        for lam1 in grid:
+            obj = solver.ObjectiveSpec(gradient=g, hvp=lambda v: H @ v, lam1=lam1, lam2=lam2,
+                                       curvature_bound=top)
+            solver.fista_solve(obj, solver.SolverConfig(iterations=10))
     finally:
         tracer.uninstall()
-    capsys.readouterr()
-    assert code == 0
     assert tracer.names.count("solver.fista_solve") == len(grid)
     assert tracer.counters["solver.fista.iterations"] == 10 * len(grid)
