@@ -12,12 +12,22 @@ oracle study, and a deterministic CLI round it out.
 
 __version__ = "0.1.0"
 
+import os as _os
 from types import ModuleType as _ModuleType
+
+# One BLAS thread unless the environment says otherwise, set before numpy
+# loads: a second thread changes the summation order inside the larger
+# products, and with it the last bits of the artifacts, and on this
+# package's matrix sizes it slows the CLI down. Only a numpy not yet
+# imported reads these variables.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 from .errors import (
     BudgetError,
     DimensionError,
     FormatError,
+    FrozenInstanceError,
     KinkWarning,
     NonFiniteError,
 )

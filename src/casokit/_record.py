@@ -3,8 +3,9 @@
 A subclass of Record lists its fields as class annotations, in order, with
 optional defaults, and gets the contract of dataclasses.dataclass(frozen=True):
 a positional-or-keyword __init__ that calls __post_init__, assignment and
-deletion that raise dataclasses.FrozenInstanceError, field-tuple __eq__ and
-__hash__, a dataclass-style __repr__ and __match_args__. The methods are
+deletion that raise errors.FrozenInstanceError (an AttributeError, like
+dataclasses.FrozenInstanceError), field-tuple __eq__ and __hash__, a
+dataclass-style __repr__ and __match_args__. The methods are
 defined once, here; no source is generated and compiled per class, which
 dataclasses does (6 methods a class), so importing the package stays cheap.
 Instances keep their __dict__: __post_init__ may set a field with
@@ -12,7 +13,7 @@ object.__setattr__, and functools.cached_property works. replace() stands in
 for dataclasses.replace; dataclasses.fields/asdict/replace do not apply.
 """
 
-from dataclasses import FrozenInstanceError
+from .errors import FrozenInstanceError
 
 
 class Record:

@@ -35,8 +35,8 @@ from .interpret import (
     NOISE_METHODS,
     SPARSE_METHODS,
     MethodRequest,
+    chunk_results,
     lambda1_sweep,
-    run_requests,
 )
 from .netcore import LayerSpec, NetworkSpec, TrainConfig, init_network, make_blobs, train_sgd
 from .saliency_io import (
@@ -258,7 +258,26 @@ def cmd_train(args):
     return 0
 
 
+def _write_sample(out, idx, res, dmap, prov_text):
+    """Write one sample's .pgm, .delta.f64 and .json into out."""
+    write_pgm(
+        dmap,
+        os.path.join(out, f"sample{idx}.pgm"),
+        comment=f"casokit {res.method} sample {idx}",
+    )
+    write_f64_tensor(os.path.join(out, f"sample{idx}.delta.f64"), res.delta)
+    doc = _result_summary(res)
+    doc["sample_id"] = idx
+    _write_json(os.path.join(out, f"sample{idx}.json"), doc, prov_text)
+
+
 def cmd_interpret(args):
+    # imported here, not with the module: only interpret runs a thread, and
+    # queue would cost every process about 1.4 ms of start-up
+    import queue
+    import tempfile
+    import threading
+
     out = _resolve_out(args)
     net = model_load(args.model)
     dataset = _load_data(args)
@@ -287,33 +306,59 @@ def cmd_interpret(args):
         )
         for i, seed in zip(indices, seeds)
     ]
-    results = run_requests(net, requests)
-
-    # all computation is done; one collector writes everything in order
     prov = _provenance(args, "interpret")
     prov_text = _json_value(prov)
-    dmaps = normalize_for_display(np.stack([res.delta for res in results]), w, h, args.channels)
-    rows = []
-    lines = []
-    for idx, res, dmap in zip(indices, results, dmaps):
-        write_pgm(
-            dmap,
-            os.path.join(out, f"sample{idx}.pgm"),
-            comment=f"casokit {res.method} sample {idx}",
+
+    # One writer thread writes each chunk's artifacts while the next chunk
+    # computes. Everything lands in a staging directory inside out and is
+    # renamed into place only once every sample and metrics.csv is written,
+    # so a run that fails leaves out as it found it.
+    stage = tempfile.mkdtemp(prefix=".casokit-", dir=out)
+    jobs = queue.SimpleQueue()
+    failed = []
+    results = []
+
+    def write_samples():
+        try:
+            while (job := jobs.get()) is not None:
+                _write_sample(stage, *job, prov_text)
+        except Exception as e:  # raised again on the main thread after the join
+            failed.append(e)
+
+    try:
+        writer = threading.Thread(target=write_samples, name="casokit-writer")
+        writer.start()
+        try:
+            for chunk in chunk_results(net, requests):
+                # the display cap is per map, so a chunk's stack renders
+                # each map as the whole run's stack would
+                dmaps = normalize_for_display(np.stack([res.delta for res in chunk]),
+                                              w, h, args.channels)
+                for res, dmap in zip(chunk, dmaps):
+                    jobs.put((indices[len(results)], res, dmap))
+                    results.append(res)
+                if failed:
+                    break
+        finally:
+            jobs.put(None)
+            writer.join()
+        if failed:
+            raise failed[0]
+        write_csv_rows(
+            os.path.join(stage, "metrics.csv"),
+            ("sample_id", "method", "lambda1", "lambda2", "eta", "loss_gain", "p_max"),
+            [(idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max)
+             for idx, res in zip(indices, results)],
+            provenance=prov,
         )
-        write_f64_tensor(os.path.join(out, f"sample{idx}.delta.f64"), res.delta)
-        doc = _result_summary(res)
-        doc["sample_id"] = idx
-        _write_json(os.path.join(out, f"sample{idx}.json"), doc, prov_text)
-        rows.append((idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max))
-        lines.append(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n")
-    sys.stdout.write("".join(lines))
-    write_csv_rows(
-        os.path.join(out, "metrics.csv"),
-        ("sample_id", "method", "lambda1", "lambda2", "eta", "loss_gain", "p_max"),
-        rows,
-        provenance=prov,
-    )
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    finally:
+        for name in os.listdir(stage):  # none left unless the run failed
+            os.unlink(os.path.join(stage, name))
+        os.rmdir(stage)
+    sys.stdout.write("".join(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n"
+                             for idx, res in zip(indices, results)))
     return 0
 
 

@@ -41,6 +41,10 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a frozen record."""
+
+
 class KinkWarning(UserWarning):
     """A relu pre-activation sat close to zero inside a finite-difference
     stencil, so the locally-linear assumption may not hold."""

@@ -6,9 +6,10 @@ strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
 solving. All four sparse methods first build one CurvatureModel
 (g, F, C, lam2, base) per sample, H = F C F^T being the exact curvature
-(0 for CAFO), and then solve against it; run_requests builds the models
-of a chunk of samples together, and a lam1 sweep solves its whole grid
-against one model, one map at a time.
+(0 for CAFO), and then solve against it; chunk_results (and
+run_requests, its list form) builds the models of a chunk of samples
+together, and a lam1 sweep solves its whole grid against one model, one
+map at a time.
 The gradient baselines (vanilla gradient, SmoothGrad, integrated
 gradients) are included for comparison; note the deliberate asymmetry
 that integrated gradients accumulates the loss gradient while the
@@ -36,7 +37,7 @@ DEFAULT_LAMBDA1_GRID = (0.0, 1e-5, 1e-4, 1e-3, 6.25e-3, 1.25e-2, 2.5e-2, 5e-2)
 DEFAULT_SMOOTH_N = 50
 DEFAULT_SMOOTH_SIGMA = 0.15
 DEFAULT_IG_STEPS = 50
-# run_requests stacks consecutive samples of one sparse method while their
+# chunk_results stacks consecutive samples of one sparse method while their
 # chunk columns (see _columns) stay within this bound. On 10 classes that
 # is ten cafo or relu caso samples, two smooth-cafo samples at n = 50, and
 # one smooth-caso sample at n = 50 (500 backprop columns, its model built
@@ -212,7 +213,7 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     diag(w_l / n) E_l over those of unit seeds at each deeper sigmoid
     layer l (a block of at most d factor columns, _factor_width(net) per
     point, at a time), and diag(sum_i w_0 / n) for a sigmoid first layer.
-    lambda_max is the top eigenvalue of R M R^T for the R of W_0^T = QR
+    lambda_max is the top eigenvalue of R M R^T for R^T R = W_0 W_0^T
     (Network.input_r), and its bottom eigenvalue must lie above -2 lam2, or
     a CurvatureError is raised. Each model's Woodbury base overwrites the Gram
     matrix F^T F C already formed, B^T B or Network.input_gram @ M, with
@@ -650,27 +651,32 @@ def _chunks(net, requests):
         yield chunk
 
 
-def run_requests(net, requests):
-    """Results of a sequence of MethodRequests, in order.
+def chunk_results(net, requests):
+    """Yield the results of a sequence of MethodRequests one chunk at a
+    time, as lists, in order.
 
     Sparse requests are solved a chunk of whole samples at a time (see
     _chunks): one batched forward pass and two batched backprops (more on
     sigmoid nets) build the chunk's models, each sample is solved on its
-    own, and one batched forward pass gives their raw loss changes.
-    Chunking moves the results by rounding only.
+    own, and one batched forward pass gives their raw loss changes. Each
+    gradient baseline is a chunk of one. Chunking moves the results by
+    rounding only.
     """
-    results = []
     for chunk in _chunks(net, requests):
         r = chunk[0]
         if r.method not in SPARSE_METHODS:
-            results.append(_run_baseline(net, r))
+            yield [_run_baseline(net, r)]
             continue
         samples = [q.sample for q in chunk]
         models = _sparse_models(r.method, samples, net, [q.seed for q in chunk],
                                 r.smooth_n, r.smooth_sigma, r.c1)
-        results.extend(_solve_models(r.method, net, samples, models, [r.lam1] * len(chunk),
-                                     r.channels))
-    return results
+        yield _solve_models(r.method, net, samples, models, [r.lam1] * len(chunk), r.channels)
+
+
+def run_requests(net, requests):
+    """Results of a sequence of MethodRequests, in order: chunk_results
+    as one list."""
+    return [res for chunk in chunk_results(net, requests) for res in chunk]
 
 
 def run_request(net, request):

@@ -131,14 +131,22 @@ class Network(Record):
 
     @cached_property
     def input_r(self):
-        """R of the reduced QR factorization W_0^T = Q R, computed once."""
-        return np.linalg.qr(self.weights[0].T, mode="r")
+        """An upper triangular R with R^T R = W_0 W_0^T, computed once: the
+        transposed Cholesky factor of input_gram, or the R of the reduced QR
+        W_0^T = Q R where that Gram matrix is singular (more units than
+        inputs) or Cholesky finds it so."""
+        W0 = self.weights[0]
+        if W0.shape[0] <= W0.shape[1]:
+            try:
+                return np.linalg.cholesky(self.input_gram).T
+            except np.linalg.LinAlgError:
+                pass
+        return np.linalg.qr(W0.T, mode="r")
 
     @cached_property
     def input_gram(self):
-        """R^T R for R = input_r (the Gram matrix W_0 W_0^T), formed once
-        and read-only."""
-        gram = self.input_r.T @ self.input_r
+        """The Gram matrix W_0 W_0^T, formed once and read-only."""
+        gram = self.weights[0] @ self.weights[0].T
         gram.flags.writeable = False
         return gram
 

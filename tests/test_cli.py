@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,21 @@ import numpy as np
 import pytest
 
 import casokit
-from casokit import Dataset, cli, dataset_load, dataset_save_raw, model_load, read_pgm
+from casokit import (
+    Dataset,
+    MethodRequest,
+    cli,
+    dataset_load,
+    dataset_save_raw,
+    interpret,
+    model_load,
+    normalize_for_display,
+    read_pgm,
+    write_csv_rows,
+    write_f64_tensor,
+    write_pgm,
+)
+from casokit.errors import CurvatureError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -318,6 +333,131 @@ class TestInterpret:
         assert read_pgm(tmp_path / "sample0.pgm").shape == (2, 8)
 
 
+def snapshot(directory):
+    """{relative path: bytes} of every file under directory."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def serial_interpret(argv, out):
+    """interpret's artifacts and stdout as one serial pass writes them:
+    run_requests over every sample, one normalize_for_display of the
+    whole stack, then each sample's files in order and metrics.csv."""
+    args = cli.build_parser()[0].parse_args(argv)
+    net, dataset = model_load(args.model), dataset_load(args.data)
+    seeds = [0] * len(args.samples)
+    if args.method in interpret.NOISE_METHODS:
+        seeds = [int(child.generate_state(1, dtype=np.uint64)[0])
+                 for child in np.random.SeedSequence(args.seed).spawn(len(args.samples))]
+    requests = [MethodRequest(args.method, dataset.sample(i), args.lambda1, args.c1,
+                              args.smooth_n, args.smooth_sigma, args.ig_steps, seed,
+                              args.channels) for i, seed in zip(args.samples, seeds)]
+    results = interpret.run_requests(net, requests)
+    w, h = cli._geometry(args, dataset.dim)
+    dmaps = normalize_for_display(np.stack([r.delta for r in results]), w, h, args.channels)
+    prov = cli._provenance(args, "interpret")
+    lines, rows = [], []
+    for idx, res, dmap in zip(args.samples, results, dmaps):
+        write_pgm(dmap, out / f"sample{idx}.pgm", comment=f"casokit {res.method} sample {idx}")
+        write_f64_tensor(out / f"sample{idx}.delta.f64", res.delta)
+        doc = cli._result_summary(res)
+        doc["sample_id"] = idx
+        cli._write_json(out / f"sample{idx}.json", doc, cli._json_value(prov))
+        rows.append((idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max))
+        lines.append(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n")
+    write_csv_rows(out / "metrics.csv",
+                   ("sample_id", "method", "lambda1", "lambda2", "eta", "loss_gain", "p_max"),
+                   rows, provenance=prov)
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def sigmoid_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sigws")
+    assert run([
+        "train", "--classes", "3", "--dim", "16", "--n-per-class", "10", "--hidden", "8",
+        "--activation", "sigmoid", "--epochs", "2", "--seed", "7", "--save-data",
+        "--out", str(root),
+    ]) == 0
+    return {"root": root, "model": str(root / "model.json"), "data": str(root / "data.csv")}
+
+
+class TestStreamedWrites:
+    """interpret writes each chunk's artifacts on one writer thread while
+    the next chunk computes, into a staging directory renamed into place
+    at the end."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # two relu cafo/caso samples a chunk on 3 classes, so five samples
+        # make three chunks
+        monkeypatch.setattr(interpret, "CHUNK_COLUMNS", 6)
+
+    @staticmethod
+    def argv(ws, method, out):
+        return ["interpret", "--model", ws["model"], "--data", ws["data"], "--method", method,
+                "--samples", "4,0,7,2,9", "--smooth-n", "3", "--lambda1", "0.01",
+                "--seed", "3", "--out", str(out)]
+
+    @pytest.mark.parametrize("method", interpret.METHODS)
+    @pytest.mark.parametrize("net", ["relu", "sigmoid"])
+    def test_artifacts_equal_a_serial_write(self, workspace, sigmoid_workspace, tmp_path,
+                                            capsys, method, net):
+        ws = workspace if net == "relu" else sigmoid_workspace
+        streamed, serial = tmp_path / "streamed", tmp_path / "serial"
+        serial.mkdir()
+        assert run(self.argv(ws, method, streamed)) == 0
+        out = capsys.readouterr().out
+        assert serial_interpret(self.argv(ws, method, serial), serial) == out
+        assert snapshot(streamed) == snapshot(serial)
+        assert len(snapshot(streamed)) == 16
+
+    def prepopulated(self, ws, out, capsys):
+        assert run(self.argv(ws, "grad", out)) == 0
+        (out / "notes.txt").write_bytes(b"kept\n")
+        (out / "sample9.json").write_bytes(b"an older file\n")
+        capsys.readouterr()
+        return snapshot(out), set(os.listdir(out))
+
+    def test_a_failing_chunk_leaves_out_unchanged(self, workspace, tmp_path, capsys,
+                                                  monkeypatch):
+        before, names = self.prepopulated(workspace, tmp_path, capsys)
+        models, calls = interpret._sparse_models, []
+
+        def second_chunk_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise CurvatureError("chunk 2 failed")
+            return models(*args, **kwargs)
+
+        monkeypatch.setattr(interpret, "_sparse_models", second_chunk_fails)
+        threads = threading.active_count()
+        assert run(self.argv(workspace, "caso", tmp_path)) == 1
+        assert capsys.readouterr() == ("", "error: chunk 2 failed\n")
+        assert len(calls) == 2  # the first chunk was solved and handed to the writer
+        assert set(os.listdir(tmp_path)) == names  # no staging directory is left
+        assert snapshot(tmp_path) == before
+        assert threading.active_count() == threads
+
+    def test_a_write_error_is_a_runtime_error(self, workspace, tmp_path, capsys, monkeypatch):
+        before, names = self.prepopulated(workspace, tmp_path, capsys)
+        write, calls = cli.write_f64_tensor, []
+
+        def disk_fills(path, X):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            write(path, X)
+
+        monkeypatch.setattr(cli, "write_f64_tensor", disk_fills)
+        threads = threading.active_count()
+        assert run(self.argv(workspace, "cafo", tmp_path)) == 1
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert set(os.listdir(tmp_path)) == names
+        assert snapshot(tmp_path) == before
+        assert threading.active_count() == threads
+
+
 class TestSweep:
     def test_artifacts_and_determinism(self, workspace, tmp_path, capsys):
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -598,12 +738,43 @@ class TestModelFiles:
         assert err.startswith("error: not UTF-8 text") and f"{bad}, line 1, byte 0" in err
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_artifacts_do_not_depend_on_unset_blas_thread_variables(tmp_path):
+    """The package sets one BLAS thread before numpy loads unless the
+    environment sets a count, so a run with the variables unset writes the
+    same bytes as one at 1. The net is large enough for OpenBLAS to split
+    its products over threads where more than one core is free."""
+    spec = casokit.NetworkSpec((casokit.LayerSpec(784, 256, "relu"),
+                                casokit.LayerSpec(256, 128, "relu"),
+                                casokit.LayerSpec(128, 10, "identity")))
+    casokit.model_save(casokit.init_network(spec, seed=5), str(tmp_path / "model.json"))
+    rng = np.random.default_rng(5)
+    data = Dataset(X=rng.random((6, 784)), labels=rng.integers(10, size=6))
+    casokit.dataset_save_csv(data, str(tmp_path / "data.csv"))
+    outs = []
+    for setting in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        if setting is not None:
+            env.update(dict.fromkeys(BLAS_THREAD_VARS, setting))
+        env["PYTHONPATH"] = str(ROOT / "src")
+        out = tmp_path / f"out-{setting}"
+        subprocess.run([sys.executable, "-m", "casokit", "interpret",
+                        "--model", str(tmp_path / "model.json"),
+                        "--data", str(tmp_path / "data.csv"), "--method", "smooth-caso",
+                        "--smooth-n", "10", "--lambda1", "1e-3", "--samples", "0,1,2,3,4,5",
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outs.append(snapshot(out))
+    assert len(outs[0]) == 19 and outs[0] == outs[1]
+
+
 class TestStartup:
-    def test_cli_import_skips_study_module_and_metadata(self):
+    def test_cli_import_skips_study_module_metadata_queue_and_dataclasses(self):
         probe = (
             "import sys, casokit.cli; "
-            "print(sorted(m for m in ('casokit.analysis', 'importlib.metadata') "
-            "if m in sys.modules))"
+            "print(sorted(m for m in ('casokit.analysis', 'importlib.metadata', 'queue', "
+            "'dataclasses') if m in sys.modules))"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

@@ -10,6 +10,7 @@ from casokit import (
     Dataset,
     LayerSpec,
     MethodRequest,
+    Network,
     NetworkSpec,
     ObjectiveSpec,
     Sample,
@@ -350,20 +351,40 @@ def test_sigmoid_matches_the_sign_split_formula_bitwise():
         assert got.tobytes() == split(z).tobytes()
 
 
-def test_sigmoid_qr_runs_once_per_network(monkeypatch):
+def test_sigmoid_input_r_is_factored_once_per_network(monkeypatch):
     net = net_of("sigmoid")  # a fresh network: no cached R yet
     calls = []
-    qr = np.linalg.qr
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted)
+    for name in ("cholesky", "qr"):
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, orig=orig, name=name, **k: calls.append(name) or orig(*a, **k))
     requests = [MethodRequest("caso", s, lam1=1e-3) for s in samples(12)]
     assert len(list(interpret._chunks(net, requests))) > 1
     run_requests(net, requests)
-    assert len(calls) == 1
+    assert calls == ["cholesky"]  # W_0 W_0^T is positive definite: no QR
+
+
+@pytest.mark.parametrize("case", ["equal rows", "more units than inputs"])
+def test_input_r_falls_back_to_qr_on_a_singular_gram(case):
+    # W_0 W_0^T is singular either way; with two equal rows of squared
+    # norm 9 Cholesky meets an exact zero pivot
+    W0 = np.array([[1.0, 2.0, 2.0, 0.0], [1.0, 2.0, 2.0, 0.0], [0.0, 1.0, -1.0, 3.0]])
+    if case == "more units than inputs":
+        W0 = np.random.default_rng(3).standard_normal((6, 4))
+    h0, d = W0.shape
+    spec = NetworkSpec((LayerSpec(d, h0, "sigmoid"), LayerSpec(h0, 3, "identity")))
+    net = Network(spec, (W0, np.ones((3, h0))), (np.zeros(h0), np.zeros(3)))
+    if case == "equal rows":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(net.input_gram)
+    R = net.input_r
+    assert R.tobytes() == np.linalg.qr(W0.T, mode="r").tobytes()
+    np.testing.assert_allclose(R.T @ R, net.input_gram, rtol=0, atol=1e-12)
+    s = Sample(x=np.array([0.3, -0.2, 0.5, 0.1]), y=1)
+    model = interpret._sparse_model("caso", s, net)
+    H = solver.curvature_product(model.factor, model.middle, np.eye(d))
+    top = max(np.linalg.eigvalsh(H)[-1], 0.0)
+    assert model.curvature_bound == pytest.approx(top, rel=1e-12, abs=1e-14)
 
 
 def system_formed_anew(net, model, lam2):
@@ -374,7 +395,7 @@ def system_formed_anew(net, model, lam2):
         base = F.T @ F if F.shape[1] <= F.shape[0] else None
     else:
         F, C = net.weights[0].T, model.middle
-        base = (net.input_r.T @ net.input_r) @ C
+        base = (net.weights[0] @ net.weights[0].T) @ C
     if base is not None:
         base = np.linalg.inv(2.0 * lam2 * np.eye(len(base)) - base)
     return F, C, base
@@ -435,11 +456,14 @@ def test_sigmoid_input_gram_is_formed_once():
     net = net_of("sigmoid")
     gram = net.input_gram
     assert gram is net.input_gram
-    assert gram.tobytes() == (net.input_r.T @ net.input_r).tobytes()
+    assert gram.tobytes() == (net.weights[0] @ net.weights[0].T).tobytes()
     assert not gram.flags.writeable
+    R = net.input_r  # its Cholesky factor
+    assert np.array_equal(R, np.triu(R)) and (np.diag(R) > 0).all()
+    np.testing.assert_allclose(R.T @ R, gram, rtol=1e-13, atol=1e-13)
     model = interpret._sparse_model("caso", samples(1)[0], net)
     assert model.lam2 == solver.select_lambda2(model.curvature_bound)
     base = system_formed_anew(net, model, model.lam2)[2]
     assert model.inverse.tobytes() == base.tobytes()
     assert gram is net.input_gram
-    assert gram.tobytes() == (net.input_r.T @ net.input_r).tobytes()
+    assert gram.tobytes() == (net.weights[0] @ net.weights[0].T).tobytes()
