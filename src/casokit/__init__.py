@@ -86,7 +86,6 @@ from .netcore import (
     logit_gradient,
     make_blobs,
     sample_kink_safe,
-    softmax,
     train_sgd,
 )
 from .saliency_io import (
@@ -94,19 +93,14 @@ from .saliency_io import (
     dataset_load,
     dataset_load_raw,
     dataset_save_csv,
-    dataset_save_raw,
     model_load,
     model_save,
     normalize_for_display,
     quantize_display,
     read_f32_tensor,
-    read_f64_tensor,
     read_labels,
-    read_pgm,
     write_csv_rows,
-    write_f32_tensor,
     write_f64_tensor,
-    write_labels,
     write_pgm,
 )
 from .solver import (

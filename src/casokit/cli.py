@@ -351,7 +351,12 @@ def cmd_interpret(args):
              for idx, res in zip(indices, results)],
             provenance=prov,
         )
-        for name in os.listdir(stage):
+        names = os.listdir(stage)
+        # checked before the first rename: a directory would stop them part-way
+        for name in names:
+            if os.path.isdir(os.path.join(out, name)):
+                raise IsADirectoryError(f"{os.path.join(out, name)} is a directory")
+        for name in names:
             os.replace(os.path.join(stage, name), os.path.join(out, name))
     finally:
         for name in os.listdir(stage):  # none left unless the run failed

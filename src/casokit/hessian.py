@@ -81,19 +81,17 @@ def factor_gram(B):
     return Bt @ B if B.shape[-1] <= B.shape[-2] else B @ Bt
 
 
-def factor_spectrum(B, vectors=False, gram=None):
+def factor_spectrum(B, vectors=False):
     """Eigenvalues of H = B B^T read off the smaller Gram matrix of B.
 
     B is one factor (d, r) or a stack (k, d, r). The r x r matrix B^T B
     (when r <= d) and the d x d matrix B B^T share their nonzero
-    eigenvalues, so only the smaller is decomposed; gram, when given, is
-    that factor_gram(B) already formed, and is left unchanged. The
+    eigenvalues, so only the smaller, factor_gram(B), is decomposed. The
     eigenvalues come back ascending and clamped at 0. vectors=True also
     returns the Gram matrix's orthonormal eigenvectors, which are H's own
     when r > d.
     """
-    if gram is None:
-        gram = factor_gram(B)
+    gram = factor_gram(B)
     if not vectors:
         return np.maximum(np.linalg.eigvalsh(gram), 0.0)
     w, V = np.linalg.eigh(gram)

@@ -22,13 +22,14 @@ zeros so this is well defined.
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
 
 from ._record import Record
 from .errors import CurvatureError, DimensionError
-from .hessian import factor_gram, factor_spectrum, softmax_factor
+from .hessian import factor_gram, softmax_factor
 from .netcore import Sample, backprop_batch, forward_batch
 from .solver import DEFAULT_C1, SolveResult, curvature_product, exact_solve, select_lambda2
 
@@ -203,7 +204,7 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     width h0, one more backprop, seeded with every L_i, yields each
     sample's B = [J_1^T L_1, ..., J_n^T L_n] / sqrt(n), with mean_i H_i =
     B B^T, and lambda_max comes from the smaller Gram matrix of B by one
-    batched factor_spectrum for the chunk. Every Jacobian ends in W_0, so
+    batched eigvalsh for the chunk. Every Jacobian ends in W_0, so
     mean_i H_i = W_0^T M W_0 for an h0 x h0 middle M, the form taken
     otherwise: by sigmoid nets, whose terms have either sign, and by relu
     nets with h0 < min(n c, d) (smooth-caso on 784-256-128-10), where
@@ -257,7 +258,7 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
         B = backprop_batch(net, expand, lseeds)
         B = B.reshape(d, k, m * c).transpose(1, 0, 2)
         grams = factor_gram(B)
-        bounds = factor_spectrum(B, gram=grams)[:, -1]
+        bounds = np.maximum(np.linalg.eigvalsh(grams)[:, -1], 0.0)
         if m * c > d:
             grams = [None] * k  # B B^T: no Woodbury base to build
         return [model(i, float(bounds[i]), B[i], None, grams[i]) for i in range(k)]
@@ -628,27 +629,16 @@ _shared_knobs = attrgetter(*(n for n in MethodRequest.__match_args__ if n not in
 
 
 def _chunks(net, requests):
-    """Split requests, in order, into chunks solved together: consecutive
-    sparse requests that differ only in sample and seed, up to
-    CHUNK_COLUMNS chunk columns (a single sample always forms a chunk),
-    and each other request alone."""
-    chunk, used = [], 0
-    for r in requests:
-        cols = _columns(net, r)
-        if chunk and (
-            cols is None
-            or used + cols > CHUNK_COLUMNS
-            or _shared_knobs(r) != _shared_knobs(chunk[0])
-        ):
-            yield chunk
-            chunk, used = [], 0
-        if cols is None:
-            yield [r]
-        else:
-            chunk.append(r)
-            used += cols
-    if chunk:
-        yield chunk
+    """Split requests, in order, into chunks solved together: each run of
+    consecutive sparse requests that differ only in sample and seed, cut
+    into pieces of CHUNK_COLUMNS // _columns requests (at least one), and
+    each other request alone."""
+    for _, run in groupby(requests, _shared_knobs):
+        run = list(run)
+        cols = _columns(net, run[0])
+        size = 1 if cols is None else max(CHUNK_COLUMNS // cols, 1)
+        for start in range(0, len(run), size):
+            yield run[start:start + size]
 
 
 def chunk_results(net, requests):

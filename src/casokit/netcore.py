@@ -328,13 +328,6 @@ def _layers(spec, weights, biases, a):
     return pre, act
 
 
-def softmax(logits):
-    """Stable softmax: shifts by the max logit before exponentiating."""
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def _row_trace(net, x, y=None):
     """forward_batch of the one input x, checked to be a (d,) vector."""
     x = np.asarray(x, dtype=np.float64)

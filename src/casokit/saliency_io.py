@@ -151,50 +151,6 @@ def _decode_utf8(data, path, newline=None):
         ) from None
 
 
-def read_pgm(path):
-    """Read a binary (P5) PGM back as a (height, width) uint8 array."""
-    data = _read_bytes(path)
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError("truncated PGM header", path=path, offset=start)
-        return data[start:pos]
-
-    if token() != b"P5":
-        raise FormatError("not a binary PGM (P5) file", path=path, offset=0)
-    try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
-    except ValueError as e:
-        raise FormatError(f"bad PGM header field: {e}", path=path, offset=pos) from None
-    if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval}", path=path, offset=pos)
-    pos += 1  # single whitespace byte after maxval
-    body = data[pos : pos + width * height]
-    if len(body) != width * height:
-        raise FormatError(
-            f"expected {width * height} pixel bytes, found {len(body)}",
-            path=path,
-            offset=pos,
-        )
-    return np.frombuffer(body, dtype=np.uint8).reshape(height, width)
-
-
 def model_save(net, path, metadata=None):
     """Serialize a network to JSON.
 
@@ -506,16 +462,6 @@ _TENSOR_HEADER = struct.Struct("<II")
 _LABEL_HEADER = struct.Struct("<I")
 
 
-def write_f32_tensor(path, X):
-    """Raw little-endian float32 tensor: u32 count, u32 dim, then data."""
-    X = np.ascontiguousarray(np.asarray(X, dtype="<f4"))
-    if X.ndim != 2:
-        raise DimensionError("tensor must be 2-d (count, dim)")
-    with open(path, "wb") as fh:
-        fh.write(_TENSOR_HEADER.pack(X.shape[0], X.shape[1]))
-        fh.write(X.tobytes())
-
-
 def _read_raw(path, header, dtype, what):
     """Read a raw file: the header's u32 fields, then exactly their product
     of little-endian dtype items, returned with the header's shape."""
@@ -534,11 +480,12 @@ def _read_raw(path, header, dtype, what):
 
 
 def read_f32_tensor(path):
+    """Raw tensor: u32 count, u32 dim, then count x dim little-endian f32."""
     return _read_raw(path, _TENSOR_HEADER, "<f4", "tensor").astype(np.float64)
 
 
 def write_f64_tensor(path, X):
-    """Same layout as the f32 tensor but with float64 payload."""
+    """read_f32_tensor's layout with a float64 payload; a vector is one row."""
     X = np.ascontiguousarray(np.asarray(X, dtype="<f8"))
     if X.ndim == 1:
         X = X[None, :]
@@ -548,31 +495,9 @@ def write_f64_tensor(path, X):
         fh.write(_TENSOR_HEADER.pack(X.shape[0], X.shape[1]) + X.tobytes())
 
 
-def read_f64_tensor(path):
-    return _read_raw(path, _TENSOR_HEADER, "<f8", "tensor")
-
-
-def write_labels(path, labels):
-    """Sidecar label file: u32 count then count little-endian u32 labels."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise DimensionError("labels must be a flat vector")
-    if labels.size and (
-        labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() > 0xFFFFFFFF
-    ):
-        raise ValueError("labels must be integers in [0, 2**32)")
-    with open(path, "wb") as fh:
-        fh.write(_LABEL_HEADER.pack(labels.shape[0]))
-        fh.write(labels.astype("<u4").tobytes())
-
-
 def read_labels(path):
+    """Label file: u32 count, then count little-endian u32 labels."""
     return _read_raw(path, _LABEL_HEADER, "<u4", "label").astype(np.int64)
-
-
-def dataset_save_raw(dataset, data_path, labels_path):
-    write_f32_tensor(data_path, dataset.X)
-    write_labels(labels_path, dataset.labels)
 
 
 def dataset_load_raw(data_path, labels_path):

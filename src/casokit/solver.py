@@ -274,7 +274,10 @@ def _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new):
     Newton step is the active-set step. Other C: take z_new if it at least
     halves ||D - T(D)||_inf, D = soft(q, lam1)/(2 lam2) and T(D) = soft(g +
     H D, lam1)/(2 lam2), else z <- F^T T(D), a proximal-gradient step,
-    which contracts while |lambda_min(H)| < 2 lam2."""
+    which contracts while |lambda_min(H)| < 2 lam2. The residual rule
+    would run on C = I too, but there it leaves some rows cycling until
+    ACTIVE_SET_MAX_STEPS that the dual rule settles in a few steps
+    (tests/test_exact_solver.py keeps six), so both rules stay."""
     two = 2.0 * lam2
     if C is None:
         def phi(z, soft):

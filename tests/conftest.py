@@ -1,5 +1,6 @@
 """Shared helpers: small random and hand-written networks, finite-difference
-oracles, and the dense loss Hessian built layer by layer.
+oracles, the dense loss Hessian built layer by layer, readers of the CLI's
+PGM and f64 artifacts, and a writer of raw --data/--labels files.
 
 The finite-difference routines are intentionally naive (loops, one probe
 per coordinate) so they stay an independent check on the analytic code
@@ -7,6 +8,8 @@ paths rather than a re-export of them.
 """
 
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +25,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance report")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def read_pgm(path):
+    """The pixels of a PGM laid out as write_pgm writes it: P5, an optional
+    '# ' comment line, width and height, 255, then the bytes."""
+    data = Path(path).read_bytes()
+    *head, body = data.split(b"\n", 4 if data.startswith(b"P5\n#") else 3)
+    assert head[0] == b"P5" and head[-1] == b"255"
+    width, height = map(int, head[-2].split())
+    return np.frombuffer(body, np.uint8).reshape(height, width)
+
+
+def read_f64_tensor(path):
+    """A .delta.f64 artifact: u32 count, u32 dim, then little-endian f64 rows."""
+    data = Path(path).read_bytes()
+    return np.frombuffer(data, "<f8", offset=8).reshape(struct.unpack_from("<II", data))
+
+
+def write_raw_dataset(X, labels, data_path, labels_path):
+    """The --data/--labels pair: u32 count, u32 dim, f32 rows; u32 count, u32 labels."""
+    Path(data_path).write_bytes(struct.pack("<II", *np.shape(X)) + np.asarray(X, "<f4").tobytes())
+    Path(labels_path).write_bytes(struct.pack("<I", len(labels)) + np.asarray(labels, "<u4").tobytes())
 
 
 def random_relu_net(rng, d=8, hidden=12, c=4):

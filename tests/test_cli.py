@@ -18,16 +18,15 @@ from casokit import (
     MethodRequest,
     cli,
     dataset_load,
-    dataset_save_raw,
     interpret,
     model_load,
     normalize_for_display,
-    read_pgm,
     write_csv_rows,
     write_f64_tensor,
     write_pgm,
 )
 from casokit.errors import CurvatureError
+from conftest import read_f64_tensor, read_pgm, write_raw_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -226,7 +225,7 @@ class TestInterpret:
 
     def test_raw_tensor_input(self, workspace, tmp_path, capsys):
         data = dataset_load(workspace["data"])
-        dataset_save_raw(data, tmp_path / "d.f32", tmp_path / "d.labels")
+        write_raw_dataset(data.X, data.labels, tmp_path / "d.f32", tmp_path / "d.labels")
         code = run([
             "interpret", "--model", workspace["model"],
             "--input", str(tmp_path / "d.f32"), "--labels", str(tmp_path / "d.labels"),
@@ -457,6 +456,19 @@ class TestStreamedWrites:
         assert snapshot(tmp_path) == before
         assert threading.active_count() == threads
 
+    # renames go in directory-listing order, so any one name might be last
+    @pytest.mark.parametrize("name", ["sample0.json", "sample4.pgm", "metrics.csv"])
+    def test_a_directory_at_an_artifact_name_replaces_nothing(self, workspace, tmp_path,
+                                                              capsys, name):
+        self.prepopulated(workspace, tmp_path, capsys)
+        (tmp_path / name).unlink()
+        (tmp_path / name).mkdir()
+        before, names = snapshot(tmp_path), set(os.listdir(tmp_path))
+        assert run(self.argv(workspace, "caso", tmp_path)) == 1
+        assert set(os.listdir(tmp_path)) == names
+        assert snapshot(tmp_path) == before
+        assert capsys.readouterr() == ("", f"error: {tmp_path / name} is a directory\n")
+
 
 class TestSweep:
     def test_artifacts_and_determinism(self, workspace, tmp_path, capsys):
@@ -514,7 +526,7 @@ class TestSweep:
         for r in doc["candidates"] + doc["refinements"] + [doc["selected"]]:
             values = [r[k] for k in ("eta", "lambda2", "loss_gain", "raw_loss_delta", "p_max")]
             assert np.isfinite(values).all()
-        delta = casokit.read_f64_tensor(out / "selected.delta.f64")
+        delta = read_f64_tensor(out / "selected.delta.f64")
         assert delta.shape == (1, 6) and np.isfinite(delta).all()
         assert read_pgm(out / "selected.pgm").shape == (2, 3)
 
@@ -525,6 +537,47 @@ class TestSweep:
                 "--method", "grad", "--out", str(tmp_path),
             ])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module", params=[(16, 4), (16, 6, 4)], ids=["16-4", "16-6-4"])
+def identity_workspace(request, tmp_path_factory):
+    """A net of identity layers only, written as model JSON by hand (train
+    always adds a hidden activation), and 6 samples of its input."""
+    root = tmp_path_factory.mktemp("identws")
+    rng = np.random.default_rng(31)
+    dims = request.param
+    layers = [{"in": n_in, "out": n_out, "activation": "identity",
+               "weights": rng.standard_normal((n_out, n_in)).tolist(),
+               "bias": (0.1 * rng.standard_normal(n_out)).tolist()}
+              for n_in, n_out in zip(dims, dims[1:])]
+    (root / "model.json").write_text(json.dumps({"layers": layers}))
+    casokit.dataset_save_csv(Dataset(rng.standard_normal((6, 16)), np.arange(6) % 4),
+                             root / "data.csv")
+    return {"root": root, "model": str(root / "model.json"), "data": str(root / "data.csv")}
+
+
+class TestIdentityNets:
+    @pytest.mark.parametrize("method", interpret.METHODS)
+    def test_interpret(self, identity_workspace, tmp_path, capsys, method):
+        assert run(["interpret", "--model", identity_workspace["model"],
+                    "--data", identity_workspace["data"], "--method", method,
+                    "--samples", "0,3,5", "--smooth-n", "4", "--lambda1", "0.01",
+                    "--out", str(tmp_path)]) == 0
+        for idx in (0, 3, 5):
+            assert np.isfinite(read_f64_tensor(tmp_path / f"sample{idx}.delta.f64")).all()
+            doc = read_json(tmp_path / f"sample{idx}.json")
+            assert doc.get("kkt_residual", 0.0) <= 1e-12
+            assert ("solver" in doc) == (method in interpret.SPARSE_METHODS)
+
+    @pytest.mark.parametrize("method", cli.SWEEP_METHODS)
+    def test_sweep(self, identity_workspace, tmp_path, capsys, method):
+        assert run(["sweep", "--model", identity_workspace["model"],
+                    "--data", identity_workspace["data"], "--method", method,
+                    "--sample", "2", "--smooth-n", "4", "--out", str(tmp_path)]) == 0
+        assert np.isfinite(read_f64_tensor(tmp_path / "selected.delta.f64")).all()
+        doc = read_json(tmp_path / "sweep.json")
+        for r in doc["candidates"] + doc["refinements"] + [doc["selected"]]:
+            assert r["kkt_residual"] <= 1e-12
 
 
 class TestStudies:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bishop_hessian, fd_loss_hessian, mixed_net
+from conftest import bishop_hessian, fd_loss_hessian, mixed_net, read_f64_tensor
 
 from casokit import (
     DEFAULT_LAMBDA1_GRID,
@@ -40,7 +40,6 @@ from casokit import (
     local_linearization,
     model_load,
     model_save,
-    read_f64_tensor,
     select_lambda2,
     smooth_cafo,
     smooth_caso,

@@ -245,12 +245,12 @@ def test_a_cycling_row_settles_with_a_damped_step(monkeypatch):
     assert not solver.active_set_solve(g, 0.1, lam2, F)[2]
 
 
-def adversarial_rows(kind, count=200):
+def adversarial_rows(kind, count=200, seed=0):
     """Rows (g, lam1, lam2, F, C, inverse) of H = F C F^T with d from 10 to
     60 and max|lambda(H)|/(2 lam2) from 0.8 to 0.99: C = I for "psd",
     a random symmetric C for "signed", and C = K K^T for "psd-middle", the
     first-layer form of a wide relu model."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     for _ in range(count):
         d = int(rng.integers(10, 61))
         r = int(rng.integers(2, d + 1))
@@ -297,6 +297,18 @@ def test_adversarial_rows_settle(monkeypatch, kind):
             assert np.abs(D - ref).max() <= 1e-9 * max(float(np.abs(ref).max()), 1e-300)
             assert np.array_equal(D == 0.0, ref == 0.0)
     assert unsettled >= 1
+
+
+@pytest.mark.parametrize("seed", [5039, 7538, 9567, 19825, 20556, 21430])
+def test_psd_rows_need_the_dual_backtracking(seed):
+    # _globalize damps C = I rows on the dual, not by the residual rule of
+    # other C: an explicit C = I takes that rule, and these rows cycle
+    g, lam1, lam2, F, C, inverse = next(adversarial_rows("psd", 1, seed))
+    D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inverse)
+    assert settled and steps <= 7
+    assert_maximizer(D, g, F @ F.T, lam1, lam2)
+    eye = np.eye(F.shape[1])
+    assert not solver.active_set_solve(g, lam1, lam2, F, eye, inverse)[2]
 
 
 def test_exact_solve_certifies_closed_form_cafo():

@@ -45,23 +45,6 @@ def test_network_arrays_frozen_f64():
         nc.Network(net.spec, (net.weights[0],), net.biases)  # wrong arity
 
 
-def test_softmax_sums_to_one():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        z = rng.uniform(-50.0, 50.0, size=rng.integers(2, 12))
-        p = nc.softmax(z)
-        assert abs(p.sum() - 1.0) <= 1e-12
-        assert (p >= 0).all()
-
-
-def test_softmax_extreme_logits_stable():
-    p = nc.softmax(np.array([800.0, 0.0]))
-    assert np.isfinite(p).all()
-    assert p[0] == pytest.approx(1.0)
-    q = nc.softmax(np.array([3.0, 3.0, 3.0]))
-    assert np.allclose(q, 1.0 / 3.0, atol=1e-15)
-
-
 def test_forward_matches_pure_python_reference():
     # independent route: plain Python loops and math.exp, no numpy
     net = two_layer(seed=42)

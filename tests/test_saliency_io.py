@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import read_f64_tensor, read_pgm, write_raw_dataset
+
 from casokit import saliency_io
 from casokit import (
     Dataset,
@@ -22,7 +24,6 @@ from casokit import (
     dataset_load,
     dataset_load_raw,
     dataset_save_csv,
-    dataset_save_raw,
     hessian_eig,
     init_network,
     model_load,
@@ -30,13 +31,9 @@ from casokit import (
     normalize_for_display,
     quantize_display,
     read_f32_tensor,
-    read_f64_tensor,
     read_labels,
-    read_pgm,
     write_csv_rows,
-    write_f32_tensor,
     write_f64_tensor,
-    write_labels,
     write_pgm,
 )
 
@@ -195,32 +192,6 @@ class TestPgm:
         dmap = DisplayMap(values=np.array([[1.0]]), width=1, height=1)
         with pytest.raises(ValueError):
             write_pgm(dmap, tmp_path / "x.pgm", comment="a\nb")
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P2\n1 1\n255\n0")
-        with pytest.raises(FormatError) as exc:
-            read_pgm(path)
-        assert exc.value.offset == 0
-
-    def test_unsupported_maxval(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
-        with pytest.raises(FormatError, match="maxval"):
-            read_pgm(path)
-
-    def test_truncated_body_reports_offset(self, tmp_path):
-        path = tmp_path / "t.pgm"
-        path.write_bytes(b"P5\n2 2\n255\nab")
-        with pytest.raises(FormatError) as exc:
-            read_pgm(path)
-        assert "expected 4 pixel bytes" in str(exc.value)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "h.pgm"
-        path.write_bytes(b"P5\n2")
-        with pytest.raises(FormatError):
-            read_pgm(path)
 
 
 class TestModelPersistence:
@@ -851,20 +822,18 @@ class TestRawTensors:
         rng = np.random.default_rng(21)
         X = rng.standard_normal((6, 4))
         path = tmp_path / "x.f32"
-        write_f32_tensor(path, X)
+        write_raw_dataset(X, [], path, tmp_path / "y.labels")
         loaded = read_f32_tensor(path)
         assert np.array_equal(loaded, X.astype("<f4").astype(np.float64))
 
     def test_f32_header_and_size(self, tmp_path):
         path = tmp_path / "x.f32"
-        write_f32_tensor(path, np.zeros((3, 2)))
-        raw = path.read_bytes()
-        assert len(raw) == 8 + 3 * 2 * 4
-        assert raw[:8] == b"\x03\x00\x00\x00\x02\x00\x00\x00"
+        path.write_bytes(b"\x03\x00\x00\x00\x02\x00\x00\x00" + np.arange(6, dtype="<f4").tobytes())
+        assert read_f32_tensor(path).tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
 
     def test_f32_truncated(self, tmp_path):
         path = tmp_path / "x.f32"
-        write_f32_tensor(path, np.zeros((3, 2)))
+        write_raw_dataset(np.zeros((3, 2)), [], path, tmp_path / "y.labels")
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError):
             read_f32_tensor(path)
@@ -877,6 +846,7 @@ class TestRawTensors:
         X = rng.standard_normal((5, 3))
         path = tmp_path / "x.f64"
         write_f64_tensor(path, X)
+        assert path.read_bytes()[:8] == b"\x05\x00\x00\x00\x03\x00\x00\x00"
         assert np.array_equal(read_f64_tensor(path), X)
 
     def test_f64_vector_promoted_to_row(self, tmp_path):
@@ -886,44 +856,30 @@ class TestRawTensors:
 
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "y.labels"
-        write_labels(path, np.array([0, 3, 2, 2, 9]))
+        write_raw_dataset(np.zeros((6, 1)), [0, 3, 2, 2, 9, 2**32 - 1], tmp_path / "x.f32", path)
         loaded = read_labels(path)
         assert loaded.dtype == np.int64
-        assert loaded.tolist() == [0, 3, 2, 2, 9]
+        assert loaded.tolist() == [0, 3, 2, 2, 9, 2**32 - 1]
 
-    def test_labels_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_labels(tmp_path / "n.labels", np.array([-1, 2]))
-        with pytest.raises(DimensionError):
-            write_labels(tmp_path / "m.labels", np.zeros((2, 2)))
+    def test_labels_truncated(self, tmp_path):
         path = tmp_path / "t.labels"
-        write_labels(path, np.array([1, 2, 3]))
+        write_raw_dataset(np.zeros((3, 1)), [1, 2, 3], tmp_path / "x.f32", path)
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError):
             read_labels(path)
 
-    @pytest.mark.parametrize("labels", [[0, 2**32 + 3], [0.0, 1.7], [0.0, 1.0], [2**32]])
-    def test_labels_outside_u32_integers_rejected(self, tmp_path, labels):
-        path = tmp_path / "w.labels"
-        with pytest.raises(ValueError, match="integers"):
-            write_labels(path, np.array(labels))
-        assert not path.exists()
-        write_labels(path, np.array([0, 2**32 - 1], dtype=np.uint64))
-        assert read_labels(path).tolist() == [0, 2**32 - 1]
-
     def test_dataset_raw_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
         data = Dataset(X=rng.standard_normal((7, 3)), labels=rng.integers(0, 5, 7))
-        dataset_save_raw(data, tmp_path / "d.f32", tmp_path / "d.labels")
+        write_raw_dataset(data.X, data.labels, tmp_path / "d.f32", tmp_path / "d.labels")
         loaded = dataset_load_raw(tmp_path / "d.f32", tmp_path / "d.labels")
         assert np.array_equal(loaded.X, data.X.astype("<f4").astype(np.float64))
         assert np.array_equal(loaded.labels, data.labels)
 
     def test_dataset_raw_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(24)
-        data = Dataset(X=rng.standard_normal((4, 2)), labels=rng.integers(0, 2, 4))
-        dataset_save_raw(data, tmp_path / "d.f32", tmp_path / "d.labels")
-        write_labels(tmp_path / "short.labels", np.array([0, 1]))
+        write_raw_dataset(rng.standard_normal((4, 2)), [0, 1], tmp_path / "d.f32",
+                          tmp_path / "short.labels")
         with pytest.raises(FormatError, match="labels for"):
             dataset_load_raw(tmp_path / "d.f32", tmp_path / "short.labels")
 

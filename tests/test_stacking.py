@@ -17,11 +17,10 @@ from casokit import (
     init_network,
     model_load,
     model_save,
-    read_f64_tensor,
-    read_pgm,
     run_request,
 )
 from casokit import interpret
+from conftest import read_f64_tensor, read_pgm
 
 REL = 1e-12
 SAMPLES = tuple(range(10))
