@@ -35,8 +35,6 @@ from .hessian import (
     HessianHandle,
     RankOneApprox,
     SoftmaxCurvature,
-    factor_eig,
-    factor_spectrum,
     hessian_eig,
     hvp_closed_form,
     hvp_finite_diff,

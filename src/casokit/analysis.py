@@ -28,8 +28,9 @@ import numpy as np
 
 from ._record import Record
 from .errors import BudgetError, DimensionError
-from .hessian import hessian_eig, rank_one_approx, rel_error
+from .hessian import hessian_eig, rank_one_approx, rel_error, softmax_factor
 from .interpret import MethodRequest, _chunks, curvature_models
+from .netcore import _loss_cotangent
 from .solver import DEFAULT_C1, closed_form_cafo, exact_solve, select_lambda2
 
 log = logging.getLogger(__name__)
@@ -106,9 +107,7 @@ def _confident_model(W, eps):
     c = W.shape[1]
     p = np.full(c, eps)
     p[0] = 1.0 - (c - 1) * eps
-    y = np.zeros(c)
-    y[0] = 1.0
-    return p, W @ (p - y)
+    return p, W @ _loss_cotangent(p[None], 0)[0]
 
 
 def _sim_plan(cfg):
@@ -144,14 +143,15 @@ def simulate_rank_one(cfg):
 
     Weights are standard normal, drawn from one child seed per class
     count so that sweeping eps at fixed c reuses the same W and yields a
-    smooth curve. Returns one RankOnePoint per grid entry.
+    smooth curve. Each point reads only the factor B = W L of H (no
+    spectrum). Returns one RankOnePoint per grid entry.
     """
     points = []
     for c, seed, eps_values in _sim_plan(cfg):
         W = _draw_weights(seed, cfg.d, c)
         for eps in eps_values:
             p, g = _confident_model(W, eps)
-            err = rel_error(hessian_eig(W, p), rank_one_approx(g, eps, c))
+            err = rel_error(W @ softmax_factor(p), rank_one_approx(g, eps, c))
             points.append(RankOnePoint(c=c, eps=eps, rel_error=err))
     return points
 

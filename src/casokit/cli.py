@@ -518,7 +518,7 @@ def _add_common(sp):
 
 def _add_model_data(sp):
     sp.add_argument("--model", type=existing_file, required=True, help="model JSON")
-    sp.add_argument("--data", "--input", dest="data", type=existing_file, required=True,
+    sp.add_argument("--data", type=existing_file, required=True,
                     help="dataset CSV, or raw f32 tensor when --labels is given")
     sp.add_argument("--labels", type=existing_file,
                     help="sidecar label file for a raw tensor dataset")
@@ -551,7 +551,6 @@ def build_parser():
     root.add_argument("--config", help="JSON file of default values for any flag")
     root.add_argument("--version", action="version", version=f"casokit {VERSION}")
     sub = root.add_subparsers(dest="command", required=True, metavar="command")
-    parsers = [root]
 
     sp = sub.add_parser("train", help="train a small classifier on blobs or a CSV")
     _add_common(sp)
@@ -571,7 +570,6 @@ def build_parser():
     sp.add_argument("--save-data", action="store_true",
                     help="also write the training data as data.csv")
     sp.set_defaults(func=cmd_train)
-    parsers.append(sp)
 
     sp = sub.add_parser("interpret", help="saliency maps for dataset samples")
     _add_common(sp)
@@ -582,7 +580,6 @@ def build_parser():
     sp.add_argument("--samples", type=int_list, default=(0,),
                     help="comma list of sample indices")
     sp.set_defaults(func=cmd_interpret)
-    parsers.append(sp)
 
     sp = sub.add_parser("sweep", help="sweep lambda1 and pick the sparsest useful map")
     _add_common(sp)
@@ -599,7 +596,6 @@ def build_parser():
     sp.add_argument("--max-refinements", type=int, default=20,
                     help="halving steps when the grid misses the target")
     sp.set_defaults(func=cmd_sweep)
-    parsers.append(sp)
 
     sp = sub.add_parser("rank1-sim", help="rank-one surrogate error simulation")
     _add_common(sp)
@@ -612,7 +608,6 @@ def build_parser():
                     help="runner-up probabilities: comma list or lo:hi:log[:n]")
     sp.add_argument("--c", type=int, help="class count (vary-eps)")
     sp.set_defaults(func=cmd_rank1_sim)
-    parsers.append(sp)
 
     sp = sub.add_parser("gap-study", help="confidence versus method gap, any net")
     _add_common(sp)
@@ -620,7 +615,6 @@ def build_parser():
     sp.add_argument("--n-samples", type=sample_count, help="cap on samples, >= 2 (default: all)")
     sp.add_argument("--c1", type=float, default=DEFAULT_C1)
     sp.set_defaults(func=cmd_gap_study)
-    parsers.append(sp)
 
     sp = sub.add_parser("alignment", help="gradient alignment across class counts")
     _add_common(sp)
@@ -629,7 +623,6 @@ def build_parser():
                     help="class counts: comma list or lo:hi:log[:n]")
     sp.add_argument("--eps", type=float, default=1e-6, help="runner-up probability")
     sp.set_defaults(func=cmd_alignment)
-    parsers.append(sp)
 
     sp = sub.add_parser("oracle-check", help="exhaustive oracle versus the L1 path")
     _add_common(sp)
@@ -641,18 +634,52 @@ def build_parser():
                     help="lambda1 grid for the L1 path")
     sp.add_argument("--max-enumerations", type=int, default=100_000)
     sp.set_defaults(func=cmd_oracle_check)
-    parsers.append(sp)
 
-    return root, parsers
+    return root, sub.choices
 
 
-def _apply_config(argv, root, parsers):
-    """Merge --config JSON into parser defaults (explicit flags still win); return its keys."""
+# flag types that read a comma list, which a config file gives as a JSON list
+_LIST_TYPES = (int_list, float_list, grid_spec, int_grid_spec)
+
+
+def _config_value(action, value):
+    """A config file's value for a flag, taken as a command line gives it:
+    true or false for an on/off flag, else text (a string as it is, a
+    number as JSON writes it, a list flag's JSON list joined by commas)
+    through the flag's type and choices. Any other value, or one the flag
+    refuses, is a ValueError."""
+    if action.nargs == 0 and isinstance(value, bool):
+        return value
+    listed = action.type in _LIST_TYPES
+    items = value if listed and isinstance(value, list) else [value]
+    if action.nargs == 0 or not all(type(v) in (str, int, float) for v in items) or (
+            listed and type(value) in (int, float)):
+        kind = ("true or false" if action.nargs == 0 else
+                "a JSON list or comma text" if listed else "a JSON number or string")
+        raise ValueError(f"expected {kind}, not {json.dumps(value)}")
+    text = ",".join(v if type(v) is str else json.dumps(v) for v in items)
+    try:
+        result = text if action.type is None else action.type(text)
+    except argparse.ArgumentTypeError as e:
+        raise ValueError(str(e)) from None
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid {action.type.__name__} value: {text!r}") from None
+    if action.choices is not None and result not in action.choices:
+        raise ValueError(f"invalid choice: {result!r} (choose from {', '.join(action.choices)})")
+    return result
+
+
+def _apply_config(argv, root, parsers, command):
+    """Set the entries of argv's --config JSON file, if any, as defaults of
+    the command's parser, each value checked by _config_value (explicit
+    flags still win), and return whether there was a file. A file that
+    cannot be read or is no JSON object, or a key the command does not
+    define, is a usage error, so no entry is silently dropped."""
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config is None:
-        return ()
+        return False
     if not os.path.isfile(known.config):
         root.error(f"no such config file: {known.config}")
     try:
@@ -670,26 +697,29 @@ def _apply_config(argv, root, parsers):
         root.error(f"invalid config JSON at line {e.lineno}: {e.msg}")
     if not isinstance(doc, dict):
         root.error("config must be a JSON object of flag defaults")
+    sp = parsers[command]
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        hit = False
-        for p in parsers:
-            if any(a.dest == dest for a in p._actions):
-                p.set_defaults(**{dest: value})
-                hit = True
-        if not hit:
+        # the command's own option first; --help's dest is no option to set
+        found = [a for p in (sp, *parsers.values()) for a in p._actions
+                 if a.dest == dest and a.default != argparse.SUPPRESS]
+        if not found:
             root.error(f"unknown config key: {key}")
-    return tuple(doc)
+        if found[0] not in sp._actions:
+            root.error(f"config key {key} is not an option of {command}")
+        try:
+            sp.set_defaults(**{dest: _config_value(found[0], value)})
+        except ValueError as e:
+            root.error(f"config key {key}: {e}")
+    return True
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     root, parsers = build_parser()
-    keys = _apply_config(argv, root, parsers)
     args = root.parse_args(argv)
-    for key in keys:  # a key only another subcommand defines would be dropped
-        if key.replace("-", "_") not in vars(args):
-            root.error(f"config key {key} is not an option of {args.command}")
+    if _apply_config(argv, root, parsers, args.command):
+        args = root.parse_args(argv)
     if args.command == "interpret" and len(set(args.samples)) < len(args.samples):
         # each index's map lands in sample<index>.*, so a repeat would be lost
         dup = next(i for n, i in enumerate(args.samples) if i in args.samples[:n])

@@ -9,13 +9,14 @@ where p are the class probabilities. A is positive semidefinite with rows
 summing to zero, so H never needs to be materialized: the closed-form
 factor L = diag(sqrt p) - p sqrt(p)^T satisfies A = L L^T, so H = B B^T
 with B = W L, and every spectral quantity of H can be read off the smaller
-Gram matrix, B^T B (c x c) or B B^T (d x d when d < c). Smooth activations
+Gram matrix (factor_gram), B^T B (c x c) or B B^T (d x d when d < c), as
+hessian_eig and interpret.curvature_models do. Smooth activations
 add a signed term J_l^T diag(da_l * act''(z_l)) J_l per layer (Bishop 1992),
 J_l the input Jacobian of z_l and da_l the loss cotangent of a_l.
 
 In the high-confidence regime p = [1-(c-1)eps, eps, ..., eps] the Hessian
 collapses toward the rank-one surrogate g g^T / (eps (c-1)) with g the loss
-gradient; rank_one_approx/rel_error quantify that collapse.
+gradient; rank_one_approx/rel_error quantify that collapse from B alone.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ import numpy as np
 
 from ._record import Record
 from .errors import DimensionError, KinkWarning
-from .netcore import _row_loss_gradient
+from .netcore import KINK_EPS, _kink_gap, _row_loss_gradient
 
 # relative floor for retained eigenvalues of H
 HESSIAN_EIG_FLOOR = 1e-10
-# pre-activation magnitude treated as kink contact inside an FD stencil
-STENCIL_KINK_EPS = 1e-12
 
 
 class SoftmaxCurvature(Record):
@@ -81,23 +80,6 @@ def factor_gram(B):
     return Bt @ B if B.shape[-1] <= B.shape[-2] else B @ Bt
 
 
-def factor_spectrum(B, vectors=False):
-    """Eigenvalues of H = B B^T read off the smaller Gram matrix of B.
-
-    B is one factor (d, r) or a stack (k, d, r). The r x r matrix B^T B
-    (when r <= d) and the d x d matrix B B^T share their nonzero
-    eigenvalues, so only the smaller, factor_gram(B), is decomposed. The
-    eigenvalues come back ascending and clamped at 0. vectors=True also
-    returns the Gram matrix's orthonormal eigenvectors, which are H's own
-    when r > d.
-    """
-    gram = factor_gram(B)
-    if not vectors:
-        return np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    w, V = np.linalg.eigh(gram)
-    return np.maximum(w, 0.0), V
-
-
 class HessianHandle(Record):
     """Factored spectral view of H = B B^T.
 
@@ -123,25 +105,16 @@ class HessianHandle(Record):
         return self.B @ (self.B.T @ v)
 
 
-def factor_eig(B):
-    """HessianHandle of H = B B^T for a (d, r) factor B.
-
-    The spectrum comes from factor_spectrum. For r <= d the input-space
-    eigenvectors are recovered as U = B V / sqrt(w); for r > d the Gram
-    matrix is H itself. No d x d matrix is formed unless d < r.
-    """
-    B = np.asarray(B, dtype=np.float64)
-    w, V = factor_spectrum(B, vectors=True)
-    top = float(w[-1]) if w.size else 0.0
-    keep = w > HESSIAN_EIG_FLOOR * top
-    w, V = w[keep][::-1], V[:, keep][:, ::-1]
-    U = V if B.shape[1] > B.shape[0] else (B @ V) / np.sqrt(w)
-    return HessianHandle(B=B, eigenvalues=w, eigenvectors=U)
-
-
 def hessian_eig(W, p):
-    """Eigendecompose H = W A W^T as factor_eig of B = W L, with L the
-    closed-form softmax_factor of the validated probabilities p."""
+    """Eigendecompose H = W A W^T through B = W L, with L the closed-form
+    softmax_factor of the validated probabilities p.
+
+    H = B B^T shares its nonzero eigenvalues with the smaller Gram matrix
+    of B (factor_gram), and only that is decomposed. For c <= d the
+    input-space eigenvectors are recovered as U = B V / sqrt(w); for c > d
+    the Gram matrix is H itself. Eigenvalues are clamped at 0, and those
+    not above HESSIAN_EIG_FLOOR times the largest are dropped.
+    """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
         raise DimensionError("W must be (d, c)")
@@ -150,7 +123,13 @@ def hessian_eig(W, p):
         raise DimensionError(
             f"W has {W.shape[1]} columns but p has {p.shape[0]} entries"
         )
-    return factor_eig(W @ softmax_factor(p))
+    B = W @ softmax_factor(p)
+    w, V = np.linalg.eigh(factor_gram(B))
+    w = np.maximum(w, 0.0)
+    keep = w > HESSIAN_EIG_FLOOR * w[-1]
+    w, V = w[keep][::-1], V[:, keep][:, ::-1]
+    U = V if B.shape[1] > B.shape[0] else (B @ V) / np.sqrt(w)
+    return HessianHandle(B=B, eigenvalues=w, eigenvectors=U)
 
 
 def hvp_closed_form(W, p, v):
@@ -186,18 +165,13 @@ def hvp_finite_diff(net, x, y, v):
 
     # one pass at each stencil end serves the kink check and the gradient
     (tp, gp), (tm, gm) = _row_loss_gradient(net, xp, y), _row_loss_gradient(net, xm, y)
-    for layer, zp, zm in zip(net.spec.layers, tp.pre_activations, tm.pre_activations):
-        if layer.activation != "relu":
-            continue
-        crossed = (zp > 0.0) != (zm > 0.0)
-        hugging = np.minimum(np.abs(zp), np.abs(zm)) <= STENCIL_KINK_EPS
-        if bool(np.any(crossed | hugging)):
-            warnings.warn(
-                "finite-difference stencil straddles a relu kink",
-                KinkWarning,
-                stacklevel=2,
-            )
-            break
+    crossed = any(np.any((zp > 0.0) != (zm > 0.0)) for layer, zp, zm in
+                  zip(net.spec.layers, tp.pre_activations, tm.pre_activations)
+                  if layer.activation == "relu")
+    ends = (_kink_gap(net.spec, t.pre_activations) for t in (tp, tm))
+    if crossed or min(ends) <= KINK_EPS:
+        warnings.warn("finite-difference stencil straddles a relu kink", KinkWarning,
+                      stacklevel=2)
     return (gp - gm) * (vn / (2.0 * r))
 
 
@@ -253,17 +227,17 @@ def rank_one_approx(g, eps, classes):
     return RankOneApprox(gradient=g, eps=float(eps), classes=int(classes), eigenvalue=mu)
 
 
-def rel_error(handle, approx):
-    """Frobenius error ||H - ghat||_F / ||H||_F of the rank-one surrogate.
+def rel_error(B, approx):
+    """Frobenius error ||H - ghat||_F / ||H||_F of the rank-one surrogate
+    ghat = approx of H = B B^T, from the (d, r) factor B alone.
 
-    Both H = B B^T and the surrogate live in the span of B's columns plus
-    the gradient direction, so the difference is measured inside that
-    <= c dimensional subspace; no d x d matrix is ever formed. Raises when
-    ||H||_F = 0.
+    Both live in the span of B's columns plus the gradient direction, so
+    the difference is measured in an orthonormal basis of that span, as a
+    k x k matrix for k = min(r + 1, d): smaller than H only when r + 1 < d.
+    Raises when ||H||_F = 0.
     """
-    B = handle.B
     g = approx.gradient
-    if g.shape[0] != handle.dim:
+    if g.shape[0] != B.shape[0]:
         raise DimensionError("gradient length does not match the Hessian")
     gn = float(np.linalg.norm(g))
     if gn > 0.0:

@@ -30,7 +30,7 @@ import numpy as np
 from ._record import Record
 from .errors import CurvatureError, DimensionError
 from .hessian import factor_gram, softmax_factor
-from .netcore import Sample, backprop_batch, forward_batch
+from .netcore import Sample, _loss_cotangent, backprop_batch, forward_batch
 from .solver import DEFAULT_C1, SolveResult, curvature_product, exact_solve, select_lambda2
 
 # lam1 grid used when a sweep does not specify one
@@ -231,9 +231,8 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     c = P.shape[1]
     d = net.input_dim
     W0 = net.weights[0]
-    seeds_g = P.copy()
-    seeds_g[np.arange(k * m), np.repeat(y, m)] -= 1.0
-    dz = backprop_batch(net, expand, seeds_g[:, None, :], cotangents=True)
+    dz = backprop_batch(net, expand, _loss_cotangent(P, np.repeat(y, m))[:, None, :],
+                        cotangents=True)
     G = dz[0].reshape(k, m, -1).mean(axis=1) @ W0
 
     def model(i, bound=0.0, F=None, C=None, base=None):
@@ -292,10 +291,20 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     return [first_layer_model(i) for i in range(k)]
 
 
-def _noise_inputs(x, n, sigma, rng):
-    """n noisy copies of x with noise scale sigma * (max(x) - min(x))."""
-    span = float(x.max() - x.min())
-    return x + (sigma * span) * rng.standard_normal((n, x.shape[0]))
+def _noise_inputs(xs, n, sigma, seeds):
+    """n noisy copies of each x of xs, drawn from its seed with noise scale
+    sigma * (max(x) - min(x)); None for sigma = 0, where the noisy methods
+    expand at each x itself."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+    # a NaN sigma takes the noisy branch, where the batched pass rejects it
+    if sigma == 0.0:
+        return None
+    return [x + (sigma * float(x.max() - x.min()))
+            * np.random.default_rng(seed).standard_normal((n, x.shape[0]))
+            for x, seed in zip(xs, seeds)]
 
 
 def _sparse_models(method, samples, net, seeds, n=DEFAULT_SMOOTH_N,
@@ -308,18 +317,7 @@ def _sparse_models(method, samples, net, seeds, n=DEFAULT_SMOOTH_N,
     sample. Knobs the method does not use are ignored; lam2 = L/2 + c1.
     """
     smoothed, second_order = SPARSE_METHODS[method]
-    points = None
-    if smoothed:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
-        # a NaN sigma takes the noisy branch, where the batched pass rejects it
-        if sigma != 0.0:
-            points = [
-                _noise_inputs(s.x, n, sigma, np.random.default_rng(seed))
-                for s, seed in zip(samples, seeds)
-            ]
+    points = _noise_inputs([s.x for s in samples], n, sigma, seeds) if smoothed else None
     return curvature_models(net, samples, points, second_order, c1)
 
 
@@ -394,8 +392,7 @@ def _gradient_map(method, sample, net, channels, points=None, path=None):
         seeds = np.zeros_like(at.probs)
         seeds[:, int(np.argmax(clean.logits))] = 1.0
     else:
-        seeds = at.probs.copy()
-        seeds[:, sample.y] -= 1.0
+        seeds = _loss_cotangent(at.probs, sample.y)
     delta = backprop_batch(net, at, seeds[:, None, :]).mean(axis=1)
     delta = delta if path is None else path * delta
     return SaliencyResult(
@@ -425,14 +422,8 @@ def smoothgrad(
     of the input's dynamic range and sigma = 0 reduces to the plain
     vanilla gradient exactly. The n noisy inputs take one stacked pass.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return vanilla_gradient(sample, net, channels).replace(method="smoothgrad")
-    Z = _noise_inputs(sample.x, n, sigma, np.random.default_rng(seed))
-    return _gradient_map("smoothgrad", sample, net, channels, Z)
+    points = _noise_inputs([sample.x], n, sigma, [seed])
+    return _gradient_map("smoothgrad", sample, net, channels, points and points[0])
 
 
 def integrated_gradients(sample, net, baseline=None, steps=DEFAULT_IG_STEPS, channels=1):

@@ -316,8 +316,8 @@ def _activation_slope(z, a, kind):
 
 
 def _layers(spec, weights, biases, a):
-    """The layer loop: pre-activations and activations of the input a, one
-    vector (d,) or the rows of an (n, d) array, as z_l = a_{l-1} W_l^T + b_l."""
+    """The forward layer loop: pre-activations and activations of the rows
+    of the (n, d) array a, as z_l = a_{l-1} W_l^T + b_l."""
     pre = []
     act = []
     for layer, W, b in zip(spec.layers, weights, biases):
@@ -326,6 +326,48 @@ def _layers(spec, weights, biases, a):
         a = _apply_activation(z, layer.activation)
         act.append(a)
     return pre, act
+
+
+def _softmax_xent(logits, labels):
+    """Softmax probabilities of the (n, c) logits and, given labels (one
+    per row, or None), the cross entropies -log p_y, computed via
+    logsumexp (never through the probabilities) and clamped at zero
+    against rounding."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    losses = None if labels is None else np.maximum(
+        np.log(total[:, 0]) - shifted[np.arange(len(e)), labels], 0.0)
+    return e / total, losses
+
+
+def _loss_cotangent(probs, labels):
+    """p - e_y for each row of the (n, c) probabilities and its label (one
+    shared class index, or one per row): the cross entropy's cotangent at
+    the logits."""
+    seed = probs.copy()
+    seed[np.arange(len(seed)), labels] -= 1.0
+    return seed
+
+
+def _reverse(spec, weights, pre, act, dz, start):
+    """The reverse layer loop: the pre-activation cotangents dz_l of layers
+    0..start, from dz (n k, h), k cotangents of layer start's for each of
+    the n rows of the forward pass (pre, act)."""
+    n, k = len(pre[0]), len(dz) // len(pre[0])
+    dzs = [dz]
+    for l in range(start, 0, -1):
+        slope = _activation_slope(pre[l - 1], act[l - 1], spec.layers[l - 1].activation)
+        dz = ((dz @ weights[l]).reshape(n, k, -1) * slope[:, None, :]).reshape(n * k, -1)
+        dzs.append(dz)
+    return dzs[::-1]
+
+
+def _kink_gap(spec, pre):
+    """The smallest |z| over the relu units of the pre-activations pre, inf
+    without relu units: how near the point sits to a kink."""
+    return min((float(np.abs(z).min()) for layer, z in zip(spec.layers, pre)
+                if layer.activation == "relu"), default=np.inf)
 
 
 def _row_trace(net, x, y=None):
@@ -384,13 +426,7 @@ def forward_batch(net, X, y=None):
     logits = act[-1]
     if not np.isfinite(logits).all():
         raise NonFiniteError("forward pass produced non-finite logits")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    probs = e / total
-    losses = None
-    if labels is not None:
-        losses = np.maximum(np.log(total[:, 0]) - shifted[np.arange(n), labels], 0.0)
+    probs, losses = _softmax_xent(logits, labels)
     return BatchTrace(
         X=X,
         pre_activations=tuple(pre),
@@ -419,24 +455,16 @@ def backprop_batch(net, trace, seeds, start=None, cotangents=False):
             f"seeds of shape {seeds.shape} do not match a batch of "
             f"{trace.X.shape[0]} rows and layer {start}'s {layers[start].out_dim} units"
         )
-    dz = seeds.reshape(n * k, h)
-    dzs = [dz]
-    for l in range(start, 0, -1):
-        slope = _activation_slope(
-            trace.pre_activations[l - 1], trace.activations[l - 1], layers[l - 1].activation
-        )
-        dz = ((dz @ net.weights[l]).reshape(n, k, -1) * slope[:, None, :]).reshape(n * k, -1)
-        dzs.append(dz)
-    return dzs[::-1] if cotangents else net.weights[0].T @ dz.T
+    dzs = _reverse(net.spec, net.weights, trace.pre_activations, trace.activations,
+                   seeds.reshape(n * k, h), start)
+    return dzs if cotangents else net.weights[0].T @ dzs[0].T
 
 
 def _row_loss_gradient(net, x, y):
     """The one-row trace at x and the loss gradient there: backprop_batch
     of the loss cotangent p - onehot(y)."""
     t = _row_trace(net, x, y)
-    seed = t.probs[:, None, :].copy()
-    seed[..., int(y)] -= 1.0
-    return t, backprop_batch(net, t, seed)[:, 0]
+    return t, backprop_batch(net, t, _loss_cotangent(t.probs, int(y))[:, None, :])[:, 0]
 
 
 def input_gradient(net, x, y):
@@ -463,10 +491,7 @@ def local_linearization(net, x):
     t = _row_trace(net, x)
     W = backprop_batch(net, t, np.eye(net.num_classes)[None])
     b = t.logits[0] - W.T @ t.X[0]
-    kink = any(
-        layer.activation == "relu" and np.abs(z).min() <= KINK_EPS
-        for layer, z in zip(net.spec.layers, t.pre_activations)
-    )
+    kink = _kink_gap(net.spec, t.pre_activations) <= KINK_EPS
     return LocalLinearization(W=W, b=b, kink_warning=kink)
 
 
@@ -487,7 +512,6 @@ def train_sgd(net, dataset, config):
     spec = net.spec
     Ws = [w.copy() for w in net.weights]
     bs = [b.copy() for b in net.biases]
-    L = len(spec.layers)
     lr = config.learning_rate
     rng = np.random.default_rng(config.seed)
     epoch_losses = []
@@ -496,24 +520,15 @@ def train_sgd(net, dataset, config):
         order = rng.permutation(dataset.n)
         total = 0.0
         for i in order:
-            x = dataset.X[i]
+            x = dataset.X[i : i + 1]
             y = int(dataset.labels[i])
             pre, act = _layers(spec, Ws, bs, x)
-            logits = act[-1]
-            shifted = logits - logits.max()
-            e = np.exp(shifted)
-            total += float(np.log(e.sum()) - shifted[y])
-            dz = e / e.sum()
-            dz[y] -= 1.0
-            da = None
-            for l in range(L - 1, -1, -1):
-                if l < L - 1:
-                    dz = da * _activation_slope(pre[l], act[l], spec.layers[l].activation)
-                a_prev = act[l - 1] if l > 0 else x
-                if l > 0:
-                    da = Ws[l].T @ dz
+            probs, loss = _softmax_xent(act[-1], y)
+            total += float(loss[0])
+            dzs = _reverse(spec, Ws, pre, act, _loss_cotangent(probs, y), len(Ws) - 1)
+            for l, (dz, a_prev) in enumerate(zip(dzs, [x] + act[:-1])):
                 Ws[l] = Ws[l] - lr * np.outer(dz, a_prev)
-                bs[l] = bs[l] - lr * dz
+                bs[l] = bs[l] - lr * dz[0]
             if not all(np.isfinite(W).all() for W in Ws):
                 raise NonFiniteError("training diverged to non-finite parameters")
         epoch_losses.append(total / dataset.n)
@@ -561,15 +576,8 @@ def make_blobs(classes=10, dim=16, n_per_class=20, center_scale=2.0, noise=1.0, 
 def sample_kink_safe(net, rng, margin=1e-3, scale=1.0, max_tries=1000):
     """Draw a standard-normal input whose relu pre-activations all sit at
     least `margin` away from zero, resampling until that holds."""
-    relu_layers = [
-        i for i, l in enumerate(net.spec.layers) if l.activation == "relu"
-    ]
     for _ in range(max_tries):
         x = rng.standard_normal(net.input_dim) * scale
-        if not relu_layers:
-            return x
-        trace = forward(net, x)
-        m = min(float(np.abs(trace.pre_activations[i]).min()) for i in relu_layers)
-        if m > margin:
+        if _kink_gap(net.spec, forward(net, x).pre_activations) > margin:
             return x
     raise RuntimeError(f"no kink-safe sample found in {max_tries} tries")

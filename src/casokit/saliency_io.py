@@ -446,12 +446,10 @@ def _csv_dataset(text, path):
     return Dataset(X, labels)
 
 
-def dataset_save_csv(dataset, path, header=None):
+def dataset_save_csv(dataset, path):
     """Write a dataset as CSV with the label in the last column."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
         for i in range(dataset.n):
             writer.writerow(
                 [repr(float(v)) for v in dataset.X[i]] + [int(dataset.labels[i])]

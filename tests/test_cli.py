@@ -228,7 +228,7 @@ class TestInterpret:
         write_raw_dataset(data.X, data.labels, tmp_path / "d.f32", tmp_path / "d.labels")
         code = run([
             "interpret", "--model", workspace["model"],
-            "--input", str(tmp_path / "d.f32"), "--labels", str(tmp_path / "d.labels"),
+            "--data", str(tmp_path / "d.f32"), "--labels", str(tmp_path / "d.labels"),
             "--method", "grad", "--samples", "3", "--out", str(tmp_path),
         ])
         assert code == 0
@@ -539,28 +539,34 @@ class TestSweep:
         assert exc.value.code == 2
 
 
-@pytest.fixture(scope="module", params=[(16, 4), (16, 6, 4)], ids=["16-4", "16-6-4"])
-def identity_workspace(request, tmp_path_factory):
-    """A net of identity layers only, written as model JSON by hand (train
-    always adds a hidden activation), and 6 samples of its input."""
-    root = tmp_path_factory.mktemp("identws")
+@pytest.fixture(scope="module", params=[
+    ((16, 4), ("identity",)),
+    ((16, 6, 4), ("identity", "identity")),
+    ((16, 8, 6, 4), ("relu", "sigmoid", "identity")),
+], ids=["16-4", "16-6-4", "mixed-16-8-6-4"])
+def handwritten_workspace(request, tmp_path_factory):
+    """A net that train cannot make, written as model JSON by hand: identity
+    layers only (train always adds a hidden activation), or relu and
+    sigmoid layers mixed (train uses one activation); and 6 samples of its
+    input."""
+    root = tmp_path_factory.mktemp("handws")
     rng = np.random.default_rng(31)
-    dims = request.param
-    layers = [{"in": n_in, "out": n_out, "activation": "identity",
+    dims, activations = request.param
+    layers = [{"in": n_in, "out": n_out, "activation": act,
                "weights": rng.standard_normal((n_out, n_in)).tolist(),
                "bias": (0.1 * rng.standard_normal(n_out)).tolist()}
-              for n_in, n_out in zip(dims, dims[1:])]
+              for n_in, n_out, act in zip(dims, dims[1:], activations)]
     (root / "model.json").write_text(json.dumps({"layers": layers}))
     casokit.dataset_save_csv(Dataset(rng.standard_normal((6, 16)), np.arange(6) % 4),
                              root / "data.csv")
     return {"root": root, "model": str(root / "model.json"), "data": str(root / "data.csv")}
 
 
-class TestIdentityNets:
+class TestHandWrittenNets:
     @pytest.mark.parametrize("method", interpret.METHODS)
-    def test_interpret(self, identity_workspace, tmp_path, capsys, method):
-        assert run(["interpret", "--model", identity_workspace["model"],
-                    "--data", identity_workspace["data"], "--method", method,
+    def test_interpret(self, handwritten_workspace, tmp_path, capsys, method):
+        assert run(["interpret", "--model", handwritten_workspace["model"],
+                    "--data", handwritten_workspace["data"], "--method", method,
                     "--samples", "0,3,5", "--smooth-n", "4", "--lambda1", "0.01",
                     "--out", str(tmp_path)]) == 0
         for idx in (0, 3, 5):
@@ -570,9 +576,9 @@ class TestIdentityNets:
             assert ("solver" in doc) == (method in interpret.SPARSE_METHODS)
 
     @pytest.mark.parametrize("method", cli.SWEEP_METHODS)
-    def test_sweep(self, identity_workspace, tmp_path, capsys, method):
-        assert run(["sweep", "--model", identity_workspace["model"],
-                    "--data", identity_workspace["data"], "--method", method,
+    def test_sweep(self, handwritten_workspace, tmp_path, capsys, method):
+        assert run(["sweep", "--model", handwritten_workspace["model"],
+                    "--data", handwritten_workspace["data"], "--method", method,
                     "--sample", "2", "--smooth-n", "4", "--out", str(tmp_path)]) == 0
         assert np.isfinite(read_f64_tensor(tmp_path / "selected.delta.f64")).all()
         doc = read_json(tmp_path / "sweep.json")
@@ -698,6 +704,21 @@ class TestStudies:
         assert code == 1
 
 
+# config entries no command line could give, and the error each one names
+BAD_CONFIG_VALUES = [
+    ({"samples": 3}, "expected a JSON list or comma text, not 3"),
+    ({"samples": [0, 1.5]}, "bad integer list: '0,1.5'"),
+    ({"lambda1": [1]}, "expected a JSON number or string, not [1]"),
+    ({"lambda1": True}, "expected a JSON number or string, not true"),
+    ({"lambda1": None}, "expected a JSON number or string, not null"),
+    ({"lambda1": "big"}, "invalid float value: 'big'"),
+    ({"smooth_n": 2.5}, "invalid int value: '2.5'"),
+    ({"seed": 1.5}, "invalid int value: '1.5'"),
+    ({"method": "nope"}, "invalid choice: 'nope'"),
+    ({"width": {"w": 4}}, 'expected a JSON number or string, not {"w": 4}'),
+]
+
+
 class TestConfigFile:
     def test_defaults_merged_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -712,12 +733,15 @@ class TestConfigFile:
         assert prov["seed"] == 3  # explicit flag beats config default
         assert prov["n_per_class"] == 5
 
-    def test_unknown_key_is_usage_error(self, tmp_path):
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"not_a_flag": 1}')
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--config", str(cfg)])
-        assert exc.value.code == 2
+        # help is a flag, but not a value a config file could set
+        for key, value in (("not_a_flag", 1), ("help", True)):
+            cfg.write_text(json.dumps({key: value}))
+            with pytest.raises(SystemExit) as exc:
+                run(["train", "--config", str(cfg)])
+            assert exc.value.code == 2
+            assert f"unknown config key: {key}" in capsys.readouterr().err
 
     def test_bad_json_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -751,6 +775,62 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             run(["train", "--config", "/nonexistent.json"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("entry, message", BAD_CONFIG_VALUES,
+                             ids=[json.dumps(entry) for entry, _ in BAD_CONFIG_VALUES])
+    def test_value_a_command_line_could_not_give_is_usage_error(
+            self, workspace, tmp_path, capsys, entry, message):
+        # each value goes through the flag's type and choices, as its text
+        # on a command line would; an explicit flag does not excuse it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        (key,) = entry
+        explicit = "cafo" if key == "method" else "2"
+        for extra in ([], ["--" + key.replace("_", "-"), explicit]):
+            with pytest.raises(SystemExit) as exc:
+                run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
+                     "--config", str(cfg), "--out", str(tmp_path / "out")] + extra)
+            assert exc.value.code == 2
+            assert f"config key {key}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry, flags", [
+        ({"samples": [1, 2], "lambda1": 1, "smooth-n": "3", "method": "smooth-cafo"},
+         ["--samples", "1,2", "--lambda1", "1", "--smooth-n", "3", "--method", "smooth-cafo"]),
+        ({"samples": "2", "seed": 4, "smooth_sigma": 0.5, "method": "smoothgrad"},
+         ["--samples", "2", "--seed", "4", "--smooth-sigma", "0.5", "--method", "smoothgrad"]),
+    ], ids=["lists-and-numbers", "text"])
+    def test_config_equals_its_command_line(self, workspace, tmp_path, capsys, entry, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        base = ["interpret", "--model", workspace["model"], "--data", workspace["data"]]
+        assert run(base + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert run(base + flags + ["--out", str(tmp_path / "b")]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
+            assert a == b
+        # an explicit flag still wins over the file
+        assert run(base + ["--config", str(cfg), "--seed", "9", "--samples", "0",
+                           "--out", str(tmp_path / "c")]) == 0
+        prov = read_json(tmp_path / "c" / "sample0.json")["provenance"]
+        assert (prov["seed"], prov["samples"], prov["method"]) == (9, [0], entry["method"])
+
+    def test_on_off_flag_takes_true_or_false(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        argv = ["train", "--classes", "2", "--dim", "3", "--n-per-class", "2",
+                "--hidden", "2", "--epochs", "1", "--config", str(cfg)]
+        for value, saved in ((True, True), (False, False)):
+            cfg.write_text(json.dumps({"save_data": value}))
+            out = tmp_path / str(value)
+            assert run(argv + ["--out", str(out)]) == 0
+            assert (out / "data.csv").exists() == saved
+        cfg.write_text(json.dumps({"save_data": 1}))
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert "config key save_data: expected true or false, not 1" in capsys.readouterr().err
 
 
 class TestModelFiles:

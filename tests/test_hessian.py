@@ -245,17 +245,12 @@ def test_rank_one_approx_two_class_eigenvalue():
 
 
 def test_rel_error_exact_rank_one_is_zero():
-    # a handle whose H is exactly mu qq^T with q parallel to g
+    # a factor whose H = B B^T is exactly mu qq^T with q parallel to g
     rng = np.random.default_rng(15)
     g = rng.standard_normal(20)
     eps, c = 1e-3, 4
     B = (g / np.sqrt(eps * (c - 1)))[:, None]
-    handle = hs.HessianHandle(
-        B=B,
-        eigenvalues=np.array([float(g @ g) / (eps * (c - 1))]),
-        eigenvectors=(g / np.linalg.norm(g))[:, None],
-    )
-    err = hs.rel_error(handle, hs.rank_one_approx(g, eps, c))
+    err = hs.rel_error(B, hs.rank_one_approx(g, eps, c))
     assert err <= 1e-8
 
 
@@ -268,7 +263,7 @@ def test_rel_error_two_class_closed_form():
     p = np.array([1.0 - eps, eps])
     g = W @ (p - np.array([1.0, 0.0]))
     h = hs.hessian_eig(W, p)
-    err = hs.rel_error(h, hs.rank_one_approx(g, eps, 2))
+    err = hs.rel_error(h.B, hs.rank_one_approx(g, eps, 2))
     assert err == pytest.approx(eps / (1.0 - eps), rel=1e-3)
 
 
@@ -282,7 +277,7 @@ def test_rel_error_matches_dense():
     y[0] = 1.0
     g = W @ (p - y)
     h = hs.hessian_eig(W, p)
-    err = hs.rel_error(h, hs.rank_one_approx(g, eps, 6))
+    err = hs.rel_error(h.B, hs.rank_one_approx(g, eps, 6))
     H = dense_hessian(W, p)
     ref = np.linalg.norm(H - np.outer(g, g) / (eps * 5)) / np.linalg.norm(H)
     assert err == pytest.approx(ref, abs=1e-10)
@@ -291,7 +286,7 @@ def test_rel_error_matches_dense():
 def test_rel_error_zero_hessian_errors():
     h = hs.hessian_eig(np.zeros((5, 3)), np.array([0.2, 0.3, 0.5]))
     with pytest.raises(ValueError):
-        hs.rel_error(h, hs.rank_one_approx(np.ones(5), 0.1, 3))
+        hs.rel_error(h.B, hs.rank_one_approx(np.ones(5), 0.1, 3))
 
 
 def test_rank_one_error_improves_with_classes():
@@ -307,7 +302,7 @@ def test_rank_one_error_improves_with_classes():
     y[0] = 1.0
     g = W @ (p - y)
     h = hs.hessian_eig(W, p)
-    err = hs.rel_error(h, hs.rank_one_approx(g, eps, c))
+    err = hs.rel_error(h.B, hs.rank_one_approx(g, eps, c))
     assert err < 0.2849715355867293  # the c = 10 study value
 
 

@@ -214,6 +214,35 @@ def test_train_label_range_checked():
         nc.train_sgd(net, data, nc.TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
+def test_train_step_is_minus_lr_times_the_loss_gradient(activation):
+    # one sample and one epoch make one SGD step: every weight and bias
+    # moves by -lr times the central difference of the loss in it, taken
+    # at a kink-safe input where the steps h cross no relu kink
+    spec = nc.NetworkSpec((nc.LayerSpec(4, 5, activation), nc.LayerSpec(5, 3, activation),
+                           nc.LayerSpec(3, 3, "identity")))
+    net = nc.init_network(spec, seed=3)
+    x = nc.sample_kink_safe(net, np.random.default_rng(8), margin=1e-2)
+    lr, y, h = 0.25, 2, 1e-6
+    step = nc.train_sgd(net, nc.Dataset(x[None], [y]), nc.TrainConfig(lr, epochs=1)).network
+
+    def loss(params, kind, l, i, shift):
+        moved = dict(params)
+        moved[kind] = list(moved[kind])
+        moved[kind][l] = moved[kind][l].copy()
+        moved[kind][l][i] += shift
+        return nc.forward(nc.Network(spec, moved["weights"], moved["biases"]), x, y).loss
+
+    params = {"weights": net.weights, "biases": net.biases}
+    for kind in params:
+        for l, (before, after) in enumerate(zip(params[kind], getattr(step, kind))):
+            grad = np.zeros(before.shape)
+            for i in np.ndindex(before.shape):
+                grad[i] = (loss(params, kind, l, i, h) - loss(params, kind, l, i, -h)) / (2 * h)
+            assert np.abs(grad).max() > 0.0
+            np.testing.assert_allclose(after, before - lr * grad, rtol=0, atol=1e-8)
+
+
 def test_make_blobs_shapes_and_determinism():
     d1 = nc.make_blobs(classes=5, dim=7, n_per_class=3, seed=4)
     d2 = nc.make_blobs(classes=5, dim=7, n_per_class=3, seed=4)

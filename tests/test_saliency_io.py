@@ -658,13 +658,13 @@ class TestDatasetSidecar:
         return seen
 
     @staticmethod
-    def _saved(tmp_path, seed=21, name="data.csv", header=None):
+    def _saved(tmp_path, seed=21, name="data.csv"):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
         X[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
         data = Dataset(X=X, labels=rng.integers(0, 2**53, 7))  # float() reads labels
         path = tmp_path / name
-        dataset_save_csv(data, path, header=header)
+        dataset_save_csv(data, path)
         return path, data
 
     @staticmethod
