@@ -8,7 +8,8 @@ Artifacts are deterministic: the same invocation with the same seed
 produces bitwise-identical files. Every CSV and JSON artifact carries a
 provenance record (the resolved configuration plus the package version,
 never a timestamp). Output lands in --out, falling back to the
-CASOKIT_OUT_DIR environment variable, then the working directory.
+CASOKIT_OUT_DIR environment variable, then the working directory; a run
+that fails leaves it unchanged.
 
 Exit codes: 0 on success, 1 on a runtime failure (bad file contents,
 infeasible configuration), 2 on a usage error including nonexistent
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -61,6 +63,13 @@ SIM_MODES = ("vary-classes", "vary-eps", "grid")
 def existing_file(text):
     if not os.path.isfile(text):
         raise argparse.ArgumentTypeError(f"no such file: {text}")
+    return text
+
+
+def file_name(text):
+    """A name for a file in --out, with no directory part."""
+    if text in ("", ".", "..") or os.sep in text or (os.altsep and os.altsep in text):
+        raise argparse.ArgumentTypeError(f"not a plain file name: {text!r}")
     return text
 
 
@@ -131,19 +140,13 @@ def int_grid_spec(text):
     return tuple(out)
 
 
-def _resolve_out(args):
-    out = args.out or os.environ.get("CASOKIT_OUT_DIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # arguments that change where a run reads or writes, but never what it
 # computes; excluded so artifact bytes do not depend on them
 _EXECUTION_ONLY = ("func", "command", "out", "config")
 
 
-def _provenance(args, command):
-    doc = {"command": command, "version": VERSION}
+def _provenance(args):
+    doc = {"command": args.command, "version": VERSION}
     for key, value in vars(args).items():
         if key in _EXECUTION_ONLY:
             continue
@@ -221,8 +224,7 @@ def _result_summary(res):
     return doc
 
 
-def cmd_train(args):
-    out = _resolve_out(args)
+def cmd_train(args, out, stage):
     if args.data is not None:
         dataset = dataset_load(args.data)
         classes = int(dataset.labels.max()) + 1
@@ -249,36 +251,32 @@ def cmd_train(args):
         dataset,
         TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed),
     )
-    model_path = os.path.join(out, args.model_name)
-    model_save(result.network, model_path, metadata=_provenance(args, "train"))
+    model_save(result.network, os.path.join(stage, args.model_name),
+               metadata=_provenance(args))
     if args.save_data:
-        dataset_save_csv(dataset, os.path.join(out, "data.csv"))
-    print(f"accuracy={result.accuracy:.6f}")
-    print(f"model={model_path}")
-    return 0
+        dataset_save_csv(dataset, os.path.join(stage, "data.csv"))
+    return f"accuracy={result.accuracy:.6f}\nmodel={os.path.join(out, args.model_name)}\n"
 
 
-def _write_sample(out, idx, res, dmap, prov_text):
-    """Write one sample's .pgm, .delta.f64 and .json into out."""
+def _write_sample(stage, idx, res, dmap, prov_text):
+    """Write one sample's .pgm, .delta.f64 and .json into stage."""
     write_pgm(
         dmap,
-        os.path.join(out, f"sample{idx}.pgm"),
+        os.path.join(stage, f"sample{idx}.pgm"),
         comment=f"casokit {res.method} sample {idx}",
     )
-    write_f64_tensor(os.path.join(out, f"sample{idx}.delta.f64"), res.delta)
+    write_f64_tensor(os.path.join(stage, f"sample{idx}.delta.f64"), res.delta)
     doc = _result_summary(res)
     doc["sample_id"] = idx
-    _write_json(os.path.join(out, f"sample{idx}.json"), doc, prov_text)
+    _write_json(os.path.join(stage, f"sample{idx}.json"), doc, prov_text)
 
 
-def cmd_interpret(args):
+def cmd_interpret(args, out, stage):
     # imported here, not with the module: only interpret runs a thread, and
     # queue would cost every process about 1.4 ms of start-up
     import queue
-    import tempfile
     import threading
 
-    out = _resolve_out(args)
     net = model_load(args.model)
     dataset = _load_data(args)
     indices = args.samples
@@ -306,14 +304,11 @@ def cmd_interpret(args):
         )
         for i, seed in zip(indices, seeds)
     ]
-    prov = _provenance(args, "interpret")
+    prov = _provenance(args)
     prov_text = _json_value(prov)
 
-    # One writer thread writes each chunk's artifacts while the next chunk
-    # computes. Everything lands in a staging directory inside out and is
-    # renamed into place only once every sample and metrics.csv is written,
-    # so a run that fails leaves out as it found it.
-    stage = tempfile.mkdtemp(prefix=".casokit-", dir=out)
+    # one writer thread writes each chunk's artifacts while the next chunk
+    # computes
     jobs = queue.SimpleQueue()
     failed = []
     results = []
@@ -325,50 +320,36 @@ def cmd_interpret(args):
         except Exception as e:  # raised again on the main thread after the join
             failed.append(e)
 
+    writer = threading.Thread(target=write_samples, name="casokit-writer")
+    writer.start()
     try:
-        writer = threading.Thread(target=write_samples, name="casokit-writer")
-        writer.start()
-        try:
-            for chunk in chunk_results(net, requests):
-                # the display cap is per map, so a chunk's stack renders
-                # each map as the whole run's stack would
-                dmaps = normalize_for_display(np.stack([res.delta for res in chunk]),
-                                              w, h, args.channels)
-                for res, dmap in zip(chunk, dmaps):
-                    jobs.put((indices[len(results)], res, dmap))
-                    results.append(res)
-                if failed:
-                    break
-        finally:
-            jobs.put(None)
-            writer.join()
-        if failed:
-            raise failed[0]
-        write_csv_rows(
-            os.path.join(stage, "metrics.csv"),
-            ("sample_id", "method", "lambda1", "lambda2", "eta", "loss_gain", "p_max"),
-            [(idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max)
-             for idx, res in zip(indices, results)],
-            provenance=prov,
-        )
-        names = os.listdir(stage)
-        # checked before the first rename: a directory would stop them part-way
-        for name in names:
-            if os.path.isdir(os.path.join(out, name)):
-                raise IsADirectoryError(f"{os.path.join(out, name)} is a directory")
-        for name in names:
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        for chunk in chunk_results(net, requests):
+            # the display cap is per map, so a chunk's stack renders each
+            # map as the whole run's stack would
+            dmaps = normalize_for_display(np.stack([res.delta for res in chunk]),
+                                          w, h, args.channels)
+            for res, dmap in zip(chunk, dmaps):
+                jobs.put((indices[len(results)], res, dmap))
+                results.append(res)
+            if failed:
+                break
     finally:
-        for name in os.listdir(stage):  # none left unless the run failed
-            os.unlink(os.path.join(stage, name))
-        os.rmdir(stage)
-    sys.stdout.write("".join(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n"
-                             for idx, res in zip(indices, results)))
-    return 0
+        jobs.put(None)
+        writer.join()
+    if failed:
+        raise failed[0]
+    write_csv_rows(
+        os.path.join(stage, "metrics.csv"),
+        ("sample_id", "method", "lambda1", "lambda2", "eta", "loss_gain", "p_max"),
+        [(idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max)
+         for idx, res in zip(indices, results)],
+        provenance=prov,
+    )
+    return "".join(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n"
+                   for idx, res in zip(indices, results))
 
 
-def cmd_sweep(args):
-    out = _resolve_out(args)
+def cmd_sweep(args, out, stage):
     net = model_load(args.model)
     dataset = _load_data(args)
     if not 0 <= args.sample < dataset.n:
@@ -398,25 +379,21 @@ def cmd_sweep(args):
         "selected": _result_summary(selected),
         "target_met": outcome.target_met,
     }
-    _write_json(os.path.join(out, "sweep.json"), doc, _json_value(_provenance(args, "sweep")))
+    _write_json(os.path.join(stage, "sweep.json"), doc, _json_value(_provenance(args)))
     dmap = normalize_for_display(selected.delta, w, h, args.channels)
     write_pgm(
         dmap,
-        os.path.join(out, "selected.pgm"),
+        os.path.join(stage, "selected.pgm"),
         comment=f"casokit {args.method} lam1 {selected.lam1!r}",
     )
-    write_f64_tensor(os.path.join(out, "selected.delta.f64"), selected.delta)
-    print(
-        f"selected lambda1={selected.lam1!r} eta={selected.eta:.4f} "
-        f"target_met={outcome.target_met}"
-    )
-    return 0
+    write_f64_tensor(os.path.join(stage, "selected.delta.f64"), selected.delta)
+    return (f"selected lambda1={selected.lam1!r} eta={selected.eta:.4f} "
+            f"target_met={outcome.target_met}\n")
 
 
-def cmd_rank1_sim(args):
+def cmd_rank1_sim(args, out, stage):
     from .analysis import RankOneSimConfig, simulate_rank_one
 
-    out = _resolve_out(args)
     cfg = RankOneSimConfig(
         mode=args.mode,
         d=args.d,
@@ -427,56 +404,48 @@ def cmd_rank1_sim(args):
         c=args.c,
     )
     points = simulate_rank_one(cfg)
-    path = os.path.join(out, "rank1.csv")
     write_csv_rows(
-        path,
+        os.path.join(stage, "rank1.csv"),
         ("c", "eps", "rel_error"),
         [(pt.c, pt.eps, pt.rel_error) for pt in points],
-        provenance=_provenance(args, "rank1-sim"),
+        provenance=_provenance(args),
     )
-    print(f"wrote {len(points)} points to {path}")
-    return 0
+    return f"wrote {len(points)} points to {os.path.join(out, 'rank1.csv')}\n"
 
 
-def cmd_gap_study(args):
+def cmd_gap_study(args, out, stage):
     from .analysis import confidence_gap_study, spearman_rho
 
-    out = _resolve_out(args)
     net = model_load(args.model)
     dataset = _load_data(args)
     n = dataset.n if args.n_samples is None else args.n_samples
     points = confidence_gap_study(net, dataset, n, c1=args.c1)
     rho = spearman_rho([pt.p_max for pt in points], [pt.gap for pt in points])
-    path = os.path.join(out, "gap.csv")
     write_csv_rows(
-        path,
+        os.path.join(stage, "gap.csv"),
         ("sample_id", "p_max", "gap"),
         [(pt.sample_id, pt.p_max, pt.gap) for pt in points],
-        provenance=_provenance(args, "gap-study"),
+        provenance=_provenance(args),
     )
-    print(f"spearman_rho={rho!r}")
-    print(f"wrote {len(points)} points to {path}")
-    return 0
+    return (f"spearman_rho={rho!r}\n"
+            f"wrote {len(points)} points to {os.path.join(out, 'gap.csv')}\n")
 
 
-def cmd_alignment(args):
+def cmd_alignment(args, out, stage):
     from .analysis import alignment_curve
 
-    out = _resolve_out(args)
     points = alignment_curve(d=args.d, classes=args.classes, eps=args.eps, seed=args.seed)
-    path = os.path.join(out, "alignment.csv")
     write_csv_rows(
-        path,
+        os.path.join(stage, "alignment.csv"),
         ("c", "cosine", "mass_ratio"),
         [(pt.c, pt.cosine, pt.mass_ratio) for pt in points],
-        provenance=_provenance(args, "alignment"),
+        provenance=_provenance(args),
     )
-    for pt in points:
-        print(f"c={pt.c} cosine={pt.cosine:.6f} mass_ratio={pt.mass_ratio:.6f}")
-    return 0
+    return "".join(f"c={pt.c} cosine={pt.cosine:.6f} mass_ratio={pt.mass_ratio:.6f}\n"
+                   for pt in points)
 
 
-def cmd_oracle_check(args):
+def cmd_oracle_check(args, out, stage):
     from .analysis import (
         OracleConfig,
         brute_force_group_feature,
@@ -484,7 +453,6 @@ def cmd_oracle_check(args):
         make_planted_instance,
     )
 
-    out = _resolve_out(args)
     for s in args.support:
         if not 0 <= s < args.d:
             raise ValueError(f"support index {s} outside dimension {args.d}")
@@ -496,18 +464,14 @@ def cmd_oracle_check(args):
     oracle = brute_force_group_feature(g, H, lam2, cfg)
     path_supports = l1_path_supports(g, H, lam2, args.grid)
     match = any(s == oracle.support for s in path_supports)
-    path = os.path.join(out, "oracle.csv")
+    found = ";".join(str(i) for i in oracle.support)
     write_csv_rows(
-        path,
+        os.path.join(stage, "oracle.csv"),
         ("support", "value", "l1_match"),
-        [(";".join(str(i) for i in oracle.support), oracle.value, int(match))],
-        provenance=_provenance(args, "oracle-check"),
+        [(found, oracle.value, int(match))],
+        provenance=_provenance(args),
     )
-    print(
-        f"oracle support={';'.join(str(i) for i in oracle.support)} "
-        f"value={oracle.value!r} l1_match={match}"
-    )
-    return 0
+    return f"oracle support={found} value={oracle.value!r} l1_match={match}\n"
 
 
 def _add_common(sp):
@@ -566,7 +530,8 @@ def build_parser():
     sp.add_argument("--activation", choices=("relu", "sigmoid"), default="relu")
     sp.add_argument("--lr", type=float, default=0.1, help="SGD learning rate")
     sp.add_argument("--epochs", type=int, default=10)
-    sp.add_argument("--model-name", default="model.json", help="output model filename")
+    sp.add_argument("--model-name", type=file_name, default="model.json",
+                    help="output model file name, without a directory")
     sp.add_argument("--save-data", action="store_true",
                     help="also write the training data as data.csv")
     sp.set_defaults(func=cmd_train)
@@ -695,6 +660,8 @@ def _apply_config(argv, root, parsers, command):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         root.error(f"invalid config JSON at line {e.lineno}: {e.msg}")
+    except RecursionError:
+        root.error(f"config file {known.config} nests too deeply")
     if not isinstance(doc, dict):
         root.error("config must be a JSON object of flag defaults")
     sp = parsers[command]
@@ -724,11 +691,31 @@ def main(argv=None):
         # each index's map lands in sample<index>.*, so a repeat would be lost
         dup = next(i for n, i in enumerate(args.samples) if i in args.samples[:n])
         root.error(f"argument --samples: sample index {dup} is repeated")
+    # The command writes its artifacts into a staging directory inside out,
+    # and they are renamed into place only once every one is written, so a
+    # run that fails leaves out as it found it; stdout comes last.
+    out = args.out or os.environ.get("CASOKIT_OUT_DIR") or "."
     try:
-        return args.func(args)
+        os.makedirs(out, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=".casokit-", dir=out)
+        try:
+            text = args.func(args, out, stage)
+            names = os.listdir(stage)
+            # checked before the first rename: a directory would stop them part-way
+            for name in names:
+                if os.path.isdir(os.path.join(out, name)):
+                    raise IsADirectoryError(f"{os.path.join(out, name)} is a directory")
+            for name in names:
+                os.replace(os.path.join(stage, name), os.path.join(out, name))
+        finally:
+            for name in os.listdir(stage):  # none left unless the run failed
+                os.unlink(os.path.join(stage, name))
+            os.rmdir(stage)
     except (ValueError, OSError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

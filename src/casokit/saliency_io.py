@@ -21,7 +21,6 @@ import json
 import math
 import os
 import struct
-import warnings
 
 import numpy as np
 
@@ -197,6 +196,8 @@ def model_load(path):
         raise FormatError(
             f"invalid JSON: {e.msg}", path=path, line=e.lineno, offset=e.pos
         ) from None
+    except RecursionError:
+        raise FormatError("JSON nests too deeply", path=path) from None
     if not isinstance(doc, dict) or "layers" not in doc:
         raise FormatError("model file has no 'layers' key", path=path)
     raw_layers = doc["layers"]
@@ -209,8 +210,7 @@ def model_load(path):
         if not isinstance(entry, dict):
             raise FormatError(f"layer {i} is not an object", path=path)
         try:
-            in_dim = int(entry["in"])
-            out_dim = int(entry["out"])
+            in_dim, out_dim = entry["in"], entry["out"]
             activation = entry["activation"]
             W = np.asarray(entry["weights"], dtype=np.float64)
             b = np.asarray(entry["bias"], dtype=np.float64)
@@ -218,6 +218,9 @@ def model_load(path):
             raise FormatError(f"layer {i} is missing key {e}", path=path) from None
         except (TypeError, ValueError) as e:
             raise FormatError(f"layer {i} has bad numeric data: {e}", path=path) from None
+        for key, dim in (("in", in_dim), ("out", out_dim)):
+            if type(dim) is not int:  # not a float, nor a bool
+                raise FormatError(f"layer {i} key '{key}' must be a JSON integer", path=path)
         if activation not in ACTIVATIONS:
             raise FormatError(
                 f"layer {i} has unknown activation {activation!r}", path=path
@@ -278,7 +281,7 @@ def _read_sidecar(path, kind, digest, decode):
         ):
             return None
         return decode(head, payload)
-    except (OSError, ValueError, TypeError, KeyError):
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
 
 
@@ -333,11 +336,6 @@ def _write_sidecar(path, kind, digest, fields, arrays):
             os.unlink(tmp)
 
 
-# the bytes of plain numeric CSV text: digits, signs, '.', exponents,
-# commas, spaces, tabs and line ends
-_PLAIN_CSV_BYTES = b"0123456789+-.eE, \t\r\n"
-
-
 def dataset_load(path):
     """Load a CSV dataset: one sample per row, integer label last.
 
@@ -346,9 +344,7 @@ def dataset_load(path):
     cell is read as float() reads it, surrounding spaces, underscores,
     inf and nan included. A header row is detected automatically (any
     non-numeric cell in the first row). Blank lines and '#' comment lines
-    are skipped. Plain numeric text is parsed by numpy's C reader, which
-    reads such cells exactly as float() does; any other text, and any file
-    that breaks a rule, goes through the csv module, which names the
+    are skipped. A file that breaks a rule is a FormatError that names the
     failing line and cell.
 
     Like model_load, a successful parse is also written, best effort, to a
@@ -360,35 +356,10 @@ def dataset_load(path):
     dataset = _read_sidecar(path, _DATASET, digest, _dataset_from)
     if dataset is not None:
         return dataset
-    dataset = _parse_dataset(data, path)
+    dataset = _csv_dataset(data, path)
     _write_sidecar(path, _DATASET, digest, {"rows": dataset.n, "dim": dataset.dim},
                    [dataset.X, dataset.labels])
     return dataset
-
-
-def _parse_dataset(data, path):
-    """dataset_load's parse of the CSV bytes."""
-    table = _plain_table(data)
-    if table is not None and table.shape[1] >= 2:
-        labels = table[:, -1]
-        if np.all((labels >= 0.0) & (labels < 2.0**53) & (labels == np.floor(labels))):
-            return Dataset(table[:, :-1], labels.astype(np.int64))
-    return _csv_dataset(_decode_utf8(data, path, newline=""), path)
-
-
-def _plain_table(data):
-    """The (rows, cells) float array of plain numeric CSV bytes, or None
-    for other bytes and for anything numpy's reader refuses (a ragged row,
-    an empty cell or line of spaces, a lone CR, no rows)."""
-    if data.translate(None, _PLAIN_CSV_BYTES):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data"
-            return np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2,
-                              encoding="ascii")
-    except (ValueError, UserWarning):
-        return None
 
 
 def _parse_csv_cell(cell, path, line_no):
@@ -400,11 +371,12 @@ def _parse_csv_cell(cell, path, line_no):
         ) from None
 
 
-def _csv_dataset(text, path):
-    """dataset_load's csv-module parse of the decoded text."""
+def _csv_dataset(data, path):
+    """dataset_load's parse of the CSV bytes."""
+    text = io.StringIO(_decode_utf8(data, path, newline=""), newline="")
     rows = []
     width = None
-    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+    for line_no, row in enumerate(csv.reader(text), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if row[0].lstrip().startswith("#"):

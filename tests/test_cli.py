@@ -354,7 +354,7 @@ def serial_interpret(argv, out):
     results = interpret.run_requests(net, requests)
     w, h = cli._geometry(args, dataset.dim)
     dmaps = normalize_for_display(np.stack([r.delta for r in results]), w, h, args.channels)
-    prov = cli._provenance(args, "interpret")
+    prov = cli._provenance(args)
     lines, rows = [], []
     for idx, res, dmap in zip(args.samples, results, dmaps):
         write_pgm(dmap, out / f"sample{idx}.pgm", comment=f"casokit {res.method} sample {idx}")
@@ -470,6 +470,55 @@ class TestStreamedWrites:
         assert capsys.readouterr() == ("", f"error: {tmp_path / name} is a directory\n")
 
 
+class TestCommit:
+    """Every subcommand writes into a staging directory inside --out and
+    renames its artifacts into place only once all of them are written."""
+
+    @staticmethod
+    def argv(command, ws):
+        model_data = ["--model", ws["model"], "--data", ws["data"]]
+        return {
+            "train": ["train", "--classes", "2", "--dim", "4", "--n-per-class", "4",
+                      "--hidden", "3", "--epochs", "1", "--save-data"],
+            "interpret": ["interpret", *model_data, "--method", "caso", "--samples", "0,1"],
+            "sweep": ["sweep", *model_data, "--method", "caso"],
+            "rank1-sim": ["rank1-sim", "--mode", "vary-eps", "--c", "10", "--d", "16",
+                          "--eps", "1e-3"],
+            "gap-study": ["gap-study", *model_data, "--n-samples", "3"],
+            "alignment": ["alignment", "--d", "16", "--classes", "2,5"],
+            "oracle-check": ["oracle-check", "--d", "8", "--support", "1,4"],
+        }[command]
+
+    # the last artifact each command writes, or any of interpret's
+    @pytest.mark.parametrize("command,name", [
+        ("train", "data.csv"), ("interpret", "sample1.pgm"), ("sweep", "selected.pgm"),
+        ("rank1-sim", "rank1.csv"), ("gap-study", "gap.csv"),
+        ("alignment", "alignment.csv"), ("oracle-check", "oracle.csv"),
+    ])
+    def test_a_directory_at_an_artifact_name_fails_and_changes_nothing(
+            self, workspace, tmp_path, capsys, command, name):
+        argv = self.argv(command, workspace) + ["--out", str(tmp_path)]
+        assert run(argv) == 0
+        (tmp_path / "notes.txt").write_bytes(b"kept\n")
+        (tmp_path / name).unlink()
+        (tmp_path / name).mkdir()
+        capsys.readouterr()
+        before, names = snapshot(tmp_path), set(os.listdir(tmp_path))
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {tmp_path / name} is a directory\n")
+        assert set(os.listdir(tmp_path)) == names  # no .casokit-* directory is left
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("name", ["a/b.json", "../model.json", "..", ""])
+    def test_model_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--model-name", name, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument --model-name: not a plain file name: {name!r}" in (
+            capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
+
+
 class TestSweep:
     def test_artifacts_and_determinism(self, workspace, tmp_path, capsys):
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -508,8 +557,8 @@ class TestSweep:
         assert code == 0
         assert read_json(tmp_path / "sweep.json")["grid"] == [0.0, 0.025, 0.05]
 
-    def test_caso_sweep_on_sigmoid_net(self, tmp_path, capsys):
-        # finite-difference curvature shared by the whole stacked grid
+    @pytest.mark.parametrize("method", cli.SWEEP_METHODS)
+    def test_sweep_on_sigmoid_net(self, tmp_path, capsys, method):
         prep = tmp_path / "prep"
         assert run([
             "train", "--classes", "3", "--dim", "6", "--n-per-class", "4", "--hidden", "5",
@@ -518,11 +567,12 @@ class TestSweep:
         out = tmp_path / "sweep"
         code = run([
             "sweep", "--model", str(prep / "model.json"), "--data", str(prep / "data.csv"),
-            "--method", "caso", "--sample", "1", "--width", "3", "--out", str(out),
+            "--method", method, "--sample", "1", "--width", "3", "--out", str(out),
         ])
         assert code == 0
         doc = read_json(out / "sweep.json")
         assert len(doc["candidates"]) == 8
+        assert doc["selected"]["method"] == method
         for r in doc["candidates"] + doc["refinements"] + [doc["selected"]]:
             values = [r[k] for k in ("eta", "lambda2", "loss_gain", "raw_loss_delta", "p_max")]
             assert np.isfinite(values).all()
@@ -771,6 +821,14 @@ class TestConfigFile:
         assert "config key epochs is not an option of interpret" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"hidden": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--config", str(deep), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"config file {deep} nests too deeply" in capsys.readouterr().err
+
     def test_missing_config_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--config", "/nonexistent.json"])
@@ -854,6 +912,14 @@ class TestModelFiles:
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_deeply_nested_model_is_runtime_error(self, workspace, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"layers": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = run(["interpret", "--model", str(deep), "--data", workspace["data"],
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: JSON nests too deeply ({deep})\n"
 
     @pytest.mark.parametrize("flag", ["--model", "--data"])
     def test_non_utf8_file_is_runtime_error(self, workspace, tmp_path, capsys, flag):

@@ -258,6 +258,22 @@ class TestModelPersistence:
         with pytest.raises(FormatError, match="shape"):
             model_load(path)
 
+    # 1e400 parses as inf; 1.5, true and 2.0 would pass int() as the 1 or 2
+    # that the arrays' shapes agree with
+    @pytest.mark.parametrize("layer,key,value", [
+        (0, "in", "1e400"), (0, "in", "1.5"), (0, "in", "true"), (1, "out", "2.0"),
+    ])
+    def test_layer_dims_must_be_json_integers(self, tmp_path, layer, key, value):
+        net = init_network(NetworkSpec((LayerSpec(1, 2, "relu"), LayerSpec(2, 2, "identity"))))
+        path = tmp_path / "dims.json"
+        model_save(net, path)
+        doc = json.loads(path.read_text())
+        doc["layers"][layer][key] = "VALUE"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        with pytest.raises(FormatError) as exc:
+            model_load(path)
+        assert str(exc.value) == f"layer {layer} key '{key}' must be a JSON integer ({path})"
+
     def test_non_utf8_reports_path_and_offset(self, tmp_path):
         path = tmp_path / "latin.json"
         data = b'{"layers": [\n  {"activation": "r\xffelu"}]}\n'
@@ -387,7 +403,7 @@ class TestWeightSidecar:
 
 def _csv_oracle(path):
     """dataset_load as the csv module alone parses a file, cell by cell
-    with float(): the reference for the numpy parse."""
+    with float(): an independent statement of the grammar it must follow."""
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     rows = []
@@ -462,7 +478,7 @@ def _decorate(cell):
 
 
 # one odd cell in an otherwise plain file: cells at the edge of what
-# numpy's reader and float() accept alike
+# float() and the csv dialect accept
 _BOUNDARY_CELLS = st.sampled_from([
     "1_0", "inf", "nan", "1\x1c", "\x1f2", "2#1", "1 #c", '"1"2', '"1"', " 1 ", "١", "\xa01",
     "1\x0c", "0x10", "", " ", "1e", "+-1",
@@ -594,21 +610,6 @@ class TestCsvDataset:
         path.write_bytes(data)
         assert _load_outcome(dataset_load, path) == _load_outcome(_csv_oracle, path)
 
-    def test_plain_text_skips_the_csv_module(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("csv-module parse used")
-
-        monkeypatch.setattr(saliency_io, "_csv_dataset", refuse)
-        path = tmp_path / "plain.csv"
-        path.write_bytes(b"0.5,-1e-3,2\r\n\n 7 ,\t1.25e2,0.0\n")
-        loaded = dataset_load(path)
-        assert np.array_equal(loaded.X, [[0.5, -1e-3], [7.0, 125.0]])
-        assert loaded.labels.tolist() == [2, 0]
-        rng = np.random.default_rng(9)
-        data = Dataset(X=rng.standard_normal((6, 784)), labels=rng.integers(0, 10, 6))
-        dataset_save_csv(data, path)
-        assert np.array_equal(dataset_load(path).X, data.X)
-
     def test_label_beyond_int64(self, tmp_path):
         path = tmp_path / "big.csv"
         for label in ("1e19", "9223372036854775808", "9223372036854774784"):
@@ -644,17 +645,15 @@ class TestDatasetSidecar:
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """The paths _parse_dataset and _csv_dataset ran on while the
-        fixture is active, tagged with which one."""
+        """The paths _csv_dataset ran on while the fixture is active."""
         seen = []
-        for name in ("_parse_dataset", "_csv_dataset"):
-            real = getattr(saliency_io, name)
+        real = saliency_io._csv_dataset
 
-            def spy(data, path, real=real, name=name):
-                seen.append((name, path))
-                return real(data, path)
+        def spy(data, path):
+            seen.append(path)
+            return real(data, path)
 
-            monkeypatch.setattr(saliency_io, name, spy)
+        monkeypatch.setattr(saliency_io, "_csv_dataset", spy)
         return seen
 
     @staticmethod
@@ -684,7 +683,7 @@ class TestDatasetSidecar:
         warm = dataset_load(str(path))
         self._assert_same(cold, data)
         self._assert_same(warm, data)
-        assert [name for name, _ in parses] == ["_parse_dataset"]  # the cold load only
+        assert parses == [path]  # the cold load only
 
     def test_sidecar_holds_the_documented_layout(self, tmp_path):
         path, data = self._saved(tmp_path)
@@ -705,7 +704,7 @@ class TestDatasetSidecar:
         _, edited = self._saved(tmp_path, seed=22)
         parses.clear()
         self._assert_same(dataset_load(path), edited)
-        assert [name for name, _ in parses] == ["_parse_dataset"]
+        assert parses == [path]
         head = json.loads(self._sidecar(path).read_bytes().split(b"\n", 2)[1])
         assert head["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         parses.clear()
@@ -740,13 +739,21 @@ class TestDatasetSidecar:
     def _corrupt_empty(self, path):
         self._sidecar(path).write_bytes(b"")
 
+    def _corrupt_deep(self, path):
+        # a header nested past the recursion limit
+        side = self._sidecar(path)
+        payload = side.read_bytes().split(b"\n", 2)[2]
+        side.write_bytes(b"casokit-dataset 2\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+                         + payload)
+
     def _corrupt_version1(self, path):
         # a version 1 sidecar may hold a label that float() rounded
         side = self._sidecar(path)
         side.write_bytes(side.read_bytes().replace(b"dataset 2\n", b"dataset 1\n", 1))
 
     @pytest.mark.parametrize(
-        "case", ["truncated", "flipped", "foreign", "weights", "garbage", "empty", "version1"])
+        "case", ["truncated", "flipped", "foreign", "weights", "garbage", "empty", "deep",
+                 "version1"])
     def test_bad_sidecar_is_ignored_and_rewritten(self, tmp_path, case, parses):
         path, data = self._saved(tmp_path)
         dataset_load(path)
@@ -754,7 +761,7 @@ class TestDatasetSidecar:
         getattr(self, f"_corrupt_{case}")(path)
         parses.clear()
         self._assert_same(dataset_load(path), data)
-        assert [name for name, _ in parses] == ["_parse_dataset"]
+        assert parses == [path]
         assert self._sidecar(path).read_bytes() == good
 
     @pytest.mark.parametrize("refused", ["create", "rename"])
@@ -787,7 +794,7 @@ class TestDatasetSidecar:
         path = tmp_path / "odd.csv"
         path.write_text(text)
         cold = dataset_load(path)
-        assert [name for name, _ in parses] == ["_parse_dataset", "_csv_dataset"]
+        assert parses == [path]
         parses.clear()
         self._assert_same(dataset_load(path), cold)
         assert parses == []
