@@ -9,7 +9,8 @@ produces bitwise-identical files. Every CSV and JSON artifact carries a
 provenance record (the resolved configuration plus the package version,
 never a timestamp). Output lands in --out, falling back to the
 CASOKIT_OUT_DIR environment variable, then the working directory; a run
-that fails leaves it unchanged.
+that fails leaves it unchanged, and removes the directories it created for
+it.
 
 Exit codes: 0 on success, 1 on a runtime failure (bad file contents,
 infeasible configuration), 2 on a usage error including nonexistent
@@ -19,6 +20,8 @@ input paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import math
 import os
@@ -691,10 +694,17 @@ def main(argv=None):
         # each index's map lands in sample<index>.*, so a repeat would be lost
         dup = next(i for n, i in enumerate(args.samples) if i in args.samples[:n])
         root.error(f"argument --samples: sample index {dup} is repeated")
+    if args.command == "train" and args.save_data and args.model_name == "data.csv":
+        root.error("argument --model-name: data.csv is the name --save-data writes")
     # The command writes its artifacts into a staging directory inside out,
     # and they are renamed into place only once every one is written, so a
     # run that fails leaves out as it found it; stdout comes last.
     out = args.out or os.environ.get("CASOKIT_OUT_DIR") or "."
+    created = []  # the directories of out that this run makes, deepest first
+    missing = os.path.abspath(out)
+    while not os.path.lexists(missing):
+        created.append(missing)
+        missing = os.path.dirname(missing)
     try:
         os.makedirs(out, exist_ok=True)
         stage = tempfile.mkdtemp(prefix=".casokit-", dir=out)
@@ -712,11 +722,26 @@ def main(argv=None):
                 os.unlink(os.path.join(stage, name))
             os.rmdir(stage)
     except (ValueError, OSError, np.linalg.LinAlgError) as e:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         print(f"error: {e}", file=sys.stderr)
         return 1
     sys.stdout.write(text)
     return 0
 
 
+def entry():
+    """The console script's and `python -m casokit`'s entry point: main(),
+    then gc.freeze(), however main ends, so that the interpreter's shutdown
+    collections skip the objects numpy and casokit leave tracked (25-35 ms
+    of a short run). main itself never freezes: a caller that runs it
+    in-process again and again would keep every later cycle's garbage."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

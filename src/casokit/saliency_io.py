@@ -4,8 +4,9 @@ Saliency maps are normalized for display by taking absolute values,
 summing channels per pixel, capping at the 99th percentile, dividing by
 the cap, and clipping to [0, 1]. Images are written as binary (P5) PGM at
 maxval 255. Models round-trip bitwise through JSON, the canonical format;
-model_load keeps a hash-checked binary copy of the weights next to the
-JSON so that later loads skip the parse. Datasets come either from CSV
+model_load keeps a binary copy of the weights next to the JSON so that
+later loads skip the parse, trusted while the JSON's stat or, when that
+cannot decide, its SHA-256 still matches. Datasets come either from CSV
 (label in the last column), which dataset_load caches the same way, or
 from a raw little-endian float32 tensor with an 8-byte header plus a
 sidecar label file.
@@ -15,12 +16,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -181,15 +182,16 @@ def model_load(path):
 
     The JSON is the source of truth. After a full parse the weights are
     also written, best effort, to a binary sidecar next to it (path plus
-    ".weights"); a later load reads them from there instead of parsing the
-    JSON again, but only while the sidecar records the SHA-256 of the
-    model bytes just read and its own payload hashes to what it records.
+    ".weights"); a later load reads them from there instead of the JSON
+    while the sidecar is intact and the JSON is unchanged (see
+    _cached_load).
     """
-    data = _read_bytes(path)
-    digest = hashlib.sha256(data).hexdigest()
-    net = _read_sidecar(path, _WEIGHTS, digest, _weights_from)
-    if net is not None:
-        return net
+    return _cached_load(path, _WEIGHTS, _json_model, _weights_from)
+
+
+def _json_model(data, path):
+    """model_load's parse of the JSON bytes: the network, and its sidecar's
+    header fields and arrays."""
     try:
         doc = json.loads(_decode_utf8(data, path))
     except json.JSONDecodeError as e:
@@ -237,19 +239,17 @@ def model_load(path):
         net = Network(NetworkSpec(tuple(specs)), tuple(weights), tuple(biases))
     except ValueError as e:
         raise FormatError(f"inconsistent model: {e}", path=path) from None
-    _write_sidecar(
-        path, _WEIGHTS, digest,
-        {"layers": [[s.in_dim, s.out_dim, s.activation] for s in net.spec.layers]},
-        [a for pair in zip(net.weights, net.biases) for a in pair],
-    )
-    return net
+    return (net,
+            {"layers": [[s.in_dim, s.out_dim, s.activation] for s in net.spec.layers]},
+            [a for pair in zip(net.weights, net.biases) for a in pair])
 
 
 # A binary sidecar caches what a parse of the source file next to it
 # returned: a tag line, one JSON header line, then the payload, its arrays
 # as little-endian bytes back to back. The header records the SHA-256 of
-# the source bytes under the kind's key, plus the payload's size and
-# SHA-256; the kind adds the fields its arrays' shapes come from.
+# the source bytes under the kind's key, the source's stat key (see
+# _stat_key) as "source_stat", and the payload's length and CRC-32; the
+# kind adds the fields its arrays' shapes come from.
 class _Sidecar(Record):
     suffix: str
     tag: bytes
@@ -257,30 +257,78 @@ class _Sidecar(Record):
 
 
 # a model's weights: every layer's weights (row-major) and bias, float64
-_WEIGHTS = _Sidecar(".weights", b"casokit-weights 1\n", "model_sha256")
+_WEIGHTS = _Sidecar(".weights", b"casokit-weights 2\n", "model_sha256")
 # a CSV dataset: X (rows x dim, row-major) as float64, then the int64 labels
-_DATASET = _Sidecar(".dataset", b"casokit-dataset 2\n", "csv_sha256")
+_DATASET = _Sidecar(".dataset", b"casokit-dataset 3\n", "csv_sha256")
 
 
-def _read_sidecar(path, kind, digest, decode):
-    """decode(head, payload) of path's sidecar of this kind, or None
-    unless the sidecar was written from source bytes with this digest and
-    is intact. Never raises: any unreadable or malformed sidecar, and any
-    that decode rejects with a ValueError, reads as None."""
+def _stat_key(path):
+    """path's device, inode, size, mtime and ctime. Replacing or writing the
+    file changes at least one of them, unless the write keeps the size and
+    falls within the timestamp tick of the file's last change."""
+    st = os.stat(path)
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _sha256(data):
+    # imported here: OpenSSL's _hashlib costs a process 3-5 ms, and a load
+    # that trusts the stat key hashes nothing
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cached_load(path, kind, parse, decode):
+    """parse(data, path)'s result for path's bytes, read from path's sidecar
+    of this kind when that holds it, else parsed and cached.
+
+    The source's stat key is taken before anything is read. An intact
+    sidecar that records this key is trusted without reading the source,
+    unless the source's mtime or ctime is not older than the sidecar's own
+    mtime (git's racy rule: a source changed within one timestamp tick of
+    the sidecar's write may have kept its key). Otherwise the source is
+    read and hashed: an intact sidecar of the same SHA-256 is still used,
+    and rewritten under the new key if the key missed; else the bytes are
+    parsed, and the sidecar written. parse returns (result, header fields,
+    arrays), or raises its FormatError whatever sidecar exists.
+    """
+    key = _stat_key(path)
+    cached = _read_sidecar(path, kind, decode)
+    if cached is not None:
+        result, head, payload, sidecar_mtime_ns = cached
+        if head.get("source_stat") == key and max(key[3:]) < sidecar_mtime_ns:
+            return result
+    data = _read_bytes(path)
+    digest = _sha256(data)
+    if cached is not None and head.get(kind.key) == digest:
+        if head.get("source_stat") != key:
+            _write_sidecar(path, kind, {**head, "source_stat": key}, payload)
+        return result
+    result, fields, arrays = parse(data, path)
+    payload = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
+                       for a in arrays)
+    _write_sidecar(path, kind, {kind.key: digest, "source_stat": key, **fields}, payload)
+    return result
+
+
+def _read_sidecar(path, kind, decode):
+    """(decode(head, payload), head, payload, the sidecar's mtime in ns)
+    for path's sidecar of this kind, or None unless its tag matches, its
+    header is a JSON object, and its payload has the recorded length and
+    CRC-32. Never raises: any unreadable or malformed sidecar, and any that
+    decode rejects with a ValueError, reads as None."""
     try:
-        data = _read_bytes(os.fsdecode(path) + kind.suffix)
+        with open(os.fsdecode(path) + kind.suffix, "rb") as fh:
+            mtime_ns = os.fstat(fh.fileno()).st_mtime_ns
+            data = fh.read()
         if not data.startswith(kind.tag):
             return None
         end = data.index(b"\n", len(kind.tag))
         head = json.loads(data[len(kind.tag) : end])
         payload = memoryview(data)[end + 1 :]
-        if (
-            head[kind.key] != digest
-            or head["payload_bytes"] != len(payload)
-            or hashlib.sha256(payload).hexdigest() != head["payload_sha256"]
-        ):
+        if head["payload_bytes"] != len(payload) or zlib.crc32(payload) != head["payload_crc32"]:
             return None
-        return decode(head, payload)
+        return decode(head, payload), head, payload, mtime_ns
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
 
@@ -313,18 +361,13 @@ def _dataset_from(head, payload):
     return Dataset(X, labels)
 
 
-def _write_sidecar(path, kind, digest, fields, arrays):
-    """Write path's sidecar of this kind for source bytes with this digest:
-    fields (the kind's header entries) and arrays, through a temp file in
-    the same directory and an atomic rename. Best effort: an OSError (say,
-    a read-only directory) leaves no sidecar and no temp file."""
-    payload = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes() for a in arrays)
-    head = {
-        kind.key: digest,
-        **fields,
-        "payload_bytes": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-    }
+def _write_sidecar(path, kind, fields, payload):
+    """Write path's sidecar of this kind: fields (the source's digest and
+    stat key, and the kind's header entries), the payload's length and
+    CRC-32, and the payload, through a temp file in the same directory and
+    an atomic rename. Best effort: an OSError (say, a read-only directory)
+    leaves no sidecar and no temp file."""
+    head = {**fields, "payload_bytes": len(payload), "payload_crc32": zlib.crc32(payload)}
     target = os.fsdecode(path) + kind.suffix
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
@@ -351,15 +394,7 @@ def dataset_load(path):
     binary sidecar (path plus ".dataset") that later loads of the same
     bytes read instead of parsing again.
     """
-    data = _read_bytes(path)
-    digest = hashlib.sha256(data).hexdigest()
-    dataset = _read_sidecar(path, _DATASET, digest, _dataset_from)
-    if dataset is not None:
-        return dataset
-    dataset = _csv_dataset(data, path)
-    _write_sidecar(path, _DATASET, digest, {"rows": dataset.n, "dim": dataset.dim},
-                   [dataset.X, dataset.labels])
-    return dataset
+    return _cached_load(path, _DATASET, _csv_dataset, _dataset_from)
 
 
 def _parse_csv_cell(cell, path, line_no):
@@ -372,7 +407,8 @@ def _parse_csv_cell(cell, path, line_no):
 
 
 def _csv_dataset(data, path):
-    """dataset_load's parse of the CSV bytes."""
+    """dataset_load's parse of the CSV bytes: the dataset, and its
+    sidecar's header fields and arrays."""
     text = io.StringIO(_decode_utf8(data, path, newline=""), newline="")
     rows = []
     width = None
@@ -415,7 +451,8 @@ def _csv_dataset(data, path):
         raise FormatError("rows need at least one feature and a label", path=path)
     X = np.asarray([r[0] for r in rows], dtype=np.float64)
     labels = np.asarray([r[1] for r in rows], dtype=np.int64)
-    return Dataset(X, labels)
+    dataset = Dataset(X, labels)
+    return dataset, {"rows": dataset.n, "dim": dataset.dim}, [dataset.X, dataset.labels]
 
 
 def dataset_save_csv(dataset, path):

@@ -1,6 +1,7 @@
 """End-to-end command line tests; every invocation runs in-process."""
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -517,6 +518,104 @@ class TestCommit:
         assert f"argument --model-name: not a plain file name: {name!r}" in (
             capsys.readouterr().err)
         assert os.listdir(tmp_path) == []
+
+    def test_model_name_must_not_be_the_saved_data_name(self, tmp_path, capsys):
+        # the dataset would replace the model in the staging directory
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--save-data", "--model-name", "data.csv", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert ("argument --model-name: data.csv is the name --save-data writes"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
+        assert run(["train", "--classes", "2", "--dim", "4", "--n-per-class", "4",
+                    "--hidden", "3", "--epochs", "1", "--model-name", "data.csv",
+                    "--out", str(tmp_path)]) == 0
+        assert model_load(str(tmp_path / "data.csv")).spec.layers[0].in_dim == 4
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_a_failing_run_removes_the_out_directories_it_made(
+            self, workspace, tmp_path, capsys, depth):
+        (tmp_path / "kept").mkdir()
+        out = tmp_path.joinpath("kept", *[f"new{i}" for i in range(depth)])
+        argv = ["interpret", "--model", workspace["model"], "--data", workspace["data"],
+                "--samples", "0,500", "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: sample index 500 outside the dataset of 30\n"
+        assert os.listdir(tmp_path) == ["kept"] and os.listdir(tmp_path / "kept") == []
+        # an --out that already exists stays, however the run ends
+        out.mkdir(parents=True)
+        assert run(argv) == 1
+        assert out.is_dir() and os.listdir(out) == []
+
+
+class TestEntryPoint:
+    """`python -m casokit` and the console script run cli.entry: main, then
+    gc.freeze() so that shutdown skips the heap. main itself never freezes."""
+
+    def test_main_leaves_nothing_frozen(self, workspace, tmp_path):
+        assert gc.get_freeze_count() == 0
+        assert run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
+                    "--samples", "0", "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(SystemExit):
+            run(["train", "--bogus"])
+        assert gc.get_freeze_count() == 0
+
+    def test_console_script_and_module_call_entry(self):
+        pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            config = pyproject.read_configuration(ROOT / "pyproject.toml", expand=True)
+        assert config["project"]["scripts"] == {"casokit": "casokit.cli:entry"}
+        main_source = (ROOT / "src" / "casokit" / "__main__.py").read_text()
+        assert "from .cli import entry\n" in main_source
+        assert "raise SystemExit(entry())" in main_source
+        # entry freezes however main ends; here by a usage error
+        probe = ("import gc, sys\n"
+                 "from casokit import cli\n"
+                 "sys.argv = ['casokit', 'train', '--bogus']\n"
+                 "try:\n"
+                 "    cli.entry()\n"
+                 "except SystemExit as e:\n"
+                 "    print(e.code, gc.get_freeze_count() > 0)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "2 True\n"
+
+    def test_exit_codes_and_output_through_python_m(self, workspace, tmp_path):
+        common = ["--model", workspace["model"], "--data", workspace["data"]]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        cases = [
+            (["interpret", *common, "--samples", "0,1"], 0),
+            (["interpret", *common, "--samples", "0,500"], 1),
+            (["interpret", *common, "--samples", "0,0"], 2),
+        ]
+        for argv, code in cases:
+            sub_out = tmp_path / f"sub{code}"
+            done = subprocess.run([sys.executable, "-m", "casokit", *argv, "--out", str(sub_out)],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == code, done.stderr
+            # the same run in-process
+            in_out = tmp_path / f"in{code}"
+            script = ("import sys\n"
+                      "from casokit import cli\n"
+                      "try:\n"
+                      "    code = cli.main(sys.argv[1:])\n"
+                      "except SystemExit as e:\n"
+                      "    code = e.code\n"
+                      "sys.stdout.flush()\n"
+                      "sys.stderr.write(f'rc={code}')\n")
+            ref = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(in_out)],
+                                 env=env, capture_output=True, text=True)
+            assert done.stdout == ref.stdout
+            assert done.stderr + f"rc={code}" == ref.stderr
+            if code == 0:
+                assert done.stdout.startswith("sample 0: eta=")
+                assert snapshot(sub_out) == snapshot(in_out)
+            else:
+                assert done.stdout == "" and done.stderr
+                assert not sub_out.exists()
 
 
 class TestSweep:

@@ -1,9 +1,17 @@
 """I/O tests: display normalization, PGM, model/dataset persistence, CSV."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +297,19 @@ def _net(seed):
     return init_network(spec, seed=seed)
 
 
+def _stat_key(st):
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _sidecar_parts(side, source):
+    """A sidecar's tag, header and payload, after checking that its stat key
+    is the source's and dropping it."""
+    tag, head, payload = side.read_bytes().split(b"\n", 2)
+    head = json.loads(head)
+    assert head.pop("source_stat") == _stat_key(source.stat())
+    return tag, head, payload
+
+
 def _assert_same_net(a, b):
     assert a.spec == b.spec
     for xa, xb in zip(a.weights + a.biases, b.weights + b.biases):
@@ -333,15 +354,19 @@ class TestWeightSidecar:
 
     def test_sidecar_holds_the_documented_layout(self, tmp_path):
         path = self._saved(tmp_path)
+        st_before = path.stat()
         net = model_load(path)
         data = self._sidecar(path).read_bytes()
         tag, head, payload = data.split(b"\n", 2)
         head = json.loads(head)
-        assert tag == b"casokit-weights 1"
+        assert tag == b"casokit-weights 2"
+        assert list(head) == ["model_sha256", "source_stat", "layers", "payload_bytes",
+                              "payload_crc32"]
         assert head["model_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert head["source_stat"] == _stat_key(st_before)
         assert head["layers"] == [[7, 5, "relu"], [5, 3, "identity"]]
         assert head["payload_bytes"] == len(payload) == 8 * (7 * 5 + 5 + 5 * 3 + 3)
-        assert head["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+        assert head["payload_crc32"] == zlib.crc32(payload)
         W0 = np.frombuffer(payload, "<f8", 35).reshape(5, 7)
         assert W0.tobytes() == net.weights[0].tobytes()
 
@@ -377,7 +402,9 @@ class TestWeightSidecar:
         expected = model_load(fresh)
         _assert_same_net(loaded, expected)
         assert path.read_text() in json_parses
-        assert self._sidecar(path).read_bytes() == self._sidecar(fresh).read_bytes()
+        # the two sidecars differ only in their sources' stat keys
+        assert (_sidecar_parts(self._sidecar(path), path)
+                == _sidecar_parts(self._sidecar(fresh), fresh))
         json_parses.clear()
         _assert_same_net(model_load(path), expected)
         assert path.read_text() not in json_parses
@@ -690,11 +717,14 @@ class TestDatasetSidecar:
         dataset_load(path)
         tag, head, payload = self._sidecar(path).read_bytes().split(b"\n", 2)
         head = json.loads(head)
-        assert tag == b"casokit-dataset 2"
+        assert tag == b"casokit-dataset 3"
+        assert list(head) == ["csv_sha256", "source_stat", "rows", "dim", "payload_bytes",
+                              "payload_crc32"]
         assert head["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert head["source_stat"] == _stat_key(path.stat())
         assert (head["rows"], head["dim"]) == (7, 5)
         assert head["payload_bytes"] == len(payload) == 8 * (7 * 5 + 7)
-        assert head["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+        assert head["payload_crc32"] == zlib.crc32(payload)
         assert payload[: 8 * 35] == data.X.astype("<f8").tobytes()
         assert payload[8 * 35 :] == data.labels.astype("<i8").tobytes()
 
@@ -734,7 +764,7 @@ class TestDatasetSidecar:
         self._sidecar(path).write_bytes(model.with_name("m.json.weights").read_bytes())
 
     def _corrupt_garbage(self, path):
-        self._sidecar(path).write_bytes(b"casokit-dataset 2\n{not json\n\x00\x01")
+        self._sidecar(path).write_bytes(b"casokit-dataset 3\n{not json\n\x00\x01")
 
     def _corrupt_empty(self, path):
         self._sidecar(path).write_bytes(b"")
@@ -743,17 +773,22 @@ class TestDatasetSidecar:
         # a header nested past the recursion limit
         side = self._sidecar(path)
         payload = side.read_bytes().split(b"\n", 2)[2]
-        side.write_bytes(b"casokit-dataset 2\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        side.write_bytes(b"casokit-dataset 3\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n"
                          + payload)
 
     def _corrupt_version1(self, path):
         # a version 1 sidecar may hold a label that float() rounded
         side = self._sidecar(path)
-        side.write_bytes(side.read_bytes().replace(b"dataset 2\n", b"dataset 1\n", 1))
+        side.write_bytes(side.read_bytes().replace(b"dataset 3\n", b"dataset 1\n", 1))
+
+    def _corrupt_version2(self, path):
+        # a version 2 sidecar is checked by the CSV's SHA-256 alone
+        side = self._sidecar(path)
+        side.write_bytes(side.read_bytes().replace(b"dataset 3\n", b"dataset 2\n", 1))
 
     @pytest.mark.parametrize(
         "case", ["truncated", "flipped", "foreign", "weights", "garbage", "empty", "deep",
-                 "version1"])
+                 "version1", "version2"])
     def test_bad_sidecar_is_ignored_and_rewritten(self, tmp_path, case, parses):
         path, data = self._saved(tmp_path)
         dataset_load(path)
@@ -822,6 +857,219 @@ class TestDatasetSidecar:
         assert sorted(p.name for p in clean.iterdir()) == ["data.csv"]
         after = self._sidecar(path).read_bytes() if self._sidecar(path).exists() else None
         assert after == before
+
+
+def _tick_past(path):
+    """Return once a file written now gets an mtime later than path's last
+    change, so that a sidecar written next is not racy."""
+    st = path.stat()
+    probe = path.with_name(path.name + ".tick")
+    while True:
+        probe.write_bytes(b"")
+        if probe.stat().st_mtime_ns > max(st.st_mtime_ns, st.st_ctime_ns):
+            break
+        time.sleep(0.001)
+    probe.unlink()
+
+
+def _save_source(kind, directory, seed, name=None):
+    """A small model JSON or dataset CSV from seed, returned once a
+    timestamp tick has passed since it was written."""
+    path = directory / (name or ("model.json" if kind == "model" else "data.csv"))
+    if kind == "model":
+        model_save(_net(seed), path)
+    else:
+        rng = np.random.default_rng(seed)
+        dataset_save_csv(Dataset(rng.standard_normal((7, 5)), rng.integers(0, 3, 7)), path)
+    _tick_past(path)
+    return path
+
+
+_LOADERS = {"model": (model_load, ".weights", "_json_model"),
+            "dataset": (dataset_load, ".dataset", "_csv_dataset")}
+
+
+def _parsed(kind, path):
+    """The loader's parse of path's bytes, past every sidecar."""
+    return getattr(saliency_io, _LOADERS[kind][2])(path.read_bytes(), path)[0]
+
+
+@contextlib.contextmanager
+def _source_reads():
+    """The paths saliency_io._read_bytes reads inside the block; sidecars
+    are read apart from it."""
+    seen = []
+    real = saliency_io._read_bytes
+
+    def spy(path):
+        seen.append(str(path))
+        return real(path)
+
+    saliency_io._read_bytes = spy
+    try:
+        yield seen
+    finally:
+        saliency_io._read_bytes = real
+
+
+def _outcome(kind, load, path):
+    """What load(path) gives: the result's bytes, or its error."""
+    try:
+        got = load(path)
+    except ValueError as e:  # FormatError, or NonFiniteError from Dataset
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "offset", None)
+    if kind == "model":
+        return got.spec, tuple(a.tobytes() for a in got.weights + got.biases)
+    return got.X.shape, got.X.tobytes(), got.labels.tobytes()
+
+
+class TestSidecarTrust:
+    """When a load trusts a sidecar by its source's stat key alone, and that
+    every other case reads the source and returns what its parse returns."""
+
+    @pytest.fixture
+    def source_reads(self):
+        with _source_reads() as seen:
+            yield seen
+
+    @staticmethod
+    def _rekey_in_same_tick(path, side):
+        """Make side look written in the tick in which path last changed,
+        for path's current stat: what a same-size rewrite of path within
+        the tick of the sidecar's write leaves behind. A header that no
+        longer parses is left alone."""
+        try:
+            tag, head, payload = side.read_bytes().split(b"\n", 2)
+            head = json.loads(head)
+            head["source_stat"] = _stat_key(path.stat())
+        except (ValueError, TypeError):
+            return
+        side.write_bytes(tag + b"\n" + json.dumps(head).encode() + b"\n" + payload)
+        changed = path.stat().st_ctime_ns
+        os.utime(side, ns=(changed, changed))
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kind=st.sampled_from(sorted(_LOADERS)),
+        seed=st.integers(0, 2**16),
+        cold_load=st.booleans(),
+        edit=st.sampled_from(["none", "same_tick", "mtime_restored", "copied"]),
+        damage=st.sampled_from(["none", "truncated", "flipped", "foreign"]),
+        where=st.floats(0, 1, exclude_max=True),
+        byte=st.one_of(st.sampled_from(b"0123456789"), st.integers(0, 255)),
+    )
+    def test_every_load_returns_what_the_parse_returns(
+            self, tmp_path_factory, kind, seed, cold_load, edit, damage, where, byte):
+        load, suffix, _ = _LOADERS[kind]
+        directory = tmp_path_factory.mktemp("trust")
+        path = _save_source(kind, directory, seed)
+        side = path.with_name(path.name + suffix)
+        if cold_load:
+            load(path)
+        if damage == "foreign":
+            other = _save_source(kind, directory, seed + 1, name="other" + path.suffix)
+            load(other)
+            side.write_bytes(other.with_name(other.name + suffix).read_bytes())
+        elif damage != "none" and side.exists():
+            data = bytearray(side.read_bytes())
+            at = int(where * len(data))
+            if damage == "truncated":
+                del data[at:]
+            else:
+                data[at] ^= 1 << (byte % 8)
+            side.write_bytes(bytes(data))
+        if edit in ("same_tick", "mtime_restored"):
+            before = path.stat()
+            data = bytearray(path.read_bytes())
+            data[int(where * len(data))] = byte  # the same size
+            path.write_bytes(bytes(data))
+            if edit == "mtime_restored":
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            elif side.exists():
+                self._rekey_in_same_tick(path, side)
+        elif edit == "copied":
+            copy = directory / "copy.tmp"
+            shutil.copy2(path, copy)
+            os.replace(copy, path)  # the same bytes under a new inode
+            _tick_past(path)
+        expected = _outcome(kind, lambda p: _parsed(kind, p), path)
+        assert _outcome(kind, load, path) == expected
+        with _source_reads() as reads:
+            assert _outcome(kind, load, path) == expected  # from the sidecar just written
+        if edit == "copied" and not isinstance(expected[0], type):
+            # hashed, then re-keyed or written a tick after the copy's change
+            assert reads == []
+
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    def test_warm_load_reads_no_source_byte(self, tmp_path, kind, source_reads):
+        load, _, _ = _LOADERS[kind]
+        path = _save_source(kind, tmp_path, 3)
+        cold = _outcome(kind, load, path)
+        assert source_reads == [str(path)]
+        source_reads.clear()
+        assert _outcome(kind, load, path) == cold
+        assert source_reads == []
+
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    def test_racy_rule_catches_a_same_tick_rewrite(self, tmp_path, kind, source_reads):
+        load, suffix, _ = _LOADERS[kind]
+        path = _save_source(kind, tmp_path, 3)
+        side = path.with_name(path.name + suffix)
+        load(path)
+        text = path.read_bytes()
+        digit = next(i for i, c in enumerate(text) if c in b"123456789")
+        path.write_bytes(text[:digit] + (b"1" if text[digit] != ord("1") else b"2")
+                         + text[digit + 1:])
+        edited = _outcome(kind, lambda p: _parsed(kind, p), path)
+        self._rekey_in_same_tick(path, side)
+        source_reads.clear()
+        assert _outcome(kind, load, path) == edited
+        assert source_reads == [str(path)]
+        # the same sidecar written a tick after the rewrite is trusted by
+        # its stat key alone: the racy rule is what read the source above
+        self._rekey_in_same_tick(path, side)
+        later = path.stat().st_ctime_ns + 1_000_000_000
+        os.utime(side, ns=(later, later))
+        source_reads.clear()
+        load(path)
+        assert source_reads == []
+
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    def test_copy_is_hashed_once_then_rekeyed(self, tmp_path, kind, source_reads):
+        load, suffix, _ = _LOADERS[kind]
+        path = _save_source(kind, tmp_path, 3)
+        side = path.with_name(path.name + suffix)
+        cold = _outcome(kind, load, path)
+        head = json.loads(side.read_bytes().split(b"\n", 2)[1])
+        shutil.copy2(path, tmp_path / "copy.tmp")
+        os.replace(tmp_path / "copy.tmp", path)
+        _tick_past(path)
+        source_reads.clear()
+        assert _outcome(kind, load, path) == cold
+        assert source_reads == [str(path)]
+        rekeyed = json.loads(side.read_bytes().split(b"\n", 2)[1])
+        assert rekeyed.pop("source_stat") == _stat_key(path.stat()) != head.pop("source_stat")
+        assert rekeyed == head
+        source_reads.clear()
+        assert _outcome(kind, load, path) == cold
+        assert source_reads == []
+
+    def test_warm_load_does_not_import_hashlib(self, tmp_path):
+        model = _save_source("model", tmp_path, 3)
+        data = _save_source("dataset", tmp_path, 3)
+        model_load(model)
+        dataset_load(data)
+        script = ("import sys\n"
+                  "from casokit import saliency_io\n"
+                  "saliency_io.model_load(sys.argv[1])\n"
+                  "saliency_io.dataset_load(sys.argv[2])\n"
+                  "print('hashlib' in sys.modules, '_hashlib' in sys.modules)\n")
+        src = str(Path(saliency_io.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script, str(model), str(data)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "False False\n"
 
 
 class TestRawTensors:
