@@ -173,8 +173,7 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     (2 lam2 I - H)^{-1} g; both are normalized to unit L2, and the gap is
     the norm of their difference (in [0, 2]). Samples with an exactly zero
     gradient carry no direction to compare and are skipped with a log
-    entry. A net whose negative curvature dominates raises the
-    CurvatureError of curvature_models.
+    entry; when every sample is skipped, a ValueError says so.
     """
     count = min(int(n_samples), dataset.n)
     requests = [MethodRequest("caso", dataset.sample(i), c1=c1) for i in range(count)]
@@ -188,7 +187,7 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
                 log.info("sample %d has zero gradient; skipped", i)
                 continue
             d_caso = exact_solve(g, 0.0, model.lam2, model.factor, model.middle,
-                                 model.inverse).delta
+                                 model.inverse, model.curvature_floor).delta
             d_cafo = closed_form_cafo(g, lam2_cafo)
             u = d_caso / np.linalg.norm(d_caso)
             v = d_cafo / np.linalg.norm(d_cafo)
@@ -197,6 +196,10 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
                          gap=float(np.linalg.norm(u - v)))
             )
         start += len(chunk)
+    if count and not rows:
+        raise ValueError(f"none of the {count} samples has a nonzero input gradient (the loss "
+                         "is flat in the input there, as when the relu units are off), so no "
+                         "map has a direction to compare")
     return rows
 
 
@@ -330,14 +333,15 @@ def l1_path_supports(g, H, lam2, grid):
 
     The dense H (the oracle's setting) is H = F C F^T with F = I and C = H,
     so each lam1 takes exact_solve against one Woodbury base (2 lam2 I -
-    H)^{-1}. Returns a list of index tuples.
+    H)^{-1} and H's bottom eigenvalue. Returns a list of index tuples.
     """
     g = np.asarray(g, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     eye = np.eye(g.shape[0])
     base = np.linalg.inv(2.0 * lam2 * eye - H)
-    return [tuple(np.flatnonzero(exact_solve(g, float(lam1), lam2, eye, H, base).delta != 0.0))
-            for lam1 in grid]
+    floor = float(np.linalg.eigvalsh(H)[0])
+    return [tuple(np.flatnonzero(exact_solve(g, float(lam1), lam2, eye, H, base, floor).delta
+                                 != 0.0)) for lam1 in grid]
 
 
 def _rankdata(v):

@@ -13,10 +13,6 @@ class BudgetError(ValueError):
     """An enumeration exceeded its configured budget."""
 
 
-class CurvatureError(ValueError):
-    """A local curvature model breaks a condition the exact solver relies on."""
-
-
 class FormatError(ValueError):
     """Malformed model or dataset file.
 

@@ -231,28 +231,22 @@ def rel_error(B, approx):
     """Frobenius error ||H - ghat||_F / ||H||_F of the rank-one surrogate
     ghat = approx of H = B B^T, from the (d, r) factor B alone.
 
-    Both live in the span of B's columns plus the gradient direction, so
-    the difference is measured in an orthonormal basis of that span, as a
-    k x k matrix for k = min(r + 1, d): smaller than H only when r + 1 < d.
+    Both live in the span of B's columns plus the gradient direction. When
+    that takes fewer than d vectors (r + 1 < d), the difference is measured
+    in an orthonormal basis of the span, as an (r + 1) x (r + 1) matrix;
+    otherwise the span may be all of R^d and H is compared directly.
     Raises when ||H||_F = 0.
     """
     g = approx.gradient
     if g.shape[0] != B.shape[0]:
         raise DimensionError("gradient length does not match the Hessian")
     gn = float(np.linalg.norm(g))
-    if gn > 0.0:
-        M = np.concatenate([B, (g / gn)[:, None]], axis=1)
-    else:
-        M = B
-    Q, _ = np.linalg.qr(M)
-    P = Q.T @ B
-    H_small = P @ P.T
-    h_norm = float(np.linalg.norm(H_small))
+    u = (g / gn)[:, None] if gn > 0.0 else np.zeros((g.shape[0], 0))
+    if B.shape[1] + u.shape[1] < B.shape[0]:
+        Q, _ = np.linalg.qr(np.concatenate([B, u], axis=1))
+        B, u = Q.T @ B, Q.T @ u
+    H = B @ B.T
+    h_norm = float(np.linalg.norm(H))
     if h_norm == 0.0:
         raise ValueError("Hessian has zero Frobenius norm")
-    if gn > 0.0:
-        u = Q.T @ (g / gn)
-        diff = H_small - approx.eigenvalue * np.outer(u, u)
-    else:
-        diff = H_small
-    return float(np.linalg.norm(diff)) / h_norm
+    return float(np.linalg.norm(H - approx.eigenvalue * (u @ u.T))) / h_norm

@@ -28,7 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from ._record import Record
-from .errors import CurvatureError, DimensionError
+from .errors import DimensionError
 from .hessian import factor_gram, softmax_factor
 from .netcore import Sample, _loss_cotangent, backprop_batch, forward_batch
 from .solver import DEFAULT_C1, SolveResult, curvature_product, exact_solve, select_lambda2
@@ -136,7 +136,7 @@ def _finish(method, net, samples, models, lam1s, solves, channels):
 
 
 class CurvatureModel(Record):
-    """Local model (g, F, C, lam2, base) of the loss around one sample,
+    """Local model (g, F, C, lam2, base, floor) of the loss around one sample,
     built once and solved against for any lam1.
 
     probs and loss come from the forward pass at the sample itself.
@@ -148,9 +148,11 @@ class CurvatureModel(Record):
     W_0^T and C the (h0, h0) middle M: positive semidefinite for relu
     models with h0 < min(n c, d), of either sign once sigmoid layers add
     their terms. A first-order model has F None (H = 0). curvature_bound
-    is the exact lambda_max of H, clamped at 0, lam2 = curvature_bound/2 + c1, and
-    inverse the Woodbury base (2 lam2 I - F^T F C)^{-1} of exact_solve,
-    None for H = 0 or F wider than d.
+    is the exact lambda_max of H, clamped at 0, curvature_floor its exact
+    lambda_min, clamped at 0 from above (0 whenever H is positive
+    semidefinite), lam2 = curvature_bound/2 + c1, and inverse the Woodbury
+    base (2 lam2 I - F^T F C)^{-1} of exact_solve, None for H = 0 or F
+    wider than d.
     """
 
     probs: np.ndarray
@@ -159,6 +161,7 @@ class CurvatureModel(Record):
     factor: np.ndarray | None
     middle: np.ndarray | None
     curvature_bound: float
+    curvature_floor: float
     lam2: float
     inverse: np.ndarray | None
 
@@ -171,18 +174,6 @@ def _factor_width(net):
     """Curvature factor columns per expansion point: c softmax columns and
     one per sigmoid unit."""
     return net.num_classes + sum(l.out_dim for l in net.spec.layers if l.activation == "sigmoid")
-
-
-def _check_contraction(bottom, top, c1):
-    """CurvatureError unless lambda_min(H) = bottom > -2 lam2, the bound under
-    which exact_solve's residual steps on a C = M model contract."""
-    lam2 = select_lambda2(top, c1)
-    if bottom <= -2.0 * lam2:
-        raise CurvatureError(
-            f"lambda_min(H) = {bottom:.6g} is not above -2 lam2 = {-2.0 * lam2:.6g}: the "
-            f"exact solver needs |lambda_min(H)| < 2 lam2, which c1 > {-(bottom + top) / 2.0:.6g} "
-            f"restores (c1 = {c1:g})"
-        )
 
 
 def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1):
@@ -214,11 +205,10 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     diag(w_l / n) E_l over those of unit seeds at each deeper sigmoid
     layer l (a block of at most d factor columns, _factor_width(net) per
     point, at a time), and diag(sum_i w_0 / n) for a sigmoid first layer.
-    lambda_max is the top eigenvalue of R M R^T for R^T R = W_0 W_0^T
-    (Network.input_r), and its bottom eigenvalue must lie above -2 lam2, or
-    a CurvatureError is raised. Each model's Woodbury base overwrites the Gram
-    matrix F^T F C already formed, B^T B or Network.input_gram @ M, with
-    2 lam2 I - F^T F C and inverts it.
+    lambda_max and lambda_min are the top and bottom eigenvalues of R M R^T
+    for R^T R = W_0 W_0^T (Network.input_r). Each model's Woodbury base
+    overwrites the Gram matrix F^T F C already formed, B^T B or
+    Network.input_gram @ M, with 2 lam2 I - F^T F C and inverts it.
     """
     k = len(samples)
     y = np.array([s.y for s in samples])
@@ -235,7 +225,7 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
                         cotangents=True)
     G = dz[0].reshape(k, m, -1).mean(axis=1) @ W0
 
-    def model(i, bound=0.0, F=None, C=None, base=None):
+    def model(i, bound=0.0, F=None, C=None, base=None, floor=0.0):
         lam2 = select_lambda2(bound, c1)
         if base is not None:  # in place: base is 2 lam2 I - F^T F C, then inverted
             base *= -1.0
@@ -243,7 +233,8 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
             base = np.linalg.inv(base)
         return CurvatureModel(probs=clean.probs[i], loss=float(clean.losses[i]),
                               gradient=np.ascontiguousarray(G[i]), factor=F, middle=C,
-                              curvature_bound=bound, lam2=lam2, inverse=base)
+                              curvature_bound=bound, curvature_floor=floor, lam2=lam2,
+                              inverse=base)
 
     if not second_order:
         return [model(i) for i in range(k)]
@@ -284,9 +275,7 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
         if sigmoid and sigmoid[0] == 0:
             M[np.diag_indices_from(M)] += weights[0][i * m:(i + 1) * m].sum(axis=0)
         w = np.linalg.eigvalsh(R @ M @ R.T)
-        top = max(float(w[-1]), 0.0)
-        _check_contraction(float(w[0]), top, c1)
-        return model(i, top, F, M, net.input_gram @ M)
+        return model(i, max(float(w[-1]), 0.0), F, M, net.input_gram @ M, min(float(w[0]), 0.0))
 
     return [first_layer_model(i) for i in range(k)]
 
@@ -329,7 +318,8 @@ def _sparse_model(method, sample, net, seed=0, **model_kwargs):
 def _solve_models(method, net, samples, models, lam1s, channels=1):
     """Maximize the surrogates of a list of CurvatureModels, one lam1 per
     row, each exactly by exact_solve; rows may repeat a model."""
-    solves = [exact_solve(m.gradient, lam1, m.lam2, m.factor, m.middle, m.inverse)
+    solves = [exact_solve(m.gradient, lam1, m.lam2, m.factor, m.middle, m.inverse,
+                          m.curvature_floor)
               for m, lam1 in zip(models, lam1s, strict=True)]
     return _finish(method, net, samples, models, lam1s, solves, channels)
 

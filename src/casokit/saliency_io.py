@@ -487,8 +487,13 @@ def _read_raw(path, header, dtype, what):
 
 
 def read_f32_tensor(path):
-    """Raw tensor: u32 count, u32 dim, then count x dim little-endian f32."""
-    return _read_raw(path, _TENSOR_HEADER, "<f4", "tensor").astype(np.float64)
+    """Raw tensor: u32 count, u32 dim, then count x dim finite little-endian f32."""
+    X = _read_raw(path, _TENSOR_HEADER, "<f4", "tensor")
+    bad = np.flatnonzero(~np.isfinite(X))
+    if bad.size:
+        raise FormatError(f"tensor value {X.flat[bad[0]]} is not finite", path=path,
+                          offset=_TENSOR_HEADER.size + 4 * int(bad[0]))
+    return X.astype(np.float64)
 
 
 def write_f64_tensor(path, X):
@@ -515,10 +520,8 @@ def dataset_load_raw(data_path, labels_path):
     X = read_f32_tensor(data_path)
     labels = read_labels(labels_path)
     if labels.shape[0] != X.shape[0]:
-        raise FormatError(
-            f"{labels.shape[0]} labels for {X.shape[0]} samples",
-            path=labels_path,
-        )
+        raise FormatError(f"{labels.shape[0]} labels for {X.shape[0]} samples",
+                          path=labels_path, offset=0)
     return Dataset(X, labels)
 
 

@@ -9,9 +9,10 @@ guarantees strong concavity with margin 2 c1. Its maximizer is the fixed
 point D = soft(g + H D, lam1) / (2 lam2). exact_solve finds it to rounding
 and certifies it by its KKT residual: in closed form for H = 0 (CAFO), and
 for H = F C F^T of rank r by active_set_solve, semismooth Newton steps in
-z = F^T D (Li, Sun & Toh 2018), damped where a Newton point does not
-settle. FISTA (fista_solve), the proximal-gradient reference that no CLI
-path runs, takes any hvp: it minimizes f + h with f(D) = -(g^T D + 1/2 D^T H D - lam2 ||D||^2),
+z = F^T D (Li, Sun & Toh 2018) with one globalization for every C, a
+line search on the forward-backward envelope. FISTA (fista_solve), the
+proximal-gradient reference that no CLI path runs, takes any hvp: it
+minimizes f + h with f(D) = -(g^T D + 1/2 D^T H D - lam2 ||D||^2),
 convex whenever lam2 > lambda_max(H)/2, and h = lam1 ||.||_1. At lam1 = 0,
 
     D*_caso = (2 lam2 I - H)^{-1} g,        D*_cafo = g / (2 lam2).
@@ -266,90 +267,99 @@ def _newton(way, F, C, inverse, two, S, u):
     return y - P @ np.linalg.solve(np.eye(Fc.shape[0]) + Vc @ P, Vc @ y)
 
 
-def _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new):
-    """The iterate (z, q = g + F C z) after z when the Newton point z_new
-    does not settle. C = I: backtrack along z_new - z (t <- t/2, Armijo
-    1e-4) on the concave dual Phi(z) = ||soft(q, lam1)||^2/(4 lam2) -
-    ||z||^2/2, whose gradient is F^T soft(q, lam1)/(2 lam2) - z and whose
-    Newton step is the active-set step. Other C: take z_new if it at least
-    halves ||D - T(D)||_inf, D = soft(q, lam1)/(2 lam2) and T(D) = soft(g +
-    H D, lam1)/(2 lam2), else z <- F^T T(D), a proximal-gradient step,
-    which contracts while |lambda_min(H)| < 2 lam2. The residual rule
-    would run on C = I too, but there it leaves some rows cycling until
-    ACTIVE_SET_MAX_STEPS that the dual rule settles in a few steps
-    (tests/test_exact_solver.py keeps six), so both rules stay."""
-    two = 2.0 * lam2
-    if C is None:
-        def phi(z, soft):
-            return (soft @ soft) / (2.0 * two) - 0.5 * (z @ z)
-
-        # soft() inline, without prox_soft_threshold's argument checks: most
-        # relu CASO rows pass through here once
-        soft = q - np.clip(q, -lam1, lam1)
-        p = z_new - z
-        floor, slope = phi(z, soft), (F.T @ soft / two - z) @ p
-        t = 1.0
-        # ends at t = 0 at the latest, where z_new = z
-        while phi(z_new, q_new - np.clip(q_new, -lam1, lam1)) < floor + 1e-4 * t * slope:
-            t /= 2.0
-            z_new = z + t * p
-            q_new = g + F @ z_new
-        return z_new, q_new
-
-    def residual(q):
-        D = prox_soft_threshold(q, lam1) / two
-        TD = prox_soft_threshold(g + F @ (C @ (F.T @ D)), lam1) / two
-        return float(np.abs(D - TD).max()), TD
-
-    now, TD = residual(q)
-    if residual(q_new)[0] <= now / 2.0:
-        return z_new, q_new
-    z = F.T @ TD
-    return z, g + F @ (C @ z)
+def _envelope(g, lam1, lam2, gamma, D, hd):
+    """phi_gamma(D) and T_gamma(D), given hd = H D (see active_set_solve)."""
+    q = g + hd
+    T = (1.0 / gamma - 2.0 * lam2) * D + q  # (D - gamma grad f(D)) / gamma
+    T = gamma * (T - np.clip(T, -lam1, lam1))
+    R = D - T
+    phi = (lam2 * (D @ D) - g @ D - 0.5 * (D @ hd) + q @ R - 2.0 * lam2 * (D @ R)
+           + (R @ R) / (2.0 * gamma))
+    return float(phi) + lam1 * float(np.abs(T).sum()), T
 
 
-def active_set_solve(g, lam1, lam2, F, C=None, inverse=None):
-    """Maximize one surrogate with H = F C F^T by damped semismooth Newton.
+def _globalize(g, lam1, lam2, gamma, F, C, D, hd, N, hN):
+    """(T_gamma(w), H T_gamma(w)) for w = D + tau (N - D), tau the first of
+    1, 1/2, ..., 2^-29 with phi_gamma(w) <= phi_gamma(D), else 0; hN = H N."""
+    phi, T = _envelope(g, lam1, lam2, gamma, D, hd)
+    for tau in 0.5 ** np.arange(30.0):
+        val, Tw = _envelope(g, lam1, lam2, gamma, D + tau * (N - D), hd + tau * (hN - hd))
+        if val <= phi:
+            T = Tw
+            break
+    return T, curvature_product(F, C, T)
 
-    F is (d, r), C (r, r) or None for I, and inverse, if given, (2 lam2 I
-    - F^T F C)^{-1}. On the active set S = {|g + F C z| > lam1} with signs
-    s the fixed point is linear in z = F^T D: (2 lam2 I - F_S^T F_S C) z =
-    F_S^T (g_S - lam1 s). From z = 0, the CAFO point, each step solves the
-    smallest of this r x r system, (2 lam2 I - H_SS) D_S = g_S - lam1 s
-    and its |S^c|-sized Woodbury update. A Newton point whose own S and s
-    repeat is the maximizer; any other takes _globalize, until
-    ACTIVE_SET_MAX_STEPS steps. Returns D = soft(g + F C z, lam1)/(2 lam2)
-    of the last iterate, the steps, and whether S and s settled.
+
+def active_set_solve(g, lam1, lam2, F, C=None, inverse=None, floor=0.0):
+    """Maximize one surrogate with H = F C F^T by semismooth Newton steps
+    globalized on the forward-backward envelope.
+
+    F is (d, r), C (r, r) or None for I, inverse, if given, (2 lam2 I -
+    F^T F C)^{-1}, and floor <= lambda_min(H) (0 serves a positive
+    semidefinite H). In minimizing form the objective is f + lam1 ||.||_1,
+    f(D) = lam2 ||D||^2 - g^T D - 1/2 D^T H D, whose gradient is L-Lipschitz
+    for L = 2 lam2 - min(floor, 0); T_gamma(D) = soft(D - gamma grad f(D),
+    gamma lam1) is its forward-backward step, T_{1/(2 lam2)} the map of the
+    module docstring.
+
+    Newton point: for S, s the support and signs of T_gamma(D), and any
+    gamma, the semismooth Newton step on D - T_gamma(D) (Jacobian I - P_S
+    (I - gamma (2 lam2 I - H))) is the point N(S, s) with D = 0 off S and
+    (2 lam2 I - H_SS) D_S = g_S - lam1 s, or in z = F^T D, (2 lam2 I -
+    F_S^T F_S C) z = F_S^T (g_S - lam1 s); _newton solves the smallest of
+    the r x r, |S| and |S^c|-sized Woodbury forms. N(S, s) is the
+    maximizer exactly when T(N) keeps S and s, and then soft(g + H N,
+    lam1)/(2 lam2) is returned: a map's bits depend only on the (S, s) it
+    settles on.
+
+    Globalization, one rule for every C: with gamma = 0.95/L the envelope
+    phi_gamma(D) = f(D) + grad f(D)^T (T_gamma(D) - D) + ||T_gamma(D) -
+    D||^2/(2 gamma) + lam1 ||T_gamma(D)||_1 (Patrinos & Bemporad 2013) has
+    the maximizer as its one minimizer and falls by (1 - gamma L)/(2 gamma)
+    ||w - T_gamma(w)||^2 or more from w to T_gamma(w) (Stella, Themelis &
+    Patrinos 2017). An unsettled N gives the next iterate T_gamma(w), w on
+    the segment from D to N with phi_gamma(w) <= phi_gamma(D): the iterates
+    converge for any symmetric H, and N - D, a Newton direction of the same
+    residual, descends on phi_gamma. From D = 0, whose S and s are those of
+    |g| > lam1, this runs until N settles or for ACTIVE_SET_MAX_STEPS
+    steps. Returns the map or the last iterate, the steps, and whether S
+    and s settled.
     """
     d, r = F.shape
-    z, q = np.zeros(r), g  # q = g + F C z
-    sign = np.sign(g) * (np.abs(g) > lam1)
+    two = 2.0 * lam2
+    gamma = 0.95 / (two - min(floor, 0.0))
+    D = hd = np.zeros(d)
+    u = g  # T_gamma(D) = gamma soft(u, lam1)
     for steps in range(1, ACTIVE_SET_MAX_STEPS + 1):
+        sign = np.sign(u) * (np.abs(u) > lam1)
         S = sign != 0.0
         a = int(S.sum())  # sizes r, |S| and |S^c|; without inverse, never |S^c|
         b = d - a if inverse is not None else d + r
         way = 0 if r <= min(a, b) else 1 if a <= b else 2
-        z_new = _newton(way, F, C, inverse, 2.0 * lam2, S, np.where(S, g, 0.0) - lam1 * sign)
-        q_new = g + F @ (z_new if C is None else C @ z_new)
+        z_new = _newton(way, F, C, inverse, two, S, np.where(S, g, 0.0) - lam1 * sign)
+        hN = F @ (z_new if C is None else C @ z_new)
+        q_new = g + hN
         if (np.sign(q_new) * (np.abs(q_new) > lam1) == sign).all():
-            return prox_soft_threshold(q_new, lam1) / (2.0 * lam2), steps, True
-        z, q = _globalize(g, lam1, lam2, F, C, z, q, z_new, q_new)
-        sign = np.sign(q) * (np.abs(q) > lam1)
-    return prox_soft_threshold(q, lam1) / (2.0 * lam2), ACTIVE_SET_MAX_STEPS, False
+            return prox_soft_threshold(q_new, lam1) / two, steps, True
+        N = np.where(S, q_new - lam1 * sign, 0.0) / two
+        D, hd = _globalize(g, lam1, lam2, gamma, F, C, D, hd, N, hN)
+        u = (1.0 / gamma - two) * D + g + hd
+    return D, ACTIVE_SET_MAX_STEPS, False
 
 
-def exact_solve(g, lam1, lam2, F=None, C=None, inverse=None):
+def exact_solve(g, lam1, lam2, F=None, C=None, inverse=None, floor=0.0):
     """Maximize the surrogate of gradient g and H = F C F^T exactly and
     certify it: in closed form when F is None (H = 0), else by
-    active_set_solve, given the Woodbury base inverse. kkt_residual comes
-    from a fresh H D: rounding, unless the solve reached
-    ACTIVE_SET_MAX_STEPS, and then it says the map is uncertified."""
+    active_set_solve, given the Woodbury base inverse and floor <=
+    lambda_min(H). kkt_residual comes from a fresh H D: rounding, unless
+    the solve reached ACTIVE_SET_MAX_STEPS, and then it says the map is
+    uncertified."""
     if not 0.0 <= lam1 < np.inf:
         raise ValueError("lam1 must be nonnegative and finite")
     if F is None:
         delta, steps = prox_soft_threshold(g, lam1) / (2.0 * lam2), 0
     else:
-        delta, steps, _ = active_set_solve(g, lam1, lam2, F, C, inverse)
+        delta, steps, _ = active_set_solve(g, lam1, lam2, F, C, inverse, floor)
     hd = curvature_product(F, C, delta)
     fixed = prox_soft_threshold(g + hd, lam1) / (2.0 * lam2)
     scale = max(float(np.abs(delta).max()), np.finfo(np.float64).tiny)

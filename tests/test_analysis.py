@@ -7,7 +7,6 @@ import pytest
 from conftest import bishop_hessian, mixed_net
 
 from casokit import analysis, interpret
-from casokit.errors import CurvatureError
 from casokit import (
     DEFAULT_LAMBDA1_GRID,
     BudgetError,
@@ -231,18 +230,23 @@ class TestConfidenceGapStudy:
             assert abs(row.gap - np.linalg.norm(u - v)) <= 1e-10
             assert row.p_max == pytest.approx(p.max(), rel=1e-13)
 
-    def test_dominant_negative_curvature_is_refused(self):
+    def test_dominant_negative_curvature_is_solved(self):
         # the one-unit sigmoid net of test_curvature_model, H = -5.03 e_1 e_1^T:
-        # gap-study fails as caso does below c1 = 2.5126 and runs above it
+        # at c1 = 1, |lambda_min(H)| exceeds 2 lam2 = 2, and the gap is still
+        # the dense one
         net = Network(
             spec=NetworkSpec((LayerSpec(2, 1, "sigmoid"), LayerSpec(1, 2, "identity"))),
             weights=(np.array([[3.0, 0.0]]), np.array([[3.0], [-3.0]])),
             biases=(np.zeros(1), np.zeros(2)),
         )
-        data = Dataset(X=np.array([[0.5, 0.0]]), labels=np.array([1]))
-        with pytest.raises(CurvatureError, match=r"c1 > 2\.5126"):
-            confidence_gap_study(net, data, 1, c1=1.0)
-        assert len(confidence_gap_study(net, data, 1, c1=2.52)) == 1
+        x = np.array([0.5, 0.0])
+        data = Dataset(X=x[None, :], labels=np.array([1]))
+        H, g = bishop_hessian(net, x, 1), input_gradient(net, x, 1)
+        for c1 in (1.0, 2.52):
+            (row,) = confidence_gap_study(net, data, 1, c1=c1)
+            d_caso = np.linalg.solve(2.0 * c1 * np.eye(2) - H, g)
+            u, v = d_caso / np.linalg.norm(d_caso), g / np.linalg.norm(g)
+            assert abs(row.gap - np.linalg.norm(u - v)) <= 1e-12
 
     def test_high_confidence_gap_small(self):
         rng = np.random.default_rng(40)

@@ -26,7 +26,6 @@ from casokit import (
     write_f64_tensor,
     write_pgm,
 )
-from casokit.errors import CurvatureError
 from conftest import read_f64_tensor, read_pgm, write_raw_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -427,7 +426,7 @@ class TestStreamedWrites:
         def second_chunk_fails(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
-                raise CurvatureError("chunk 2 failed")
+                raise ValueError("chunk 2 failed")
             return models(*args, **kwargs)
 
         monkeypatch.setattr(interpret, "_sparse_models", second_chunk_fails)
@@ -823,6 +822,25 @@ class TestStudies:
                     "--out", str(out)])
         assert code == 1
         assert "need at least two observations" in capsys.readouterr().err
+        assert not (out / "gap.csv").exists()
+
+    def test_gap_study_names_a_dead_net(self, tmp_path, capsys):
+        # biases of -100 switch every hidden relu unit off at every sample,
+        # so no input gradient is nonzero
+        spec = casokit.NetworkSpec((casokit.LayerSpec(4, 3, "relu"),
+                                    casokit.LayerSpec(3, 2, "identity")))
+        rng = np.random.default_rng(8)
+        net = casokit.Network(spec, (rng.standard_normal((3, 4)), rng.standard_normal((2, 3))),
+                              (np.full(3, -100.0), np.array([0.5, -0.5])))
+        casokit.model_save(net, str(tmp_path / "model.json"))
+        casokit.dataset_save_csv(Dataset(rng.standard_normal((5, 4)), np.array([0, 1, 0, 1, 1])),
+                                 str(tmp_path / "data.csv"))
+        out = tmp_path / "gap"
+        code = run(["gap-study", "--model", str(tmp_path / "model.json"),
+                    "--data", str(tmp_path / "data.csv"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: none of the 5 samples has a nonzero input gradient" in err
         assert not (out / "gap.csv").exists()
 
     def test_alignment(self, tmp_path, capsys):

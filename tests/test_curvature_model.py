@@ -50,7 +50,6 @@ from casokit import (
 from casokit import cli, interpret, solver
 from casokit import hessian as hs
 from casokit import netcore as nc
-from casokit.errors import CurvatureError
 from casokit.solver import DEFAULT_C1
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -297,24 +296,32 @@ class TestExactLambda2:
             assert np.linalg.norm(hv - fd) <= 1e-8 * np.linalg.norm(hv)
 
 
-    def test_dominant_negative_curvature_is_refused(self):
+    def test_dominant_negative_curvature_is_solved(self, relu_net):
         # one steep sigmoid unit on the rising side of its kink: sigma''
-        # makes H = -5.03 e_1 e_1^T, with no positive eigenvalue to lift lam2
+        # makes H = -5.03 e_1 e_1^T, with no positive eigenvalue to lift lam2.
+        # Below c1 = 2.5126, |lambda_min(H)| exceeds 2 lam2; the envelope's
+        # step size takes lambda_min from the model, and every map is certified
         spec = NetworkSpec((LayerSpec(2, 1, "sigmoid"), LayerSpec(1, 2, "identity")))
         net = nc.Network(spec, (np.array([[3.0, 0.0]]), np.array([[3.0], [-3.0]])),
                          (np.zeros(1), np.zeros(2)))
         s = Sample(x=np.array([0.5, 0.0]), y=1)
-        model = curvature_models(net, [s], c1=DEFAULT_C1)[0]
-        bottom = float(np.linalg.eigvalsh(model.factor @ model.middle @ model.factor.T)[0])
-        assert bottom == pytest.approx(-5.0252, abs=1e-4)
-        assert model.curvature_bound == 0.0
-        with pytest.raises(CurvatureError, match=r"lambda_min\(H\) = -5\.025.* -2 lam2 = -2\b"):
-            curvature_models(net, [s], c1=1.0)
-        with pytest.raises(CurvatureError, match=r"c1 > 2\.5126"):
-            caso(s, net, 1e-3, c1=1.0)
-        assert curvature_models(net, [s], c1=2.52)[0].lam2 == 2.52
-        with pytest.raises(CurvatureError):
-            curvature_models(net, [s], c1=2.51)
+        for c1 in (1.0, 2.51, DEFAULT_C1):
+            model = curvature_models(net, [s], c1=c1)[0]
+            H = model.factor @ model.middle @ model.factor.T
+            bottom = float(np.linalg.eigvalsh(H)[0])
+            assert bottom == pytest.approx(-5.0252, abs=1e-4)
+            assert model.curvature_floor == pytest.approx(bottom, rel=1e-12)
+            assert (model.curvature_bound, model.lam2) == (0.0, c1)
+            for lam1 in (0.0, 1e-3, 0.05):
+                res = caso(s, net, lam1, c1=c1)
+                assert res.solve.kkt_residual <= 1e-12
+                assert res.delta.any()
+                fixed = solver.prox_soft_threshold(model.gradient + H @ res.delta, lam1)
+                fixed /= 2.0 * c1
+                assert np.abs(res.delta - fixed).max() <= 1e-12 * np.abs(res.delta).max()
+        # the factor form of a relu model is positive semidefinite: floor 0
+        relu = curvature_models(relu_net, [Sample(x=np.zeros(relu_net.input_dim), y=0)])[0]
+        assert relu.middle is None and relu.curvature_floor == 0.0
 
 
 class TestClosedFormCurvature:

@@ -1,6 +1,8 @@
 """Exact sparse solves: CAFO in closed form, CASO by active-set Newton
-steps on H = F C F^T, damped where a Newton point does not settle."""
+steps on H = F C F^T, globalized on the forward-backward envelope where a
+Newton point does not settle."""
 
+import itertools
 import json
 
 import numpy as np
@@ -167,12 +169,14 @@ def test_every_system_reaches_the_maximizer(monkeypatch):
             M = rng.standard_normal((r, r)) / 2.0
             C = M + M.T
         H = F @ (np.eye(r) if C is None else C) @ F.T
-        lam2 = max(float(np.linalg.eigvalsh(H)[-1]), 0.0) / 2.0 + 1.0
+        w = np.linalg.eigvalsh(H)
+        lam2 = max(float(w[-1]), 0.0) / 2.0 + 1.0
         inverse = np.linalg.inv(2.0 * lam2 * np.eye(r) - F.T @ F @ (np.eye(r) if C is None else C))
         for lam1 in (0.0, 1e-2, 0.3, 1.0, 2.5):
             g = rng.standard_normal(d)
             for inv in (None, inverse):
-                D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inv)
+                D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inv,
+                                                            min(float(w[0]), 0.0))
                 assert settled and 1 <= steps <= 5
                 assert_maximizer(D, g, H, lam1, lam2)
     # the Woodbury system needs the base; the other two run with and without it
@@ -210,56 +214,52 @@ def test_empty_active_set_and_empty_woodbury_system(monkeypatch):
     assert_maximizer(D, g, H, 0.0, lam2)
 
 
-def damped_steps(monkeypatch):
-    """A list that records, for every Newton point that does not settle,
-    whether solver._globalize damped it (took another iterate)."""
+def globalized(monkeypatch):
+    """A list with one entry per Newton point that does not settle, each
+    handed to solver._globalize."""
     seen = []
     real = solver._globalize
-
-    def recorded(*args):
-        out = real(*args)
-        seen.append(out[0] is not args[7])  # args[7] is the Newton point
-        return out
-
-    monkeypatch.setattr(solver, "_globalize", recorded)
+    monkeypatch.setattr(solver, "_globalize", lambda *args: seen.append(1) or real(*args))
     return seen
 
 
 def plain_newton(monkeypatch):
     """Undamped semismooth Newton: every Newton point is the next iterate."""
-    monkeypatch.setattr(solver, "_globalize", lambda *args: args[7:])
+    monkeypatch.setattr(solver, "_globalize", lambda *args: args[8:])  # (N, H N)
 
 
-def test_a_cycling_row_settles_with_a_damped_step(monkeypatch):
+def test_a_cycling_row_settles_through_the_envelope(monkeypatch):
     # plain semismooth Newton alternates between two active sets here
     rng = np.random.default_rng(49)
     F = rng.standard_normal((38, 20)) * rng.uniform(0.5, 3.0)
     top = float(np.linalg.eigvalsh(F.T @ F)[-1])
     g, lam2 = rng.standard_normal(38), top / 2.0 + 10.0
-    damped = damped_steps(monkeypatch)
+    calls = globalized(monkeypatch)
     res = solver.exact_solve(g, 0.1, lam2, F)
     assert res.solver == "active-set" and res.steps < solver.ACTIVE_SET_MAX_STEPS
     assert res.kkt_residual <= 1e-12
-    assert any(damped)
+    assert calls
     plain_newton(monkeypatch)
     assert not solver.active_set_solve(g, 0.1, lam2, F)[2]
 
 
 def adversarial_rows(kind, count=200, seed=0):
-    """Rows (g, lam1, lam2, F, C, inverse) of H = F C F^T with d from 10 to
-    60 and max|lambda(H)|/(2 lam2) from 0.8 to 0.99: C = I for "psd",
-    a random symmetric C for "signed", and C = K K^T for "psd-middle", the
-    first-layer form of a wide relu model."""
+    """Rows (g, lam1, lam2, F, C, inverse, floor) of H = F C F^T with d
+    from 10 to 60 and max|lambda(H)|/(2 lam2) from 0.8 to 0.99: C = I for
+    "psd", a random symmetric C for "signed", and C = K K^T for
+    "psd-middle", the first-layer form of a wide relu model. floor is
+    lambda_min(H) of a signed H, else 0."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         d = int(rng.integers(10, 61))
         r = int(rng.integers(2, d + 1))
         F = rng.standard_normal((d, r)) * rng.uniform(0.5, 3.0)
-        C = None
+        C, floor = None, 0.0
         if kind == "signed":
             M = rng.standard_normal((r, r))
             C = (M + M.T) / 2.0
-            top = float(np.abs(np.linalg.eigvalsh(F @ C @ F.T)).max())
+            w = np.linalg.eigvalsh(F @ C @ F.T)
+            top, floor = float(np.abs(w).max()), min(float(w[0]), 0.0)
         elif kind == "psd-middle":
             K = rng.standard_normal((r, r))
             C = K @ K.T
@@ -270,7 +270,7 @@ def adversarial_rows(kind, count=200, seed=0):
         g = rng.standard_normal(d)
         lam1 = float(rng.uniform(0.0, 1.0) * np.abs(g).max())
         FtFC = F.T @ F if C is None else F.T @ F @ C
-        yield g, lam1, lam2, F, C, np.linalg.inv(2.0 * lam2 * np.eye(r) - FtFC)
+        yield g, lam1, lam2, F, C, np.linalg.inv(2.0 * lam2 * np.eye(r) - FtFC), floor
 
 
 @pytest.mark.parametrize("kind", ["psd", "signed", "psd-middle"])
@@ -281,16 +281,15 @@ def test_adversarial_rows_settle(monkeypatch, kind):
         plain_newton(m)
         plain = [solver.active_set_solve(*row) for row in rows]
     unsettled = 0
-    for (g, lam1, lam2, F, C, inverse), (plain_D, _, plain_settled) in zip(rows, plain):
-        D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inverse)
-        assert settled
+    for (g, lam1, lam2, F, C, inverse, floor), (plain_D, _, plain_settled) in zip(rows, plain):
+        D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inverse, floor)
+        assert settled and steps <= 10
         assert_maximizer(D, g, F @ (F.T if C is None else C @ F.T), lam1, lam2)
-        if plain_settled:
+        if plain_settled:  # the bits depend only on the active set settled on
             assert D.tobytes() == plain_D.tobytes()
         unsettled += not plain_settled
         if kind == "psd-middle":
-            # the residual route agrees with the dual backtracking of B = F K
-            assert steps <= 15
+            # C = K K^T agrees with C = I on the factor B = F K
             B = F @ np.linalg.cholesky(C)
             base = np.linalg.inv(2.0 * lam2 * np.eye(B.shape[1]) - B.T @ B)
             ref = solver.active_set_solve(g, lam1, lam2, B, None, base)[0]
@@ -300,15 +299,36 @@ def test_adversarial_rows_settle(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("seed", [5039, 7538, 9567, 19825, 20556, 21430])
-def test_psd_rows_need_the_dual_backtracking(seed):
-    # _globalize damps C = I rows on the dual, not by the residual rule of
-    # other C: an explicit C = I takes that rule, and these rows cycle
-    g, lam1, lam2, F, C, inverse = next(adversarial_rows("psd", 1, seed))
-    D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inverse)
+def test_psd_rows_settle_in_few_steps(seed):
+    # rows that cycle under residual halving; C = I given as None or as
+    # the identity takes the one rule and the same steps
+    g, lam1, lam2, F, C, inverse, floor = next(adversarial_rows("psd", 1, seed))
+    D, steps, settled = solver.active_set_solve(g, lam1, lam2, F, C, inverse, floor)
     assert settled and steps <= 7
     assert_maximizer(D, g, F @ F.T, lam1, lam2)
     eye = np.eye(F.shape[1])
-    assert not solver.active_set_solve(g, lam1, lam2, F, eye, inverse)[2]
+    same = solver.active_set_solve(g, lam1, lam2, F, eye, inverse, floor)
+    assert (same[0].tobytes(), same[1:]) == (D.tobytes(), (steps, True))
+
+
+@pytest.mark.parametrize("kind, seed, row", [("signed", 7, 596), ("signed", 5, 3685),
+                                             ("psd-middle", 0, 1752), ("psd-middle", 3, 3255),
+                                             ("psd-middle", 5, 2336)])
+def test_rows_that_ran_out_of_steps_settle(kind, seed, row):
+    # these rows reached ACTIVE_SET_MAX_STEPS, uncertified, under the
+    # residual-halving rule; signed row 596 ended 4.7% off with another
+    # support. Each now settles on the support of a converged FISTA solve
+    g, lam1, lam2, F, C, inverse, floor = next(
+        itertools.islice(adversarial_rows(kind, row + 1, seed), row, None))
+    res = solver.exact_solve(g, lam1, lam2, F, C, inverse, floor)
+    assert res.steps < 10 and res.kkt_residual <= 1e-12
+    H = F @ C @ F.T
+    obj = ObjectiveSpec(gradient=g, hvp=lambda v: H @ v, lam1=lam1, lam2=lam2,
+                        curvature_bound=max(float(np.linalg.eigvalsh(H)[-1]), 0.0))
+    ref = solver.fista_solve(obj, solver.SolverConfig(learning_rate=1.0 / (2.0 * lam2 - floor),
+                                                      iterations=5000)).delta
+    assert np.array_equal(res.delta == 0.0, ref == 0.0)
+    assert np.abs(res.delta - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_exact_solve_certifies_closed_form_cafo():

@@ -5,8 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -1137,6 +1139,100 @@ class TestRawTensors:
                           tmp_path / "short.labels")
         with pytest.raises(FormatError, match="labels for"):
             dataset_load_raw(tmp_path / "d.f32", tmp_path / "short.labels")
+
+
+@st.composite
+def _raw_file(draw, fields, items):
+    """Bytes of a raw file: fields u32 header fields (small, or any u32),
+    then the payload they imply from items (at most 24 of them), left
+    whole, cut short, or padded with junk."""
+    shape = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**32 - 1),
+                          min_size=fields, max_size=fields))
+    blob = struct.pack(f"<{fields}I", *shape)
+    blob += b"".join(draw(st.lists(items, min_size=min(math.prod(shape), 24),
+                                   max_size=min(math.prod(shape), 24))))
+    edit = draw(st.sampled_from(["whole", "cut", "pad"]))
+    if edit == "cut":
+        return blob[:draw(st.integers(0, max(len(blob) - 1, 0)))]
+    if edit == "pad":
+        return blob + draw(st.binary(min_size=1, max_size=9))
+    return blob
+
+
+_F32 = st.binary(min_size=4, max_size=4)  # any bit pattern: NaNs and infinities too
+_U32 = st.integers(0, 2**32 - 1).map(lambda v: struct.pack("<I", v))
+
+
+def _raw_outcome(load, *paths):
+    """The loaded value, or a FormatError, which must name one of the paths
+    and a byte offset."""
+    try:
+        return load(*paths)
+    except FormatError as e:
+        assert e.path in paths and e.offset is not None, str(e)
+        return e
+
+
+class TestRawReadersFuzz:
+    """Every raw file the readers reject raises FormatError with its path
+    and a byte offset; every file they accept is its header's shape."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=_raw_file(2, _F32))
+    @example(blob=b"\x01\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\xc0\x7f")
+    @example(blob=b"\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x80\xff")
+    @example(blob=b"\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x80\x7f")  # a signaling NaN
+    @example(blob=b"\x02\x00\x00\x00\x00\x00\x00\x00")  # 2 x 0
+    @example(blob=b"\xff\xff\xff\xff\xff\xff\xff\xff")
+    def test_tensor(self, tmp_path, blob):
+        path = tmp_path / "x.f32"
+        path.write_bytes(blob)
+        got = _raw_outcome(read_f32_tensor, path)
+        shape = struct.unpack_from("<II", blob) if len(blob) >= 8 else None
+        if shape is None or len(blob) != 8 + 4 * math.prod(shape):
+            assert isinstance(got, FormatError)
+            assert got.offset <= len(blob)
+            return
+        expect = np.frombuffer(blob, "<f4", offset=8)
+        if not np.isfinite(expect).all():
+            assert isinstance(got, FormatError)
+            assert got.offset == 8 + 4 * int(np.flatnonzero(~np.isfinite(expect))[0])
+        else:
+            assert got.tobytes() == expect.astype(np.float64).tobytes() and got.shape == shape
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=_raw_file(1, _U32))
+    def test_labels(self, tmp_path, blob):
+        path = tmp_path / "y.labels"
+        path.write_bytes(blob)
+        got = _raw_outcome(read_labels, path)
+        if len(blob) < 4 or len(blob) != 4 + 4 * struct.unpack_from("<I", blob)[0]:
+            assert isinstance(got, FormatError)
+            assert got.offset <= len(blob)
+        else:
+            assert got.tolist() == list(struct.unpack_from(f"<{len(blob) // 4 - 1}I", blob, 4))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(x=_raw_file(2, _F32 | st.floats(width=32).map(lambda v: struct.pack("<f", v))),
+           y=_raw_file(1, st.integers(0, 9).map(lambda v: struct.pack("<I", v))))
+    def test_dataset(self, tmp_path, x, y):
+        (tmp_path / "d.f32").write_bytes(x)
+        (tmp_path / "d.labels").write_bytes(y)
+        got = _raw_outcome(dataset_load_raw, tmp_path / "d.f32", tmp_path / "d.labels")
+        try:
+            X, labels = read_f32_tensor(tmp_path / "d.f32"), read_labels(tmp_path / "d.labels")
+        except FormatError:
+            assert isinstance(got, FormatError)
+            return
+        if len(labels) != len(X):
+            assert isinstance(got, FormatError)
+        else:
+            assert got.X.tobytes() == X.tobytes() and got.labels.tolist() == labels.tolist()
+
+
 
 
 class TestCsvArtifacts:
