@@ -5,8 +5,8 @@ summing channels per pixel, capping at the 99th percentile, dividing by
 the cap, and clipping to [0, 1]. Images are written as binary (P5) PGM at
 maxval 255. Models round-trip bitwise through JSON, the canonical format;
 model_load keeps a binary copy of the weights next to the JSON so that
-later loads skip the parse, trusted while the JSON's stat or, when that
-cannot decide, its SHA-256 still matches. Datasets come either from CSV
+later loads skip the parse, trusted while the JSON's stat still matches.
+Datasets come either from CSV
 (label in the last column), which dataset_load caches the same way, or
 from a raw little-endian float32 tensor with an 8-byte header plus a
 sidecar label file.
@@ -246,20 +246,18 @@ def _json_model(data, path):
 
 # A binary sidecar caches what a parse of the source file next to it
 # returned: a tag line, one JSON header line, then the payload, its arrays
-# as little-endian bytes back to back. The header records the SHA-256 of
-# the source bytes under the kind's key, the source's stat key (see
-# _stat_key) as "source_stat", and the payload's length and CRC-32; the
-# kind adds the fields its arrays' shapes come from.
+# as little-endian bytes back to back. The header records the source's
+# stat key (see _stat_key) as "source_stat", and the payload's length and
+# CRC-32; the kind adds the fields its arrays' shapes come from.
 class _Sidecar(Record):
     suffix: str
     tag: bytes
-    key: str
 
 
 # a model's weights: every layer's weights (row-major) and bias, float64
-_WEIGHTS = _Sidecar(".weights", b"casokit-weights 2\n", "model_sha256")
+_WEIGHTS = _Sidecar(".weights", b"casokit-weights 3\n")
 # a CSV dataset: X (rows x dim, row-major) as float64, then the int64 labels
-_DATASET = _Sidecar(".dataset", b"casokit-dataset 3\n", "csv_sha256")
+_DATASET = _Sidecar(".dataset", b"casokit-dataset 4\n")
 
 
 def _stat_key(path):
@@ -268,14 +266,6 @@ def _stat_key(path):
     falls within the timestamp tick of the file's last change."""
     st = os.stat(path)
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
-
-
-def _sha256(data):
-    # imported here: OpenSSL's _hashlib costs a process 3-5 ms, and a load
-    # that trusts the stat key hashes nothing
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
 
 
 def _cached_load(path, kind, parse, decode):
@@ -287,36 +277,27 @@ def _cached_load(path, kind, parse, decode):
     unless the source's mtime or ctime is not older than the sidecar's own
     mtime (git's racy rule: a source changed within one timestamp tick of
     the sidecar's write may have kept its key). Otherwise the source is
-    read and hashed: an intact sidecar of the same SHA-256 is still used,
-    and rewritten under the new key if the key missed; else the bytes are
-    parsed, and the sidecar written. parse returns (result, header fields,
-    arrays), or raises its FormatError whatever sidecar exists.
+    read and parsed, and the sidecar written. parse returns (result,
+    header fields, arrays), or raises its FormatError whatever sidecar
+    exists.
     """
     key = _stat_key(path)
-    cached = _read_sidecar(path, kind, decode)
-    if cached is not None:
-        result, head, payload, sidecar_mtime_ns = cached
-        if head.get("source_stat") == key and max(key[3:]) < sidecar_mtime_ns:
-            return result
-    data = _read_bytes(path)
-    digest = _sha256(data)
-    if cached is not None and head.get(kind.key) == digest:
-        if head.get("source_stat") != key:
-            _write_sidecar(path, kind, {**head, "source_stat": key}, payload)
-        return result
-    result, fields, arrays = parse(data, path)
-    payload = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
-                       for a in arrays)
-    _write_sidecar(path, kind, {kind.key: digest, "source_stat": key, **fields}, payload)
+    result = _read_sidecar(path, kind, decode, key)
+    if result is None:
+        result, fields, arrays = parse(_read_bytes(path), path)
+        payload = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
+                           for a in arrays)
+        _write_sidecar(path, kind, {"source_stat": key, **fields}, payload)
     return result
 
 
-def _read_sidecar(path, kind, decode):
-    """(decode(head, payload), head, payload, the sidecar's mtime in ns)
-    for path's sidecar of this kind, or None unless its tag matches, its
-    header is a JSON object, and its payload has the recorded length and
-    CRC-32. Never raises: any unreadable or malformed sidecar, and any that
-    decode rejects with a ValueError, reads as None."""
+def _read_sidecar(path, kind, decode, key):
+    """decode(head, payload) for path's sidecar of this kind, or None unless
+    its tag matches, its header is a JSON object that records key as
+    "source_stat", its mtime is later than key's mtime and ctime, and its
+    payload has the recorded length and CRC-32. Never raises: any
+    unreadable or malformed sidecar, and any that decode rejects with a
+    ValueError, reads as None."""
     try:
         with open(os.fsdecode(path) + kind.suffix, "rb") as fh:
             mtime_ns = os.fstat(fh.fileno()).st_mtime_ns
@@ -326,9 +307,11 @@ def _read_sidecar(path, kind, decode):
         end = data.index(b"\n", len(kind.tag))
         head = json.loads(data[len(kind.tag) : end])
         payload = memoryview(data)[end + 1 :]
-        if head["payload_bytes"] != len(payload) or zlib.crc32(payload) != head["payload_crc32"]:
+        if (head["source_stat"] != key or max(key[3:]) >= mtime_ns
+                or head["payload_bytes"] != len(payload)
+                or zlib.crc32(payload) != head["payload_crc32"]):
             return None
-        return decode(head, payload), head, payload, mtime_ns
+        return decode(head, payload)
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
 
@@ -362,8 +345,8 @@ def _dataset_from(head, payload):
 
 
 def _write_sidecar(path, kind, fields, payload):
-    """Write path's sidecar of this kind: fields (the source's digest and
-    stat key, and the kind's header entries), the payload's length and
+    """Write path's sidecar of this kind: fields (the source's stat key and
+    the kind's header entries), the payload's length and
     CRC-32, and the payload, through a temp file in the same directory and
     an atomic rename. Best effort: an OSError (say, a read-only directory)
     leaves no sidecar and no temp file."""
@@ -391,8 +374,8 @@ def dataset_load(path):
     failing line and cell.
 
     Like model_load, a successful parse is also written, best effort, to a
-    binary sidecar (path plus ".dataset") that later loads of the same
-    bytes read instead of parsing again.
+    binary sidecar (path plus ".dataset") that later loads read instead of
+    parsing again while the CSV is unchanged (see _cached_load).
     """
     return _cached_load(path, _DATASET, _csv_dataset, _dataset_from)
 
@@ -456,13 +439,9 @@ def _csv_dataset(data, path):
 
 
 def dataset_save_csv(dataset, path):
-    """Write a dataset as CSV with the label in the last column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.X[i]] + [int(dataset.labels[i])]
-            )
+    """Write a dataset as CSV with the label in the last column, and no
+    header row."""
+    write_csv_rows(path, None, ([*x, y] for x, y in zip(dataset.X, dataset.labels)))
 
 
 _TENSOR_HEADER = struct.Struct("<II")
@@ -515,9 +494,14 @@ def read_labels(path):
 def dataset_load_raw(data_path, labels_path):
     """Load the raw f32 tensor + sidecar label pair as a Dataset.
 
-    Features are upcast to float64; note the f32 storage quantizes.
+    Features are upcast to float64; note the f32 storage quantizes. A
+    tensor with no rows or no features is a FormatError at its header field.
     """
     X = read_f32_tensor(data_path)
+    for field, (size, what) in enumerate(zip(X.shape, ("rows", "features"))):
+        if size == 0:
+            raise FormatError(f"tensor has no {what}", path=data_path,
+                              offset=4 * field)
     labels = read_labels(labels_path)
     if labels.shape[0] != X.shape[0]:
         raise FormatError(f"{labels.shape[0]} labels for {X.shape[0]} samples",
@@ -527,12 +511,14 @@ def dataset_load_raw(data_path, labels_path):
 
 def write_csv_rows(path, fieldnames, rows, provenance=None):
     """Write a CSV artifact, optionally prefixed by a '# {json}' provenance
-    line carrying the fully resolved configuration."""
+    line carrying the fully resolved configuration; fieldnames None writes
+    no header row. Floats are written by repr, so they read back bitwise."""
     with open(path, "w", newline="") as fh:
         if provenance is not None:
             fh.write("# " + json.dumps(provenance, sort_keys=True) + "\n")
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
+        if fieldnames is not None:
+            writer.writerow(fieldnames)
         for row in rows:
             writer.writerow(["" if v is None else _cell(v) for v in row])
 

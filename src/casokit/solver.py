@@ -320,16 +320,25 @@ def active_set_solve(g, lam1, lam2, F, C=None, inverse=None, floor=0.0):
     Patrinos 2017). An unsettled N gives the next iterate T_gamma(w), w on
     the segment from D to N with phi_gamma(w) <= phi_gamma(D): the iterates
     converge for any symmetric H, and N - D, a Newton direction of the same
-    residual, descends on phi_gamma. From D = 0, whose S and s are those of
-    |g| > lam1, this runs until N settles or for ACTIVE_SET_MAX_STEPS
-    steps. Returns the map or the last iterate, the steps, and whether S
-    and s settled.
+    residual, descends on phi_gamma. This runs until N settles or for
+    ACTIVE_SET_MAX_STEPS steps, from D = 0, whose S and s are those of |g|
+    > lam1, or, given inverse, from the lam1 = 0 maximizer D0 = (g + F C
+    z0)/(2 lam2), z0 = inverse F^T g, when phi_gamma(D0) < phi_gamma(0).
+    Returns the map or the last iterate, the steps, and whether S and s
+    settled.
     """
     d, r = F.shape
     two = 2.0 * lam2
     gamma = 0.95 / (two - min(floor, 0.0))
     D = hd = np.zeros(d)
     u = g  # T_gamma(D) = gamma soft(u, lam1)
+    if inverse is not None:
+        z0 = inverse @ (F.T @ g)
+        hd0 = F @ (z0 if C is None else C @ z0)
+        D0 = (g + hd0) / two
+        if (_envelope(g, lam1, lam2, gamma, D0, hd0)[0]
+                < _envelope(g, lam1, lam2, gamma, D, hd)[0]):
+            D, hd, u = D0, hd0, (1.0 / gamma - two) * D0 + g + hd0
     for steps in range(1, ACTIVE_SET_MAX_STEPS + 1):
         sign = np.sign(u) * (np.abs(u) > lam1)
         S = sign != 0.0

@@ -234,6 +234,20 @@ class TestInterpret:
         assert code == 0
         assert (tmp_path / "sample3.pgm").exists()
 
+    @pytest.mark.parametrize("command, shape, message, offset", [
+        ("gap-study", (0, 3), "tensor has no rows", 0),
+        ("interpret", (2, 0), "tensor has no features", 4),
+    ], ids=["gap-study", "interpret"])
+    def test_raw_tensor_without_rows_or_features(self, workspace, tmp_path, capsys,
+                                                 command, shape, message, offset):
+        data, labels = tmp_path / "d.f32", tmp_path / "d.labels"
+        write_raw_dataset(np.zeros(shape), [0] * shape[0], data, labels)
+        code = run([command, "--model", workspace["model"], "--data", str(data),
+                    "--labels", str(labels), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message} ({data}, byte {offset})\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_sample_index_is_runtime_error(self, workspace, tmp_path, capsys):
         code = run([
             "interpret", "--model", workspace["model"], "--data", workspace["data"],

@@ -94,6 +94,25 @@ def test_requests_and_sweeps_are_exact(kind, method):
         assert 0 not in steps
 
 
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "mixed"])
+@pytest.mark.parametrize("method", ["caso", "smooth-caso"])
+def test_model_solves_at_lam1_zero_settle_in_one_step(kind, method):
+    # at lam1 = 0 the start D0 = (g + F C z0)/(2 lam2) is the maximizer
+    # itself, so the first Newton point keeps its active set; at c1 = 1e-3,
+    # where the maximizer's signs are not g's, for a start at 0 too
+    net = net_of(kind)
+    rows = samples(6)
+    for c1 in (1e-3, 10.0):
+        models = interpret._sparse_models(method, rows, net, range(6), c1=c1, **SMOOTH)
+        assert all(m.inverse is not None for m in models)
+        requests = [MethodRequest(method, s, lam1=0.0, c1=c1, smooth_n=SMOOTH["n"],
+                                  smooth_sigma=SMOOTH["sigma"], seed=i)
+                    for i, s in enumerate(rows)]
+        results = run_requests(net, requests)
+        assert [r.solve.steps for r in results] == [1] * 6
+        assert all(r.solve.kkt_residual <= 1e-12 for r in results)
+
+
 @pytest.mark.parametrize("kind", ["relu", "sigmoid"])
 @pytest.mark.parametrize("method", SPARSE)
 def test_loss_gain_is_the_objective_at_the_map(kind, method):
@@ -122,15 +141,16 @@ def test_chunk_rows_settling_at_different_steps_match_single_solves():
 
 def test_step_cap_leaves_the_last_iterate_uncertified(monkeypatch, tmp_path, capsys):
     net = net_of("relu")
-    rows = samples(2, seed=43)
-    requests = [MethodRequest("caso", s, lam1=3e-3) for s in rows]
+    # from the better of its two starts, row 0 still takes two steps here
+    rows = samples(2, seed=44)
+    requests = [MethodRequest("caso", s, lam1=1e-2) for s in rows]
     assert [r.solve.steps for r in run_requests(net, requests)] == [2, 1]
     monkeypatch.setattr(solver, "ACTIVE_SET_MAX_STEPS", 1)
     model, data = tmp_path / "net.json", tmp_path / "data.csv"
     model_save(net, str(model))
     dataset_save_csv(Dataset(np.stack([s.x for s in rows]), [s.y for s in rows]), str(data))
     argv = ["interpret", "--model", str(model), "--data", str(data), "--method", "caso",
-            "--samples", "0,1", "--width", "20", "--height", "1", "--lambda1", "3e-3",
+            "--samples", "0,1", "--width", "20", "--height", "1", "--lambda1", "1e-2",
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
     capped, settled = (json.loads((tmp_path / "out" / f"sample{i}.json").read_text())

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import math
@@ -361,10 +360,8 @@ class TestWeightSidecar:
         data = self._sidecar(path).read_bytes()
         tag, head, payload = data.split(b"\n", 2)
         head = json.loads(head)
-        assert tag == b"casokit-weights 2"
-        assert list(head) == ["model_sha256", "source_stat", "layers", "payload_bytes",
-                              "payload_crc32"]
-        assert head["model_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert tag == b"casokit-weights 3"
+        assert list(head) == ["source_stat", "layers", "payload_bytes", "payload_crc32"]
         assert head["source_stat"] == _stat_key(st_before)
         assert head["layers"] == [[7, 5, "relu"], [5, 3, "identity"]]
         assert head["payload_bytes"] == len(payload) == 8 * (7 * 5 + 5 + 5 * 3 + 3)
@@ -390,7 +387,13 @@ class TestWeightSidecar:
         model_load(other)
         self._sidecar(path).write_bytes(self._sidecar(other).read_bytes())
 
-    @pytest.mark.parametrize("case", ["overwritten", "truncated", "flipped", "other_model"])
+    def _corrupt_version2(self, path):
+        # a version 2 sidecar records the JSON's SHA-256 as well
+        side = self._sidecar(path)
+        side.write_bytes(side.read_bytes().replace(b"weights 3\n", b"weights 2\n", 1))
+
+    @pytest.mark.parametrize("case", ["overwritten", "truncated", "flipped", "other_model",
+                                      "version2"])
     def test_stale_sidecar_is_ignored_and_rewritten(self, tmp_path, case, json_parses):
         path = self._saved(tmp_path)
         model_load(path)
@@ -719,10 +722,8 @@ class TestDatasetSidecar:
         dataset_load(path)
         tag, head, payload = self._sidecar(path).read_bytes().split(b"\n", 2)
         head = json.loads(head)
-        assert tag == b"casokit-dataset 3"
-        assert list(head) == ["csv_sha256", "source_stat", "rows", "dim", "payload_bytes",
-                              "payload_crc32"]
-        assert head["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert tag == b"casokit-dataset 4"
+        assert list(head) == ["source_stat", "rows", "dim", "payload_bytes", "payload_crc32"]
         assert head["source_stat"] == _stat_key(path.stat())
         assert (head["rows"], head["dim"]) == (7, 5)
         assert head["payload_bytes"] == len(payload) == 8 * (7 * 5 + 7)
@@ -738,7 +739,7 @@ class TestDatasetSidecar:
         self._assert_same(dataset_load(path), edited)
         assert parses == [path]
         head = json.loads(self._sidecar(path).read_bytes().split(b"\n", 2)[1])
-        assert head["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert head["source_stat"] == _stat_key(path.stat())
         parses.clear()
         self._assert_same(dataset_load(path), edited)
         assert parses == []
@@ -766,7 +767,7 @@ class TestDatasetSidecar:
         self._sidecar(path).write_bytes(model.with_name("m.json.weights").read_bytes())
 
     def _corrupt_garbage(self, path):
-        self._sidecar(path).write_bytes(b"casokit-dataset 3\n{not json\n\x00\x01")
+        self._sidecar(path).write_bytes(b"casokit-dataset 4\n{not json\n\x00\x01")
 
     def _corrupt_empty(self, path):
         self._sidecar(path).write_bytes(b"")
@@ -775,22 +776,27 @@ class TestDatasetSidecar:
         # a header nested past the recursion limit
         side = self._sidecar(path)
         payload = side.read_bytes().split(b"\n", 2)[2]
-        side.write_bytes(b"casokit-dataset 3\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        side.write_bytes(b"casokit-dataset 4\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n"
                          + payload)
 
     def _corrupt_version1(self, path):
         # a version 1 sidecar may hold a label that float() rounded
         side = self._sidecar(path)
-        side.write_bytes(side.read_bytes().replace(b"dataset 3\n", b"dataset 1\n", 1))
+        side.write_bytes(side.read_bytes().replace(b"dataset 4\n", b"dataset 1\n", 1))
 
     def _corrupt_version2(self, path):
         # a version 2 sidecar is checked by the CSV's SHA-256 alone
         side = self._sidecar(path)
-        side.write_bytes(side.read_bytes().replace(b"dataset 3\n", b"dataset 2\n", 1))
+        side.write_bytes(side.read_bytes().replace(b"dataset 4\n", b"dataset 2\n", 1))
+
+    def _corrupt_version3(self, path):
+        # a version 3 sidecar records the CSV's SHA-256 beside its stat key
+        side = self._sidecar(path)
+        side.write_bytes(side.read_bytes().replace(b"dataset 4\n", b"dataset 3\n", 1))
 
     @pytest.mark.parametrize(
         "case", ["truncated", "flipped", "foreign", "weights", "garbage", "empty", "deep",
-                 "version1", "version2"])
+                 "version1", "version2", "version3"])
     def test_bad_sidecar_is_ignored_and_rewritten(self, tmp_path, case, parses):
         path, data = self._saved(tmp_path)
         dataset_load(path)
@@ -914,6 +920,37 @@ def _source_reads():
         saliency_io._read_bytes = real
 
 
+@contextlib.contextmanager
+def _parses(kind):
+    """The paths the loader of this kind parses inside the block."""
+    seen = []
+    name = _LOADERS[kind][2]
+    real = getattr(saliency_io, name)
+
+    def spy(data, path):
+        seen.append(str(path))
+        return real(data, path)
+
+    setattr(saliency_io, name, spy)
+    try:
+        yield seen
+    finally:
+        setattr(saliency_io, name, real)
+
+
+def _move_source(path, how):
+    """Give path a new stat key and the same bytes, as cp-and-rename
+    ("copied", a new inode) or touch ("touched", new times) does, and
+    return once a timestamp tick has passed."""
+    if how == "copied":
+        copy = path.with_name("copy.tmp")
+        shutil.copy2(path, copy)
+        os.replace(copy, path)
+    else:
+        os.utime(path)
+    _tick_past(path)
+
+
 def _outcome(kind, load, path):
     """What load(path) gives: the result's bytes, or its error."""
     try:
@@ -926,8 +963,9 @@ def _outcome(kind, load, path):
 
 
 class TestSidecarTrust:
-    """When a load trusts a sidecar by its source's stat key alone, and that
-    every other case reads the source and returns what its parse returns."""
+    """A load trusts a sidecar only when it records its source's stat key
+    and is newer than the source; every other case parses the source and
+    returns what its parse returns."""
 
     @pytest.fixture
     def source_reads(self):
@@ -956,7 +994,7 @@ class TestSidecarTrust:
         kind=st.sampled_from(sorted(_LOADERS)),
         seed=st.integers(0, 2**16),
         cold_load=st.booleans(),
-        edit=st.sampled_from(["none", "same_tick", "mtime_restored", "copied"]),
+        edit=st.sampled_from(["none", "same_tick", "mtime_restored", "copied", "touched"]),
         damage=st.sampled_from(["none", "truncated", "flipped", "foreign"]),
         where=st.floats(0, 1, exclude_max=True),
         byte=st.one_of(st.sampled_from(b"0123456789"), st.integers(0, 255)),
@@ -990,17 +1028,17 @@ class TestSidecarTrust:
                 os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
             elif side.exists():
                 self._rekey_in_same_tick(path, side)
-        elif edit == "copied":
-            copy = directory / "copy.tmp"
-            shutil.copy2(path, copy)
-            os.replace(copy, path)  # the same bytes under a new inode
-            _tick_past(path)
+        elif edit in ("copied", "touched"):
+            _move_source(path, edit)
         expected = _outcome(kind, lambda p: _parsed(kind, p), path)
-        assert _outcome(kind, load, path) == expected
+        with _parses(kind) as parsed:
+            assert _outcome(kind, load, path) == expected
+        if edit != "none":  # a new stat key, or a racy sidecar: parsed again
+            assert parsed == [str(path)]
         with _source_reads() as reads:
             assert _outcome(kind, load, path) == expected  # from the sidecar just written
-        if edit == "copied" and not isinstance(expected[0], type):
-            # hashed, then re-keyed or written a tick after the copy's change
+        if edit in ("copied", "touched") and not isinstance(expected[0], type):
+            # parsed, and written a tick after the source's change
             assert reads == []
 
     @pytest.mark.parametrize("kind", sorted(_LOADERS))
@@ -1020,14 +1058,24 @@ class TestSidecarTrust:
         side = path.with_name(path.name + suffix)
         load(path)
         text = path.read_bytes()
-        digit = next(i for i, c in enumerate(text) if c in b"123456789")
+        # the last digit: a bias or a label, so the edited file still loads
+        digit = max(i for i, c in enumerate(text) if c in b"123456789")
         path.write_bytes(text[:digit] + (b"1" if text[digit] != ord("1") else b"2")
                          + text[digit + 1:])
         edited = _outcome(kind, lambda p: _parsed(kind, p), path)
+        _tick_past(path)
         self._rekey_in_same_tick(path, side)
         source_reads.clear()
+        with _parses(kind) as parsed:
+            assert _outcome(kind, load, path) == edited
+        assert source_reads == parsed == [str(path)]
+        # the racy sidecar was rewritten, a tick after the rewrite, so it
+        # is trusted now
+        assert side.stat().st_mtime_ns > path.stat().st_ctime_ns
+        _sidecar_parts(side, path)  # which records the source's new stat key
+        source_reads.clear()
         assert _outcome(kind, load, path) == edited
-        assert source_reads == [str(path)]
+        assert source_reads == []
         # the same sidecar written a tick after the rewrite is trusted by
         # its stat key alone: the racy rule is what read the source above
         self._rekey_in_same_tick(path, side)
@@ -1037,31 +1085,32 @@ class TestSidecarTrust:
         load(path)
         assert source_reads == []
 
+    @pytest.mark.parametrize("how", ["copied", "touched"])
     @pytest.mark.parametrize("kind", sorted(_LOADERS))
-    def test_copy_is_hashed_once_then_rekeyed(self, tmp_path, kind, source_reads):
+    def test_moved_source_is_parsed_once_then_trusted(self, tmp_path, kind, how,
+                                                      source_reads):
         load, suffix, _ = _LOADERS[kind]
         path = _save_source(kind, tmp_path, 3)
         side = path.with_name(path.name + suffix)
         cold = _outcome(kind, load, path)
-        head = json.loads(side.read_bytes().split(b"\n", 2)[1])
-        shutil.copy2(path, tmp_path / "copy.tmp")
-        os.replace(tmp_path / "copy.tmp", path)
-        _tick_past(path)
+        before = _sidecar_parts(side, path)
+        _move_source(path, how)
         source_reads.clear()
-        assert _outcome(kind, load, path) == cold
-        assert source_reads == [str(path)]
-        rekeyed = json.loads(side.read_bytes().split(b"\n", 2)[1])
-        assert rekeyed.pop("source_stat") == _stat_key(path.stat()) != head.pop("source_stat")
-        assert rekeyed == head
+        with _parses(kind) as parsed:
+            assert _outcome(kind, load, path) == cold
+        assert source_reads == parsed == [str(path)]
+        assert _sidecar_parts(side, path) == before  # only the stat key changed
         source_reads.clear()
         assert _outcome(kind, load, path) == cold
         assert source_reads == []
 
-    def test_warm_load_does_not_import_hashlib(self, tmp_path):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_loads_do_not_import_hashlib(self, tmp_path, warm):
         model = _save_source("model", tmp_path, 3)
         data = _save_source("dataset", tmp_path, 3)
-        model_load(model)
-        dataset_load(data)
+        if warm:
+            model_load(model)
+            dataset_load(data)
         script = ("import sys\n"
                   "from casokit import saliency_io\n"
                   "saliency_io.model_load(sys.argv[1])\n"
@@ -1072,6 +1121,8 @@ class TestSidecarTrust:
         done = subprocess.run([sys.executable, "-c", script, str(model), str(data)],
                               capture_output=True, text=True, env=env, check=True)
         assert done.stdout == "False False\n"
+        assert model.with_name("model.json.weights").is_file()
+        assert data.with_name("data.csv.dataset").is_file()
 
 
 class TestRawTensors:
@@ -1227,7 +1278,10 @@ class TestRawReadersFuzz:
         except FormatError:
             assert isinstance(got, FormatError)
             return
-        if len(labels) != len(X):
+        if 0 in X.shape:  # no rows or no features: the header field that says so
+            assert isinstance(got, FormatError)
+            assert (got.path, got.offset) == (tmp_path / "d.f32", 4 * X.shape.index(0))
+        elif len(labels) != len(X):
             assert isinstance(got, FormatError)
         else:
             assert got.X.tobytes() == X.tobytes() and got.labels.tolist() == labels.tolist()
