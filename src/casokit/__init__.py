@@ -12,8 +12,8 @@ oracle study, and a deterministic CLI round it out.
 
 __version__ = "0.1.0"
 
+import importlib as _importlib
 import os as _os
-from types import ModuleType as _ModuleType
 
 # One BLAS thread unless the environment says otherwise, set before numpy
 # loads: a second thread changes the summation order inside the larger
@@ -23,127 +23,130 @@ from types import ModuleType as _ModuleType
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
-from .errors import (
-    BudgetError,
-    DimensionError,
-    FormatError,
-    FrozenInstanceError,
-    KinkWarning,
-    NonFiniteError,
-)
-from .hessian import (
-    HessianHandle,
-    RankOneApprox,
-    SoftmaxCurvature,
-    hessian_eig,
-    hvp_closed_form,
-    hvp_finite_diff,
-    largest_eigenvalue,
-    rank_one_approx,
-    rel_error,
-    softmax_curvature,
-    softmax_factor,
-)
-from .interpret import (
-    DEFAULT_LAMBDA1_GRID,
-    METHODS,
-    CurvatureModel,
-    MethodRequest,
-    SaliencyResult,
-    SweepOutcome,
-    cafo,
-    caso,
-    curvature_models,
-    integrated_gradients,
-    lambda1_sweep,
-    run_request,
-    run_requests,
-    smooth_cafo,
-    smooth_caso,
-    smoothgrad,
-    sparsity_ratio,
-    vanilla_gradient,
-)
-from .netcore import (
-    BatchTrace,
-    Dataset,
-    ForwardTrace,
-    LayerSpec,
-    LocalLinearization,
-    Network,
-    NetworkSpec,
-    Sample,
-    TrainConfig,
-    TrainResult,
-    backprop_batch,
-    forward,
-    forward_batch,
-    init_network,
-    input_gradient,
-    local_linearization,
-    logit_gradient,
-    make_blobs,
-    sample_kink_safe,
-    train_sgd,
-)
-from .saliency_io import (
-    DisplayMap,
-    dataset_load,
-    dataset_load_raw,
-    dataset_save_csv,
-    model_load,
-    model_save,
-    normalize_for_display,
-    quantize_display,
-    read_f32_tensor,
-    read_labels,
-    write_csv_rows,
-    write_f64_tensor,
-    write_pgm,
-)
-from .solver import (
-    ObjectiveSpec,
-    SolveResult,
-    SolverConfig,
-    closed_form_cafo,
-    closed_form_caso,
-    fista_solve,
-    prox_soft_threshold,
-    select_lambda2,
-    smooth_gradient,
-)
+# Every public name by its home submodule. Importing the package loads no
+# submodule (and so not numpy): a name loads its home on first access.
+_EXPORTS = {
+    "analysis": (
+        "AlignmentPoint",
+        "GapPoint",
+        "OracleConfig",
+        "OracleResult",
+        "RankOnePoint",
+        "RankOneSimConfig",
+        "alignment_curve",
+        "brute_force_group_feature",
+        "confidence_gap_study",
+        "l1_path_supports",
+        "make_planted_instance",
+        "simulate_rank_one",
+        "spearman_rho",
+    ),
+    "errors": (
+        "BudgetError",
+        "DimensionError",
+        "FormatError",
+        "FrozenInstanceError",
+        "KinkWarning",
+        "NonFiniteError",
+    ),
+    "hessian": (
+        "HessianHandle",
+        "RankOneApprox",
+        "SoftmaxCurvature",
+        "hessian_eig",
+        "hvp_closed_form",
+        "hvp_finite_diff",
+        "largest_eigenvalue",
+        "rank_one_approx",
+        "rel_error",
+        "softmax_curvature",
+        "softmax_factor",
+    ),
+    "interpret": (
+        "DEFAULT_LAMBDA1_GRID",
+        "METHODS",
+        "CurvatureModel",
+        "MethodRequest",
+        "SaliencyResult",
+        "SweepOutcome",
+        "cafo",
+        "caso",
+        "curvature_models",
+        "integrated_gradients",
+        "lambda1_sweep",
+        "run_request",
+        "run_requests",
+        "smooth_cafo",
+        "smooth_caso",
+        "smoothgrad",
+        "sparsity_ratio",
+        "vanilla_gradient",
+    ),
+    "netcore": (
+        "BatchTrace",
+        "Dataset",
+        "ForwardTrace",
+        "LayerSpec",
+        "LocalLinearization",
+        "Network",
+        "NetworkSpec",
+        "Sample",
+        "TrainConfig",
+        "TrainResult",
+        "backprop_batch",
+        "forward",
+        "forward_batch",
+        "init_network",
+        "input_gradient",
+        "local_linearization",
+        "logit_gradient",
+        "make_blobs",
+        "sample_kink_safe",
+        "train_sgd",
+    ),
+    "saliency_io": (
+        "DisplayMap",
+        "dataset_load",
+        "dataset_load_raw",
+        "dataset_save_csv",
+        "model_load",
+        "model_save",
+        "normalize_for_display",
+        "quantize_display",
+        "read_f32_tensor",
+        "read_labels",
+        "write_csv_rows",
+        "write_f64_tensor",
+        "write_pgm",
+    ),
+    "solver": (
+        "ObjectiveSpec",
+        "SolveResult",
+        "SolverConfig",
+        "closed_form_cafo",
+        "closed_form_caso",
+        "fista_solve",
+        "prox_soft_threshold",
+        "select_lambda2",
+        "smooth_gradient",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset((*_EXPORTS, "cli"))
 
-# the study functions load with casokit.analysis on first access, so that
-# importing the package (and with it the CLI) does not pay for them
-_ANALYSIS_NAMES = (
-    "AlignmentPoint",
-    "GapPoint",
-    "OracleConfig",
-    "OracleResult",
-    "RankOnePoint",
-    "RankOneSimConfig",
-    "alignment_curve",
-    "brute_force_group_feature",
-    "confidence_gap_study",
-    "l1_path_supports",
-    "make_planted_instance",
-    "simulate_rank_one",
-    "spearman_rho",
-)
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name):
-    if name in _ANALYSIS_NAMES:
-        from . import analysis
+    if name in _HOME:
+        value = getattr(_importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = _importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
-        return getattr(analysis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-# every public name the import blocks bound (the submodules they loaded
-# aside), the lazily loaded study names, and the version
-__all__ = [
-    "__version__",
-    *_ANALYSIS_NAMES,
-    *(n for n, v in list(globals().items()) if n[0] != "_" and not isinstance(v, _ModuleType)),
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -19,43 +19,57 @@ input paths.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import gc
-import json
-import math
-import os
-import sys
-import tempfile
 
-import numpy as np
+# The collector pauses across the imports: numpy and casokit's modules
+# allocate tens of thousands of long-lived objects here, and the 30-odd
+# collections they would trigger free only a few hundred. The freeze then
+# moves that heap out of every later collection, the interpreter's
+# shutdown collections included. A bare `import casokit` does neither: the
+# freeze is the command line program's policy, not the library's.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import contextlib
+    import json
+    import math
+    import os
+    import sys
+    import tempfile
 
-from . import __version__ as VERSION
-from .interpret import (
-    DEFAULT_IG_STEPS,
-    DEFAULT_LAMBDA1_GRID,
-    DEFAULT_SMOOTH_N,
-    DEFAULT_SMOOTH_SIGMA,
-    METHODS,
-    NOISE_METHODS,
-    SPARSE_METHODS,
-    MethodRequest,
-    chunk_results,
-    lambda1_sweep,
-)
-from .netcore import LayerSpec, NetworkSpec, TrainConfig, init_network, make_blobs, train_sgd
-from .saliency_io import (
-    dataset_load,
-    dataset_load_raw,
-    dataset_save_csv,
-    model_load,
-    model_save,
-    normalize_for_display,
-    write_csv_rows,
-    write_f64_tensor,
-    write_pgm,
-)
-from .solver import DEFAULT_C1
+    import numpy as np
+
+    from . import __version__ as VERSION
+    from .interpret import (
+        DEFAULT_IG_STEPS,
+        DEFAULT_LAMBDA1_GRID,
+        DEFAULT_SMOOTH_N,
+        DEFAULT_SMOOTH_SIGMA,
+        METHODS,
+        NOISE_METHODS,
+        SPARSE_METHODS,
+        MethodRequest,
+        chunk_results,
+        lambda1_sweep,
+    )
+    from .netcore import LayerSpec, NetworkSpec, TrainConfig, init_network, make_blobs, train_sgd
+    from .saliency_io import (
+        dataset_load,
+        dataset_load_raw,
+        dataset_save_csv,
+        model_load,
+        model_save,
+        normalize_for_display,
+        write_csv_rows,
+        write_f64_tensor,
+        write_pgm,
+    )
+    from .solver import DEFAULT_C1
+finally:
+    gc.freeze()
+    if _collecting:
+        gc.enable()
 
 SWEEP_METHODS = tuple(SPARSE_METHODS)
 # analysis.SIM_MODES, spelled out so that building the parser does not
@@ -734,9 +748,10 @@ def main(argv=None):
 def entry():
     """The console script's and `python -m casokit`'s entry point: main(),
     then gc.freeze(), however main ends, so that the interpreter's shutdown
-    collections skip the objects numpy and casokit leave tracked (25-35 ms
-    of a short run). main itself never freezes: a caller that runs it
-    in-process again and again would keep every later cycle's garbage."""
+    collections also skip the objects main left tracked (importing this
+    module froze the ones before it). main itself never freezes: a caller
+    that runs it in-process again and again would keep every later cycle's
+    garbage."""
     try:
         return main()
     finally:

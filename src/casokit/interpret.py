@@ -286,9 +286,8 @@ def _noise_inputs(xs, n, sigma, seeds):
     expand at each x itself."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    # a NaN sigma takes the noisy branch, where the batched pass rejects it
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     if sigma == 0.0:
         return None
     return [x + (sigma * float(x.max() - x.min()))

@@ -256,6 +256,19 @@ class TestInterpret:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["interpret", "--method", "smooth-cafo", "--smooth-sigma", "nan", "--samples", "0"],
+        ["interpret", "--method", "smoothgrad", "--smooth-sigma", "inf", "--samples", "0"],
+        ["sweep", "--method", "smooth-caso", "--smooth-sigma", "inf", "--sample", "0"],
+    ])
+    def test_non_finite_smooth_sigma_is_runtime_error(self, workspace, tmp_path, capsys, argv):
+        # the noise scale is refused by name, before any draw
+        code = run([*argv, "--model", workspace["model"], "--data", workspace["data"],
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sigma must be nonnegative and finite\n"
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_sample_is_usage_error(self, workspace, tmp_path, capsys):
         # every sample index names its own sample<index>.* files, so a repeat
         # would overwrite a map; it is refused before any work
@@ -563,16 +576,18 @@ class TestCommit:
 
 class TestEntryPoint:
     """`python -m casokit` and the console script run cli.entry: main, then
-    gc.freeze() so that shutdown skips the heap. main itself never freezes."""
+    gc.freeze() so that shutdown skips the heap main made (importing cli
+    froze the one before it). main itself never freezes."""
 
     def test_main_leaves_nothing_frozen(self, workspace, tmp_path):
-        assert gc.get_freeze_count() == 0
+        # importing cli froze its heap; main adds nothing to it
+        frozen = gc.get_freeze_count()
         assert run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
                     "--samples", "0", "--out", str(tmp_path)]) == 0
-        assert gc.get_freeze_count() == 0
+        assert gc.get_freeze_count() == frozen
         with pytest.raises(SystemExit):
             run(["train", "--bogus"])
-        assert gc.get_freeze_count() == 0
+        assert gc.get_freeze_count() == frozen
 
     def test_console_script_and_module_call_entry(self):
         pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
@@ -583,14 +598,16 @@ class TestEntryPoint:
         main_source = (ROOT / "src" / "casokit" / "__main__.py").read_text()
         assert "from .cli import entry\n" in main_source
         assert "raise SystemExit(entry())" in main_source
-        # entry freezes however main ends; here by a usage error
+        # entry freezes however main ends, here by a usage error, on top of
+        # the import's own freeze
         probe = ("import gc, sys\n"
                  "from casokit import cli\n"
+                 "frozen = gc.get_freeze_count()\n"
                  "sys.argv = ['casokit', 'train', '--bogus']\n"
                  "try:\n"
                  "    cli.entry()\n"
                  "except SystemExit as e:\n"
-                 "    print(e.code, gc.get_freeze_count() > 0)\n")
+                 "    print(e.code, gc.get_freeze_count() > frozen)\n")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout
@@ -1179,3 +1196,106 @@ class TestStartup:
             run(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"casokit {version}\n"
+
+
+def fresh_python(probe, *args, env=None):
+    """stdout of `python -c probe args...` in a new process that finds
+    casokit in src."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+class TestImportContract:
+    """A bare `import casokit` loads nothing and leaves the importer's
+    collector alone; each name loads its home submodule on first use. The
+    CLI module pauses the collector across its imports and freezes the heap
+    they leave."""
+
+    def test_bare_import_loads_nothing_and_leaves_the_collector_alone(self):
+        probe = (
+            "import gc, json, os, sys\n"
+            "gc.disable() if sys.argv[1] == 'off' else None\n"
+            "frozen = gc.get_freeze_count()\n"
+            "import casokit\n"
+            "print(json.dumps([\n"
+            "    sorted(m for m in sys.modules if m == 'numpy' or m.startswith('casokit.')),\n"
+            "    [os.environ.get(v) for v in sys.argv[2:]],\n"
+            "    gc.isenabled(), gc.get_freeze_count() == frozen]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        for state, enabled in (("on", True), ("off", False)):
+            out = fresh_python(probe, state, *BLAS_THREAD_VARS, env=env)
+            assert json.loads(out) == [[], ["1", "1", "1"], enabled, True]
+
+    def test_names_resolve_to_their_home_modules(self):
+        probe = (
+            "import importlib, json\n"
+            "import casokit\n"
+            "homes = {n: casokit._HOME[n] for n in casokit.__all__[1:]}\n"
+            "wrong = [n for n, home in homes.items()\n"
+            "         if getattr(casokit, n) is not getattr(\n"
+            "             importlib.import_module('casokit.' + home), n)\n"
+            "         or getattr(getattr(casokit, n), '__module__', 'casokit.' + home)\n"
+            "         != 'casokit.' + home]\n"
+            "star = {}\n"
+            "exec('from casokit import *', star)\n"
+            "unbound = [n for n in casokit.__all__ if star.get(n) is not getattr(casokit, n)]\n"
+            "try:\n"
+            "    casokit.no_such_name\n"
+            "    unknown = None\n"
+            "except AttributeError as e:\n"
+            "    unknown = str(e)\n"
+            "print(json.dumps([casokit.__all__[0], len(casokit.__all__),\n"
+            "                  len(set(casokit.__all__)), wrong, unbound, unknown,\n"
+            "                  set(casokit.__all__) <= set(dir(casokit))]))\n"
+        )
+        first, count, unique, wrong, unbound, unknown, listed = json.loads(fresh_python(probe))
+        assert first == "__version__" and count == unique == len(casokit.__all__)
+        assert wrong == [] and unbound == [] and listed
+        assert unknown == "module 'casokit' has no attribute 'no_such_name'"
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        names = ["analysis", "cli", "errors", "hessian", "interpret", "netcore",
+                 "saliency_io", "solver"]
+        probe = (
+            "import json, sys\n"
+            "import casokit\n"
+            "print(json.dumps([getattr(casokit, m) is sys.modules['casokit.' + m]\n"
+            "                  for m in sys.argv[1:]]))\n"
+        )
+        assert json.loads(fresh_python(probe, *names)) == [True] * len(names)
+
+    def test_cli_import_runs_no_collection(self):
+        """Collections during `import casokit.cli` are counted by where they
+        start. Compiling cli.py's own source, which happens before its body
+        can pause anything, passes the young generation's threshold once or
+        twice when no bytecode is cached; the imports it pauses run none."""
+        probe = (
+            "import gc, json, sys\n"
+            "runs = {'compiling cli.py': 0, 'elsewhere': 0}\n"
+            "def count(phase, info):\n"
+            "    if phase != 'start':\n"
+            "        return\n"
+            "    frame = sys._getframe(0)\n"
+            "    while frame and not (frame.f_code.co_name == 'source_to_code'\n"
+            "                         and str(frame.f_locals.get('path')).endswith('cli.py')):\n"
+            "        frame = frame.f_back\n"
+            "    runs['compiling cli.py' if frame else 'elsewhere'] += 1\n"
+            "gc.callbacks.append(count)\n"
+            "import casokit.cli\n"
+            "gc.callbacks.remove(count)\n"
+            "print(json.dumps(runs))\n"
+        )
+        runs = json.loads(fresh_python(probe))
+        assert runs["elsewhere"] == 0
+
+    @pytest.mark.parametrize("state", ["on", "off"])
+    def test_cli_import_restores_the_collector_and_freezes(self, state):
+        probe = (
+            "import gc, sys\n"
+            "gc.disable() if sys.argv[1] == 'off' else None\n"
+            "import casokit.cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        assert fresh_python(probe, state) == f"{state == 'on'} True\n"
