@@ -42,7 +42,6 @@ _EXPORTS = {
         "spearman_rho",
     ),
     "errors": (
-        "BudgetError",
         "DimensionError",
         "FormatError",
         "FrozenInstanceError",

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 
 import numpy as np
 
 from ._record import Record
-from .errors import BudgetError, DimensionError
+from .errors import DimensionError
 from .hessian import hessian_eig, rank_one_approx, rel_error, softmax_factor
 from .interpret import MethodRequest, _chunks, curvature_models
 from .netcore import _loss_cotangent
@@ -40,6 +39,8 @@ SIM_MODES = ("vary-classes", "vary-eps", "grid")
 _SIM_UNUSED = {
     "vary-classes": ("eps_values", "c"), "vary-eps": ("p0", "classes"), "grid": ("p0", "c"),
 }
+# the largest d brute_force_group_feature enumerates: at most 2**14 supports
+ORACLE_MAX_D = 14
 
 
 class RankOneSimConfig(Record):
@@ -217,6 +218,8 @@ def alignment_curve(d, classes, eps, seed=0):
     mass_ratio is lambda_max^2 over the sum of squared eigenvalues, the
     Frobenius share of the top eigenpair.
     """
+    if d < 1:
+        raise ValueError("d must be positive")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     classes = tuple(int(c) for c in classes)
@@ -237,20 +240,13 @@ def alignment_curve(d, classes, eps, seed=0):
 
 
 class OracleConfig(Record):
-    """Budget for the exhaustive group-feature search.
-
-    k is the maximum support size; the total number of supports
-    sum_{j<=k} C(d, j) must stay within max_enumerations.
-    """
+    """Settings of the exhaustive group-feature search: k is the maximum support size."""
 
     k: int
-    max_enumerations: int = 100_000
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be nonnegative")
-        if self.max_enumerations < 1:
-            raise ValueError("max_enumerations must be positive")
 
 
 class OracleResult(Record):
@@ -265,24 +261,19 @@ def brute_force_group_feature(g, H, lam2, cfg):
     Enumerates every support S with |S| <= k and maximizes
     g^T D + 1/2 D^T H D - lam2 ||D||^2 over vectors supported on S, which
     solves the |S| x |S| system (2 lam2 I - H)_SS D_S = g_S. Requires a
-    dense H with d <= 14 and lam2 > lambda_max(H)/2.
+    dense H with d <= ORACLE_MAX_D and lam2 > lambda_max(H)/2.
     """
     g = np.asarray(g, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     d = g.shape[0]
     if H.shape != (d, d):
         raise DimensionError("H must be a square d x d matrix matching g")
-    if d > 14:
-        raise ValueError(f"d = {d} exceeds the d <= 14 enumeration limit")
+    if d > ORACLE_MAX_D:
+        raise ValueError(f"d = {d} exceeds the d <= {ORACLE_MAX_D} enumeration limit")
     top = float(np.linalg.eigvalsh(H)[-1])
     if lam2 <= top / 2.0:
         raise ValueError("lam2 must exceed half the largest eigenvalue of H")
     k = min(cfg.k, d)
-    total = sum(math.comb(d, j) for j in range(k + 1))
-    if total > cfg.max_enumerations:
-        raise BudgetError(
-            f"{total} supports exceed the budget of {cfg.max_enumerations}"
-        )
 
     M = 2.0 * lam2 * np.eye(d) - H
     best_value = 0.0
@@ -308,7 +299,15 @@ def make_planted_instance(d=12, support=(2, 5, 9), seed=0):
 
     Returns (g, H, lam2, support). The oracle with k = |support| recovers
     exactly the planted support, and so does the L1 path at suitable lam1.
+    d must be positive and the support indices distinct and in [0, d).
     """
+    if d < 1:
+        raise ValueError("d must be positive")
+    for n, s in enumerate(support):
+        if not 0 <= s < d:
+            raise ValueError(f"support index {s} outside dimension {d}")
+        if s in support[:n]:
+            raise ValueError(f"support index {s} is repeated")
     rng = np.random.default_rng(seed)
     g = np.zeros(d)
     signs = np.where(rng.random(len(support)) < 0.5, -1.0, 1.0)

@@ -464,21 +464,21 @@ def cmd_alignment(args, out, stage):
 
 def cmd_oracle_check(args, out, stage):
     from .analysis import (
+        ORACLE_MAX_D,
         OracleConfig,
         brute_force_group_feature,
         l1_path_supports,
         make_planted_instance,
     )
 
-    for s in args.support:
-        if not 0 <= s < args.d:
-            raise ValueError(f"support index {s} outside dimension {args.d}")
+    # before the d x d instance is built
+    if args.d > ORACLE_MAX_D:
+        raise ValueError(f"d = {args.d} exceeds the d <= {ORACLE_MAX_D} enumeration limit")
     g, H, lam2, support = make_planted_instance(
         d=args.d, support=args.support, seed=args.seed
     )
     k = args.k if args.k is not None else len(support)
-    cfg = OracleConfig(k=k, max_enumerations=args.max_enumerations)
-    oracle = brute_force_group_feature(g, H, lam2, cfg)
+    oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=k))
     path_supports = l1_path_supports(g, H, lam2, args.grid)
     match = any(s == oracle.support for s in path_supports)
     found = ";".join(str(i) for i in oracle.support)
@@ -608,13 +608,13 @@ def build_parser():
 
     sp = sub.add_parser("oracle-check", help="exhaustive oracle versus the L1 path")
     _add_common(sp)
+    # analysis.ORACLE_MAX_D, spelled out as SIM_MODES is; a test keeps them equal
     sp.add_argument("--d", type=int, default=12, help="instance dimension (<= 14)")
     sp.add_argument("--k", type=int, help="oracle support size (default: planted size)")
     sp.add_argument("--support", type=int_list, default=(2, 5, 9),
                     help="planted support indices")
     sp.add_argument("--grid", type=grid_spec, default=DEFAULT_LAMBDA1_GRID,
                     help="lambda1 grid for the L1 path")
-    sp.add_argument("--max-enumerations", type=int, default=100_000)
     sp.set_defaults(func=cmd_oracle_check)
 
     return root, sub.choices

@@ -9,10 +9,6 @@ class NonFiniteError(ValueError):
     """An evaluation produced NaN or infinity."""
 
 
-class BudgetError(ValueError):
-    """An enumeration exceeded its configured budget."""
-
-
 class FormatError(ValueError):
     """Malformed model or dataset file.
 

@@ -506,6 +506,8 @@ def lambda1_sweep(
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
+    if max_refinements < 0:
+        raise ValueError("max_refinements must be nonnegative")
     model = _sparse_model(method, sample, net, c1=c1, **model_kwargs)
 
     def solve(lams):

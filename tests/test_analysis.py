@@ -9,7 +9,6 @@ from conftest import bishop_hessian, mixed_net
 from casokit import analysis, interpret
 from casokit import (
     DEFAULT_LAMBDA1_GRID,
-    BudgetError,
     Dataset,
     DimensionError,
     LayerSpec,
@@ -319,6 +318,8 @@ class TestAlignmentCurve:
             alignment_curve(32, (10,), 0.0)
         with pytest.raises(ValueError):
             alignment_curve(32, (3,), 0.4)  # eps >= 1/c
+        with pytest.raises(ValueError, match="d must be positive"):
+            alignment_curve(0, (10,), 1e-6)
 
 
 class TestBruteForceOracle:
@@ -414,15 +415,8 @@ class TestBruteForceOracle:
         H = np.eye(4)
         with pytest.raises(ValueError):
             brute_force_group_feature(g, H, 0.5, OracleConfig(k=1))
-        with pytest.raises(BudgetError):
-            brute_force_group_feature(
-                np.ones(12), np.zeros((12, 12)), 10.0,
-                OracleConfig(k=6, max_enumerations=10),
-            )
         with pytest.raises(ValueError):
             OracleConfig(k=-1)
-        with pytest.raises(ValueError):
-            OracleConfig(k=1, max_enumerations=0)
 
 
 class TestPlantedInstance:
@@ -439,6 +433,16 @@ class TestPlantedInstance:
         a = make_planted_instance(seed=7)
         b = make_planted_instance(seed=7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("d,support,message", [
+        (0, (), "d must be positive"),
+        (12, (2, 12), "support index 12 outside dimension 12"),
+        (12, (-1, 5), "support index -1 outside dimension 12"),
+        (12, (2, 5, 2), "support index 2 is repeated"),
+    ])
+    def test_rejects_bad_dimension_or_support(self, d, support, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_planted_instance(d=d, support=support)
 
 
 class TestSpearman:

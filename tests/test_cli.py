@@ -201,9 +201,10 @@ class TestInterpret:
 
     @pytest.mark.parametrize("command", ["interpret", "sweep", "oracle-check"])
     @pytest.mark.parametrize("flag", ["--jobs", "--power-iters", "--lr", "--solver-iters",
-                                      "--decay", "--max-backtracks"])
+                                      "--decay", "--max-backtracks", "--max-enumerations"])
     def test_removed_flag_is_usage_error(self, workspace, tmp_path, capsys, command, flag):
-        # the solves are exact and run in one thread: no flag tunes them
+        # the solves are exact and run in one thread, and the oracle's
+        # dimension cap bounds its enumeration: no flag tunes them
         argv = [command, "--out", str(tmp_path / "out")]
         if command != "oracle-check":
             argv += ["--model", workspace["model"], "--data", workspace["data"]]
@@ -765,6 +766,25 @@ class TestHandWrittenNets:
             assert r["kkt_residual"] <= 1e-12
 
 
+# one invalid value per command line, and the runtime error (exit 1) it names
+INVALID_VALUES = [
+    (["rank1-sim", "--d", "0"], "d must be positive"),
+    (["alignment", "--d", "0"], "d must be positive"),
+    (["alignment", "--eps", "0"], "eps must lie in (0, 1)"),
+    (["train", "--hidden", "0"], "layer dims must be positive, got 16x0"),
+    (["interpret", "--channels", "0"], "channels must be >= 1"),
+    (["interpret", "--method", "integrated-gradients", "--ig-steps", "0"],
+     "steps must be >= 1"),
+    (["sweep", "--eta-min", "0.9", "--eta-max", "0.5"],
+     "eta_range must satisfy 0 <= lo < hi <= 1"),
+    (["sweep", "--max-refinements", "-1"], "max_refinements must be nonnegative"),
+    (["oracle-check", "--k", "-1"], "k must be nonnegative"),
+    (["oracle-check", "--support", "2,2,5"], "support index 2 is repeated"),
+    (["oracle-check", "--d", "15"], "d = 15 exceeds the d <= 14 enumeration limit"),
+    (["oracle-check", "--d", "3000"], "d = 3000 exceeds the d <= 14 enumeration limit"),
+]
+
+
 class TestStudies:
     def test_rank1_sim(self, tmp_path, capsys):
         code = run([
@@ -900,6 +920,26 @@ class TestStudies:
     def test_oracle_check_bad_support(self, tmp_path, capsys):
         code = run(["oracle-check", "--support", "2,99", "--out", str(tmp_path)])
         assert code == 1
+        assert capsys.readouterr().err == "error: support index 99 outside dimension 12\n"
+
+    @pytest.mark.parametrize("argv,message", INVALID_VALUES,
+                             ids=[" ".join(argv) for argv, _ in INVALID_VALUES])
+    def test_invalid_value_is_runtime_error(self, workspace, tmp_path, capsys, monkeypatch,
+                                            argv, message):
+        from casokit import analysis
+
+        built = []
+        real = analysis.make_planted_instance
+        monkeypatch.setattr(analysis, "make_planted_instance",
+                            lambda *a, **kw: built.append(kw) or real(*a, **kw))
+        if argv[0] in ("interpret", "sweep"):
+            argv = [*argv, "--model", workspace["model"], "--data", workspace["data"]]
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        if message.endswith("enumeration limit"):
+            assert not built  # refused before the d x d instance is built
 
 
 # config entries no command line could give, and the error each one names
@@ -1178,6 +1218,13 @@ class TestStartup:
         from casokit import analysis
 
         assert cli.SIM_MODES == analysis.SIM_MODES
+
+    def test_oracle_d_help_matches_the_study_module(self):
+        from casokit import analysis
+
+        _, parsers = cli.build_parser()
+        (d,) = [a for a in parsers["oracle-check"]._actions if a.dest == "d"]
+        assert d.help == f"instance dimension (<= {analysis.ORACLE_MAX_D})"
 
     def test_bad_sim_mode_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

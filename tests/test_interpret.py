@@ -445,6 +445,8 @@ class TestLambda1Sweep:
             lambda1_sweep(s, relu_net, grid=(-1e-3, 1e-4))
         with pytest.raises(ValueError):
             lambda1_sweep(s, relu_net, eta_range=(0.9, 0.5))
+        with pytest.raises(ValueError, match="max_refinements must be nonnegative"):
+            lambda1_sweep(s, relu_net, max_refinements=-1)
 
 
 class TestMethodRequest:
