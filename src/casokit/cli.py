@@ -297,9 +297,7 @@ def cmd_interpret(args, out, stage):
     net = model_load(args.model)
     dataset = _load_data(args)
     indices = args.samples
-    for i in indices:
-        if not 0 <= i < dataset.n:
-            raise ValueError(f"sample index {i} outside the dataset of {dataset.n}")
+    samples = [dataset.sample(i) for i in indices]
     w, h = _geometry(args, dataset.dim)
     # only noise draws read a seed; the others skip importing numpy.random
     if args.method in NOISE_METHODS:
@@ -310,7 +308,7 @@ def cmd_interpret(args, out, stage):
     requests = [
         MethodRequest(
             method=args.method,
-            sample=dataset.sample(i),
+            sample=sample,
             lam1=args.lambda1,
             c1=args.c1,
             smooth_n=args.smooth_n,
@@ -319,7 +317,7 @@ def cmd_interpret(args, out, stage):
             seed=seed,
             channels=args.channels,
         )
-        for i, seed in zip(indices, seeds)
+        for sample, seed in zip(samples, seeds)
     ]
     prov = _provenance(args)
     prov_text = _json_value(prov)
@@ -369,8 +367,6 @@ def cmd_interpret(args, out, stage):
 def cmd_sweep(args, out, stage):
     net = model_load(args.model)
     dataset = _load_data(args)
-    if not 0 <= args.sample < dataset.n:
-        raise ValueError(f"sample index {args.sample} outside the dataset of {dataset.n}")
     sample = dataset.sample(args.sample)
     w, h = _geometry(args, dataset.dim)
     outcome = lambda1_sweep(

@@ -96,26 +96,24 @@ class Network(Record):
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.spec.layers) or len(self.biases) != len(
-            self.spec.layers
-        ):
+        if not len(self.weights) == len(self.biases) == len(self.spec.layers):
             raise DimensionError("parameter count does not match layer count")
         frozen_w = []
         frozen_b = []
-        for layer, W, b in zip(self.spec.layers, self.weights, self.biases):
+        for l, (layer, W, b) in enumerate(zip(self.spec.layers, self.weights, self.biases)):
             W = np.asarray(W, dtype=np.float64)
             b = np.asarray(b, dtype=np.float64)
             if W.shape != (layer.out_dim, layer.in_dim):
                 raise DimensionError(
-                    f"weight shape {W.shape} does not match layer "
+                    f"layer {l}: weight shape {W.shape} does not match "
                     f"({layer.out_dim}, {layer.in_dim})"
                 )
             if b.shape != (layer.out_dim,):
                 raise DimensionError(
-                    f"bias shape {b.shape} does not match layer ({layer.out_dim},)"
+                    f"layer {l}: bias shape {b.shape} does not match ({layer.out_dim},)"
                 )
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise NonFiniteError("network parameters must be finite")
+                raise NonFiniteError(f"layer {l}: parameters must be finite")
             frozen_w.append(_frozen_f64(W))
             frozen_b.append(_frozen_f64(b))
         object.__setattr__(self, "weights", tuple(frozen_w))
@@ -221,6 +219,9 @@ class Dataset(Record):
         return self.X.shape[1]
 
     def sample(self, i):
+        """Row i as a Sample; i must lie in [0, n)."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"sample index {i} outside the dataset of {self.n}")
         return Sample(self.X[i], int(self.labels[i]))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import DimensionError, FormatError
-from .netcore import ACTIVATIONS, Dataset, LayerSpec, Network, NetworkSpec
+from .netcore import Dataset, LayerSpec, Network, NetworkSpec
 
 PERCENTILE_CAP = 99.0
 
@@ -191,20 +191,24 @@ def model_load(path):
 
 def _json_model(data, path):
     """model_load's parse of the JSON bytes: the network, and its sidecar's
-    header fields and arrays."""
+    header fields and arrays. LayerSpec and Network own the model's rules;
+    their rejections are re-raised as a FormatError naming the file."""
+    text = _decode_utf8(data, path)
     try:
-        doc = json.loads(_decode_utf8(data, path))
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(
             f"invalid JSON: {e.msg}", path=path, line=e.lineno, offset=e.pos
         ) from None
     except RecursionError:
         raise FormatError("JSON nests too deeply", path=path) from None
+    except ValueError as e:  # an integer of more digits than int() converts
+        raise FormatError(f"invalid JSON: {e}", path=path) from None
     if not isinstance(doc, dict) or "layers" not in doc:
         raise FormatError("model file has no 'layers' key", path=path)
     raw_layers = doc["layers"]
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise FormatError("'layers' must be a non-empty list", path=path)
+    if not isinstance(raw_layers, list):
+        raise FormatError("'layers' must be a list", path=path)
     specs = []
     weights = []
     biases = []
@@ -218,21 +222,15 @@ def _json_model(data, path):
             b = np.asarray(entry["bias"], dtype=np.float64)
         except KeyError as e:
             raise FormatError(f"layer {i} is missing key {e}", path=path) from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise FormatError(f"layer {i} has bad numeric data: {e}", path=path) from None
         for key, dim in (("in", in_dim), ("out", out_dim)):
             if type(dim) is not int:  # not a float, nor a bool
                 raise FormatError(f"layer {i} key '{key}' must be a JSON integer", path=path)
-        if activation not in ACTIVATIONS:
-            raise FormatError(
-                f"layer {i} has unknown activation {activation!r}", path=path
-            )
-        if W.shape != (out_dim, in_dim) or b.shape != (out_dim,):
-            raise FormatError(
-                f"layer {i} arrays do not match its declared {out_dim}x{in_dim} shape",
-                path=path,
-            )
-        specs.append(LayerSpec(in_dim, out_dim, activation))
+        try:
+            specs.append(LayerSpec(in_dim, out_dim, activation))
+        except ValueError as e:
+            raise FormatError(f"layer {i}: {e}", path=path) from None
         weights.append(W)
         biases.append(b)
     try:
@@ -427,12 +425,16 @@ def _csv_dataset(data, path):
         if label >= 2.0**53:  # float() rounds larger integers
             raise FormatError(f"label {row[-1].strip()} is not below 2**53", path=path,
                               line=line_no)
-        rows.append((values[:-1], int(label)))
+        rows.append((values[:-1], int(label), line_no))
     if not rows:
         raise FormatError("no data rows found", path=path)
     if width < 2:
         raise FormatError("rows need at least one feature and a label", path=path)
     X = np.asarray([r[0] for r in rows], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(X))
+    if bad.size:
+        raise FormatError(f"feature {X.flat[bad[0]]} is not finite", path=path,
+                          line=rows[bad[0] // X.shape[1]][2])
     labels = np.asarray([r[1] for r in rows], dtype=np.int64)
     dataset = Dataset(X, labels)
     return dataset, {"rows": dataset.n, "dim": dataset.dim}, [dataset.X, dataset.labels]

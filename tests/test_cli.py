@@ -841,6 +841,23 @@ class TestStudies:
         assert all(0.0 <= float(line.split(",")[2]) <= 2.0 for line in lines[2:])
         assert "spearman_rho=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("classes", [10, 100])
+    def test_gap_trend_holds_at_many_classes(self, tmp_path, capsys, classes):
+        # the paper's claim: the CASO-CAFO gap falls as the confidence p_max
+        # rises, here on nets of 10 and 100 classes
+        prep = tmp_path / "prep"
+        assert run([
+            "train", "--classes", str(classes), "--dim", "64", "--n-per-class", "10",
+            "--hidden", "64", "--epochs", "5", "--lr", "0.02", "--seed", "3", "--save-data",
+            "--out", str(prep),
+        ]) == 0
+        capsys.readouterr()
+        assert run(["gap-study", "--model", str(prep / "model.json"),
+                    "--data", str(prep / "data.csv"), "--out", str(tmp_path / "gap")]) == 0
+        out = capsys.readouterr().out
+        rho = float(out.split("spearman_rho=")[1].split()[0])
+        assert rho <= -0.8, out
+
     def test_gap_study(self, workspace, tmp_path, capsys):
         code = run([
             "gap-study", "--model", workspace["model"], "--data", workspace["data"],
@@ -1108,6 +1125,18 @@ class TestModelFiles:
                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: JSON nests too deeply ({deep})\n"
+
+    def test_zero_width_layer_is_runtime_error(self, workspace, tmp_path, capsys):
+        doc = read_json(workspace["model"])
+        layer = doc["layers"][0]
+        layer["in"], layer["weights"] = 0, [[] for _ in layer["weights"]]
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["interpret", "--model", str(bad), "--data", workspace["data"],
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: layer 0: layer dims must be positive, got 0x8 ({bad})\n")
 
     @pytest.mark.parametrize("flag", ["--model", "--data"])
     def test_non_utf8_file_is_runtime_error(self, workspace, tmp_path, capsys, flag):

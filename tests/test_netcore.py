@@ -262,6 +262,15 @@ def test_dataset_validation_and_sample():
     assert s.y == 0
 
 
+@pytest.mark.parametrize("i", [-1, 3, -4])
+def test_sample_index_outside_the_dataset(i):
+    # a negative index is refused, not read from the end
+    data = nc.Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0]))
+    with pytest.raises(ValueError) as exc:
+        data.sample(i)
+    assert str(exc.value) == f"sample index {i} outside the dataset of 3"
+
+
 def test_sample_rejects_non_integer_label():
     for y in (2.9, 2.0, np.float64(1.0), "1"):
         with pytest.raises(ValueError, match="not an integer"):

@@ -467,11 +467,15 @@ def _csv_oracle(path):
         if label >= 2.0**53:
             raise FormatError(f"label {row[-1].strip()} is not below 2**53", path=path,
                               line=line_no)
-        rows.append((values[:-1], int(label)))
+        rows.append((values[:-1], int(label), line_no))
     if not rows:
         raise FormatError("no data rows found", path=path)
     if width < 2:
         raise FormatError("rows need at least one feature and a label", path=path)
+    for features, _, line_no in rows:
+        for v in features:
+            if not math.isfinite(v):
+                raise FormatError(f"feature {v} is not finite", path=path, line=line_no)
     return Dataset(np.asarray([r[0] for r in rows], dtype=np.float64),
                    np.asarray([r[1] for r in rows], dtype=np.int64))
 
@@ -479,8 +483,8 @@ def _csv_oracle(path):
 def _load_outcome(load, path):
     try:
         data = load(path)
-    except ValueError as e:  # FormatError, or NonFiniteError from Dataset
-        return type(e), str(e), getattr(e, "line", None)
+    except FormatError as e:
+        return type(e), str(e), e.line
     return data.X.shape, data.X.tobytes(), data.labels.tobytes()
 
 
@@ -1287,6 +1291,144 @@ class TestRawReadersFuzz:
             assert got.X.tobytes() == X.tobytes() and got.labels.tolist() == labels.tolist()
 
 
+_DIMS = st.sampled_from([0, -1, 1.5, 2.0, True, None, "3", 10**20]) | st.integers(1, 5)
+_MODEL_ACTIVATIONS = st.sampled_from(
+    ["relu", "sigmoid", "identity", "tanh", "", "RELU", None, 7, ["relu"]])
+# raw JSON tokens put in place of one weight or bias entry: past float's
+# range as a float and as an integer, not finite, or not a number
+_MODEL_CELLS = st.sampled_from(
+    ["1e400", "-1e400", "NaN", "Infinity", "1" + "0" * 400, "true", "null", '"0.5"', "[]"])
+_LAYER_KEYS = ("in", "out", "activation", "weights", "bias")
+_MODEL_EDITS = st.one_of(
+    st.tuples(st.just("dim"), st.integers(0, 2), st.sampled_from(["in", "out"]), _DIMS),
+    st.tuples(st.just("activation"), st.integers(0, 2), _MODEL_ACTIVATIONS),
+    st.tuples(st.just("shape"), st.integers(0, 2), st.sampled_from(["weights", "bias"]),
+              st.sampled_from(["empty", "short", "nested", "ragged", "column", "no-columns"])),
+    st.tuples(st.just("cell"), st.integers(0, 2), st.sampled_from(["weights", "bias"]),
+              _MODEL_CELLS),
+    st.tuples(st.just("missing"), st.integers(0, 2), st.sampled_from(_LAYER_KEYS)),
+    st.tuples(st.just("entry"), st.integers(0, 2), st.sampled_from([[], 3, "layer", None])),
+    st.tuples(st.sampled_from(["drop", "dup"]), st.integers(0, 2)),
+    st.tuples(st.just("layers"), st.sampled_from([[], {}, "layers", None])),
+)
+
+
+def _reshaped(a, how):
+    """A weight (list of rows) or bias list a, reshaped."""
+    return {"empty": [], "short": a[:-1], "nested": [a], "ragged": [a[0], [a[1]], *a[2:]],
+            "column": [[v] for v in a],
+            "no-columns": [[] for _ in a] if isinstance(a[0], list) else []}[how]
+
+
+def _edited_model(doc, edits):
+    """The JSON text of a saved model's document after the edits, each
+    applied where the document still has the layer and key it names."""
+    raw = []
+    for kind, *args in edits:
+        layers = doc.get("layers")
+        if kind == "layers":
+            doc["layers"] = args[0]
+            continue
+        if not isinstance(layers, list) or not layers:
+            continue
+        i = args[0] % len(layers)
+        if kind == "drop":
+            del layers[i]
+        elif kind == "dup":
+            layers.insert(i, layers[i])
+        elif kind == "entry":
+            layers[i] = args[1]
+        elif not isinstance(layers[i], dict):
+            continue
+        elif kind == "missing":
+            layers[i].pop(args[1], None)
+        elif kind in ("dim", "activation"):
+            layers[i][args[-2] if kind == "dim" else "activation"] = args[-1]
+        elif isinstance(layers[i].get(args[1]), list) and len(layers[i][args[1]]) >= 2:
+            key, a = args[1], layers[i][args[1]]
+            if kind == "shape":
+                layers[i][key] = _reshaped(a, args[2])
+            else:  # one entry becomes a marker string, swapped for the raw token below
+                raw.append(args[2])
+                marker = f"@raw{len(raw) - 1}@"
+                first = [marker, *a[0][1:]] if isinstance(a[0], list) else marker
+                layers[i][key] = [first, *a[1:]]
+    text = json.dumps(doc)
+    for n, token in enumerate(raw):
+        text = text.replace(f'"@raw{n}@"', token)
+    return text
+
+
+_CSV_FEATURES = st.sampled_from(["nan", "inf", "-inf", "1e999", "NaN", "x", "", "1_0", " 2 "])
+_CSV_LABELS = st.sampled_from(["-1", "1.5", "nan", "inf", "x", "1e19", "", "3", "-inf"])
+_CSV_EDITS = st.one_of(
+    st.tuples(st.just("feature"), st.integers(0, 2), st.integers(0, 1), _CSV_FEATURES),
+    st.tuples(st.just("label"), st.integers(0, 2), _CSV_LABELS),
+    st.tuples(st.sampled_from(["drop", "extra"]), st.integers(0, 2)),
+)
+
+
+class TestLoaderRejectionsFuzz:
+    """Every model or CSV file the loaders reject raises FormatError with
+    its path, and for a CSV the line of the edit that broke it; the
+    records' rules (LayerSpec, Network, Dataset) decide what is rejected."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(_MODEL_EDITS, min_size=1, max_size=2))
+    @example(edits=[("dim", 0, "in", 0), ("shape", 0, "weights", "no-columns")])
+    @example(edits=[("cell", 0, "weights", "1e400")])
+    @example(edits=[("cell", 1, "bias", "1" + "0" * 400)])
+    @example(edits=[("cell", 0, "weights", "1" + "0" * 5000)])
+    @example(edits=[("activation", 0, "tanh")])
+    @example(edits=[("layers", [])])
+    def test_model(self, tmp_path, edits):
+        net = init_network(NetworkSpec((LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity"))),
+                           seed=2)
+        path = tmp_path / "model.json"
+        model_save(net, path)
+        path.write_text(_edited_model(json.loads(path.read_text()), edits))
+        try:
+            got = model_load(path)
+        except FormatError as e:
+            assert e.path == path, str(e)
+            return
+        layers = json.loads(path.read_text())["layers"]
+        assert [[s.in_dim, s.out_dim, s.activation] for s in got.spec.layers] == [
+            [e["in"], e["out"], e["activation"]] for e in layers]
+        for W, b, e in zip(got.weights, got.biases, layers):
+            assert W.tobytes() == np.asarray(e["weights"], dtype=np.float64).tobytes()
+            assert b.tobytes() == np.asarray(e["bias"], dtype=np.float64).tobytes()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edit=_CSV_EDITS)
+    @example(edit=("feature", 0, 1, "nan"))
+    @example(edit=("feature", 2, 0, "inf"))
+    def test_csv(self, tmp_path, edit):
+        path = tmp_path / "data.csv"
+        dataset_save_csv(Dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0]), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        kind, k, *args = edit
+        if kind == "feature":
+            rows[k][args[0]] = args[1]
+        elif kind == "label":
+            rows[k][-1] = args[0]
+        elif kind == "drop":
+            del rows[k][-1]
+        else:
+            rows[k].append("0")
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        try:
+            got = dataset_load(path)
+        except FormatError as e:
+            assert e.path == path, str(e)
+            # a first row of another width sets the width the next row breaks
+            assert e.line == (2 if k == 0 and kind in ("drop", "extra") else k + 1), str(e)
+            return
+        # only a first row with a cell that is not a number, read as a header,
+        # may go missing
+        assert got.n == 3 or (k == 0 and got.n == 2)
 
 
 class TestCsvArtifacts:
