@@ -29,6 +29,7 @@ _EXPORTS = {
     "analysis": (
         "AlignmentPoint",
         "GapPoint",
+        "L1Path",
         "OracleConfig",
         "OracleResult",
         "RankOnePoint",
@@ -36,7 +37,7 @@ _EXPORTS = {
         "alignment_curve",
         "brute_force_group_feature",
         "confidence_gap_study",
-        "l1_path_supports",
+        "l1_path",
         "make_planted_instance",
         "simulate_rank_one",
         "spearman_rho",

@@ -14,8 +14,8 @@ Three empirical studies back the theory at desk scale:
 
 brute_force_group_feature is the exact L0 oracle: it enumerates every
 support of size at most k and maximizes the lam1-free surrogate on each,
-which is what the L1 path (l1_path_supports, solved exactly at each lam1)
-is meant to approximate.
+which is what the L1 relaxation is meant to approximate; l1_path gives
+every support of the L1 maximizer over all lam1, exactly.
 """
 
 from __future__ import annotations
@@ -327,20 +327,51 @@ def make_planted_instance(d=12, support=(2, 5, 9), seed=0):
     return g, H, lam2, tuple(sorted(support))
 
 
-def l1_path_supports(g, H, lam2, grid):
-    """Support of the exact maximizer at each lam1 on the grid.
+class L1Path(Record):
+    """The exact L1 path: the maximizer at each breakpoint lam1[i] (falling
+    from max|g| to 0) is deltas[i], and supports[i] is its support between
+    lam1[i] and lam1[i + 1], where it moves linearly."""
 
-    The dense H (the oracle's setting) is H = F C F^T with F = I and C = H,
-    so each lam1 takes exact_solve against one Woodbury base (2 lam2 I -
-    H)^{-1} and H's bottom eigenvalue. Returns a list of index tuples.
+    lam1: np.ndarray
+    deltas: np.ndarray
+    supports: tuple[tuple[int, ...], ...]
+
+
+_EVENT_RTOL = 1e-10  # events this close to a breakpoint happen at it
+
+
+def l1_path(g, H, lam2):
+    """Every support of the maximizer of g^T D + 1/2 D^T H D - lam2 ||D||^2
+    - lam1 ||D||_1 over lam1 >= 0, by homotopy (Osborne, Presnell & Turlach
+    2000; the LARS-lasso of Efron et al. 2004). M = 2 lam2 I - H is positive
+    definite, so on each piece, of support S and signs s, the maximizer is
+    D_S = M_SS^{-1} (g_S - lam1 s). From D = 0 at lam1 = max|g| the next
+    breakpoint is where an inactive g_j - M_j D reaches +-lam1 (j joins) or
+    an active D_i reaches 0 (i leaves). Tied events happen together, which is
+    exact for coordinates tied at the top of |g| when M_SS^{-1} s has their
+    signs s. Returns an L1Path.
     """
     g = np.asarray(g, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    eye = np.eye(g.shape[0])
-    base = np.linalg.inv(2.0 * lam2 * eye - H)
-    floor = float(np.linalg.eigvalsh(H)[0])
-    return [tuple(np.flatnonzero(exact_solve(g, float(lam1), lam2, eye, H, base, floor).delta
-                                 != 0.0)) for lam1 in grid]
+    M = 2.0 * lam2 * np.eye(g.shape[0]) - np.asarray(H, dtype=np.float64)
+    lam, sign, S, a, b, pieces = np.inf, np.zeros(g.shape[0]), [], np.zeros(0), np.zeros(0), []
+    while lam > 0.0:
+        # the correlations are p + lam q off S, and D_S = a - lam b
+        p, q = g - M[:, S] @ a, M[:, S] @ b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.stack([p / (1.0 - q), -p / (1.0 + q)])
+            roots[:, S] = a / b
+        roots[~((roots > 0.0) & (roots < lam * (1.0 - _EVENT_RTOL)))] = 0.0
+        events = roots.max(axis=0)
+        lam = float(events.max(initial=0.0))
+        hit = (events > 0.0) & (events >= lam * (1.0 - _EVENT_RTOL))
+        D = np.zeros(g.shape[0])
+        D[S] = np.where(hit[S], 0.0, a - lam * b)
+        pieces.append((lam, D, tuple(S)))
+        sign[hit] = np.where(sign[hit] != 0.0, 0.0, np.sign(p[hit] + lam * q[hit]))
+        S = np.flatnonzero(sign).tolist()
+        a, b = np.linalg.solve(M[np.ix_(S, S)], np.stack([g[S], sign[S]], axis=1)).T
+    knots, deltas, supports = zip(*pieces)
+    return L1Path(lam1=np.array(knots), deltas=np.array(deltas), supports=supports[1:])
 
 
 def _rankdata(v):

@@ -5,9 +5,10 @@ blobs or a CSV dataset, run any interpretation method over samples,
 sweep the sparsity weight, and reproduce the simulation studies.
 
 Artifacts are deterministic: the same invocation with the same seed
-produces bitwise-identical files. Every CSV and JSON artifact carries a
-provenance record (the resolved configuration plus the package version,
-never a timestamp). Output lands in --out, falling back to the
+produces bitwise-identical files. Each run records its provenance (the
+resolved configuration plus the package version, never a timestamp)
+once: in the first line of its CSV artifact, in sweep.json or in the
+model's metadata. Output lands in --out, falling back to the
 CASOKIT_OUT_DIR environment variable, then the working directory; a run
 that fails leaves it unchanged, and removes the directories it created for
 it.
@@ -171,24 +172,10 @@ def _provenance(args):
     return doc
 
 
-def _json_value(value):
-    """value as json.dumps(doc, indent=1, sort_keys=True) renders it one
-    level inside doc."""
-    return json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n ")
-
-
-def _write_json(path, doc, provenance):
-    """Write doc plus a "provenance" entry, as json.dumps(indent=1,
-    sort_keys=True) renders them, and a newline, in one write.
-
-    provenance is the entry's _json_value text, rendered once per run. It
-    replaces a null placeholder, whose line is unique: nested keys are
-    indented deeper and strings escape their newlines.
-    """
-    text = json.dumps({**doc, "provenance": None}, indent=1, sort_keys=True)
-    text = text.replace('\n "provenance": null', '\n "provenance": ' + provenance, 1)
+def _write_json(path, doc):
+    """Write doc, json.dumps(indent=1, sort_keys=True), and a newline."""
     with open(path, "wb") as fh:
-        fh.write(text.encode() + b"\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True).encode() + b"\n")
 
 
 def _load_data(args):
@@ -275,7 +262,7 @@ def cmd_train(args, out, stage):
     return f"accuracy={result.accuracy:.6f}\nmodel={os.path.join(out, args.model_name)}\n"
 
 
-def _write_sample(stage, idx, res, dmap, prov_text):
+def _write_sample(stage, idx, res, dmap):
     """Write one sample's .pgm, .delta.f64 and .json into stage."""
     write_pgm(
         dmap,
@@ -285,7 +272,7 @@ def _write_sample(stage, idx, res, dmap, prov_text):
     write_f64_tensor(os.path.join(stage, f"sample{idx}.delta.f64"), res.delta)
     doc = _result_summary(res)
     doc["sample_id"] = idx
-    _write_json(os.path.join(stage, f"sample{idx}.json"), doc, prov_text)
+    _write_json(os.path.join(stage, f"sample{idx}.json"), doc)
 
 
 def cmd_interpret(args, out, stage):
@@ -319,8 +306,6 @@ def cmd_interpret(args, out, stage):
         )
         for sample, seed in zip(samples, seeds)
     ]
-    prov = _provenance(args)
-    prov_text = _json_value(prov)
 
     # one writer thread writes each chunk's artifacts while the next chunk
     # computes
@@ -331,7 +316,7 @@ def cmd_interpret(args, out, stage):
     def write_samples():
         try:
             while (job := jobs.get()) is not None:
-                _write_sample(stage, *job, prov_text)
+                _write_sample(stage, *job)
         except Exception as e:  # raised again on the main thread after the join
             failed.append(e)
 
@@ -358,7 +343,7 @@ def cmd_interpret(args, out, stage):
         ("sample_id", "method", "lambda1", "lambda2", "eta", "loss_gain", "p_max"),
         [(idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max)
          for idx, res in zip(indices, results)],
-        provenance=prov,
+        provenance=_provenance(args),
     )
     return "".join(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n"
                    for idx, res in zip(indices, results))
@@ -391,8 +376,9 @@ def cmd_sweep(args, out, stage):
         "selected_index": outcome.selected_index,
         "selected": _result_summary(selected),
         "target_met": outcome.target_met,
+        "provenance": _provenance(args),
     }
-    _write_json(os.path.join(stage, "sweep.json"), doc, _json_value(_provenance(args)))
+    _write_json(os.path.join(stage, "sweep.json"), doc)
     dmap = normalize_for_display(selected.delta, w, h, args.channels)
     write_pgm(
         dmap,
@@ -463,7 +449,7 @@ def cmd_oracle_check(args, out, stage):
         ORACLE_MAX_D,
         OracleConfig,
         brute_force_group_feature,
-        l1_path_supports,
+        l1_path,
         make_planted_instance,
     )
 
@@ -475,16 +461,20 @@ def cmd_oracle_check(args, out, stage):
     )
     k = args.k if args.k is not None else len(support)
     oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=k))
-    path_supports = l1_path_supports(g, H, lam2, args.grid)
-    match = any(s == oracle.support for s in path_supports)
+    path = l1_path(g, H, lam2)
+    # piece i spans [lam1[i], tops[i]]; above lam1[0] = max|g| the map is 0
+    tops, supports = (np.inf, *path.lam1[:-1]), ((), *path.supports)
+    on = [i for i, s in enumerate(supports) if s == oracle.support]
+    lo, hi = (float(path.lam1[on[-1]]), float(tops[on[0]])) if on else (None, None)  # hull
     found = ";".join(str(i) for i in oracle.support)
     write_csv_rows(
         os.path.join(stage, "oracle.csv"),
-        ("support", "value", "l1_match"),
-        [(found, oracle.value, int(match))],
+        ("support", "value", "l1_match", "lambda1_lo", "lambda1_hi"),
+        [(found, oracle.value, int(bool(on)), lo, hi)],
         provenance=_provenance(args),
     )
-    return f"oracle support={found} value={oracle.value!r} l1_match={match}\n"
+    span = f" lambda1=[{lo!r}, {hi!r}]" if on else ""
+    return f"oracle support={found} value={oracle.value!r} l1_match={bool(on)}{span}\n"
 
 
 def _add_common(sp):
@@ -602,15 +592,13 @@ def build_parser():
     sp.add_argument("--eps", type=float, default=1e-6, help="runner-up probability")
     sp.set_defaults(func=cmd_alignment)
 
-    sp = sub.add_parser("oracle-check", help="exhaustive oracle versus the L1 path")
+    sp = sub.add_parser("oracle-check", help="exhaustive oracle versus the exact L1 path")
     _add_common(sp)
     # analysis.ORACLE_MAX_D, spelled out as SIM_MODES is; a test keeps them equal
     sp.add_argument("--d", type=int, default=12, help="instance dimension (<= 14)")
     sp.add_argument("--k", type=int, help="oracle support size (default: planted size)")
     sp.add_argument("--support", type=int_list, default=(2, 5, 9),
                     help="planted support indices")
-    sp.add_argument("--grid", type=grid_spec, default=DEFAULT_LAMBDA1_GRID,
-                    help="lambda1 grid for the L1 path")
     sp.set_defaults(func=cmd_oracle_check)
 
     return root, sub.choices

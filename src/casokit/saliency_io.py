@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -237,6 +238,10 @@ def _json_model(data, path):
         net = Network(NetworkSpec(tuple(specs)), tuple(weights), tuple(biases))
     except ValueError as e:
         raise FormatError(f"inconsistent model: {e}", path=path) from None
+    for i, entry in enumerate(raw_layers):  # asarray also takes "0.5" and true
+        for key, rows in (("weights", entry["weights"]), ("bias", [entry["bias"]])):
+            if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+                raise FormatError(f"layer {i} key '{key}' must hold JSON numbers", path=path)
     return (net,
             {"layers": [[s.in_dim, s.out_dim, s.activation] for s in net.spec.layers]},
             [a for pair in zip(net.weights, net.biases) for a in pair])
@@ -253,7 +258,7 @@ class _Sidecar(Record):
 
 
 # a model's weights: every layer's weights (row-major) and bias, float64
-_WEIGHTS = _Sidecar(".weights", b"casokit-weights 3\n")
+_WEIGHTS = _Sidecar(".weights", b"casokit-weights 4\n")
 # a CSV dataset: X (rows x dim, row-major) as float64, then the int64 labels
 _DATASET = _Sidecar(".dataset", b"casokit-dataset 4\n")
 

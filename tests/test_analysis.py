@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 from conftest import bishop_hessian, mixed_net
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casokit import analysis, interpret
 from casokit import (
@@ -30,7 +32,7 @@ from casokit import (
     hessian_eig,
     init_network,
     input_gradient,
-    l1_path_supports,
+    l1_path,
     make_blobs,
     make_planted_instance,
     prox_soft_threshold,
@@ -40,6 +42,7 @@ from casokit import (
     spearman_rho,
     train_sgd,
 )
+from casokit.solver import exact_solve
 
 
 def naive_rel_error(W, c, eps):
@@ -379,23 +382,22 @@ class TestBruteForceOracle:
         g, H, lam2, support = make_planted_instance(d=12, support=(2, 5, 9), seed=0)
         oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=3))
         assert oracle.support == support
-        supports = l1_path_supports(g, H, lam2, (0.0, 1e-5, 1e-4, 1e-3, 6.25e-3,
-                                                 1.25e-2, 2.5e-2, 5e-2))
-        assert support in supports
+        assert support in l1_path(g, H, lam2).supports
 
     @pytest.mark.parametrize("d,support", [(8, (1, 4)), (12, (2, 5, 9)), (14, (0, 3, 7, 11))])
     def test_l1_path_matches_fista_reference(self, d, support):
-        # FISTA at 100 iterations is the reference oracle; at each lam1 the
-        # exact path's support, with FISTA's signs, must satisfy the KKT
+        # FISTA at 100 iterations is the reference oracle; at each lam1 of
+        # the grid the path's map, with FISTA's signs, must satisfy the KKT
         # fixed point D = soft(g + H D, lam1) / (2 lam2) to rounding
         for seed in range(4):
             g, H, lam2, _ = make_planted_instance(d=d, support=support, seed=seed)
             top = float(np.linalg.eigvalsh(H)[-1])
-            got = l1_path_supports(g, H, lam2, DEFAULT_LAMBDA1_GRID)
-            for lam1, path_support in zip(DEFAULT_LAMBDA1_GRID, got, strict=True):
+            path = l1_path(g, H, lam2)
+            for lam1 in DEFAULT_LAMBDA1_GRID:
                 obj = ObjectiveSpec(gradient=g, hvp=lambda v: H @ v, lam1=lam1, lam2=lam2,
                                     curvature_bound=top)
                 ref = fista_solve(obj, SolverConfig(iterations=100)).delta
+                path_support = tuple(np.flatnonzero(_path_map(path, lam1)))
                 assert path_support == tuple(np.flatnonzero(ref != 0.0))
                 S = list(path_support)
                 D = np.zeros(d)
@@ -417,6 +419,130 @@ class TestBruteForceOracle:
             brute_force_group_feature(g, H, 0.5, OracleConfig(k=1))
         with pytest.raises(ValueError):
             OracleConfig(k=-1)
+
+
+def _path_map(path, lam1):
+    """The path's maximizer at lam1, interpolated between its breakpoints."""
+    knots = path.lam1[::-1]
+    return np.array([np.interp(lam1, knots, path.deltas[::-1, j])
+                     for j in range(path.deltas.shape[1])])
+
+
+def _exact_map(g, H, lam2, lam1):
+    """exact_solve's maximizer for the dense H, written as F C F^T with F = I."""
+    eye = np.eye(len(g))
+    return exact_solve(g, float(lam1), lam2, eye, H, np.linalg.inv(2.0 * lam2 * eye - H),
+                       float(np.linalg.eigvalsh(H)[0])).delta
+
+
+def _grid_supports(g, H, lam2):
+    """exact_solve's supports on the default lambda1 grid: what oracle-check
+    compared the oracle with before the exact path."""
+    return [tuple(np.flatnonzero(_exact_map(g, H, lam2, lam1))) for lam1 in DEFAULT_LAMBDA1_GRID]
+
+
+def _noisy_instance(d, k, seed, noise):
+    """A planted instance of k coordinates, drawn from seed, with Gaussian
+    noise of standard deviation noise added to every entry of g."""
+    rng = np.random.default_rng(seed)
+    support = tuple(int(i) for i in rng.choice(d, k, replace=False))
+    g, H, lam2, _ = make_planted_instance(d=d, support=support, seed=seed)
+    return g + noise * rng.standard_normal(d), H, lam2
+
+
+def _assert_exact_path(g, H, lam2):
+    """The path's map at every breakpoint is exact_solve's to 1e-12 of its
+    scale, and its support on every piece is exact_solve's at the piece's
+    midpoint. Returns the path."""
+    path = l1_path(g, H, lam2)
+    assert path.lam1[0] == np.abs(g).max() and path.lam1[-1] == 0.0
+    assert np.all(np.diff(path.lam1) < 0.0)
+    assert len(path.supports) == len(path.lam1) - 1 == len(path.deltas) - 1
+    for lam1, delta in zip(path.lam1, path.deltas):
+        ref = _exact_map(g, H, lam2, lam1)
+        assert np.abs(delta - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    for hi, lo, support in zip(path.lam1, path.lam1[1:], path.supports):
+        assert support == tuple(np.flatnonzero(_exact_map(g, H, lam2, (hi + lo) / 2.0)))
+    return path
+
+
+class TestL1Path:
+    def test_default_instance(self):
+        g, H, lam2, support = make_planted_instance()
+        path = _assert_exact_path(g, H, lam2)
+        assert len(path.supports) == 12
+        assert path.supports[:3] == ((9,), (5, 9), support)
+        assert path.lam1[2] == pytest.approx(0.6066, abs=5e-5)
+        assert path.lam1[3] == pytest.approx(0.0017, abs=5e-5)
+        assert path.supports[-1] == tuple(range(12))
+        # lam1 = 0 is the ridge solve (2 lam2 I - H)^{-1} g
+        assert np.allclose(path.deltas[-1], np.linalg.solve(2.0 * lam2 * np.eye(12) - H, g),
+                           rtol=1e-12, atol=0.0)
+
+    def test_ties_at_the_top_of_g_join_together(self):
+        # coordinates 0 and 1 tie at max|g| = 1 and join at the first
+        # breakpoint; with equal M_jj their joint direction keeps their signs
+        g = np.array([1.0, -1.0, 0.5, 0.0, -0.2])
+        H = np.diag([0.6, 0.6, 0.9, 0.3, 0.8])
+        H[0, 1] = H[1, 0] = 0.1
+        H[1, 2] = H[2, 1] = -0.05
+        lam2 = select_lambda2(float(np.linalg.eigvalsh(H)[-1]))
+        path = _assert_exact_path(g, H, lam2)
+        assert path.lam1[0] == 1.0 and path.supports[0] == (0, 1)
+
+    def test_signed_curvature(self):
+        # an indefinite H, as a sigmoid net's exact curvature can be: M = 2
+        # lam2 I - H stays positive definite and the path stays exact
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((9, 9))
+        H = (A + A.T) / 2.0
+        eigs = np.linalg.eigvalsh(H)
+        assert eigs[0] < 0.0 < eigs[-1]
+        g = rng.standard_normal(9)
+        path = _assert_exact_path(g, H, select_lambda2(float(eigs[-1])))
+        assert path.supports[-1] == tuple(range(9))
+
+    def test_a_coordinate_leaves(self):
+        # a lasso of design X with two correlated columns, written as
+        # M = 2 lam2 I - H = X^T X: coordinate 0 joins first, leaves once
+        # coordinate 1 has joined, and joins again at the end
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((8, 5))
+        X[:, 1] = X[:, 0] + 0.3 * rng.standard_normal(8)
+        g = X.T @ rng.standard_normal(8)
+        path = _assert_exact_path(g, 2.0 * np.eye(5) - X.T @ X, 1.0)
+        assert path.supports == ((0,), (0, 3), (0, 3, 4), (0, 1, 3, 4), (1, 3, 4),
+                                 (1, 2, 3, 4), (0, 1, 2, 3, 4))
+
+    def test_zero_gradient_has_no_pieces(self):
+        path = l1_path(np.zeros(3), np.eye(3), 1.0)
+        assert path.lam1.tolist() == [0.0] and path.supports == ()
+        assert np.array_equal(path.deltas, np.zeros((1, 3)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(10, 14), k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           noise=st.floats(0.0, 0.3))
+    def test_every_grid_support_lies_on_the_path(self, d, k, seed, noise):
+        g, H, lam2 = _noisy_instance(d, k, seed, noise)
+        path = _assert_exact_path(g, H, lam2)
+        assert {s for s in _grid_supports(g, H, lam2) if s} <= set(path.supports)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), shared=st.floats(0.0, 3.0))
+    def test_lasso_designs(self, d, seed, shared):
+        # M = X^T X + I/2 of columns sharing a common one: coordinates leave
+        # and join again, as the planted instances' diagonal M never makes them
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d + 3, d)) + shared * rng.standard_normal((d + 3, 1))
+        _assert_exact_path(X.T @ rng.standard_normal(d + 3), 1.5 * np.eye(d) - X.T @ X, 1.0)
+
+    def test_the_path_finds_the_oracle_support_the_grid_misses(self):
+        # the grid tops out at 5e-2, below the noise: its supports are wide
+        g, H, lam2 = _noisy_instance(12, 3, 0, 0.3)
+        oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=3))
+        assert oracle.support == (6, 8, 9)
+        assert oracle.support not in _grid_supports(g, H, lam2)
+        assert oracle.support in _assert_exact_path(g, H, lam2).supports
 
 
 class TestPlantedInstance:

@@ -150,9 +150,11 @@ class TestInterpret:
             assert doc["method"] == "cafo"
             assert doc["sample_id"] == idx
             assert doc["lambda2"] == 10.0 or doc["lambda2"] > 10.0
-            assert "provenance" in doc
+            # the run's provenance is metrics.csv's, once per run
+            assert "provenance" not in doc
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
-        assert lines[0].startswith("# {")
+        prov = json.loads(lines[0].removeprefix("# "))
+        assert (prov["command"], prov["method"], prov["samples"]) == ("interpret", "cafo", [0, 2])
         assert lines[1] == "sample_id,method,lambda1,lambda2,eta,loss_gain,p_max"
         assert len(lines) == 4
         out = capsys.readouterr().out
@@ -389,7 +391,7 @@ def serial_interpret(argv, out):
         write_f64_tensor(out / f"sample{idx}.delta.f64", res.delta)
         doc = cli._result_summary(res)
         doc["sample_id"] = idx
-        cli._write_json(out / f"sample{idx}.json", doc, cli._json_value(prov))
+        cli._write_json(out / f"sample{idx}.json", doc)
         rows.append((idx, res.method, res.lam1, res.lam2, res.eta, res.loss_gain, res.p_max))
         lines.append(f"sample {idx}: eta={res.eta:.4f} p_max={res.p_max:.4f}\n")
     write_csv_rows(out / "metrics.csv",
@@ -928,11 +930,52 @@ class TestStudies:
         code = run(["oracle-check", "--out", str(tmp_path)])
         assert code == 0
         lines = (tmp_path / "oracle.csv").read_text().splitlines()
-        assert lines[1] == "support,value,l1_match"
-        support, value, match = lines[2].split(",")
+        assert lines[1] == "support,value,l1_match,lambda1_lo,lambda1_hi"
+        support, value, match, lo, hi = lines[2].split(",")
         assert support == "2;5;9"
-        assert float(value) > 0.0 and match == "1"
-        assert "l1_match=True" in capsys.readouterr().out
+        # the value is the oracle's, as the grid-checked version wrote it
+        assert value == "0.051901337166870704" and match == "1"
+        # the piece of the exact path whose support is the oracle's
+        assert float(lo) == pytest.approx(0.0017, abs=5e-5)
+        assert float(hi) == pytest.approx(0.6066, abs=5e-5)
+        assert capsys.readouterr().out == (
+            f"oracle support=2;5;9 value={value} l1_match=True lambda1=[{lo}, {hi}]\n")
+
+    def test_oracle_check_without_a_match_leaves_the_range_empty(self, tmp_path, capsys):
+        # at seed 2 the best support of size 4 adds coordinate 10 to the
+        # planted three, and the path's support of size 4 adds coordinate 0
+        code = run(["oracle-check", "--k", "4", "--seed", "2", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "oracle.csv").read_text().splitlines()
+        support, value, match, lo, hi = lines[2].split(",")
+        assert (support, match, lo, hi) == ("2;5;9;10", "0", "", "")
+        assert capsys.readouterr().out.endswith(" l1_match=False\n")
+
+    def test_oracle_check_empty_support_holds_above_max_g(self, tmp_path, capsys):
+        # with k = 0 the oracle's support is empty, the path's map for every
+        # lambda1 >= max|g|
+        code = run(["oracle-check", "--k", "0", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "oracle.csv").read_text().splitlines()
+        from casokit.analysis import make_planted_instance
+
+        g = make_planted_instance()[0]
+        assert lines[2] == f",0.0,1,{float(np.abs(g).max())!r},inf"
+        capsys.readouterr()
+
+    def test_oracle_check_has_no_grid(self, tmp_path, capsys):
+        # the exact path replaced the lambda1 grid, flag and config key alike
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle-check", "--grid", "0.1", "--out", str(tmp_path / "a")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 0.1" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": [0.1]}))
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle-check", "--config", str(config), "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert "config key grid is not an option of oracle-check" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
     def test_oracle_check_bad_support(self, tmp_path, capsys):
         code = run(["oracle-check", "--support", "2,99", "--out", str(tmp_path)])
@@ -1077,7 +1120,8 @@ class TestConfigFile:
         # an explicit flag still wins over the file
         assert run(base + ["--config", str(cfg), "--seed", "9", "--samples", "0",
                            "--out", str(tmp_path / "c")]) == 0
-        prov = read_json(tmp_path / "c" / "sample0.json")["provenance"]
+        head = (tmp_path / "c" / "metrics.csv").read_text().split("\n", 1)[0]
+        prov = json.loads(head.removeprefix("# "))
         assert (prov["seed"], prov["samples"], prov["method"]) == (9, [0], entry["method"])
 
     def test_on_off_flag_takes_true_or_false(self, tmp_path, capsys):

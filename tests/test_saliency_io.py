@@ -283,6 +283,29 @@ class TestModelPersistence:
             model_load(path)
         assert str(exc.value) == f"layer {layer} key '{key}' must be a JSON integer ({path})"
 
+    # np.asarray alone would read "0.5" as 0.5, true as 1.0 and null as nan;
+    # Network refuses the nan first
+    @pytest.mark.parametrize("layer,key,value,message", [
+        (0, "weights", '"0.5"', "layer 0 key 'weights' must hold JSON numbers"),
+        (0, "weights", "true", "layer 0 key 'weights' must hold JSON numbers"),
+        (1, "bias", "false", "layer 1 key 'bias' must hold JSON numbers"),
+        (1, "bias", "null", "inconsistent model: layer 1: parameters must be finite"),
+    ])
+    def test_weights_and_bias_must_be_json_numbers(self, tmp_path, layer, key, value,
+                                                   message):
+        net = init_network(NetworkSpec((LayerSpec(2, 2, "relu"), LayerSpec(2, 2, "identity"))))
+        path = tmp_path / "entries.json"
+        model_save(net, path)
+        doc = json.loads(path.read_text())
+        entries = doc["layers"][layer][key]
+        if key == "weights":
+            entries = entries[1]
+        entries[0] = "VALUE"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        with pytest.raises(FormatError) as exc:
+            model_load(path)
+        assert str(exc.value) == f"{message} ({path})"
+
     def test_non_utf8_reports_path_and_offset(self, tmp_path):
         path = tmp_path / "latin.json"
         data = b'{"layers": [\n  {"activation": "r\xffelu"}]}\n'
@@ -343,6 +366,30 @@ class TestWeightSidecar:
     def _sidecar(path):
         return path.with_name(path.name + ".weights")
 
+    @pytest.mark.parametrize("tag, trusted", [(b"casokit-weights 3", False),
+                                              (b"casokit-weights 4", True)])
+    def test_earlier_tag_is_not_trusted_for_a_string_weight(self, tmp_path, tag, trusted):
+        # version 3 sidecars were written while a weight given as a JSON
+        # string still loaded; one that records the file's stat key must not
+        # stand in for the parse that now refuses it
+        path = self._saved(tmp_path)
+        net = model_load(path)
+        side = self._sidecar(path)
+        _, head, payload = side.read_bytes().split(b"\n", 2)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["weights"][0][0] = repr(float(net.weights[0][0, 0]))
+        path.write_text(json.dumps(doc))
+        head = json.loads(head)
+        head["source_stat"] = _stat_key(path.stat())
+        side.write_bytes(tag + b"\n" + json.dumps(head).encode() + b"\n" + payload)
+        later = path.stat().st_ctime_ns + 10**9
+        os.utime(side, ns=(later, later))
+        if trusted:
+            _assert_same_net(model_load(path), net)
+        else:
+            with pytest.raises(FormatError, match="layer 0 key 'weights' must hold JSON numbers"):
+                model_load(path)
+
     def test_cold_and_warm_loads_are_bitwise_equal(self, tmp_path, json_parses):
         path = self._saved(tmp_path)
         cold = model_load(path)
@@ -360,7 +407,7 @@ class TestWeightSidecar:
         data = self._sidecar(path).read_bytes()
         tag, head, payload = data.split(b"\n", 2)
         head = json.loads(head)
-        assert tag == b"casokit-weights 3"
+        assert tag == b"casokit-weights 4"
         assert list(head) == ["source_stat", "layers", "payload_bytes", "payload_crc32"]
         assert head["source_stat"] == _stat_key(st_before)
         assert head["layers"] == [[7, 5, "relu"], [5, 3, "identity"]]
@@ -1382,6 +1429,8 @@ class TestLoaderRejectionsFuzz:
     @example(edits=[("cell", 0, "weights", "1" + "0" * 5000)])
     @example(edits=[("activation", 0, "tanh")])
     @example(edits=[("layers", [])])
+    @example(edits=[("cell", 0, "weights", '"0.5"')])
+    @example(edits=[("cell", 1, "bias", "true")])
     def test_model(self, tmp_path, edits):
         net = init_network(NetworkSpec((LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity"))),
                            seed=2)
@@ -1397,6 +1446,9 @@ class TestLoaderRejectionsFuzz:
         assert [[s.in_dim, s.out_dim, s.activation] for s in got.spec.layers] == [
             [e["in"], e["out"], e["activation"]] for e in layers]
         for W, b, e in zip(got.weights, got.biases, layers):
+            # every entry of an accepted file is a JSON number
+            assert {type(v) for row in e["weights"] for v in row} <= {int, float}
+            assert {type(v) for v in e["bias"]} <= {int, float}
             assert W.tobytes() == np.asarray(e["weights"], dtype=np.float64).tobytes()
             assert b.tobytes() == np.asarray(e["bias"], dtype=np.float64).tobytes()
 
