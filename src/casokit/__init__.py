@@ -105,14 +105,12 @@ _EXPORTS = {
         "train_sgd",
     ),
     "saliency_io": (
-        "DisplayMap",
         "dataset_load",
         "dataset_load_raw",
         "dataset_save_csv",
         "model_load",
         "model_save",
         "normalize_for_display",
-        "quantize_display",
         "read_f32_tensor",
         "read_labels",
         "write_csv_rows",

@@ -262,17 +262,10 @@ def cmd_train(args, out, stage):
     return f"accuracy={result.accuracy:.6f}\nmodel={os.path.join(out, args.model_name)}\n"
 
 
-def _write_sample(stage, idx, res, dmap):
-    """Write one sample's .pgm, .delta.f64 and .json into stage."""
-    write_pgm(
-        dmap,
-        os.path.join(stage, f"sample{idx}.pgm"),
-        comment=f"casokit {res.method} sample {idx}",
-    )
-    write_f64_tensor(os.path.join(stage, f"sample{idx}.delta.f64"), res.delta)
-    doc = _result_summary(res)
-    doc["sample_id"] = idx
-    _write_json(os.path.join(stage, f"sample{idx}.json"), doc)
+def _write_map(stage, stem, comment, delta, image):
+    """Write one map's .pgm (its display pixels) and .delta.f64 into stage."""
+    write_pgm(image, os.path.join(stage, f"{stem}.pgm"), comment=comment)
+    write_f64_tensor(os.path.join(stage, f"{stem}.delta.f64"), delta)
 
 
 def cmd_interpret(args, out, stage):
@@ -316,7 +309,11 @@ def cmd_interpret(args, out, stage):
     def write_samples():
         try:
             while (job := jobs.get()) is not None:
-                _write_sample(stage, *job)
+                idx, res, image = job
+                _write_map(stage, f"sample{idx}", f"casokit {res.method} sample {idx}",
+                           res.delta, image)
+                _write_json(os.path.join(stage, f"sample{idx}.json"),
+                            {**_result_summary(res), "sample_id": idx})
         except Exception as e:  # raised again on the main thread after the join
             failed.append(e)
 
@@ -326,10 +323,10 @@ def cmd_interpret(args, out, stage):
         for chunk in chunk_results(net, requests):
             # the display cap is per map, so a chunk's stack renders each
             # map as the whole run's stack would
-            dmaps = normalize_for_display(np.stack([res.delta for res in chunk]),
-                                          w, h, args.channels)
-            for res, dmap in zip(chunk, dmaps):
-                jobs.put((indices[len(results)], res, dmap))
+            images = normalize_for_display(np.stack([res.delta for res in chunk]),
+                                           w, h, args.channels)
+            for res, image in zip(chunk, images):
+                jobs.put((indices[len(results)], res, image))
                 results.append(res)
             if failed:
                 break
@@ -379,13 +376,8 @@ def cmd_sweep(args, out, stage):
         "provenance": _provenance(args),
     }
     _write_json(os.path.join(stage, "sweep.json"), doc)
-    dmap = normalize_for_display(selected.delta, w, h, args.channels)
-    write_pgm(
-        dmap,
-        os.path.join(stage, "selected.pgm"),
-        comment=f"casokit {args.method} lam1 {selected.lam1!r}",
-    )
-    write_f64_tensor(os.path.join(stage, "selected.delta.f64"), selected.delta)
+    _write_map(stage, "selected", f"casokit {args.method} lam1 {selected.lam1!r}",
+               selected.delta, normalize_for_display(selected.delta[None], w, h, args.channels)[0])
     return (f"selected lambda1={selected.lam1!r} eta={selected.eta:.4f} "
             f"target_met={outcome.target_met}\n")
 

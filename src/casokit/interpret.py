@@ -216,7 +216,7 @@ def curvature_models(net, samples, points=None, second_order=True, c1=DEFAULT_C1
     m, expand = 1, clean
     if points is not None:
         m = points[0].shape[0]
-        expand = forward_batch(net, np.concatenate(points), np.repeat(y, m))
+        expand = forward_batch(net, np.concatenate(points))  # only clean.losses is read
     P = expand.probs
     c = P.shape[1]
     d = net.input_dim

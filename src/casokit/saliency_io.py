@@ -1,14 +1,14 @@
 """Persistence: display normalization, PGM images, models, datasets.
 
-Saliency maps are normalized for display by taking absolute values,
-summing channels per pixel, capping at the 99th percentile, dividing by
-the cap, and clipping to [0, 1]. Images are written as binary (P5) PGM at
-maxval 255. Models round-trip bitwise through JSON, the canonical format;
-model_load keeps a binary copy of the weights next to the JSON so that
-later loads skip the parse, trusted while the JSON's stat still matches.
-Datasets come either from CSV
-(label in the last column), which dataset_load caches the same way, or
-from a raw little-endian float32 tensor with an 8-byte header plus a
+A stack of saliency maps becomes 8-bit grayscale pixels by taking
+absolute values, summing channels per pixel, dividing by each map's 99th
+percentile, clipping to [0, 1] and rounding 255 times that half up. The
+pixels are written as binary (P5) PGM at maxval 255. Models round-trip
+bitwise through JSON, the canonical format; model_load keeps a binary
+copy of the weights next to the JSON so that later loads skip the parse,
+trusted while the JSON's stat still matches. Datasets come either from
+CSV (label in the last column), which dataset_load caches the same way,
+or from a raw little-endian float32 tensor with an 8-byte header plus a
 sidecar label file.
 """
 
@@ -33,55 +33,32 @@ from .netcore import Dataset, LayerSpec, Network, NetworkSpec
 PERCENTILE_CAP = 99.0
 
 
-class DisplayMap(Record):
-    """A height x width grayscale image with values in [0, 1]."""
+def normalize_for_display(stack, width, height, channels=1):
+    """The (k, height, width) uint8 pixels of a (k, size) stack of flat
+    saliency maps, from one percentile pass.
 
-    values: np.ndarray
-    width: int
-    height: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dims must be positive")
-        if v.shape != (self.height, self.width):
-            raise DimensionError(
-                f"values shape {v.shape} does not match {self.height}x{self.width}"
-            )
-        if v.size and (float(v.min()) < 0.0 or float(v.max()) > 1.0):
-            raise ValueError("display values must lie in [0, 1]")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
-def normalize_for_display(delta, width, height, channels=1):
-    """Collapse flat saliency vectors to [0, 1] grayscale images.
-
-    delta is one vector, giving one DisplayMap, or a (k, size) stack of
-    them, giving a list of k DisplayMaps from one percentile pass; a
-    vector is the stack's k = 1 case. Each vector is viewed as a row-major
-    (height, width, channels) block; per-pixel magnitude is the sum of
-    absolute channel values. The 99th percentile (linear interpolation)
-    caps the scale. An all-zero input maps to the all-zero image; if the
-    cap itself is zero while some pixels are not, those pixels saturate to
-    1 (the limit of the clipped division).
+    Each map is viewed as a row-major (height, width, channels) block;
+    per-pixel magnitude is the sum of absolute channel values. The 99th
+    percentile of a map's magnitudes (linear interpolation) caps its scale:
+    a pixel's value is its magnitude over the cap, clipped to [0, 1], and
+    its intensity is round-half-up of 255 * value, at most 1/510 from the
+    value. An all-zero map gives the all-zero image; if the cap itself is
+    zero while some pixels are not, those pixels saturate to 255 (the limit
+    of the clipped division).
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    if channels < 1:
-        raise ValueError("channels must be >= 1")
-    stack = delta.reshape(1, -1) if delta.ndim == 1 else delta
+    stack = np.asarray(stack, dtype=np.float64)
+    if min(width, height, channels) < 1:
+        raise ValueError("width, height and channels must be >= 1")
     if stack.ndim != 2 or stack.shape[1] != width * height * channels:
         raise DimensionError(
-            f"vectors of shape {delta.shape} do not fill {height}x{width}x{channels}"
+            f"stack of shape {stack.shape} is not (k, {height}x{width}x{channels})"
         )
     mag = np.abs(stack).reshape(-1, height, width, channels).sum(axis=3)
     cap = _percentile_cap(mag.reshape(len(stack), -1))[:, None, None]
     zero_cap = cap <= 0.0
     scaled = np.clip(mag / np.where(zero_cap, 1.0, cap), 0.0, 1.0)
     values = np.where(zero_cap, mag > 0.0, scaled)
-    maps = [DisplayMap(values=v, width=width, height=height) for v in values]
-    return maps[0] if delta.ndim == 1 else maps
+    return np.floor(values * 255.0 + 0.5).astype(np.uint8)
 
 
 def _percentile_cap(mag):
@@ -108,28 +85,25 @@ def _percentile_cap(mag):
     return np.where(np.isnan(ordered[:, -1]), ordered[:, -1], cap)
 
 
-def quantize_display(dmap):
-    """Map [0, 1] values to 0..255 with round-half-up."""
-    return np.floor(dmap.values * 255.0 + 0.5).astype(np.uint8)
-
-
-def write_pgm(dmap, path, comment=None):
-    """Write a binary (P5) PGM at maxval 255.
-
-    Intensity is round-half-up of 255 * value, so the quantization error
-    is at most 1/510 per pixel. An optional single-line comment is placed
-    after the magic number.
-    """
-    body = quantize_display(dmap)
+def write_pgm(image, path, comment=None):
+    """Write a non-empty 2-d uint8 image as a binary (P5) PGM at maxval
+    255. An optional single-line comment is placed after the magic
+    number."""
+    image = np.asarray(image)
+    if image.dtype != np.uint8:
+        raise ValueError(f"PGM pixels must be uint8, not {image.dtype}")
+    if image.ndim != 2 or not image.size:
+        raise DimensionError(f"PGM image of shape {image.shape} is not a non-empty 2-d array")
     header = b"P5\n"
     if comment:
         text = str(comment)
         if "\n" in text:
             raise ValueError("PGM comment must be a single line")
         header += b"# " + text.encode() + b"\n"
-    header += f"{dmap.width} {dmap.height}\n255\n".encode()
+    height, width = image.shape
+    header += f"{width} {height}\n255\n".encode()
     with open(path, "wb") as fh:
-        fh.write(header + body.tobytes())
+        fh.write(header + image.tobytes())
 
 
 def _read_bytes(path):

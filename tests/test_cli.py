@@ -383,11 +383,11 @@ def serial_interpret(argv, out):
                               args.channels) for i, seed in zip(args.samples, seeds)]
     results = interpret.run_requests(net, requests)
     w, h = cli._geometry(args, dataset.dim)
-    dmaps = normalize_for_display(np.stack([r.delta for r in results]), w, h, args.channels)
+    images = normalize_for_display(np.stack([r.delta for r in results]), w, h, args.channels)
     prov = cli._provenance(args)
     lines, rows = [], []
-    for idx, res, dmap in zip(args.samples, results, dmaps):
-        write_pgm(dmap, out / f"sample{idx}.pgm", comment=f"casokit {res.method} sample {idx}")
+    for idx, res, image in zip(args.samples, results, images):
+        write_pgm(image, out / f"sample{idx}.pgm", comment=f"casokit {res.method} sample {idx}")
         write_f64_tensor(out / f"sample{idx}.delta.f64", res.delta)
         doc = cli._result_summary(res)
         doc["sample_id"] = idx

@@ -26,19 +26,16 @@ from casokit import saliency_io
 from casokit import (
     Dataset,
     DimensionError,
-    DisplayMap,
     FormatError,
     LayerSpec,
     NetworkSpec,
     dataset_load,
     dataset_load_raw,
     dataset_save_csv,
-    hessian_eig,
     init_network,
     model_load,
     model_save,
     normalize_for_display,
-    quantize_display,
     read_f32_tensor,
     read_labels,
     write_csv_rows,
@@ -48,56 +45,51 @@ from casokit import (
 
 
 def _display_reference(delta, width, height, channels):
-    """One vector's display values, computed on their own."""
+    """One vector's display pixels, computed on their own."""
     mag = np.abs(delta).reshape(height, width, channels).sum(axis=2)
     cap = float(np.percentile(mag, 99.0))
-    if cap <= 0.0:
-        return (mag > 0.0).astype(np.float64)
-    return np.clip(mag / cap, 0.0, 1.0)
+    values = (mag > 0.0) if cap <= 0.0 else np.clip(mag / cap, 0.0, 1.0)
+    return np.floor(values * 255.0 + 0.5).astype(np.uint8)
 
 
 class TestNormalizeForDisplay:
     def test_two_pixel_example(self):
-        # mags (2, 1); 99th percentile interpolates to 1.99, top pixel clips
-        dmap = normalize_for_display(np.array([-2.0, 1.0]), width=2, height=1)
-        assert dmap.values[0, 0] == 1.0
-        assert dmap.values[0, 1] == pytest.approx(1.0 / 1.99, rel=1e-14)
+        # mags (2, 1); 99th percentile interpolates to 1.99, top pixel clips,
+        # and 255 / 1.99 = 128.1 rounds to 128
+        pixels = normalize_for_display(np.array([[-2.0, 1.0]]), width=2, height=1)
+        assert pixels.dtype == np.uint8
+        assert pixels.tolist() == [[[255, 128]]]
 
-    def test_all_zero_maps_to_zero(self):
-        dmap = normalize_for_display(np.zeros(1), width=1, height=1)
-        assert dmap.values[0, 0] == 0.0
+    def test_all_zero_map_gives_zero_pixels(self):
+        pixels = normalize_for_display(np.zeros((2, 6)), width=3, height=2)
+        assert pixels.shape == (2, 2, 3)
+        assert not pixels.any()
 
     def test_zero_cap_saturates_outliers(self):
         # one hot pixel in 200: the 99th percentile is still zero
-        delta = np.zeros(200)
-        delta[7] = 3.5
-        dmap = normalize_for_display(delta, width=20, height=10)
-        assert dmap.values.flat[7] == 1.0
-        assert dmap.values.sum() == 1.0
+        delta = np.zeros((1, 200))
+        delta[0, 7] = 3.5
+        pixels = normalize_for_display(delta, width=20, height=10)
+        assert pixels[0].flat[7] == 255
+        assert int(pixels.sum()) == 255
 
     def test_channels_sum_per_pixel(self):
-        delta = np.array([1.0, -2.0, 0.5, 0.0, 0.0, 0.0, 3.0, 0.25, -0.25, 0.5, 0.5, 0.5])
-        dmap = normalize_for_display(delta, width=2, height=2, channels=3)
+        delta = np.array([[1.0, -2.0, 0.5, 0.0, 0.0, 0.0, 3.0, 0.25, -0.25, 0.5, 0.5, 0.5]])
+        pixels = normalize_for_display(delta, width=2, height=2, channels=3)
         mags = np.array([[3.5, 0.0], [3.5, 1.5]])
-        cap = np.percentile(mags, 99.0)
-        assert np.array_equal(dmap.values, np.clip(mags / cap, 0.0, 1.0))
+        values = np.clip(mags / np.percentile(mags, 99.0), 0.0, 1.0)
+        assert np.array_equal(pixels[0], np.floor(values * 255.0 + 0.5))
+        assert pixels[0, 1, 1] == 109  # 1.5 / 3.5 of 255 is 109.3
 
-    def test_power_of_two_scaling_is_bitwise_invariant(self):
-        rng = np.random.default_rng(17)
-        delta = rng.standard_normal(64)
+    @pytest.mark.parametrize("scale", [4.0, 3.7, 1e-6])
+    def test_scaling_a_map_keeps_its_pixels(self, scale):
+        delta = np.random.default_rng(17).standard_normal((1, 64))
         a = normalize_for_display(delta, width=8, height=8)
-        b = normalize_for_display(4.0 * delta, width=8, height=8)
-        assert np.array_equal(a.values, b.values)
-
-    def test_general_scaling_is_near_invariant(self):
-        rng = np.random.default_rng(18)
-        delta = rng.standard_normal(64)
-        a = normalize_for_display(delta, width=8, height=8)
-        b = normalize_for_display(3.7 * delta, width=8, height=8)
-        assert np.allclose(a.values, b.values, rtol=1e-12)
+        b = normalize_for_display(scale * delta, width=8, height=8)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("width,height,channels", [(4, 4, 1), (3, 5, 1), (2, 3, 3)])
-    def test_stack_is_bitwise_per_vector_reference(self, width, height, channels):
+    def test_stack_is_bitwise_its_rows_alone(self, width, height, channels):
         size = width * height * channels
         rng = np.random.default_rng(19)
         stack = rng.standard_normal((5, size))
@@ -105,24 +97,35 @@ class TestNormalizeForDisplay:
         stack[2] = 0.0
         stack[2, 0] = -2.5  # one hot entry: the cap is zero, that pixel saturates
         stack[3, : size // 2] = 0.0
-        maps = normalize_for_display(stack, width, height, channels)
-        assert len(maps) == len(stack)
-        for row, dmap in zip(stack, maps):
-            ref = _display_reference(row, width, height, channels)
-            assert np.array_equal(dmap.values, ref)
-            assert np.array_equal(normalize_for_display(row, width, height, channels).values, ref)
-        assert not maps[1].values.any()
-        assert maps[2].values.sum() == 1.0
+        pixels = normalize_for_display(stack, width, height, channels)
+        assert pixels.shape == (5, height, width)
+        for row, image in zip(stack, pixels):
+            assert image.tobytes() == _display_reference(row, width, height, channels).tobytes()
+            alone = normalize_for_display(row[None], width, height, channels)
+            assert alone.tobytes() == image.tobytes()
+        assert not pixels[1].any()
+        assert int(pixels[2].sum()) == 255
+
+    def test_half_steps_round_up(self):
+        # 12 of 512 pixels at 1.0 make the cap exactly 1, so each value is
+        # its magnitude; k/255 - half a step gives k, k/255 + half a step k + 1
+        k = np.arange(1, 250)
+        below, above = (k - 0.5) / 255, (k + 0.5) / 255
+        assert np.array_equal(below * 255, k - 0.5) and np.array_equal(above * 255, k + 0.5)
+        row = np.concatenate([below, above, np.zeros(2), np.ones(12)])
+        pixels = normalize_for_display(row[None], width=512, height=1)[0, 0]
+        assert pixels[: k.size].tolist() == k.tolist()
+        assert pixels[k.size : 2 * k.size].tolist() == (k + 1).tolist()
+        assert pixels[-14:].tolist() == [0, 0] + [255] * 12
 
     @staticmethod
     def _assert_cap_is_numpy_percentile(stack, width, height, channels):
         mag = np.abs(stack).reshape(len(stack), -1, channels).sum(axis=2)
         cap = saliency_io._percentile_cap(mag.copy())
         assert cap.tobytes() == np.percentile(mag, 99.0, axis=1).tobytes()
-        maps = normalize_for_display(stack, width, height, channels)
-        for row, dmap in zip(stack, maps):
-            ref = _display_reference(row, width, height, channels)
-            assert dmap.values.tobytes() == ref.tobytes()
+        pixels = normalize_for_display(stack, width, height, channels)
+        for row, image in zip(stack, pixels):
+            assert image.tobytes() == _display_reference(row, width, height, channels).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -151,56 +154,66 @@ class TestNormalizeForDisplay:
         self._assert_cap_is_numpy_percentile(stack, 1, 1, 2)
 
     def test_validation(self):
-        with pytest.raises(DimensionError):
-            normalize_for_display(np.zeros(5), width=2, height=2)
-        with pytest.raises(ValueError):
-            normalize_for_display(np.zeros(4), width=2, height=2, channels=0)
+        with pytest.raises(DimensionError):  # one map is a 1-row stack, not a vector
+            normalize_for_display(np.zeros(4), width=2, height=2)
         with pytest.raises(DimensionError):
             normalize_for_display(np.zeros((2, 5)), width=2, height=2)
         with pytest.raises(DimensionError):
             normalize_for_display(np.zeros((1, 2, 2)), width=2, height=2)
+        for width, height, channels in ((2, 2, 0), (0, 1, 1), (1, 0, 1), (-1, -4, 1)):
+            with pytest.raises(ValueError):
+                normalize_for_display(np.zeros((1, 4)), width, height, channels)
 
-    def test_display_map_guards(self):
-        with pytest.raises(DimensionError):
-            DisplayMap(values=np.zeros((2, 3)), width=2, height=3)
-        with pytest.raises(ValueError):
-            DisplayMap(values=np.full((1, 1), 1.5), width=1, height=1)
-        with pytest.raises(ValueError):
-            DisplayMap(values=np.zeros((0, 0)), width=0, height=0)
+    def test_removed_display_names(self):
+        import casokit
+
+        for name in ("DisplayMap", "quantize_display"):
+            with pytest.raises(AttributeError):
+                getattr(casokit, name)
 
 
 class TestPgm:
-    def test_quantization_bytes(self):
-        dmap = DisplayMap(values=np.array([[0.0, 1.0], [0.5, 0.25]]), width=2, height=2)
-        assert quantize_display(dmap).tolist() == [[0, 255], [128, 64]]
-
     def test_write_read_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        values = rng.random((9, 7))
-        dmap = DisplayMap(values=values, width=7, height=9)
+        image = np.random.default_rng(3).integers(0, 256, (9, 7), dtype=np.uint8)
         path = tmp_path / "map.pgm"
-        write_pgm(dmap, path)
-        img = read_pgm(path)
-        assert img.shape == (9, 7)
-        assert np.max(np.abs(img / 255.0 - values)) <= 1.0 / 510.0 + 1e-12
+        write_pgm(image, path)
+        assert path.read_bytes() == b"P5\n7 9\n255\n" + image.tobytes()
+        assert np.array_equal(read_pgm(path), image)
 
     def test_single_pixel(self, tmp_path):
         path = tmp_path / "one.pgm"
-        write_pgm(DisplayMap(values=np.zeros((1, 1)), width=1, height=1), path)
-        assert read_pgm(path).tolist() == [[0]]
+        write_pgm(np.zeros((1, 1), np.uint8), path)
+        assert path.read_bytes() == b"P5\n1 1\n255\n\x00"
 
     def test_comment_is_skipped_by_reader(self, tmp_path):
         path = tmp_path / "c.pgm"
-        dmap = DisplayMap(values=np.array([[1.0]]), width=1, height=1)
-        write_pgm(dmap, path, comment="method=caso seed=0")
-        raw = path.read_bytes()
-        assert raw.startswith(b"P5\n# method=caso seed=0\n")
-        assert read_pgm(path).tolist() == [[255]]
+        write_pgm(np.full((1, 2), 255, np.uint8), path, comment="method=caso seed=0")
+        assert path.read_bytes() == b"P5\n# method=caso seed=0\n2 1\n255\n\xff\xff"
+        assert read_pgm(path).tolist() == [[255, 255]]
+
+    def test_empty_comment_writes_no_comment_line(self, tmp_path):
+        path = tmp_path / "e.pgm"
+        write_pgm(np.ones((1, 1), np.uint8), path, comment="")
+        assert path.read_bytes() == b"P5\n1 1\n255\n\x01"
 
     def test_multiline_comment_rejected(self, tmp_path):
-        dmap = DisplayMap(values=np.array([[1.0]]), width=1, height=1)
         with pytest.raises(ValueError):
-            write_pgm(dmap, tmp_path / "x.pgm", comment="a\nb")
+            write_pgm(np.ones((1, 1), np.uint8), tmp_path / "x.pgm", comment="a\nb")
+        assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("image,error", [
+        (np.zeros((2, 2)), ValueError),  # float pixels
+        (np.zeros((2, 2), np.int64), ValueError),
+        ([[0, 1]], ValueError),  # a list is int64, not uint8
+        (np.zeros(4, np.uint8), DimensionError),
+        (np.zeros((1, 2, 2), np.uint8), DimensionError),
+        (np.zeros((0, 3), np.uint8), DimensionError),
+        (np.zeros((3, 0), np.uint8), DimensionError),
+    ])
+    def test_refuses_what_is_not_a_uint8_image(self, tmp_path, image, error):
+        with pytest.raises(error):
+            write_pgm(image, tmp_path / "x.pgm")
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestModelPersistence:
