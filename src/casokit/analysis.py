@@ -4,10 +4,12 @@ Three empirical studies back the theory at desk scale:
 
 * simulate_rank_one measures how fast H = W A W^T approaches the
   rank-one surrogate g g^T / (eps (c-1)) as confidence or class count
-  grows, on random linear models.
+  grows, on random linear models, over the grid that the fields set in
+  its RankOneSimConfig fix.
 * confidence_gap_study compares the normalized curvature-aware and
   curvature-free maps on a trained classifier of any activations; on relu
-  nets the gap shrinks with prediction confidence.
+  nets the gap shrinks with prediction confidence, which spearman_rho
+  measures on finite inputs only.
 * alignment_curve tracks the cosine between the gradient and the top
   Hessian eigenvector, plus how much spectral mass that eigenvector
   carries (largest eigenvalue squared over the sum of squares).
@@ -34,27 +36,22 @@ from .solver import DEFAULT_C1, closed_form_cafo, exact_solve, select_lambda2
 
 log = logging.getLogger(__name__)
 
-SIM_MODES = ("vary-classes", "vary-eps", "grid")
-# RankOneSimConfig fields each mode leaves unread
-_SIM_UNUSED = {
-    "vary-classes": ("eps_values", "c"), "vary-eps": ("p0", "classes"), "grid": ("p0", "c"),
-}
 # the largest d brute_force_group_feature enumerates: at most 2**14 supports
 ORACLE_MAX_D = 14
+# the smallest normal float: a sum of squares below it has lost its precision
+_TINY = np.finfo(np.float64).tiny
 
 
 class RankOneSimConfig(Record):
-    """Grid for the rank-one error simulation.
+    """Grid for the rank-one error simulation, fixed by the fields set.
 
-    mode 'vary-classes' fixes p0 and sweeps the class counts; 'vary-eps'
-    fixes a class count c and sweeps the runner-up probability eps;
-    'grid' crosses both lists. p0 and eps are linked by
-    p0 = 1 - (c-1) eps: 'vary-classes' takes eps from p0. Setting a field
-    the mode does not use is an error, raised with the mode's other checks
-    when the simulation runs.
+    p0 and classes sweep the class counts, each at the eps that p0 implies
+    through p0 = 1 - (c-1) eps; c and eps_values sweep eps at one class
+    count; classes and eps_values cross the two lists. Any other set of
+    fields is an error, raised with the grid's other checks when the
+    simulation runs.
     """
 
-    mode: str
     d: int = 512
     seed: int = 0
     p0: float | None = None
@@ -63,8 +60,6 @@ class RankOneSimConfig(Record):
     c: int | None = None
 
     def __post_init__(self):
-        if self.mode not in SIM_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.d < 1:
             raise ValueError("d must be positive")
         object.__setattr__(self, "classes", tuple(int(v) for v in self.classes))
@@ -112,29 +107,20 @@ def _confident_model(W, eps):
 
 
 def _sim_plan(cfg):
-    """Validate cfg and list its weight draws as (c, seed, eps values)."""
-    unused = [f for f in _SIM_UNUSED[cfg.mode] if getattr(cfg, f) not in (None, ())]
-    if unused:
-        raise ValueError(f"{cfg.mode} mode does not use {' or '.join(unused)}")
+    """Validate cfg and list its weight draws as (c, seed, eps values): one
+    draw from the root seed for an eps sweep at c, else one child seed per
+    class count."""
+    given = [f for f in ("p0", "classes", "eps_values", "c") if getattr(cfg, f) not in (None, ())]
     ss = np.random.SeedSequence(cfg.seed)
-    if cfg.mode == "vary-eps":
-        if cfg.c is None:
-            raise ValueError("vary-eps mode needs c")
-        if not cfg.eps_values:
-            raise ValueError("vary-eps mode needs an eps list")
+    if given == ["eps_values", "c"]:
         classes, seeds = (cfg.c,), (ss,)
-    else:
-        if cfg.mode == "vary-classes":
-            if cfg.p0 is None:
-                raise ValueError("vary-classes mode needs p0")
-            if not cfg.classes:
-                raise ValueError("vary-classes mode needs a class list")
-        elif not cfg.classes or not cfg.eps_values:
-            raise ValueError("grid mode needs class and eps lists")
+    elif given in (["p0", "classes"], ["classes", "eps_values"]):
         classes, seeds = cfg.classes, ss.spawn(len(cfg.classes))
-    eps_values = (None,) if cfg.mode == "vary-classes" else cfg.eps_values
+    else:
+        raise ValueError("set p0 and classes, c and eps_values, or classes and eps_values; "
+                         f"got {' and '.join(given) or 'none'}")
     return [
-        (c, seed, tuple(_point_eps(c, eps, cfg.p0) for eps in eps_values))
+        (c, seed, tuple(_point_eps(c, eps, cfg.p0) for eps in cfg.eps_values or (None,)))
         for c, seed in zip(classes, seeds)
     ]
 
@@ -142,10 +128,10 @@ def _sim_plan(cfg):
 def simulate_rank_one(cfg):
     """Rank-one surrogate error over the configured (c, eps) grid.
 
-    Weights are standard normal, drawn from one child seed per class
-    count so that sweeping eps at fixed c reuses the same W and yields a
-    smooth curve. Each point reads only the factor B = W L of H (no
-    spectrum). Returns one RankOnePoint per grid entry.
+    Weights are standard normal, drawn once per class count so that
+    sweeping eps at fixed c reuses the same W and yields a smooth curve.
+    Each point reads only the factor B = W L of H (no spectrum). Returns
+    one RankOnePoint per grid entry.
     """
     points = []
     for c, seed, eps_values in _sim_plan(cfg):
@@ -174,7 +160,9 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     (2 lam2 I - H)^{-1} g; both are normalized to unit L2, and the gap is
     the norm of their difference (in [0, 2]). Samples with an exactly zero
     gradient carry no direction to compare and are skipped with a log
-    entry; when every sample is skipped, a ValueError says so.
+    entry; when every sample is skipped, a ValueError says so, as it does
+    for a sample whose map cannot be normalized, its squared norm outside
+    the normal floats (as at c1 above about 1e153).
     """
     count = min(int(n_samples), dataset.n)
     requests = [MethodRequest("caso", dataset.sample(i), c1=c1) for i in range(count)]
@@ -190,6 +178,11 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
             d_caso = exact_solve(g, 0.0, model.lam2, model.factor, model.middle,
                                  model.inverse, model.curvature_floor).delta
             d_cafo = closed_form_cafo(g, lam2_cafo)
+            with np.errstate(over="ignore"):
+                squares = (d_caso @ d_caso, d_cafo @ d_cafo)
+            if not all(_TINY <= sq < np.inf for sq in squares):
+                raise ValueError(f"sample {i}: no finite gap, as a map's squared norm "
+                                 f"underflows or overflows at c1 = {c1}")
             u = d_caso / np.linalg.norm(d_caso)
             v = d_cafo / np.linalg.norm(d_cafo)
             rows.append(
@@ -216,7 +209,9 @@ def alignment_curve(d, classes, eps, seed=0):
     For each c: random W, confident p = [1-(c-1)eps, eps, ...], gradient
     g = W (p - y). cosine is |cos(u1, g)| for the top eigenvector u1 and
     mass_ratio is lambda_max^2 over the sum of squared eigenvalues, the
-    Frobenius share of the top eigenpair.
+    Frobenius share of the top eigenpair. An eps so small that |g|^2 or the
+    squared eigenvalues fall below the smallest normal float (about 1e-154
+    and under) is a ValueError.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -231,9 +226,11 @@ def alignment_curve(d, classes, eps, seed=0):
         W = _draw_weights(child, d, c)
         p, g = _confident_model(W, eps)
         handle = hessian_eig(W, p)
-        u1 = handle.eigenvectors[:, 0]
-        cosine = float(abs(u1 @ g) / np.linalg.norm(g))
         lams = handle.eigenvalues
+        if not min(g @ g, np.sum(lams**2)) >= _TINY:
+            raise ValueError(f"c = {c}: no finite cosine or mass ratio, as |g|^2 or the "
+                             f"squared eigenvalues underflow at eps = {eps}")
+        cosine = float(abs(handle.eigenvectors[:, 0] @ g) / np.linalg.norm(g))
         mass = float(lams[0] ** 2 / np.sum(lams**2))
         points.append(AlignmentPoint(c=c, cosine=cosine, mass_ratio=mass))
     return points
@@ -376,28 +373,20 @@ def l1_path(g, H, lam2):
 
 def _rankdata(v):
     """Ranks starting at 1 with ties sharing their average rank."""
-    v = np.asarray(v, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v))
-    i = 0
-    sv = v[order]
-    while i < len(v):
-        j = i
-        while j < len(v) and sv[j] == sv[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j - 1) / 2.0 + 1.0
-        i = j
-    return ranks
+    s = np.sort(v)
+    return (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) / 2
 
 
 def spearman_rho(a, b):
-    """Spearman rank correlation (average ranks for ties)."""
+    """Spearman rank correlation (average ranks for ties) of two finite vectors."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionError("inputs must be equal-length vectors")
     if len(a) < 2:
         raise ValueError("need at least two observations")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("inputs must be finite")
     ra = _rankdata(a)
     rb = _rankdata(b)
     ra -= ra.mean()

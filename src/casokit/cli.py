@@ -2,7 +2,8 @@
 
 Subcommands cover the full workflow: train a small network on synthetic
 blobs or a CSV dataset, run any interpretation method over samples,
-sweep the sparsity weight, and reproduce the simulation studies.
+sweep the sparsity weight, and reproduce the simulation studies, where
+rank1-sim's grid follows from which of its flags are set.
 
 Artifacts are deterministic: the same invocation with the same seed
 produces bitwise-identical files. Each run records its provenance (the
@@ -73,9 +74,6 @@ finally:
         gc.enable()
 
 SWEEP_METHODS = tuple(SPARSE_METHODS)
-# analysis.SIM_MODES, spelled out so that building the parser does not
-# import the study module; a test keeps the two equal
-SIM_MODES = ("vary-classes", "vary-eps", "grid")
 
 
 def existing_file(text):
@@ -386,7 +384,6 @@ def cmd_rank1_sim(args, out, stage):
     from .analysis import RankOneSimConfig, simulate_rank_one
 
     cfg = RankOneSimConfig(
-        mode=args.mode,
         d=args.d,
         seed=args.seed,
         p0=args.p0,
@@ -557,16 +554,19 @@ def build_parser():
                     help="halving steps when the grid misses the target")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("rank1-sim", help="rank-one surrogate error simulation")
+    sp = sub.add_parser(
+        "rank1-sim", help="rank-one surrogate error simulation",
+        description="The flags set fix the grid: --p0 and --classes sweep the class "
+                    "counts, --c and --eps sweep eps at one class count, --classes and "
+                    "--eps cross the two lists; any other set is an error.")
     _add_common(sp)
-    sp.add_argument("--mode", choices=SIM_MODES, default="vary-classes")
     sp.add_argument("--d", type=int, default=512, help="input dimension")
-    sp.add_argument("--p0", type=float, help="top-class probability (vary-classes)")
+    sp.add_argument("--p0", type=float, help="top-class probability, with --classes")
     sp.add_argument("--classes", type=int_grid_spec,
                     help="class counts: comma list or lo:hi:log[:n]")
     sp.add_argument("--eps", type=grid_spec,
                     help="runner-up probabilities: comma list or lo:hi:log[:n]")
-    sp.add_argument("--c", type=int, help="class count (vary-eps)")
+    sp.add_argument("--c", type=int, help="one class count, with --eps")
     sp.set_defaults(func=cmd_rank1_sim)
 
     sp = sub.add_parser("gap-study", help="confidence versus method gap, any net")
@@ -586,7 +586,8 @@ def build_parser():
 
     sp = sub.add_parser("oracle-check", help="exhaustive oracle versus the exact L1 path")
     _add_common(sp)
-    # analysis.ORACLE_MAX_D, spelled out as SIM_MODES is; a test keeps them equal
+    # analysis.ORACLE_MAX_D, spelled out so that building the parser does not
+    # import the study module; a test keeps the two equal
     sp.add_argument("--d", type=int, default=12, help="instance dimension (<= 14)")
     sp.add_argument("--k", type=int, help="oracle support size (default: planted size)")
     sp.add_argument("--support", type=int_list, default=(2, 5, 9),

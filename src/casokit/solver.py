@@ -28,17 +28,25 @@ from ._record import Record
 from .errors import DimensionError
 
 DEFAULT_C1 = 10.0
+# the largest lam2, an eighth of the largest float: the solvers' steps,
+# 1/gamma = (2 lam2 - floor)/0.95 among them, stay finite below it
+LAMBDA2_MAX = float(np.finfo(np.float64).max) / 8.0
 # Newton steps an active-set solve may take; past them its map is uncertified
 ACTIVE_SET_MAX_STEPS = 50
 
 
 def select_lambda2(curvature_bound, c1=DEFAULT_C1):
-    """Ridge weight lam2 = L/2 + c1 for a curvature bound L >= 0."""
+    """Ridge weight lam2 = L/2 + c1 for a curvature bound L >= 0, at most
+    LAMBDA2_MAX."""
     if curvature_bound < 0.0:
         raise ValueError("curvature bound must be nonnegative")
     if not 0.0 < c1 < np.inf:
         raise ValueError("c1 must be positive and finite")
-    return curvature_bound / 2.0 + c1
+    lam2 = curvature_bound / 2.0 + c1
+    if not lam2 <= LAMBDA2_MAX:
+        raise ValueError(f"lambda2 = {float(lam2)!r} exceeds {LAMBDA2_MAX!r}, past which "
+                         "the solvers' steps overflow (lower c1)")
+    return lam2
 
 
 class ObjectiveSpec(Record):

@@ -157,11 +157,11 @@ C04_EPS_GOLDENS = (
 def test_c04_rank_one_error_trends_and_goldens():
     start = time.perf_counter()
     by_class = simulate_rank_one(RankOneSimConfig(
-        mode="vary-classes", d=512, seed=0, p0=0.9999,
+        d=512, seed=0, p0=0.9999,
         classes=tuple(c for c, _ in C04_CLASS_GOLDENS),
     ))
     by_eps = simulate_rank_one(RankOneSimConfig(
-        mode="vary-eps", d=512, seed=0, c=100,
+        d=512, seed=0, c=100,
         eps_values=tuple(e for e, _ in C04_EPS_GOLDENS),
     ))
     errs_c = [pt.rel_error for pt in by_class]
@@ -381,8 +381,8 @@ def test_c11_cli_determinism(tmp_path):
                       "--smooth-n", "6", "--seed", "3"],
         "sweep": ["sweep", "--model", model, "--data", data, "--method", "cafo",
                   "--sample", "0", "--seed", "2"],
-        "rank1-sim": ["rank1-sim", "--mode", "vary-classes", "--p0", "0.999",
-                      "--classes", "5,25", "--d", "48", "--seed", "1"],
+        "rank1-sim": ["rank1-sim", "--p0", "0.999", "--classes", "5,25", "--d", "48",
+                      "--seed", "1"],
         "gap-study": ["gap-study", "--model", model, "--data", data, "--seed", "0"],
         "alignment": ["alignment", "--d", "48", "--classes", "4,32",
                       "--eps", "1e-5", "--seed", "6"],

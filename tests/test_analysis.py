@@ -45,6 +45,17 @@ from casokit import (
 from casokit.solver import exact_solve
 
 
+# the ranges a study's values must lie in: a rounding's worth above the
+# closed bounds of the cosine and of the gap of two unit vectors
+COSINE_MAX, GAP_MAX = 1.0 + 1e-12, 2.0 + 1e-12
+
+
+def log_uniform(lo, hi, u):
+    """10 ** (lo + u (hi - lo)), log-uniform over [10**lo, 10**hi] for u
+    uniform in [0, 1]."""
+    return 10.0 ** (lo + u * (hi - lo))
+
+
 def naive_rel_error(W, c, eps):
     """Dense reimplementation of one simulation point."""
     p = np.full(c, eps)
@@ -60,7 +71,7 @@ def naive_rel_error(W, c, eps):
 class TestSimulateRankOne:
     def test_matches_naive_dense_reimplementation(self):
         d, p0, classes = 60, 0.999, (5, 12)
-        cfg = RankOneSimConfig(mode="vary-classes", d=d, seed=3, p0=p0, classes=classes)
+        cfg = RankOneSimConfig(d=d, seed=3, p0=p0, classes=classes)
         points = simulate_rank_one(cfg)
         children = np.random.SeedSequence(3).spawn(len(classes))
         for point, c, child in zip(points, classes, children):
@@ -71,9 +82,9 @@ class TestSimulateRankOne:
             assert point.c == c and point.eps == eps
             assert abs(point.rel_error - naive_rel_error(W, c, eps)) <= 1e-10
 
-    def test_vary_eps_reuses_one_weight_matrix(self):
+    def test_eps_sweep_reuses_one_weight_matrix(self):
         eps_values = (1e-2, 1e-3, 1e-4)
-        cfg = RankOneSimConfig(mode="vary-eps", d=60, seed=4, c=8, eps_values=eps_values)
+        cfg = RankOneSimConfig(d=60, seed=4, c=8, eps_values=eps_values)
         points = simulate_rank_one(cfg)
         rng = np.random.default_rng(np.random.SeedSequence(4))
         W = rng.standard_normal((60, 8))
@@ -82,76 +93,91 @@ class TestSimulateRankOne:
             assert abs(point.rel_error - naive_rel_error(W, 8, eps)) <= 1e-10
 
     def test_error_decreases_with_classes(self):
-        cfg = RankOneSimConfig(
-            mode="vary-classes", d=256, seed=0, p0=0.9999, classes=(10, 100, 1000)
-        )
+        cfg = RankOneSimConfig(d=256, seed=0, p0=0.9999, classes=(10, 100, 1000))
         errs = [p.rel_error for p in simulate_rank_one(cfg)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_error_decreases_with_eps(self):
-        cfg = RankOneSimConfig(
-            mode="vary-eps", d=256, seed=0, c=100, eps_values=(5e-3, 1e-4, 1e-6)
-        )
+        cfg = RankOneSimConfig(d=256, seed=0, c=100, eps_values=(5e-3, 1e-4, 1e-6))
         errs = [p.rel_error for p in simulate_rank_one(cfg)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_two_class_degenerate_case(self):
         # c = 2 error is the dropped eps^2 term, eps/(1-eps), below any c >= 10
-        cfg = RankOneSimConfig(
-            mode="vary-classes", d=256, seed=0, p0=0.9999, classes=(2, 10)
-        )
+        cfg = RankOneSimConfig(d=256, seed=0, p0=0.9999, classes=(2, 10))
         pts = simulate_rank_one(cfg)
         eps = 1.0 - 0.9999
         assert pts[0].rel_error == pytest.approx(eps / (1.0 - eps), rel=1e-3)
         assert pts[0].rel_error < pts[1].rel_error
 
-    def test_grid_mode_crosses_lists(self):
-        cfg = RankOneSimConfig(
-            mode="grid", d=40, seed=1, classes=(4, 6), eps_values=(1e-2, 1e-3)
-        )
+    def test_class_and_eps_lists_cross(self):
+        cfg = RankOneSimConfig(d=40, seed=1, classes=(4, 6), eps_values=(1e-2, 1e-3))
         pts = simulate_rank_one(cfg)
         assert [(p.c, p.eps) for p in pts] == [
             (4, 1e-2), (4, 1e-3), (6, 1e-2), (6, 1e-3)
         ]
 
     def test_deterministic(self):
-        cfg = RankOneSimConfig(
-            mode="vary-classes", d=64, seed=9, p0=0.999, classes=(5, 20)
-        )
+        cfg = RankOneSimConfig(d=64, seed=9, p0=0.999, classes=(5, 20))
         a = [p.rel_error for p in simulate_rank_one(cfg)]
         b = [p.rel_error for p in simulate_rank_one(cfg)]
         assert a == b
 
     def test_validation(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'mode'"):
+            RankOneSimConfig(mode="grid")
         with pytest.raises(ValueError):
-            RankOneSimConfig(mode="bogus")
-        with pytest.raises(ValueError):
-            RankOneSimConfig(mode="vary-classes", d=0)
-        with pytest.raises(ValueError):
-            simulate_rank_one(RankOneSimConfig(mode="vary-classes", classes=(5,)))
-        with pytest.raises(ValueError):
-            simulate_rank_one(RankOneSimConfig(mode="vary-classes", p0=0.999))
-        with pytest.raises(ValueError):
-            simulate_rank_one(RankOneSimConfig(mode="vary-eps", eps_values=(1e-3,)))
-        with pytest.raises(ValueError):
-            simulate_rank_one(RankOneSimConfig(mode="vary-eps", c=10))
+            RankOneSimConfig(d=0)
         # eps must keep p0 above 1/c
         with pytest.raises(ValueError):
-            simulate_rank_one(
-                RankOneSimConfig(mode="vary-eps", c=4, eps_values=(0.3,))
-            )
-        with pytest.raises(ValueError):
-            simulate_rank_one(RankOneSimConfig(mode="grid", classes=(4,)))
+            simulate_rank_one(RankOneSimConfig(c=4, eps_values=(0.3,)))
 
-    @pytest.mark.parametrize("mode,fields,unused", [
-        ("vary-classes", {"p0": 0.999, "classes": (5,), "eps_values": (1e-3,), "c": 5},
-         "eps_values or c"),
-        ("vary-eps", {"c": 10, "eps_values": (1e-3,), "p0": 0.5}, "p0"),
-        ("grid", {"classes": (4,), "eps_values": (1e-3,), "c": 4}, "c"),
+    @pytest.mark.parametrize("fields,given", [
+        ({}, "none"),
+        ({"classes": (5,)}, "classes"),
+        ({"p0": 0.999}, "p0"),
+        ({"eps_values": (1e-3,)}, "eps_values"),
+        ({"c": 10}, "c"),
+        ({"p0": 0.999, "c": 5}, "p0 and c"),
+        ({"p0": 0.999, "classes": (5,), "eps_values": (1e-3,)}, "p0 and classes and eps_values"),
+        ({"c": 10, "eps_values": (1e-3,), "p0": 0.5}, "p0 and eps_values and c"),
+        ({"classes": (4,), "eps_values": (1e-3,), "c": 4}, "classes and eps_values and c"),
     ])
-    def test_unused_field_is_an_error(self, mode, fields, unused):
-        with pytest.raises(ValueError, match=f"^{mode} mode does not use {unused}$"):
-            simulate_rank_one(RankOneSimConfig(mode=mode, d=8, **fields))
+    def test_fields_that_fix_no_grid_are_an_error(self, fields, given):
+        with pytest.raises(ValueError, match="^set p0 and classes, c and eps_values, or classes "
+                                             f"and eps_values; got {given}$"):
+            simulate_rank_one(RankOneSimConfig(d=8, **fields))
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.integers(2, 12), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_any_eps_gives_a_finite_error_or_a_value_error(self, c, d, seed, u):
+        eps = log_uniform(-320.0, -np.log10(c), u)
+        try:
+            (point,) = simulate_rank_one(RankOneSimConfig(d=d, seed=seed, c=c, eps_values=(eps,)))
+        except ValueError:
+            return
+        assert 0.0 <= point.rel_error < np.inf
+
+    def test_crossed_grid_draws_one_matrix_per_class_count(self):
+        classes, eps_values = (3, 6), (1e-2, 1e-3)
+        points = simulate_rank_one(RankOneSimConfig(d=12, seed=5, classes=classes,
+                                                    eps_values=eps_values))
+        children = np.random.SeedSequence(5).spawn(len(classes))
+        expected = [(c, eps, child) for c, child in zip(classes, children) for eps in eps_values]
+        for point, (c, eps, child) in zip(points, expected, strict=True):
+            W = np.random.default_rng(child).standard_normal((12, c))
+            assert (point.c, point.eps) == (c, eps)
+            assert abs(point.rel_error - naive_rel_error(W, c, eps)) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def small_relu():
+    data = make_blobs(classes=3, dim=6, n_per_class=4, center_scale=2.0, noise=1.0, seed=0)
+    spec = NetworkSpec((LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "identity")))
+    net = train_sgd(init_network(spec, seed=0), data,
+                    TrainConfig(epochs=3, learning_rate=0.1, seed=0)).network
+    return net, data
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +315,23 @@ class TestConfidenceGapStudy:
         assert [r.sample_id for r in rows] == [1]
         assert any("skipped" in rec.message for rec in caplog.records)
 
+    def test_maps_too_small_to_normalize_are_an_error(self, small_relu):
+        # at c1 = 1e160 the maps' squared norms underflow, so no gap is finite
+        net, data = small_relu
+        with pytest.raises(ValueError, match=r"^sample 0: no finite gap, as a map's squared "
+                                             r"norm underflows or overflows at c1 = 1e\+160$"):
+            confidence_gap_study(net, data, data.n, c1=1e160)
+
+    @settings(max_examples=25, deadline=None)
+    @given(u=st.floats(0.0, 1.0))
+    def test_any_c1_gives_gaps_in_range_or_a_value_error(self, small_relu, u):
+        net, data = small_relu
+        try:
+            rows = confidence_gap_study(net, data, 4, c1=log_uniform(-300.0, 308.0, u))
+        except ValueError:
+            return
+        assert rows and all(0.0 <= r.gap <= GAP_MAX for r in rows)
+
     def test_sample_count_clamped_to_dataset(self, trained_ten_class):
         net, held = trained_ten_class
         rows = confidence_gap_study(net, held, 10_000)
@@ -315,6 +358,24 @@ class TestAlignmentCurve:
         pts = alignment_curve(128, (10, 100, 1000), 1e-6, seed=0)
         cosines = [p.cosine for p in pts]
         assert all(a < b for a, b in zip(cosines, cosines[1:]))
+
+    def test_underflowing_squares_are_an_error(self):
+        # at eps = 1e-200, |g|^2 and the squared eigenvalues underflow
+        with pytest.raises(ValueError, match=r"^c = 2: no finite cosine or mass ratio, as "
+                                             r"\|g\|\^2 or the squared eigenvalues underflow at "
+                                             r"eps = 1e-200$"):
+            alignment_curve(3, (2, 10), 1e-200)
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.integers(2, 12), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_any_eps_gives_values_in_range_or_a_value_error(self, c, d, seed, u):
+        try:
+            (point,) = alignment_curve(d, (c,), log_uniform(-320.0, -np.log10(c), u), seed=seed)
+        except ValueError:
+            return
+        assert 0.0 <= point.cosine <= COSINE_MAX
+        assert 0.0 < point.mass_ratio <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -586,6 +647,21 @@ class TestSpearman:
         a = rng.standard_normal(50)
         b = rng.standard_normal(50)
         assert spearman_rho(a, b) == spearman_rho(np.exp(a), b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_an_error(self, bad):
+        for a, b in (([1.0, 2, 3], [0.5, bad, 0.1]), ([bad, 2, 3], [0.5, 0.2, 0.1])):
+            with pytest.raises(ValueError, match="^inputs must be finite$"):
+                spearman_rho(np.array(a), np.array(b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e-300]) | st.floats(allow_nan=False),
+                    min_size=1, max_size=30))
+    def test_ranks_average_over_ties(self, values):
+        v = np.array(values)
+        below = (v[None, :] < v[:, None]).sum(axis=1)
+        tied = (v[None, :] == v[:, None]).sum(axis=1)
+        assert np.array_equal(analysis._rankdata(v), below + (tied + 1) / 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

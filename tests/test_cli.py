@@ -512,8 +512,7 @@ class TestCommit:
                       "--hidden", "3", "--epochs", "1", "--save-data"],
             "interpret": ["interpret", *model_data, "--method", "caso", "--samples", "0,1"],
             "sweep": ["sweep", *model_data, "--method", "caso"],
-            "rank1-sim": ["rank1-sim", "--mode", "vary-eps", "--c", "10", "--d", "16",
-                          "--eps", "1e-3"],
+            "rank1-sim": ["rank1-sim", "--c", "10", "--d", "16", "--eps", "1e-3"],
             "gap-study": ["gap-study", *model_data, "--n-samples", "3"],
             "alignment": ["alignment", "--d", "16", "--classes", "2,5"],
             "oracle-check": ["oracle-check", "--d", "8", "--support", "1,4"],
@@ -771,6 +770,22 @@ class TestHandWrittenNets:
 # one invalid value per command line, and the runtime error (exit 1) it names
 INVALID_VALUES = [
     (["rank1-sim", "--d", "0"], "d must be positive"),
+    (["rank1-sim"], "set p0 and classes, c and eps_values, or classes and eps_values; got none"),
+    (["alignment", "--d", "3", "--classes", "2,10", "--eps", "1e-200"],
+     "c = 2: no finite cosine or mass ratio, as |g|^2 or the squared eigenvalues underflow at "
+     "eps = 1e-200"),
+    (["interpret", "--method", "caso", "--c1", "1e308"],
+     "lambda2 = 1e+308 exceeds 2.2471164185778946e+307, past which the solvers' steps overflow "
+     "(lower c1)"),
+    (["interpret", "--method", "cafo", "--c1", "1e308"],
+     "lambda2 = 1e+308 exceeds 2.2471164185778946e+307, past which the solvers' steps overflow "
+     "(lower c1)"),
+    (["gap-study", "--c1", "1e308"],
+     "lambda2 = 1e+308 exceeds 2.2471164185778946e+307, past which the solvers' steps overflow "
+     "(lower c1)"),
+    (["gap-study", "--c1", "1e160"],
+     "sample 0: no finite gap, as a map's squared norm underflows or overflows at "
+     "c1 = 1e+160"),
     (["alignment", "--d", "0"], "d must be positive"),
     (["alignment", "--eps", "0"], "eps must lie in (0, 1)"),
     (["train", "--hidden", "0"], "layer dims must be positive, got 16x0"),
@@ -790,7 +805,7 @@ INVALID_VALUES = [
 class TestStudies:
     def test_rank1_sim(self, tmp_path, capsys):
         code = run([
-            "rank1-sim", "--mode", "vary-eps", "--c", "100", "--d", "64",
+            "rank1-sim", "--c", "100", "--d", "64",
             "--eps", "5e-3,1e-4", "--seed", "0", "--out", str(tmp_path),
         ])
         assert code == 0
@@ -800,30 +815,54 @@ class TestStudies:
         first = lines[2].split(",")
         assert first[0] == "100" and float(first[2]) > 0.0
 
-    def test_rank1_sim_missing_fields(self, tmp_path, capsys):
-        code = run(["rank1-sim", "--mode", "vary-classes", "--out", str(tmp_path)])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
     def test_rank1_sim_one_class(self, tmp_path, capsys):
         code = run([
-            "rank1-sim", "--mode", "vary-classes", "--p0", "0.9", "--classes", "1",
-            "--out", str(tmp_path),
+            "rank1-sim", "--p0", "0.9", "--classes", "1", "--out", str(tmp_path),
         ])
         assert code == 1
         assert "error: need at least 2 classes" in capsys.readouterr().err
         assert not (tmp_path / "rank1.csv").exists()
 
-    @pytest.mark.parametrize("args,unused", [
-        (["vary-classes", "--p0", "0.999", "--classes", "5", "--eps", "1e-3"], "eps_values"),
-        (["vary-eps", "--c", "10", "--eps", "1e-3", "--p0", "0.5"], "p0"),
-        (["grid", "--classes", "4,8", "--eps", "1e-3", "--c", "4"], "c"),
+    @pytest.mark.parametrize("args,given", [
+        (["--p0", "0.999", "--classes", "5", "--eps", "1e-3"], "p0 and classes and eps_values"),
+        (["--c", "10", "--eps", "1e-3", "--p0", "0.5"], "p0 and eps_values and c"),
+        (["--classes", "4,8", "--eps", "1e-3", "--c", "4"], "classes and eps_values and c"),
+        (["--p0", "0.999", "--c", "4"], "p0 and c"),
+        (["--classes", "4,8"], "classes"),
     ])
-    def test_rank1_sim_rejects_unused_fields(self, tmp_path, capsys, args, unused):
-        code = run(["rank1-sim", "--mode", *args, "--out", str(tmp_path)])
+    def test_rank1_sim_rejects_flags_that_fix_no_grid(self, tmp_path, capsys, args, given):
+        code = run(["rank1-sim", *args, "--out", str(tmp_path)])
         assert code == 1
-        assert f"error: {args[0]} mode does not use {unused}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: set p0 and classes, c and eps_values, or "
+                                           f"classes and eps_values; got {given}\n")
         assert not (tmp_path / "rank1.csv").exists()
+
+    # each former --mode's run and the rows it wrote: vary-classes, vary-eps, grid
+    @pytest.mark.parametrize("args,rows", [
+        (["--p0", "0.999", "--classes", "5,25", "--d", "48", "--seed", "1"],
+         ["5,0.0002500000000000002,0.3205008844837531",
+          "25,4.1666666666666706e-05,0.1861548501334624"]),
+        (["--c", "10", "--eps", "1e-2,1e-4", "--d", "16", "--seed", "2"],
+         ["10,0.01,0.31890026819099304", "10,0.0001,0.28440261729513955"]),
+        (["--classes", "4,6", "--eps", "1e-2,1e-3", "--d", "40"],
+         ["4,0.01,0.4117221505171347", "4,0.001,0.40166252084550835",
+          "6,0.01,0.3388542654335497", "6,0.001,0.3236370555501017"]),
+    ])
+    def test_rank1_sim_flags_give_each_former_modes_rows(self, tmp_path, args, rows):
+        assert run(["rank1-sim", *args, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "rank1.csv").read_text().splitlines()[2:] == rows
+
+    def test_rank1_sim_has_no_mode(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["rank1-sim", "--mode", "grid", "--classes", "4", "--eps", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode grid" in capsys.readouterr().err
+        config = tmp_path / "cfg.json"
+        config.write_text('{"mode": "grid"}')
+        with pytest.raises(SystemExit) as exc:
+            run(["rank1-sim", "--config", str(config), "--classes", "4", "--eps", "1e-3"])
+        assert exc.value.code == 2
+        assert "unknown config key: mode" in capsys.readouterr().err
 
     def test_gap_study_on_sigmoid_net(self, tmp_path, capsys):
         prep = tmp_path / "prep"
@@ -992,7 +1031,7 @@ class TestStudies:
         real = analysis.make_planted_instance
         monkeypatch.setattr(analysis, "make_planted_instance",
                             lambda *a, **kw: built.append(kw) or real(*a, **kw))
-        if argv[0] in ("interpret", "sweep"):
+        if argv[0] in ("interpret", "sweep", "gap-study"):
             argv = [*argv, "--model", workspace["model"], "--data", workspace["data"]]
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == 1
@@ -1287,23 +1326,12 @@ class TestStartup:
         with pytest.raises(AttributeError):
             casokit.no_such_name  # noqa: B018
 
-    def test_sim_modes_match_the_study_module(self):
-        from casokit import analysis
-
-        assert cli.SIM_MODES == analysis.SIM_MODES
-
     def test_oracle_d_help_matches_the_study_module(self):
         from casokit import analysis
 
         _, parsers = cli.build_parser()
         (d,) = [a for a in parsers["oracle-check"]._actions if a.dest == "d"]
         assert d.help == f"instance dimension (<= {analysis.ORACLE_MAX_D})"
-
-    def test_bad_sim_mode_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["rank1-sim", "--mode", "bogus"])
-        assert exc.value.code == 2
-        assert "argument --mode: invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_version_is_the_pyproject_version(self, capsys):
         pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")

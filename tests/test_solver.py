@@ -19,6 +19,7 @@ from casokit import (
     smooth_gradient,
     softmax_curvature,
 )
+from casokit.solver import LAMBDA2_MAX
 
 
 def random_instance(rng, d=50, c=10):
@@ -71,6 +72,15 @@ class TestSelectLambda2:
         for c1 in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 select_lambda2(5.0, c1=c1)
+
+    def test_lambda2_past_its_limit_is_an_error(self):
+        # past LAMBDA2_MAX the solvers' steps overflow; a curvature bound can
+        # carry lam2 past it too
+        assert select_lambda2(0.0, c1=LAMBDA2_MAX) == LAMBDA2_MAX
+        for bound, c1 in ((0.0, np.nextafter(LAMBDA2_MAX, np.inf)), (0.0, 1e308),
+                          (LAMBDA2_MAX, LAMBDA2_MAX)):
+            with pytest.raises(ValueError, match=r"^lambda2 = .* exceeds 2\.24711641857\d*e\+307,"):
+                select_lambda2(bound, c1=c1)
 
 
 class TestObjectiveSpec:
