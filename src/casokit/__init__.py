@@ -75,7 +75,6 @@ _EXPORTS = {
         "integrated_gradients",
         "lambda1_sweep",
         "run_request",
-        "run_requests",
         "smooth_cafo",
         "smooth_caso",
         "smoothgrad",

@@ -30,7 +30,7 @@ import numpy as np
 from ._record import Record
 from .errors import DimensionError
 from .hessian import hessian_eig, rank_one_approx, rel_error, softmax_factor
-from .interpret import MethodRequest, _chunks, curvature_models
+from .interpret import MethodRequest, _chunks, _sparse_models
 from .netcore import _loss_cotangent
 from .solver import DEFAULT_C1, closed_form_cafo, exact_solve, select_lambda2
 
@@ -154,7 +154,7 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     maps at lam1 = 0 across dataset samples, on any net.
 
     Each sample's CurvatureModel is the one `caso` solves against, built a
-    chunk of samples at a time as interpret._chunks splits caso requests;
+    chunk of samples at a time as interpret._chunks splits a caso request;
     lam2 takes its exact curvature bound. The CAFO map comes from its
     closed form and the CASO map from the model's exact lam1 = 0 solve,
     (2 lam2 I - H)^{-1} g; both are normalized to unit L2, and the gap is
@@ -165,12 +165,12 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     the normal floats (as at c1 above about 1e153).
     """
     count = min(int(n_samples), dataset.n)
-    requests = [MethodRequest("caso", dataset.sample(i), c1=c1) for i in range(count)]
+    request = MethodRequest("caso", [dataset.sample(i) for i in range(count)], c1=c1)
     lam2_cafo = select_lambda2(0.0, c1)
     rows = []
     start = 0
-    for chunk in _chunks(net, requests):
-        for i, model in enumerate(curvature_models(net, [r.sample for r in chunk], c1=c1), start):
+    for part in _chunks(net, request):
+        for i, model in enumerate(_sparse_models(net, part), start):
             g = model.gradient
             if np.linalg.norm(g) == 0.0:
                 log.info("sample %d has zero gradient; skipped", i)
@@ -189,7 +189,7 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
                 GapPoint(sample_id=i, p_max=float(model.probs.max()),
                          gap=float(np.linalg.norm(u - v)))
             )
-        start += len(chunk)
+        start += len(part.samples)
     if count and not rows:
         raise ValueError(f"none of the {count} samples has a nonzero input gradient (the loss "
                          "is flat in the input there, as when the relu units are off), so no "

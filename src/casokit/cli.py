@@ -275,28 +275,23 @@ def cmd_interpret(args, out, stage):
     net = model_load(args.model)
     dataset = _load_data(args)
     indices = args.samples
-    samples = [dataset.sample(i) for i in indices]
     w, h = _geometry(args, dataset.dim)
     # only noise draws read a seed; the others skip importing numpy.random
+    seeds = None
     if args.method in NOISE_METHODS:
         seeds = [int(child.generate_state(1, dtype=np.uint64)[0])
                  for child in np.random.SeedSequence(args.seed).spawn(len(indices))]
-    else:
-        seeds = [0] * len(indices)
-    requests = [
-        MethodRequest(
-            method=args.method,
-            sample=sample,
-            lam1=args.lambda1,
-            c1=args.c1,
-            smooth_n=args.smooth_n,
-            smooth_sigma=args.smooth_sigma,
-            ig_steps=args.ig_steps,
-            seed=seed,
-            channels=args.channels,
-        )
-        for sample, seed in zip(samples, seeds)
-    ]
+    request = MethodRequest(
+        method=args.method,
+        samples=[dataset.sample(i) for i in indices],
+        seeds=seeds,
+        lam1=args.lambda1,
+        c1=args.c1,
+        smooth_n=args.smooth_n,
+        smooth_sigma=args.smooth_sigma,
+        ig_steps=args.ig_steps,
+        channels=args.channels,
+    )
 
     # one writer thread writes each chunk's artifacts while the next chunk
     # computes
@@ -318,7 +313,7 @@ def cmd_interpret(args, out, stage):
     writer = threading.Thread(target=write_samples, name="casokit-writer")
     writer.start()
     try:
-        for chunk in chunk_results(net, requests):
+        for chunk in chunk_results(net, request):
             # the display cap is per map, so a chunk's stack renders each
             # map as the whole run's stack would
             images = normalize_for_display(np.stack([res.delta for res in chunk]),
@@ -466,10 +461,11 @@ def cmd_oracle_check(args, out, stage):
     return f"oracle support={found} value={oracle.value!r} l1_match={bool(on)}{span}\n"
 
 
-def _add_common(sp):
+def _add_common(sp, seed=True):
     sp.add_argument("--config", help="JSON file of default values for any flag")
     sp.add_argument("--out", help="output directory (default: $CASOKIT_OUT_DIR or .)")
-    sp.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+    if seed:
+        sp.add_argument("--seed", type=int, default=0, help="seed for every random draw")
 
 
 def _add_model_data(sp):
@@ -488,15 +484,12 @@ def _add_geometry(sp):
 
 
 def _add_method_knobs(sp):
-    sp.add_argument("--lambda1", type=float, default=0.0, help="sparsity weight")
     sp.add_argument("--c1", type=float, default=DEFAULT_C1,
                     help="additive trust constant in lambda2")
     sp.add_argument("--smooth-n", type=int, default=DEFAULT_SMOOTH_N,
                     help="noise samples for smooth variants")
     sp.add_argument("--smooth-sigma", type=float, default=DEFAULT_SMOOTH_SIGMA,
                     help="noise level as a fraction of the input range")
-    sp.add_argument("--ig-steps", type=int, default=DEFAULT_IG_STEPS,
-                    help="integration steps for integrated gradients")
 
 
 def build_parser():
@@ -533,6 +526,9 @@ def build_parser():
     _add_model_data(sp)
     _add_geometry(sp)
     _add_method_knobs(sp)
+    sp.add_argument("--lambda1", type=float, default=0.0, help="sparsity weight")
+    sp.add_argument("--ig-steps", type=int, default=DEFAULT_IG_STEPS,
+                    help="integration steps for integrated gradients")
     sp.add_argument("--method", choices=METHODS, default="cafo")
     sp.add_argument("--samples", type=int_list, default=(0,),
                     help="comma list of sample indices")
@@ -570,7 +566,7 @@ def build_parser():
     sp.set_defaults(func=cmd_rank1_sim)
 
     sp = sub.add_parser("gap-study", help="confidence versus method gap, any net")
-    _add_common(sp)
+    _add_common(sp, seed=False)
     _add_model_data(sp)
     sp.add_argument("--n-samples", type=sample_count, help="cap on samples, >= 2 (default: all)")
     sp.add_argument("--c1", type=float, default=DEFAULT_C1)

@@ -235,7 +235,8 @@ def rel_error(B, approx):
     that takes fewer than d vectors (r + 1 < d), the difference is measured
     in an orthonormal basis of the span, as an (r + 1) x (r + 1) matrix;
     otherwise the span may be all of R^d and H is compared directly.
-    Raises when ||H||_F = 0.
+    Raises when ||H||_F = 0, or when its square underflows to 0 although H
+    has a nonzero entry.
     """
     g = approx.gradient
     if g.shape[0] != B.shape[0]:
@@ -248,5 +249,9 @@ def rel_error(B, approx):
     H = B @ B.T
     h_norm = float(np.linalg.norm(H))
     if h_norm == 0.0:
+        top = float(np.abs(H).max(initial=0.0))
+        if top > 0.0:
+            raise ValueError(f"the Hessian's squared Frobenius norm underflows to 0, though "
+                             f"its largest entry is {top:.6g}")
         raise ValueError("Hessian has zero Frobenius norm")
     return float(np.linalg.norm(H - approx.eigenvalue * (u @ u.T))) / h_norm

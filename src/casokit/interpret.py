@@ -6,10 +6,10 @@ strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
 solving. All four sparse methods first build one CurvatureModel
 (g, F, C, lam2, base) per sample, H = F C F^T being the exact curvature
-(0 for CAFO), and then solve against it; chunk_results (and
-run_requests, its list form) builds the models of a chunk of samples
-together, and a lam1 sweep solves its whole grid against one model, one
-map at a time.
+(0 for CAFO), and then solve against it. One MethodRequest names a run:
+the method, its samples with their noise seeds, and the knobs;
+chunk_results builds the models of a chunk of its samples together, and
+a lam1 sweep solves its whole grid against one model, one map at a time.
 The gradient baselines (vanilla gradient, SmoothGrad, integrated
 gradients) are included for comparison; note the deliberate asymmetry
 that integrated gradients accumulates the loss gradient while the
@@ -21,9 +21,6 @@ zeros so this is well defined.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
@@ -113,17 +110,18 @@ def sparsity_ratio(delta, channels_per_pixel=1):
     return float(np.all(pix == 0.0, axis=1).mean())
 
 
-def _finish(method, net, samples, models, lam1s, solves, channels):
-    """Wrap the solves of a chunk of samples; one batched forward pass at
-    the perturbed inputs gives every raw loss change."""
+def _finish(net, request, models, lam1s, solves):
+    """Wrap the solves of a request's samples, one per sample; one batched
+    forward pass at the perturbed inputs gives every raw loss change."""
+    samples = request.samples
     X = np.stack([s.x for s in samples])
     D = np.stack([res.delta for res in solves])
     after = forward_batch(net, X + D, [s.y for s in samples]).losses
     return [
         SaliencyResult(
-            method=method,
+            method=request.method,
             delta=res.delta,
-            eta=sparsity_ratio(res.delta, channels),
+            eta=sparsity_ratio(res.delta, request.channels),
             p_max=float(model.probs.max()),
             loss_gain=res.objective_value,
             raw_loss_delta=float(loss - model.loss),
@@ -131,7 +129,7 @@ def _finish(method, net, samples, models, lam1s, solves, channels):
             lam2=float(model.lam2),
             solve=res,
         )
-        for model, lam1, res, loss in zip(models, lam1s, solves, after)
+        for model, lam1, res, loss in zip(models, lam1s, solves, after, strict=True)
     ]
 
 
@@ -295,32 +293,30 @@ def _noise_inputs(xs, n, sigma, seeds):
             for x, seed in zip(xs, seeds)]
 
 
-def _sparse_models(method, samples, net, seeds, n=DEFAULT_SMOOTH_N,
-                   sigma=DEFAULT_SMOOTH_SIGMA, c1=DEFAULT_C1):
-    """The CurvatureModels a SPARSE_METHODS entry solves against, one per
-    sample, built in one pass.
+def _sparse_models(net, request):
+    """The CurvatureModels a sparse request solves against, one per sample,
+    built in one pass.
 
-    Smoothed methods expand each sample at n noisy copies drawn from its
-    seed, or at the sample itself when sigma = 0; the others expand at the
-    sample. Knobs the method does not use are ignored; lam2 = L/2 + c1.
+    Smoothed methods expand each sample at smooth_n noisy copies drawn
+    from its seed, or at the sample itself when smooth_sigma = 0; the
+    others expand at the sample. Knobs the method does not use are
+    ignored; lam2 = L/2 + c1.
     """
-    smoothed, second_order = SPARSE_METHODS[method]
-    points = _noise_inputs([s.x for s in samples], n, sigma, seeds) if smoothed else None
-    return curvature_models(net, samples, points, second_order, c1)
+    r = request
+    smoothed, second_order = SPARSE_METHODS[r.method]
+    points = (_noise_inputs([s.x for s in r.samples], r.smooth_n, r.smooth_sigma, r.seeds)
+              if smoothed else None)
+    return curvature_models(net, r.samples, points, second_order, r.c1)
 
 
-def _sparse_model(method, sample, net, seed=0, **model_kwargs):
-    """The CurvatureModel of one sample: _sparse_models of [sample]."""
-    return _sparse_models(method, [sample], net, [seed], **model_kwargs)[0]
-
-
-def _solve_models(method, net, samples, models, lam1s, channels=1):
-    """Maximize the surrogates of a list of CurvatureModels, one lam1 per
-    row, each exactly by exact_solve; rows may repeat a model."""
+def _solve_models(net, request, models, lam1s):
+    """Maximize the surrogates of a request's samples, one CurvatureModel
+    and one lam1 per sample, each exactly by exact_solve; samples and
+    models may repeat."""
     solves = [exact_solve(m.gradient, lam1, m.lam2, m.factor, m.middle, m.inverse,
                           m.curvature_floor)
               for m, lam1 in zip(models, lam1s, strict=True)]
-    return _finish(method, net, samples, models, lam1s, solves, channels)
+    return _finish(net, request, models, lam1s, solves)
 
 
 def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
@@ -328,7 +324,8 @@ def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
 
     The ridge rule lam2 = L/2 + c1 is applied with L = 0, so lam2 = c1.
     """
-    return run_request(net, MethodRequest("cafo", sample, lam1, c1, channels=channels))
+    return run_request(net, MethodRequest("cafo", (sample,), lam1=lam1, c1=c1,
+                                          channels=channels))[0]
 
 
 def caso(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
@@ -340,7 +337,8 @@ def caso(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
     otherwise; see curvature_models) and L is its exact lambda_max,
     clamped at 0.
     """
-    return run_request(net, MethodRequest("caso", sample, lam1, c1, channels=channels))
+    return run_request(net, MethodRequest("caso", (sample,), lam1=lam1, c1=c1,
+                                          channels=channels))[0]
 
 
 def smooth_cafo(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA, seed=0,
@@ -351,8 +349,8 @@ def smooth_cafo(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
     once up front and reused for the whole solve; sigma = 0 reduces to
     plain cafo exactly.
     """
-    return run_request(net, MethodRequest("smooth-cafo", sample, lam1, c1, n, sigma,
-                                          seed=seed, channels=channels))
+    return run_request(net, MethodRequest("smooth-cafo", (sample,), (seed,), lam1, c1, n, sigma,
+                                          channels=channels))[0]
 
 
 def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_SIGMA, seed=0,
@@ -365,8 +363,8 @@ def smooth_caso(sample, net, lam1=0.0, n=DEFAULT_SMOOTH_N, sigma=DEFAULT_SMOOTH_
     curvature bound is its exact lambda_max. The noise is drawn once from
     seed; sigma = 0 reduces to plain caso exactly.
     """
-    return run_request(net, MethodRequest("smooth-caso", sample, lam1, c1, n, sigma,
-                                          seed=seed, channels=channels))
+    return run_request(net, MethodRequest("smooth-caso", (sample,), (seed,), lam1, c1, n, sigma,
+                                          channels=channels))[0]
 
 
 def _gradient_map(method, sample, net, channels, points=None, path=None):
@@ -474,7 +472,9 @@ def lambda1_sweep(
     max_refinements=20,
     channels=1,
     c1=DEFAULT_C1,
-    **model_kwargs,
+    n=DEFAULT_SMOOTH_N,
+    sigma=DEFAULT_SMOOTH_SIGMA,
+    seed=0,
 ):
     """Solve across a lam1 grid and pick the sparsest useful map.
 
@@ -485,7 +485,7 @@ def lambda1_sweep(
     reaches the range the outcome is flagged and the selection falls back
     to the densest non-trivial candidate. method is a SPARSE_METHODS
     entry; its CurvatureModel, Woodbury base (one inv) included, is built
-    once from c1 and model_kwargs (n, sigma, seed; unused ones are
+    once from c1, n, sigma and seed (the knobs the method does not use are
     ignored), and every grid value and refinement is solved against it.
     The grid values take one batched forward pass per CHUNK_COLUMNS of
     them; each refinement is a solve of its own. The results match
@@ -508,11 +508,14 @@ def lambda1_sweep(
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
     if max_refinements < 0:
         raise ValueError("max_refinements must be nonnegative")
-    model = _sparse_model(method, sample, net, c1=c1, **model_kwargs)
+    request = MethodRequest(method, (sample,), (seed,), c1=c1, smooth_n=n, smooth_sigma=sigma,
+                            channels=channels)
+    model, = _sparse_models(net, request)
 
     def solve(lams):
         k = len(lams)
-        return _solve_models(method, net, [sample] * k, [model] * k, lams, channels)
+        rows = request.replace(samples=request.samples * k, seeds=request.seeds * k)
+        return _solve_models(net, rows, [model] * k, lams)
 
     def in_range(r):
         return lo <= r.eta < hi
@@ -561,44 +564,46 @@ def lambda1_sweep(
 
 
 class MethodRequest(Record):
-    """A method name, a sample, and every knob the methods understand; the
-    sparse methods solve exactly (solver.exact_solve), so none is a solver's."""
+    """One method's run over its samples: one noise seed per sample (read by
+    NOISE_METHODS only; None seeds each with 0) and every knob the methods
+    understand. The sparse methods solve exactly, so none is a solver's."""
 
     method: str
-    sample: Sample
+    samples: tuple[Sample, ...]
+    seeds: tuple[int, ...] | None = None
     lam1: float = 0.0
     c1: float = DEFAULT_C1
     smooth_n: int = DEFAULT_SMOOTH_N
     smooth_sigma: float = DEFAULT_SMOOTH_SIGMA
     ig_steps: int = DEFAULT_IG_STEPS
-    seed: int = 0
     channels: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        samples = tuple(self.samples)
+        seeds = (0,) * len(samples) if self.seeds is None else tuple(self.seeds)
+        if len(seeds) != len(samples):
+            raise ValueError(f"{len(seeds)} seeds for {len(samples)} samples")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seeds", seeds)
 
 
 def _run_baseline(net, request):
-    """A gradient-baseline request, which runs one sample at a time."""
-    m = request.method
-    s = request.sample
-    ch = request.channels
-    if m == "grad":
+    """The result of a gradient-baseline request of one sample."""
+    (s,), (seed,), ch = request.samples, request.seeds, request.channels
+    if request.method == "grad":
         return vanilla_gradient(s, net, channels=ch)
-    if m == "smoothgrad":
-        return smoothgrad(
-            s, net, n=request.smooth_n, sigma=request.smooth_sigma,
-            seed=request.seed, channels=ch,
-        )
+    if request.method == "smoothgrad":
+        return smoothgrad(s, net, request.smooth_n, request.smooth_sigma, seed, channels=ch)
     return integrated_gradients(s, net, steps=request.ig_steps, channels=ch)
 
 
 def _columns(net, request):
-    """Chunk columns a sparse request takes: the columns of its expansion
-    points' backprops (times the curvature factor width for second-order
-    methods), but at least c, so that no chunk stacks more samples than a
-    relu CASO chunk; None for the gradient baselines."""
+    """Chunk columns a sparse request takes per sample: the columns of its
+    expansion points' backprops (times the curvature factor width for
+    second-order methods), but at least c, so that no chunk stacks more
+    samples than a relu CASO chunk; None for the gradient baselines."""
     if request.method not in SPARSE_METHODS:
         return None
     smoothed, second_order = SPARSE_METHODS[request.method]
@@ -606,51 +611,36 @@ def _columns(net, request):
     return max(points * _factor_width(net) if second_order else points, net.num_classes)
 
 
-# every MethodRequest field but the two that may differ within a chunk
-_shared_knobs = attrgetter(*(n for n in MethodRequest.__match_args__ if n not in ("sample", "seed")))
+def _chunks(net, request):
+    """Split a request, in sample order, into the requests of its chunks:
+    CHUNK_COLUMNS // _columns samples each (at least one) for a sparse
+    method, one sample each for a gradient baseline."""
+    cols = _columns(net, request)
+    n = 1 if cols is None else max(CHUNK_COLUMNS // cols, 1)
+    for i in range(0, len(request.samples), n):
+        yield request.replace(samples=request.samples[i:i + n], seeds=request.seeds[i:i + n])
 
 
-def _chunks(net, requests):
-    """Split requests, in order, into chunks solved together: each run of
-    consecutive sparse requests that differ only in sample and seed, cut
-    into pieces of CHUNK_COLUMNS // _columns requests (at least one), and
-    each other request alone."""
-    for _, run in groupby(requests, _shared_knobs):
-        run = list(run)
-        cols = _columns(net, run[0])
-        size = 1 if cols is None else max(CHUNK_COLUMNS // cols, 1)
-        for start in range(0, len(run), size):
-            yield run[start:start + size]
+def chunk_results(net, request):
+    """Yield the results of a MethodRequest one chunk of samples at a time,
+    as lists, in sample order.
 
-
-def chunk_results(net, requests):
-    """Yield the results of a sequence of MethodRequests one chunk at a
-    time, as lists, in order.
-
-    Sparse requests are solved a chunk of whole samples at a time (see
+    A sparse method solves a chunk of whole samples at a time (see
     _chunks): one batched forward pass and two batched backprops (more on
     sigmoid nets) build the chunk's models, each sample is solved on its
-    own, and one batched forward pass gives their raw loss changes. Each
-    gradient baseline is a chunk of one. Chunking moves the results by
-    rounding only.
+    own, and one batched forward pass gives their raw loss changes. A
+    gradient baseline runs one sample at a time. Chunking moves the
+    results by rounding only.
     """
-    for chunk in _chunks(net, requests):
-        r = chunk[0]
-        if r.method not in SPARSE_METHODS:
-            yield [_run_baseline(net, r)]
-            continue
-        samples = [q.sample for q in chunk]
-        models = _sparse_models(r.method, samples, net, [q.seed for q in chunk],
-                                r.smooth_n, r.smooth_sigma, r.c1)
-        yield _solve_models(r.method, net, samples, models, [r.lam1] * len(chunk), r.channels)
-
-
-def run_requests(net, requests):
-    """Results of a sequence of MethodRequests, in order: chunk_results
-    as one list."""
-    return [res for chunk in chunk_results(net, requests) for res in chunk]
+    for part in _chunks(net, request):
+        if request.method not in SPARSE_METHODS:
+            yield [_run_baseline(net, part)]
+        else:
+            yield _solve_models(net, part, _sparse_models(net, part),
+                                [part.lam1] * len(part.samples))
 
 
 def run_request(net, request):
-    """Dispatch a MethodRequest to the matching interpretation method."""
-    return run_requests(net, [request])[0]
+    """The results of a MethodRequest, one per sample in sample order:
+    chunk_results as one list."""
+    return [res for chunk in chunk_results(net, request) for res in chunk]

@@ -37,7 +37,8 @@ ACTIVE_SET_MAX_STEPS = 50
 
 def select_lambda2(curvature_bound, c1=DEFAULT_C1):
     """Ridge weight lam2 = L/2 + c1 for a curvature bound L >= 0, at most
-    LAMBDA2_MAX."""
+    LAMBDA2_MAX, and with lam2 - L/2 within c1/2 of c1: a c1 that rounding
+    swallows would leave 2 lam2 I - H singular to rounding."""
     if curvature_bound < 0.0:
         raise ValueError("curvature bound must be nonnegative")
     if not 0.0 < c1 < np.inf:
@@ -46,6 +47,9 @@ def select_lambda2(curvature_bound, c1=DEFAULT_C1):
     if not lam2 <= LAMBDA2_MAX:
         raise ValueError(f"lambda2 = {float(lam2)!r} exceeds {LAMBDA2_MAX!r}, past which "
                          "the solvers' steps overflow (lower c1)")
+    if abs((lam2 - curvature_bound / 2.0) - c1) > c1 / 2.0:
+        raise ValueError(f"c1 = {float(c1)!r} is lost to rounding in lambda2 = L/2 + c1 at "
+                         f"L = {float(curvature_bound):.6g} (raise c1)")
     return lam2
 
 

@@ -383,7 +383,7 @@ def test_c11_cli_determinism(tmp_path):
                   "--sample", "0", "--seed", "2"],
         "rank1-sim": ["rank1-sim", "--p0", "0.999", "--classes", "5,25", "--d", "48",
                       "--seed", "1"],
-        "gap-study": ["gap-study", "--model", model, "--data", data, "--seed", "0"],
+        "gap-study": ["gap-study", "--model", model, "--data", data],
         "alignment": ["alignment", "--d", "48", "--classes", "4,32",
                       "--eps", "1e-5", "--seed", "6"],
         "oracle-check": ["oracle-check", "--seed", "0"],

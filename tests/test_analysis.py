@@ -233,18 +233,18 @@ class TestConfidenceGapStudy:
                            labels=rng.integers(0, net.num_classes, 30))
         built = []
 
-        def spy(net, samples, **kwargs):
+        def spy(net, samples, *args):
             built.append(np.stack([s.x for s in samples]))
-            return curvature_models(net, samples, **kwargs)
+            return curvature_models(net, samples, *args)
 
-        monkeypatch.setattr(analysis, "curvature_models", spy)
+        monkeypatch.setattr(interpret, "curvature_models", spy)
         rows = confidence_gap_study(net, data, data.n)
-        # the models are built in the chunks caso requests take in interpret
-        chunks = list(interpret._chunks(net, [MethodRequest("caso", data.sample(i))
-                                              for i in range(data.n)]))
+        # the models are built in the chunks a caso request takes in interpret
+        chunks = list(interpret._chunks(net, MethodRequest(
+            "caso", [data.sample(i) for i in range(data.n)])))
         assert len(built) == len(chunks)
         for X, chunk in zip(built, chunks):
-            assert np.array_equal(X, np.stack([r.sample.x for r in chunk]))
+            assert np.array_equal(X, np.stack([s.x for s in chunk.samples]))
         assert len(rows) >= data.n - 2
         for row in rows:
             x, y = data.X[row.sample_id], int(data.labels[row.sample_id])

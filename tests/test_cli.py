@@ -370,7 +370,7 @@ def snapshot(directory):
 
 def serial_interpret(argv, out):
     """interpret's artifacts and stdout as one serial pass writes them:
-    run_requests over every sample, one normalize_for_display of the
+    run_request over every sample, one normalize_for_display of the
     whole stack, then each sample's files in order and metrics.csv."""
     args = cli.build_parser()[0].parse_args(argv)
     net, dataset = model_load(args.model), dataset_load(args.data)
@@ -378,10 +378,10 @@ def serial_interpret(argv, out):
     if args.method in interpret.NOISE_METHODS:
         seeds = [int(child.generate_state(1, dtype=np.uint64)[0])
                  for child in np.random.SeedSequence(args.seed).spawn(len(args.samples))]
-    requests = [MethodRequest(args.method, dataset.sample(i), args.lambda1, args.c1,
-                              args.smooth_n, args.smooth_sigma, args.ig_steps, seed,
-                              args.channels) for i, seed in zip(args.samples, seeds)]
-    results = interpret.run_requests(net, requests)
+    request = MethodRequest(args.method, [dataset.sample(i) for i in args.samples], seeds,
+                            args.lambda1, args.c1, args.smooth_n, args.smooth_sigma,
+                            args.ig_steps, args.channels)
+    results = interpret.run_request(net, request)
     w, h = cli._geometry(args, dataset.dim)
     images = normalize_for_display(np.stack([r.delta for r in results]), w, h, args.channels)
     prov = cli._provenance(args)
@@ -574,6 +574,68 @@ class TestCommit:
         out.mkdir(parents=True)
         assert run(argv) == 1
         assert out.is_dir() and os.listdir(out) == []
+
+
+class TestEveryOptionIsRead:
+    """No subcommand defines an option that its command never reads."""
+
+    @staticmethod
+    def argv(command, ws):
+        model_data = ["--model", ws["model"], "--data", ws["data"]]
+        return {
+            # no --data: the blob options are read only without it
+            "train": ["train", "--classes", "2", "--dim", "4", "--n-per-class", "4",
+                      "--hidden", "3", "--epochs", "1"],
+            # a noise method: only noise draws read --seed
+            "interpret": ["interpret", *model_data, "--method", "smoothgrad", "--smooth-n", "2",
+                          "--samples", "0"],
+            "sweep": ["sweep", *model_data, "--method", "smooth-cafo", "--smooth-n", "2"],
+            "rank1-sim": ["rank1-sim", "--c", "3", "--d", "4", "--eps", "1e-3"],
+            "gap-study": ["gap-study", *model_data, "--n-samples", "2"],
+            "alignment": ["alignment", "--d", "8", "--classes", "2,3"],
+            "oracle-check": ["oracle-check", "--d", "6", "--support", "1,4"],
+        }[command]
+
+    @pytest.mark.parametrize("command", list(cli.build_parser()[1]))
+    def test_every_option_is_read(self, workspace, tmp_path, command):
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        root, parsers = cli.build_parser()
+        args = root.parse_args(self.argv(command, workspace), namespace=Recording())
+        reads.clear()  # parsing reads the namespace too
+        args.func(args, str(tmp_path), str(tmp_path))
+        # vars(), which _provenance reads every option through, is not a read
+        options = {a.dest for a in parsers[command]._actions if a.dest != "help"}
+        assert options - reads - {"out", "config", "command", "func"} == set()
+
+    @pytest.mark.parametrize("command,flag,artifact", [
+        ("sweep", "--lambda1", "sweep.json"), ("sweep", "--ig-steps", "sweep.json"),
+        ("gap-study", "--seed", "gap.csv"),
+    ])
+    def test_unread_options_are_gone(self, workspace, tmp_path, capsys, command, flag,
+                                     artifact):
+        argv = [*self.argv(command, workspace), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        key = flag[2:]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 1}))
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", str(config)])
+        assert exc.value.code == 2
+        assert f"config key {key} is not an option of {command}" in capsys.readouterr().err
+        assert run(argv) == 0
+        text = (tmp_path / "out" / artifact).read_text()
+        prov = (json.loads(text)["provenance"] if artifact.endswith(".json")
+                else json.loads(text.split("\n", 1)[0].removeprefix("# ")))
+        assert prov["command"] == command and key.replace("-", "_") not in prov
 
 
 class TestEntryPoint:
@@ -771,6 +833,9 @@ class TestHandWrittenNets:
 INVALID_VALUES = [
     (["rank1-sim", "--d", "0"], "d must be positive"),
     (["rank1-sim"], "set p0 and classes, c and eps_values, or classes and eps_values; got none"),
+    (["rank1-sim", "--c", "3", "--eps", "1e-200", "--d", "3"],
+     "the Hessian's squared Frobenius norm underflows to 0, though its largest entry is "
+     "4.15839e-200"),
     (["alignment", "--d", "3", "--classes", "2,10", "--eps", "1e-200"],
      "c = 2: no finite cosine or mass ratio, as |g|^2 or the squared eigenvalues underflow at "
      "eps = 1e-200"),
@@ -783,6 +848,10 @@ INVALID_VALUES = [
     (["gap-study", "--c1", "1e308"],
      "lambda2 = 1e+308 exceeds 2.2471164185778946e+307, past which the solvers' steps overflow "
      "(lower c1)"),
+    (["gap-study", "--c1", "1e-20"],
+     "c1 = 1e-20 is lost to rounding in lambda2 = L/2 + c1 at L = 0.139609 (raise c1)"),
+    (["interpret", "--method", "caso", "--c1", "1e-20", "--samples", "2"],
+     "c1 = 1e-20 is lost to rounding in lambda2 = L/2 + c1 at L = 0.0188301 (raise c1)"),
     (["gap-study", "--c1", "1e160"],
      "sample 0: no finite gap, as a map's squared norm underflows or overflows at "
      "c1 = 1e+160"),

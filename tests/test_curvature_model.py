@@ -256,8 +256,8 @@ class TestDenseEquivalence:
         n, sigma, seed = 7, 0.2, 5
         span = float(x.max() - x.min())
         points = x + sigma * span * np.random.default_rng(seed).standard_normal((n, 6))
-        model = interpret._sparse_model("smooth-cafo", s, sigmoid_net, n=n, sigma=sigma,
-                                        seed=seed)
+        model, = interpret._sparse_models(sigmoid_net, MethodRequest(
+            "smooth-cafo", (s,), (seed,), smooth_n=n, smooth_sigma=sigma))
         g = np.mean([input_gradient(sigmoid_net, z, 2) for z in points], axis=0)
         assert np.allclose(model.gradient, g, rtol=1e-12, atol=0.0)
         assert model.factor is None and model.inverse is None
@@ -367,9 +367,9 @@ class TestClosedFormCurvature:
     def test_sigmoid_factor_width_sets_the_chunks(self, sigmoid_net):
         s = Sample(x=np.zeros(6), y=0)
         # 3 classes plus 9 sigmoid units per expansion point
-        assert interpret._columns(sigmoid_net, MethodRequest("caso", s)) == 12
-        assert interpret._columns(sigmoid_net, MethodRequest("smooth-caso", s, smooth_n=4)) == 48
-        assert interpret._columns(sigmoid_net, MethodRequest("smooth-cafo", s, smooth_n=4)) == 4
+        assert interpret._columns(sigmoid_net, MethodRequest("caso", (s,))) == 12
+        assert interpret._columns(sigmoid_net, MethodRequest("smooth-caso", (s,), smooth_n=4)) == 48
+        assert interpret._columns(sigmoid_net, MethodRequest("smooth-cafo", (s,), smooth_n=4)) == 4
 
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "mixed"])
     def test_cli_never_estimates_curvature(self, kind, tmp_path, monkeypatch, capsys,
@@ -390,10 +390,10 @@ class TestClosedFormCurvature:
         dataset_save_csv(Dataset(rng.standard_normal((3, net.input_dim)),
                                  rng.integers(0, net.num_classes, 3)), data)
         common = ["--model", str(model), "--data", str(data), "--width", str(net.input_dim),
-                  "--height", "1", "--smooth-n", "4", "--lambda1", "1e-3"]
+                  "--height", "1", "--smooth-n", "4"]
         for i, argv in enumerate((
-            ["interpret", "--method", "caso", "--samples", "0,1,2"],
-            ["interpret", "--method", "smooth-caso", "--samples", "0,2"],
+            ["interpret", "--method", "caso", "--samples", "0,1,2", "--lambda1", "1e-3"],
+            ["interpret", "--method", "smooth-caso", "--samples", "0,2", "--lambda1", "1e-3"],
             ["sweep", "--method", "caso", "--sample", "1"],
         )):
             out = tmp_path / f"out{i}"
@@ -474,9 +474,9 @@ class TestSweepHoisting:
         sizes = []
         orig = interpret._finish
 
-        def counted(method, net, samples, *args):
-            sizes.append(len(samples))
-            return orig(method, net, samples, *args)
+        def counted(net, request, *args):
+            sizes.append(len(request.samples))
+            return orig(net, request, *args)
 
         monkeypatch.setattr(interpret, "_finish", counted)
         monkeypatch.setattr(interpret, "CHUNK_COLUMNS", 3)

@@ -22,13 +22,13 @@ from casokit import (
     lambda1_sweep,
     model_save,
     run_request,
-    run_requests,
 )
 from casokit import interpret, solver
 from casokit import netcore as nc
 
 SPARSE = ("cafo", "caso", "smooth-cafo", "smooth-caso")
 SMOOTH = {"n": 4, "sigma": 0.2}
+KNOBS = {"smooth_n": 4, "smooth_sigma": 0.2}  # SMOOTH as MethodRequest fields
 
 
 def net_of(kind):
@@ -44,9 +44,14 @@ def samples(count, seed=42):
     return [Sample(x=rng.standard_normal(20), y=int(rng.integers(4))) for _ in range(count)]
 
 
+def model_of(net, method, sample, seed=0, **knobs):
+    """The CurvatureModel a one-sample request builds."""
+    return interpret._sparse_models(net, MethodRequest(method, (sample,), (seed,), **knobs))[0]
+
+
 def objective(net, method, result, sample, seed=0):
     """The ObjectiveSpec a sparse result maximized, from a model of its own."""
-    model = interpret._sparse_model(method, sample, net, seed=seed, **SMOOTH)
+    model = model_of(net, method, sample, seed, **KNOBS)
     return ObjectiveSpec(gradient=model.gradient, hvp=model.hvp, lam1=result.lam1,
                          lam2=result.lam2, curvature_bound=model.curvature_bound)
 
@@ -77,10 +82,7 @@ def test_requests_and_sweeps_are_exact(kind, method):
     net = net_of(kind)
     rows = samples(3)
     for lam1 in (1e-3, 3e-2):
-        requests = [MethodRequest(method, s, lam1=lam1, smooth_n=SMOOTH["n"],
-                                  smooth_sigma=SMOOTH["sigma"], seed=7 + i)
-                    for i, s in enumerate(rows)]
-        results = run_requests(net, requests)
+        results = run_request(net, MethodRequest(method, rows, (7, 8, 9), lam1=lam1, **KNOBS))
         check_exact([objective(net, method, r, s, 7 + i)
                      for i, (r, s) in enumerate(zip(results, rows))], results)
     out = lambda1_sweep(rows[0], net, method, grid=(0.0, 1e-4, 3e-3, 3e-2, 0.3),
@@ -103,12 +105,10 @@ def test_model_solves_at_lam1_zero_settle_in_one_step(kind, method):
     net = net_of(kind)
     rows = samples(6)
     for c1 in (1e-3, 10.0):
-        models = interpret._sparse_models(method, rows, net, range(6), c1=c1, **SMOOTH)
+        request = MethodRequest(method, rows, range(6), lam1=0.0, c1=c1, **KNOBS)
+        models = interpret._sparse_models(net, request)
         assert all(m.inverse is not None for m in models)
-        requests = [MethodRequest(method, s, lam1=0.0, c1=c1, smooth_n=SMOOTH["n"],
-                                  smooth_sigma=SMOOTH["sigma"], seed=i)
-                    for i, s in enumerate(rows)]
-        results = run_requests(net, requests)
+        results = run_request(net, request)
         assert [r.solve.steps for r in results] == [1] * 6
         assert all(r.solve.kkt_residual <= 1e-12 for r in results)
 
@@ -116,23 +116,22 @@ def test_model_solves_at_lam1_zero_settle_in_one_step(kind, method):
 @pytest.mark.parametrize("kind", ["relu", "sigmoid"])
 @pytest.mark.parametrize("method", SPARSE)
 def test_loss_gain_is_the_objective_at_the_map(kind, method):
-    # a one-sample request builds exactly the model _sparse_model builds
+    # a one-sample request solves exactly the model model_of builds
     net = net_of(kind)
     for i, s in enumerate(samples(2)):
-        res = run_request(net, MethodRequest(method, s, lam1=2e-3, smooth_n=SMOOTH["n"],
-                                             smooth_sigma=SMOOTH["sigma"], seed=i))
+        res, = run_request(net, MethodRequest(method, (s,), (i,), lam1=2e-3, **KNOBS))
         assert res.loss_gain == objective(net, method, res, s, i).value(res.delta)
 
 
 def test_chunk_rows_settling_at_different_steps_match_single_solves():
     net = net_of("relu")
     rows = samples(8, seed=43)
-    requests = [MethodRequest("caso", s, lam1=3e-3) for s in rows]
-    chunk = run_requests(net, requests)
-    assert len(list(interpret._chunks(net, requests))) == 1
+    request = MethodRequest("caso", rows, lam1=3e-3)
+    chunk = run_request(net, request)
+    assert len(list(interpret._chunks(net, request))) == 1
     assert len({r.solve.steps for r in chunk}) > 1
-    for q, r in zip(requests, chunk):
-        alone = run_request(net, q)
+    for s, r in zip(rows, chunk):
+        alone, = run_request(net, request.replace(samples=(s,), seeds=None))
         assert r.solve.steps == alone.solve.steps
         assert np.array_equal(r.delta == 0.0, alone.delta == 0.0)
         scale = float(np.abs(alone.delta).max())
@@ -143,8 +142,8 @@ def test_step_cap_leaves_the_last_iterate_uncertified(monkeypatch, tmp_path, cap
     net = net_of("relu")
     # from the better of its two starts, row 0 still takes two steps here
     rows = samples(2, seed=44)
-    requests = [MethodRequest("caso", s, lam1=1e-2) for s in rows]
-    assert [r.solve.steps for r in run_requests(net, requests)] == [2, 1]
+    request = MethodRequest("caso", rows, lam1=1e-2)
+    assert [r.solve.steps for r in run_request(net, request)] == [2, 1]
     monkeypatch.setattr(solver, "ACTIVE_SET_MAX_STEPS", 1)
     model, data = tmp_path / "net.json", tmp_path / "data.csv"
     model_save(net, str(model))
@@ -379,9 +378,9 @@ def test_one_woodbury_base_per_model_and_solve_call(monkeypatch):
                   max_refinements=0, **SMOOTH)
     assert len(calls) == 1
     calls.clear()
-    requests = [MethodRequest("caso", s, lam1=1e-3) for s in rows]
-    assert len(list(interpret._chunks(net, requests))) == 1
-    run_requests(net, requests)
+    request = MethodRequest("caso", rows, lam1=1e-3)
+    assert len(list(interpret._chunks(net, request))) == 1
+    run_request(net, request)
     assert len(calls) == len(rows)
 
 
@@ -410,9 +409,9 @@ def test_sigmoid_input_r_is_factored_once_per_network(monkeypatch):
         orig = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, orig=orig, name=name, **k: calls.append(name) or orig(*a, **k))
-    requests = [MethodRequest("caso", s, lam1=1e-3) for s in samples(12)]
-    assert len(list(interpret._chunks(net, requests))) > 1
-    run_requests(net, requests)
+    request = MethodRequest("caso", samples(12), lam1=1e-3)
+    assert len(list(interpret._chunks(net, request))) > 1
+    run_request(net, request)
     assert calls == ["cholesky"]  # W_0 W_0^T is positive definite: no QR
 
 
@@ -433,7 +432,7 @@ def test_input_r_falls_back_to_qr_on_a_singular_gram(case):
     assert R.tobytes() == np.linalg.qr(W0.T, mode="r").tobytes()
     np.testing.assert_allclose(R.T @ R, net.input_gram, rtol=0, atol=1e-12)
     s = Sample(x=np.array([0.3, -0.2, 0.5, 0.1]), y=1)
-    model = interpret._sparse_model("caso", s, net)
+    model = model_of(net, "caso", s)
     H = solver.curvature_product(model.factor, model.middle, np.eye(d))
     top = max(np.linalg.eigvalsh(H)[-1], 0.0)
     assert model.curvature_bound == pytest.approx(top, rel=1e-12, abs=1e-14)
@@ -472,7 +471,7 @@ def test_refinements_reuse_the_sweeps_woodbury_base(monkeypatch, kind):
     assert len(out.refinements) >= 3 and out.target_met
     assert len(calls) == 1
     for r in out.all_results:  # as one solve per lam1, each with a system of its own
-        model = interpret._sparse_model("smooth-caso", s, net, seed=3, **SMOOTH)
+        model = model_of(net, "smooth-caso", s, 3, **KNOBS)
         assert model.lam2 == r.lam2
         ref = solver.exact_solve(model.gradient, r.lam1, r.lam2,
                                  *system_formed_anew(net, model, r.lam2))
@@ -489,7 +488,7 @@ def test_spectrum_gram_becomes_the_woodbury_base(monkeypatch):
                         lambda B: grams.append(factor_gram(B)) or grams[-1])
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
     net = net_of("relu")
-    models = interpret._sparse_models("caso", samples(3), net, [0] * 3)
+    models = interpret._sparse_models(net, MethodRequest("caso", samples(3)))
     assert len(grams) == 1 and len(inverted) == 3
     for model, gram, arg in zip(models, grams[0], inverted):
         F, lam2 = model.factor, model.lam2
@@ -499,7 +498,7 @@ def test_spectrum_gram_becomes_the_woodbury_base(monkeypatch):
         assert model.inverse.tobytes() == system_formed_anew(net, model, lam2)[2].tobytes()
     # n c = 24 and d = 20 both exceed h0 = 12: the model is built in
     # first-layer coordinates, its base formed from Network.input_gram @ M
-    wide = interpret._sparse_model("smooth-caso", samples(1)[0], net, n=6, sigma=0.2)
+    wide = model_of(net, "smooth-caso", samples(1)[0], smooth_n=6, smooth_sigma=0.2)
     assert np.shares_memory(wide.factor, net.weights[0]) and wide.middle.shape == (12, 12)
     assert wide.inverse.tobytes() == system_formed_anew(net, wide, wide.lam2)[2].tobytes()
 
@@ -513,7 +512,7 @@ def test_sigmoid_input_gram_is_formed_once():
     R = net.input_r  # its Cholesky factor
     assert np.array_equal(R, np.triu(R)) and (np.diag(R) > 0).all()
     np.testing.assert_allclose(R.T @ R, gram, rtol=1e-13, atol=1e-13)
-    model = interpret._sparse_model("caso", samples(1)[0], net)
+    model = model_of(net, "caso", samples(1)[0])
     assert model.lam2 == solver.select_lambda2(model.curvature_bound)
     base = system_formed_anew(net, model, model.lam2)[2]
     assert model.inverse.tobytes() == base.tobytes()

@@ -285,8 +285,16 @@ def test_rel_error_matches_dense():
 
 def test_rel_error_zero_hessian_errors():
     h = hs.hessian_eig(np.zeros((5, 3)), np.array([0.2, 0.3, 0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Hessian has zero Frobenius norm$"):
         hs.rel_error(h.B, hs.rank_one_approx(np.ones(5), 0.1, 3))
+
+
+def test_rel_error_names_an_underflowing_norm():
+    # H = 2^-680 I is nonzero, but its squared entries 2^-1360 underflow
+    B = np.eye(3) * 2.0 ** -340
+    with pytest.raises(ValueError, match=r"^the Hessian's squared Frobenius norm underflows "
+                                         r"to 0, though its largest entry is 1\.99344e-205$"):
+        hs.rel_error(B, hs.rank_one_approx(np.ones(3), 0.1, 3))
 
 
 def test_rank_one_error_improves_with_classes():

@@ -447,12 +447,24 @@ class TestLambda1Sweep:
             lambda1_sweep(s, relu_net, eta_range=(0.9, 0.5))
         with pytest.raises(ValueError, match="max_refinements must be nonnegative"):
             lambda1_sweep(s, relu_net, max_refinements=-1)
+        # the sweep's knobs are named: n, sigma and seed, not a request's fields
+        with pytest.raises(TypeError, match="unexpected keyword argument 'smooth_n'"):
+            lambda1_sweep(s, relu_net, smooth_n=3)
 
 
 class TestMethodRequest:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            MethodRequest(method="lrp", sample=Sample(x=np.zeros(4), y=0))
+            MethodRequest(method="lrp", samples=(Sample(x=np.zeros(4), y=0),))
+
+    def test_one_seed_per_sample(self):
+        s = Sample(x=np.zeros(4), y=0)
+        req = MethodRequest("smoothgrad", [s, s], [3, 4])
+        assert (req.samples, req.seeds) == ((s, s), (3, 4))
+        assert MethodRequest("caso", [s, s]).seeds == (0, 0)
+        for seeds in ((), (1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match=f"^{len(seeds)} seeds for 2 samples$"):
+                MethodRequest("smoothgrad", (s, s), seeds)
 
     def test_dispatch_matches_direct_calls(self, relu_net):
         rng = np.random.default_rng(15)
@@ -468,10 +480,10 @@ class TestMethodRequest:
         }
         for method, direct in cases.items():
             req = MethodRequest(
-                method=method, sample=s, lam1=1e-3, smooth_n=10, smooth_sigma=0.2,
-                ig_steps=20, seed=3,
+                method=method, samples=(s,), seeds=(3,), lam1=1e-3, smooth_n=10,
+                smooth_sigma=0.2, ig_steps=20,
             )
-            out = run_request(relu_net, req)
+            out, = run_request(relu_net, req)
             assert out.method == direct.method
             assert np.array_equal(out.delta, direct.delta)
 
@@ -480,6 +492,6 @@ class TestMethodRequest:
         for method, knobs in (
             ("cafo", {"smooth_n": 0}), ("caso", {"smooth_n": 0}),
         ):
-            out = run_request(relu_net, MethodRequest(method=method, sample=s, **knobs))
-            ref = run_request(relu_net, MethodRequest(method=method, sample=s))
+            out, = run_request(relu_net, MethodRequest(method=method, samples=(s,), **knobs))
+            ref, = run_request(relu_net, MethodRequest(method=method, samples=(s,)))
             assert np.array_equal(out.delta, ref.delta)

@@ -73,6 +73,17 @@ class TestSelectLambda2:
             with pytest.raises(ValueError, match="finite"):
                 select_lambda2(5.0, c1=c1)
 
+    def test_c1_lost_to_rounding_is_an_error(self):
+        # L/2 = 18.3 has an ulp of 3.6e-15: c1 = 3e-15 still moves lam2 by
+        # one ulp, c1 = 1e-15 and below leave it at L/2
+        assert select_lambda2(36.6, c1=3e-15) == np.nextafter(18.3, np.inf)
+        for c1 in (1e-15, 1e-20, 1e-100):
+            with pytest.raises(ValueError, match=rf"^c1 = {c1!r} is lost to rounding in "
+                                                 r"lambda2 = L/2 \+ c1 at L = 36\.6 \(raise c1\)$"):
+                select_lambda2(36.6, c1=c1)
+        # a c1 far above L keeps lam2 - L/2 within rounding of it
+        assert select_lambda2(1e-300, c1=1e-3) == 1e-3
+
     def test_lambda2_past_its_limit_is_an_error(self):
         # past LAMBDA2_MAX the solvers' steps overflow; a curvature bound can
         # carry lam2 past it too

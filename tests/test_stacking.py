@@ -93,9 +93,9 @@ class TestStackedInterpret:
         data = dataset_load(files["data"])
         children = np.random.SeedSequence(3).spawn(len(SAMPLES))
         for i, child in zip(SAMPLES, children):
-            res = run_request(net, MethodRequest(
-                method=method, sample=data.sample(i), lam1=0.01, smooth_n=3,
-                seed=int(child.generate_state(1, dtype=np.uint64)[0]),
+            res, = run_request(net, MethodRequest(
+                method=method, samples=(data.sample(i),), lam1=0.01, smooth_n=3,
+                seeds=(int(child.generate_state(1, dtype=np.uint64)[0]),),
             ))
             ref_doc = {
                 "eta": res.eta, "lambda1": res.lam1, "lambda2": res.lam2,
