@@ -30,10 +30,8 @@ _EXPORTS = {
         "AlignmentPoint",
         "GapPoint",
         "L1Path",
-        "OracleConfig",
         "OracleResult",
         "RankOnePoint",
-        "RankOneSimConfig",
         "alignment_curve",
         "brute_force_group_feature",
         "confidence_gap_study",
@@ -90,7 +88,6 @@ _EXPORTS = {
         "Network",
         "NetworkSpec",
         "Sample",
-        "TrainConfig",
         "TrainResult",
         "backprop_batch",
         "forward",

@@ -4,8 +4,8 @@ Three empirical studies back the theory at desk scale:
 
 * simulate_rank_one measures how fast H = W A W^T approaches the
   rank-one surrogate g g^T / (eps (c-1)) as confidence or class count
-  grows, on random linear models, over the grid that the fields set in
-  its RankOneSimConfig fix.
+  grows, on random linear models, over the grid that the arguments it
+  is given fix.
 * confidence_gap_study compares the normalized curvature-aware and
   curvature-free maps on a trained classifier of any activations; on relu
   nets the gap shrinks with prediction confidence, which spearman_rho
@@ -29,43 +29,14 @@ import numpy as np
 
 from ._record import Record
 from .errors import DimensionError
-from .hessian import hessian_eig, rank_one_approx, rel_error, softmax_factor
+from .hessian import _TINY, hessian_eig, rank_one_approx, rel_error, softmax_factor
 from .interpret import MethodRequest, _chunks, _sparse_models
-from .netcore import _loss_cotangent
 from .solver import DEFAULT_C1, closed_form_cafo, exact_solve, select_lambda2
 
 log = logging.getLogger(__name__)
 
 # the largest d brute_force_group_feature enumerates: at most 2**14 supports
 ORACLE_MAX_D = 14
-# the smallest normal float: a sum of squares below it has lost its precision
-_TINY = np.finfo(np.float64).tiny
-
-
-class RankOneSimConfig(Record):
-    """Grid for the rank-one error simulation, fixed by the fields set.
-
-    p0 and classes sweep the class counts, each at the eps that p0 implies
-    through p0 = 1 - (c-1) eps; c and eps_values sweep eps at one class
-    count; classes and eps_values cross the two lists. Any other set of
-    fields is an error, raised with the grid's other checks when the
-    simulation runs.
-    """
-
-    d: int = 512
-    seed: int = 0
-    p0: float | None = None
-    classes: tuple[int, ...] = ()
-    eps_values: tuple[float, ...] = ()
-    c: int | None = None
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be positive")
-        object.__setattr__(self, "classes", tuple(int(v) for v in self.classes))
-        object.__setattr__(
-            self, "eps_values", tuple(float(v) for v in self.eps_values)
-        )
 
 
 class RankOnePoint(Record):
@@ -99,44 +70,57 @@ def _draw_weights(seed, d, c):
 
 def _confident_model(W, eps):
     """Confident probabilities p = [1-(c-1)eps, eps, ...] for W's c classes
-    and the loss gradient g = W (p - e_0) at label 0."""
+    and the loss gradient g = W (p - e_0) at label 0. Entry 0 of p - e_0 is
+    formed as -(c-1)eps, not as p_0 - 1, which carries p_0's rounding error
+    and is 0 once 1 - (c-1)eps rounds to 1."""
     c = W.shape[1]
-    p = np.full(c, eps)
-    p[0] = 1.0 - (c - 1) * eps
-    return p, W @ _loss_cotangent(p[None], 0)[0]
+    r = np.full(c, eps)
+    r[0] = -(c - 1) * eps
+    p = r.copy()
+    p[0] += 1.0
+    return p, W @ r
 
 
-def _sim_plan(cfg):
-    """Validate cfg and list its weight draws as (c, seed, eps values): one
-    draw from the root seed for an eps sweep at c, else one child seed per
-    class count."""
-    given = [f for f in ("p0", "classes", "eps_values", "c") if getattr(cfg, f) not in (None, ())]
-    ss = np.random.SeedSequence(cfg.seed)
+def _sim_plan(seed, p0, classes, eps_values, c):
+    """Validate the grid and list its weight draws as (c, seed, eps values):
+    one draw from the root seed for an eps sweep at c, else one child seed
+    per class count."""
+    grid = {"p0": p0, "classes": classes, "eps_values": eps_values, "c": c}
+    given = [f for f, v in grid.items() if v not in (None, ())]
+    ss = np.random.SeedSequence(seed)
     if given == ["eps_values", "c"]:
-        classes, seeds = (cfg.c,), (ss,)
+        classes, seeds = (c,), (ss,)
     elif given in (["p0", "classes"], ["classes", "eps_values"]):
-        classes, seeds = cfg.classes, ss.spawn(len(cfg.classes))
+        seeds = ss.spawn(len(classes))
     else:
         raise ValueError("set p0 and classes, c and eps_values, or classes and eps_values; "
                          f"got {' and '.join(given) or 'none'}")
     return [
-        (c, seed, tuple(_point_eps(c, eps, cfg.p0) for eps in cfg.eps_values or (None,)))
+        (c, seed, tuple(_point_eps(c, eps, p0) for eps in eps_values or (None,)))
         for c, seed in zip(classes, seeds)
     ]
 
 
-def simulate_rank_one(cfg):
-    """Rank-one surrogate error over the configured (c, eps) grid.
+def simulate_rank_one(d=512, seed=0, p0=None, classes=(), eps_values=(), c=None):
+    """Rank-one surrogate error over the (c, eps) grid that the arguments
+    given fix.
 
-    Weights are standard normal, drawn once per class count so that
-    sweeping eps at fixed c reuses the same W and yields a smooth curve.
-    Each point reads only the factor B = W L of H (no spectrum). Returns
-    one RankOnePoint per grid entry.
+    p0 and classes sweep the class counts, each at the eps that p0 implies
+    through p0 = 1 - (c-1) eps; c and eps_values sweep eps at one class
+    count; classes and eps_values cross the two lists. Any other set of
+    grid arguments is a ValueError. Weights are standard normal, drawn once
+    per class count so that sweeping eps at fixed c reuses the same W and
+    yields a smooth curve. Each point reads only the factor B = W L of H
+    (no spectrum). Returns one RankOnePoint per grid entry.
     """
+    if d < 1:
+        raise ValueError("d must be positive")
+    classes = tuple(int(v) for v in classes)
+    eps_values = tuple(float(v) for v in eps_values)
     points = []
-    for c, seed, eps_values in _sim_plan(cfg):
-        W = _draw_weights(seed, cfg.d, c)
-        for eps in eps_values:
+    for c, draw, row_eps in _sim_plan(seed, p0, classes, eps_values, c):
+        W = _draw_weights(draw, d, c)
+        for eps in row_eps:
             p, g = _confident_model(W, eps)
             err = rel_error(W @ softmax_factor(p), rank_one_approx(g, eps, c))
             points.append(RankOnePoint(c=c, eps=eps, rel_error=err))
@@ -236,30 +220,22 @@ def alignment_curve(d, classes, eps, seed=0):
     return points
 
 
-class OracleConfig(Record):
-    """Settings of the exhaustive group-feature search: k is the maximum support size."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
-
-
 class OracleResult(Record):
     support: tuple[int, ...]
     delta: np.ndarray
     value: float
 
 
-def brute_force_group_feature(g, H, lam2, cfg):
+def brute_force_group_feature(g, H, lam2, k):
     """Exact L0 oracle for the lam1-free surrogate.
 
-    Enumerates every support S with |S| <= k and maximizes
+    Enumerates every support S with |S| <= k (nonnegative) and maximizes
     g^T D + 1/2 D^T H D - lam2 ||D||^2 over vectors supported on S, which
     solves the |S| x |S| system (2 lam2 I - H)_SS D_S = g_S. Requires a
     dense H with d <= ORACLE_MAX_D and lam2 > lambda_max(H)/2.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     g = np.asarray(g, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     d = g.shape[0]
@@ -270,7 +246,7 @@ def brute_force_group_feature(g, H, lam2, cfg):
     top = float(np.linalg.eigvalsh(H)[-1])
     if lam2 <= top / 2.0:
         raise ValueError("lam2 must exceed half the largest eigenvalue of H")
-    k = min(cfg.k, d)
+    k = min(k, d)
 
     M = 2.0 * lam2 * np.eye(d) - H
     best_value = 0.0

@@ -55,7 +55,7 @@ try:
         chunk_results,
         lambda1_sweep,
     )
-    from .netcore import LayerSpec, NetworkSpec, TrainConfig, init_network, make_blobs, train_sgd
+    from .netcore import LayerSpec, NetworkSpec, init_network, make_blobs, train_sgd
     from .saliency_io import (
         dataset_load,
         dataset_load_raw,
@@ -248,11 +248,7 @@ def cmd_train(args, out, stage):
         prev = width
     layers.append(LayerSpec(prev, classes, "identity"))
     net = init_network(NetworkSpec(tuple(layers)), seed=args.seed)
-    result = train_sgd(
-        net,
-        dataset,
-        TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed),
-    )
+    result = train_sgd(net, dataset, learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     model_save(result.network, os.path.join(stage, args.model_name),
                metadata=_provenance(args))
     if args.save_data:
@@ -376,17 +372,10 @@ def cmd_sweep(args, out, stage):
 
 
 def cmd_rank1_sim(args, out, stage):
-    from .analysis import RankOneSimConfig, simulate_rank_one
+    from .analysis import simulate_rank_one
 
-    cfg = RankOneSimConfig(
-        d=args.d,
-        seed=args.seed,
-        p0=args.p0,
-        classes=args.classes or (),
-        eps_values=args.eps or (),
-        c=args.c,
-    )
-    points = simulate_rank_one(cfg)
+    points = simulate_rank_one(d=args.d, seed=args.seed, p0=args.p0, classes=args.classes or (),
+                               eps_values=args.eps or (), c=args.c)
     write_csv_rows(
         os.path.join(stage, "rank1.csv"),
         ("c", "eps", "rel_error"),
@@ -431,7 +420,6 @@ def cmd_alignment(args, out, stage):
 def cmd_oracle_check(args, out, stage):
     from .analysis import (
         ORACLE_MAX_D,
-        OracleConfig,
         brute_force_group_feature,
         l1_path,
         make_planted_instance,
@@ -444,7 +432,7 @@ def cmd_oracle_check(args, out, stage):
         d=args.d, support=args.support, seed=args.seed
     )
     k = args.k if args.k is not None else len(support)
-    oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=k))
+    oracle = brute_force_group_feature(g, H, lam2, k)
     path = l1_path(g, H, lam2)
     # piece i spans [lam1[i], tops[i]]; above lam1[0] = max|g| the map is 0
     tops, supports = (np.inf, *path.lam1[:-1]), ((), *path.supports)
@@ -708,7 +696,7 @@ def main(argv=None):
             for name in os.listdir(stage):  # none left unless the run failed
                 os.unlink(os.path.join(stage, name))
             os.rmdir(stage)
-    except (ValueError, OSError, np.linalg.LinAlgError) as e:
+    except (ValueError, OSError, MemoryError, np.linalg.LinAlgError) as e:
         for path in created:
             with contextlib.suppress(OSError):
                 os.rmdir(path)

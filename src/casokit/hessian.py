@@ -31,6 +31,8 @@ from .netcore import KINK_EPS, _kink_gap, _row_loss_gradient
 
 # relative floor for retained eigenvalues of H
 HESSIAN_EIG_FLOOR = 1e-10
+# the smallest normal float: a sum of squares below it has lost its precision
+_TINY = np.finfo(np.float64).tiny
 
 
 class SoftmaxCurvature(Record):
@@ -235,8 +237,8 @@ def rel_error(B, approx):
     that takes fewer than d vectors (r + 1 < d), the difference is measured
     in an orthonormal basis of the span, as an (r + 1) x (r + 1) matrix;
     otherwise the span may be all of R^d and H is compared directly.
-    Raises when ||H||_F = 0, or when its square underflows to 0 although H
-    has a nonzero entry.
+    Raises when ||H||_F = 0, or when its square falls below the smallest
+    normal float although H has a nonzero entry.
     """
     g = approx.gradient
     if g.shape[0] != B.shape[0]:
@@ -247,11 +249,11 @@ def rel_error(B, approx):
         Q, _ = np.linalg.qr(np.concatenate([B, u], axis=1))
         B, u = Q.T @ B, Q.T @ u
     H = B @ B.T
-    h_norm = float(np.linalg.norm(H))
-    if h_norm == 0.0:
+    h_sq = float(H.ravel() @ H.ravel())
+    if h_sq < _TINY:
         top = float(np.abs(H).max(initial=0.0))
         if top > 0.0:
-            raise ValueError(f"the Hessian's squared Frobenius norm underflows to 0, though "
+            raise ValueError(f"the Hessian's squared Frobenius norm underflows, though "
                              f"its largest entry is {top:.6g}")
         raise ValueError("Hessian has zero Frobenius norm")
-    return float(np.linalg.norm(H - approx.eigenvalue * (u @ u.T))) / h_norm
+    return float(np.linalg.norm(H - approx.eigenvalue * (u @ u.T))) / float(np.sqrt(h_sq))

@@ -279,18 +279,6 @@ class LocalLinearization(Record):
     kink_warning: bool
 
 
-class TrainConfig(Record):
-    learning_rate: float = 0.1
-    epochs: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-
-
 class TrainResult(Record):
     network: Network
     accuracy: float
@@ -496,13 +484,17 @@ def local_linearization(net, x):
     return LocalLinearization(W=W, b=b, kink_warning=kink)
 
 
-def train_sgd(net, dataset, config):
+def train_sgd(net, dataset, learning_rate=0.1, epochs=10, seed=0):
     """Plain per-sample SGD on the cross entropy, deterministic given seed.
 
     Visits samples in a fresh seeded permutation each epoch and applies one
     gradient step per sample. Returns a new network plus the final training
     accuracy; epochs=0 returns the parameters unchanged.
     """
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be positive")
+    if epochs < 0:
+        raise ValueError("epochs must be nonnegative")
     if dataset.n == 0:
         raise ValueError("cannot train on an empty dataset")
     if dataset.dim != net.input_dim:
@@ -513,11 +505,10 @@ def train_sgd(net, dataset, config):
     spec = net.spec
     Ws = [w.copy() for w in net.weights]
     bs = [b.copy() for b in net.biases]
-    lr = config.learning_rate
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     epoch_losses = []
 
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         order = rng.permutation(dataset.n)
         total = 0.0
         for i in order:
@@ -528,8 +519,8 @@ def train_sgd(net, dataset, config):
             total += float(loss[0])
             dzs = _reverse(spec, Ws, pre, act, _loss_cotangent(probs, y), len(Ws) - 1)
             for l, (dz, a_prev) in enumerate(zip(dzs, [x] + act[:-1])):
-                Ws[l] = Ws[l] - lr * np.outer(dz, a_prev)
-                bs[l] = bs[l] - lr * dz[0]
+                Ws[l] = Ws[l] - learning_rate * np.outer(dz, a_prev)
+                bs[l] = bs[l] - learning_rate * dz[0]
             if not all(np.isfinite(W).all() for W in Ws):
                 raise NonFiniteError("training diverged to non-finite parameters")
         epoch_losses.append(total / dataset.n)

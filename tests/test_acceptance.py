@@ -19,11 +19,8 @@ from casokit import (
     Network,
     NetworkSpec,
     ObjectiveSpec,
-    OracleConfig,
-    RankOneSimConfig,
     Sample,
     SolverConfig,
-    TrainConfig,
     brute_force_group_feature,
     cli,
     closed_form_cafo,
@@ -156,14 +153,14 @@ C04_EPS_GOLDENS = (
 
 def test_c04_rank_one_error_trends_and_goldens():
     start = time.perf_counter()
-    by_class = simulate_rank_one(RankOneSimConfig(
+    by_class = simulate_rank_one(
         d=512, seed=0, p0=0.9999,
         classes=tuple(c for c, _ in C04_CLASS_GOLDENS),
-    ))
-    by_eps = simulate_rank_one(RankOneSimConfig(
+    )
+    by_eps = simulate_rank_one(
         d=512, seed=0, c=100,
         eps_values=tuple(e for e, _ in C04_EPS_GOLDENS),
-    ))
+    )
     errs_c = [pt.rel_error for pt in by_class]
     errs_e = [pt.rel_error for pt in by_eps]
     decreasing = all(a > b for a, b in zip(errs_c, errs_c[1:])) and all(
@@ -293,7 +290,7 @@ def test_c08_confidence_anticorrelates_with_method_gap():
     spec = NetworkSpec((LayerSpec(64, 32, "relu"), LayerSpec(32, 10, "identity")))
     net = train_sgd(
         init_network(spec, seed=33), train,
-        TrainConfig(epochs=6, learning_rate=0.02, seed=33),
+        epochs=6, learning_rate=0.02, seed=33,
     ).network
     rows = confidence_gap_study(net, held, held.n)
     rho = spearman_rho(
@@ -342,7 +339,7 @@ def test_c10_oracle_support_recovery():
     start = time.perf_counter()
     g, H, lam2, planted = make_planted_instance(d=12, support=(2, 5, 9), seed=0)
     k = len(planted)
-    oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=k))
+    oracle = brute_force_group_feature(g, H, lam2, k)
     top = float(np.linalg.eigvalsh(H)[-1])
     best_support, best_value = None, -np.inf
     for lam1 in DEFAULT_LAMBDA1_GRID:

@@ -18,10 +18,7 @@ from casokit import (
     Network,
     NetworkSpec,
     ObjectiveSpec,
-    OracleConfig,
-    RankOneSimConfig,
     SolverConfig,
-    TrainConfig,
     alignment_curve,
     brute_force_group_feature,
     closed_form_caso,
@@ -71,8 +68,7 @@ def naive_rel_error(W, c, eps):
 class TestSimulateRankOne:
     def test_matches_naive_dense_reimplementation(self):
         d, p0, classes = 60, 0.999, (5, 12)
-        cfg = RankOneSimConfig(d=d, seed=3, p0=p0, classes=classes)
-        points = simulate_rank_one(cfg)
+        points = simulate_rank_one(d=d, seed=3, p0=p0, classes=classes)
         children = np.random.SeedSequence(3).spawn(len(classes))
         for point, c, child in zip(points, classes, children):
             rng = np.random.default_rng(child)
@@ -84,8 +80,7 @@ class TestSimulateRankOne:
 
     def test_eps_sweep_reuses_one_weight_matrix(self):
         eps_values = (1e-2, 1e-3, 1e-4)
-        cfg = RankOneSimConfig(d=60, seed=4, c=8, eps_values=eps_values)
-        points = simulate_rank_one(cfg)
+        points = simulate_rank_one(d=60, seed=4, c=8, eps_values=eps_values)
         rng = np.random.default_rng(np.random.SeedSequence(4))
         W = rng.standard_normal((60, 8))
         rng.standard_normal(8)
@@ -93,44 +88,55 @@ class TestSimulateRankOne:
             assert abs(point.rel_error - naive_rel_error(W, 8, eps)) <= 1e-10
 
     def test_error_decreases_with_classes(self):
-        cfg = RankOneSimConfig(d=256, seed=0, p0=0.9999, classes=(10, 100, 1000))
-        errs = [p.rel_error for p in simulate_rank_one(cfg)]
+        points = simulate_rank_one(d=256, seed=0, p0=0.9999, classes=(10, 100, 1000))
+        errs = [p.rel_error for p in points]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_error_decreases_with_eps(self):
-        cfg = RankOneSimConfig(d=256, seed=0, c=100, eps_values=(5e-3, 1e-4, 1e-6))
-        errs = [p.rel_error for p in simulate_rank_one(cfg)]
+        points = simulate_rank_one(d=256, seed=0, c=100, eps_values=(5e-3, 1e-4, 1e-6))
+        errs = [p.rel_error for p in points]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_two_class_degenerate_case(self):
         # c = 2 error is the dropped eps^2 term, eps/(1-eps), below any c >= 10
-        cfg = RankOneSimConfig(d=256, seed=0, p0=0.9999, classes=(2, 10))
-        pts = simulate_rank_one(cfg)
+        pts = simulate_rank_one(d=256, seed=0, p0=0.9999, classes=(2, 10))
         eps = 1.0 - 0.9999
         assert pts[0].rel_error == pytest.approx(eps / (1.0 - eps), rel=1e-3)
         assert pts[0].rel_error < pts[1].rel_error
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-20, 1e-100])
+    def test_two_class_error_stays_eps_where_p0_rounds_to_one(self, eps):
+        # the c = 2 error is eps/(1-eps) however small eps is: the gradient's
+        # entry 0 is -eps even where 1 - eps rounds to 1
+        (point,) = simulate_rank_one(d=16, c=2, eps_values=(eps,))
+        assert point.rel_error <= max(2.0 * eps, 1e-15)
+
+    def test_error_holds_its_limit_where_p0_rounds_to_one(self):
+        # at c = 3, d = 3 the error has reached its eps -> 0 limit by 1e-12
+        limit, *rows = simulate_rank_one(d=3, c=3, eps_values=(1e-12, 1e-20, 1e-100))
+        for row in rows:
+            assert abs(row.rel_error - limit.rel_error) <= 1e-9
+
     def test_class_and_eps_lists_cross(self):
-        cfg = RankOneSimConfig(d=40, seed=1, classes=(4, 6), eps_values=(1e-2, 1e-3))
-        pts = simulate_rank_one(cfg)
+        pts = simulate_rank_one(d=40, seed=1, classes=(4, 6), eps_values=(1e-2, 1e-3))
         assert [(p.c, p.eps) for p in pts] == [
             (4, 1e-2), (4, 1e-3), (6, 1e-2), (6, 1e-3)
         ]
 
     def test_deterministic(self):
-        cfg = RankOneSimConfig(d=64, seed=9, p0=0.999, classes=(5, 20))
-        a = [p.rel_error for p in simulate_rank_one(cfg)]
-        b = [p.rel_error for p in simulate_rank_one(cfg)]
+        grid = dict(d=64, seed=9, p0=0.999, classes=(5, 20))
+        a = [p.rel_error for p in simulate_rank_one(**grid)]
+        b = [p.rel_error for p in simulate_rank_one(**grid)]
         assert a == b
 
     def test_validation(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'mode'"):
-            RankOneSimConfig(mode="grid")
-        with pytest.raises(ValueError):
-            RankOneSimConfig(d=0)
+            simulate_rank_one(mode="grid")
+        with pytest.raises(ValueError, match="^d must be positive$"):
+            simulate_rank_one(d=0)
         # eps must keep p0 above 1/c
         with pytest.raises(ValueError):
-            simulate_rank_one(RankOneSimConfig(c=4, eps_values=(0.3,)))
+            simulate_rank_one(c=4, eps_values=(0.3,))
 
     @pytest.mark.parametrize("fields,given", [
         ({}, "none"),
@@ -146,7 +152,7 @@ class TestSimulateRankOne:
     def test_fields_that_fix_no_grid_are_an_error(self, fields, given):
         with pytest.raises(ValueError, match="^set p0 and classes, c and eps_values, or classes "
                                              f"and eps_values; got {given}$"):
-            simulate_rank_one(RankOneSimConfig(d=8, **fields))
+            simulate_rank_one(d=8, **fields)
 
     @settings(max_examples=40, deadline=None)
     @given(c=st.integers(2, 12), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
@@ -154,15 +160,15 @@ class TestSimulateRankOne:
     def test_any_eps_gives_a_finite_error_or_a_value_error(self, c, d, seed, u):
         eps = log_uniform(-320.0, -np.log10(c), u)
         try:
-            (point,) = simulate_rank_one(RankOneSimConfig(d=d, seed=seed, c=c, eps_values=(eps,)))
+            (point,) = simulate_rank_one(d=d, seed=seed, c=c, eps_values=(eps,))
         except ValueError:
             return
         assert 0.0 <= point.rel_error < np.inf
 
     def test_crossed_grid_draws_one_matrix_per_class_count(self):
         classes, eps_values = (3, 6), (1e-2, 1e-3)
-        points = simulate_rank_one(RankOneSimConfig(d=12, seed=5, classes=classes,
-                                                    eps_values=eps_values))
+        points = simulate_rank_one(d=12, seed=5, classes=classes,
+                                   eps_values=eps_values)
         children = np.random.SeedSequence(5).spawn(len(classes))
         expected = [(c, eps, child) for c, child in zip(classes, children) for eps in eps_values]
         for point, (c, eps, child) in zip(points, expected, strict=True):
@@ -176,7 +182,7 @@ def small_relu():
     data = make_blobs(classes=3, dim=6, n_per_class=4, center_scale=2.0, noise=1.0, seed=0)
     spec = NetworkSpec((LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "identity")))
     net = train_sgd(init_network(spec, seed=0), data,
-                    TrainConfig(epochs=3, learning_rate=0.1, seed=0)).network
+                    epochs=3, learning_rate=0.1, seed=0).network
     return net, data
 
 
@@ -190,7 +196,7 @@ def trained_ten_class():
     held = Dataset(X=full.X[he], labels=full.labels[he])
     spec = NetworkSpec((LayerSpec(64, 32, "relu"), LayerSpec(32, 10, "identity")))
     net = train_sgd(
-        init_network(spec, seed=33), train, TrainConfig(epochs=6, learning_rate=0.02, seed=33)
+        init_network(spec, seed=33), train, epochs=6, learning_rate=0.02, seed=33
     ).network
     return net, held
 
@@ -344,9 +350,11 @@ class TestAlignmentCurve:
         assert pts[0].cosine >= 0.99
         assert pts[0].mass_ratio >= 0.99
 
-    def test_two_class_exact(self):
-        pts = alignment_curve(64, (2,), 1e-6, seed=1)
-        assert pts[0].cosine >= 1.0 - 1e-10
+    # at eps = 1e-150, 1 - eps rounds to 1, but g keeps its entry -eps
+    @pytest.mark.parametrize("d,eps", [(64, 1e-6), (3, 1e-150)])
+    def test_two_class_exact(self, d, eps):
+        pts = alignment_curve(d, (2,), eps, seed=1)
+        assert abs(pts[0].cosine - 1.0) <= 1e-12
         assert pts[0].mass_ratio == 1.0
 
     def test_low_confidence_recorded(self):
@@ -398,7 +406,7 @@ class TestBruteForceOracle:
         H = W @ softmax_curvature(p).matrix @ W.T
         handle = hessian_eig(W, p)
         lam2 = select_lambda2(handle.top_eigenvalue)
-        res = brute_force_group_feature(g, H, lam2, OracleConfig(k=d))
+        res = brute_force_group_feature(g, H, lam2, d)
         expected = closed_form_caso(g, handle, lam2)
         assert np.allclose(res.delta, expected, rtol=1e-10, atol=1e-14)
         assert res.support == tuple(range(d))
@@ -406,7 +414,7 @@ class TestBruteForceOracle:
     def test_zero_hessian_k_one_picks_top_coordinate(self):
         g = np.array([0.3, -2.5, 1.1, 0.2, -0.4, 0.9])
         lam2 = 10.0
-        res = brute_force_group_feature(g, np.zeros((6, 6)), lam2, OracleConfig(k=1))
+        res = brute_force_group_feature(g, np.zeros((6, 6)), lam2, 1)
         assert res.support == (1,)
         expected = np.zeros(6)
         expected[1] = g[1] / (2.0 * lam2)
@@ -414,9 +422,7 @@ class TestBruteForceOracle:
         assert res.value == pytest.approx(g[1] ** 2 / (4.0 * lam2), rel=1e-14)
 
     def test_k_zero_returns_empty(self):
-        res = brute_force_group_feature(
-            np.ones(5), np.zeros((5, 5)), 10.0, OracleConfig(k=0)
-        )
+        res = brute_force_group_feature(np.ones(5), np.zeros((5, 5)), 10.0, 0)
         assert res.support == ()
         assert res.value == 0.0
         assert np.array_equal(res.delta, np.zeros(5))
@@ -424,7 +430,7 @@ class TestBruteForceOracle:
     def test_dominates_l1_solutions(self):
         g, H, lam2, support = make_planted_instance(seed=2)
         k = len(support)
-        oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=k))
+        oracle = brute_force_group_feature(g, H, lam2, k)
         grid = (1e-4, 1e-3, 1e-2, 5e-2, 1e-1)
         top = float(np.linalg.eigvalsh(H)[-1])
         for lam1 in grid:
@@ -441,7 +447,7 @@ class TestBruteForceOracle:
 
     def test_planted_support_recovered_by_oracle_and_l1(self):
         g, H, lam2, support = make_planted_instance(d=12, support=(2, 5, 9), seed=0)
-        oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=3))
+        oracle = brute_force_group_feature(g, H, lam2, 3)
         assert oracle.support == support
         assert support in l1_path(g, H, lam2).supports
 
@@ -471,15 +477,14 @@ class TestBruteForceOracle:
     def test_validation(self):
         g = np.ones(4)
         with pytest.raises(DimensionError):
-            brute_force_group_feature(g, np.zeros((3, 3)), 10.0, OracleConfig(k=1))
+            brute_force_group_feature(g, np.zeros((3, 3)), 10.0, 1)
         with pytest.raises(ValueError):
-            brute_force_group_feature(np.ones(15), np.zeros((15, 15)), 10.0,
-                                      OracleConfig(k=1))
+            brute_force_group_feature(np.ones(15), np.zeros((15, 15)), 10.0, 1)
         H = np.eye(4)
         with pytest.raises(ValueError):
-            brute_force_group_feature(g, H, 0.5, OracleConfig(k=1))
-        with pytest.raises(ValueError):
-            OracleConfig(k=-1)
+            brute_force_group_feature(g, H, 0.5, 1)
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            brute_force_group_feature(g, H, 10.0, -1)
 
 
 def _path_map(path, lam1):
@@ -600,7 +605,7 @@ class TestL1Path:
     def test_the_path_finds_the_oracle_support_the_grid_misses(self):
         # the grid tops out at 5e-2, below the noise: its supports are wide
         g, H, lam2 = _noisy_instance(12, 3, 0, 0.3)
-        oracle = brute_force_group_feature(g, H, lam2, OracleConfig(k=3))
+        oracle = brute_force_group_feature(g, H, lam2, 3)
         assert oracle.support == (6, 8, 9)
         assert oracle.support not in _grid_supports(g, H, lam2)
         assert oracle.support in _assert_exact_path(g, H, lam2).supports

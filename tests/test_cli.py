@@ -834,8 +834,15 @@ INVALID_VALUES = [
     (["rank1-sim", "--d", "0"], "d must be positive"),
     (["rank1-sim"], "set p0 and classes, c and eps_values, or classes and eps_values; got none"),
     (["rank1-sim", "--c", "3", "--eps", "1e-200", "--d", "3"],
-     "the Hessian's squared Frobenius norm underflows to 0, though its largest entry is "
+     "the Hessian's squared Frobenius norm underflows, though its largest entry is "
      "4.15839e-200"),
+    # the squared norms are subnormal here, their precision lost
+    (["rank1-sim", "--c", "3", "--eps", "1e-155", "--d", "3"],
+     "the Hessian's squared Frobenius norm underflows, though its largest entry is "
+     "4.15839e-155"),
+    (["rank1-sim", "--c", "3", "--eps", "1e-160", "--d", "3"],
+     "the Hessian's squared Frobenius norm underflows, though its largest entry is "
+     "4.15839e-160"),
     (["alignment", "--d", "3", "--classes", "2,10", "--eps", "1e-200"],
      "c = 2: no finite cosine or mass ratio, as |g|^2 or the squared eigenvalues underflow at "
      "eps = 1e-200"),
@@ -855,6 +862,13 @@ INVALID_VALUES = [
     (["gap-study", "--c1", "1e160"],
      "sample 0: no finite gap, as a map's squared norm underflows or overflows at "
      "c1 = 1e+160"),
+    # past the 48-bit address space: the allocation fails before any memory is committed
+    (["rank1-sim", "--d", "9007199254740992", "--c", "10", "--eps", "1e-3"],
+     "Unable to allocate 640. PiB for an array with shape (9007199254740992, 10) and data "
+     "type float64"),
+    (["alignment", "--d", "9007199254740992", "--classes", "10"],
+     "Unable to allocate 640. PiB for an array with shape (9007199254740992, 10) and data "
+     "type float64"),
     (["alignment", "--d", "0"], "d must be positive"),
     (["alignment", "--eps", "0"], "eps must lie in (0, 1)"),
     (["train", "--hidden", "0"], "layer dims must be positive, got 16x0"),
@@ -912,10 +926,13 @@ class TestStudies:
          ["5,0.0002500000000000002,0.3205008844837531",
           "25,4.1666666666666706e-05,0.1861548501334624"]),
         (["--c", "10", "--eps", "1e-2,1e-4", "--d", "16", "--seed", "2"],
-         ["10,0.01,0.31890026819099304", "10,0.0001,0.28440261729513955"]),
+         ["10,0.01,0.31890026819099304", "10,0.0001,0.2844026172951405"]),
         (["--classes", "4,6", "--eps", "1e-2,1e-3", "--d", "40"],
-         ["4,0.01,0.4117221505171347", "4,0.001,0.40166252084550835",
-          "6,0.01,0.3388542654335497", "6,0.001,0.3236370555501017"]),
+         ["4,0.01,0.4117221505171345", "4,0.001,0.40166252084550835",
+          "6,0.01,0.3388542654335495", "6,0.001,0.32363705555010175"]),
+        # 1 - 2 eps rounds to 1, yet the error is its eps -> 0 limit and the
+        # squared norms are still normal floats
+        (["--c", "3", "--eps", "1e-150", "--d", "3"], ["3,1e-150,0.4644232956655751"]),
     ])
     def test_rank1_sim_flags_give_each_former_modes_rows(self, tmp_path, args, rows):
         assert run(["rank1-sim", *args, "--out", str(tmp_path)]) == 0

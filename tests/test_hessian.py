@@ -289,11 +289,16 @@ def test_rel_error_zero_hessian_errors():
         hs.rel_error(h.B, hs.rank_one_approx(np.ones(5), 0.1, 3))
 
 
-def test_rel_error_names_an_underflowing_norm():
-    # H = 2^-680 I is nonzero, but its squared entries 2^-1360 underflow
-    B = np.eye(3) * 2.0 ** -340
-    with pytest.raises(ValueError, match=r"^the Hessian's squared Frobenius norm underflows "
-                                         r"to 0, though its largest entry is 1\.99344e-205$"):
+@pytest.mark.parametrize("power,top", [
+    (-340, r"1\.99344e-205"),  # squared entries 2^-1360 underflow to 0
+    (-260, r"2\.91341e-157"),  # squared norm 3 * 2^-1040, a subnormal
+])
+def test_rel_error_names_an_underflowing_norm(power, top):
+    # H = 2^(2 power) I is nonzero, but its squared Frobenius norm falls
+    # below the smallest normal float, where it has lost its precision
+    B = np.eye(3) * 2.0 ** power
+    with pytest.raises(ValueError, match=r"^the Hessian's squared Frobenius norm underflows, "
+                                         rf"though its largest entry is {top}$"):
         hs.rel_error(B, hs.rank_one_approx(np.ones(3), 0.1, 3))
 
 

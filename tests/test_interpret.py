@@ -12,7 +12,6 @@ from casokit import (
     Network,
     NetworkSpec,
     Sample,
-    TrainConfig,
     cafo,
     caso,
     forward,
@@ -69,7 +68,7 @@ def desk_setup():
     train = Dataset(X=full.X[tr], labels=full.labels[tr])
     spec = NetworkSpec((LayerSpec(64, 32, "relu"), LayerSpec(32, 4, "identity")))
     net = train_sgd(
-        init_network(spec, seed=9), train, TrainConfig(epochs=1, learning_rate=0.001, seed=9)
+        init_network(spec, seed=9), train, epochs=1, learning_rate=0.001, seed=9
     ).network
     return net, full, he
 

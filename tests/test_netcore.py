@@ -162,7 +162,7 @@ def test_train_reaches_high_accuracy_on_separable_blobs():
         (nc.LayerSpec(10, 16, "relu"), nc.LayerSpec(16, 4, "identity"))
     )
     net = nc.init_network(spec, seed=0)
-    result = nc.train_sgd(net, data, nc.TrainConfig(learning_rate=0.05, epochs=15))
+    result = nc.train_sgd(net, data, learning_rate=0.05, epochs=15)
     assert result.accuracy >= 0.95
     assert result.epoch_losses[-1] < result.epoch_losses[0]
     # the input network is untouched
@@ -173,8 +173,8 @@ def test_train_deterministic():
     data = nc.make_blobs(classes=3, dim=6, n_per_class=10, seed=1)
     spec = nc.NetworkSpec((nc.LayerSpec(6, 8, "relu"), nc.LayerSpec(8, 3, "identity")))
     net = nc.init_network(spec, seed=2)
-    r1 = nc.train_sgd(net, data, nc.TrainConfig(epochs=3, seed=9))
-    r2 = nc.train_sgd(net, data, nc.TrainConfig(epochs=3, seed=9))
+    r1 = nc.train_sgd(net, data, epochs=3, seed=9)
+    r2 = nc.train_sgd(net, data, epochs=3, seed=9)
     for a, b in zip(r1.network.weights, r2.network.weights):
         assert np.array_equal(a, b)
     assert r1.epoch_losses == r2.epoch_losses
@@ -184,7 +184,7 @@ def test_train_epochs_zero_identity():
     data = nc.make_blobs(classes=3, dim=6, n_per_class=5, seed=1)
     spec = nc.NetworkSpec((nc.LayerSpec(6, 8, "relu"), nc.LayerSpec(8, 3, "identity")))
     net = nc.init_network(spec, seed=2)
-    result = nc.train_sgd(net, data, nc.TrainConfig(epochs=0))
+    result = nc.train_sgd(net, data, epochs=0)
     for a, b in zip(result.network.weights, net.weights):
         assert np.array_equal(a, b)
     assert result.epoch_losses == ()
@@ -197,7 +197,7 @@ def test_train_accuracy_counts_every_row():
     data = nc.Dataset(rng.standard_normal((n, 6)), rng.integers(0, 3, n))
     spec = nc.NetworkSpec((nc.LayerSpec(6, 8, "relu"), nc.LayerSpec(8, 3, "identity")))
     net = nc.init_network(spec, seed=2)
-    result = nc.train_sgd(net, data, nc.TrainConfig(epochs=0))
+    result = nc.train_sgd(net, data, epochs=0)
     correct = sum(
         int(np.argmax(nc.forward(net, x).logits) == y) for x, y in zip(data.X, data.labels)
     )
@@ -211,7 +211,18 @@ def test_train_label_range_checked():
     spec = nc.NetworkSpec((nc.LayerSpec(3, 4, "relu"), nc.LayerSpec(4, 3, "identity")))
     net = nc.init_network(spec)
     with pytest.raises(ValueError):
-        nc.train_sgd(net, data, nc.TrainConfig(epochs=1))
+        nc.train_sgd(net, data, epochs=1)
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"learning_rate": 0.0}, "learning_rate must be positive"),
+    ({"epochs": -1}, "epochs must be nonnegative"),
+])
+def test_train_settings_checked(settings, message):
+    data = nc.make_blobs(classes=3, dim=6, n_per_class=2, seed=1)
+    spec = nc.NetworkSpec((nc.LayerSpec(6, 4, "relu"), nc.LayerSpec(4, 3, "identity")))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        nc.train_sgd(nc.init_network(spec), data, **settings)
 
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
@@ -224,7 +235,7 @@ def test_train_step_is_minus_lr_times_the_loss_gradient(activation):
     net = nc.init_network(spec, seed=3)
     x = nc.sample_kink_safe(net, np.random.default_rng(8), margin=1e-2)
     lr, y, h = 0.25, 2, 1e-6
-    step = nc.train_sgd(net, nc.Dataset(x[None], [y]), nc.TrainConfig(lr, epochs=1)).network
+    step = nc.train_sgd(net, nc.Dataset(x[None], [y]), learning_rate=lr, epochs=1).network
 
     def loss(params, kind, l, i, shift):
         moved = dict(params)
