@@ -7,16 +7,15 @@ rank1-sim's grid follows from which of its flags are set.
 
 Artifacts are deterministic: the same invocation with the same seed
 produces bitwise-identical files. Each run records its provenance (the
-resolved configuration plus the package version, never a timestamp)
-once: in the first line of its CSV artifact, in sweep.json or in the
-model's metadata. Output lands in --out, falling back to the
-CASOKIT_OUT_DIR environment variable, then the working directory; a run
-that fails leaves it unchanged, and removes the directories it created for
-it.
+resolved flags plus the package version, never a timestamp) once: in the
+first line of its CSV artifact, in sweep.json or in the model's metadata.
+Output lands in --out, or the working directory when --out is not given
+or empty; a run that fails leaves it unchanged, and removes the
+directories it created for it.
 
 Exit codes: 0 on success, 1 on a runtime failure (bad file contents,
-infeasible configuration), 2 on a usage error including nonexistent
-input paths.
+infeasible settings), 2 on a usage error including nonexistent input
+paths.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ def int_grid_spec(text):
 
 # arguments that change where a run reads or writes, but never what it
 # computes; excluded so artifact bytes do not depend on them
-_EXECUTION_ONLY = ("func", "command", "out", "config")
+_EXECUTION_ONLY = ("func", "command", "out")
 
 
 def _provenance(args):
@@ -450,8 +449,7 @@ def cmd_oracle_check(args, out, stage):
 
 
 def _add_common(sp, seed=True):
-    sp.add_argument("--config", help="JSON file of default values for any flag")
-    sp.add_argument("--out", help="output directory (default: $CASOKIT_OUT_DIR or .)")
+    sp.add_argument("--out", help="output directory (default: the working directory)")
     if seed:
         sp.add_argument("--seed", type=int, default=0, help="seed for every random draw")
 
@@ -485,7 +483,6 @@ def build_parser():
         prog="casokit",
         description="Curvature-aware saliency maps for small classifiers.",
     )
-    root.add_argument("--config", help="JSON file of default values for any flag")
     root.add_argument("--version", action="version", version=f"casokit {VERSION}")
     sub = root.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -581,90 +578,9 @@ def build_parser():
     return root, sub.choices
 
 
-# flag types that read a comma list, which a config file gives as a JSON list
-_LIST_TYPES = (int_list, float_list, grid_spec, int_grid_spec)
-
-
-def _config_value(action, value):
-    """A config file's value for a flag, taken as a command line gives it:
-    true or false for an on/off flag, else text (a string as it is, a
-    number as JSON writes it, a list flag's JSON list joined by commas)
-    through the flag's type and choices. Any other value, or one the flag
-    refuses, is a ValueError."""
-    if action.nargs == 0 and isinstance(value, bool):
-        return value
-    listed = action.type in _LIST_TYPES
-    items = value if listed and isinstance(value, list) else [value]
-    if action.nargs == 0 or not all(type(v) in (str, int, float) for v in items) or (
-            listed and type(value) in (int, float)):
-        kind = ("true or false" if action.nargs == 0 else
-                "a JSON list or comma text" if listed else "a JSON number or string")
-        raise ValueError(f"expected {kind}, not {json.dumps(value)}")
-    text = ",".join(v if type(v) is str else json.dumps(v) for v in items)
-    try:
-        result = text if action.type is None else action.type(text)
-    except argparse.ArgumentTypeError as e:
-        raise ValueError(str(e)) from None
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid {action.type.__name__} value: {text!r}") from None
-    if action.choices is not None and result not in action.choices:
-        raise ValueError(f"invalid choice: {result!r} (choose from {', '.join(action.choices)})")
-    return result
-
-
-def _apply_config(argv, root, parsers, command):
-    """Set the entries of argv's --config JSON file, if any, as defaults of
-    the command's parser, each value checked by _config_value (explicit
-    flags still win), and return whether there was a file. A file that
-    cannot be read or is no JSON object, or a key the command does not
-    define, is a usage error, so no entry is silently dropped."""
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if known.config is None:
-        return False
-    if not os.path.isfile(known.config):
-        root.error(f"no such config file: {known.config}")
-    try:
-        with open(known.config, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        root.error(f"cannot read config file {known.config}: {e.strerror}")
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        root.error(f"config file {known.config} is not UTF-8 text (byte {e.start})")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        root.error(f"invalid config JSON at line {e.lineno}: {e.msg}")
-    except RecursionError:
-        root.error(f"config file {known.config} nests too deeply")
-    if not isinstance(doc, dict):
-        root.error("config must be a JSON object of flag defaults")
-    sp = parsers[command]
-    for key, value in doc.items():
-        dest = key.replace("-", "_")
-        # the command's own option first; --help's dest is no option to set
-        found = [a for p in (sp, *parsers.values()) for a in p._actions
-                 if a.dest == dest and a.default != argparse.SUPPRESS]
-        if not found:
-            root.error(f"unknown config key: {key}")
-        if found[0] not in sp._actions:
-            root.error(f"config key {key} is not an option of {command}")
-        try:
-            sp.set_defaults(**{dest: _config_value(found[0], value)})
-        except ValueError as e:
-            root.error(f"config key {key}: {e}")
-    return True
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    root, parsers = build_parser()
+    root, _ = build_parser()
     args = root.parse_args(argv)
-    if _apply_config(argv, root, parsers, args.command):
-        args = root.parse_args(argv)
     if args.command == "interpret" and len(set(args.samples)) < len(args.samples):
         # each index's map lands in sample<index>.*, so a repeat would be lost
         dup = next(i for n, i in enumerate(args.samples) if i in args.samples[:n])
@@ -674,7 +590,7 @@ def main(argv=None):
     # The command writes its artifacts into a staging directory inside out,
     # and they are renamed into place only once every one is written, so a
     # run that fails leaves out as it found it; stdout comes last.
-    out = args.out or os.environ.get("CASOKIT_OUT_DIR") or "."
+    out = args.out or "."
     created = []  # the directories of out that this run makes, deepest first
     missing = os.path.abspath(out)
     while not os.path.lexists(missing):

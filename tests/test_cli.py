@@ -80,6 +80,26 @@ class TestParsing:
             run(["train", "--bogus", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["root", *cli.build_parser()[1]])
+    def test_config_flag_is_gone(self, workspace, tmp_path, capsys, command):
+        # flag defaults come from the command line alone
+        out = tmp_path / "out"
+        if command == "root":
+            # before the command, argparse reads a spaced file name as the command
+            cases = [(["--config=f.json", "train"], "unrecognized arguments: --config=f.json"),
+                     (["--config", "f.json", "train"], "invalid choice: 'f.json'")]
+        else:
+            needs_model = command in ("interpret", "sweep", "gap-study")
+            model_data = ["--model", workspace["model"], "--data", workspace["data"]]
+            cases = [([command, *(model_data if needs_model else []), "--config", "f.json"],
+                      "unrecognized arguments: --config f.json")]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--out", str(out)])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_model_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:
             run(["interpret", "--model", "/nonexistent.json", "--data", workspace["data"]])
@@ -127,13 +147,17 @@ class TestTrain:
         assert model_load(tmp_path / "model.json").spec.layers[0].in_dim == 16
 
     def test_env_out_dir(self, monkeypatch, tmp_path, capsys):
+        # no environment variable stands in for --out: without it, or with
+        # it empty, output lands in the working directory
         monkeypatch.setenv("CASOKIT_OUT_DIR", str(tmp_path / "envout"))
-        code = run([
-            "train", "--classes", "2", "--dim", "4", "--n-per-class", "4",
-            "--hidden", "3", "--epochs", "1", "--seed", "0",
-        ])
-        assert code == 0
-        assert (tmp_path / "envout" / "model.json").exists()
+        monkeypatch.chdir(tmp_path)
+        argv = ["train", "--classes", "2", "--dim", "4", "--n-per-class", "4",
+                "--hidden", "3", "--epochs", "1", "--seed", "0"]
+        for out in ([], ["--out", ""]):
+            (tmp_path / "model.json").unlink(missing_ok=True)
+            assert run(argv + out) == 0
+            assert (tmp_path / "model.json").exists()
+        assert not (tmp_path / "envout").exists()
 
 
 class TestInterpret:
@@ -214,16 +238,6 @@ class TestInterpret:
             run(argv + [flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-        key = flag[2:]
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: 1}))
-        with pytest.raises(SystemExit) as exc:
-            run(argv + ["--config", str(config)])
-        assert exc.value.code == 2
-        # train keeps --lr
-        message = (f"config key {key} is not an option of {command}"
-                   if key == "lr" else f"unknown config key: {key}")
-        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_raw_tensor_input(self, workspace, tmp_path, capsys):
@@ -275,15 +289,12 @@ class TestInterpret:
     def test_repeated_sample_is_usage_error(self, workspace, tmp_path, capsys):
         # every sample index names its own sample<index>.* files, so a repeat
         # would overwrite a map; it is refused before any work
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"samples": [1, 2, 1]}))
-        for argv in (["--samples", "3,0,3"], ["--config", str(config)]):
-            with pytest.raises(SystemExit) as exc:
-                run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
-                     "--method", "smooth-cafo", "--out", str(tmp_path / "out")] + argv)
-            assert exc.value.code == 2
-            repeated = 3 if "--samples" in argv else 1
-            assert f"sample index {repeated} is repeated" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
+                 "--method", "smooth-cafo", "--out", str(tmp_path / "out"),
+                 "--samples", "3,0,3"])
+        assert exc.value.code == 2
+        assert "sample index 3 is repeated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         # train's --hidden shares the list type and still takes repeats
         assert run(["train", "--hidden", "4,4", "--epochs", "1", "--out", str(tmp_path)]) == 0
@@ -611,7 +622,7 @@ class TestEveryOptionIsRead:
         args.func(args, str(tmp_path), str(tmp_path))
         # vars(), which _provenance reads every option through, is not a read
         options = {a.dest for a in parsers[command]._actions if a.dest != "help"}
-        assert options - reads - {"out", "config", "command", "func"} == set()
+        assert options - reads - {"out", "command", "func"} == set()
 
     @pytest.mark.parametrize("command,flag,artifact", [
         ("sweep", "--lambda1", "sweep.json"), ("sweep", "--ig-steps", "sweep.json"),
@@ -624,18 +635,11 @@ class TestEveryOptionIsRead:
             run(argv + [flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-        key = flag[2:]
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: 1}))
-        with pytest.raises(SystemExit) as exc:
-            run(argv + ["--config", str(config)])
-        assert exc.value.code == 2
-        assert f"config key {key} is not an option of {command}" in capsys.readouterr().err
         assert run(argv) == 0
         text = (tmp_path / "out" / artifact).read_text()
         prov = (json.loads(text)["provenance"] if artifact.endswith(".json")
                 else json.loads(text.split("\n", 1)[0].removeprefix("# ")))
-        assert prov["command"] == command and key.replace("-", "_") not in prov
+        assert prov["command"] == command and flag[2:].replace("-", "_") not in prov
 
 
 class TestEntryPoint:
@@ -938,17 +942,11 @@ class TestStudies:
         assert run(["rank1-sim", *args, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "rank1.csv").read_text().splitlines()[2:] == rows
 
-    def test_rank1_sim_has_no_mode(self, tmp_path, capsys):
+    def test_rank1_sim_has_no_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["rank1-sim", "--mode", "grid", "--classes", "4", "--eps", "1e-3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --mode grid" in capsys.readouterr().err
-        config = tmp_path / "cfg.json"
-        config.write_text('{"mode": "grid"}')
-        with pytest.raises(SystemExit) as exc:
-            run(["rank1-sim", "--config", str(config), "--classes", "4", "--eps", "1e-3"])
-        assert exc.value.code == 2
-        assert "unknown config key: mode" in capsys.readouterr().err
 
     def test_gap_study_on_sigmoid_net(self, tmp_path, capsys):
         prep = tmp_path / "prep"
@@ -1089,18 +1087,12 @@ class TestStudies:
         capsys.readouterr()
 
     def test_oracle_check_has_no_grid(self, tmp_path, capsys):
-        # the exact path replaced the lambda1 grid, flag and config key alike
+        # the exact path replaced the lambda1 grid
         with pytest.raises(SystemExit) as exc:
             run(["oracle-check", "--grid", "0.1", "--out", str(tmp_path / "a")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid 0.1" in capsys.readouterr().err
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"grid": [0.1]}))
-        with pytest.raises(SystemExit) as exc:
-            run(["oracle-check", "--config", str(config), "--out", str(tmp_path / "b")])
-        assert exc.value.code == 2
-        assert "config key grid is not an option of oracle-check" in capsys.readouterr().err
-        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+        assert not (tmp_path / "a").exists()
 
     def test_oracle_check_bad_support(self, tmp_path, capsys):
         code = run(["oracle-check", "--support", "2,99", "--out", str(tmp_path)])
@@ -1125,144 +1117,6 @@ class TestStudies:
         assert not out.exists()
         if message.endswith("enumeration limit"):
             assert not built  # refused before the d x d instance is built
-
-
-# config entries no command line could give, and the error each one names
-BAD_CONFIG_VALUES = [
-    ({"samples": 3}, "expected a JSON list or comma text, not 3"),
-    ({"samples": [0, 1.5]}, "bad integer list: '0,1.5'"),
-    ({"lambda1": [1]}, "expected a JSON number or string, not [1]"),
-    ({"lambda1": True}, "expected a JSON number or string, not true"),
-    ({"lambda1": None}, "expected a JSON number or string, not null"),
-    ({"lambda1": "big"}, "invalid float value: 'big'"),
-    ({"smooth_n": 2.5}, "invalid int value: '2.5'"),
-    ({"seed": 1.5}, "invalid int value: '1.5'"),
-    ({"method": "nope"}, "invalid choice: 'nope'"),
-    ({"width": {"w": 4}}, 'expected a JSON number or string, not {"w": 4}'),
-]
-
-
-class TestConfigFile:
-    def test_defaults_merged_and_flags_win(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"classes": 4, "seed": 9, "epochs": 1,
-                                   "n-per-class": 5, "dim": 9, "hidden": [3]}))
-        code = run([
-            "train", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        prov = read_json(tmp_path / "model.json")["metadata"]
-        assert prov["classes"] == 4
-        assert prov["seed"] == 3  # explicit flag beats config default
-        assert prov["n_per_class"] == 5
-
-    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        # help is a flag, but not a value a config file could set
-        for key, value in (("not_a_flag", 1), ("help", True)):
-            cfg.write_text(json.dumps({key: value}))
-            with pytest.raises(SystemExit) as exc:
-                run(["train", "--config", str(cfg)])
-            assert exc.value.code == 2
-            assert f"unknown config key: {key}" in capsys.readouterr().err
-
-    def test_bad_json_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{oops")
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--config", str(cfg)])
-        assert exc.value.code == 2
-
-    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(b'{"seed": \xff1}')
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--config", str(cfg), "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"config file {cfg} is not UTF-8 text (byte 9)" in err
-        assert not (tmp_path / "model.json").exists()
-
-    def test_other_subcommands_key_is_usage_error(self, workspace, tmp_path, capsys):
-        # epochs and lr are train's: interpret would drop them without a word
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 3, "lr": 5}))
-        with pytest.raises(SystemExit) as exc:
-            run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
-                 "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
-        assert "config key epochs is not an option of interpret" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
-        deep = tmp_path / "deep.json"
-        deep.write_text('{"hidden": ' + "[" * 100_000 + "]" * 100_000 + "}")
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--config", str(deep), "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
-        assert f"config file {deep} nests too deeply" in capsys.readouterr().err
-
-    def test_missing_config_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--config", "/nonexistent.json"])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("entry, message", BAD_CONFIG_VALUES,
-                             ids=[json.dumps(entry) for entry, _ in BAD_CONFIG_VALUES])
-    def test_value_a_command_line_could_not_give_is_usage_error(
-            self, workspace, tmp_path, capsys, entry, message):
-        # each value goes through the flag's type and choices, as its text
-        # on a command line would; an explicit flag does not excuse it
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(entry))
-        (key,) = entry
-        explicit = "cafo" if key == "method" else "2"
-        for extra in ([], ["--" + key.replace("_", "-"), explicit]):
-            with pytest.raises(SystemExit) as exc:
-                run(["interpret", "--model", workspace["model"], "--data", workspace["data"],
-                     "--config", str(cfg), "--out", str(tmp_path / "out")] + extra)
-            assert exc.value.code == 2
-            assert f"config key {key}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("entry, flags", [
-        ({"samples": [1, 2], "lambda1": 1, "smooth-n": "3", "method": "smooth-cafo"},
-         ["--samples", "1,2", "--lambda1", "1", "--smooth-n", "3", "--method", "smooth-cafo"]),
-        ({"samples": "2", "seed": 4, "smooth_sigma": 0.5, "method": "smoothgrad"},
-         ["--samples", "2", "--seed", "4", "--smooth-sigma", "0.5", "--method", "smoothgrad"]),
-    ], ids=["lists-and-numbers", "text"])
-    def test_config_equals_its_command_line(self, workspace, tmp_path, capsys, entry, flags):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(entry))
-        base = ["interpret", "--model", workspace["model"], "--data", workspace["data"]]
-        assert run(base + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        assert run(base + flags + ["--out", str(tmp_path / "b")]) == 0
-        names = sorted(p.name for p in (tmp_path / "a").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
-        for name in names:
-            a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
-            assert a == b
-        # an explicit flag still wins over the file
-        assert run(base + ["--config", str(cfg), "--seed", "9", "--samples", "0",
-                           "--out", str(tmp_path / "c")]) == 0
-        head = (tmp_path / "c" / "metrics.csv").read_text().split("\n", 1)[0]
-        prov = json.loads(head.removeprefix("# "))
-        assert (prov["seed"], prov["samples"], prov["method"]) == (9, [0], entry["method"])
-
-    def test_on_off_flag_takes_true_or_false(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        argv = ["train", "--classes", "2", "--dim", "3", "--n-per-class", "2",
-                "--hidden", "2", "--epochs", "1", "--config", str(cfg)]
-        for value, saved in ((True, True), (False, False)):
-            cfg.write_text(json.dumps({"save_data": value}))
-            out = tmp_path / str(value)
-            assert run(argv + ["--out", str(out)]) == 0
-            assert (out / "data.csv").exists() == saved
-        cfg.write_text(json.dumps({"save_data": 1}))
-        with pytest.raises(SystemExit) as exc:
-            run(argv + ["--out", str(tmp_path / "bad")])
-        assert exc.value.code == 2
-        assert "config key save_data: expected true or false, not 1" in capsys.readouterr().err
 
 
 class TestModelFiles:
