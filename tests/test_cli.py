@@ -100,6 +100,37 @@ class TestParsing:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("interpret", "--samples", "0,1.5", "bad integer list: '0,1.5'"),
+        ("interpret", "--samples", ",", "empty integer list: ','"),
+        ("interpret", "--lambda1", "big", "invalid float value: 'big'"),
+        ("interpret", "--smooth-n", "2.5", "invalid int value: '2.5'"),
+        ("interpret", "--seed", "1.5", "invalid int value: '1.5'"),
+        ("interpret", "--method", "nope", "invalid choice: 'nope'"),
+        ("interpret", "--width", "w", "invalid int value: 'w'"),
+        ("sweep", "--method", "grad", "invalid choice: 'grad'"),
+        ("sweep", "--grid", "1:2:geo:3", "range kind must be log or lin: '1:2:geo:3'"),
+        ("train", "--activation", "tanh", "invalid choice: 'tanh'"),
+        ("train", "--hidden", "4,x", "bad integer list: '4,x'"),
+        ("gap-study", "--n-samples", "1", "need at least 2 samples, got 1"),
+        ("rank1-sim", "--classes", "10:1000:cubic",
+         "range kind must be log or lin: '10:1000:cubic'"),
+        ("oracle-check", "--support", "2,x", "bad integer list: '2,x'"),
+        ("oracle-check", "--d", "twelve", "invalid int value: 'twelve'"),
+    ])
+    def test_value_its_type_refuses_is_usage_error(self, workspace, tmp_path, capsys,
+                                                   command, flag, value, message):
+        # each flag's type or choices refuse the value by the flag's name,
+        # before any work and before --out is made
+        argv = [command, "--out", str(tmp_path / "out")]
+        if command in ("interpret", "sweep", "gap-study"):
+            argv += ["--model", workspace["model"], "--data", workspace["data"]]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_model_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:
             run(["interpret", "--model", "/nonexistent.json", "--data", workspace["data"]])
@@ -158,6 +189,21 @@ class TestTrain:
             assert run(argv + out) == 0
             assert (tmp_path / "model.json").exists()
         assert not (tmp_path / "envout").exists()
+
+    def test_save_data_is_an_on_off_flag(self, tmp_path, capsys):
+        # the data is saved, and recorded as saved, only when the flag is given
+        argv = ["train", "--classes", "2", "--dim", "3", "--n-per-class", "2",
+                "--hidden", "2", "--epochs", "1"]
+        for extra, saved in (([], False), (["--save-data"], True)):
+            out = tmp_path / str(saved)
+            assert run(argv + extra + ["--out", str(out)]) == 0
+            assert (out / "data.csv").exists() == saved
+            assert read_json(out / "model.json")["metadata"]["save_data"] is saved
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--save-data", "1", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: 1" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
 
 class TestInterpret:
