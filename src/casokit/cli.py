@@ -106,6 +106,17 @@ def sample_count(text):
     return n
 
 
+def seed_value(text):
+    """A nonnegative integer, the seeds numpy's generators take."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"need a nonnegative seed, got {n}")
+    return n
+
+
 def float_list(text):
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -134,12 +145,17 @@ def grid_spec(text):
     if parts[2] == "log":
         if lo <= 0 or hi <= 0:
             raise argparse.ArgumentTypeError("log range endpoints must be positive")
-        values = np.geomspace(lo, hi, n)
+        space = np.geomspace
     elif parts[2] == "lin":
-        values = np.linspace(lo, hi, n)
+        space = np.linspace
     else:
         raise argparse.ArgumentTypeError(f"range kind must be log or lin: {text!r}")
-    return tuple(float(v) for v in values)
+    try:
+        return tuple(float(v) for v in space(lo, hi, n))
+    except (MemoryError, ValueError, IndexError):
+        # numpy's refusals of a count past memory: a MemoryError, a ValueError
+        # past the address space, an IndexError for counts near 2**63
+        raise argparse.ArgumentTypeError(f"a range of {n} points does not fit in memory") from None
 
 
 def int_grid_spec(text):
@@ -337,21 +353,12 @@ def cmd_interpret(args, out, stage):
 def cmd_sweep(args, out, stage):
     net = model_load(args.model)
     dataset = _load_data(args)
-    sample = dataset.sample(args.sample)
+    request = MethodRequest(args.method, (dataset.sample(args.sample),), (args.seed,),
+                            c1=args.c1, smooth_n=args.smooth_n, smooth_sigma=args.smooth_sigma,
+                            channels=args.channels)
     w, h = _geometry(args, dataset.dim)
-    outcome = lambda1_sweep(
-        sample,
-        net,
-        method=args.method,
-        grid=args.grid,
-        eta_range=(args.eta_min, args.eta_max),
-        max_refinements=args.max_refinements,
-        channels=args.channels,
-        c1=args.c1,
-        n=args.smooth_n,
-        sigma=args.smooth_sigma,
-        seed=args.seed,
-    )
+    outcome = lambda1_sweep(net, request, args.grid, (args.eta_min, args.eta_max),
+                            args.max_refinements)
     selected = outcome.selected
     doc = {
         "grid": list(outcome.grid),
@@ -451,7 +458,8 @@ def cmd_oracle_check(args, out, stage):
 def _add_common(sp, seed=True):
     sp.add_argument("--out", help="output directory (default: the working directory)")
     if seed:
-        sp.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+        sp.add_argument("--seed", type=seed_value, default=0,
+                        help="seed for every random draw, >= 0")
 
 
 def _add_model_data(sp):

@@ -463,37 +463,27 @@ class SweepOutcome(Record):
         return self.all_results[self.selected_index]
 
 
-def lambda1_sweep(
-    sample,
-    net,
-    method="cafo",
-    grid=None,
-    eta_range=(0.75, 1.0),
-    max_refinements=20,
-    channels=1,
-    c1=DEFAULT_C1,
-    n=DEFAULT_SMOOTH_N,
-    sigma=DEFAULT_SMOOTH_SIGMA,
-    seed=0,
-):
-    """Solve across a lam1 grid and pick the sparsest useful map.
+def lambda1_sweep(net, request, grid=None, eta_range=(0.75, 1.0), max_refinements=20):
+    """Solve a one-sample request across a lam1 grid and pick the sparsest
+    useful map.
 
     Among candidates with eta in [eta_range) the one with the highest
     surrogate objective wins, ties going to the smaller lam1. If no grid
     candidate qualifies, the first lam1 whose map is all zero is halved
     and re-solved, up to max_refinements times. When even that never
     reaches the range the outcome is flagged and the selection falls back
-    to the densest non-trivial candidate. method is a SPARSE_METHODS
-    entry; its CurvatureModel, Woodbury base (one inv) included, is built
-    once from c1, n, sigma and seed (the knobs the method does not use are
-    ignored), and every grid value and refinement is solved against it.
-    The grid values take one batched forward pass per CHUNK_COLUMNS of
-    them; each refinement is a solve of its own. The results match
-    separate calls at each lam1 to rounding (bitwise for first-order
-    methods).
+    to the densest non-trivial candidate. request is a MethodRequest of
+    one sample and a SPARSE_METHODS method; its lam1 is ignored. Its
+    CurvatureModel, Woodbury base (one inv) included, is built once, and
+    every grid value and refinement is solved against it. The grid values
+    take one batched forward pass per CHUNK_COLUMNS of them; each
+    refinement is a solve of its own. The results match run_request at
+    each lam1 to rounding (bitwise for first-order methods).
     """
-    if method not in SPARSE_METHODS:
-        raise ValueError(f"unknown sweep method {method!r}")
+    if request.method not in SPARSE_METHODS:
+        raise ValueError(f"unknown sweep method {request.method!r}")
+    if len(request.samples) != 1:
+        raise ValueError(f"a sweep takes one sample, not {len(request.samples)}")
     if grid is None:
         grid = DEFAULT_LAMBDA1_GRID
     grid = tuple(float(v) for v in grid)
@@ -508,8 +498,6 @@ def lambda1_sweep(
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
     if max_refinements < 0:
         raise ValueError("max_refinements must be nonnegative")
-    request = MethodRequest(method, (sample,), (seed,), c1=c1, smooth_n=n, smooth_sigma=sigma,
-                            channels=channels)
     model, = _sparse_models(net, request)
 
     def solve(lams):

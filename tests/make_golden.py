@@ -71,12 +71,16 @@ def _requests(name, samples):
     return {m: MethodRequest(m, samples, SEEDS, lam1=LAM1[name], **KNOBS) for m in METHODS}
 
 
-def _sweep(net, request):
-    out = lambda1_sweep(request.samples[0], net, request.method, GRID,
-                        n=request.smooth_n, seed=request.seeds[0])
-    return out, {"grid": list(out.grid), "results": [_result(r) for r in out.results],
-                 "refinements": [_result(r) for r in out.refinements],
-                 "selected_index": out.selected_index, "target_met": out.target_met}
+def _one_sample(request):
+    """The request's one-sample requests, one per sample, each with its seed."""
+    return [request.replace(samples=(s,), seeds=(seed,))
+            for s, seed in zip(request.samples, request.seeds)]
+
+
+def _outcome(out):
+    return {"grid": list(out.grid), "results": [_result(r) for r in out.results],
+            "refinements": [_result(r) for r in out.refinements],
+            "selected_index": out.selected_index, "target_met": out.target_met}
 
 
 def golden_values():
@@ -88,8 +92,8 @@ def golden_values():
         requests = _requests(name, samples)
         doc[name] = {
             "methods": {m: [_result(r) for r in run_request(net, requests[m])] for m in METHODS},
-            "sweeps": {m: [_sweep(net, requests[m].replace(samples=(s,), seeds=(seed,)))[1]
-                           for s, seed in zip(samples, SEEDS)]
+            "sweeps": {m: [_outcome(lambda1_sweep(net, one, GRID))
+                           for one in _one_sample(requests[m])]
                        for m in SPARSE_METHODS},
         }
         points = confidence_gap_study(net, data, 3)
@@ -128,18 +132,16 @@ def check():
     nets, data = build()
     samples = tuple(data.sample(i) for i in range(3))
     for name, net in nets.items():
-        for m, request in _requests(name, samples).items():
-            if m not in SPARSE_METHODS:
-                continue
+        requests = _requests(name, samples)
+        for m in SPARSE_METHODS:
+            request = requests[m]
             etas = [r.eta for r in run_request(net, request)]
             if not all(0.0 < eta < 1.0 for eta in etas):
                 raise SystemExit(f"{name} {m}: lam1 {LAM1[name]} gives etas {etas}")
             if not _stable(net, request, LAM1[name]):
                 raise SystemExit(f"{name} {m}: lam1 {LAM1[name]} is near a breakpoint")
-            for s, seed in zip(samples, SEEDS):
-                one = request.replace(samples=(s,), seeds=(seed,))
-                out, _ = _sweep(net, one)
-                for r in out.all_results:
+            for one in _one_sample(request):
+                for r in lambda1_sweep(net, one, GRID).all_results:
                     if not _stable(net, one, r.lam1):
                         raise SystemExit(f"{name} {m}: sweep lam1 {r.lam1} is near a breakpoint")
 

@@ -117,6 +117,9 @@ class TestParsing:
          "range kind must be log or lin: '10:1000:cubic'"),
         ("oracle-check", "--support", "2,x", "bad integer list: '2,x'"),
         ("oracle-check", "--d", "twelve", "invalid int value: 'twelve'"),
+        *[(command, "--seed", "-1", "need a nonnegative seed, got -1")
+          for command in ("train", "interpret", "sweep", "rank1-sim", "alignment",
+                          "oracle-check")],
     ])
     def test_value_its_type_refuses_is_usage_error(self, workspace, tmp_path, capsys,
                                                    command, flag, value, message):
@@ -129,6 +132,34 @@ class TestParsing:
             run(argv + [flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sweep", "--grid", "1e-5:1:log:1000000000000000"),
+        ("rank1-sim", "--eps", "1e-5:1:log:1000000000000000"),
+        ("rank1-sim", "--classes", "10:1000:log:1000000000000000"),
+        # numpy raises an IndexError here, before allocating anything
+        ("sweep", "--grid", "0:1:lin:9223372036854775807"),
+    ])
+    def test_unallocatable_range_is_usage_error(self, workspace, tmp_path, capsys, monkeypatch,
+                                                command, flag, value):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        # nothing is allocated: geomspace fails as it would past memory
+        monkeypatch.setattr(cli.np, "geomspace", refuse)
+        argv = [command, "--out", str(tmp_path / "out"), flag, value]
+        if command == "sweep":
+            argv += ["--model", workspace["model"], "--data", workspace["data"]]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        points = value.rsplit(":", 1)[1]
+        err = capsys.readouterr().err
+        # "rror" also finds a traceback's last line, such as "MemoryError: ..."
+        assert [line for line in err.splitlines() if "rror" in line] == [
+            f"casokit {command}: error: argument {flag}: a range of {points} points does not "
+            "fit in memory"]
         assert not (tmp_path / "out").exists()
 
     def test_missing_model_is_usage_error(self, workspace):

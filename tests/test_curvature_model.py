@@ -40,6 +40,7 @@ from casokit import (
     local_linearization,
     model_load,
     model_save,
+    run_request,
     select_lambda2,
     smooth_cafo,
     smooth_caso,
@@ -412,24 +413,23 @@ class TestClosedFormCurvature:
 
 
 class TestSweepHoisting:
-    @pytest.mark.parametrize("method,kwargs", [
+    @pytest.mark.parametrize("method,knobs", [
         ("caso", {}),
-        ("smooth-caso", {"n": 6, "sigma": 0.2, "seed": 3}),
+        ("smooth-caso", {"seeds": (3,), "smooth_n": 6, "smooth_sigma": 0.2}),
         ("cafo", {}),
-        ("smooth-cafo", {"n": 6, "sigma": 0.2, "seed": 3}),
+        ("smooth-cafo", {"seeds": (3,), "smooth_n": 6, "smooth_sigma": 0.2}),
     ])
-    def test_sweep_candidates_match_separate_calls(self, relu_net, method, kwargs):
+    def test_sweep_candidates_match_separate_calls(self, relu_net, method, knobs):
         # the grid is one stack: first-order rows keep their own arithmetic
         # bit for bit, while a shared curvature factor is applied to the
         # whole stack in one product, which moves the rows by rounding
-        fn = {"cafo": cafo, "caso": caso, "smooth-cafo": smooth_cafo,
-              "smooth-caso": smooth_caso}[method]
         rng = np.random.default_rng(8)
         for _ in range(3):
             s = Sample(x=rng.standard_normal(8), y=int(rng.integers(4)))
-            out = lambda1_sweep(s, relu_net, method=method, **kwargs)
+            one = MethodRequest(method, (s,), **knobs)
+            out = lambda1_sweep(relu_net, one)
             for r in out.all_results:
-                ref = fn(s, relu_net, r.lam1, **kwargs)
+                ref, = run_request(relu_net, one.replace(lam1=r.lam1))
                 assert (r.lam2, r.eta, r.p_max) == (ref.lam2, ref.eta, ref.p_max)
                 assert r.raw_loss_delta == pytest.approx(ref.raw_loss_delta, rel=1e-12)
                 if method.endswith("cafo"):
@@ -443,19 +443,18 @@ class TestSweepHoisting:
                     assert np.array_equal(r.delta == 0.0, ref.delta == 0.0)
                     assert r.loss_gain == pytest.approx(ref.loss_gain, rel=1e-12)
 
-    @pytest.mark.parametrize("method,kwargs", [
-        ("caso", {}), ("smooth-caso", {"n": 3, "sigma": 0.2, "seed": 3}),
+    @pytest.mark.parametrize("method,knobs", [
+        ("caso", {}), ("smooth-caso", {"seeds": (3,), "smooth_n": 3, "smooth_sigma": 0.2}),
     ])
-    def test_sigmoid_sweep_matches_separate_calls(self, sigmoid_net, method, kwargs):
+    def test_sigmoid_sweep_matches_separate_calls(self, sigmoid_net, method, knobs):
         # as on relu nets, the model's curvature is applied to the whole
         # stack in one product, which moves the rows by rounding
-        fn = {"caso": caso, "smooth-caso": smooth_caso}[method]
         s = Sample(x=np.random.default_rng(15).standard_normal(6), y=1)
-        out = lambda1_sweep(s, sigmoid_net, method=method, grid=(0.0, 1e-3, 1e-2, 5e-2),
-                            max_refinements=2, **kwargs)
+        one = MethodRequest(method, (s,), **knobs)
+        out = lambda1_sweep(sigmoid_net, one, grid=(0.0, 1e-3, 1e-2, 5e-2), max_refinements=2)
         assert len(out.results) == 4
         for r in out.all_results:
-            ref = fn(s, sigmoid_net, r.lam1, **kwargs)
+            ref, = run_request(sigmoid_net, one.replace(lam1=r.lam1))
             assert (r.lam2, r.eta, r.p_max) == (ref.lam2, ref.eta, ref.p_max)
             scale = max(float(np.abs(ref.delta).max()), np.finfo(float).tiny)
             assert np.allclose(r.delta, ref.delta, rtol=0.0, atol=1e-12 * scale)
@@ -467,8 +466,9 @@ class TestSweepHoisting:
     def test_long_grid_is_solved_in_bounded_stacks(self, relu_net, monkeypatch, method):
         s = Sample(x=np.random.default_rng(16).standard_normal(8), y=2)
         grid = tuple(np.linspace(0.0, 0.05, 8))
-        kwargs = {"n": 3, "sigma": 0.2} if method == "smooth-caso" else {}
-        whole = lambda1_sweep(s, relu_net, method, grid=grid, max_refinements=0, **kwargs)
+        knobs = {"smooth_n": 3, "smooth_sigma": 0.2} if method == "smooth-caso" else {}
+        one = MethodRequest(method, (s,), **knobs)
+        whole = lambda1_sweep(relu_net, one, grid=grid, max_refinements=0)
         # each map is solved on its own; the bound is on the batched forward
         # pass at the perturbed inputs
         sizes = []
@@ -480,7 +480,7 @@ class TestSweepHoisting:
 
         monkeypatch.setattr(interpret, "_finish", counted)
         monkeypatch.setattr(interpret, "CHUNK_COLUMNS", 3)
-        parts = lambda1_sweep(s, relu_net, method, grid=grid, max_refinements=0, **kwargs)
+        parts = lambda1_sweep(relu_net, one, grid=grid, max_refinements=0)
         assert sizes == [3, 3, 2]
         assert parts.selected_index == whole.selected_index
         for a, b in zip(parts.results, whole.results):
@@ -490,14 +490,14 @@ class TestSweepHoisting:
 
 
 class TestWorkCounts:
-    @pytest.mark.parametrize("method,kwargs", [
-        ("caso", {}), ("smooth-caso", {"n": 4, "sigma": 0.2}),
-        ("cafo", {}), ("smooth-cafo", {"n": 4, "sigma": 0.2}),
+    @pytest.mark.parametrize("method,knobs", [
+        ("caso", {}), ("smooth-caso", {"smooth_n": 4, "smooth_sigma": 0.2}),
+        ("cafo", {}), ("smooth-cafo", {"smooth_n": 4, "smooth_sigma": 0.2}),
     ])
-    def test_sweep_builds_the_model_once(self, relu_net, monkeypatch, method, kwargs):
+    def test_sweep_builds_the_model_once(self, relu_net, monkeypatch, method, knobs):
         counts = count_calls(monkeypatch, interpret, ["curvature_models"])
         s = Sample(x=np.random.default_rng(9).standard_normal(8), y=1)
-        out = lambda1_sweep(s, relu_net, method=method, **kwargs)
+        out = lambda1_sweep(relu_net, MethodRequest(method, (s,), **knobs))
         assert len(out.all_results) >= len(DEFAULT_LAMBDA1_GRID)
         assert counts["curvature_models"] == 1
 
@@ -534,22 +534,21 @@ class TestWorkCounts:
                     counts["input_gradient"])
 
         grid = (0.0, 1e-3, 1e-2)
-        sweep = lambda1_sweep
         for method, fn, kwargs in (
             ("cafo", cafo, {}), ("caso", caso, {}),
             ("smooth-cafo", smooth_cafo, {"n": 5}), ("smooth-caso", smooth_caso, {"n": 5}),
         ):
+            one = MethodRequest(method, (s,), smooth_n=5)
             # the model's batched pass plus the batched raw-loss pass of the
             # result; smoothed methods add the batched clean pass at the sample
             model = 2 if method.startswith("smooth") else 1
             assert passes(lambda: fn(s, relu_net, 1e-3, **kwargs)) == (model + 1, model + 1, 0)
             # the whole grid is one stack with one raw-loss pass; each
             # refinement (lam1 = 50 and 25 stay all zero) is a solve of its own
-            assert passes(lambda: sweep(s, relu_net, method, grid=grid, max_refinements=0,
-                                        **kwargs)) == (model + 1, model + 1, 0)
-            assert passes(lambda: sweep(s, relu_net, method, grid=(100.0,), max_refinements=2,
-                                        eta_range=(0.0, 1e-9), **kwargs)) == (
-                model + 3, model + 3, 0)
+            assert passes(lambda: lambda1_sweep(relu_net, one, grid=grid, max_refinements=0)) == (
+                model + 1, model + 1, 0)
+            assert passes(lambda: lambda1_sweep(relu_net, one, grid=(100.0,), max_refinements=2,
+                                                eta_range=(0.0, 1e-9))) == (model + 3, model + 3, 0)
 
     def test_baseline_passes(self, relu_net, monkeypatch):
         counts = count_calls(monkeypatch, nc, [

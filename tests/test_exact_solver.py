@@ -27,8 +27,7 @@ from casokit import interpret, solver
 from casokit import netcore as nc
 
 SPARSE = ("cafo", "caso", "smooth-cafo", "smooth-caso")
-SMOOTH = {"n": 4, "sigma": 0.2}
-KNOBS = {"smooth_n": 4, "smooth_sigma": 0.2}  # SMOOTH as MethodRequest fields
+KNOBS = {"smooth_n": 4, "smooth_sigma": 0.2}
 
 
 def net_of(kind):
@@ -85,8 +84,8 @@ def test_requests_and_sweeps_are_exact(kind, method):
         results = run_request(net, MethodRequest(method, rows, (7, 8, 9), lam1=lam1, **KNOBS))
         check_exact([objective(net, method, r, s, 7 + i)
                      for i, (r, s) in enumerate(zip(results, rows))], results)
-    out = lambda1_sweep(rows[0], net, method, grid=(0.0, 1e-4, 3e-3, 3e-2, 0.3),
-                        max_refinements=1, seed=3, **SMOOTH)
+    out = lambda1_sweep(net, MethodRequest(method, rows[:1], (3,), **KNOBS),
+                        grid=(0.0, 1e-4, 3e-3, 3e-2, 0.3), max_refinements=1)
     check_exact([objective(net, method, r, rows[0], 3) for r in out.all_results],
                 out.all_results)
     steps = {r.solve.steps for r in out.all_results}
@@ -374,8 +373,8 @@ def test_one_woodbury_base_per_model_and_solve_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted)
     net = net_of("relu")
     rows = samples(5)
-    lambda1_sweep(rows[0], net, "smooth-caso", grid=tuple(np.linspace(0.0, 0.05, 8)),
-                  max_refinements=0, **SMOOTH)
+    lambda1_sweep(net, MethodRequest("smooth-caso", rows[:1], **KNOBS),
+                  grid=tuple(np.linspace(0.0, 0.05, 8)), max_refinements=0)
     assert len(calls) == 1
     calls.clear()
     request = MethodRequest("caso", rows, lam1=1e-3)
@@ -466,8 +465,8 @@ def test_refinements_reuse_the_sweeps_woodbury_base(monkeypatch, kind):
     monkeypatch.setattr(np.linalg, "inv", counted)
     # lam1 = 0 is dense and lam1 = 10 all zero: no grid value lands in the
     # target range, so the sweep halves 10 until one does
-    out = lambda1_sweep(s, net, "smooth-caso", grid=(0.0, 10.0), max_refinements=20, seed=3,
-                        **SMOOTH)
+    out = lambda1_sweep(net, MethodRequest("smooth-caso", (s,), (3,), **KNOBS),
+                        grid=(0.0, 10.0), max_refinements=20)
     assert len(out.refinements) >= 3 and out.target_met
     assert len(calls) == 1
     for r in out.all_results:  # as one solve per lam1, each with a system of its own

@@ -375,7 +375,7 @@ class TestLambda1Sweep:
     def test_default_grid(self, desk_setup):
         net, full, he = desk_setup
         s = Sample(x=full.X[he[0]], y=int(full.labels[he[0]]))
-        out = lambda1_sweep(s, net)
+        out = lambda1_sweep(net, MethodRequest("cafo", (s,)))
         assert out.grid == DEFAULT_LAMBDA1_GRID
         assert out.eta_range == (0.75, 1.0)
 
@@ -388,7 +388,7 @@ class TestLambda1Sweep:
         s = Sample(x=np.zeros(20), y=0)
         g = input_gradient(net, s.x, 0)
         assert np.array_equal(g, t)
-        out = lambda1_sweep(s, net, method="cafo")
+        out = lambda1_sweep(net, MethodRequest("cafo", (s,)))
         # grid: lam1=0 dense, every value >= 1e-5 all-zero; halving from 1e-5
         assert [r.eta for r in out.results] == [0.0] + [1.0] * 7
         assert [r.lam1 for r in out.refinements] == [5e-6, 2.5e-6, 1.25e-6, 6.25e-7]
@@ -402,7 +402,7 @@ class TestLambda1Sweep:
         hits = 0
         for i in he[:8]:
             s = Sample(x=full.X[i], y=int(full.labels[i]))
-            out = lambda1_sweep(s, net, method="cafo")
+            out = lambda1_sweep(net, MethodRequest("cafo", (s,)))
             if not out.target_met:
                 continue
             hits += 1
@@ -419,7 +419,7 @@ class TestLambda1Sweep:
         met = 0
         for i in he[:20]:
             s = Sample(x=full.X[i], y=int(full.labels[i]))
-            out = lambda1_sweep(s, net, method="cafo")
+            out = lambda1_sweep(net, MethodRequest("cafo", (s,)))
             if out.target_met:
                 assert 0.75 <= out.selected.eta < 1.0
                 met += 1
@@ -428,27 +428,34 @@ class TestLambda1Sweep:
     def test_caso_sweep_runs(self, desk_setup):
         net, full, he = desk_setup
         s = Sample(x=full.X[he[1]], y=int(full.labels[he[1]]))
-        out = lambda1_sweep(s, net, method="caso", seed=1)
+        out = lambda1_sweep(net, MethodRequest("caso", (s,), (1,)))
         assert len(out.results) == len(DEFAULT_LAMBDA1_GRID)
         assert all(r.method == "caso" for r in out.results)
 
     def test_validation(self, relu_net):
         s = Sample(x=np.zeros(8), y=0)
+        one = MethodRequest("cafo", (s,))
         with pytest.raises(ValueError):
-            lambda1_sweep(s, relu_net, method="grad")
+            lambda1_sweep(relu_net, one.replace(method="grad"))
         with pytest.raises(ValueError):
-            lambda1_sweep(s, relu_net, grid=())
+            lambda1_sweep(relu_net, one, grid=())
         with pytest.raises(ValueError):
-            lambda1_sweep(s, relu_net, grid=(1e-3, 1e-4))
+            lambda1_sweep(relu_net, one, grid=(1e-3, 1e-4))
         with pytest.raises(ValueError):
-            lambda1_sweep(s, relu_net, grid=(-1e-3, 1e-4))
+            lambda1_sweep(relu_net, one, grid=(-1e-3, 1e-4))
         with pytest.raises(ValueError):
-            lambda1_sweep(s, relu_net, eta_range=(0.9, 0.5))
+            lambda1_sweep(relu_net, one, eta_range=(0.9, 0.5))
         with pytest.raises(ValueError, match="max_refinements must be nonnegative"):
-            lambda1_sweep(s, relu_net, max_refinements=-1)
-        # the sweep's knobs are named: n, sigma and seed, not a request's fields
+            lambda1_sweep(relu_net, one, max_refinements=-1)
+        # the request carries every knob; the sweep takes none of its own
         with pytest.raises(TypeError, match="unexpected keyword argument 'smooth_n'"):
-            lambda1_sweep(s, relu_net, smooth_n=3)
+            lambda1_sweep(relu_net, one, smooth_n=3)
+        # a sweep solves one sample with a sparse method
+        for method in ("smoothgrad", "integrated-gradients"):
+            with pytest.raises(ValueError, match="unknown sweep method"):
+                lambda1_sweep(relu_net, one.replace(method=method))
+        with pytest.raises(ValueError, match="a sweep takes one sample, not 2"):
+            lambda1_sweep(relu_net, one.replace(samples=(s, s), seeds=None))
 
 
 class TestMethodRequest:
