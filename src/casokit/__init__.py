@@ -102,13 +102,10 @@ _EXPORTS = {
     ),
     "saliency_io": (
         "dataset_load",
-        "dataset_load_raw",
         "dataset_save_csv",
         "model_load",
         "model_save",
         "normalize_for_display",
-        "read_f32_tensor",
-        "read_labels",
         "write_csv_rows",
         "write_f64_tensor",
         "write_pgm",

@@ -57,7 +57,6 @@ try:
     from .netcore import LayerSpec, NetworkSpec, init_network, make_blobs, train_sgd
     from .saliency_io import (
         dataset_load,
-        dataset_load_raw,
         dataset_save_csv,
         model_load,
         model_save,
@@ -191,12 +190,6 @@ def _write_json(path, doc):
         fh.write(json.dumps(doc, indent=1, sort_keys=True).encode() + b"\n")
 
 
-def _load_data(args):
-    if getattr(args, "labels", None) is not None:
-        return dataset_load_raw(args.data, args.labels)
-    return dataset_load(args.data)
-
-
 def _geometry(args, dim):
     """Resolve (width, height) for display, inferring a square image when
     neither is given."""
@@ -284,7 +277,7 @@ def cmd_interpret(args, out, stage):
     import threading
 
     net = model_load(args.model)
-    dataset = _load_data(args)
+    dataset = dataset_load(args.data)
     indices = args.samples
     w, h = _geometry(args, dataset.dim)
     # only noise draws read a seed; the others skip importing numpy.random
@@ -352,7 +345,7 @@ def cmd_interpret(args, out, stage):
 
 def cmd_sweep(args, out, stage):
     net = model_load(args.model)
-    dataset = _load_data(args)
+    dataset = dataset_load(args.data)
     request = MethodRequest(args.method, (dataset.sample(args.sample),), (args.seed,),
                             c1=args.c1, smooth_n=args.smooth_n, smooth_sigma=args.smooth_sigma,
                             channels=args.channels)
@@ -395,7 +388,7 @@ def cmd_gap_study(args, out, stage):
     from .analysis import confidence_gap_study, spearman_rho
 
     net = model_load(args.model)
-    dataset = _load_data(args)
+    dataset = dataset_load(args.data)
     n = dataset.n if args.n_samples is None else args.n_samples
     points = confidence_gap_study(net, dataset, n, c1=args.c1)
     rho = spearman_rho([pt.p_max for pt in points], [pt.gap for pt in points])
@@ -465,9 +458,7 @@ def _add_common(sp, seed=True):
 def _add_model_data(sp):
     sp.add_argument("--model", type=existing_file, required=True, help="model JSON")
     sp.add_argument("--data", type=existing_file, required=True,
-                    help="dataset CSV, or raw f32 tensor when --labels is given")
-    sp.add_argument("--labels", type=existing_file,
-                    help="sidecar label file for a raw tensor dataset")
+                    help="dataset CSV, label in the last column")
 
 
 def _add_geometry(sp):

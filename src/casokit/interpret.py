@@ -112,7 +112,8 @@ def sparsity_ratio(delta, channels_per_pixel=1):
 
 def _finish(net, request, models, lam1s, solves):
     """Wrap the solves of a request's samples, one per sample; one batched
-    forward pass at the perturbed inputs gives every raw loss change."""
+    forward pass at the perturbed inputs gives every raw loss change, and
+    an all-zero map's is exactly 0, not the rounding between two passes."""
     samples = request.samples
     X = np.stack([s.x for s in samples])
     D = np.stack([res.delta for res in solves])
@@ -124,7 +125,7 @@ def _finish(net, request, models, lam1s, solves):
             eta=sparsity_ratio(res.delta, request.channels),
             p_max=float(model.probs.max()),
             loss_gain=res.objective_value,
-            raw_loss_delta=float(loss - model.loss),
+            raw_loss_delta=float(loss - model.loss) if res.delta.any() else 0.0,
             lam1=float(lam1),
             lam2=float(model.lam2),
             solve=res,

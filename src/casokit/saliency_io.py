@@ -6,10 +6,8 @@ percentile, clipping to [0, 1] and rounding 255 times that half up. The
 pixels are written as binary (P5) PGM at maxval 255. Models round-trip
 bitwise through JSON, the canonical format; model_load keeps a binary
 copy of the weights next to the JSON so that later loads skip the parse,
-trusted while the JSON's stat still matches. Datasets come either from
-CSV (label in the last column), which dataset_load caches the same way,
-or from a raw little-endian float32 tensor with an 8-byte header plus a
-sidecar label file.
+trusted while the JSON's stat still matches. Datasets are CSV (label in
+the last column), which dataset_load caches the same way.
 """
 
 from __future__ import annotations
@@ -426,38 +424,11 @@ def dataset_save_csv(dataset, path):
 
 
 _TENSOR_HEADER = struct.Struct("<II")
-_LABEL_HEADER = struct.Struct("<I")
-
-
-def _read_raw(path, header, dtype, what):
-    """Read a raw file: the header's u32 fields, then exactly their product
-    of little-endian dtype items, returned with the header's shape."""
-    data = _read_bytes(path)
-    if len(data) < header.size:
-        raise FormatError(f"{what} file shorter than its header", path=path, offset=len(data))
-    shape = header.unpack_from(data)
-    expect = header.size + math.prod(shape) * np.dtype(dtype).itemsize
-    if len(data) != expect:
-        raise FormatError(
-            f"{what} payload is {len(data)} bytes, header implies {expect}",
-            path=path,
-            offset=min(len(data), expect),
-        )
-    return np.frombuffer(data, dtype=dtype, offset=header.size).reshape(shape)
-
-
-def read_f32_tensor(path):
-    """Raw tensor: u32 count, u32 dim, then count x dim finite little-endian f32."""
-    X = _read_raw(path, _TENSOR_HEADER, "<f4", "tensor")
-    bad = np.flatnonzero(~np.isfinite(X))
-    if bad.size:
-        raise FormatError(f"tensor value {X.flat[bad[0]]} is not finite", path=path,
-                          offset=_TENSOR_HEADER.size + 4 * int(bad[0]))
-    return X.astype(np.float64)
 
 
 def write_f64_tensor(path, X):
-    """read_f32_tensor's layout with a float64 payload; a vector is one row."""
+    """Raw tensor: u32 count, u32 dim, then count x dim little-endian f64;
+    a vector is one row."""
     X = np.ascontiguousarray(np.asarray(X, dtype="<f8"))
     if X.ndim == 1:
         X = X[None, :]
@@ -465,29 +436,6 @@ def write_f64_tensor(path, X):
         raise DimensionError("tensor must be 1-d or 2-d")
     with open(path, "wb") as fh:
         fh.write(_TENSOR_HEADER.pack(X.shape[0], X.shape[1]) + X.tobytes())
-
-
-def read_labels(path):
-    """Label file: u32 count, then count little-endian u32 labels."""
-    return _read_raw(path, _LABEL_HEADER, "<u4", "label").astype(np.int64)
-
-
-def dataset_load_raw(data_path, labels_path):
-    """Load the raw f32 tensor + sidecar label pair as a Dataset.
-
-    Features are upcast to float64; note the f32 storage quantizes. A
-    tensor with no rows or no features is a FormatError at its header field.
-    """
-    X = read_f32_tensor(data_path)
-    for field, (size, what) in enumerate(zip(X.shape, ("rows", "features"))):
-        if size == 0:
-            raise FormatError(f"tensor has no {what}", path=data_path,
-                              offset=4 * field)
-    labels = read_labels(labels_path)
-    if labels.shape[0] != X.shape[0]:
-        raise FormatError(f"{labels.shape[0]} labels for {X.shape[0]} samples",
-                          path=labels_path, offset=0)
-    return Dataset(X, labels)
 
 
 def write_csv_rows(path, fieldnames, rows, provenance=None):

@@ -1,6 +1,6 @@
 """Shared helpers: small random and hand-written networks, finite-difference
-oracles, the dense loss Hessian built layer by layer, readers of the CLI's
-PGM and f64 artifacts, and a writer of raw --data/--labels files.
+oracles, the dense loss Hessian built layer by layer, and readers of the
+CLI's PGM and f64 artifacts.
 
 The finite-difference routines are intentionally naive (loops, one probe
 per coordinate) so they stay an independent check on the analytic code
@@ -41,12 +41,6 @@ def read_f64_tensor(path):
     """A .delta.f64 artifact: u32 count, u32 dim, then little-endian f64 rows."""
     data = Path(path).read_bytes()
     return np.frombuffer(data, "<f8", offset=8).reshape(struct.unpack_from("<II", data))
-
-
-def write_raw_dataset(X, labels, data_path, labels_path):
-    """The --data/--labels pair: u32 count, u32 dim, f32 rows; u32 count, u32 labels."""
-    Path(data_path).write_bytes(struct.pack("<II", *np.shape(X)) + np.asarray(X, "<f4").tobytes())
-    Path(labels_path).write_bytes(struct.pack("<I", len(labels)) + np.asarray(labels, "<u4").tobytes())
 
 
 def random_relu_net(rng, d=8, hidden=12, c=4):

@@ -26,7 +26,7 @@ from casokit import (
     write_f64_tensor,
     write_pgm,
 )
-from conftest import read_f64_tensor, read_pgm, write_raw_dataset
+from conftest import read_f64_tensor, read_pgm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,6 +99,17 @@ class TestParsing:
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["interpret", "sweep", "gap-study"])
+    def test_labels_flag_is_gone(self, workspace, tmp_path, capsys, command):
+        # CSV is the one dataset format: no raw tensor and label pair
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--model", workspace["model"], "--data", workspace["data"],
+                 "--labels", "x", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --labels x" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag,value,message", [
         ("interpret", "--samples", "0,1.5", "bad integer list: '0,1.5'"),
@@ -315,31 +326,6 @@ class TestInterpret:
             run(argv + [flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_raw_tensor_input(self, workspace, tmp_path, capsys):
-        data = dataset_load(workspace["data"])
-        write_raw_dataset(data.X, data.labels, tmp_path / "d.f32", tmp_path / "d.labels")
-        code = run([
-            "interpret", "--model", workspace["model"],
-            "--data", str(tmp_path / "d.f32"), "--labels", str(tmp_path / "d.labels"),
-            "--method", "grad", "--samples", "3", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        assert (tmp_path / "sample3.pgm").exists()
-
-    @pytest.mark.parametrize("command, shape, message, offset", [
-        ("gap-study", (0, 3), "tensor has no rows", 0),
-        ("interpret", (2, 0), "tensor has no features", 4),
-    ], ids=["gap-study", "interpret"])
-    def test_raw_tensor_without_rows_or_features(self, workspace, tmp_path, capsys,
-                                                 command, shape, message, offset):
-        data, labels = tmp_path / "d.f32", tmp_path / "d.labels"
-        write_raw_dataset(np.zeros(shape), [0] * shape[0], data, labels)
-        code = run([command, "--model", workspace["model"], "--data", str(data),
-                    "--labels", str(labels), "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message} ({data}, byte {offset})\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_sample_index_is_runtime_error(self, workspace, tmp_path, capsys):

@@ -3,16 +3,21 @@ make_golden.py wrote it, recomputed and compared.
 
 Floats agree to a relative 1e-12, which BLAS summation order on any
 machine stays within; an exact zero must stay exactly zero (every lam1 the
-corpus solves at sits away from a support breakpoint). A raw_loss_delta is
-the difference of two losses near 1, so it carries their rounding: it
-agrees to an absolute 1e-12 instead, zero or not. Integers, strings,
-booleans and None must be equal.
+corpus solves at sits away from a support breakpoint). A raw_loss_delta of
+a nonzero map is the difference of two losses near 1, so it carries their
+rounding: it agrees to an absolute 1e-12 instead. An all-zero map's is
+exactly 0, which its own test checks. Integers, strings, booleans and None
+must be equal.
 """
 
 import json
 import math
 
-from make_golden import GOLDEN, golden_values
+import pytest
+
+from make_golden import GOLDEN, GRID, _one_sample, _requests, build, golden_values
+
+from casokit import lambda1_sweep
 
 RTOL = 1e-12
 ATOL = {"raw_loss_delta": 1e-12}
@@ -44,3 +49,17 @@ def test_every_value_matches_the_corpus():
     got = json.loads(json.dumps(golden_values()))
     bad = _mismatches(want, got)
     assert not bad, f"{len(bad)} values moved:\n" + "\n".join(bad[:20])
+
+
+@pytest.mark.parametrize("name, method, sample, point", [
+    ("relu", "cafo", 2, 5),
+    ("sigmoid-relu", "smooth-caso", 1, 5),
+])
+def test_all_zero_map_changes_the_loss_by_exactly_zero(name, method, sample, point):
+    # the losses at x and at x + 0 come from two forward passes, whose
+    # difference read -2.2e-16 and -4.4e-16 on these corpus sweep points
+    nets, data = build()
+    one = _one_sample(_requests(name, tuple(data.sample(i) for i in range(3)))[method])[sample]
+    res = lambda1_sweep(nets[name], one, GRID).results[point]
+    assert not res.delta.any()
+    assert res.raw_loss_delta == 0.0

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import read_f64_tensor, read_pgm, write_raw_dataset
+from conftest import read_f64_tensor, read_pgm
 
 from casokit import saliency_io
 from casokit import (
@@ -30,14 +30,11 @@ from casokit import (
     LayerSpec,
     NetworkSpec,
     dataset_load,
-    dataset_load_raw,
     dataset_save_csv,
     init_network,
     model_load,
     model_save,
     normalize_for_display,
-    read_f32_tensor,
-    read_labels,
     write_csv_rows,
     write_f64_tensor,
     write_pgm,
@@ -1190,29 +1187,6 @@ class TestSidecarTrust:
 
 
 class TestRawTensors:
-    def test_f32_round_trip_quantizes(self, tmp_path):
-        rng = np.random.default_rng(21)
-        X = rng.standard_normal((6, 4))
-        path = tmp_path / "x.f32"
-        write_raw_dataset(X, [], path, tmp_path / "y.labels")
-        loaded = read_f32_tensor(path)
-        assert np.array_equal(loaded, X.astype("<f4").astype(np.float64))
-
-    def test_f32_header_and_size(self, tmp_path):
-        path = tmp_path / "x.f32"
-        path.write_bytes(b"\x03\x00\x00\x00\x02\x00\x00\x00" + np.arange(6, dtype="<f4").tobytes())
-        assert read_f32_tensor(path).tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-
-    def test_f32_truncated(self, tmp_path):
-        path = tmp_path / "x.f32"
-        write_raw_dataset(np.zeros((3, 2)), [], path, tmp_path / "y.labels")
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(FormatError):
-            read_f32_tensor(path)
-        path.write_bytes(b"\x01")
-        with pytest.raises(FormatError, match="header"):
-            read_f32_tensor(path)
-
     def test_f64_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(22)
         X = rng.standard_normal((5, 3))
@@ -1226,129 +1200,22 @@ class TestRawTensors:
         write_f64_tensor(path, np.array([1.0, 2.0, 3.0]))
         assert read_f64_tensor(path).shape == (1, 3)
 
-    def test_labels_round_trip(self, tmp_path):
-        path = tmp_path / "y.labels"
-        write_raw_dataset(np.zeros((6, 1)), [0, 3, 2, 2, 9, 2**32 - 1], tmp_path / "x.f32", path)
-        loaded = read_labels(path)
-        assert loaded.dtype == np.int64
-        assert loaded.tolist() == [0, 3, 2, 2, 9, 2**32 - 1]
-
-    def test_labels_truncated(self, tmp_path):
-        path = tmp_path / "t.labels"
-        write_raw_dataset(np.zeros((3, 1)), [1, 2, 3], tmp_path / "x.f32", path)
-        path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(FormatError):
-            read_labels(path)
-
-    def test_dataset_raw_round_trip(self, tmp_path):
-        rng = np.random.default_rng(23)
-        data = Dataset(X=rng.standard_normal((7, 3)), labels=rng.integers(0, 5, 7))
-        write_raw_dataset(data.X, data.labels, tmp_path / "d.f32", tmp_path / "d.labels")
-        loaded = dataset_load_raw(tmp_path / "d.f32", tmp_path / "d.labels")
-        assert np.array_equal(loaded.X, data.X.astype("<f4").astype(np.float64))
-        assert np.array_equal(loaded.labels, data.labels)
-
-    def test_dataset_raw_count_mismatch(self, tmp_path):
-        rng = np.random.default_rng(24)
-        write_raw_dataset(rng.standard_normal((4, 2)), [0, 1], tmp_path / "d.f32",
-                          tmp_path / "short.labels")
-        with pytest.raises(FormatError, match="labels for"):
-            dataset_load_raw(tmp_path / "d.f32", tmp_path / "short.labels")
-
-
-@st.composite
-def _raw_file(draw, fields, items):
-    """Bytes of a raw file: fields u32 header fields (small, or any u32),
-    then the payload they imply from items (at most 24 of them), left
-    whole, cut short, or padded with junk."""
-    shape = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**32 - 1),
-                          min_size=fields, max_size=fields))
-    blob = struct.pack(f"<{fields}I", *shape)
-    blob += b"".join(draw(st.lists(items, min_size=min(math.prod(shape), 24),
-                                   max_size=min(math.prod(shape), 24))))
-    edit = draw(st.sampled_from(["whole", "cut", "pad"]))
-    if edit == "cut":
-        return blob[:draw(st.integers(0, max(len(blob) - 1, 0)))]
-    if edit == "pad":
-        return blob + draw(st.binary(min_size=1, max_size=9))
-    return blob
-
-
-_F32 = st.binary(min_size=4, max_size=4)  # any bit pattern: NaNs and infinities too
-_U32 = st.integers(0, 2**32 - 1).map(lambda v: struct.pack("<I", v))
-
-
-def _raw_outcome(load, *paths):
-    """The loaded value, or a FormatError, which must name one of the paths
-    and a byte offset."""
-    try:
-        return load(*paths)
-    except FormatError as e:
-        assert e.path in paths and e.offset is not None, str(e)
-        return e
-
-
-class TestRawReadersFuzz:
-    """Every raw file the readers reject raises FormatError with its path
-    and a byte offset; every file they accept is its header's shape."""
-
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(blob=_raw_file(2, _F32))
-    @example(blob=b"\x01\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\xc0\x7f")
-    @example(blob=b"\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x80\xff")
-    @example(blob=b"\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x80\x7f")  # a signaling NaN
-    @example(blob=b"\x02\x00\x00\x00\x00\x00\x00\x00")  # 2 x 0
-    @example(blob=b"\xff\xff\xff\xff\xff\xff\xff\xff")
-    def test_tensor(self, tmp_path, blob):
-        path = tmp_path / "x.f32"
-        path.write_bytes(blob)
-        got = _raw_outcome(read_f32_tensor, path)
-        shape = struct.unpack_from("<II", blob) if len(blob) >= 8 else None
-        if shape is None or len(blob) != 8 + 4 * math.prod(shape):
-            assert isinstance(got, FormatError)
-            assert got.offset <= len(blob)
-            return
-        expect = np.frombuffer(blob, "<f4", offset=8)
-        if not np.isfinite(expect).all():
-            assert isinstance(got, FormatError)
-            assert got.offset == 8 + 4 * int(np.flatnonzero(~np.isfinite(expect))[0])
-        else:
-            assert got.tobytes() == expect.astype(np.float64).tobytes() and got.shape == shape
-
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(blob=_raw_file(1, _U32))
-    def test_labels(self, tmp_path, blob):
-        path = tmp_path / "y.labels"
-        path.write_bytes(blob)
-        got = _raw_outcome(read_labels, path)
-        if len(blob) < 4 or len(blob) != 4 + 4 * struct.unpack_from("<I", blob)[0]:
-            assert isinstance(got, FormatError)
-            assert got.offset <= len(blob)
-        else:
-            assert got.tolist() == list(struct.unpack_from(f"<{len(blob) // 4 - 1}I", blob, 4))
-
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(x=_raw_file(2, _F32 | st.floats(width=32).map(lambda v: struct.pack("<f", v))),
-           y=_raw_file(1, st.integers(0, 9).map(lambda v: struct.pack("<I", v))))
-    def test_dataset(self, tmp_path, x, y):
-        (tmp_path / "d.f32").write_bytes(x)
-        (tmp_path / "d.labels").write_bytes(y)
-        got = _raw_outcome(dataset_load_raw, tmp_path / "d.f32", tmp_path / "d.labels")
-        try:
-            X, labels = read_f32_tensor(tmp_path / "d.f32"), read_labels(tmp_path / "d.labels")
-        except FormatError:
-            assert isinstance(got, FormatError)
-            return
-        if 0 in X.shape:  # no rows or no features: the header field that says so
-            assert isinstance(got, FormatError)
-            assert (got.path, got.offset) == (tmp_path / "d.f32", 4 * X.shape.index(0))
-        elif len(labels) != len(X):
-            assert isinstance(got, FormatError)
-        else:
-            assert got.X.tobytes() == X.tobytes() and got.labels.tolist() == labels.tolist()
+    def test_readme_converts_a_raw_pair_to_csv(self, tmp_path, monkeypatch):
+        # the float32 tensor and u32 label pair --labels once read: its
+        # features widened to float64 and its labels, bit for bit
+        X = np.random.default_rng(21).standard_normal((6, 4)).astype("<f4")
+        X.flat[:4] = [-0.0, np.finfo("<f4").smallest_subnormal, np.finfo("<f4").max, 1e-30]
+        y = np.array([0, 3, 2, 9, 0, 2**32 - 1], "<u4")
+        (tmp_path / "X.f32").write_bytes(struct.pack("<II", *X.shape) + X.tobytes())
+        (tmp_path / "y.labels").write_bytes(struct.pack("<I", len(y)) + y.tobytes())
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Raw dataset files are gone"):]
+        recipe = section[section.index("```python\n") + 10:section.index("```\n\n")]
+        monkeypatch.chdir(tmp_path)
+        exec(recipe, {})
+        loaded = dataset_load(tmp_path / "data.csv")
+        assert loaded.X.tobytes() == X.astype(np.float64).tobytes()
+        assert loaded.labels.dtype == np.int64 and loaded.labels.tolist() == y.tolist()
 
 
 _DIMS = st.sampled_from([0, -1, 1.5, 2.0, True, None, "3", 10**20]) | st.integers(1, 5)
