@@ -1239,6 +1239,22 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: not UTF-8 text") and f"{bad}, line 1, byte 0" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("f0,label\n# a comment\n\n", "no data rows found"),
+        ("1\n2\n", "rows need at least one feature and a label"),
+    ], ids=["no-rows", "no-features"])
+    @pytest.mark.parametrize("command", ["train", "interpret", "sweep", "gap-study"])
+    def test_dataset_without_rows_or_features(self, workspace, tmp_path, capsys,
+                                              command, text, message):
+        # every command that reads --data refuses it before creating --out
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        model = [] if command == "train" else ["--model", workspace["model"]]
+        code = run([command, *model, "--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message} ({data})\n"
+        assert not (tmp_path / "out").exists()
+
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -1200,6 +1200,36 @@ class TestRawTensors:
         write_f64_tensor(path, np.array([1.0, 2.0, 3.0]))
         assert read_f64_tensor(path).shape == (1, 3)
 
+    def test_f64_refuses_more_than_two_dims(self, tmp_path):
+        path = tmp_path / "x.f64"
+        for shape in ((2, 2, 2), (1, 1, 1, 1)):
+            with pytest.raises(DimensionError, match="1-d or 2-d"):
+                write_f64_tensor(path, np.zeros(shape))
+            assert not path.exists()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(X=hnp.arrays("<u8", hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5))
+           .map(lambda a: a.view("<f8")))
+    def test_f64_keeps_every_bit_pattern(self, tmp_path, X):
+        # NaN payloads, signed zeros, infinities and empty shapes included
+        path = tmp_path / "x.f64"
+        write_f64_tensor(path, X)
+        assert path.read_bytes() == struct.pack("<II", *X.shape) + X.tobytes()
+
+    @pytest.mark.parametrize("X", [
+        np.array([[0.1, -2.5], [3e38, 1e-45]], "<f4"),
+        np.array([[0.1, -0.0], [np.inf, 5e-324]], ">f8"),
+        np.array([[1, -2], [2**53 + 1, 7]], np.int64),
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        np.arange(12.0).reshape(3, 4)[::2, 1::2],
+    ], ids=["float32", "big-endian", "int64", "fortran-order", "strided"])
+    def test_f64_writes_any_array_as_its_float64_values(self, tmp_path, X):
+        path = tmp_path / "x.f64"
+        write_f64_tensor(path, X)
+        assert read_f64_tensor(path).tobytes() == X.astype(np.float64).tobytes()
+        assert read_f64_tensor(path).shape == X.shape
+
     def test_readme_converts_a_raw_pair_to_csv(self, tmp_path, monkeypatch):
         # the float32 tensor and u32 label pair --labels once read: its
         # features widened to float64 and its labels, bit for bit
