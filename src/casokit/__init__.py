@@ -76,6 +76,7 @@ _EXPORTS = {
         "smooth_cafo",
         "smooth_caso",
         "smoothgrad",
+        "sparse_models",
         "sparsity_ratio",
         "vanilla_gradient",
     ),

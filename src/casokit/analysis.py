@@ -30,8 +30,8 @@ import numpy as np
 from ._record import Record
 from .errors import DimensionError
 from .hessian import _TINY, hessian_eig, rank_one_approx, rel_error, softmax_factor
-from .interpret import MethodRequest, _chunks, _sparse_models
-from .solver import DEFAULT_C1, closed_form_cafo, exact_solve, select_lambda2
+from .interpret import MethodRequest, sparse_models
+from .solver import DEFAULT_C1, closed_form_cafo, select_lambda2
 
 log = logging.getLogger(__name__)
 
@@ -137,9 +137,9 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     """Normalized distance between the curvature-aware and curvature-free
     maps at lam1 = 0 across dataset samples, on any net.
 
-    Each sample's CurvatureModel is the one `caso` solves against, built a
-    chunk of samples at a time as interpret._chunks splits a caso request;
-    lam2 takes its exact curvature bound. The CAFO map comes from its
+    Each sample's CurvatureModel is the one `caso` solves against, from
+    interpret.sparse_models, which holds one chunk of samples' models at a
+    time; lam2 takes its exact curvature bound. The CAFO map comes from its
     closed form and the CASO map from the model's exact lam1 = 0 solve,
     (2 lam2 I - H)^{-1} g; both are normalized to unit L2, and the gap is
     the norm of their difference (in [0, 2]). Samples with an exactly zero
@@ -152,28 +152,22 @@ def confidence_gap_study(net, dataset, n_samples, c1=DEFAULT_C1):
     request = MethodRequest("caso", [dataset.sample(i) for i in range(count)], c1=c1)
     lam2_cafo = select_lambda2(0.0, c1)
     rows = []
-    start = 0
-    for part in _chunks(net, request):
-        for i, model in enumerate(_sparse_models(net, part), start):
-            g = model.gradient
-            if np.linalg.norm(g) == 0.0:
-                log.info("sample %d has zero gradient; skipped", i)
-                continue
-            d_caso = exact_solve(g, 0.0, model.lam2, model.factor, model.middle,
-                                 model.inverse, model.curvature_floor).delta
-            d_cafo = closed_form_cafo(g, lam2_cafo)
-            with np.errstate(over="ignore"):
-                squares = (d_caso @ d_caso, d_cafo @ d_cafo)
-            if not all(_TINY <= sq < np.inf for sq in squares):
-                raise ValueError(f"sample {i}: no finite gap, as a map's squared norm "
-                                 f"underflows or overflows at c1 = {c1}")
-            u = d_caso / np.linalg.norm(d_caso)
-            v = d_cafo / np.linalg.norm(d_cafo)
-            rows.append(
-                GapPoint(sample_id=i, p_max=float(model.probs.max()),
-                         gap=float(np.linalg.norm(u - v)))
-            )
-        start += len(part.samples)
+    for i, model in enumerate(sparse_models(net, request)):
+        g = model.gradient
+        if np.linalg.norm(g) == 0.0:
+            log.info("sample %d has zero gradient; skipped", i)
+            continue
+        d_caso = model.solve(0.0).delta
+        d_cafo = closed_form_cafo(g, lam2_cafo)
+        with np.errstate(over="ignore"):
+            squares = (d_caso @ d_caso, d_cafo @ d_cafo)
+        if not all(_TINY <= sq < np.inf for sq in squares):
+            raise ValueError(f"sample {i}: no finite gap, as a map's squared norm "
+                             f"underflows or overflows at c1 = {c1}")
+        u = d_caso / np.linalg.norm(d_caso)
+        v = d_cafo / np.linalg.norm(d_cafo)
+        rows.append(GapPoint(sample_id=i, p_max=float(model.probs.max()),
+                             gap=float(np.linalg.norm(u - v))))
     if count and not rows:
         raise ValueError(f"none of the {count} samples has a nonzero input gradient (the loss "
                          "is flat in the input there, as when the relu units are off), so no "

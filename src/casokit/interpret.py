@@ -6,10 +6,11 @@ strongly concave surrogate from the solver module. Smooth variants
 average the gradient and Hessian over seeded Gaussian input noise before
 solving. All four sparse methods first build one CurvatureModel
 (g, F, C, lam2, base) per sample, H = F C F^T being the exact curvature
-(0 for CAFO), and then solve against it. One MethodRequest names a run:
-the method, its samples with their noise seeds, and the knobs;
-chunk_results builds the models of a chunk of its samples together, and
-a lam1 sweep solves its whole grid against one model, one map at a time.
+(0 for CAFO), and then solve against it (CurvatureModel.solve). One
+MethodRequest names a run: the method, its samples with their noise
+seeds, and the knobs; sparse_models builds its models a chunk of samples
+at a time, chunk_results solves each against its lam1, and a lam1 sweep
+solves its whole grid against one model, one map at a time.
 The gradient baselines (vanilla gradient, SmoothGrad, integrated
 gradients) are included for comparison; note the deliberate asymmetry
 that integrated gradients accumulates the loss gradient while the
@@ -21,6 +22,8 @@ zeros so this is well defined.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -110,10 +113,12 @@ def sparsity_ratio(delta, channels_per_pixel=1):
     return float(np.all(pix == 0.0, axis=1).mean())
 
 
-def _finish(net, request, models, lam1s, solves):
-    """Wrap the solves of a request's samples, one per sample; one batched
+def _finish(net, request, models, lam1s):
+    """Solve each of a request's samples against its model at its lam1
+    (samples and models may repeat) and wrap the solves; one batched
     forward pass at the perturbed inputs gives every raw loss change, and
     an all-zero map's is exactly 0, not the rounding between two passes."""
+    solves = [m.solve(lam1) for m, lam1 in zip(models, lam1s, strict=True)]
     samples = request.samples
     X = np.stack([s.x for s in samples])
     D = np.stack([res.delta for res in solves])
@@ -167,6 +172,11 @@ class CurvatureModel(Record):
     def hvp(self, V):
         """H V, for a vector or an (m, d) stack of rows."""
         return curvature_product(self.factor, self.middle, V)
+
+    def solve(self, lam1):
+        """The exact maximizer of the surrogate at lam1 (solver.exact_solve)."""
+        return exact_solve(self.gradient, lam1, self.lam2, self.factor, self.middle,
+                           self.inverse, self.curvature_floor)
 
 
 def _factor_width(net):
@@ -294,30 +304,23 @@ def _noise_inputs(xs, n, sigma, seeds):
             for x, seed in zip(xs, seeds)]
 
 
-def _sparse_models(net, request):
-    """The CurvatureModels a sparse request solves against, one per sample,
-    built in one pass.
+def sparse_models(net, request):
+    """Yield the CurvatureModels of a sparse request, one per sample in
+    sample order, building a chunk's (see _chunks) only when iteration
+    reaches it.
 
     Smoothed methods expand each sample at smooth_n noisy copies drawn
     from its seed, or at the sample itself when smooth_sigma = 0; the
     others expand at the sample. Knobs the method does not use are
     ignored; lam2 = L/2 + c1.
     """
-    r = request
-    smoothed, second_order = SPARSE_METHODS[r.method]
-    points = (_noise_inputs([s.x for s in r.samples], r.smooth_n, r.smooth_sigma, r.seeds)
-              if smoothed else None)
-    return curvature_models(net, r.samples, points, second_order, r.c1)
-
-
-def _solve_models(net, request, models, lam1s):
-    """Maximize the surrogates of a request's samples, one CurvatureModel
-    and one lam1 per sample, each exactly by exact_solve; samples and
-    models may repeat."""
-    solves = [exact_solve(m.gradient, lam1, m.lam2, m.factor, m.middle, m.inverse,
-                          m.curvature_floor)
-              for m, lam1 in zip(models, lam1s, strict=True)]
-    return _finish(net, request, models, lam1s, solves)
+    if request.method not in SPARSE_METHODS:
+        raise ValueError(f"{request.method!r} is not a sparse method")
+    smoothed, second_order = SPARSE_METHODS[request.method]
+    for r in _chunks(net, request):
+        points = (_noise_inputs([s.x for s in r.samples], r.smooth_n, r.smooth_sigma, r.seeds)
+                  if smoothed else None)
+        yield from curvature_models(net, r.samples, points, second_order, r.c1)
 
 
 def cafo(sample, net, lam1=0.0, c1=DEFAULT_C1, channels=1):
@@ -499,12 +502,12 @@ def lambda1_sweep(net, request, grid=None, eta_range=(0.75, 1.0), max_refinement
         raise ValueError("eta_range must satisfy 0 <= lo < hi <= 1")
     if max_refinements < 0:
         raise ValueError("max_refinements must be nonnegative")
-    model, = _sparse_models(net, request)
+    model, = sparse_models(net, request)
 
     def solve(lams):
         k = len(lams)
         rows = request.replace(samples=request.samples * k, seeds=request.seeds * k)
-        return _solve_models(net, rows, [model] * k, lams)
+        return _finish(net, rows, [model] * k, lams)
 
     def in_range(r):
         return lo <= r.eta < hi
@@ -615,18 +618,20 @@ def chunk_results(net, request):
     as lists, in sample order.
 
     A sparse method solves a chunk of whole samples at a time (see
-    _chunks): one batched forward pass and two batched backprops (more on
-    sigmoid nets) build the chunk's models, each sample is solved on its
-    own, and one batched forward pass gives their raw loss changes. A
+    _chunks): sparse_models builds the chunk's models with one batched
+    forward pass and two batched backprops (more on sigmoid nets), each
+    sample is solved on its own, and one batched forward pass gives their
+    raw loss changes. A
     gradient baseline runs one sample at a time. Chunking moves the
     results by rounding only.
     """
+    models = sparse_models(net, request) if request.method in SPARSE_METHODS else None
     for part in _chunks(net, request):
-        if request.method not in SPARSE_METHODS:
+        if models is None:
             yield [_run_baseline(net, part)]
         else:
-            yield _solve_models(net, part, _sparse_models(net, part),
-                                [part.lam1] * len(part.samples))
+            k = len(part.samples)
+            yield _finish(net, part, list(itertools.islice(models, k)), [part.lam1] * k)
 
 
 def run_request(net, request):

@@ -428,12 +428,11 @@ _TENSOR_HEADER = struct.Struct("<II")
 
 def write_f64_tensor(path, X):
     """Raw tensor: u32 count, u32 dim, then count x dim little-endian f64;
-    a vector is one row."""
-    X = np.ascontiguousarray(np.asarray(X, dtype="<f8"))
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.ndim != 2:
+    a vector is one row, and any other rank, a scalar's too, a DimensionError."""
+    X = np.asarray(X, dtype="<f8")
+    if X.ndim not in (1, 2):
         raise DimensionError("tensor must be 1-d or 2-d")
+    X = np.ascontiguousarray(np.atleast_2d(X))
     with open(path, "wb") as fh:
         fh.write(_TENSOR_HEADER.pack(X.shape[0], X.shape[1]) + X.tobytes())
 

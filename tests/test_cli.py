@@ -63,6 +63,47 @@ def workspace(tmp_path_factory):
     }
 
 
+def command_argv(command, ws):
+    """A short valid argv of each subcommand, without --out, that reads
+    every option the subcommand defines."""
+    model_data = ["--model", ws["model"], "--data", ws["data"]]
+    return {
+        # no --data: the blob options are read only without it
+        "train": ["train", "--classes", "2", "--dim", "4", "--n-per-class", "4",
+                  "--hidden", "3", "--epochs", "1"],
+        # a noise method: only noise draws read --seed
+        "interpret": ["interpret", *model_data, "--method", "smoothgrad", "--smooth-n", "2",
+                      "--samples", "0"],
+        "sweep": ["sweep", *model_data, "--method", "smooth-cafo", "--smooth-n", "2"],
+        "rank1-sim": ["rank1-sim", "--c", "3", "--d", "4", "--eps", "1e-3"],
+        "gap-study": ["gap-study", *model_data, "--n-samples", "2"],
+        "alignment": ["alignment", "--d", "8", "--classes", "2,3"],
+        "oracle-check": ["oracle-check", "--d", "6", "--support", "1,4"],
+    }[command]
+
+
+# Every removed flag as (command, argv after the command's own, message):
+# --config, the raw dataset's --labels, the solver flags (the solves are
+# exact and run in one thread, and the oracle's dimension cap bounds its
+# enumeration), and the options their commands never read. Before the
+# command, argparse reads a spaced --config file name as the command.
+SOLVER_FLAGS = ("--jobs", "--power-iters", "--lr", "--solver-iters", "--decay",
+                "--max-backtracks", "--max-enumerations")
+REMOVED_FLAGS = [
+    ("root", ["--config=f.json", "train"], "unrecognized arguments: --config=f.json"),
+    ("root", ["--config", "f.json", "train"], "invalid choice: 'f.json'"),
+    *[(command, ["--config", "f.json"], "unrecognized arguments: --config f.json")
+      for command in cli.build_parser()[1]],
+    *[(command, ["--labels", "x"], "unrecognized arguments: --labels x")
+      for command in ("interpret", "sweep", "gap-study")],
+    *[(command, [flag, "1"], f"unrecognized arguments: {flag} 1")
+      for command in ("interpret", "sweep", "oracle-check", "gap-study") for flag in SOLVER_FLAGS],
+    *[(command, [flag, "1"], f"unrecognized arguments: {flag} 1")
+      for command, flag in (("sweep", "--lambda1"), ("sweep", "--ig-steps"),
+                            ("gap-study", "--seed"))],
+]
+
+
 class TestParsing:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -80,35 +121,16 @@ class TestParsing:
             run(["train", "--bogus", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["root", *cli.build_parser()[1]])
-    def test_config_flag_is_gone(self, workspace, tmp_path, capsys, command):
-        # flag defaults come from the command line alone
+    @pytest.mark.parametrize("command,flag_argv,message", REMOVED_FLAGS,
+                             ids=[f"{c}:{a[0]}" for c, a, _ in REMOVED_FLAGS])
+    def test_removed_flag_is_usage_error(self, workspace, tmp_path, capsys, command, flag_argv,
+                                         message):
         out = tmp_path / "out"
-        if command == "root":
-            # before the command, argparse reads a spaced file name as the command
-            cases = [(["--config=f.json", "train"], "unrecognized arguments: --config=f.json"),
-                     (["--config", "f.json", "train"], "invalid choice: 'f.json'")]
-        else:
-            needs_model = command in ("interpret", "sweep", "gap-study")
-            model_data = ["--model", workspace["model"], "--data", workspace["data"]]
-            cases = [([command, *(model_data if needs_model else []), "--config", "f.json"],
-                      "unrecognized arguments: --config f.json")]
-        for argv, message in cases:
-            with pytest.raises(SystemExit) as exc:
-                run(argv + ["--out", str(out)])
-            assert exc.value.code == 2
-            assert message in capsys.readouterr().err
-            assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["interpret", "sweep", "gap-study"])
-    def test_labels_flag_is_gone(self, workspace, tmp_path, capsys, command):
-        # CSV is the one dataset format: no raw tensor and label pair
-        out = tmp_path / "out"
+        argv = [] if command == "root" else command_argv(command, workspace)
         with pytest.raises(SystemExit) as exc:
-            run([command, "--model", workspace["model"], "--data", workspace["data"],
-                 "--labels", "x", "--out", str(out)])
+            run(argv + flag_argv + ["--out", str(out)])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --labels x" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flag,value,message", [
@@ -313,21 +335,6 @@ class TestInterpret:
         for name in ("sample0.pgm", "sample0.delta.f64", "sample0.json", "metrics.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    @pytest.mark.parametrize("command", ["interpret", "sweep", "oracle-check"])
-    @pytest.mark.parametrize("flag", ["--jobs", "--power-iters", "--lr", "--solver-iters",
-                                      "--decay", "--max-backtracks", "--max-enumerations"])
-    def test_removed_flag_is_usage_error(self, workspace, tmp_path, capsys, command, flag):
-        # the solves are exact and run in one thread, and the oracle's
-        # dimension cap bounds its enumeration: no flag tunes them
-        argv = [command, "--out", str(tmp_path / "out")]
-        if command != "oracle-check":
-            argv += ["--model", workspace["model"], "--data", workspace["data"]]
-        with pytest.raises(SystemExit) as exc:
-            run(argv + [flag, "1"])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_bad_sample_index_is_runtime_error(self, workspace, tmp_path, capsys):
         code = run([
             "interpret", "--model", workspace["model"], "--data", workspace["data"],
@@ -525,7 +532,7 @@ class TestStreamedWrites:
     def test_a_failing_chunk_leaves_out_unchanged(self, workspace, tmp_path, capsys,
                                                   monkeypatch):
         before, names = self.prepopulated(workspace, tmp_path, capsys)
-        models, calls = interpret._sparse_models, []
+        models, calls = interpret.curvature_models, []
 
         def second_chunk_fails(*args, **kwargs):
             calls.append(1)
@@ -533,7 +540,7 @@ class TestStreamedWrites:
                 raise ValueError("chunk 2 failed")
             return models(*args, **kwargs)
 
-        monkeypatch.setattr(interpret, "_sparse_models", second_chunk_fails)
+        monkeypatch.setattr(interpret, "curvature_models", second_chunk_fails)
         threads = threading.active_count()
         assert run(self.argv(workspace, "caso", tmp_path)) == 1
         assert capsys.readouterr() == ("", "error: chunk 2 failed\n")
@@ -653,23 +660,6 @@ class TestCommit:
 class TestEveryOptionIsRead:
     """No subcommand defines an option that its command never reads."""
 
-    @staticmethod
-    def argv(command, ws):
-        model_data = ["--model", ws["model"], "--data", ws["data"]]
-        return {
-            # no --data: the blob options are read only without it
-            "train": ["train", "--classes", "2", "--dim", "4", "--n-per-class", "4",
-                      "--hidden", "3", "--epochs", "1"],
-            # a noise method: only noise draws read --seed
-            "interpret": ["interpret", *model_data, "--method", "smoothgrad", "--smooth-n", "2",
-                          "--samples", "0"],
-            "sweep": ["sweep", *model_data, "--method", "smooth-cafo", "--smooth-n", "2"],
-            "rank1-sim": ["rank1-sim", "--c", "3", "--d", "4", "--eps", "1e-3"],
-            "gap-study": ["gap-study", *model_data, "--n-samples", "2"],
-            "alignment": ["alignment", "--d", "8", "--classes", "2,3"],
-            "oracle-check": ["oracle-check", "--d", "6", "--support", "1,4"],
-        }[command]
-
     @pytest.mark.parametrize("command", list(cli.build_parser()[1]))
     def test_every_option_is_read(self, workspace, tmp_path, command):
         reads = set()
@@ -680,7 +670,7 @@ class TestEveryOptionIsRead:
                 return super().__getattribute__(name)
 
         root, parsers = cli.build_parser()
-        args = root.parse_args(self.argv(command, workspace), namespace=Recording())
+        args = root.parse_args(command_argv(command, workspace), namespace=Recording())
         reads.clear()  # parsing reads the namespace too
         args.func(args, str(tmp_path), str(tmp_path))
         # vars(), which _provenance reads every option through, is not a read
@@ -693,11 +683,8 @@ class TestEveryOptionIsRead:
     ])
     def test_unread_options_are_gone(self, workspace, tmp_path, capsys, command, flag,
                                      artifact):
-        argv = [*self.argv(command, workspace), "--out", str(tmp_path / "out")]
-        with pytest.raises(SystemExit) as exc:
-            run(argv + [flag, "1"])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        # that the flag itself is a usage error is a REMOVED_FLAGS row
+        argv = [*command_argv(command, workspace), "--out", str(tmp_path / "out")]
         assert run(argv) == 0
         text = (tmp_path / "out" / artifact).read_text()
         prov = (json.loads(text)["provenance"] if artifact.endswith(".json")

@@ -46,6 +46,7 @@ from casokit import (
     smooth_caso,
     smoothgrad,
     softmax_curvature,
+    sparse_models,
     vanilla_gradient,
 )
 from casokit import cli, interpret, solver
@@ -212,7 +213,7 @@ class TestDenseEquivalence:
             base = np.linalg.inv(2.0 * model.lam2 * np.eye(3 * n) - B.T @ B)
             g = model.gradient
             for lam1 in (0.0, 0.05 * np.abs(g).max(), 0.3 * np.abs(g).max()):
-                got = solver.exact_solve(g, lam1, model.lam2, F, C, model.inverse).delta
+                got = model.solve(lam1).delta
                 ref = solver.exact_solve(g, lam1, model.lam2, B, None, base).delta
                 assert np.abs(got - ref).max() <= 1e-12 * float(np.abs(ref).max())
                 assert np.array_equal(got == 0.0, ref == 0.0)
@@ -257,7 +258,7 @@ class TestDenseEquivalence:
         n, sigma, seed = 7, 0.2, 5
         span = float(x.max() - x.min())
         points = x + sigma * span * np.random.default_rng(seed).standard_normal((n, 6))
-        model, = interpret._sparse_models(sigmoid_net, MethodRequest(
+        model, = sparse_models(sigmoid_net, MethodRequest(
             "smooth-cafo", (s,), (seed,), smooth_n=n, smooth_sigma=sigma))
         g = np.mean([input_gradient(sigmoid_net, z, 2) for z in points], axis=0)
         assert np.allclose(model.gradient, g, rtol=1e-12, atol=0.0)
@@ -410,6 +411,61 @@ class TestClosedFormCurvature:
                     assert all(math.isfinite(v[key]) for key in (
                         "lambda2", "eta", "p_max", "loss_gain", "raw_loss_delta"))
         capsys.readouterr()
+
+
+class TestSparseModels:
+    """sparse_models yields a request's models in sample order, building one
+    chunk's at a time: the gap study holds no more than that."""
+
+    @staticmethod
+    def three_chunks(net, method, monkeypatch):
+        # two samples a chunk, so five samples make three chunks
+        rng = np.random.default_rng(31)
+        rows = [Sample(x=rng.standard_normal(8), y=i % 4) for i in range(5)]
+        request = MethodRequest(method, rows, (3, 1, 4, 1, 5), smooth_n=2, smooth_sigma=0.2)
+        monkeypatch.setattr(interpret, "CHUNK_COLUMNS", 2 * interpret._columns(net, request))
+        return request
+
+    @staticmethod
+    def fields(model):
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                     for v in (getattr(model, name) for name in model.__match_args__))
+
+    @pytest.mark.parametrize("method", list(interpret.SPARSE_METHODS))
+    def test_models_are_the_chunks_built_in_sample_order(self, relu_net, monkeypatch, method):
+        request = self.three_chunks(relu_net, method, monkeypatch)
+        smoothed, second_order = interpret.SPARSE_METHODS[method]
+        expected = []
+        for lo in (0, 2, 4):
+            part = request.samples[lo:lo + 2]
+            points = [s.x + 0.2 * float(s.x.max() - s.x.min())
+                      * np.random.default_rng(seed).standard_normal((2, 8))
+                      for s, seed in zip(part, request.seeds[lo:lo + 2])]
+            expected += curvature_models(relu_net, part, points if smoothed else None,
+                                         second_order, request.c1)
+        got = list(sparse_models(relu_net, request))
+        assert [self.fields(m) for m in got] == [self.fields(m) for m in expected]
+
+    def test_a_chunk_is_built_when_iteration_reaches_it(self, relu_net, monkeypatch):
+        request = self.three_chunks(relu_net, "caso", monkeypatch)
+        built, build = [], interpret.curvature_models
+        monkeypatch.setattr(interpret, "curvature_models",
+                            lambda net, samples, *args: built.append(len(samples))
+                            or build(net, samples, *args))
+        models = sparse_models(relu_net, request)
+        assert built == []
+        next(models)
+        assert built == [2]
+        next(models)
+        assert built == [2]
+        next(models)
+        assert built == [2, 2]
+        assert len(list(models)) == 2 and built == [2, 2, 1]
+
+    def test_a_baseline_request_has_no_models(self, relu_net):
+        request = MethodRequest("grad", (Sample(x=np.zeros(8), y=0),))
+        with pytest.raises(ValueError, match="^'grad' is not a sparse method$"):
+            next(sparse_models(relu_net, request))
 
 
 class TestSweepHoisting:

@@ -22,6 +22,7 @@ from casokit import (
     lambda1_sweep,
     model_save,
     run_request,
+    sparse_models,
 )
 from casokit import interpret, solver
 from casokit import netcore as nc
@@ -45,7 +46,7 @@ def samples(count, seed=42):
 
 def model_of(net, method, sample, seed=0, **knobs):
     """The CurvatureModel a one-sample request builds."""
-    return interpret._sparse_models(net, MethodRequest(method, (sample,), (seed,), **knobs))[0]
+    return next(sparse_models(net, MethodRequest(method, (sample,), (seed,), **knobs)))
 
 
 def objective(net, method, result, sample, seed=0):
@@ -105,7 +106,7 @@ def test_model_solves_at_lam1_zero_settle_in_one_step(kind, method):
     rows = samples(6)
     for c1 in (1e-3, 10.0):
         request = MethodRequest(method, rows, range(6), lam1=0.0, c1=c1, **KNOBS)
-        models = interpret._sparse_models(net, request)
+        models = list(sparse_models(net, request))
         assert all(m.inverse is not None for m in models)
         results = run_request(net, request)
         assert [r.solve.steps for r in results] == [1] * 6
@@ -487,7 +488,7 @@ def test_spectrum_gram_becomes_the_woodbury_base(monkeypatch):
                         lambda B: grams.append(factor_gram(B)) or grams[-1])
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
     net = net_of("relu")
-    models = interpret._sparse_models(net, MethodRequest("caso", samples(3)))
+    models = list(sparse_models(net, MethodRequest("caso", samples(3))))
     assert len(grams) == 1 and len(inverted) == 3
     for model, gram, arg in zip(models, grams[0], inverted):
         F, lam2 = model.factor, model.lam2

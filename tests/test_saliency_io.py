@@ -1207,6 +1207,15 @@ class TestRawTensors:
                 write_f64_tensor(path, np.zeros(shape))
             assert not path.exists()
 
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.array(2.0), 3.0],
+                             ids=["numpy-scalar", "0-d-array", "float"])
+    def test_f64_refuses_a_scalar(self, tmp_path, x):
+        # the rank is checked before any promotion: a 0-d input is no 1 x 1 tensor
+        path = tmp_path / "x.f64"
+        with pytest.raises(DimensionError, match="1-d or 2-d"):
+            write_f64_tensor(path, x)
+        assert not path.exists()
+
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(X=hnp.arrays("<u8", hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5))
