@@ -49,13 +49,10 @@ _EXPORTS = {
     ),
     "hessian": (
         "HessianHandle",
-        "RankOneApprox",
-        "SoftmaxCurvature",
         "hessian_eig",
         "hvp_closed_form",
         "hvp_finite_diff",
         "largest_eigenvalue",
-        "rank_one_approx",
         "rel_error",
         "softmax_curvature",
         "softmax_factor",

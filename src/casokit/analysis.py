@@ -29,7 +29,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import DimensionError
-from .hessian import _TINY, hessian_eig, rank_one_approx, rel_error, softmax_factor
+from .hessian import _TINY, hessian_eig, rel_error, softmax_factor
 from .interpret import MethodRequest, sparse_models
 from .solver import DEFAULT_C1, closed_form_cafo, select_lambda2
 
@@ -122,7 +122,8 @@ def simulate_rank_one(d=512, seed=0, p0=None, classes=(), eps_values=(), c=None)
         W = _draw_weights(draw, d, c)
         for eps in row_eps:
             p, g = _confident_model(W, eps)
-            err = rel_error(W @ softmax_factor(p), rank_one_approx(g, eps, c))
+            mu = float(g @ g) / (eps * (c - 1))
+            err = rel_error(W @ softmax_factor(p), g, mu)
             points.append(RankOnePoint(c=c, eps=eps, rel_error=err))
     return points
 

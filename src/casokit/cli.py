@@ -80,13 +80,6 @@ def existing_file(text):
     return text
 
 
-def file_name(text):
-    """A name for a file in --out, with no directory part."""
-    if text in ("", ".", "..") or os.sep in text or (os.altsep and os.altsep in text):
-        raise argparse.ArgumentTypeError(f"not a plain file name: {text!r}")
-    return text
-
-
 def int_list(text):
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -257,11 +250,10 @@ def cmd_train(args, out, stage):
     layers.append(LayerSpec(prev, classes, "identity"))
     net = init_network(NetworkSpec(tuple(layers)), seed=args.seed)
     result = train_sgd(net, dataset, learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-    model_save(result.network, os.path.join(stage, args.model_name),
-               metadata=_provenance(args))
+    model_save(result.network, os.path.join(stage, "model.json"), metadata=_provenance(args))
     if args.save_data:
         dataset_save_csv(dataset, os.path.join(stage, "data.csv"))
-    return f"accuracy={result.accuracy:.6f}\nmodel={os.path.join(out, args.model_name)}\n"
+    return f"accuracy={result.accuracy:.6f}\nmodel={os.path.join(out, 'model.json')}\n"
 
 
 def _write_map(stage, stem, comment, delta, image):
@@ -499,8 +491,6 @@ def build_parser():
     sp.add_argument("--activation", choices=("relu", "sigmoid"), default="relu")
     sp.add_argument("--lr", type=float, default=0.1, help="SGD learning rate")
     sp.add_argument("--epochs", type=int, default=10)
-    sp.add_argument("--model-name", type=file_name, default="model.json",
-                    help="output model file name, without a directory")
     sp.add_argument("--save-data", action="store_true",
                     help="also write the training data as data.csv")
     sp.set_defaults(func=cmd_train)
@@ -584,8 +574,6 @@ def main(argv=None):
         # each index's map lands in sample<index>.*, so a repeat would be lost
         dup = next(i for n, i in enumerate(args.samples) if i in args.samples[:n])
         root.error(f"argument --samples: sample index {dup} is repeated")
-    if args.command == "train" and args.save_data and args.model_name == "data.csv":
-        root.error("argument --model-name: data.csv is the name --save-data writes")
     # The command writes its artifacts into a staging directory inside out,
     # and they are renamed into place only once every one is written, so a
     # run that fails leaves out as it found it; stdout comes last.

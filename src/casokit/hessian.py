@@ -16,7 +16,7 @@ J_l the input Jacobian of z_l and da_l the loss cotangent of a_l.
 
 In the high-confidence regime p = [1-(c-1)eps, eps, ..., eps] the Hessian
 collapses toward the rank-one surrogate g g^T / (eps (c-1)) with g the loss
-gradient; rank_one_approx/rel_error quantify that collapse from B alone.
+gradient; rel_error quantifies that collapse from B alone.
 """
 
 from __future__ import annotations
@@ -35,13 +35,6 @@ HESSIAN_EIG_FLOOR = 1e-10
 _TINY = np.finfo(np.float64).tiny
 
 
-class SoftmaxCurvature(Record):
-    """The c x c softmax curvature A = diag(p) - p p^T for probabilities p."""
-
-    p: np.ndarray
-    matrix: np.ndarray
-
-
 def _probability_vector(p):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 2:
@@ -54,10 +47,10 @@ def _probability_vector(p):
 
 
 def softmax_curvature(p):
-    """Build A = diag(p) - p p^T after validating p as a probability vector."""
+    """The c x c softmax curvature A = diag(p) - p p^T, after validating p
+    as a probability vector."""
     p = _probability_vector(p)
-    A = np.diag(p) - np.outer(p, p)
-    return SoftmaxCurvature(p=p, matrix=A)
+    return np.diag(p) - np.outer(p, p)
 
 
 def softmax_factor(p):
@@ -207,42 +200,24 @@ def largest_eigenvalue(hvp, dim, iters=10, tol=1e-6, seed=0):
     return lam
 
 
-class RankOneApprox(Record):
-    """The surrogate H ~= mu q q^T with q = g/||g|| and
-    mu = ||g||^2 / (eps (c-1)), valid in the high-confidence regime."""
-
-    gradient: np.ndarray
-    eps: float
-    classes: int
-    eigenvalue: float
-
-
-def rank_one_approx(g, eps, classes):
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1:
-        raise DimensionError("g must be a flat vector")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    if classes < 2:
-        raise ValueError("need at least 2 classes")
-    mu = float(g @ g) / (eps * (classes - 1))
-    return RankOneApprox(gradient=g, eps=float(eps), classes=int(classes), eigenvalue=mu)
-
-
-def rel_error(B, approx):
-    """Frobenius error ||H - ghat||_F / ||H||_F of the rank-one surrogate
-    ghat = approx of H = B B^T, from the (d, r) factor B alone.
+def rel_error(B, g, mu):
+    """Frobenius error ||H - mu q q^T||_F / ||H||_F of the rank-one surrogate
+    of H = B B^T along q = g/||g||, from the (d, r) factor B alone; in the
+    high-confidence regime mu = ||g||^2 / (eps (c-1)).
 
     Both live in the span of B's columns plus the gradient direction. When
     that takes fewer than d vectors (r + 1 < d), the difference is measured
     in an orthonormal basis of the span, as an (r + 1) x (r + 1) matrix;
     otherwise the span may be all of R^d and H is compared directly.
-    Raises when ||H||_F = 0, or when its square falls below the smallest
-    normal float although H has a nonzero entry.
+    Raises when mu is negative or not finite, when ||H||_F = 0, or when
+    its square falls below the smallest normal float although H has a
+    nonzero entry.
     """
-    g = approx.gradient
-    if g.shape[0] != B.shape[0]:
-        raise DimensionError("gradient length does not match the Hessian")
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 1 or g.shape[0] != B.shape[0]:
+        raise DimensionError(f"g must be a vector of the Hessian's length {B.shape[0]}")
+    if not 0.0 <= mu < np.inf:
+        raise ValueError(f"mu = {mu} must be finite and nonnegative")
     gn = float(np.linalg.norm(g))
     u = (g / gn)[:, None] if gn > 0.0 else np.zeros((g.shape[0], 0))
     if B.shape[1] + u.shape[1] < B.shape[0]:
@@ -256,4 +231,4 @@ def rel_error(B, approx):
             raise ValueError(f"the Hessian's squared Frobenius norm underflows, though "
                              f"its largest entry is {top:.6g}")
         raise ValueError("Hessian has zero Frobenius norm")
-    return float(np.linalg.norm(H - approx.eigenvalue * (u @ u.T))) / float(np.sqrt(h_sq))
+    return float(np.linalg.norm(H - mu * (u @ u.T))) / float(np.sqrt(h_sq))

@@ -31,7 +31,7 @@ from ._record import Record
 from .errors import DimensionError
 from .hessian import factor_gram, softmax_factor
 from .netcore import Sample, _loss_cotangent, backprop_batch, forward_batch
-from .solver import DEFAULT_C1, SolveResult, curvature_product, exact_solve, select_lambda2
+from .solver import DEFAULT_C1, SolveResult, exact_solve, select_lambda2
 
 # lam1 grid used when a sweep does not specify one
 DEFAULT_LAMBDA1_GRID = (0.0, 1e-5, 1e-4, 1e-3, 6.25e-3, 1.25e-2, 2.5e-2, 5e-2)
@@ -168,10 +168,6 @@ class CurvatureModel(Record):
     curvature_floor: float
     lam2: float
     inverse: np.ndarray | None
-
-    def hvp(self, V):
-        """H V, for a vector or an (m, d) stack of rows."""
-        return curvature_product(self.factor, self.middle, V)
 
     def solve(self, lam1):
         """The exact maximizer of the surrogate at lam1 (solver.exact_solve)."""

@@ -86,7 +86,7 @@ def _percentile_cap(mag):
 def write_pgm(image, path, comment=None):
     """Write a non-empty 2-d uint8 image as a binary (P5) PGM at maxval
     255. An optional single-line comment is placed after the magic
-    number."""
+    number; it may hold neither LF nor CR, as either ends a PGM comment."""
     image = np.asarray(image)
     if image.dtype != np.uint8:
         raise ValueError(f"PGM pixels must be uint8, not {image.dtype}")
@@ -95,7 +95,7 @@ def write_pgm(image, path, comment=None):
     header = b"P5\n"
     if comment:
         text = str(comment)
-        if "\n" in text:
+        if "\n" in text or "\r" in text:
             raise ValueError("PGM comment must be a single line")
         header += b"# " + text.encode() + b"\n"
     height, width = image.shape

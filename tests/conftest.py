@@ -107,7 +107,7 @@ def bishop_hessian(net, x, y):
             J = (a * (1.0 - a))[:, None] * J
         elif layer.activation == "relu":
             J = (z > 0.0)[:, None] * J
-    A = softmax_curvature(t.probs).matrix
+    A = softmax_curvature(t.probs)
     H = Js[-1].T @ A @ Js[-1]
     da = t.probs - np.eye(net.num_classes)[y]
     for l in range(len(net.weights) - 1, -1, -1):

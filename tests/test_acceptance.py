@@ -78,7 +78,7 @@ def test_c01_hessian_matches_finite_differences():
         y = int(rng.integers(0, c))
         lin = local_linearization(net, x)
         probs = forward(net, x, y).probs
-        H = lin.W @ softmax_curvature(probs).matrix @ lin.W.T
+        H = lin.W @ softmax_curvature(probs) @ lin.W.T
         h = 1e-5
         fd = np.empty((d, d))
         for j in range(d):
@@ -101,7 +101,7 @@ def test_c02_curvature_is_positive_semidefinite():
         z = rng.standard_normal(c)
         p = np.exp(z - z.max())
         p /= p.sum()
-        H = W @ softmax_curvature(p).matrix @ W.T
+        H = W @ softmax_curvature(p) @ W.T
         top = float(np.linalg.eigvalsh(H)[-1])
         V = rng.standard_normal((1000, d))
         rayleigh = np.einsum("ij,ij->i", V @ H, V) / np.einsum("ij,ij->i", V, V)
@@ -120,7 +120,7 @@ def test_c03_factored_eigensolver_matches_dense():
     p = np.exp(z - z.max())
     p /= p.sum()
     handle = hessian_eig(W, p)
-    H = W @ softmax_curvature(p).matrix @ W.T
+    H = W @ softmax_curvature(p) @ W.T
     dense_vals, dense_vecs = np.linalg.eigh(H)
     k = len(handle.eigenvalues)
     top_vals = dense_vals[::-1][:k]

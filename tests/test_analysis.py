@@ -60,7 +60,7 @@ def naive_rel_error(W, c, eps):
     y = np.zeros(c)
     y[0] = 1.0
     g = W @ (p - y)
-    H = W @ softmax_curvature(p).matrix @ W.T
+    H = W @ softmax_curvature(p) @ W.T
     approx = np.outer(g, g) / (eps * (c - 1))
     return float(np.linalg.norm(H - approx) / np.linalg.norm(H))
 
@@ -403,7 +403,7 @@ class TestBruteForceOracle:
         p = np.exp(z - z.max())
         p /= p.sum()
         g = rng.standard_normal(d)
-        H = W @ softmax_curvature(p).matrix @ W.T
+        H = W @ softmax_curvature(p) @ W.T
         handle = hessian_eig(W, p)
         lam2 = select_lambda2(handle.top_eigenvalue)
         res = brute_force_group_feature(g, H, lam2, d)

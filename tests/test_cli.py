@@ -85,7 +85,8 @@ def command_argv(command, ws):
 # Every removed flag as (command, argv after the command's own, message):
 # --config, the raw dataset's --labels, the solver flags (the solves are
 # exact and run in one thread, and the oracle's dimension cap bounds its
-# enumeration), and the options their commands never read. Before the
+# enumeration), the options their commands never read, and train's
+# --model-name (every command writes fixed artifact names). Before the
 # command, argparse reads a spaced --config file name as the command.
 SOLVER_FLAGS = ("--jobs", "--power-iters", "--lr", "--solver-iters", "--decay",
                 "--max-backtracks", "--max-enumerations")
@@ -101,6 +102,7 @@ REMOVED_FLAGS = [
     *[(command, [flag, "1"], f"unrecognized arguments: {flag} 1")
       for command, flag in (("sweep", "--lambda1"), ("sweep", "--ig-steps"),
                             ("gap-study", "--seed"))],
+    ("train", ["--model-name", "x"], "unrecognized arguments: --model-name x"),
 ]
 
 
@@ -618,28 +620,6 @@ class TestCommit:
         assert capsys.readouterr() == ("", f"error: {tmp_path / name} is a directory\n")
         assert set(os.listdir(tmp_path)) == names  # no .casokit-* directory is left
         assert snapshot(tmp_path) == before
-
-    @pytest.mark.parametrize("name", ["a/b.json", "../model.json", "..", ""])
-    def test_model_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--model-name", name, "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert f"argument --model-name: not a plain file name: {name!r}" in (
-            capsys.readouterr().err)
-        assert os.listdir(tmp_path) == []
-
-    def test_model_name_must_not_be_the_saved_data_name(self, tmp_path, capsys):
-        # the dataset would replace the model in the staging directory
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--save-data", "--model-name", "data.csv", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert ("argument --model-name: data.csv is the name --save-data writes"
-                in capsys.readouterr().err)
-        assert os.listdir(tmp_path) == []
-        assert run(["train", "--classes", "2", "--dim", "4", "--n-per-class", "4",
-                    "--hidden", "3", "--epochs", "1", "--model-name", "data.csv",
-                    "--out", str(tmp_path)]) == 0
-        assert model_load(str(tmp_path / "data.csv")).spec.layers[0].in_dim == 4
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_a_failing_run_removes_the_out_directories_it_made(

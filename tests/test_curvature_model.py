@@ -76,9 +76,14 @@ def dense_mean_hessian(net, points):
     H = np.zeros((net.input_dim, net.input_dim))
     for z in points:
         W = local_linearization(net, z).W
-        A = softmax_curvature(forward(net, z).probs).matrix
+        A = softmax_curvature(forward(net, z).probs)
         H += W @ A @ W.T
     return H / len(points)
+
+
+def hvp(model, V):
+    """H V for the model's H = F C F^T, a vector or an (m, d) stack of rows."""
+    return solver.curvature_product(model.factor, model.middle, V)
 
 
 def identity_net():
@@ -176,7 +181,7 @@ class TestDenseEquivalence:
             assert B.shape == (8, 4 * n) and model.middle is None
             assert np.allclose(B @ B.T, H, rtol=1e-10, atol=1e-12 * scale)
             v = rng.standard_normal(8)
-            assert np.allclose(model.hvp(v), H @ v, rtol=1e-10, atol=1e-12 * scale)
+            assert np.allclose(hvp(model, v), H @ v, rtol=1e-10, atol=1e-12 * scale)
             g = np.mean([input_gradient(relu_net, z, 2) for z in points], axis=0)
             assert np.allclose(model.gradient, g, rtol=1e-10, atol=1e-14)
             top = float(np.linalg.eigvalsh(H)[-1])
@@ -204,7 +209,7 @@ class TestDenseEquivalence:
                 assert np.shares_memory(F, net.weights[0]) and model.inverse.shape == (6, 6)
             H = dense_mean_hessian(net, points)
             scale = float(np.abs(H).max())
-            assert np.allclose(model.hvp(np.eye(8)), H, rtol=1e-10, atol=1e-12 * scale)
+            assert np.allclose(hvp(model, np.eye(8)), H, rtol=1e-10, atol=1e-12 * scale)
             top = float(np.linalg.eigvalsh(H)[-1])
             assert abs(model.curvature_bound - top) <= 1e-10 * top
             # the same maps as a solve on the stacked factor of per-point Jacobians
@@ -245,8 +250,8 @@ class TestDenseEquivalence:
         H = np.mean([bishop_hessian(sigmoid_net, z, 1) for z in points], axis=0)
         scale = float(np.abs(H).max())
         V = rng.standard_normal((4, 6))
-        assert np.allclose(model.hvp(V), V @ H, rtol=1e-10, atol=1e-12 * scale)
-        assert np.allclose(model.hvp(V[0]), H @ V[0], rtol=1e-10, atol=1e-12 * scale)
+        assert np.allclose(hvp(model, V), V @ H, rtol=1e-10, atol=1e-12 * scale)
+        assert np.allclose(hvp(model, V[0]), H @ V[0], rtol=1e-10, atol=1e-12 * scale)
         w = np.linalg.eigvalsh(H)
         assert w[0] < 0.0 < w[-1]  # the sigmoid terms make H indefinite
         assert abs(model.curvature_bound - w[-1]) <= 1e-10 * w[-1]
@@ -293,7 +298,7 @@ class TestExactLambda2:
         model = curvature_models(net, [s])[0]
         assert model.curvature_bound == pytest.approx(top, rel=1e-6)
         for v in np.random.default_rng(36).standard_normal((2, net.input_dim)):
-            hv = model.hvp(v)
+            hv = hvp(model, v)
             fd = hvp_finite_diff(net, s.x, s.y, v)
             assert np.linalg.norm(hv - fd) <= 1e-8 * np.linalg.norm(hv)
 
@@ -341,7 +346,7 @@ class TestClosedFormCurvature:
         model = curvature_models(net, [Sample(x=x, y=1)], [points])[0]
         H = np.mean([fd_loss_hessian(net, z, 1) for z in points], axis=0)
         for v in rng.standard_normal((3, net.input_dim)):
-            hv = model.hvp(v)
+            hv = hvp(model, v)
             fd = np.mean([hvp_finite_diff(net, z, 1, v) for z in points], axis=0)
             assert np.linalg.norm(hv - H @ v) <= 1e-6 * np.linalg.norm(hv)
             # hvp_finite_diff's step of 1e-4 (1 + |x|) leaves a truncation
@@ -363,7 +368,7 @@ class TestClosedFormCurvature:
             top = float(np.linalg.eigvalsh(H)[-1])
             assert abs(model.curvature_bound - max(top, 0.0)) <= 1e-10 * abs(top)
             V = rng.standard_normal((2, net.input_dim))
-            assert np.allclose(model.hvp(V), V @ H, rtol=1e-10,
+            assert np.allclose(hvp(model, V), V @ H, rtol=1e-10,
                                atol=1e-12 * float(np.abs(H).max()))
 
     def test_sigmoid_factor_width_sets_the_chunks(self, sigmoid_net):

@@ -2,6 +2,7 @@
 steps on H = F C F^T, globalized on the forward-backward envelope where a
 Newton point does not settle."""
 
+import functools
 import itertools
 import json
 
@@ -52,7 +53,8 @@ def model_of(net, method, sample, seed=0, **knobs):
 def objective(net, method, result, sample, seed=0):
     """The ObjectiveSpec a sparse result maximized, from a model of its own."""
     model = model_of(net, method, sample, seed, **KNOBS)
-    return ObjectiveSpec(gradient=model.gradient, hvp=model.hvp, lam1=result.lam1,
+    hvp = functools.partial(solver.curvature_product, model.factor, model.middle)
+    return ObjectiveSpec(gradient=model.gradient, hvp=hvp, lam1=result.lam1,
                          lam2=result.lam2, curvature_bound=model.curvature_bound)
 
 

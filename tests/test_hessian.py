@@ -17,13 +17,18 @@ def dense_hessian(W, p):
     return W @ A @ W.T
 
 
+def rank_one_mu(g, eps, c):
+    """The surrogate's eigenvalue ||g||^2 / (eps (c-1))."""
+    return float(g @ g) / (eps * (c - 1))
+
+
 def test_softmax_curvature_half_half():
-    A = hs.softmax_curvature([0.5, 0.5]).matrix
+    A = hs.softmax_curvature([0.5, 0.5])
     assert np.allclose(A, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
 
 def test_softmax_curvature_onehot_zero():
-    A = hs.softmax_curvature([1.0, 0.0]).matrix
+    A = hs.softmax_curvature([1.0, 0.0])
     assert np.abs(A).max() == 0.0
 
 
@@ -32,7 +37,7 @@ def test_softmax_curvature_properties():
     for _ in range(50):
         c = int(rng.integers(2, 12))
         p = random_probs(rng, c)
-        A = hs.softmax_curvature(p).matrix
+        A = hs.softmax_curvature(p)
         assert np.abs(A - A.T).max() <= 1e-14
         assert np.abs(A.sum(axis=1)).max() <= 1e-12
         # diagonal dominance holds with equality (rows sum to zero)
@@ -42,7 +47,7 @@ def test_softmax_curvature_properties():
 
 
 def test_softmax_curvature_explicit_three_class():
-    A = hs.softmax_curvature([0.7, 0.2, 0.1]).matrix
+    A = hs.softmax_curvature([0.7, 0.2, 0.1])
     assert np.abs(A.sum(axis=1)).max() <= 1e-12
     assert float(np.linalg.eigvalsh(A).min()) >= -1e-12
 
@@ -63,7 +68,7 @@ def test_softmax_factor_reproduces_curvature():
     for p in cases:
         L = hs.softmax_factor(p)
         assert L.shape == (p.size, p.size)
-        assert np.abs(L @ L.T - hs.softmax_curvature(p).matrix).max() <= 1e-15
+        assert np.abs(L @ L.T - hs.softmax_curvature(p)).max() <= 1e-15
     # a zero probability gives an exactly zero column
     assert not hs.softmax_factor(cases[-1])[:, 1].any()
     # a stack of vectors factors row by row
@@ -234,23 +239,13 @@ def test_largest_eigenvalue_deterministic():
     assert hs.largest_eigenvalue(op, 20, seed=3) == hs.largest_eigenvalue(op, 20, seed=3)
 
 
-def test_rank_one_approx_two_class_eigenvalue():
-    g = np.array([3.0, 4.0])
-    approx = hs.rank_one_approx(g, 0.01, 2)
-    assert approx.eigenvalue == pytest.approx(25.0 / 0.01, rel=1e-15)
-    with pytest.raises(ValueError):
-        hs.rank_one_approx(g, 0.0, 2)
-    with pytest.raises(ValueError):
-        hs.rank_one_approx(g, 0.01, 1)
-
-
 def test_rel_error_exact_rank_one_is_zero():
     # a factor whose H = B B^T is exactly mu qq^T with q parallel to g
     rng = np.random.default_rng(15)
     g = rng.standard_normal(20)
     eps, c = 1e-3, 4
     B = (g / np.sqrt(eps * (c - 1)))[:, None]
-    err = hs.rel_error(B, hs.rank_one_approx(g, eps, c))
+    err = hs.rel_error(B, g, rank_one_mu(g, eps, c))
     assert err <= 1e-8
 
 
@@ -263,7 +258,7 @@ def test_rel_error_two_class_closed_form():
     p = np.array([1.0 - eps, eps])
     g = W @ (p - np.array([1.0, 0.0]))
     h = hs.hessian_eig(W, p)
-    err = hs.rel_error(h.B, hs.rank_one_approx(g, eps, 2))
+    err = hs.rel_error(h.B, g, rank_one_mu(g, eps, 2))
     assert err == pytest.approx(eps / (1.0 - eps), rel=1e-3)
 
 
@@ -277,7 +272,7 @@ def test_rel_error_matches_dense():
     y[0] = 1.0
     g = W @ (p - y)
     h = hs.hessian_eig(W, p)
-    err = hs.rel_error(h.B, hs.rank_one_approx(g, eps, 6))
+    err = hs.rel_error(h.B, g, rank_one_mu(g, eps, 6))
     H = dense_hessian(W, p)
     ref = np.linalg.norm(H - np.outer(g, g) / (eps * 5)) / np.linalg.norm(H)
     assert err == pytest.approx(ref, abs=1e-10)
@@ -286,7 +281,7 @@ def test_rel_error_matches_dense():
 def test_rel_error_zero_hessian_errors():
     h = hs.hessian_eig(np.zeros((5, 3)), np.array([0.2, 0.3, 0.5]))
     with pytest.raises(ValueError, match="^Hessian has zero Frobenius norm$"):
-        hs.rel_error(h.B, hs.rank_one_approx(np.ones(5), 0.1, 3))
+        hs.rel_error(h.B, np.ones(5), rank_one_mu(np.ones(5), 0.1, 3))
 
 
 @pytest.mark.parametrize("power,top", [
@@ -299,7 +294,18 @@ def test_rel_error_names_an_underflowing_norm(power, top):
     B = np.eye(3) * 2.0 ** power
     with pytest.raises(ValueError, match=r"^the Hessian's squared Frobenius norm underflows, "
                                          rf"though its largest entry is {top}$"):
-        hs.rel_error(B, hs.rank_one_approx(np.ones(3), 0.1, 3))
+        hs.rel_error(B, np.ones(3), rank_one_mu(np.ones(3), 0.1, 3))
+
+
+@pytest.mark.parametrize("mu", [-1.0, np.inf, np.nan])
+def test_rel_error_refuses_a_negative_or_nonfinite_mu(mu):
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        hs.rel_error(np.eye(3), np.ones(3), mu)
+
+
+def test_rel_error_refuses_a_gradient_of_another_length():
+    with pytest.raises(DimensionError):
+        hs.rel_error(np.eye(3), np.ones(4), 1.0)
 
 
 def test_rank_one_error_improves_with_classes():
@@ -315,7 +321,7 @@ def test_rank_one_error_improves_with_classes():
     y[0] = 1.0
     g = W @ (p - y)
     h = hs.hessian_eig(W, p)
-    err = hs.rel_error(h.B, hs.rank_one_approx(g, eps, c))
+    err = hs.rel_error(h.B, g, rank_one_mu(g, eps, c))
     assert err < 0.2849715355867293  # the c = 10 study value
 
 

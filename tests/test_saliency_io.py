@@ -194,9 +194,11 @@ class TestPgm:
         assert path.read_bytes() == b"P5\n1 1\n255\n\x01"
 
     def test_multiline_comment_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_pgm(np.ones((1, 1), np.uint8), tmp_path / "x.pgm", comment="a\nb")
-        assert not (tmp_path / "x.pgm").exists()
+        # a reader ends the comment at LF or CR and would take b as the width
+        for comment in ("a\nb", "a\rb"):
+            with pytest.raises(ValueError, match="single line"):
+                write_pgm(np.ones((1, 1), np.uint8), tmp_path / "x.pgm", comment=comment)
+            assert not (tmp_path / "x.pgm").exists()
 
     @pytest.mark.parametrize("image,error", [
         (np.zeros((2, 2)), ValueError),  # float pixels

@@ -373,7 +373,7 @@ class TestClosedForms:
         g = rng.standard_normal(d)
         handle = hessian_eig(W, p)
         lam2 = select_lambda2(handle.top_eigenvalue)
-        H = W @ softmax_curvature(p).matrix @ W.T
+        H = W @ softmax_curvature(p) @ W.T
         expected = np.linalg.solve(2.0 * lam2 * np.eye(d) - H, g)
         out = closed_form_caso(g, handle, lam2)
         assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)

@@ -4,12 +4,16 @@ functions return, or only a traced benchmark run would notice."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -25,6 +29,24 @@ def load_tracer():
 def test_traced_function_resolves(layer, fn_name):
     module = importlib.import_module(f"casokit.{layer}")
     assert callable(getattr(module, fn_name, None)), f"casokit.{layer}.{fn_name} is gone"
+
+
+@pytest.fixture(scope="module")
+def modules_the_cli_loads():
+    """The casokit modules that `import casokit.cli` alone loads, in a
+    fresh process."""
+    probe = "import sys, casokit.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.split())
+
+
+@pytest.mark.parametrize("layer", list(load_tracer().LAYERS))
+def test_importing_the_cli_loads_every_traced_layer(modules_the_cli_loads, layer):
+    # the tracer's install() imports casokit.cli, then reads each layer
+    # from sys.modules
+    assert f"casokit.{layer}" in modules_the_cli_loads
 
 
 def test_fista_hook_counts_the_reference_solves():
